@@ -15,7 +15,7 @@ GO ?= go
 ## snapshots record which suite produced each number.
 BENCH_PATTERN := RSAThroughput|MACThroughput|MicroPipelineRSA|MACVector|MACSingle|CommitDedup|ShardSweep|AdaptiveSweep|Ed25519Throughput|RSASign|RSAVerify|Ed25519Sign|Ed25519Verify
 
-.PHONY: check build vet test race fuzz-seeds soak soak-smoke bench bench-snapshot bench-compare tidy
+.PHONY: check build vet test race fuzz-seeds soak soak-smoke bench bench-test bench-snapshot bench-compare tidy
 
 ## check: what CI runs — build, vet, full test suite, and the
 ## concurrency-sensitive packages under the race detector (the MAC
@@ -64,6 +64,12 @@ fuzz-seeds:
 ## batch-size sweep of the batched commit data plane.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 2000x . ./internal/crypto/
+
+## bench-test: vet and test the repository benchmark driver. bench/ is
+## its own module (it builds apart from the product), so the root
+## `go test ./...` never reaches its tests.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ## bench-snapshot: run the same benchmarks with -json and -benchmem
 ## (allocs/op and B/op are first-class regression metrics of the

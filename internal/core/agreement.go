@@ -1046,7 +1046,8 @@ func (a *AgreementReplica) applyAdminLocked(pos ids.Position, op []byte) {
 		// paper's join procedure. Without this the fan-out would block
 		// on a channel whose window never moves. The anchoring batch
 		// itself (it contains this admin op) is still sent: the window
-		// starts at pos.
+		// starts at pos, here at once, so the send does not wait for
+		// the new group's replicas to be up and answer.
 		if pos > 1 {
 			a.groups[admin.Group.ID].commitSend.MoveWindow(0, pos)
 		}

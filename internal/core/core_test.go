@@ -66,9 +66,16 @@ func newDeploymentDedup(t *testing.T, numExec int, tun Tunables, batch int, dedu
 // that measure byte costs with the paper's RSA-1024 signatures.
 func newDeploymentSuite(t *testing.T, numExec int, tun Tunables, batch int, dedup DedupMode, suite crypto.SuiteKind, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
 	t.Helper()
+	return newDeploymentOn(t, memnet.New(memnet.Options{}), numExec, tun, batch, dedup, suite, adminClients, clientIDs...)
+}
+
+// newDeploymentOn builds the deployment on a network the caller
+// prepared, for tests that place the nodes on the emulated WAN.
+func newDeploymentOn(t *testing.T, net *memnet.Network, numExec int, tun Tunables, batch int, dedup DedupMode, suite crypto.SuiteKind, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
+	t.Helper()
 	d := &deployment{
 		t:         t,
-		net:       memnet.New(memnet.Options{}),
+		net:       net,
 		execution: make(map[ids.GroupID][]*ExecutionReplica),
 		apps:      make(map[ids.NodeID]*app.KVStore),
 		commit:    &CommitStats{},

@@ -499,6 +499,10 @@ func (e *ExecutionReplica) runForwarder(f *forwarder, client ids.ClientID) {
 		}
 		// Lines 21–22 of Figure 16: move the client's subchannel
 		// window to the new counter, then insert the request there.
+		// The move takes effect at this sender at once, so the Send
+		// behind it never waits for the agreement side, however far
+		// the counter jumped (weak reads and other shards consume
+		// counters this subchannel never sees).
 		e.reqSender.MoveWindow(sub, ids.Position(p.counter))
 		// Send may return TooOld when the client has already moved
 		// on; that is exactly the paper's garbage-collection rule.

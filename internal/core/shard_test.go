@@ -175,9 +175,16 @@ type shardedDeployment struct {
 
 func newShardedDeployment(t *testing.T, shards, numExec int, tun Tunables, clientIDs ...ids.ClientID) *shardedDeployment {
 	t.Helper()
+	return newShardedDeploymentOn(t, memnet.New(memnet.Options{}), shards, numExec, tun, clientIDs...)
+}
+
+// newShardedDeploymentOn builds the deployment on a network the caller
+// prepared, for tests that place the nodes on the emulated WAN.
+func newShardedDeploymentOn(t *testing.T, net *memnet.Network, shards, numExec int, tun Tunables, clientIDs ...ids.ClientID) *shardedDeployment {
+	t.Helper()
 	d := &shardedDeployment{
 		t:         t,
-		net:       memnet.New(memnet.Options{}),
+		net:       net,
 		shards:    shards,
 		execution: make(map[ids.GroupID][]*ExecutionReplica),
 		apps:      make(map[ids.GroupID]map[ids.NodeID]*app.KVStore),

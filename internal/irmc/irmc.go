@@ -8,6 +8,11 @@
 // submitted identical content for the same subchannel position, so a
 // Byzantine minority cannot inject traffic.
 //
+// The window machinery both implementations share lives here: Window,
+// SenderWindow (a sender's own move takes effect at once, the
+// receivers' quorum moves it otherwise) and Hold (the bounded buffer
+// for traffic that arrives before the local window covers it).
+//
 // Two implementations exist: rc (receiver-side collection, Figure 18)
 // and sc (sender-side collection with collectors, Figures 19–20).
 // Both satisfy the conformance suite in irmctest, which encodes the
@@ -51,15 +56,31 @@ func AsTooOld(err error) (*TooOldError, bool) {
 }
 
 // Sender is the sender-side endpoint interface (Figure 14).
+//
+// A sender's window on a subchannel covers Capacity positions from its
+// start, and the start is the higher of the sender's own last
+// MoveWindow and the (fr+1)-highest window start the receivers have
+// announced. MoveWindow(sc, p) followed by Send(sc, p, m) therefore
+// never waits for the receivers (Figure 16, lines 21–22, issue the two
+// back to back); Send waits only for a position more than a window
+// beyond both. The receiver side is not moved by one sender: its
+// window follows fs+1 senders' moves or its own MoveWindow, and
+// delivery needs fs+1 identical submissions inside that window. What a
+// sender submits before the other endpoints' windows cover it is held
+// there, at most Capacity entries per subchannel and peer (see Hold),
+// and admitted when the window arrives.
 type Sender interface {
 	// Send submits msg for subchannel sc at position p. It blocks
 	// while p lies beyond the window's upper bound, returns a
 	// *TooOldError immediately if the window has moved past p, and
 	// returns ErrClosed after Close.
 	Send(sc ids.Subchannel, p ids.Position, msg []byte) error
-	// MoveWindow asks the receiver side to advance the subchannel
-	// window so that it starts at p. Positions only move forward;
-	// calls with lower positions are ignored.
+	// MoveWindow moves this sender's window on the subchannel so that
+	// it starts at p, at once: positions below p become too old here,
+	// blocked Sends the moved window admits proceed. It also asks the
+	// receiver side to follow, which it does once fs+1 senders have
+	// asked. Positions only move forward; calls with lower positions
+	// are ignored.
 	MoveWindow(sc ids.Subchannel, p ids.Position)
 	// Close releases the endpoint and unblocks pending calls.
 	Close()
@@ -202,6 +223,73 @@ func (w *Window) Advance(p ids.Position) bool {
 	}
 	w.Start = p
 	return true
+}
+
+// SenderWindow is the sender side of one subchannel's window, shared by
+// both implementations. Its start is the higher of two positions: the
+// move this sender itself requested, which takes effect here at once
+// (the caller of MoveWindow has declared everything below obsolete, so
+// nothing is gained by waiting a round trip for the receivers to say
+// so too), and the (fr+1)-highest start announced by the receivers,
+// which at least one correct receiver endorsed. A receiver window is
+// not affected by either until fs+1 senders have requested the move.
+type SenderWindow struct {
+	Window
+	own      ids.Position                // highest move this sender requested (0: none)
+	recvWins map[ids.NodeID]ids.Position // window starts announced by receivers
+	quorum   ids.Position                // (fr+1)-highest announced start
+}
+
+// NewSenderWindow returns a sender window anchored at position 1.
+func NewSenderWindow(capacity int) SenderWindow {
+	return SenderWindow{
+		Window:   NewWindow(capacity),
+		recvWins: make(map[ids.NodeID]ids.Position),
+		quorum:   1,
+	}
+}
+
+// Request records this sender's own move to p. fresh reports whether p
+// is beyond every earlier request (the Move must then be announced to
+// the receivers), advanced whether the window start moved.
+func (w *SenderWindow) Request(p ids.Position) (fresh, advanced bool) {
+	if p <= w.own {
+		return false, false
+	}
+	w.own = p
+	return true, w.Advance(p)
+}
+
+// Announce records receiver from's announced window start. drained is
+// how far the receiver quorum's start advanced — positions fr+1
+// receivers have moved past, whether or not the window start moved
+// with them — and advanced reports whether the window start moved.
+func (w *SenderWindow) Announce(from ids.NodeID, p ids.Position, receivers ids.Group) (drained int64, advanced bool) {
+	if p <= w.recvWins[from] {
+		return 0, false // announcements only move forward
+	}
+	w.recvWins[from] = p
+	q := KHighest(w.recvWins, receivers.Members, receivers.F+1)
+	if q > w.quorum {
+		drained = int64(q - w.quorum)
+		w.quorum = q
+	}
+	return drained, w.Advance(q)
+}
+
+// Unacknowledged returns this sender's requested move and the
+// receivers whose announced start still trails it.
+func (w *SenderWindow) Unacknowledged(receivers []ids.NodeID) (ids.Position, []ids.NodeID) {
+	if w.own == 0 {
+		return 0, nil
+	}
+	var lag []ids.NodeID
+	for _, nid := range receivers {
+		if w.recvWins[nid] < w.own {
+			lag = append(lag, nid)
+		}
+	}
+	return w.own, lag
 }
 
 // FlowStats is a snapshot of one subchannel's sender-side flow

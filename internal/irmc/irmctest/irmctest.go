@@ -106,6 +106,8 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("SenderDrivenMove", func(t *testing.T) { testSenderDrivenMove(t, factory) })
 	t.Run("SingleReceiverCannotMoveSenderWindow", func(t *testing.T) { testSingleReceiverCannotMove(t, factory) })
 	t.Run("CloseUnblocks", func(t *testing.T) { testCloseUnblocks(t, factory) })
+	t.Run("OwnMoveNeedsNoRoundTrip", func(t *testing.T) { testOwnMoveNeedsNoRoundTrip(t, factory) })
+	t.Run("EarlyFloodIsBounded", func(t *testing.T) { testEarlyFloodIsBounded(t, factory) })
 }
 
 // sendQuorum submits msg at (sc, p) from fs+1 senders.
@@ -398,4 +400,137 @@ func testCloseUnblocks(t *testing.T, factory Factory) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Send not unblocked by Close")
 	}
+}
+
+// testOwnMoveNeedsNoRoundTrip: a sender's MoveWindow takes effect at
+// the sender at once, so MoveWindow followed by Send completes, and
+// delivers, on sender→receiver traffic alone. The receivers hold what
+// reaches them before fs+1 Moves have shifted their window.
+func testOwnMoveNeedsNoRoundTrip(t *testing.T, factory Factory) {
+	c := factory(t, 2) // window spans positions 1..2; 10 is far outside
+	defer c.Close()
+
+	for _, r := range c.ReceiverG.Members {
+		for _, s := range c.SenderG.Members {
+			c.Net.SetDropRate(r, s, 1)
+		}
+	}
+	want := []byte("one way only")
+	chans := make([]<-chan receiveResult, len(c.Receivers))
+	for i, r := range c.Receivers {
+		chans[i] = receiveAsync(r, 0, 10)
+	}
+	sent := make(chan error, len(c.Senders))
+	for _, s := range c.Senders {
+		go func() {
+			s.MoveWindow(0, 10)
+			sent <- s.Send(0, 10, want)
+		}()
+	}
+	for range c.Senders {
+		select {
+		case err := <-sent:
+			if err != nil {
+				t.Fatalf("Send after own MoveWindow: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Send waited for the receivers although the sender had moved its own window")
+		}
+	}
+	for _, ch := range chans {
+		waitMsg(t, ch, want, 5*time.Second)
+	}
+}
+
+// testEarlyFloodIsBounded: one (faulty) sender races ahead on its own —
+// a ladder of Moves, each followed by Sends the receivers' window does
+// not cover. No endpoint may hold more than Capacity early entries for
+// it, its Moves alone move nobody, nothing it sent is delivered, and
+// the correct senders' traffic is unaffected — also at a position
+// where the faulty sender's held submission is waiting.
+func testEarlyFloodIsBounded(t *testing.T, factory Factory) {
+	const capacity = 2
+	c := factory(t, capacity)
+	defer c.Close()
+
+	type holder interface {
+		Held(sc ids.Subchannel, peer ids.NodeID) int
+	}
+	var holders []holder
+	for _, s := range c.Senders {
+		if h, ok := s.(holder); ok {
+			holders = append(holders, h)
+		}
+	}
+	for _, r := range c.Receivers {
+		if h, ok := r.(holder); ok {
+			holders = append(holders, h)
+		}
+	}
+	if len(holders) == 0 {
+		t.Fatal("no endpoint reports its held entries")
+	}
+	last := len(c.Senders) - 1 // not the IRMC-SC default collector
+	faulty, faultyID := c.Senders[last], c.SenderG.Members[last]
+	maxHeld := func() int {
+		m := 0
+		for _, h := range holders {
+			if n := h.Held(0, faultyID); n > m {
+				m = n
+			}
+		}
+		return m
+	}
+
+	const rungs = 500 // two positions each: 1 000 distinct positions
+	var top ids.Position
+	for i := 0; i < rungs; i++ {
+		top = ids.Position(10 + 2*i)
+		faulty.MoveWindow(0, top)
+		for _, p := range []ids.Position{top, top + 1} {
+			if err := faulty.Send(0, p, []byte("junk")); err != nil {
+				t.Fatalf("faulty Send %d: %v", p, err)
+			}
+		}
+		if n := maxHeld(); n > capacity {
+			t.Fatalf("rung %d: %d entries held for the faulty sender, capacity %d", i, n, capacity)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for maxHeld() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the flood never reached a hold")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := maxHeld(); n > capacity {
+		t.Fatalf("%d entries held for the faulty sender after the flood, capacity %d", n, capacity)
+	}
+
+	// The receivers' window is still [1,2]: position 1 delivers from
+	// the correct senders, and nothing the faulty sender sent does.
+	good := []byte("good")
+	flooded := receiveAsync(c.Receivers[0], 0, top)
+	ch := receiveAsync(c.Receivers[0], 0, 1)
+	for _, s := range c.Senders[:last] {
+		if err := s.Send(0, 1, good); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	waitMsg(t, ch, good, 5*time.Second)
+	select {
+	case res := <-flooded:
+		t.Fatalf("a single sender's early traffic was delivered or moved the window: %q err=%v", res.msg, res.err)
+	case <-time.After(200 * time.Millisecond):
+	}
+
+	// The correct senders move to where the faulty sender's last
+	// submissions are held: those count as its one vote, no more.
+	for _, s := range c.Senders[:last] {
+		s.MoveWindow(0, top)
+		if err := s.Send(0, top, good); err != nil {
+			t.Fatalf("Send %d: %v", top, err)
+		}
+	}
+	waitMsg(t, flooded, good, 5*time.Second)
 }

@@ -24,7 +24,8 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 // TestFlowStatsCountAcksAndBlocks pins the window auto-sizer's
 // measurement inputs: positions the receiver ack quorum drains past
 // count as Acked, and a Send stalling on a full effective window
-// counts as Blocked and completes once acks advance the window.
+// counts as Blocked and completes once acks advance the window. The
+// sender's own move ticks neither.
 func TestFlowStatsCountAcksAndBlocks(t *testing.T) {
 	const sc = ids.Subchannel(3)
 	c := newChannel(t, 8)
@@ -100,6 +101,30 @@ func TestFlowStatsCountAcksAndBlocks(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("send 7 after drain: %v", err)
+	}
+
+	// A sender-requested move admits the Send behind it at once — that
+	// is not a stall — and the positions it skips were not drained by
+	// anyone: Acked only follows the receiver quorum, which a single
+	// sender's Move does not shift.
+	before := s.FlowStats(sc)
+	s.MoveWindow(sc, 20)
+	if err := s.Send(sc, 20, []byte("flow-20")); err != nil {
+		t.Fatalf("send 20 after own move: %v", err)
+	}
+	if st = s.FlowStats(sc); st.Blocked != before.Blocked || st.Acked != before.Acked || st.Outstanding != 1 {
+		t.Fatalf("after own move to 20: %+v, want blocked/acked unchanged from %+v and 1 outstanding", st, before)
+	}
+	// Once the other senders move too, the receivers follow and
+	// announce 20: now the quorum has passed 7..19.
+	for _, snd := range c.Senders[1:] {
+		snd.MoveWindow(sc, 20)
+	}
+	waitCond(t, "receiver quorum to announce the move", func() bool {
+		return s.FlowStats(sc).Acked == before.Acked+13
+	})
+	if got := s.FlowStats(sc).Blocked; got != before.Blocked {
+		t.Fatalf("blocked = %d after the quorum caught up, want %d", got, before.Blocked)
 	}
 
 	// Growing the window back wakes nothing retroactively but must

@@ -4,6 +4,19 @@
 // fs+1 matching submissions before delivering. This maximizes
 // throughput at the cost of wide-area bandwidth, the trade-off
 // Figure 9 quantifies against IRMC-SC.
+//
+// Window rule: a sender's window starts at the higher of its own
+// MoveWindow and the (fr+1)-highest start the receivers announced
+// (irmc.SenderWindow), so MoveWindow followed by Send costs no round
+// trip; a receiver's window moves on fs+1 senders' Moves or its own
+// MoveWindow, never on less. A Send that reaches a receiver ahead of
+// its window — the sender moved first — is neither dropped nor
+// counted: the receiver holds it (irmc.Hold: per subchannel and
+// sender at most Capacity entries, those within Capacity positions of
+// the sender's newest; dropped when that sender's Move or the window
+// passes them) and runs it through the ordinary fs+1 matching when the
+// window reaches it. Receive never returns a position outside the
+// window.
 package rc
 
 import (
@@ -30,9 +43,7 @@ type Sender struct {
 }
 
 type senderSub struct {
-	win      irmc.Window
-	recvWins map[ids.NodeID]ids.Position // window starts announced by receivers
-	ownMove  ids.Position                // highest window move we requested
+	win irmc.SenderWindow
 	// retained holds the sealed Send envelope of every in-window
 	// position (Config.Resend only), pruned as the window advances.
 	// The envelope is recipient independent, so a retained entry can
@@ -41,9 +52,11 @@ type senderSub struct {
 	retained map[ids.Position][]byte
 	// Flow instrumentation for window auto-sizing (read via FlowStats):
 	// acked counts positions the fr+1 receiver quorum has drained past
-	// (window-start advances), blocked counts Send calls that had to
-	// wait on a full window, highSent is the highest position handed to
-	// Send. Plain counters under s.mu — the hot path already holds it.
+	// (positions this sender's own move skipped are not drained and do
+	// not count until the receivers announce them), blocked counts Send
+	// calls that had to wait on a full window, highSent is the highest
+	// position handed to Send. Plain counters under s.mu — the hot path
+	// already holds it.
 	acked    int64
 	blocked  int64
 	highSent ids.Position
@@ -112,17 +125,8 @@ func (s *Sender) reannounceMoves() {
 		return
 	}
 	for sc, sub := range s.subs {
-		if sub.ownMove == 0 {
-			continue
-		}
-		var lag []ids.NodeID
-		for _, nid := range s.cfg.Receivers.Members {
-			if sub.recvWins[nid] < sub.ownMove {
-				lag = append(lag, nid)
-			}
-		}
-		if len(lag) > 0 {
-			work = append(work, pending{sc: sc, pos: sub.ownMove, to: lag})
+		if pos, lag := sub.win.Unacknowledged(s.cfg.Receivers.Members); len(lag) > 0 {
+			work = append(work, pending{sc: sc, pos: pos, to: lag})
 		}
 	}
 	s.mu.Unlock()
@@ -141,8 +145,7 @@ func (s *Sender) sub(sc ids.Subchannel) *senderSub {
 	sub, ok := s.subs[sc]
 	if !ok {
 		sub = &senderSub{
-			win:      irmc.NewWindow(s.cfg.Capacity),
-			recvWins: make(map[ids.NodeID]ids.Position),
+			win:      irmc.NewSenderWindow(s.cfg.Capacity),
 			retained: make(map[ids.Position][]byte),
 		}
 		s.subs[sc] = sub
@@ -151,7 +154,8 @@ func (s *Sender) sub(sc ids.Subchannel) *senderSub {
 }
 
 // Send implements irmc.Sender: it blocks while the position is beyond
-// the window, then fans the signed message out to every receiver.
+// the window (which this sender's own MoveWindow has already moved),
+// then fans the signed message out to every receiver.
 func (s *Sender) Send(sc ids.Subchannel, p ids.Position, msg []byte) error {
 	s.mu.Lock()
 	sub := s.sub(sc)
@@ -204,17 +208,23 @@ func (s *Sender) Send(sc ids.Subchannel, p ids.Position, msg []byte) error {
 	return nil
 }
 
-// MoveWindow implements irmc.Sender: it asks the receivers to advance
-// the subchannel window to start at p.
+// MoveWindow implements irmc.Sender: the local window starts at p from
+// now on, and the receivers are asked to follow.
 func (s *Sender) MoveWindow(sc ids.Subchannel, p ids.Position) {
 	s.mu.Lock()
-	sub := s.sub(sc)
-	if p <= sub.ownMove || s.closed {
+	if s.closed {
 		s.mu.Unlock()
 		return
 	}
-	sub.ownMove = p
+	sub := s.sub(sc)
+	fresh, advanced := sub.win.Request(p)
+	if advanced {
+		s.advancedLocked(sub)
+	}
 	s.mu.Unlock()
+	if !fresh {
+		return
+	}
 
 	stop := s.cfg.Track()
 	frame := s.reg.EncodeFrame(irmc.TagMove, &irmc.MoveMsg{Subchannel: sc, Position: p})
@@ -262,26 +272,24 @@ func (s *Sender) onReceiverMove(from ids.NodeID, move *irmc.MoveMsg) {
 		return
 	}
 	sub := s.sub(move.Subchannel)
-	if move.Position <= sub.recvWins[from] {
-		return // window announcements only move forward
+	drained, advanced := sub.win.Announce(from, move.Position, s.cfg.Receivers)
+	// Every position the receiver quorum moved past has been drained:
+	// the drain-rate input of window auto-sizing.
+	sub.acked += drained
+	if advanced {
+		s.advancedLocked(sub)
 	}
-	sub.recvWins[from] = move.Position
-	// The sender trusts the (fr+1)-highest announced start: at least
-	// one correct receiver endorsed moving that far.
-	newStart := irmc.KHighest(sub.recvWins, s.cfg.Receivers.Members, s.cfg.Receivers.F+1)
-	oldStart := sub.win.Start
-	if sub.win.Advance(newStart) {
-		// Every position the start moved past has been acknowledged by
-		// the receiver quorum: the drain-rate input of window
-		// auto-sizing.
-		sub.acked += int64(sub.win.Start - oldStart)
-		for p := range sub.retained {
-			if p < sub.win.Start {
-				delete(sub.retained, p)
-			}
+}
+
+// advancedLocked prunes what the moved window start no longer covers
+// and wakes blocked Sends.
+func (s *Sender) advancedLocked(sub *senderSub) {
+	for p := range sub.retained {
+		if p < sub.win.Start {
+			delete(sub.retained, p)
 		}
-		s.cond.Broadcast()
 	}
+	s.cond.Broadcast()
 }
 
 // FlowStats reports the subchannel's cumulative flow counters and
@@ -392,6 +400,10 @@ type recvSub struct {
 	win         irmc.Window
 	senderMoves map[ids.NodeID]ids.Position
 	slots       map[ids.Position]*slot
+	// early holds Send payloads that arrived beyond the window — a
+	// sender's own move takes effect before fs+1 Moves have shifted
+	// ours — until the window reaches them.
+	early irmc.Hold[[]byte]
 	// waiting counts Receive calls currently blocked per position; the
 	// nackLoop uses it to spot in-window positions whose original Send
 	// multicast this receiver missed (Config.Resend only).
@@ -442,6 +454,7 @@ func (r *Receiver) subCreated(sc ids.Subchannel) (*recvSub, bool) {
 			win:         irmc.NewWindow(r.cfg.Capacity),
 			senderMoves: make(map[ids.NodeID]ids.Position),
 			slots:       make(map[ids.Position]*slot),
+			early:       irmc.NewHold[[]byte](r.cfg.Capacity),
 			waiting:     make(map[ids.Position]int),
 		}
 		r.subs[sc] = sub
@@ -493,8 +506,8 @@ func (r *Receiver) MoveWindow(sc ids.Subchannel, p ids.Position) {
 	r.notifySenders(sc, p)
 }
 
-// moveLocked advances the window and prunes state; reports whether the
-// window moved.
+// moveLocked advances the window, prunes state and admits held
+// submissions the window now covers; reports whether the window moved.
 func (r *Receiver) moveLocked(sc ids.Subchannel, p ids.Position) bool {
 	sub := r.sub(sc)
 	if !sub.win.Advance(p) {
@@ -505,6 +518,9 @@ func (r *Receiver) moveLocked(sc ids.Subchannel, p ids.Position) bool {
 			delete(sub.slots, pos)
 		}
 	}
+	sub.early.Release(sub.win, func(from ids.NodeID, pos ids.Position, payload []byte) {
+		r.admitLocked(sub, from, pos, payload)
+	})
 	r.cond.Broadcast()
 	return true
 }
@@ -612,26 +628,43 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 
 func (r *Receiver) onSend(from ids.NodeID, m *irmc.SendMsg) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		return
 	}
 	sub, created := r.subCreated(m.Subchannel)
 	if created {
 		r.notifyNewSub(m.Subchannel)
 	}
-	if !sub.win.Contains(m.Position) {
-		r.mu.Unlock()
-		return // outside the window: stale or flooding
+	switch {
+	case m.Position > sub.win.Max():
+		sub.early.Put(from, m.Position, m.Payload)
+	case m.Position >= sub.win.Start:
+		r.admitLocked(sub, from, m.Position, m.Payload)
 	}
+}
+
+// Held reports how many early submissions of sender peer are held for
+// subchannel sc; never more than Config.Capacity.
+func (r *Receiver) Held(sc ids.Subchannel, peer ids.NodeID) int {
+	r.mu.Lock()
 	defer r.mu.Unlock()
-	sl, ok := sub.slots[m.Position]
+	if sub, ok := r.subs[sc]; ok {
+		return sub.early.Len(peer)
+	}
+	return 0
+}
+
+// admitLocked counts from's submission for in-window position p and
+// resolves the position once fs+1 senders agree.
+func (r *Receiver) admitLocked(sub *recvSub, from ids.NodeID, p ids.Position, payload []byte) {
+	sl, ok := sub.slots[p]
 	if !ok {
 		sl = &slot{
 			votes:    make(map[ids.NodeID]crypto.Digest),
 			payloads: make(map[crypto.Digest][]byte),
 		}
-		sub.slots[m.Position] = sl
+		sub.slots[p] = sl
 	}
 	if sl.resolved != nil {
 		return
@@ -639,10 +672,10 @@ func (r *Receiver) onSend(from ids.NodeID, m *irmc.SendMsg) {
 	if _, dup := sl.votes[from]; dup {
 		return // one submission per sender per position
 	}
-	digest := crypto.Hash(m.Payload)
+	digest := crypto.Hash(payload)
 	sl.votes[from] = digest
 	if _, ok := sl.payloads[digest]; !ok {
-		sl.payloads[digest] = m.Payload
+		sl.payloads[digest] = payload
 	}
 	matching := 0
 	for _, d := range sl.votes {
@@ -658,8 +691,6 @@ func (r *Receiver) onSend(from ids.NodeID, m *irmc.SendMsg) {
 	}
 }
 
-// onSenderMove applies the fs+1-highest rule to sender-initiated
-// window moves (Figure 18, receiver side).
 // notifyNewSub schedules the new-subchannel callback; it runs on its
 // own goroutine so endpoint locks are never held while user code runs.
 func (r *Receiver) notifyNewSub(sc ids.Subchannel) {
@@ -668,6 +699,8 @@ func (r *Receiver) notifyNewSub(sc ids.Subchannel) {
 	}
 }
 
+// onSenderMove applies the fs+1-highest rule to sender-initiated
+// window moves (Figure 18, receiver side).
 func (r *Receiver) onSenderMove(from ids.NodeID, m *irmc.MoveMsg) {
 	r.mu.Lock()
 	sub, created := r.subCreated(m.Subchannel)
@@ -676,6 +709,7 @@ func (r *Receiver) onSenderMove(from ids.NodeID, m *irmc.MoveMsg) {
 	}
 	if m.Position > sub.senderMoves[from] {
 		sub.senderMoves[from] = m.Position
+		sub.early.DropBelow(from, m.Position)
 	}
 	target := irmc.KHighest(sub.senderMoves, r.cfg.Senders.Members, r.cfg.Senders.F+1)
 	moved := false

@@ -6,6 +6,21 @@
 // receivers detect a collector that withholds certificates and switch
 // to another sender. Compared with IRMC-RC this trades sender-side
 // CPU for a large reduction in wide-area traffic (Figure 9d).
+//
+// Window rule: as in IRMC-RC, a sender's window starts at the higher
+// of its own MoveWindow and the (fr+1)-highest start the receivers
+// announced (irmc.SenderWindow), and a receiver's window moves on fs+1
+// senders' Moves or its own MoveWindow. Senders therefore run ahead of
+// one another and of the receivers, and both sides hold what arrives
+// early instead of dropping it (irmc.Hold, at most Capacity entries
+// per subchannel and peer): a sender keeps a peer's validated share
+// for a position past its own window until the window covers it —
+// otherwise a collector that moves last could never assemble the
+// certificate and delivery would wait for the receivers' watchdog —
+// and a receiver keeps a verified certificate past its window until
+// fs+1 Moves bring the window there. Held shares and certificates go
+// through the unchanged admission paths; Receive never returns a
+// position outside the window.
 package sc
 
 import (
@@ -51,13 +66,17 @@ type Sender struct {
 }
 
 type senderSub struct {
-	win      irmc.Window
-	recvWins map[ids.NodeID]ids.Position
-	ownMove  ids.Position
+	win irmc.SenderWindow
 
 	data   map[ids.Position][]byte                                  // own submissions
 	shares map[ids.Position]map[crypto.Digest]map[ids.NodeID][]byte // validated share sigs
 	certs  map[ids.Position]*irmc.CertificateMsg
+	// early holds validated shares of peers whose window is ahead of
+	// ours (their own move, or the receivers' announcements, reached
+	// them first) until our window covers the position. Dropping them
+	// instead would leave this sender, if it is the collector, unable
+	// to assemble the certificate until the receivers' watchdog fires.
+	early irmc.Hold[*irmc.SigShareMsg]
 
 	collectors map[ids.NodeID]collectorChoice // per receiver
 }
@@ -101,11 +120,11 @@ func (s *Sender) sub(sc ids.Subchannel) *senderSub {
 	sub, ok := s.subs[sc]
 	if !ok {
 		sub = &senderSub{
-			win:        irmc.NewWindow(s.cfg.Capacity),
-			recvWins:   make(map[ids.NodeID]ids.Position),
+			win:        irmc.NewSenderWindow(s.cfg.Capacity),
 			data:       make(map[ids.Position][]byte),
 			shares:     make(map[ids.Position]map[crypto.Digest]map[ids.NodeID][]byte),
 			certs:      make(map[ids.Position]*irmc.CertificateMsg),
+			early:      irmc.NewHold[*irmc.SigShareMsg](s.cfg.Capacity),
 			collectors: make(map[ids.NodeID]collectorChoice),
 		}
 		s.subs[sc] = sub
@@ -164,16 +183,25 @@ func (s *Sender) Send(sc ids.Subchannel, p ids.Position, msg []byte) error {
 	return nil
 }
 
-// MoveWindow implements irmc.Sender.
+// MoveWindow implements irmc.Sender: the local window starts at p from
+// now on, and the receivers are asked to follow.
 func (s *Sender) MoveWindow(sc ids.Subchannel, p ids.Position) {
 	s.mu.Lock()
-	sub := s.sub(sc)
-	if p <= sub.ownMove || s.closed {
+	if s.closed {
 		s.mu.Unlock()
 		return
 	}
-	sub.ownMove = p
+	sub := s.sub(sc)
+	fresh, advanced := sub.win.Request(p)
+	var ready []readyCert
+	if advanced {
+		ready = s.advancedLocked(sub)
+	}
 	s.mu.Unlock()
+	s.sendReady(ready)
+	if !fresh {
+		return
+	}
 
 	stop := s.cfg.Track()
 	frame := s.reg.EncodeFrame(irmc.TagMove, &irmc.MoveMsg{Subchannel: sc, Position: p})
@@ -222,7 +250,21 @@ func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
 	})
 }
 
-// onShare stores a share signature already validated on the pipeline.
+// readyCert is a freshly assembled certificate and the receivers that
+// currently use this sender as their collector.
+type readyCert struct {
+	cert    *irmc.CertificateMsg
+	targets []ids.NodeID
+}
+
+func (s *Sender) sendReady(ready []readyCert) {
+	for _, c := range ready {
+		s.sendCert(c.cert, c.targets)
+	}
+}
+
+// onShare admits a share signature already validated on the pipeline,
+// or holds it when the local window has not reached its position.
 func (s *Sender) onShare(from ids.NodeID, m *irmc.SigShareMsg) {
 	s.mu.Lock()
 	if s.closed {
@@ -230,10 +272,33 @@ func (s *Sender) onShare(from ids.NodeID, m *irmc.SigShareMsg) {
 		return
 	}
 	sub := s.sub(m.Subchannel)
-	if !sub.win.Contains(m.Position) {
-		s.mu.Unlock()
-		return
+	var ready []readyCert
+	switch {
+	case m.Position > sub.win.Max():
+		sub.early.Put(from, m.Position, m)
+	case m.Position >= sub.win.Start:
+		if c, ok := s.admitShareLocked(sub, from, m); ok {
+			ready = append(ready, c)
+		}
 	}
+	s.mu.Unlock()
+	s.sendReady(ready)
+}
+
+// Held reports how many early shares of sender peer are held for
+// subchannel sc; never more than Config.Capacity.
+func (s *Sender) Held(sc ids.Subchannel, peer ids.NodeID) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sub, ok := s.subs[sc]; ok {
+		return sub.early.Len(peer)
+	}
+	return 0
+}
+
+// admitShareLocked stores from's share for an in-window position and
+// assembles the certificate once fs+1 shares match our own payload.
+func (s *Sender) admitShareLocked(sub *senderSub, from ids.NodeID, m *irmc.SigShareMsg) (readyCert, bool) {
 	byDigest, ok := sub.shares[m.Position]
 	if !ok {
 		byDigest = make(map[crypto.Digest]map[ids.NodeID][]byte)
@@ -245,17 +310,14 @@ func (s *Sender) onShare(from ids.NodeID, m *irmc.SigShareMsg) {
 		byDigest[m.Digest] = byNode
 	}
 	if _, dup := byNode[from]; dup {
-		s.mu.Unlock()
-		return
+		return readyCert{}, false
 	}
 	byNode[from] = m.Sig
 
-	// Assemble a certificate once fs+1 shares match our own payload.
 	payload, havePayload := sub.data[m.Position]
 	if !havePayload || sub.certs[m.Position] != nil ||
 		m.Digest != crypto.Hash(payload) || len(byNode) < s.cfg.Senders.F+1 {
-		s.mu.Unlock()
-		return
+		return readyCert{}, false
 	}
 	cert := &irmc.CertificateMsg{
 		Subchannel: m.Subchannel,
@@ -276,8 +338,7 @@ func (s *Sender) onShare(from ids.NodeID, m *irmc.SigShareMsg) {
 			targets = append(targets, rr)
 		}
 	}
-	s.mu.Unlock()
-	s.sendCert(cert, targets)
+	return readyCert{cert: cert, targets: targets}, true
 }
 
 func (s *Sender) sendCert(cert *irmc.CertificateMsg, targets []ids.NodeID) {
@@ -301,19 +362,22 @@ func (s *Sender) sendCert(cert *irmc.CertificateMsg, targets []ids.NodeID) {
 
 func (s *Sender) onReceiverMove(from ids.NodeID, m *irmc.MoveMsg) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return
 	}
 	sub := s.sub(m.Subchannel)
-	if m.Position <= sub.recvWins[from] {
-		return
+	var ready []readyCert
+	if _, advanced := sub.win.Announce(from, m.Position, s.cfg.Receivers); advanced {
+		ready = s.advancedLocked(sub)
 	}
-	sub.recvWins[from] = m.Position
-	newStart := irmc.KHighest(sub.recvWins, s.cfg.Receivers.Members, s.cfg.Receivers.F+1)
-	if !sub.win.Advance(newStart) {
-		return
-	}
+	s.mu.Unlock()
+	s.sendReady(ready)
+}
+
+// advancedLocked prunes what the moved window start no longer covers,
+// admits held shares the window now covers, and wakes blocked Sends.
+func (s *Sender) advancedLocked(sub *senderSub) []readyCert {
 	for pos := range sub.data {
 		if pos < sub.win.Start {
 			delete(sub.data, pos)
@@ -329,7 +393,14 @@ func (s *Sender) onReceiverMove(from ids.NodeID, m *irmc.MoveMsg) {
 			delete(sub.certs, pos)
 		}
 	}
+	var ready []readyCert
+	sub.early.Release(sub.win.Window, func(from ids.NodeID, _ ids.Position, m *irmc.SigShareMsg) {
+		if c, ok := s.admitShareLocked(sub, from, m); ok {
+			ready = append(ready, c)
+		}
+	})
 	s.cond.Broadcast()
+	return ready
 }
 
 func (s *Sender) onSelect(from ids.NodeID, m *irmc.SelectMsg) {
@@ -430,6 +501,10 @@ type recvSub struct {
 	win         irmc.Window
 	senderMoves map[ids.NodeID]ids.Position
 	delivered   map[ids.Position][]byte
+	// early holds verified certificates for positions beyond the
+	// window — a collector can assemble and ship one before fs+1 Moves
+	// have reached us — until the window covers them.
+	early irmc.Hold[[]byte]
 
 	progress map[ids.NodeID]ids.Position // per-sender progress claims
 	merged   ids.Position                // fs+1-highest claimed progress
@@ -483,6 +558,7 @@ func (r *Receiver) subCreated(sc ids.Subchannel) (*recvSub, bool) {
 			win:         irmc.NewWindow(r.cfg.Capacity),
 			senderMoves: make(map[ids.NodeID]ids.Position),
 			delivered:   make(map[ids.Position][]byte),
+			early:       irmc.NewHold[[]byte](r.cfg.Capacity),
 			progress:    make(map[ids.NodeID]ids.Position),
 			collector:   r.cfg.Senders.Members[0],
 		}
@@ -545,6 +621,9 @@ func (r *Receiver) moveLocked(sc ids.Subchannel, p ids.Position) bool {
 			delete(sub.delivered, pos)
 		}
 	}
+	sub.early.Release(sub.win, func(_ ids.NodeID, pos ids.Position, payload []byte) {
+		deliverLocked(sub, pos, payload)
+	})
 	r.cond.Broadcast()
 	return true
 }
@@ -587,7 +666,7 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 	}, func(tag wire.TypeTag, msg wire.Message) {
 		switch tag {
 		case irmc.TagCertificate:
-			r.onCertificate(msg.(*irmc.CertificateMsg))
+			r.onCertificate(from, msg.(*irmc.CertificateMsg))
 		case irmc.TagProgress:
 			r.onProgress(from, msg.(*irmc.ProgressMsg))
 		case irmc.TagMove:
@@ -616,8 +695,8 @@ func (r *Receiver) verifyCertificate(m *irmc.CertificateMsg) bool {
 }
 
 // onCertificate installs a certificate already validated on the
-// pipeline.
-func (r *Receiver) onCertificate(m *irmc.CertificateMsg) {
+// pipeline, or holds it when the window has not reached its position.
+func (r *Receiver) onCertificate(from ids.NodeID, m *irmc.CertificateMsg) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -627,14 +706,31 @@ func (r *Receiver) onCertificate(m *irmc.CertificateMsg) {
 	if created {
 		r.notifyNewSub(m.Subchannel)
 	}
-	if !sub.win.Contains(m.Position) {
-		return
+	switch {
+	case m.Position > sub.win.Max():
+		sub.early.Put(from, m.Position, m.Payload)
+	case m.Position >= sub.win.Start:
+		deliverLocked(sub, m.Position, m.Payload)
+		r.cond.Broadcast()
 	}
-	if _, dup := sub.delivered[m.Position]; dup {
-		return
+}
+
+// Held reports how many early certificates from collector peer are
+// held for subchannel sc; never more than Config.Capacity.
+func (r *Receiver) Held(sc ids.Subchannel, peer ids.NodeID) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if sub, ok := r.subs[sc]; ok {
+		return sub.early.Len(peer)
 	}
-	sub.delivered[m.Position] = m.Payload
-	r.cond.Broadcast()
+	return 0
+}
+
+// deliverLocked records the certified payload of in-window position p.
+func deliverLocked(sub *recvSub, p ids.Position, payload []byte) {
+	if _, dup := sub.delivered[p]; !dup {
+		sub.delivered[p] = payload
+	}
 }
 
 func (r *Receiver) onProgress(from ids.NodeID, m *irmc.ProgressMsg) {

@@ -102,6 +102,68 @@ func TestCollectorFailover(t *testing.T) {
 	}
 }
 
+// TestEarlyShareAssemblesWithoutFailover: the peers' shares reach the
+// default collector before its window covers the position (they moved
+// first); the window advance comes second. The collector must hold the
+// shares and assemble the certificate itself — with the shares dropped
+// it never could, and delivery would wait for the receivers' watchdog
+// to rotate collectors, which the 30 s timeout here rules out.
+func TestEarlyShareAssemblesWithoutFailover(t *testing.T) {
+	c := newChannelTimeouts(t, 2, 20, 30_000)
+	defer c.Close()
+	collector := c.Senders[0].(*Sender)
+	// Keep the receivers' announcements from the collector, so that
+	// only its own MoveWindow advances its window.
+	for _, r := range c.ReceiverG.Members {
+		c.Net.SetDropRate(r, c.SenderG.Members[0], 1)
+	}
+
+	want := []byte("shares first, window second")
+	for _, s := range c.Senders[1:] {
+		s.MoveWindow(0, 10)
+		if err := s.Send(0, 10, want); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, peer := range c.SenderG.Members[1:] {
+		for collector.Held(0, peer) != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("share of sender %v never reached the collector's hold", peer)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	collector.MoveWindow(0, 10)
+	if err := collector.Send(0, 10, want); err != nil {
+		t.Fatalf("collector Send: %v", err)
+	}
+	for _, r := range c.Receivers {
+		got := make(chan []byte, 1)
+		go func() {
+			if msg, err := r.Receive(0, 10); err == nil {
+				got <- msg
+			}
+		}()
+		select {
+		case msg := <-got:
+			if !bytes.Equal(msg, want) {
+				t.Fatalf("delivered %q", msg)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("no certificate from the default collector")
+		}
+		rr := r.(*Receiver)
+		rr.mu.Lock()
+		epoch, coll := rr.subs[0].epoch, rr.subs[0].collector
+		rr.mu.Unlock()
+		if epoch != 0 || coll != c.SenderG.Members[0] {
+			t.Fatalf("receiver switched to collector %v (epoch %d)", coll, epoch)
+		}
+	}
+}
+
 // TestCertificateRejectsForgery checks a certificate with too few or
 // invalid shares never delivers.
 func TestCertificateRejectsForgery(t *testing.T) {
