@@ -33,9 +33,10 @@ test:
 
 ## race: the concurrency-sensitive packages under the race detector
 ## (harness included: sharded clusters aggregate per-shard stats while
-## workload goroutines write them).
+## workload goroutines write them; memnet included: every sending
+## goroutine shares the delivery clock's heap).
 race:
-	$(GO) test -race ./internal/crypto/ ./internal/consensus/pbft/ ./internal/core/ ./internal/irmc/... ./internal/harness/ ./internal/tune/ ./internal/stats/
+	$(GO) test -race ./internal/crypto/ ./internal/consensus/pbft/ ./internal/core/ ./internal/irmc/... ./internal/harness/ ./internal/tune/ ./internal/stats/ ./internal/transport/memnet/
 
 ## soak: the chaos scenario matrix — crash/restart, partition-and-heal,
 ## leader churn, and the gray-failure scenarios (slow leader rotated,

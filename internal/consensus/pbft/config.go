@@ -144,7 +144,11 @@ type Config struct {
 	// batches measurable (the batch-size knob is a first-class workload
 	// dimension; see stats.Occupancy).
 	BatchOccupancy *stats.Occupancy
-	// BatchDelay is how long the leader waits to fill a batch.
+	// BatchDelay bounds how long a partial batch waits behind
+	// instances that are still in flight: it is proposed when it
+	// fills, when the last of them is delivered, or after BatchDelay,
+	// whichever comes first. A leader with nothing in flight never
+	// waits — it proposes what it has at once.
 	BatchDelay time.Duration
 	// AdaptiveBatching closes the loop between offered load and the
 	// batching knobs: the replica runs an AIMD controller

@@ -133,6 +133,7 @@ type Replica struct {
 	pendingJump  *jumpTarget // catch-up target, executed by the delivery loop
 
 	vcs           map[uint64]map[ids.NodeID]vcVote
+	heldVotes     map[ids.NodeID][]*inbound // early votes per sender, see handleVoteLocked
 	lastStatusReq time.Time
 	batchTimerOn  bool
 	batchTimer    *time.Timer // live partial-batch flush timer, canceled by Stop
@@ -682,10 +683,8 @@ func (r *Replica) dispatch(in *inbound) {
 	switch in.tag {
 	case tagPrePrepare:
 		r.handlePrePrepareLocked(in.from, in.msg.(*prePrepare), in.raw, in.valErr, in.validated)
-	case tagPrepare:
-		r.handlePrepareLocked(in.from, in.msg.(*prepare), in.raw)
-	case tagCommit:
-		r.handleCommitLocked(in.from, in.msg.(*commit), in.raw)
+	case tagPrepare, tagCommit:
+		r.handleVoteLocked(in)
 	case tagCheckpoint:
 		r.handleCheckpointLocked(in.from, in.msg.(*checkpointMsg), in.raw)
 	case tagViewChange:
@@ -698,6 +697,52 @@ func (r *Replica) dispatch(in *inbound) {
 		r.handleStatusReplyLocked(in.msg.(*statusReply), in.sv)
 	case tagVoteRequest:
 		r.handleVoteRequestLocked(in.from, in.msg.(*voteRequest))
+	}
+}
+
+// handleVoteLocked routes a verified prepare or commit. A vote for a
+// view this replica has not installed yet is held until it has: peers
+// that install a view first vote in it at once, their votes travel on
+// other links than the leader's new-view message, and nothing ever
+// resends a vote — with f replicas down, one vote dropped for arriving
+// early stalls the instance until the next view change. A sender may
+// have at most a prepare and a commit held for each sequence number it
+// could be voting on; beyond that its votes are dropped as before.
+func (r *Replica) handleVoteLocked(in *inbound) {
+	p, _ := in.msg.(*prepare)
+	c, _ := in.msg.(*commit)
+	var view, seq uint64
+	if p != nil {
+		view, seq = p.View, p.Seq
+	} else {
+		view, seq = c.View, c.Seq
+	}
+	if view > r.view && seq > r.lowWM && seq <= r.lowWM+2*uint64(r.cfg.Window) {
+		if held := r.heldVotes[in.from]; len(held) < 4*r.cfg.Window {
+			if r.heldVotes == nil {
+				r.heldVotes = make(map[ids.NodeID][]*inbound)
+			}
+			r.heldVotes[in.from] = append(held, in)
+		}
+		return
+	}
+	if p != nil {
+		r.handlePrepareLocked(in.from, p, in.raw)
+	} else {
+		r.handleCommitLocked(in.from, c, in.raw)
+	}
+}
+
+// releaseHeldVotesLocked re-routes the held votes after a view install,
+// each sender's in arrival order: those for the installed view reach
+// their handlers, those for a later one are held again.
+func (r *Replica) releaseHeldVotesLocked() {
+	held := r.heldVotes
+	r.heldVotes = nil
+	for _, votes := range held {
+		for _, in := range votes {
+			r.handleVoteLocked(in)
+		}
 	}
 }
 
@@ -743,8 +788,9 @@ func (r *Replica) authMulticastLocked(tag wire.TypeTag, m wire.Marshaler, auth c
 func (r *Replica) isLeaderLocked() bool { return r.cfg.leaderOf(r.view) == r.me }
 
 // maybeProposeLocked drains the request queue into batches while the
-// replica leads, the pipeline window has room, and batches are full
-// (or force is set, which flushes partial batches).
+// replica leads, the pipeline window has room, and takeBatchLocked
+// yields one: a full batch, or a partial one when force is set or
+// nothing is in flight.
 func (r *Replica) maybeProposeLocked(force bool) {
 	if !r.isLeaderLocked() || r.inVC || r.stopped || !r.started {
 		return
@@ -759,42 +805,51 @@ func (r *Replica) maybeProposeLocked(force bool) {
 }
 
 // takeBatchLocked pops up to BatchSize still-queued payloads off the
-// queue head. It returns nil (leaving the queue untouched) if the
-// queue holds fewer than a full batch and force is unset, arming the
-// batch timer instead. Consuming from the head — rather than
+// queue head. A full batch is always taken. A partial one is taken when
+// force is set or when the leader has no instance in flight: waiting
+// only buys a fuller batch while something else is keeping the group
+// busy, and an idle leader that waits adds BatchDelay to every request
+// of a lightly loaded system. Otherwise it returns nil, leaving the
+// queue untouched and the batch timer armed; deliveryLoop comes back
+// here after every delivery, so the wait ends with the last in-flight
+// instance at the latest. Consuming from the head — rather than
 // rewriting the whole queue — keeps each proposal O(batch), not
 // O(queued): under saturation the queue holds thousands of requests
 // and rewriting it per batch was a measurable share of the hot path.
 func (r *Replica) takeBatchLocked(force bool) []queuedReq {
 	target := r.batchTargetLocked()
-	batch := make([]queuedReq, 0, target)
-	i := 0
-	for ; i < len(r.queue) && len(batch) < target; i++ {
-		q := r.queue[i]
-		if r.seen[q.digest] != reqQueued {
-			continue // delivered or already in flight; drop silently
+	// Count before allocating: most calls at a loaded leader end in
+	// "not yet", and those must not cost a batch-sized slice each.
+	n, end := 0, 0
+	for ; end < len(r.queue) && n < target; end++ {
+		if r.seen[r.queue[end].digest] == reqQueued {
+			n++
 		}
-		batch = append(batch, q)
 	}
-	if len(batch) < target && !force {
-		// Not enough for a full batch: leave the queue as is and wait
-		// for the batch delay to flush.
-		if len(batch) > 0 {
+	idle := r.nextSeq <= r.nextDeliver
+	if n < target && !force && !idle {
+		if n > 0 {
 			r.armBatchTimerLocked()
 		}
 		return nil
+	}
+	var batch []queuedReq
+	if n > 0 {
+		batch = make([]queuedReq, 0, n)
+		for _, q := range r.queue[:end] {
+			if r.seen[q.digest] == reqQueued {
+				batch = append(batch, q)
+			} // else delivered or already in flight; drop silently
+		}
 	}
 	// Release the consumed prefix before advancing the slice offset:
 	// the entries behind the offset would otherwise keep their payload
 	// slices reachable until a capacity-exceeding append happens to
 	// reallocate the backing array.
-	clear(r.queue[:i])
-	r.queue = r.queue[i:]
+	clear(r.queue[:end])
+	r.queue = r.queue[end:]
 	if len(r.queue) == 0 {
 		r.queue = nil
-	}
-	if len(batch) == 0 {
-		return nil
 	}
 	return batch
 }
@@ -1130,6 +1185,9 @@ func (r *Replica) deliveryLoop() {
 		}
 		// A committed successor may already be waiting.
 		r.cond.Broadcast()
+		// With this instance gone the leader may be idle: what queued up
+		// behind it leaves now, not when the batch timer fires.
+		r.maybeProposeLocked(false)
 		r.mu.Unlock()
 
 		// One callback per batch, null batches included: the layer

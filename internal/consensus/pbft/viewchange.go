@@ -578,6 +578,7 @@ func (r *Replica) adoptViewLocked(nv *newView, plan reissuePlan, reissues []*pre
 	if r.nextSeq <= maxSeq {
 		r.nextSeq = maxSeq + 1
 	}
+	r.releaseHeldVotesLocked()
 	r.cond.Broadcast()
 	r.maybeProposeLocked(false)
 }

@@ -679,16 +679,18 @@ func (e *ExecutionReplica) resolveRefs(em *ExecuteBatchMsg, count bool) bool {
 // the timeout elapses (advances come from checkpoint installs).
 func (e *ExecutionReplica) waitPosAdvance(pos ids.Position, timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
-	e.mu.Lock()
-	for !e.stopped && e.pos <= pos {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			break
-		}
-		// Condition variables lack timed waits; poll coarsely.
-		e.mu.Unlock()
-		time.Sleep(5 * time.Millisecond)
+	// sync.Cond has no timed wait, so a timer ends it. It broadcasts
+	// under the lock: a bare Broadcast could fall between the deadline
+	// check and Wait and be lost.
+	timer := time.AfterFunc(timeout, func() {
 		e.mu.Lock()
+		e.cond.Broadcast()
+		e.mu.Unlock()
+	})
+	defer timer.Stop()
+	e.mu.Lock()
+	for !e.stopped && e.pos <= pos && time.Now().Before(deadline) {
+		e.cond.Wait()
 	}
 	e.mu.Unlock()
 }

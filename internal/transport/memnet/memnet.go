@@ -5,6 +5,23 @@
 // deployment runs inside one test or benchmark while observing the
 // same message interleavings a real WAN imposes.
 //
+// Delivery times come from one clock per Network (clock.go). A frame is
+// never handed over before its scheduled time, and on Linux it is
+// handed over within about 0.1 ms of it even when the process is
+// otherwise idle — which a deployment with a few clients is, between
+// hops. That takes a timerfd: an idle Go runtime sleeps in epoll_wait,
+// whose timeout is whole milliseconds rounded up, so runtime timers
+// fire on a 1 ms grid and a 0.6 ms zone link would cost 1.1 ms; a
+// descriptor becoming readable ends that sleep at once. The two ways
+// to be precise without the kernel's help both cost more than they
+// save on a small machine: a goroutine that spins on Gosched takes a
+// core from the signature work (20–30 % slower with Ed25519 on two
+// vCPUs), and a nanosleep on every link goroutine ties up a thread per
+// sleeping link and loses the gain to thread hand-offs. Other
+// platforms fall back to one runtime timer behind the same seam
+// (timer_other.go) and keep the runtime's granularity. Frames without
+// delay (no Placement) never touch the clock.
+//
 // The emulator also provides the measurement and fault-injection hooks
 // the evaluation needs: per-class byte accounting (local/LAN/WAN, used
 // for Figure 9d), link cuts, node isolation, and probabilistic drops.
@@ -126,8 +143,9 @@ type Network struct {
 	partition map[topo.Region]bool // non-nil while a partition is active
 	closed    bool
 
-	done chan struct{}
-	wg   sync.WaitGroup
+	done  chan struct{}
+	wg    sync.WaitGroup
+	clock *clock
 
 	bytes   [numClasses]atomic.Int64
 	frames  [numClasses]atomic.Int64
@@ -143,7 +161,7 @@ func New(opts Options) *Network {
 	if opts.PendingLimit <= 0 {
 		opts.PendingLimit = 4096
 	}
-	return &Network{
+	n := &Network{
 		opts:     opts,
 		nodes:    make(map[ids.NodeID]*memNode),
 		links:    make(map[linkKey]*link),
@@ -153,7 +171,14 @@ func New(opts Options) *Network {
 		profiles: make(map[regionPair]Profile),
 		degraded: make(map[ids.NodeID]degradeSpec),
 		done:     make(chan struct{}),
+		clock:    newClock(),
 	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		n.clock.run()
+	}()
+	return n
 }
 
 // Node returns (creating if needed) the handle for id.
@@ -173,8 +198,9 @@ func (n *Network) Node(id ids.NodeID) transport.Node {
 	return node
 }
 
-// Close stops all delivery goroutines and waits for them to exit.
-// Frames still in flight are discarded.
+// Close stops all delivery goroutines and the clock, waits for them to
+// exit, and releases the clock's timer. Frames still in flight are
+// discarded.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -187,6 +213,7 @@ func (n *Network) Close() {
 		l.close()
 	}
 	n.mu.Unlock()
+	n.clock.close()
 	n.wg.Wait()
 }
 
@@ -414,7 +441,8 @@ const frameOverhead = 40
 const maxDrainRun = 128
 
 // runLink delivers frames of one directed link in FIFO order after
-// their scheduled delay. When the head frame's delay has elapsed, any
+// their scheduled delay, sleeping on the network's clock until the head
+// frame is due. When the head frame's delay has elapsed, any
 // immediately deliverable frames for the same stream queued behind it
 // are drained into one batch delivery, so a receiver with a batch
 // handler admits the whole run at once.
@@ -425,12 +453,11 @@ func (n *Network) runLink(l *link, dst *memNode) {
 		if !ok {
 			return
 		}
-		if wait := time.Until(at); wait > 0 {
-			timer := time.NewTimer(wait)
+		for time.Until(at) > 0 {
+			n.clock.sleepUntil(l, at)
 			select {
-			case <-timer.C:
+			case <-l.wake:
 			case <-n.done:
-				timer.Stop()
 				return
 			}
 		}
@@ -465,11 +492,18 @@ type link struct {
 	lastAt time.Time
 	closed bool
 	rng    *rand.Rand
+
+	// Owned by the network's clock while the link goroutine sleeps: the
+	// time it asked to be woken at (guarded by clock.mu) and the channel
+	// the clock wakes it through, one token per sleepUntil.
+	wakeAt time.Time
+	wake   chan struct{}
 }
 
 func newLink(seed int64, from, to ids.NodeID) *link {
 	l := &link{
-		rng: rand.New(rand.NewSource(seed ^ int64(from)<<20 ^ int64(to))),
+		rng:  rand.New(rand.NewSource(seed ^ int64(from)<<20 ^ int64(to))),
+		wake: make(chan struct{}, 1),
 	}
 	l.cond = sync.NewCond(&l.mu)
 	return l
