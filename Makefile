@@ -34,9 +34,11 @@ test:
 ## race: the concurrency-sensitive packages under the race detector
 ## (harness included: sharded clusters aggregate per-shard stats while
 ## workload goroutines write them; memnet included: every sending
-## goroutine shares the delivery clock's heap).
+## goroutine shares the delivery clock's heap; checkpoint included: an
+## announcement is asked about under the lock, verified outside it and
+## admitted under it again).
 race:
-	$(GO) test -race ./internal/crypto/ ./internal/consensus/pbft/ ./internal/core/ ./internal/irmc/... ./internal/harness/ ./internal/tune/ ./internal/stats/ ./internal/transport/memnet/
+	$(GO) test -race ./internal/crypto/ ./internal/consensus/pbft/ ./internal/core/ ./internal/irmc/... ./internal/checkpoint/ ./internal/harness/ ./internal/tune/ ./internal/stats/ ./internal/transport/memnet/
 
 ## soak: the chaos scenario matrix — crash/restart, partition-and-heal,
 ## leader churn, and the gray-failure scenarios (slow leader rotated,

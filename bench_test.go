@@ -19,10 +19,15 @@ import (
 	"spider/internal/consensus/pbft"
 	"spider/internal/core"
 	"spider/internal/crypto"
+	"spider/internal/crypto/cryptotest"
 	"spider/internal/harness"
 	"spider/internal/ids"
+	"spider/internal/irmc"
+	"spider/internal/irmc/rc"
+	"spider/internal/irmc/sc"
 	"spider/internal/stats"
 	"spider/internal/topo"
+	"spider/internal/transport"
 	"spider/internal/transport/memnet"
 	"spider/internal/wire"
 )
@@ -196,6 +201,113 @@ func BenchmarkFigure9IRMCRC256(b *testing.B)  { benchIRMC(b, "rc", 256) }
 func BenchmarkFigure9IRMCRC4096(b *testing.B) { benchIRMC(b, "rc", 4096) }
 func BenchmarkFigure9IRMCSC256(b *testing.B)  { benchIRMC(b, "sc", 256) }
 func BenchmarkFigure9IRMCSC4096(b *testing.B) { benchIRMC(b, "sc", 4096) }
+
+// benchIRMCVerifies reports how many public-key verifications one
+// channel message costs over all endpoints (verifies/msg): the Send
+// signatures receivers check under IRMC-RC, the share signatures
+// senders and receivers check under IRMC-SC. The channel has the shape
+// of a commit channel at f = 1 — four senders, three receivers — with
+// every sender correct and pumping the same positions on its own
+// goroutine, so arrivals race as they do in a deployment; the count is
+// what the admission pre-checks leave, not a lower bound. It does not
+// depend on the suite. Not part of BENCH_PATTERN; run it with
+// `go test -run '^$' -bench VerifiesPerMsg .`.
+func benchIRMCVerifies(b *testing.B, kind string) {
+	senders := ids.Group{ID: 1, Members: []ids.NodeID{1, 2, 3, 4}, F: 1}
+	receivers := ids.Group{ID: 2, Members: []ids.NodeID{11, 12, 13}, F: 1}
+	all := append(append([]ids.NodeID{}, senders.Members...), receivers.Members...)
+	suites, counters := cryptotest.CountingAll(crypto.NewSuites(all, crypto.SuiteInsecure))
+	net := memnet.New(memnet.Options{})
+	defer net.Close()
+	const capacity = 64
+	config := func(id ids.NodeID) irmc.Config {
+		return irmc.Config{
+			Senders: senders, Receivers: receivers, Capacity: capacity,
+			Suite: suites[id], Node: net.Node(id),
+			Stream: transport.MakeStream(transport.KindBench, 10),
+		}
+	}
+	var sendEps []irmc.Sender
+	var recvEps []irmc.Receiver
+	for _, id := range senders.Members {
+		var s irmc.Sender
+		var err error
+		if kind == "sc" {
+			s, err = sc.NewSender(config(id))
+		} else {
+			s, err = rc.NewSender(config(id))
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		sendEps = append(sendEps, s)
+	}
+	for _, id := range receivers.Members {
+		var r irmc.Receiver
+		var err error
+		if kind == "sc" {
+			r, err = sc.NewReceiver(config(id))
+		} else {
+			r, err = rc.NewReceiver(config(id))
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer r.Close()
+		recvEps = append(recvEps, r)
+	}
+
+	// One window-half at a time, every endpoint on its own goroutine
+	// inside it: no receiver falls a window behind the others (without
+	// Resend it would never see what it missed), so the run ends after
+	// exactly b.N positions.
+	payload := make([]byte, 256)
+	b.ResetTimer()
+	for first := ids.Position(1); first <= ids.Position(b.N); first += capacity / 2 {
+		last := min(first+capacity/2-1, ids.Position(b.N))
+		var wg sync.WaitGroup
+		for _, s := range sendEps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for p := first; p <= last; p++ {
+					// The receivers may finish the half on the other
+					// senders' submissions and move past a slow one.
+					if err := s.Send(0, p, payload); err != nil {
+						if _, tooOld := irmc.AsTooOld(err); !tooOld {
+							b.Error(err)
+						}
+						return
+					}
+				}
+			}()
+		}
+		for _, r := range recvEps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for p := first; p <= last; p++ {
+					if _, err := r.Receive(0, p); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				r.MoveWindow(0, last+1)
+			}()
+		}
+		wg.Wait()
+	}
+	b.StopTimer()
+	var verifies int64
+	for _, c := range counters {
+		verifies += c.Verifies(crypto.DomainIRMCSend) + c.Verifies(crypto.DomainIRMCShare)
+	}
+	b.ReportMetric(float64(verifies)/float64(b.N), "verifies/msg")
+}
+
+func BenchmarkIRMCRCVerifiesPerMsg(b *testing.B) { benchIRMCVerifies(b, "rc") }
+func BenchmarkIRMCSCVerifiesPerMsg(b *testing.B) { benchIRMCVerifies(b, "sc") }
 
 // --- Figure 10: adaptability ----------------------------------------------------
 

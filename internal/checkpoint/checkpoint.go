@@ -365,13 +365,12 @@ func (c *Component) onFrame(from ids.NodeID, payload []byte) {
 	}
 }
 
-// verifyAnnounce checks one signed announcement against a group.
-func (c *Component) verifyAnnounce(raw *signedAnnounce, group ids.Group) (*announce, error) {
+// decodeAnnounce runs the checks on a signed announcement that cost no
+// public-key operation: signer membership, decoding, group binding.
+// The content it returns is not authenticated yet.
+func decodeAnnounce(raw *signedAnnounce, group ids.Group) (*announce, error) {
 	if !group.Contains(raw.From) {
 		return nil, fmt.Errorf("checkpoint: signer %v not in group %v", raw.From, group.ID)
-	}
-	if err := c.cfg.Suite.Verify(raw.From, crypto.DomainCheckpoint, raw.Frame, raw.Sig); err != nil {
-		return nil, err
 	}
 	ann := new(announce)
 	if err := wire.Decode(raw.Frame, ann); err != nil {
@@ -383,13 +382,46 @@ func (c *Component) verifyAnnounce(raw *signedAnnounce, group ids.Group) (*annou
 	return ann, nil
 }
 
+// verifyAnnounce checks one signed announcement against a group.
+func (c *Component) verifyAnnounce(raw *signedAnnounce, group ids.Group) (*announce, error) {
+	ann, err := decodeAnnounce(raw, group)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.cfg.Suite.Verify(raw.From, crypto.DomainCheckpoint, raw.Frame, raw.Sig); err != nil {
+		return nil, err
+	}
+	return ann, nil
+}
+
+// staleAnnounceLocked reports whether an announcement can no longer
+// change anything: the component has stopped, the checkpoint is
+// already stable, or its signer's vote for it is counted.
+func (c *Component) staleAnnounceLocked(from ids.NodeID, seq ids.SeqNr) bool {
+	_, dup := c.votes[seq][from]
+	return c.stopped || seq <= c.stableSeq || dup
+}
+
 func (c *Component) onAnnounce(raw *signedAnnounce) {
-	ann, err := c.verifyAnnounce(raw, c.cfg.Group)
+	ann, err := decodeAnnounce(raw, c.cfg.Group)
 	if err != nil {
 		return
 	}
+	// Cheap acceptance check first: every member re-gossips its
+	// announcement each GossipInterval, so most arrivals are repeats
+	// or already stable and not worth a signature check. The check
+	// only reads: a forged frame leaves no vote to shadow the real one.
 	c.mu.Lock()
-	if c.stopped || ann.Seq <= c.stableSeq {
+	stale := c.staleAnnounceLocked(raw.From, ann.Seq)
+	c.mu.Unlock()
+	if stale {
+		return
+	}
+	if err := c.cfg.Suite.Verify(raw.From, crypto.DomainCheckpoint, raw.Frame, raw.Sig); err != nil {
+		return
+	}
+	c.mu.Lock()
+	if c.staleAnnounceLocked(raw.From, ann.Seq) {
 		c.mu.Unlock()
 		return
 	}
@@ -397,10 +429,6 @@ func (c *Component) onAnnounce(raw *signedAnnounce) {
 	if !ok {
 		votes = make(map[ids.NodeID]voteAnn)
 		c.votes[ann.Seq] = votes
-	}
-	if _, dup := votes[raw.From]; dup {
-		c.mu.Unlock()
-		return
 	}
 	votes[raw.From] = voteAnn{hash: ann.Hash, raw: *raw}
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"spider/internal/crypto"
+	"spider/internal/crypto/cryptotest"
 	"spider/internal/ids"
 	"spider/internal/transport"
 	"spider/internal/transport/memnet"
@@ -60,6 +61,13 @@ type fixture struct {
 }
 
 func newFixture(t *testing.T, n, f int, gossip time.Duration) *fixture {
+	return newFixtureWrapped(t, n, f, gossip, func(s crypto.Suite) crypto.Suite { return s })
+}
+
+// newFixtureWrapped builds the fixture with every node's suite passed
+// through wrap. SPIDER_SUITE reruns the package under any registered
+// signature suite (the CI matrix runs it under ed25519).
+func newFixtureWrapped(t *testing.T, n, f int, gossip time.Duration, wrap func(crypto.Suite) crypto.Suite) *fixture {
 	t.Helper()
 	members := make([]ids.NodeID, n)
 	for i := range members {
@@ -69,9 +77,10 @@ func newFixture(t *testing.T, n, f int, gossip time.Duration) *fixture {
 	fx := &fixture{
 		net:    memnet.New(memnet.Options{}),
 		group:  group,
-		suites: crypto.NewSuites(members, crypto.SuiteInsecure),
+		suites: crypto.NewSuites(members, crypto.EnvSuiteKind(crypto.SuiteInsecure)),
 	}
 	for _, m := range members {
+		fx.suites[m] = wrap(fx.suites[m])
 		rec := &stableRec{}
 		comp, err := New(Config{
 			Group:          group,
@@ -112,6 +121,46 @@ func TestStableAfterQuorum(t *testing.T) {
 	}
 	if got := fx.components[0].StableSeq(); got != 10 {
 		t.Errorf("StableSeq = %d", got)
+	}
+}
+
+// TestAnnouncesVerifiedOnlyWhileTheyCount: every member re-gossips its
+// announcement each interval. A repeat from a sender whose vote is in,
+// and anything for a checkpoint that is already stable, costs no
+// signature check — and stability still rests on f+1 verified
+// announcements.
+func TestAnnouncesVerifiedOnlyWhileTheyCount(t *testing.T) {
+	counters := make(map[ids.NodeID]*cryptotest.CountingSuite)
+	fx := newFixtureWrapped(t, 3, 1, 5*time.Millisecond, func(s crypto.Suite) crypto.Suite {
+		counters[s.Node()] = cryptotest.Counting(s)
+		return counters[s.Node()]
+	})
+	checks := func(i int) int64 { return counters[fx.group.Members[i]].Verifies(crypto.DomainCheckpoint) }
+	state := []byte("state at seq 10")
+
+	// One announcement, gossiped some twenty times: one check each.
+	fx.components[0].Generate(10, state)
+	time.Sleep(100 * time.Millisecond)
+	for i := range fx.components {
+		if got := checks(i); got != 1 {
+			t.Errorf("replica %d: %d signature checks for one sender's repeated announcement, want 1", i, got)
+		}
+	}
+	if got := fx.components[1].StableSeq(); got != 0 {
+		t.Fatalf("checkpoint stable at %d on a single announcement", got)
+	}
+
+	// The second makes f+1: stable on two verified announcements, and
+	// the gossip that follows is for a stable checkpoint.
+	fx.components[1].Generate(10, state)
+	for i := 0; i < 2; i++ {
+		fx.recs[i].waitFor(t, 10, 5*time.Second)
+	}
+	time.Sleep(100 * time.Millisecond)
+	for i := 0; i < 2; i++ {
+		if got := checks(i); got != 2 {
+			t.Errorf("replica %d: %d signature checks, want 2 (f+1 announcements, then stable)", i, got)
+		}
 	}
 }
 

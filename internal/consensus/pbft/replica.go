@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -508,6 +509,13 @@ func (r *Replica) onFrame(from ids.NodeID, payload []byte) {
 // reach dispatch in arrival order, and the whole run enters the lane
 // as one GoBatch submission so a saturated link pays the pipeline
 // queue locking once per drain instead of once per frame.
+//
+// Cheap acceptance check first, public-key work second: a signed
+// prepare or commit is asked about (voteStillCounts) before its
+// signature is verified, as pre-prepare validation and view-change and
+// new-view evidence are gated further down. A gate only reads replica
+// state and can only cause a drop; what reaches dispatch has passed
+// the same verification as without it.
 func (r *Replica) onFrames(from ids.NodeID, payloads [][]byte) {
 	lane := r.recvLanes[from]
 	if lane == nil {
@@ -536,7 +544,19 @@ func (r *Replica) onFrames(from ids.NodeID, payloads [][]byte) {
 		var fallback *voteRequest
 		jobs = append(jobs, crypto.Job{
 			Compute: func() error {
+				var err error
+				if in.tag, in.msg, err = registry.DecodeFrameShared(in.raw.Frame); err != nil {
+					return err
+				}
 				if from != r.me {
+					// A signed vote whose quorum is in, or which dispatch
+					// would discard anyway, is not worth a signature check
+					// (a MAC-vector one costs a microsecond and is not
+					// asked about). Nothing vouches for the decoded
+					// content yet: it is only compared with replica state.
+					if len(in.raw.Sig) > 0 && (in.tag == tagPrepare || in.tag == tagCommit) && !r.voteStillCounts(from, in.msg) {
+						return errVoteNotNeeded
+					}
 					if err := r.verifyAuthRaw(&in.raw); err != nil {
 						// A bad MAC-vector entry on a normal-case vote gets
 						// the fallback treatment: drop the frame but ask the
@@ -549,11 +569,6 @@ func (r *Replica) onFrames(from ids.NodeID, payloads [][]byte) {
 						}
 						return err
 					}
-				}
-				var err error
-				in.tag, in.msg, err = registry.DecodeFrameShared(in.raw.Frame)
-				if err != nil {
-					return err
 				}
 				if !in.raw.transferable() && from != r.me && in.tag != tagPrepare && in.tag != tagCommit {
 					// MAC vectors authenticate the normal-case fast path
@@ -670,6 +685,54 @@ func (r *Replica) wouldAcceptPrePrepare(from ids.NodeID, pp *prePrepare) bool {
 	return true
 }
 
+// errVoteNotNeeded drops a signed vote before its signature check.
+var errVoteNotNeeded = errors.New("pbft: vote can no longer change anything")
+
+// voteStillCounts asks, before a signed prepare or commit is verified,
+// whether dispatch would use a valid vote like it. Not if the handlers'
+// staleness checks discard it, and not if the certificate it would
+// join is complete: the entry is committed, or prepared with a
+// transferable proof — so MAC mode keeps every signed re-vote of the
+// proof-upgrade round until the proof it rebuilds is whole. Votes
+// dispatch holds for a later view, and commits far enough ahead to
+// trigger a status request, go on to be verified. Reads replica state
+// under r.mu and changes nothing; called from pipeline compute only.
+func (r *Replica) voteStillCounts(from ids.NodeID, msg wire.Message) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.stopped || !r.started {
+		return false
+	}
+	switch m := msg.(type) {
+	case *prepare:
+		if r.votedAheadLocked(m.View, m.Seq) {
+			return true
+		}
+		if r.stalePrepareLocked(from, m, true) {
+			return false
+		}
+		e, ok := r.log[m.Seq]
+		return !ok || !e.prepared || !r.transferableProofLocked(e)
+	case *commit:
+		if r.votedAheadLocked(m.View, m.Seq) || m.Seq > r.lowWM+2*uint64(r.cfg.Window) {
+			return true
+		}
+		if r.staleCommitLocked(from, m) {
+			return false
+		}
+		e, ok := r.log[m.Seq]
+		return !ok || !e.committed
+	}
+	return true
+}
+
+// votedAheadLocked reports whether a vote is for a view this replica
+// has not installed yet and a sequence number it could be voting on:
+// the votes handleVoteLocked holds.
+func (r *Replica) votedAheadLocked(view, seq uint64) bool {
+	return view > r.view && seq > r.lowWM && seq <= r.lowWM+2*uint64(r.cfg.Window)
+}
+
 // dispatch routes one verified frame to its handler.
 func (r *Replica) dispatch(in *inbound) {
 	r.mu.Lock()
@@ -717,7 +780,7 @@ func (r *Replica) handleVoteLocked(in *inbound) {
 	} else {
 		view, seq = c.View, c.Seq
 	}
-	if view > r.view && seq > r.lowWM && seq <= r.lowWM+2*uint64(r.cfg.Window) {
+	if r.votedAheadLocked(view, seq) {
 		if held := r.heldVotes[in.from]; len(held) < 4*r.cfg.Window {
 			if r.heldVotes == nil {
 				r.heldVotes = make(map[ids.NodeID][]*inbound)
@@ -969,40 +1032,45 @@ func (r *Replica) handlePrePrepareLocked(from ids.NodeID, pp *prePrepare, raw si
 }
 
 func (r *Replica) handlePrepareLocked(from ids.NodeID, p *prepare, raw signedRaw) {
-	if p.Seq <= r.lowWM {
+	if r.stalePrepareLocked(from, p, raw.transferable()) {
 		return
 	}
-	signed := raw.transferable()
-	if !signed && (r.inVC || p.View != r.view || p.Seq < r.nextDeliver) {
-		return // MAC votes serve only the live view's fast path
+	e := r.entryLocked(p.Seq)
+	e.prepareVotes[from] = voteRaw{view: p.View, digest: p.Digest, raw: raw}
+	r.checkPreparedLocked(e)
+}
+
+// stalePrepareLocked reports whether a prepare from `from` is to be
+// discarded: below the watermark, outside what its authentication kind
+// may vote on, from the proposer, or a repeat. Shared by the handler
+// and by voteStillCounts, which asks before the signature is checked.
+func (r *Replica) stalePrepareLocked(from ids.NodeID, p *prepare, signed bool) bool {
+	if p.Seq <= r.lowWM {
+		return true
 	}
 	if from == r.cfg.leaderOf(p.View) {
-		return // the proposer's pre-prepare is its prepare vote
+		return true // the proposer's pre-prepare is its prepare vote
 	}
-	if signed {
+	e, ok := r.log[p.Seq]
+	if signed && ok && e.havePP {
 		// Signed votes — re-votes from the proof-upgrade round or
 		// fallback answers — bind to the entry they certify rather
 		// than the live view, and are accepted even for delivered
 		// batches still in the log: their prepared proofs may be
 		// needed by the next view change.
-		if e, ok := r.log[p.Seq]; ok && e.havePP {
-			if p.View != e.view {
-				return
-			}
-		} else if r.inVC || p.View != r.view || p.Seq < r.nextDeliver {
-			return
+		if p.View != e.view {
+			return true
 		}
+	} else if r.inVC || p.View != r.view || p.Seq < r.nextDeliver {
+		return true // MAC votes serve only the live view's fast path
 	}
-	e := r.entryLocked(p.Seq)
-	if cur, dup := e.prepareVotes[from]; dup {
-		// One vote per node, except that a signed re-vote for the same
-		// (view, digest) upgrades a MAC vote into a transferable one.
-		if !signed || cur.raw.transferable() || cur.view != p.View || cur.digest != p.Digest {
-			return
-		}
+	if !ok {
+		return false
 	}
-	e.prepareVotes[from] = voteRaw{view: p.View, digest: p.Digest, raw: raw}
-	r.checkPreparedLocked(e)
+	// One vote per node, except that a signed re-vote for the same
+	// (view, digest) upgrades a MAC vote into a transferable one.
+	cur, dup := e.prepareVotes[from]
+	return dup && (!signed || cur.raw.transferable() || cur.view != p.View || cur.digest != p.Digest)
 }
 
 // votersLocked returns the reusable quorum-counting scratch map,
@@ -1090,15 +1158,27 @@ func (r *Replica) handleCommitLocked(from ids.NodeID, c *commit, raw signedRaw) 
 		r.maybeRequestStatusLocked()
 		return
 	}
-	if r.inVC || c.View != r.view || c.Seq <= r.lowWM || c.Seq < r.nextDeliver {
+	if r.staleCommitLocked(from, c) {
 		return
 	}
 	e := r.entryLocked(c.Seq)
-	if _, dup := e.commitVotes[from]; dup {
-		return
-	}
 	e.commitVotes[from] = voteRaw{view: c.View, digest: c.Digest, raw: raw}
 	r.checkCommittedLocked(e)
+}
+
+// staleCommitLocked reports whether a commit from `from` is to be
+// discarded: outside the live view, below what is still open, or a
+// repeat. Shared by the handler and by voteStillCounts.
+func (r *Replica) staleCommitLocked(from ids.NodeID, c *commit) bool {
+	if r.inVC || c.View != r.view || c.Seq <= r.lowWM || c.Seq < r.nextDeliver {
+		return true
+	}
+	e, ok := r.log[c.Seq]
+	if !ok {
+		return false
+	}
+	_, dup := e.commitVotes[from]
+	return dup
 }
 
 func (r *Replica) checkCommittedLocked(e *entry) {

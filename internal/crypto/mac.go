@@ -61,25 +61,38 @@ func newMACProvider(node ids.NodeID, master []byte) *macProvider {
 // preload derives the pairwise keys for every listed peer up front, so
 // a deployment whose peer set is known at construction (the usual case:
 // the suite directory lists all nodes) never touches the cold path —
-// and never the mutex — during operation.
+// and never the mutex — during operation. The table is copied and
+// published once per call, not once per peer: that was quadratic in
+// the deployment size.
 func (p *macProvider) preload(peers []ids.NodeID) {
-	for _, peer := range peers {
-		p.peer(peer)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cur := *p.peers.Load()
+	next := make(map[ids.NodeID]*peerMAC, len(cur)+len(peers))
+	for k, v := range cur {
+		next[k] = v
 	}
+	for _, id := range peers {
+		if _, ok := next[id]; !ok {
+			next[id] = p.derive(id)
+		}
+	}
+	p.peers.Store(&next)
 }
 
 // peer returns the entry for the given peer, deriving the key on first
-// use. The fast path is one atomic load and a map read.
+// use. The fast path is one atomic load and a map read; a late first
+// contact is a preload of one.
 func (p *macProvider) peer(id ids.NodeID) *peerMAC {
 	if pm, ok := (*p.peers.Load())[id]; ok {
 		return pm
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cur := *p.peers.Load()
-	if pm, ok := cur[id]; ok {
-		return pm
-	}
+	p.preload([]ids.NodeID{id})
+	return (*p.peers.Load())[id]
+}
+
+// derive computes the pairwise key this node shares with id.
+func (p *macProvider) derive(id ids.NodeID) *peerMAC {
 	lo, hi := p.node, id
 	if lo > hi {
 		lo, hi = hi, lo
@@ -95,12 +108,6 @@ func (p *macProvider) peer(id ids.NodeID) *peerMAC {
 	pm.pool.New = func() any {
 		return &macState{h: hmac.New(sha256.New, key)}
 	}
-	next := make(map[ids.NodeID]*peerMAC, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[id] = pm
-	p.peers.Store(&next)
 	return pm
 }
 

@@ -239,10 +239,15 @@ func TestShardedStatsCountExactlyOnce(t *testing.T) {
 	}
 	// Commit channels broadcast every ordered request to all execution
 	// groups, and each of the agreement replicas charges its own sends.
-	send := cluster.SendOccSummary()
 	agreementReplicas := int64(len(cluster.spiderAgreement.Members))
 	execGroups := int64(len(cluster.spiderGroups))
-	if want := agreementReplicas * execGroups * writes; send.Total != want {
+	want := agreementReplicas * execGroups * writes
+	// A write returns on fe+1 replies, which need only fs+1 agreement
+	// replicas' sends: give the slowest replica time to make its own.
+	for deadline := time.Now().Add(5 * time.Second); cluster.SendOccSummary().Total < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if send := cluster.SendOccSummary(); send.Total != want {
 		t.Errorf("send occupancy total = %d, want %d (%d replicas x %d groups x %d writes)",
 			send.Total, want, agreementReplicas, execGroups, writes)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"spider/internal/crypto"
+	"spider/internal/crypto/cryptotest"
 	"spider/internal/ids"
 	"spider/internal/wire"
 )
@@ -134,6 +135,76 @@ func TestEnvelopeAuth(t *testing.T) {
 	}
 	if _, _, err := Open(suites[3], reg, 1, menv); err == nil {
 		t.Error("MAC envelope accepted by wrong recipient")
+	}
+
+	// A share travels in a MAC'd envelope as well: the signature that
+	// counts is the one inside the message, and Open never checks it.
+	share := &SigShareMsg{Subchannel: 0, Position: 1, Sig: []byte("checked by the endpoint, not by Open")}
+	senv, err := Seal(suites[1], TagSigShare, reg.EncodeFrame(TagSigShare, share), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(suites[2], reg, 1, senv); err != nil {
+		t.Errorf("valid share envelope rejected: %v", err)
+	}
+	if _, _, err := Open(suites[3], reg, 1, senv); err == nil {
+		t.Error("share envelope accepted by wrong recipient: it is not MAC'd")
+	}
+	if err := SealMulti(suites[1], TagSend, frame, []ids.NodeID{2, 3}, func(ids.NodeID, []byte) {
+		t.Error("SealMulti emitted an envelope for a signed tag")
+	}); err == nil {
+		t.Error("SealMulti accepted a signed tag")
+	}
+	for tag, wantSigned := range map[wire.TypeTag]bool{
+		TagSend: true, TagSigShare: false, TagMove: false, TagCertificate: false,
+		TagProgress: false, TagSelect: false, TagResend: false,
+	} {
+		if _, signed, err := AuthDomain(tag); err != nil || signed != wantSigned {
+			t.Errorf("AuthDomain(%d): signed=%v err=%v, want signed=%v", tag, signed, err, wantSigned)
+		}
+	}
+}
+
+// TestOpenAsksBeforeVerifying: the admission question comes after a MAC
+// check and before a signature check, and a refusal drops the frame.
+func TestOpenAsksBeforeVerifying(t *testing.T) {
+	suites := crypto.NewSuites([]ids.NodeID{1, 2}, crypto.SuiteInsecure)
+	counting := cryptotest.Counting(suites[2])
+	reg := NewRegistry()
+	send, err := Seal(suites[1], TagSend, reg.EncodeFrame(TagSend, &SendMsg{Position: 7, Payload: []byte("m")}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked := 0
+	refuse := func(tag wire.TypeTag, msg wire.Message) bool {
+		asked++
+		if tag != TagSend || msg.(*SendMsg).Position != 7 {
+			t.Errorf("asked about tag %d %+v", tag, msg)
+		}
+		return false
+	}
+	if _, _, err := openWanted(counting, reg, 1, send, refuse); err == nil {
+		t.Error("refused Send was opened")
+	}
+	if n := counting.Verifies(crypto.DomainIRMCSend); asked != 1 || n != 0 {
+		t.Errorf("refused Send: asked %d times, %d signature checks; want 1 and 0", asked, n)
+	}
+	if _, _, err := openWanted(counting, reg, 1, send, func(wire.TypeTag, wire.Message) bool { return true }); err != nil {
+		t.Errorf("wanted Send rejected: %v", err)
+	}
+	if n := counting.Verifies(crypto.DomainIRMCSend); n != 1 {
+		t.Errorf("wanted Send: %d signature checks, want 1", n)
+	}
+
+	// A MAC'd frame that fails its MAC is never asked about.
+	move, err := Seal(suites[1], TagMove, reg.EncodeFrame(TagMove, &MoveMsg{Position: 2}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	move[len(move)-1] ^= 0xFF
+	asked = 0
+	if _, _, err := openWanted(counting, reg, 1, move, refuse); err == nil || asked != 0 {
+		t.Errorf("forged MAC frame: err=%v, asked %d times", err, asked)
 	}
 }
 

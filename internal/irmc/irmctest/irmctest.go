@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"spider/internal/crypto"
+	"spider/internal/crypto/cryptotest"
 	"spider/internal/ids"
 	"spider/internal/irmc"
 	"spider/internal/transport/memnet"
@@ -39,9 +40,28 @@ func (c *Channel) Close() {
 	c.Net.Close()
 }
 
-// Factory builds a channel with the given per-subchannel capacity over
-// a fresh memnet. Implementations provide one for the suite.
-type Factory func(t *testing.T, capacity int) *Channel
+// Options are what a conformance case asks of the channel it runs on.
+type Options struct {
+	// Capacity is the per-subchannel window size.
+	Capacity int
+	// NodeSuites, when set, replaces Suites(): a case wraps the nodes'
+	// suites to count their work or to corrupt one node's signatures.
+	NodeSuites map[ids.NodeID]crypto.Suite
+	// Pipeline, when set, is every endpoint's crypto pipeline.
+	Pipeline *crypto.Pipeline
+}
+
+// SuiteSet returns the suites the channel's endpoints are to use.
+func (o Options) SuiteSet() map[ids.NodeID]crypto.Suite {
+	if o.NodeSuites != nil {
+		return o.NodeSuites
+	}
+	return Suites()
+}
+
+// Factory builds a channel as the options ask over a fresh memnet.
+// Implementations provide one for the suite.
+type Factory func(t *testing.T, o Options) *Channel
 
 // Groups returns the canonical test groups: 3 senders tolerating one
 // fault (2fe+1 with fe=1, like a request channel's execution group)
@@ -108,6 +128,8 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("CloseUnblocks", func(t *testing.T) { testCloseUnblocks(t, factory) })
 	t.Run("OwnMoveNeedsNoRoundTrip", func(t *testing.T) { testOwnMoveNeedsNoRoundTrip(t, factory) })
 	t.Run("EarlyFloodIsBounded", func(t *testing.T) { testEarlyFloodIsBounded(t, factory) })
+	t.Run("VerifiesOnlyUntilQuorum", func(t *testing.T) { testVerifiesOnlyUntilQuorum(t, factory) })
+	t.Run("BadSignatureFirstStillDelivers", func(t *testing.T) { testBadSignatureFirstStillDelivers(t, factory) })
 }
 
 // sendQuorum submits msg at (sc, p) from fs+1 senders.
@@ -121,7 +143,7 @@ func sendQuorum(t *testing.T, c *Channel, sc ids.Subchannel, p ids.Position, msg
 }
 
 func testDeliveryRequiresQuorum(t *testing.T, factory Factory) {
-	c := factory(t, 8)
+	c := factory(t, Options{Capacity: 8})
 	defer c.Close()
 
 	want := []byte("hello wide area")
@@ -150,7 +172,7 @@ func batchPayload(pos ids.Position, n int) []byte {
 // channel-level contract the batched commit data plane relies on — a
 // position is a batch, and partial or mixed batches must never appear.
 func testMultiRequestPositions(t *testing.T, factory Factory) {
-	c := factory(t, 8)
+	c := factory(t, Options{Capacity: 8})
 	defer c.Close()
 
 	const positions = 4
@@ -180,7 +202,7 @@ func testMultiRequestPositions(t *testing.T, factory Factory) {
 }
 
 func testMinorityCannotInject(t *testing.T, factory Factory) {
-	c := factory(t, 8)
+	c := factory(t, Options{Capacity: 8})
 	defer c.Close()
 
 	// Only fs senders (the maximum Byzantine minority) submit.
@@ -199,7 +221,7 @@ func testMinorityCannotInject(t *testing.T, factory Factory) {
 }
 
 func testConflictingContent(t *testing.T, factory Factory) {
-	c := factory(t, 8)
+	c := factory(t, Options{Capacity: 8})
 	defer c.Close()
 
 	// One (faulty) sender submits conflicting content; the correct
@@ -218,7 +240,7 @@ func testConflictingContent(t *testing.T, factory Factory) {
 }
 
 func testAllReceiversDeliver(t *testing.T, factory Factory) {
-	c := factory(t, 8)
+	c := factory(t, Options{Capacity: 8})
 	defer c.Close()
 
 	want := []byte("to everyone")
@@ -233,7 +255,7 @@ func testAllReceiversDeliver(t *testing.T, factory Factory) {
 }
 
 func testSubchannelsIndependent(t *testing.T, factory Factory) {
-	c := factory(t, 4)
+	c := factory(t, Options{Capacity: 4})
 	defer c.Close()
 
 	// Fill subchannel 7's window completely; subchannel 9 must be
@@ -256,7 +278,7 @@ func testSubchannelsIndependent(t *testing.T, factory Factory) {
 }
 
 func testSendBlocksBeyondWindow(t *testing.T, factory Factory) {
-	c := factory(t, 2) // window spans positions 1..2
+	c := factory(t, Options{Capacity: 2}) // window spans positions 1..2
 	defer c.Close()
 
 	done := make(chan error, 1)
@@ -285,7 +307,7 @@ func testSendBlocksBeyondWindow(t *testing.T, factory Factory) {
 }
 
 func testSendTooOld(t *testing.T, factory Factory) {
-	c := factory(t, 2)
+	c := factory(t, Options{Capacity: 2})
 	defer c.Close()
 
 	for _, r := range c.Receivers {
@@ -307,7 +329,7 @@ func testSendTooOld(t *testing.T, factory Factory) {
 }
 
 func testReceiveTooOldAfterMove(t *testing.T, factory Factory) {
-	c := factory(t, 4)
+	c := factory(t, Options{Capacity: 4})
 	defer c.Close()
 
 	ch := receiveAsync(c.Receivers[0], 0, 1)
@@ -329,7 +351,7 @@ func testReceiveTooOldAfterMove(t *testing.T, factory Factory) {
 }
 
 func testSenderDrivenMove(t *testing.T, factory Factory) {
-	c := factory(t, 4)
+	c := factory(t, Options{Capacity: 4})
 	defer c.Close()
 
 	// fs+1 senders request the window to start at 6 (as execution
@@ -353,7 +375,7 @@ func testSenderDrivenMove(t *testing.T, factory Factory) {
 }
 
 func testSingleReceiverCannotMove(t *testing.T, factory Factory) {
-	c := factory(t, 2)
+	c := factory(t, Options{Capacity: 2})
 	defer c.Close()
 
 	// Only one receiver (≤ fr, potentially Byzantine) requests a
@@ -372,7 +394,7 @@ func testSingleReceiverCannotMove(t *testing.T, factory Factory) {
 }
 
 func testCloseUnblocks(t *testing.T, factory Factory) {
-	c := factory(t, 2)
+	c := factory(t, Options{Capacity: 2})
 	defer c.Close()
 
 	recvCh := receiveAsync(c.Receivers[0], 0, 1)
@@ -407,7 +429,7 @@ func testCloseUnblocks(t *testing.T, factory Factory) {
 // delivers, on sender→receiver traffic alone. The receivers hold what
 // reaches them before fs+1 Moves have shifted their window.
 func testOwnMoveNeedsNoRoundTrip(t *testing.T, factory Factory) {
-	c := factory(t, 2) // window spans positions 1..2; 10 is far outside
+	c := factory(t, Options{Capacity: 2}) // window spans positions 1..2; 10 is far outside
 	defer c.Close()
 
 	for _, r := range c.ReceiverG.Members {
@@ -450,7 +472,7 @@ func testOwnMoveNeedsNoRoundTrip(t *testing.T, factory Factory) {
 // where the faulty sender's held submission is waiting.
 func testEarlyFloodIsBounded(t *testing.T, factory Factory) {
 	const capacity = 2
-	c := factory(t, capacity)
+	c := factory(t, Options{Capacity: capacity})
 	defer c.Close()
 
 	type holder interface {
@@ -533,4 +555,154 @@ func testEarlyFloodIsBounded(t *testing.T, factory Factory) {
 		}
 	}
 	waitMsg(t, flooded, good, 5*time.Second)
+}
+
+// submissionVerifies is the public-key work an endpoint did to admit
+// channel content: Send signatures (receiver-side collection) plus
+// share signatures (sender-side collection: fellow senders' shares at a
+// sender, certificate shares at a receiver).
+func submissionVerifies(c *cryptotest.CountingSuite) int64 {
+	return c.Verifies(crypto.DomainIRMCSend) + c.Verifies(crypto.DomainIRMCShare)
+}
+
+// submissionVerifiesFrom is the part of submissionVerifies spent on
+// one signer's signatures.
+func submissionVerifiesFrom(c *cryptotest.CountingSuite, signer ids.NodeID) int64 {
+	return c.VerifiesFrom(crypto.DomainIRMCSend, signer) + c.VerifiesFrom(crypto.DomainIRMCShare, signer)
+}
+
+// testVerifiesOnlyUntilQuorum: with every sender correct, an endpoint
+// verifies what completes a position's quorum and nothing that arrives
+// after it. Per position the first fs+1 senders submit, every receiver
+// delivers, and only then do the remaining senders submit, so what they
+// send can only be surplus; the serial pipeline admits one frame of a
+// link at a time, so the counts are exact. A receiver pays fs+1
+// verifications per position under either implementation (fs+1 Sends,
+// or the fs+1 shares of one certificate). Under sender-side collection
+// a sender pays at most fs+1 share verifications per position, exactly
+// fs where its own share is in before any peer's arrives (the sender
+// that submits first), and never one for its own share.
+func testVerifiesOnlyUntilQuorum(t *testing.T, factory Factory) {
+	const positions = 200
+	suites, counters := cryptotest.CountingAll(Suites())
+	c := factory(t, Options{Capacity: 256, NodeSuites: suites, Pipeline: crypto.SerialPipeline()})
+	defer c.Close()
+	quorum := c.SenderG.F + 1
+
+	for p := ids.Position(1); p <= positions; p++ {
+		msg := []byte(fmt.Sprintf("position %d", p))
+		chans := make([]<-chan receiveResult, len(c.Receivers))
+		for i, r := range c.Receivers {
+			chans[i] = receiveAsync(r, 0, p)
+		}
+		sendQuorum(t, c, 0, p, msg)
+		for _, ch := range chans {
+			waitMsg(t, ch, msg, 10*time.Second)
+		}
+		for _, s := range c.Senders[quorum:] {
+			if err := s.Send(0, p, msg); err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+		}
+	}
+	// Everything a count below needs had happened when the last Receive
+	// returned; the pause is for surplus still in flight, so that an
+	// endpoint which does verify it is caught doing so.
+	time.Sleep(100 * time.Millisecond)
+
+	for _, id := range c.ReceiverG.Members {
+		if got, want := submissionVerifies(counters[id]), int64(quorum*positions); got != want {
+			t.Errorf("receiver %v: %d verifications for %d positions, want %d (fs+1 each)", id, got, positions, want)
+		}
+	}
+	var shareWork int64
+	for _, id := range c.SenderG.Members {
+		shareWork += counters[id].Verifies(crypto.DomainIRMCShare)
+	}
+	if shareWork == 0 {
+		return // receiver-side collection: senders verify no submissions
+	}
+	for i, id := range c.SenderG.Members {
+		got := counters[id].Verifies(crypto.DomainIRMCShare)
+		if own := counters[id].VerifiesFrom(crypto.DomainIRMCShare, id); own != 0 {
+			t.Errorf("sender %v verified its own share %d times", id, own)
+		}
+		if max := int64(quorum * positions); got > max {
+			t.Errorf("sender %v: %d share verifications for %d positions, want at most %d (fs+1 each)", id, got, positions, max)
+		}
+		if want := int64(c.SenderG.F * positions); i == 0 && got != want {
+			t.Errorf("first sender %v: %d share verifications for %d positions, want %d (fs each)", id, got, positions, want)
+		}
+	}
+}
+
+// badSigSuite signs with a flipped bit: every signature its node emits
+// fails verification, while its MACs stay valid — the envelope around
+// a share is accepted and the share inside it is not.
+type badSigSuite struct{ crypto.Suite }
+
+func (s badSigSuite) Sign(d crypto.Domain, msg []byte) []byte {
+	sig := s.Suite.Sign(d, msg)
+	sig[0] ^= 1
+	return sig
+}
+
+// testBadSignatureFirstStillDelivers: the submission that arrives first
+// carries an invalid signature. It must be verified and refused — not
+// counted towards the quorum, not placed in a certificate, and not
+// allowed to stand in the way of what follows: the next fs+1 valid
+// submissions are verified as if it had never come, and every receiver
+// delivers.
+func testBadSignatureFirstStillDelivers(t *testing.T, factory Factory) {
+	suites, counters := cryptotest.CountingAll(Suites())
+	senderG, _ := Groups()
+	last := len(senderG.Members) - 1 // not the IRMC-SC default collector
+	bad := senderG.Members[last]
+	suites[bad] = badSigSuite{suites[bad]}
+	c := factory(t, Options{Capacity: 8, NodeSuites: suites, Pipeline: crypto.SerialPipeline()})
+	defer c.Close()
+
+	refused := func() int64 {
+		var n int64
+		for _, cs := range counters {
+			n += submissionVerifiesFrom(cs, bad)
+		}
+		return n
+	}
+	want := []byte("valid after invalid")
+	if err := c.Senders[last].Send(0, 1, want); err != nil {
+		t.Fatalf("faulty Send: %v", err)
+	}
+	// It reaches every receiver (receiver-side collection) or every
+	// other sender (sender-side collection), at least fs+1 endpoints
+	// either way.
+	deadline := time.Now().Add(5 * time.Second)
+	for refused() < int64(c.SenderG.F+1) {
+		if time.Now().After(deadline) {
+			t.Fatal("the invalid submission was never verified")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+
+	chans := make([]<-chan receiveResult, len(c.Receivers))
+	for i, r := range c.Receivers {
+		chans[i] = receiveAsync(r, 0, 1)
+	}
+	for _, s := range c.Senders[:last] {
+		if err := s.Send(0, 1, want); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	for _, ch := range chans {
+		waitMsg(t, ch, want, 10*time.Second)
+	}
+	for _, id := range c.ReceiverG.Members {
+		if good := submissionVerifies(counters[id]) - submissionVerifiesFrom(counters[id], bad); good != int64(c.SenderG.F+1) {
+			t.Errorf("receiver %v delivered on %d valid verifications, want fs+1 = %d", id, good, c.SenderG.F+1)
+		}
+		if n := counters[id].VerifiesFrom(crypto.DomainIRMCShare, bad); n != 0 {
+			t.Errorf("receiver %v was sent a certificate holding the invalid share", id)
+		}
+	}
 }

@@ -12,6 +12,19 @@ import (
 // frames overlap across workers. Frames from unknown peers are
 // dropped before any crypto work. All three channel endpoints that do
 // public-key verification on inbound traffic share this helper.
+//
+// It is also their one admission seam. Each of them collects a quorum
+// of public-key-authenticated messages per position — fs+1 Sends, fs+1
+// shares, one certificate — and what arrives after the quorum is in
+// would be verified only to be discarded. So between the cheap part of
+// opening a frame (decoding, the MAC check of a MAC'd tag) and the
+// expensive part (a Send's signature, a share's, a certificate's share
+// set) the endpoint is asked, under its own lock, whether a valid
+// frame from this peer for this position could still change anything.
+// A pre-check may only drop: the content of a Send is not vouched for
+// yet, so the answer reads endpoint state and nothing else — it never
+// creates a subchannel, records a vote or reserves a place, and a
+// forged frame cannot keep the next valid one from being verified.
 type OpenLanes struct {
 	cfg   Config
 	reg   *wire.Registry
@@ -36,24 +49,18 @@ func NewOpenLanes(cfg Config, reg *wire.Registry, peerGroups ...[]ids.NodeID) *O
 	return ol
 }
 
-// Submit opens one frame on from's lane and hands the decoded message
-// to deliver, in per-peer submission order. verify, when non-nil, runs
-// extra CPU-bound checks on the decoded message while still on the
-// pipeline (share signatures, certificate share sets); a non-nil error
-// from Open or verify drops the frame. Both closures are wrapped in
-// the endpoint's CPU meter accounting.
-func (ol *OpenLanes) Submit(from ids.NodeID, payload []byte,
-	verify func(wire.TypeTag, wire.Message) error,
-	deliver func(wire.TypeTag, wire.Message)) {
-	ol.SubmitBatch(from, [][]byte{payload}, verify, deliver)
-}
-
 // SubmitBatch admits a run of frames that arrived back-to-back from
 // one peer: all of them enter the peer's lane in a single GoBatch
 // submission, so a drained link queue pays the pipeline queue locking
-// once per run instead of once per frame, while per-peer dispatch
-// order is preserved exactly as with Submit.
+// once per run instead of once per frame, and the decoded messages
+// reach deliver in per-peer submission order. wanted is the admission
+// pre-check described on OpenLanes. verify, when non-nil, then runs
+// the extra CPU-bound checks on the decoded message while still on the
+// pipeline (share signatures, certificate share sets); a non-nil error
+// from opening the frame or from verify drops it. All closures are
+// wrapped in the endpoint's CPU meter accounting.
 func (ol *OpenLanes) SubmitBatch(from ids.NodeID, payloads [][]byte,
+	wanted func(wire.TypeTag, wire.Message) bool,
 	verify func(wire.TypeTag, wire.Message) error,
 	deliver func(wire.TypeTag, wire.Message)) {
 	lane := ol.lanes[from]
@@ -71,7 +78,7 @@ func (ol *OpenLanes) SubmitBatch(from ids.NodeID, payloads [][]byte,
 				stop := ol.cfg.Track()
 				defer stop()
 				var err error
-				tag, msg, err = Open(ol.cfg.Suite, ol.reg, from, payload)
+				tag, msg, err = openWanted(ol.cfg.Suite, ol.reg, from, payload, wanted)
 				if err != nil {
 					return err
 				}

@@ -1,6 +1,7 @@
 package irmc
 
 import (
+	"errors"
 	"fmt"
 
 	"spider/internal/crypto"
@@ -230,8 +231,13 @@ func (m *ResendMsg) UnmarshalWire(r *wire.Reader) {
 }
 
 // Envelope is the on-wire frame of every IRMC message: the encoded
-// frame plus authentication. Signed frames (Send, SigShare envelopes)
-// carry signatures; the rest carry pairwise MACs, as in the paper.
+// frame plus authentication. Only Send envelopes carry a signature;
+// everything else carries a pairwise MAC, as in the paper. That
+// includes SigShare: what authenticates a share is the signature
+// inside the message, which binds signer, subchannel, position and
+// digest and is checked by every party that counts it (fellow senders
+// before storing it, receivers inside the certificate). The envelope
+// only tells the receiving sender who is talking, so a MAC suffices.
 type Envelope struct {
 	From  ids.NodeID
 	Frame []byte
@@ -259,7 +265,7 @@ func AuthDomain(tag wire.TypeTag) (crypto.Domain, bool, error) {
 	case TagSend:
 		return crypto.DomainIRMCSend, true, nil
 	case TagSigShare:
-		return crypto.DomainIRMCShare, true, nil
+		return crypto.DomainIRMCShare, false, nil
 	case TagMove:
 		return crypto.DomainIRMCMove, false, nil
 	case TagCertificate:
@@ -290,28 +296,19 @@ func Seal(suite crypto.Suite, tag wire.TypeTag, frame []byte, to ids.NodeID) ([]
 	return wire.Encode(&env), nil
 }
 
-// SealMulti builds authenticated envelopes for every recipient,
-// marshaling the message exactly once: for signed tags one envelope is
-// shared by all recipients (the signature is recipient independent);
-// for MAC'd tags each recipient's envelope is assembled in a pooled
-// writer (MAC into reused scratch) and costs one exactly-sized
-// allocation. emit is called once per recipient with a slice the
-// callee owns (shared between recipients for signed tags — treat it
-// as read-only).
+// SealMulti builds MAC-authenticated envelopes for every recipient,
+// marshaling the message exactly once: each recipient's envelope is
+// assembled in a pooled writer (MAC into reused scratch) and costs one
+// exactly-sized allocation. emit is called once per recipient with a
+// slice the callee owns. The one signed tag, Send, is recipient
+// independent and sealed once with Seal.
 func SealMulti(suite crypto.Suite, tag wire.TypeTag, frame []byte, to []ids.NodeID, emit func(ids.NodeID, []byte)) error {
 	domain, signed, err := AuthDomain(tag)
 	if err != nil {
 		return err
 	}
 	if signed {
-		env, err := Seal(suite, tag, frame, ids.NoNode)
-		if err != nil {
-			return err
-		}
-		for _, r := range to {
-			emit(r, env)
-		}
-		return nil
+		return fmt.Errorf("irmc: tag %d is signed, seal it once with Seal", tag)
 	}
 	ew := wire.GetWriter()
 	var macScratch [crypto.DigestSize]byte
@@ -344,12 +341,23 @@ func SealAll(suite crypto.Suite, tag wire.TypeTag, frame []byte, to []ids.NodeID
 	return out
 }
 
+// errUnwanted drops a frame its endpoint could no longer use.
+var errUnwanted = errors.New("irmc: frame can no longer change anything")
+
 // Open verifies an envelope received from `from` and returns the
 // decoded message. The envelope is decoded zero-copy (its frame and
 // auth fields alias payload, which the transport contract keeps
 // immutable); the inner message is decoded with owning reads, so
 // nothing the caller retains aliases the transport buffer.
 func Open(suite crypto.Suite, reg *wire.Registry, from ids.NodeID, payload []byte) (wire.TypeTag, wire.Message, error) {
+	return openWanted(suite, reg, from, payload, nil)
+}
+
+// openWanted is Open with the admission question (see OpenLanes) asked
+// where it saves work: after the MAC check of a MAC'd envelope, before
+// the signature check of a signed one.
+func openWanted(suite crypto.Suite, reg *wire.Registry, from ids.NodeID, payload []byte,
+	wanted func(wire.TypeTag, wire.Message) bool) (wire.TypeTag, wire.Message, error) {
 	var env Envelope
 	if err := wire.DecodeShared(payload, &env); err != nil {
 		return 0, nil, err
@@ -365,13 +373,22 @@ func Open(suite crypto.Suite, reg *wire.Registry, from ids.NodeID, payload []byt
 	if err != nil {
 		return 0, nil, err
 	}
-	if signed {
-		err = suite.Verify(from, domain, env.Frame, env.Auth)
-	} else {
-		err = suite.VerifyMAC(from, domain, env.Frame, env.Auth)
+	if !signed {
+		if err := suite.VerifyMAC(from, domain, env.Frame, env.Auth); err != nil {
+			return 0, nil, err
+		}
 	}
+	tag, msg, err := reg.DecodeFrame(env.Frame)
 	if err != nil {
 		return 0, nil, err
 	}
-	return reg.DecodeFrame(env.Frame)
+	if wanted != nil && !wanted(tag, msg) {
+		return 0, nil, errUnwanted
+	}
+	if signed {
+		if err := suite.Verify(from, domain, env.Frame, env.Auth); err != nil {
+			return 0, nil, err
+		}
+	}
+	return tag, msg, nil
 }

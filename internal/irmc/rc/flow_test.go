@@ -7,6 +7,7 @@ import (
 
 	"spider/internal/ids"
 	"spider/internal/irmc"
+	"spider/internal/irmc/irmctest"
 )
 
 // waitCond polls until cond holds or the deadline passes.
@@ -28,7 +29,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 // sender's own move ticks neither.
 func TestFlowStatsCountAcksAndBlocks(t *testing.T) {
 	const sc = ids.Subchannel(3)
-	c := newChannel(t, 8)
+	c := newChannel(t, irmctest.Options{Capacity: 8})
 	defer c.Close()
 	s := c.Senders[0].(*Sender)
 
@@ -143,7 +144,7 @@ func TestFlowStatsCountAcksAndBlocks(t *testing.T) {
 // completes as soon as the auto-sizer grows it again — no ack needed.
 func TestSetCapacityUnblocksWaiters(t *testing.T) {
 	const sc = ids.Subchannel(4)
-	c := newChannel(t, 8)
+	c := newChannel(t, irmctest.Options{Capacity: 8})
 	defer c.Close()
 	s := c.Senders[0].(*Sender)
 

@@ -614,9 +614,12 @@ func (r *Receiver) nackLoop() {
 }
 
 // onFrames admits a drained run of frames from one sender through the
-// crypto pipeline in a single batch submission.
+// crypto pipeline in a single batch submission. A Send is asked about
+// (wantSend) before its signature is checked.
 func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
-	r.lanes.SubmitBatch(from, payloads, nil, func(tag wire.TypeTag, msg wire.Message) {
+	r.lanes.SubmitBatch(from, payloads, func(tag wire.TypeTag, msg wire.Message) bool {
+		return tag != irmc.TagSend || r.wantSend(from, msg.(*irmc.SendMsg))
+	}, nil, func(tag wire.TypeTag, msg wire.Message) {
 		switch tag {
 		case irmc.TagSend:
 			r.onSend(from, msg.(*irmc.SendMsg))
@@ -624,6 +627,32 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 			r.onSenderMove(from, msg.(*irmc.MoveMsg))
 		}
 	})
+}
+
+// wantSend is the admission pre-check (see irmc.OpenLanes) for a Send
+// whose signature has not been verified yet. A valid one changes
+// nothing below the window, once the position is resolved, or when
+// this sender's verified vote is already counted. Positions beyond the
+// window have no slot and go on to be verified and held.
+func (r *Receiver) wantSend(from ids.NodeID, m *irmc.SendMsg) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return false
+	}
+	sub, ok := r.subs[m.Subchannel]
+	if !ok {
+		return true
+	}
+	if m.Position < sub.win.Start {
+		return false
+	}
+	sl, ok := sub.slots[m.Position]
+	if !ok {
+		return true
+	}
+	_, voted := sl.votes[from]
+	return sl.resolved == nil && !voted
 }
 
 func (r *Receiver) onSend(from ids.NodeID, m *irmc.SendMsg) {

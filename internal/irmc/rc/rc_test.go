@@ -9,10 +9,10 @@ import (
 	"spider/internal/transport/memnet"
 )
 
-func newChannel(t *testing.T, capacity int) *irmctest.Channel {
+func newChannel(t *testing.T, o irmctest.Options) *irmctest.Channel {
 	t.Helper()
 	senders, receivers := irmctest.Groups()
-	suites := irmctest.Suites()
+	suites := o.SuiteSet()
 	net := memnet.New(memnet.Options{})
 	stream := transport.MakeStream(transport.KindBench, 1)
 
@@ -21,10 +21,11 @@ func newChannel(t *testing.T, capacity int) *irmctest.Channel {
 		s, err := NewSender(irmc.Config{
 			Senders:   senders,
 			Receivers: receivers,
-			Capacity:  capacity,
+			Capacity:  o.Capacity,
 			Suite:     suites[id],
 			Node:      net.Node(id),
 			Stream:    stream,
+			Pipeline:  o.Pipeline,
 		})
 		if err != nil {
 			t.Fatalf("NewSender(%v): %v", id, err)
@@ -35,10 +36,11 @@ func newChannel(t *testing.T, capacity int) *irmctest.Channel {
 		r, err := NewReceiver(irmc.Config{
 			Senders:   senders,
 			Receivers: receivers,
-			Capacity:  capacity,
+			Capacity:  o.Capacity,
 			Suite:     suites[id],
 			Node:      net.Node(id),
 			Stream:    stream,
+			Pipeline:  o.Pipeline,
 		})
 		if err != nil {
 			t.Fatalf("NewReceiver(%v): %v", id, err)

@@ -116,9 +116,10 @@ func TestCrossSuiteSenderDoesNotStall(t *testing.T) {
 }
 
 // TestTruncatedShareSigDoesNotStall gives one honest-positioned sender
-// an identity whose Ed25519 signatures are truncated to 32 bytes. Both
-// its share signatures and its signed share envelopes fail
-// verification; the remaining fs+1 intact senders still deliver.
+// an identity whose Ed25519 signatures are truncated to 32 bytes. Its
+// share envelopes pass (they carry a MAC) and the share signatures
+// inside them fail verification; the remaining fs+1 intact senders
+// still deliver.
 func TestTruncatedShareSigDoesNotStall(t *testing.T) {
 	senders, receivers := irmctest.Groups()
 	all := append(append([]ids.NodeID(nil), senders.Members...), receivers.Members...)

@@ -7,6 +7,15 @@
 // to another sender. Compared with IRMC-RC this trades sender-side
 // CPU for a large reduction in wide-area traffic (Figure 9d).
 //
+// That CPU is kept to what a certificate needs. A sender signs its
+// share once (the signature inside SigShareMsg; the envelope carries a
+// MAC) and admits its own share locally in Send instead of mailing
+// itself a copy. A peer's share is verified only while it can still
+// complete something (wantShare): not once the position has its
+// certificate, and not once fs+1 verified shares for the digest are
+// in, because the own Send completes the certificate from there.
+// Receivers skip a certificate for a position already delivered.
+//
 // Window rule: as in IRMC-RC, a sender's window starts at the higher
 // of its own MoveWindow and the (fr+1)-highest start the receivers
 // announced (irmc.SenderWindow), and a receiver's window moves on fs+1
@@ -45,9 +54,10 @@ var errBadCertificate = errors.New("irmc-sc: certificate lacks f+1 valid shares"
 
 // Sender is the IRMC-SC sender endpoint.
 type Sender struct {
-	cfg irmc.Config
-	reg *wire.Registry
-	me  ids.NodeID
+	cfg   irmc.Config
+	reg   *wire.Registry
+	me    ids.NodeID
+	peers []ids.NodeID // the sender group without this sender
 
 	// lanes verify inbound traffic on the crypto pipeline, one lane
 	// per peer (share signatures from fellow senders are the CPU-heavy
@@ -101,7 +111,12 @@ func NewSender(cfg irmc.Config) (*Sender, error) {
 		subs: make(map[ids.Subchannel]*senderSub),
 		done: make(chan struct{}),
 	}
-	s.lanes = irmc.NewOpenLanes(cfg, s.reg, cfg.Senders.Members, cfg.Receivers.Members)
+	for _, id := range cfg.Senders.Members {
+		if id != s.me {
+			s.peers = append(s.peers, id)
+		}
+	}
+	s.lanes = irmc.NewOpenLanes(cfg, s.reg, s.peers, cfg.Receivers.Members)
 	s.cond = sync.NewCond(&s.mu)
 	transport.RegisterBatch(cfg.Node, cfg.Stream, s.onFrames)
 	s.wg.Add(1)
@@ -145,8 +160,11 @@ func (sub *senderSub) collectorFor(rr ids.NodeID, def ids.NodeID) ids.NodeID {
 	return def
 }
 
-// Send implements irmc.Sender: store the payload locally and announce
-// a signed hash to the sender group.
+// Send implements irmc.Sender: store the payload locally, sign a share
+// for its hash, admit that share here and announce it to the other
+// senders. The position is reserved under the endpoint lock and the
+// signature made outside it, so inbound traffic of every subchannel
+// never waits behind a public-key operation.
 func (s *Sender) Send(sc ids.Subchannel, p ids.Position, msg []byte) error {
 	s.mu.Lock()
 	sub := s.sub(sc)
@@ -166,20 +184,32 @@ func (s *Sender) Send(sc ids.Subchannel, p ids.Position, msg []byte) error {
 		s.mu.Unlock()
 		return nil // idempotent: already submitted
 	}
-	stop := s.cfg.Track()
 	sub.data[p] = msg
-	digest := crypto.Hash(msg)
-	shareSig := s.cfg.Suite.Sign(crypto.DomainIRMCShare, irmc.SharePayload(sc, p, digest))
 	s.mu.Unlock()
 
-	frame := s.reg.EncodeFrame(irmc.TagSigShare, &irmc.SigShareMsg{
-		Subchannel: sc, Position: p, Digest: digest, Sig: shareSig,
-	})
-	envs := irmc.SealAll(s.cfg.Suite, irmc.TagSigShare, frame, s.cfg.Senders.Members)
+	stop := s.cfg.Track()
+	digest := crypto.Hash(msg)
+	share := &irmc.SigShareMsg{
+		Subchannel: sc, Position: p, Digest: digest,
+		Sig: s.cfg.Suite.Sign(crypto.DomainIRMCShare, irmc.SharePayload(sc, p, digest)),
+	}
+	envs := irmc.SealAll(s.cfg.Suite, irmc.TagSigShare, s.reg.EncodeFrame(irmc.TagSigShare, share), s.peers)
+
+	// A window move that passed p meanwhile pruned data[p]; a share
+	// admitted below the start now would never be pruned.
+	var ready []readyCert
+	s.mu.Lock()
+	if !s.closed && p >= sub.win.Start {
+		if c, ok := s.admitShareLocked(sub, s.me, share); ok {
+			ready = append(ready, c)
+		}
+	}
+	s.mu.Unlock()
 	stop()
 	for _, se := range envs {
 		s.cfg.Node.Send(se.To, s.cfg.Stream, se.Env)
 	}
+	s.sendReady(ready)
 	return nil
 }
 
@@ -229,7 +259,9 @@ func (s *Sender) Close() {
 func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
 	fromSender := s.cfg.Senders.Contains(from)
 	fromReceiver := s.cfg.Receivers.Contains(from)
-	s.lanes.SubmitBatch(from, payloads, func(tag wire.TypeTag, msg wire.Message) error {
+	s.lanes.SubmitBatch(from, payloads, func(tag wire.TypeTag, msg wire.Message) bool {
+		return tag != irmc.TagSigShare || !fromSender || s.wantShare(from, msg.(*irmc.SigShareMsg))
+	}, func(tag wire.TypeTag, msg wire.Message) error {
 		if tag == irmc.TagSigShare && fromSender {
 			// Validate the transferable share signature before storing
 			// it; only valid shares may end up inside certificates.
@@ -248,6 +280,31 @@ func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
 			s.onSelect(from, msg.(*irmc.SelectMsg))
 		}
 	})
+}
+
+// wantShare is the admission pre-check (see irmc.OpenLanes) for a
+// peer's share whose signature has not been verified yet. A valid one
+// changes nothing below the window, once the position has its
+// certificate, a second time from the same peer, or once fs+1 verified
+// shares for its digest are held: with the own share among them the
+// certificate exists, without it the own Send completes it. Positions
+// beyond the window go on to be verified and held.
+func (s *Sender) wantShare(from ids.NodeID, m *irmc.SigShareMsg) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	sub, ok := s.subs[m.Subchannel]
+	if !ok {
+		return true
+	}
+	if m.Position < sub.win.Start || sub.certs[m.Position] != nil {
+		return false
+	}
+	byNode := sub.shares[m.Position][m.Digest]
+	_, dup := byNode[from]
+	return !dup && len(byNode) <= s.cfg.Senders.F
 }
 
 // readyCert is a freshly assembled certificate and the receivers that
@@ -653,7 +710,9 @@ func (r *Receiver) Close() {
 }
 
 func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
-	r.lanes.SubmitBatch(from, payloads, func(tag wire.TypeTag, msg wire.Message) error {
+	r.lanes.SubmitBatch(from, payloads, func(tag wire.TypeTag, msg wire.Message) bool {
+		return tag != irmc.TagCertificate || r.wantCertificate(msg.(*irmc.CertificateMsg))
+	}, func(tag wire.TypeTag, msg wire.Message) error {
 		if tag == irmc.TagCertificate {
 			// The certificate's fs+1 share signatures are the CPU-heavy
 			// part of admission; verify them on the pipeline too, so
@@ -673,6 +732,24 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 			r.onSenderMove(from, msg.(*irmc.MoveMsg))
 		}
 	})
+}
+
+// wantCertificate is the admission pre-check (see irmc.OpenLanes) for
+// a certificate whose shares have not been verified yet: below the
+// window or already delivered (a replay after a collector switch, a
+// second collector) it changes nothing.
+func (r *Receiver) wantCertificate(m *irmc.CertificateMsg) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return false
+	}
+	sub, ok := r.subs[m.Subchannel]
+	if !ok {
+		return true
+	}
+	_, delivered := sub.delivered[m.Position]
+	return m.Position >= sub.win.Start && !delivered
 }
 
 // verifyCertificate checks, without any lock held, that a certificate

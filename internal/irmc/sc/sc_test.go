@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"spider/internal/crypto"
 	"spider/internal/ids"
 	"spider/internal/irmc"
 	"spider/internal/irmc/irmctest"
@@ -14,10 +15,10 @@ import (
 	"spider/internal/transport/memnet"
 )
 
-func newChannelTimeouts(t *testing.T, capacity, progressMS, collectorMS int) *irmctest.Channel {
+func newChannelTimeouts(t *testing.T, o irmctest.Options, progressMS, collectorMS int) *irmctest.Channel {
 	t.Helper()
 	senders, receivers := irmctest.Groups()
-	suites := irmctest.Suites()
+	suites := o.SuiteSet()
 	net := memnet.New(memnet.Options{})
 	stream := transport.MakeStream(transport.KindBench, 2)
 
@@ -26,10 +27,11 @@ func newChannelTimeouts(t *testing.T, capacity, progressMS, collectorMS int) *ir
 		s, err := NewSender(irmc.Config{
 			Senders:            senders,
 			Receivers:          receivers,
-			Capacity:           capacity,
+			Capacity:           o.Capacity,
 			Suite:              suites[id],
 			Node:               net.Node(id),
 			Stream:             stream,
+			Pipeline:           o.Pipeline,
 			ProgressIntervalMS: progressMS,
 			CollectorTimeoutMS: collectorMS,
 		})
@@ -42,10 +44,11 @@ func newChannelTimeouts(t *testing.T, capacity, progressMS, collectorMS int) *ir
 		r, err := NewReceiver(irmc.Config{
 			Senders:            senders,
 			Receivers:          receivers,
-			Capacity:           capacity,
+			Capacity:           o.Capacity,
 			Suite:              suites[id],
 			Node:               net.Node(id),
 			Stream:             stream,
+			Pipeline:           o.Pipeline,
 			ProgressIntervalMS: progressMS,
 			CollectorTimeoutMS: collectorMS,
 		})
@@ -57,8 +60,8 @@ func newChannelTimeouts(t *testing.T, capacity, progressMS, collectorMS int) *ir
 	return c
 }
 
-func newChannel(t *testing.T, capacity int) *irmctest.Channel {
-	return newChannelTimeouts(t, capacity, 20, 200)
+func newChannel(t *testing.T, o irmctest.Options) *irmctest.Channel {
+	return newChannelTimeouts(t, o, 20, 200)
 }
 
 func TestConformance(t *testing.T) {
@@ -70,7 +73,7 @@ func TestConformance(t *testing.T) {
 // the receivers switch collectors and obtain the certificates anyway
 // (Section 4, "protection against faulty collectors").
 func TestCollectorFailover(t *testing.T) {
-	c := newChannelTimeouts(t, 8, 20, 150)
+	c := newChannelTimeouts(t, irmctest.Options{Capacity: 8}, 20, 150)
 	defer c.Close()
 
 	// Sever collector (sender 1) <-> all receivers, keeping the
@@ -109,7 +112,7 @@ func TestCollectorFailover(t *testing.T) {
 // it never could, and delivery would wait for the receivers' watchdog
 // to rotate collectors, which the 30 s timeout here rules out.
 func TestEarlyShareAssemblesWithoutFailover(t *testing.T) {
-	c := newChannelTimeouts(t, 2, 20, 30_000)
+	c := newChannelTimeouts(t, irmctest.Options{Capacity: 2}, 20, 30_000)
 	defer c.Close()
 	collector := c.Senders[0].(*Sender)
 	// Keep the receivers' announcements from the collector, so that
@@ -164,10 +167,66 @@ func TestEarlyShareAssemblesWithoutFailover(t *testing.T) {
 	}
 }
 
+// gatedSigner blocks every share signature until released, so a test
+// can act while Send is between its two locked sections.
+type gatedSigner struct {
+	crypto.Suite
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g gatedSigner) Sign(d crypto.Domain, msg []byte) []byte {
+	if d == crypto.DomainIRMCShare {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return g.Suite.Sign(d, msg)
+}
+
+// TestSendSignsOutsideTheLock: while Send signs its share the endpoint
+// lock is free — a window move goes through — and a move that passes
+// the position meanwhile leaves nothing of it behind: the own share is
+// not admitted below the window, where nothing would ever prune it.
+func TestSendSignsOutsideTheLock(t *testing.T) {
+	suites := irmctest.Suites()
+	gate := gatedSigner{Suite: suites[1], entered: make(chan struct{}), release: make(chan struct{})}
+	suites[1] = gate
+	c := newChannel(t, irmctest.Options{Capacity: 8, NodeSuites: suites})
+	defer c.Close()
+	s := c.Senders[0].(*Sender)
+
+	sent := make(chan error, 1)
+	go func() { sent <- s.Send(0, 3, []byte("overtaken")) }()
+	<-gate.entered
+	moved := make(chan struct{})
+	go func() {
+		s.MoveWindow(0, 10)
+		close(moved)
+	}()
+	select {
+	case <-moved:
+	case <-time.After(5 * time.Second):
+		t.Fatal("MoveWindow waited for a share signature: Send signs under the endpoint lock")
+	}
+	close(gate.release)
+	if err := <-sent; err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sub := s.subs[0]
+	if _, ok := sub.data[3]; ok {
+		t.Error("payload of a position below the window retained")
+	}
+	if len(sub.shares[3]) != 0 || sub.certs[3] != nil {
+		t.Error("own share admitted below the window")
+	}
+}
+
 // TestCertificateRejectsForgery checks a certificate with too few or
 // invalid shares never delivers.
 func TestCertificateRejectsForgery(t *testing.T) {
-	c := newChannel(t, 8)
+	c := newChannel(t, irmctest.Options{Capacity: 8})
 	defer c.Close()
 
 	// A single sender (Byzantine) submits; even as the collector it
