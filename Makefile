@@ -15,7 +15,7 @@ GO ?= go
 ## snapshots record which suite produced each number.
 BENCH_PATTERN := RSAThroughput|MACThroughput|MicroPipelineRSA|MACVector|MACSingle|CommitDedup|ShardSweep|AdaptiveSweep|Ed25519Throughput|RSASign|RSAVerify|Ed25519Sign|Ed25519Verify
 
-.PHONY: check build vet test race fuzz-seeds soak soak-smoke bench bench-test bench-snapshot bench-compare tidy
+.PHONY: check build vet test race fuzz-seeds soak soak-smoke bench bench-test bench-snapshot bench-compare loc tidy
 
 ## check: what CI runs — build, vet, full test suite, and the
 ## concurrency-sensitive packages under the race detector (the MAC
@@ -98,6 +98,16 @@ bench-compare:
 	test -n "$$new" || { echo "bench-compare: no BENCH_*.json snapshot found; run make bench-snapshot or pass NEW="; exit 2; }; \
 	test "$$new" != "$(OLD)" || { echo "bench-compare: NEW resolved to OLD ($$new); pass NEW=<other snapshot>"; exit 2; }; \
 	$(GO) run ./tools/benchcompare $(OLD) $$new
+
+## loc: the two size numbers a simplification is judged by — lines of
+## product Go code in the root module (every line of a .go file that is
+## not a _test.go, not under bench/, and not in a test-support package:
+## irmctest, cryptotest), and the same for internal/irmc/** alone.
+## At PR 16: 21481 and 2640.
+LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/irmctest/*' ! -path '*/cryptotest/*' -print0 | xargs -0 cat | wc -l
+loc:
+	@echo "product Go lines, root module:     $$($(call LOC,.))"
+	@echo "product Go lines, internal/irmc/**: $$($(call LOC,./internal/irmc))"
 
 tidy:
 	$(GO) mod tidy

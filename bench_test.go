@@ -352,7 +352,7 @@ func BenchmarkFigure11F2HFT(b *testing.B) {
 // --- ablations --------------------------------------------------------------------
 
 // BenchmarkAblationIRMCSC measures Spider end to end over the
-// IRMC-SC channel (DESIGN.md: channel implementation choice).
+// IRMC-SC channel instead of the default IRMC-RC.
 func BenchmarkAblationIRMCSC(b *testing.B) {
 	latencyBench(b, harness.SystemSpider, core.KindWrite, func(o *harness.BuildOptions) {
 		o.Channel = core.ChannelSC

@@ -21,11 +21,14 @@
 //     leader site's accept). The origin site's replicas reply to the
 //     client.
 //
-// Simplifications vs. full Steward, documented in DESIGN.md: the site
-// representative is static (fault handling at the representative level
-// is out of the evaluated scope), threshold signatures are emulated as
-// 2f+1 multi-signatures, and the global level has no leader-site
-// change (the paper's experiments fix the leader site per run).
+// Simplifications vs. full Steward: the site representative is static
+// (fault handling at the representative level is out of the evaluated
+// scope), threshold signatures are emulated as 2f+1 multi-signatures
+// (crypto.Combine: same quorum and message counts, k
+// verifications instead of one), and the global level has no
+// leader-site change (the paper's experiments fix the leader site per
+// run). None of the three touches the normal-case latency structure
+// the paper compares Spider against.
 package hft
 
 import (

@@ -367,15 +367,12 @@ func (a *AgreementReplica) Start() {
 // keeps the window above the receivers' ack granularity — execution
 // replicas only move the window at checkpoint positions — and a
 // too-small window self-corrects anyway, because the sends it blocks
-// are exactly the controller's grow signal. Only IRMC-RC senders
-// implement the resize interface; SC channels are skipped, as they are
-// for Config.Resend.
+// are exactly the controller's grow signal. The flow counters and the
+// resize live in the sender core both channel implementations share.
 func (a *AgreementReplica) windowResizeLoop() {
 	defer a.wg.Done()
-	interval := time.Duration(a.cfg.Tunables.ChannelProgressMS) * time.Millisecond
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
+	channel := irmc.Config{ProgressIntervalMS: a.cfg.Tunables.ChannelProgressMS}
+	interval := channel.ProgressInterval()
 	minCap := a.cfg.Tunables.ExecutionCheckpointInterval + 1
 	type groupState struct {
 		ctl         *tune.WindowController
@@ -392,14 +389,12 @@ func (a *AgreementReplica) windowResizeLoop() {
 		}
 		type target struct {
 			gid ids.GroupID
-			fc  irmc.FlowControlled
+			fc  irmc.Sender
 		}
 		var targets []target
 		a.mu.Lock()
 		for gid, g := range a.groups {
-			if fc, ok := g.commitSend.(irmc.FlowControlled); ok {
-				targets = append(targets, target{gid: gid, fc: fc})
-			}
+			targets = append(targets, target{gid: gid, fc: g.commitSend})
 		}
 		a.mu.Unlock()
 		now := time.Now()
@@ -470,16 +465,13 @@ func (a *AgreementReplica) BatchTarget() (int, bool) {
 }
 
 // CommitWindowCapacities reports each execution group's current
-// effective commit-channel send window capacity, for channels that
-// support runtime resizing (IRMC-RC).
+// effective commit-channel send window capacity.
 func (a *AgreementReplica) CommitWindowCapacities() map[ids.GroupID]int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make(map[ids.GroupID]int, len(a.groups))
 	for gid, g := range a.groups {
-		if fc, ok := g.commitSend.(irmc.FlowControlled); ok {
-			out[gid] = fc.FlowStats(0).Capacity
-		}
+		out[gid] = g.commitSend.FlowStats(0).Capacity
 	}
 	return out
 }

@@ -259,11 +259,7 @@ func (c *Client) do(kind RequestKind, op []byte) ([]byte, error) {
 			c.cfg.Node.Send(replica, clientStream(group.ID), env)
 		}
 
-		sleep := interval
-		if c.cfg.RetryBackoff {
-			sleep = jitterRetry(interval, rand.Float64)
-		}
-		retry := time.NewTimer(sleep)
+		retry := time.NewTimer(jitterRetry(interval, rand.Float64))
 		select {
 		case result := <-wait.done:
 			retry.Stop()
@@ -275,9 +271,7 @@ func (c *Client) do(kind RequestKind, op []byte) ([]byte, error) {
 				c.mu.Unlock()
 				return nil, fmt.Errorf("%w: %s counter %d", ErrTimeout, kind, req.Counter)
 			}
-			if c.cfg.RetryBackoff {
-				interval = nextRetryInterval(interval, c.cfg.RetryMax)
-			}
+			interval = nextRetryInterval(interval, c.cfg.RetryMax)
 		}
 	}
 }

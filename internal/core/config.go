@@ -55,7 +55,9 @@ type Tunables struct {
 	SlackGroups int
 	// Channel selects the IRMC implementation.
 	Channel ChannelKind
-	// ChannelProgressMS / ChannelCollectorMS tune IRMC-SC.
+	// ChannelProgressMS / ChannelCollectorMS are the channels'
+	// irmc.Config.ProgressIntervalMS and CollectorTimeoutMS (0: that
+	// package's defaults, 50 ms and 1 s).
 	ChannelProgressMS  int
 	ChannelCollectorMS int
 	// PayloadCacheEntries bounds the execution replicas'
@@ -291,8 +293,8 @@ type AgreementConfig struct {
 	// windows from their measured drain rate: blocked sends grow a
 	// window toward Tunables.CommitChannelCapacity, sustained slack
 	// shrinks it toward the execution checkpoint interval, bounding
-	// in-flight memory at low load. Sender-local (no wire change);
-	// only IRMC-RC channels resize, SC ignores it. Off by default.
+	// in-flight memory at low load. Sender-local (no wire change), on
+	// either channel implementation. Off by default.
 	AdaptiveWindows bool
 	// ArrivalRate, when set with AdaptiveBatching, records every
 	// admitted consensus payload so deployments can read the windowed
@@ -380,19 +382,14 @@ type ClientConfig struct {
 	// Suite, Node: identity and transport.
 	Suite crypto.Suite
 	Node  transport.Node
-	// Retry is the resend interval (t_retry, default 500ms). With
-	// RetryBackoff it is the base of the exponential schedule instead.
+	// Retry is the base of the resend schedule (t_retry, default
+	// 500ms): capped exponential backoff with ±20% jitter. The first
+	// retry fires after ~Retry, each subsequent one doubles the
+	// interval up to RetryMax. Re-broadcasts from a fleet of timed-out
+	// clients then thin out and desynchronize instead of storming an
+	// overloaded or healing cluster in lockstep.
 	Retry time.Duration
-	// RetryBackoff switches the resend timer from a fixed interval to
-	// capped exponential backoff with ±20% jitter: the first retry
-	// fires after ~Retry, each subsequent one doubles the interval up
-	// to RetryMax. Re-broadcasts from a fleet of timed-out clients then
-	// thin out and desynchronize instead of storming an overloaded or
-	// healing cluster in lockstep. Off (false) keeps the exact legacy
-	// fixed-interval behavior.
-	RetryBackoff bool
 	// RetryMax caps the backed-off retry interval (default 8× Retry).
-	// Only meaningful with RetryBackoff.
 	RetryMax time.Duration
 	// Deadline bounds one operation end to end (default 30s).
 	Deadline time.Duration

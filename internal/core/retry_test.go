@@ -1,8 +1,13 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
+
+	"spider/internal/crypto"
+	"spider/internal/ids"
+	"spider/internal/transport/memnet"
 )
 
 // TestNextRetryInterval pins the capped doubling: 2s → 4s → 8s → 8s …
@@ -46,15 +51,43 @@ func TestJitterRetry(t *testing.T) {
 	}
 }
 
-// TestClientConfigRetryDefaults: RetryMax defaults to 8× Retry, and
-// the backoff gate's zero value keeps the legacy fixed interval.
+// TestClientConfigRetryDefaults: RetryMax defaults to 8× Retry.
 func TestClientConfigRetryDefaults(t *testing.T) {
 	cfg := ClientConfig{Retry: 2 * time.Second}
 	cfg.applyDefaults()
 	if cfg.RetryMax != 16*time.Second {
 		t.Fatalf("RetryMax default = %v, want 8× Retry = 16s", cfg.RetryMax)
 	}
-	if cfg.RetryBackoff {
-		t.Fatal("RetryBackoff must default to off (legacy fixed-interval retry)")
+}
+
+// TestClientRetryBacksOff: a client nobody answers re-broadcasts on the
+// backed-off schedule — there is no other — so the second retry waits
+// longer than the first (0.8–1.2 × Retry, then 1.6–2.4 × Retry).
+func TestClientRetryBacksOff(t *testing.T) {
+	net := memnet.New(memnet.Options{})
+	t.Cleanup(net.Close)
+	group := ids.Group{ID: 1, Members: []ids.NodeID{1, 2, 3}, F: 1}
+	suites := crypto.NewSuites(append([]ids.NodeID{101}, group.Members...), crypto.SuiteInsecure)
+
+	arrivals := make(chan time.Time, 16) // a 700 ms deadline sees four broadcasts
+	net.Node(1).Handle(clientStream(group.ID), func(ids.NodeID, []byte) {
+		arrivals <- time.Now()
+	})
+	client, err := NewClient(ClientConfig{
+		ID: 101, Group: group, Suite: suites[101], Node: net.Node(101),
+		Retry: 100 * time.Millisecond, Deadline: 700 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Write([]byte("unanswered")); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Write without replicas: %v, want ErrTimeout", err)
+	}
+	if len(arrivals) < 3 {
+		t.Fatalf("%d broadcasts before the deadline, want at least 3", len(arrivals))
+	}
+	t0, t1, t2 := <-arrivals, <-arrivals, <-arrivals
+	if first, second := t1.Sub(t0), t2.Sub(t1); second <= first {
+		t.Fatalf("second retry waited %v, the first %v: the interval did not back off", second, first)
 	}
 }

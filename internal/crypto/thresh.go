@@ -13,8 +13,10 @@ import (
 // k-of-n multi-signature: a vector of k ordinary RSA share signatures
 // from distinct members. Quorum semantics and wide-area message counts
 // are identical to real threshold signatures; only the verification
-// cost differs (k RSA verifications instead of one), which DESIGN.md
-// notes when interpreting CPU measurements.
+// cost differs (k RSA verifications instead of one). Read the HFT
+// baseline's CPU figures as an upper bound for that reason: its latency
+// and wide-area traffic are what a real threshold scheme would show,
+// its verification time is k times as much.
 
 // Share is one replica's contribution to an emulated threshold
 // signature.

@@ -105,7 +105,7 @@ type BuildOptions struct {
 	// sitting on the static knobs (default off).
 	AdaptiveBatching bool
 	// AdaptiveWindows auto-sizes the commit channels' effective send
-	// windows from measured drain rate (IRMC-RC only; default off).
+	// windows from measured drain rate (default off).
 	AdaptiveWindows bool
 	// StateDir, when set, gives every Spider replica a write-behind
 	// persistent store under <StateDir>/n<node>-s<shard>-<kind>, so a
@@ -1066,11 +1066,7 @@ func (c *Cluster) NewClient(region topo.Region) (*core.Client, error) {
 		Node:           c.Net.Node(id.Node()),
 		Retry:          2 * time.Second,
 		Deadline:       60 * time.Second,
-		// Capped exponential backoff stops synchronized retry storms
-		// from piling onto a cluster that is already struggling (the
-		// fixed-interval legacy mode remains for RetryBackoff: false).
-		RetryBackoff: true,
-		RetryMax:     8 * time.Second,
+		RetryMax:       8 * time.Second,
 	}
 	if c.Opts.Shards > 1 {
 		// One client edge over S sessions: route each operation to the
@@ -1138,7 +1134,6 @@ func (c *Cluster) AddRegion(region topo.Region) error {
 			Node:           c.Net.Node(c.adminID.Node()),
 			Retry:          2 * time.Second,
 			Deadline:       60 * time.Second,
-			RetryBackoff:   true,
 			RetryMax:       8 * time.Second,
 		})
 		if err != nil {

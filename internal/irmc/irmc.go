@@ -8,21 +8,38 @@
 // submitted identical content for the same subchannel position, so a
 // Byzantine minority cannot inject traffic.
 //
-// The window machinery both implementations share lives here: Window,
-// SenderWindow (a sender's own move takes effect at once, the
-// receivers' quorum moves it otherwise) and Hold (the bounded buffer
-// for traffic that arrives before the local window covers it).
+// The window rule, for every implementation. A subchannel's window
+// covers Capacity positions from its start. A sender's start is the
+// higher of its own last MoveWindow, which takes effect there at once,
+// and the (fr+1)-highest start the receivers have announced
+// (SenderWindow); so MoveWindow(sc, p) followed by Send(sc, p, m) never
+// waits for the receivers (Figure 16, lines 21–22, issues the two back
+// to back), and Send waits only for a position more than a window
+// beyond both. A receiver's start follows fs+1 senders' Moves or its
+// own MoveWindow, never one sender; delivery needs fs+1 identical
+// submissions inside that window, and Receive never returns a position
+// outside it. Senders therefore run ahead of one another and of the
+// receivers, and what reaches an endpoint before its window does is
+// held, not dropped — per subchannel and peer at most Capacity entries
+// (Hold) — and goes through the ordinary admission when the window
+// arrives. A sender repeats its Move to the receivers whose announced
+// start still trails it, a receiver answers a repeated Move with its
+// start, and so a move or an announcement lost to a partition or a
+// restart repairs itself.
 //
-// Two implementations exist: rc (receiver-side collection, Figure 18)
-// and sc (sender-side collection with collectors, Figures 19–20).
-// Both satisfy the conformance suite in irmctest, which encodes the
-// IRMC-Correctness and IRMC-Liveness properties of Appendix A.5.
+// All of that is written once, in SenderCore and ReceiverCore. The two
+// implementations embed them and differ only in how fs+1 submissions
+// are collected: rc (receiver-side collection, Figure 18) and sc
+// (sender-side collection with collectors, Figures 19–20). Both satisfy
+// the conformance suite in irmctest, which encodes the IRMC-Correctness
+// and IRMC-Liveness properties of Appendix A.5.
 package irmc
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"spider/internal/crypto"
 	"spider/internal/ids"
@@ -55,20 +72,8 @@ func AsTooOld(err error) (*TooOldError, bool) {
 	return nil, false
 }
 
-// Sender is the sender-side endpoint interface (Figure 14).
-//
-// A sender's window on a subchannel covers Capacity positions from its
-// start, and the start is the higher of the sender's own last
-// MoveWindow and the (fr+1)-highest window start the receivers have
-// announced. MoveWindow(sc, p) followed by Send(sc, p, m) therefore
-// never waits for the receivers (Figure 16, lines 21–22, issue the two
-// back to back); Send waits only for a position more than a window
-// beyond both. The receiver side is not moved by one sender: its
-// window follows fs+1 senders' moves or its own MoveWindow, and
-// delivery needs fs+1 identical submissions inside that window. What a
-// sender submits before the other endpoints' windows cover it is held
-// there, at most Capacity entries per subchannel and peer (see Hold),
-// and admitted when the window arrives.
+// Sender is the sender-side endpoint interface (Figure 14); the package
+// comment states the window rule behind it.
 type Sender interface {
 	// Send submits msg for subchannel sc at position p. It blocks
 	// while p lies beyond the window's upper bound, returns a
@@ -82,6 +87,13 @@ type Sender interface {
 	// asked. Positions only move forward; calls with lower positions
 	// are ignored.
 	MoveWindow(sc ids.Subchannel, p ids.Position)
+	// FlowStats reports the subchannel's cumulative flow counters and
+	// current window occupancy, the inputs of adaptive window sizing.
+	FlowStats(sc ids.Subchannel) FlowStats
+	// SetCapacity throttles this sender's window on the subchannel to
+	// n positions, clamped to [1, Config.Capacity]; growing it admits
+	// blocked Sends at once.
+	SetCapacity(sc ids.Subchannel, n int)
 	// Close releases the endpoint and unblocks pending calls.
 	Close()
 }
@@ -128,11 +140,14 @@ type Config struct {
 	// commit-channel dedup figures. Control traffic (moves, progress,
 	// selects) is not counted.
 	SendBytes *stats.Counter
-	// ProgressIntervalMS is the IRMC-SC progress announcement period
-	// in milliseconds (0 = default).
+	// ProgressIntervalMS is the period, in milliseconds, of a sender's
+	// tick: re-announcing unacknowledged window moves and, on IRMC-SC,
+	// announcing certificate progress (0 = 50).
 	ProgressIntervalMS int
-	// CollectorTimeoutMS is how long an IRMC-SC receiver waits for a
-	// missing certificate before switching collectors (0 = default).
+	// CollectorTimeoutMS is how long a receiver waits for a position its
+	// senders claim to have before it asks again: IRMC-SC switches
+	// collectors, IRMC-RC with Resend requests a re-transmission
+	// (0 = 1000).
 	CollectorTimeoutMS int
 	// Resend enables IRMC-RC window-loss repair on this channel: the
 	// sender retains the sealed envelope of every in-window position it
@@ -163,6 +178,22 @@ func (c *Config) Pipe() *crypto.Pipeline {
 		return c.Pipeline
 	}
 	return crypto.DefaultPipeline()
+}
+
+// ProgressInterval is ProgressIntervalMS as a duration, 50 ms when unset.
+func (c *Config) ProgressInterval() time.Duration {
+	if c.ProgressIntervalMS > 0 {
+		return time.Duration(c.ProgressIntervalMS) * time.Millisecond
+	}
+	return 50 * time.Millisecond
+}
+
+// CollectorTimeout is CollectorTimeoutMS as a duration, 1 s when unset.
+func (c *Config) CollectorTimeout() time.Duration {
+	if c.CollectorTimeoutMS > 0 {
+		return time.Duration(c.CollectorTimeoutMS) * time.Millisecond
+	}
+	return time.Second
 }
 
 // Validate checks structural requirements shared by implementations.
@@ -302,16 +333,6 @@ type FlowStats struct {
 	Blocked     int64 // Send calls that stalled on a full window
 	Outstanding int   // positions sent but not yet acked
 	Capacity    int   // current effective window capacity
-}
-
-// FlowControlled is implemented by sender endpoints whose effective
-// window capacity can be resized at runtime (IRMC-RC). IRMC-SC's
-// collector protocol sizes its window from certificate progress and
-// does not implement it — callers type-assert and skip, exactly as
-// they do for Config.Resend.
-type FlowControlled interface {
-	FlowStats(sc ids.Subchannel) FlowStats
-	SetCapacity(sc ids.Subchannel, n int)
 }
 
 // KHighest returns the k-th highest position in values (k >= 1).

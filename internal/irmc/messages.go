@@ -324,23 +324,6 @@ func SealMulti(suite crypto.Suite, tag wire.TypeTag, frame []byte, to []ids.Node
 	return nil
 }
 
-// Sealed pairs a recipient with its sealed envelope.
-type Sealed struct {
-	To  ids.NodeID
-	Env []byte
-}
-
-// SealAll seals frame for every recipient via SealMulti and returns
-// the envelopes in recipient order, for callers that finish their CPU
-// accounting before handing the envelopes to the transport.
-func SealAll(suite crypto.Suite, tag wire.TypeTag, frame []byte, to []ids.NodeID) []Sealed {
-	out := make([]Sealed, 0, len(to))
-	_ = SealMulti(suite, tag, frame, to, func(r ids.NodeID, env []byte) {
-		out = append(out, Sealed{To: r, Env: env})
-	})
-	return out
-}
-
 // errUnwanted drops a frame its endpoint could no longer use.
 var errUnwanted = errors.New("irmc: frame can no longer change anything")
 

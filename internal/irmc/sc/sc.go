@@ -16,25 +16,18 @@
 // in, because the own Send completes the certificate from there.
 // Receivers skip a certificate for a position already delivered.
 //
-// Window rule: as in IRMC-RC, a sender's window starts at the higher
-// of its own MoveWindow and the (fr+1)-highest start the receivers
-// announced (irmc.SenderWindow), and a receiver's window moves on fs+1
-// senders' Moves or its own MoveWindow. Senders therefore run ahead of
-// one another and of the receivers, and both sides hold what arrives
-// early instead of dropping it (irmc.Hold, at most Capacity entries
-// per subchannel and peer): a sender keeps a peer's validated share
-// for a position past its own window until the window covers it —
-// otherwise a collector that moves last could never assemble the
-// certificate and delivery would wait for the receivers' watchdog —
-// and a receiver keeps a verified certificate past its window until
-// fs+1 Moves bring the window there. Held shares and certificates go
-// through the unchanged admission paths; Receive never returns a
-// position outside the window.
+// Windows, moves, early holds and their repair are irmc.SenderCore and
+// irmc.ReceiverCore (the package comment of irmc states the rule).
+// What is particular here is that early traffic is held on both sides:
+// a sender keeps a peer's validated share for a position past its own
+// window — otherwise a collector that moves last could never assemble
+// the certificate and delivery would wait for the receivers' watchdog —
+// and a receiver keeps a verified certificate until fs+1 Moves bring
+// its window there.
 package sc
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"spider/internal/crypto"
@@ -44,18 +37,12 @@ import (
 	"spider/internal/wire"
 )
 
-const (
-	defaultProgressInterval = 100 * time.Millisecond
-	defaultCollectorTimeout = 500 * time.Millisecond
-)
-
 // errBadCertificate drops certificates lacking fs+1 valid shares.
 var errBadCertificate = errors.New("irmc-sc: certificate lacks f+1 valid shares")
 
 // Sender is the IRMC-SC sender endpoint.
 type Sender struct {
-	cfg   irmc.Config
-	reg   *wire.Registry
+	irmc.SenderCore[senderState]
 	me    ids.NodeID
 	peers []ids.NodeID // the sender group without this sender
 
@@ -64,29 +51,14 @@ type Sender struct {
 	// case) so admission order per peer is preserved while the RSA
 	// work spreads across cores.
 	lanes *irmc.OpenLanes
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	closed bool
-	subs   map[ids.Subchannel]*senderSub
-	// collector selection per receiver (global across subchannels is
-	// not enough: the paper selects per subchannel).
-	done chan struct{}
-	wg   sync.WaitGroup
 }
 
-type senderSub struct {
-	win irmc.SenderWindow
+type senderSub = irmc.SenderSub[senderState]
 
+type senderState struct {
 	data   map[ids.Position][]byte                                  // own submissions
 	shares map[ids.Position]map[crypto.Digest]map[ids.NodeID][]byte // validated share sigs
 	certs  map[ids.Position]*irmc.CertificateMsg
-	// early holds validated shares of peers whose window is ahead of
-	// ours (their own move, or the receivers' announcements, reached
-	// them first) until our window covers the position. Dropping them
-	// instead would leave this sender, if it is the collector, unable
-	// to assemble the certificate until the receivers' watchdog fires.
-	early irmc.Hold[*irmc.SigShareMsg]
 
 	collectors map[ids.NodeID]collectorChoice // per receiver
 }
@@ -101,60 +73,36 @@ var _ irmc.Sender = (*Sender)(nil)
 // NewSender creates the sender endpoint, registers its transport
 // handler, and starts the progress announcer.
 func NewSender(cfg irmc.Config) (*Sender, error) {
-	if err := cfg.Validate(); err != nil {
+	s := &Sender{}
+	err := s.Init(cfg, func(st *senderState) {
+		st.data = make(map[ids.Position][]byte)
+		st.shares = make(map[ids.Position]map[crypto.Digest]map[ids.NodeID][]byte)
+		st.certs = make(map[ids.Position]*irmc.CertificateMsg)
+		st.collectors = make(map[ids.NodeID]collectorChoice)
+	}, s.windowChangedLocked)
+	if err != nil {
 		return nil, err
 	}
-	s := &Sender{
-		cfg:  cfg,
-		reg:  irmc.NewRegistry(),
-		me:   cfg.Suite.Node(),
-		subs: make(map[ids.Subchannel]*senderSub),
-		done: make(chan struct{}),
-	}
+	s.me = cfg.Suite.Node()
 	for _, id := range cfg.Senders.Members {
 		if id != s.me {
 			s.peers = append(s.peers, id)
 		}
 	}
-	s.lanes = irmc.NewOpenLanes(cfg, s.reg, s.peers, cfg.Receivers.Members)
-	s.cond = sync.NewCond(&s.mu)
+	s.lanes = irmc.NewOpenLanes(cfg, s.Reg, s.peers, cfg.Receivers.Members)
+	s.Start(s.announceProgress)
 	transport.RegisterBatch(cfg.Node, cfg.Stream, s.onFrames)
-	s.wg.Add(1)
-	go s.progressLoop()
 	return s, nil
-}
-
-func (s *Sender) progressInterval() time.Duration {
-	if s.cfg.ProgressIntervalMS > 0 {
-		return time.Duration(s.cfg.ProgressIntervalMS) * time.Millisecond
-	}
-	return defaultProgressInterval
-}
-
-func (s *Sender) sub(sc ids.Subchannel) *senderSub {
-	sub, ok := s.subs[sc]
-	if !ok {
-		sub = &senderSub{
-			win:        irmc.NewSenderWindow(s.cfg.Capacity),
-			data:       make(map[ids.Position][]byte),
-			shares:     make(map[ids.Position]map[crypto.Digest]map[ids.NodeID][]byte),
-			certs:      make(map[ids.Position]*irmc.CertificateMsg),
-			early:      irmc.NewHold[*irmc.SigShareMsg](s.cfg.Capacity),
-			collectors: make(map[ids.NodeID]collectorChoice),
-		}
-		s.subs[sc] = sub
-	}
-	return sub
 }
 
 // defaultCollector is the initial collector every party assumes before
 // any Select message: the first member of the sender group.
-func (s *Sender) defaultCollector() ids.NodeID { return s.cfg.Senders.Members[0] }
+func (s *Sender) defaultCollector() ids.NodeID { return s.Cfg.Senders.Members[0] }
 
 // collectorFor returns the collector currently selected by receiver rr
 // on this subchannel.
-func (sub *senderSub) collectorFor(rr ids.NodeID, def ids.NodeID) ids.NodeID {
-	if c, ok := sub.collectors[rr]; ok {
+func (st *senderState) collectorFor(rr ids.NodeID, def ids.NodeID) ids.NodeID {
+	if c, ok := st.collectors[rr]; ok {
 		return c.node
 	}
 	return def
@@ -166,99 +114,42 @@ func (sub *senderSub) collectorFor(rr ids.NodeID, def ids.NodeID) ids.NodeID {
 // signature made outside it, so inbound traffic of every subchannel
 // never waits behind a public-key operation.
 func (s *Sender) Send(sc ids.Subchannel, p ids.Position, msg []byte) error {
-	s.mu.Lock()
-	sub := s.sub(sc)
-	for !s.closed && p > sub.win.Max() {
-		s.cond.Wait()
+	sub, err := s.WaitWindow(sc, p)
+	if err != nil {
+		return err
 	}
-	if s.closed {
-		s.mu.Unlock()
-		return irmc.ErrClosed
-	}
-	if p < sub.win.Start {
-		start := sub.win.Start
-		s.mu.Unlock()
-		return &irmc.TooOldError{NewStart: start}
-	}
-	if _, dup := sub.data[p]; dup {
-		s.mu.Unlock()
+	if _, dup := sub.X.data[p]; dup {
+		s.Mu.Unlock()
 		return nil // idempotent: already submitted
 	}
-	sub.data[p] = msg
-	s.mu.Unlock()
+	sub.X.data[p] = msg
+	s.Mu.Unlock()
 
-	stop := s.cfg.Track()
+	stop := s.Cfg.Track()
 	digest := crypto.Hash(msg)
 	share := &irmc.SigShareMsg{
 		Subchannel: sc, Position: p, Digest: digest,
-		Sig: s.cfg.Suite.Sign(crypto.DomainIRMCShare, irmc.SharePayload(sc, p, digest)),
+		Sig: s.Cfg.Suite.Sign(crypto.DomainIRMCShare, irmc.SharePayload(sc, p, digest)),
 	}
-	envs := irmc.SealAll(s.cfg.Suite, irmc.TagSigShare, s.reg.EncodeFrame(irmc.TagSigShare, share), s.peers)
-
 	// A window move that passed p meanwhile pruned data[p]; a share
 	// admitted below the start now would never be pruned.
 	var ready []readyCert
-	s.mu.Lock()
-	if !s.closed && p >= sub.win.Start {
+	s.Mu.Lock()
+	if !s.Closed() && p >= sub.Win.Start {
 		if c, ok := s.admitShareLocked(sub, s.me, share); ok {
 			ready = append(ready, c)
 		}
 	}
-	s.mu.Unlock()
+	s.Mu.Unlock()
 	stop()
-	for _, se := range envs {
-		s.cfg.Node.Send(se.To, s.cfg.Stream, se.Env)
-	}
+	s.Post(irmc.TagSigShare, share, s.peers...)
 	s.sendReady(ready)
 	return nil
 }
 
-// MoveWindow implements irmc.Sender: the local window starts at p from
-// now on, and the receivers are asked to follow.
-func (s *Sender) MoveWindow(sc ids.Subchannel, p ids.Position) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	sub := s.sub(sc)
-	fresh, advanced := sub.win.Request(p)
-	var ready []readyCert
-	if advanced {
-		ready = s.advancedLocked(sub)
-	}
-	s.mu.Unlock()
-	s.sendReady(ready)
-	if !fresh {
-		return
-	}
-
-	stop := s.cfg.Track()
-	frame := s.reg.EncodeFrame(irmc.TagMove, &irmc.MoveMsg{Subchannel: sc, Position: p})
-	envs := irmc.SealAll(s.cfg.Suite, irmc.TagMove, frame, s.cfg.Receivers.Members)
-	stop()
-	for _, se := range envs {
-		s.cfg.Node.Send(se.To, s.cfg.Stream, se.Env)
-	}
-}
-
-// Close implements irmc.Sender.
-func (s *Sender) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	close(s.done)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
 func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
-	fromSender := s.cfg.Senders.Contains(from)
-	fromReceiver := s.cfg.Receivers.Contains(from)
+	fromSender := s.Cfg.Senders.Contains(from)
+	fromReceiver := s.Cfg.Receivers.Contains(from)
 	s.lanes.SubmitBatch(from, payloads, func(tag wire.TypeTag, msg wire.Message) bool {
 		return tag != irmc.TagSigShare || !fromSender || s.wantShare(from, msg.(*irmc.SigShareMsg))
 	}, func(tag wire.TypeTag, msg wire.Message) error {
@@ -266,7 +157,7 @@ func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
 			// Validate the transferable share signature before storing
 			// it; only valid shares may end up inside certificates.
 			m := msg.(*irmc.SigShareMsg)
-			return s.cfg.Suite.Verify(from, crypto.DomainIRMCShare,
+			return s.Cfg.Suite.Verify(from, crypto.DomainIRMCShare,
 				irmc.SharePayload(m.Subchannel, m.Position, m.Digest), m.Sig)
 		}
 		return nil
@@ -275,7 +166,7 @@ func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
 		case tag == irmc.TagSigShare && fromSender:
 			s.onShare(from, msg.(*irmc.SigShareMsg))
 		case tag == irmc.TagMove && fromReceiver:
-			s.onReceiverMove(from, msg.(*irmc.MoveMsg))
+			s.OnReceiverMove(from, msg.(*irmc.MoveMsg))
 		case tag == irmc.TagSelect && fromReceiver:
 			s.onSelect(from, msg.(*irmc.SelectMsg))
 		}
@@ -290,21 +181,21 @@ func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
 // certificate exists, without it the own Send completes it. Positions
 // beyond the window go on to be verified and held.
 func (s *Sender) wantShare(from ids.NodeID, m *irmc.SigShareMsg) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	if s.Closed() {
 		return false
 	}
-	sub, ok := s.subs[m.Subchannel]
+	sub, ok := s.Subs[m.Subchannel]
 	if !ok {
 		return true
 	}
-	if m.Position < sub.win.Start || sub.certs[m.Position] != nil {
+	if m.Position < sub.Win.Start || sub.X.certs[m.Position] != nil {
 		return false
 	}
-	byNode := sub.shares[m.Position][m.Digest]
+	byNode := sub.X.shares[m.Position][m.Digest]
 	_, dup := byNode[from]
-	return !dup && len(byNode) <= s.cfg.Senders.F
+	return !dup && len(byNode) <= s.Cfg.Senders.F
 }
 
 // readyCert is a freshly assembled certificate and the receivers that
@@ -323,43 +214,33 @@ func (s *Sender) sendReady(ready []readyCert) {
 // onShare admits a share signature already validated on the pipeline,
 // or holds it when the local window has not reached its position.
 func (s *Sender) onShare(from ids.NodeID, m *irmc.SigShareMsg) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	s.Mu.Lock()
+	if s.Closed() {
+		s.Mu.Unlock()
 		return
 	}
-	sub := s.sub(m.Subchannel)
+	sub := s.Sub(m.Subchannel)
 	var ready []readyCert
 	switch {
-	case m.Position > sub.win.Max():
-		sub.early.Put(from, m.Position, m)
-	case m.Position >= sub.win.Start:
+	case m.Position > sub.Win.Max():
+		sub.Early.Put(from, m.Position, m)
+	case m.Position >= sub.Win.Start:
 		if c, ok := s.admitShareLocked(sub, from, m); ok {
 			ready = append(ready, c)
 		}
 	}
-	s.mu.Unlock()
+	s.Mu.Unlock()
 	s.sendReady(ready)
-}
-
-// Held reports how many early shares of sender peer are held for
-// subchannel sc; never more than Config.Capacity.
-func (s *Sender) Held(sc ids.Subchannel, peer ids.NodeID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sub, ok := s.subs[sc]; ok {
-		return sub.early.Len(peer)
-	}
-	return 0
 }
 
 // admitShareLocked stores from's share for an in-window position and
 // assembles the certificate once fs+1 shares match our own payload.
 func (s *Sender) admitShareLocked(sub *senderSub, from ids.NodeID, m *irmc.SigShareMsg) (readyCert, bool) {
-	byDigest, ok := sub.shares[m.Position]
+	st := &sub.X
+	byDigest, ok := st.shares[m.Position]
 	if !ok {
 		byDigest = make(map[crypto.Digest]map[ids.NodeID][]byte)
-		sub.shares[m.Position] = byDigest
+		st.shares[m.Position] = byDigest
 	}
 	byNode, ok := byDigest[m.Digest]
 	if !ok {
@@ -371,9 +252,9 @@ func (s *Sender) admitShareLocked(sub *senderSub, from ids.NodeID, m *irmc.SigSh
 	}
 	byNode[from] = m.Sig
 
-	payload, havePayload := sub.data[m.Position]
-	if !havePayload || sub.certs[m.Position] != nil ||
-		m.Digest != crypto.Hash(payload) || len(byNode) < s.cfg.Senders.F+1 {
+	payload, havePayload := st.data[m.Position]
+	if !havePayload || st.certs[m.Position] != nil ||
+		m.Digest != crypto.Hash(payload) || len(byNode) < s.Cfg.Senders.F+1 {
 		return readyCert{}, false
 	}
 	cert := &irmc.CertificateMsg{
@@ -383,186 +264,127 @@ func (s *Sender) admitShareLocked(sub *senderSub, from ids.NodeID, m *irmc.SigSh
 	}
 	for node, sig := range byNode {
 		cert.Shares = append(cert.Shares, irmc.ShareSig{Node: node, Sig: sig})
-		if len(cert.Shares) == s.cfg.Senders.F+1 {
+		if len(cert.Shares) == s.Cfg.Senders.F+1 {
 			break
 		}
 	}
-	sub.certs[m.Position] = cert
+	st.certs[m.Position] = cert
 	// Forward to the receivers that currently use us as collector.
-	targets := make([]ids.NodeID, 0, len(s.cfg.Receivers.Members))
-	for _, rr := range s.cfg.Receivers.Members {
-		if sub.collectorFor(rr, s.defaultCollector()) == s.me {
+	targets := make([]ids.NodeID, 0, len(s.Cfg.Receivers.Members))
+	for _, rr := range s.Cfg.Receivers.Members {
+		if st.collectorFor(rr, s.defaultCollector()) == s.me {
 			targets = append(targets, rr)
 		}
 	}
 	return readyCert{cert: cert, targets: targets}, true
 }
 
+// sendCert ships a certificate. Certificates are SC's payload-bearing
+// wide-area messages; the sig-share exchange stays within the
+// co-located sender group and is not charged to SendBytes.
 func (s *Sender) sendCert(cert *irmc.CertificateMsg, targets []ids.NodeID) {
-	if len(targets) == 0 {
-		return
-	}
-	stop := s.cfg.Track()
-	frame := s.reg.EncodeFrame(irmc.TagCertificate, cert)
-	envs := irmc.SealAll(s.cfg.Suite, irmc.TagCertificate, frame, targets)
-	stop()
-	for _, se := range envs {
-		if s.cfg.SendBytes != nil {
-			// Certificates are SC's payload-bearing wide-area messages;
-			// the sig-share exchange stays within the co-located sender
-			// group and is not charged here.
-			s.cfg.SendBytes.Add(int64(len(se.Env)))
-		}
-		s.cfg.Node.Send(se.To, s.cfg.Stream, se.Env)
+	if n := s.Post(irmc.TagCertificate, cert, targets...); s.Cfg.SendBytes != nil {
+		s.Cfg.SendBytes.Add(n)
 	}
 }
 
-func (s *Sender) onReceiverMove(from ids.NodeID, m *irmc.MoveMsg) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	sub := s.sub(m.Subchannel)
-	var ready []readyCert
-	if _, advanced := sub.win.Announce(from, m.Position, s.cfg.Receivers); advanced {
-		ready = s.advancedLocked(sub)
-	}
-	s.mu.Unlock()
-	s.sendReady(ready)
-}
-
-// advancedLocked prunes what the moved window start no longer covers,
-// admits held shares the window now covers, and wakes blocked Sends.
-func (s *Sender) advancedLocked(sub *senderSub) []readyCert {
-	for pos := range sub.data {
-		if pos < sub.win.Start {
-			delete(sub.data, pos)
+// windowChangedLocked is the sender's window hook: prune what the start
+// has passed, admit the held shares the window now covers, and ship the
+// certificates that completes once the lock is released.
+func (s *Sender) windowChangedLocked(sub *senderSub) func() {
+	st := &sub.X
+	for pos := range st.data {
+		if pos < sub.Win.Start {
+			delete(st.data, pos)
 		}
 	}
-	for pos := range sub.shares {
-		if pos < sub.win.Start {
-			delete(sub.shares, pos)
+	for pos := range st.shares {
+		if pos < sub.Win.Start {
+			delete(st.shares, pos)
 		}
 	}
-	for pos := range sub.certs {
-		if pos < sub.win.Start {
-			delete(sub.certs, pos)
+	for pos := range st.certs {
+		if pos < sub.Win.Start {
+			delete(st.certs, pos)
 		}
 	}
 	var ready []readyCert
-	sub.early.Release(sub.win.Window, func(from ids.NodeID, _ ids.Position, m *irmc.SigShareMsg) {
+	sub.Early.Release(sub.Win.Window, func(from ids.NodeID, _ ids.Position, m *irmc.SigShareMsg) {
 		if c, ok := s.admitShareLocked(sub, from, m); ok {
 			ready = append(ready, c)
 		}
 	})
-	s.cond.Broadcast()
-	return ready
+	if ready == nil {
+		return nil
+	}
+	return func() { s.sendReady(ready) }
 }
 
 func (s *Sender) onSelect(from ids.NodeID, m *irmc.SelectMsg) {
-	s.mu.Lock()
-	sub := s.sub(m.Subchannel)
-	cur := sub.collectors[from]
+	s.Mu.Lock()
+	st := &s.Sub(m.Subchannel).X
+	cur := st.collectors[from]
 	if m.Epoch <= cur.epoch && !(cur == collectorChoice{}) {
-		s.mu.Unlock()
+		s.Mu.Unlock()
 		return
 	}
-	if !s.cfg.Senders.Contains(m.Collector) {
-		s.mu.Unlock()
+	if !s.Cfg.Senders.Contains(m.Collector) {
+		s.Mu.Unlock()
 		return
 	}
-	sub.collectors[from] = collectorChoice{node: m.Collector, epoch: m.Epoch}
+	st.collectors[from] = collectorChoice{node: m.Collector, epoch: m.Epoch}
 	var resend []*irmc.CertificateMsg
 	if m.Collector == s.me {
 		// We are the new collector: replay every certificate we hold
 		// so the receiver can fill its gaps.
-		resend = make([]*irmc.CertificateMsg, 0, len(sub.certs))
-		for _, cert := range sub.certs {
+		resend = make([]*irmc.CertificateMsg, 0, len(st.certs))
+		for _, cert := range st.certs {
 			resend = append(resend, cert)
 		}
 	}
-	s.mu.Unlock()
+	s.Mu.Unlock()
 	for _, cert := range resend {
 		s.sendCert(cert, []ids.NodeID{from})
 	}
 }
 
-// progressLoop periodically announces, per subchannel, the highest
-// position through which this sender holds gap-free certificates.
-func (s *Sender) progressLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.progressInterval())
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-ticker.C:
-			s.announceProgress()
-		}
-	}
-}
-
+// announceProgress runs on the sender's tick and announces, per
+// subchannel, the highest position through which this sender holds
+// gap-free certificates.
 func (s *Sender) announceProgress() {
-	stop := s.cfg.Track()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		stop()
-		return
-	}
 	msg := &irmc.ProgressMsg{}
-	for sc, sub := range s.subs {
-		p := sub.win.Start - 1
-		for sub.certs[p+1] != nil {
-			p++
-		}
-		if p >= sub.win.Start {
-			msg.Subchannels = append(msg.Subchannels, sc)
-			msg.Positions = append(msg.Positions, p)
+	s.Mu.Lock()
+	if !s.Closed() {
+		for sc, sub := range s.Subs {
+			p := sub.Win.Start - 1
+			for sub.X.certs[p+1] != nil {
+				p++
+			}
+			if p >= sub.Win.Start {
+				msg.Subchannels = append(msg.Subchannels, sc)
+				msg.Positions = append(msg.Positions, p)
+			}
 		}
 	}
-	s.mu.Unlock()
-	if len(msg.Subchannels) == 0 {
-		stop()
-		return
-	}
-	frame := s.reg.EncodeFrame(irmc.TagProgress, msg)
-	envs := irmc.SealAll(s.cfg.Suite, irmc.TagProgress, frame, s.cfg.Receivers.Members)
-	stop()
-	for _, se := range envs {
-		s.cfg.Node.Send(se.To, s.cfg.Stream, se.Env)
+	s.Mu.Unlock()
+	if len(msg.Subchannels) > 0 {
+		s.Post(irmc.TagProgress, msg, s.Cfg.Receivers.Members...)
 	}
 }
 
 // Receiver is the IRMC-SC receiver endpoint.
 type Receiver struct {
-	cfg irmc.Config
-	reg *wire.Registry
-	me  ids.NodeID
+	irmc.ReceiverCore[recvState]
 
 	// lanes verify inbound certificates (fs+1 share signatures each)
 	// on the crypto pipeline, one lane per sender.
 	lanes *irmc.OpenLanes
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	closed bool
-	subs   map[ids.Subchannel]*recvSub
-	done   chan struct{}
-	wg     sync.WaitGroup
 }
 
-type recvSub struct {
-	win         irmc.Window
-	senderMoves map[ids.NodeID]ids.Position
-	delivered   map[ids.Position][]byte
-	// early holds verified certificates for positions beyond the
-	// window — a collector can assemble and ship one before fs+1 Moves
-	// have reached us — until the window covers them.
-	early irmc.Hold[[]byte]
+type recvSub = irmc.ReceiverSub[recvState]
 
+// recvState is the collector watch of one subchannel.
+type recvState struct {
 	progress map[ids.NodeID]ids.Position // per-sender progress claims
 	merged   ids.Position                // fs+1-highest claimed progress
 
@@ -576,137 +398,22 @@ var _ irmc.Receiver = (*Receiver)(nil)
 // NewReceiver creates the receiver endpoint, registers its transport
 // handler, and starts the collector watchdog.
 func NewReceiver(cfg irmc.Config) (*Receiver, error) {
-	if err := cfg.Validate(); err != nil {
+	r := &Receiver{}
+	// A verified certificate is deliverable as it stands, so a held one
+	// the window reaches is delivered; nothing of ours needs pruning.
+	err := r.Init(cfg, func(st *recvState) {
+		st.progress = make(map[ids.NodeID]ids.Position)
+		st.collector = cfg.Senders.Members[0]
+	}, nil, func(sub *recvSub, _ ids.NodeID, p ids.Position, payload []byte) {
+		r.Deliver(sub, p, payload)
+	})
+	if err != nil {
 		return nil, err
 	}
-	r := &Receiver{
-		cfg:  cfg,
-		reg:  irmc.NewRegistry(),
-		me:   cfg.Suite.Node(),
-		subs: make(map[ids.Subchannel]*recvSub),
-		done: make(chan struct{}),
-	}
-	r.lanes = irmc.NewOpenLanes(cfg, r.reg, cfg.Senders.Members)
-	r.cond = sync.NewCond(&r.mu)
+	r.lanes = irmc.NewOpenLanes(cfg, r.Reg, cfg.Senders.Members)
+	r.Every(max(cfg.CollectorTimeout()/4, 10*time.Millisecond), r.checkCollectors)
 	transport.RegisterBatch(cfg.Node, cfg.Stream, r.onFrames)
-	r.wg.Add(1)
-	go r.watchdogLoop()
 	return r, nil
-}
-
-func (r *Receiver) collectorTimeout() time.Duration {
-	if r.cfg.CollectorTimeoutMS > 0 {
-		return time.Duration(r.cfg.CollectorTimeoutMS) * time.Millisecond
-	}
-	return defaultCollectorTimeout
-}
-
-func (r *Receiver) sub(sc ids.Subchannel) *recvSub {
-	sub, _ := r.subCreated(sc)
-	return sub
-}
-
-// subCreated returns the subchannel state and whether this call
-// created it.
-func (r *Receiver) subCreated(sc ids.Subchannel) (*recvSub, bool) {
-	sub, ok := r.subs[sc]
-	if !ok {
-		sub = &recvSub{
-			win:         irmc.NewWindow(r.cfg.Capacity),
-			senderMoves: make(map[ids.NodeID]ids.Position),
-			delivered:   make(map[ids.Position][]byte),
-			early:       irmc.NewHold[[]byte](r.cfg.Capacity),
-			progress:    make(map[ids.NodeID]ids.Position),
-			collector:   r.cfg.Senders.Members[0],
-		}
-		r.subs[sc] = sub
-	}
-	return sub, !ok
-}
-
-// notifyNewSub schedules the new-subchannel callback; it runs on its
-// own goroutine so endpoint locks are never held while user code runs.
-func (r *Receiver) notifyNewSub(sc ids.Subchannel) {
-	if cb := r.cfg.OnNewSubchannel; cb != nil {
-		go cb(sc)
-	}
-}
-
-// Receive implements irmc.Receiver.
-func (r *Receiver) Receive(sc ids.Subchannel, p ids.Position) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		if r.closed {
-			return nil, irmc.ErrClosed
-		}
-		sub := r.sub(sc)
-		if p < sub.win.Start {
-			return nil, &irmc.TooOldError{NewStart: sub.win.Start}
-		}
-		if p <= sub.win.Max() {
-			if msg, ok := sub.delivered[p]; ok {
-				return msg, nil
-			}
-		}
-		r.cond.Wait()
-	}
-}
-
-// MoveWindow implements irmc.Receiver.
-func (r *Receiver) MoveWindow(sc ids.Subchannel, p ids.Position) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	if !r.moveLocked(sc, p) {
-		r.mu.Unlock()
-		return
-	}
-	r.mu.Unlock()
-	r.notifySenders(sc, p)
-}
-
-func (r *Receiver) moveLocked(sc ids.Subchannel, p ids.Position) bool {
-	sub := r.sub(sc)
-	if !sub.win.Advance(p) {
-		return false
-	}
-	for pos := range sub.delivered {
-		if pos < sub.win.Start {
-			delete(sub.delivered, pos)
-		}
-	}
-	sub.early.Release(sub.win, func(_ ids.NodeID, pos ids.Position, payload []byte) {
-		deliverLocked(sub, pos, payload)
-	})
-	r.cond.Broadcast()
-	return true
-}
-
-func (r *Receiver) notifySenders(sc ids.Subchannel, p ids.Position) {
-	stop := r.cfg.Track()
-	frame := r.reg.EncodeFrame(irmc.TagMove, &irmc.MoveMsg{Subchannel: sc, Position: p})
-	envs := irmc.SealAll(r.cfg.Suite, irmc.TagMove, frame, r.cfg.Senders.Members)
-	stop()
-	for _, se := range envs {
-		r.cfg.Node.Send(se.To, r.cfg.Stream, se.Env)
-	}
-}
-
-// Close implements irmc.Receiver.
-func (r *Receiver) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	close(r.done)
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	r.wg.Wait()
 }
 
 func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
@@ -729,7 +436,7 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 		case irmc.TagProgress:
 			r.onProgress(from, msg.(*irmc.ProgressMsg))
 		case irmc.TagMove:
-			r.onSenderMove(from, msg.(*irmc.MoveMsg))
+			r.OnSenderMove(from, msg.(*irmc.MoveMsg))
 		}
 	})
 }
@@ -739,17 +446,16 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 // window or already delivered (a replay after a collector switch, a
 // second collector) it changes nothing.
 func (r *Receiver) wantCertificate(m *irmc.CertificateMsg) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
+	if r.Closed() {
 		return false
 	}
-	sub, ok := r.subs[m.Subchannel]
+	sub, ok := r.Subs[m.Subchannel]
 	if !ok {
 		return true
 	}
-	_, delivered := sub.delivered[m.Position]
-	return m.Position >= sub.win.Start && !delivered
+	return m.Position >= sub.Win.Start && !sub.Delivered(m.Position)
 }
 
 // verifyCertificate checks, without any lock held, that a certificate
@@ -760,173 +466,95 @@ func (r *Receiver) verifyCertificate(m *irmc.CertificateMsg) bool {
 	sharePayload := irmc.SharePayload(m.Subchannel, m.Position, digest)
 	voters := make(map[ids.NodeID]bool, len(m.Shares))
 	for _, sh := range m.Shares {
-		if voters[sh.Node] || !r.cfg.Senders.Contains(sh.Node) {
+		if voters[sh.Node] || !r.Cfg.Senders.Contains(sh.Node) {
 			continue
 		}
-		if err := r.cfg.Suite.Verify(sh.Node, crypto.DomainIRMCShare, sharePayload, sh.Sig); err != nil {
+		if err := r.Cfg.Suite.Verify(sh.Node, crypto.DomainIRMCShare, sharePayload, sh.Sig); err != nil {
 			continue
 		}
 		voters[sh.Node] = true
 	}
-	return len(voters) >= r.cfg.Senders.F+1
+	return len(voters) >= r.Cfg.Senders.F+1
 }
 
 // onCertificate installs a certificate already validated on the
 // pipeline, or holds it when the window has not reached its position.
 func (r *Receiver) onCertificate(from ids.NodeID, m *irmc.CertificateMsg) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
+	if r.Closed() {
 		return
 	}
-	sub, created := r.subCreated(m.Subchannel)
-	if created {
-		r.notifyNewSub(m.Subchannel)
-	}
+	sub := r.Arrived(m.Subchannel)
 	switch {
-	case m.Position > sub.win.Max():
-		sub.early.Put(from, m.Position, m.Payload)
-	case m.Position >= sub.win.Start:
-		deliverLocked(sub, m.Position, m.Payload)
-		r.cond.Broadcast()
-	}
-}
-
-// Held reports how many early certificates from collector peer are
-// held for subchannel sc; never more than Config.Capacity.
-func (r *Receiver) Held(sc ids.Subchannel, peer ids.NodeID) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if sub, ok := r.subs[sc]; ok {
-		return sub.early.Len(peer)
-	}
-	return 0
-}
-
-// deliverLocked records the certified payload of in-window position p.
-func deliverLocked(sub *recvSub, p ids.Position, payload []byte) {
-	if _, dup := sub.delivered[p]; !dup {
-		sub.delivered[p] = payload
+	case m.Position > sub.Win.Max():
+		sub.Early.Put(from, m.Position, m.Payload)
+	case m.Position >= sub.Win.Start:
+		r.Deliver(sub, m.Position, m.Payload)
 	}
 }
 
 func (r *Receiver) onProgress(from ids.NodeID, m *irmc.ProgressMsg) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
+	if r.Closed() {
 		return
 	}
 	now := time.Now()
 	for i, sc := range m.Subchannels {
-		sub, created := r.subCreated(sc)
-		if created {
-			r.notifyNewSub(sc)
+		sub := r.Arrived(sc)
+		st := &sub.X
+		if m.Positions[i] > st.progress[from] {
+			st.progress[from] = m.Positions[i]
 		}
-		if m.Positions[i] > sub.progress[from] {
-			sub.progress[from] = m.Positions[i]
-		}
-		sub.merged = irmc.KHighest(sub.progress, r.cfg.Senders.Members, r.cfg.Senders.F+1)
-		if r.missingBeforeLocked(sub) {
-			if sub.timerDeadline.IsZero() {
-				sub.timerDeadline = now.Add(r.collectorTimeout())
+		st.merged = irmc.KHighest(st.progress, r.Cfg.Senders.Members, r.Cfg.Senders.F+1)
+		if missingBeforeLocked(sub) {
+			if st.timerDeadline.IsZero() {
+				st.timerDeadline = now.Add(r.Cfg.CollectorTimeout())
 			}
 		} else {
-			sub.timerDeadline = time.Time{}
+			st.timerDeadline = time.Time{}
 		}
 	}
 }
 
 // missingBeforeLocked reports whether a certificate is missing between
 // the window start and the merged progress claim.
-func (r *Receiver) missingBeforeLocked(sub *recvSub) bool {
-	for p := sub.win.Start; p <= sub.merged && p <= sub.win.Max(); p++ {
-		if _, ok := sub.delivered[p]; !ok {
+func missingBeforeLocked(sub *recvSub) bool {
+	for p := sub.Win.Start; p <= sub.X.merged && p <= sub.Win.Max(); p++ {
+		if !sub.Delivered(p) {
 			return true
 		}
 	}
 	return false
 }
 
-func (r *Receiver) onSenderMove(from ids.NodeID, m *irmc.MoveMsg) {
-	r.mu.Lock()
-	sub, created := r.subCreated(m.Subchannel)
-	if created {
-		r.notifyNewSub(m.Subchannel)
-	}
-	if m.Position <= sub.senderMoves[from] {
-		r.mu.Unlock()
-		return
-	}
-	sub.senderMoves[from] = m.Position
-	target := irmc.KHighest(sub.senderMoves, r.cfg.Senders.Members, r.cfg.Senders.F+1)
-	moved := false
-	if target > sub.win.Start {
-		moved = r.moveLocked(m.Subchannel, target)
-	}
-	r.mu.Unlock()
-	if moved {
-		r.notifySenders(m.Subchannel, target)
-	}
-}
-
-// watchdogLoop switches collectors when certificates are overdue: if
-// fs+1 senders claim progress past a position this receiver has not
-// obtained, the current collector is withholding certificates.
-func (r *Receiver) watchdogLoop() {
-	defer r.wg.Done()
-	interval := r.collectorTimeout() / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-ticker.C:
-			r.checkCollectors()
-		}
-	}
-}
-
+// checkCollectors is the watchdog tick. It switches collectors when
+// certificates are overdue: if fs+1 senders claim progress past a
+// position this receiver has not obtained, the current collector is
+// withholding certificates.
 func (r *Receiver) checkCollectors() {
-	type switchReq struct {
-		sc  ids.Subchannel
-		msg *irmc.SelectMsg
-	}
-	var switches []switchReq
-
-	r.mu.Lock()
+	var switches []irmc.SelectMsg
+	r.Mu.Lock()
 	now := time.Now()
-	for sc, sub := range r.subs {
-		if sub.timerDeadline.IsZero() || now.Before(sub.timerDeadline) {
+	for sc, sub := range r.Subs {
+		st := &sub.X
+		if st.timerDeadline.IsZero() || now.Before(st.timerDeadline) {
 			continue
 		}
-		if !r.missingBeforeLocked(sub) {
-			sub.timerDeadline = time.Time{}
+		if !missingBeforeLocked(sub) {
+			st.timerDeadline = time.Time{}
 			continue
 		}
 		// Rotate to the next sender after the current collector.
-		idx := r.cfg.Senders.IndexOf(sub.collector)
-		next := r.cfg.Senders.Members[(idx+1)%len(r.cfg.Senders.Members)]
-		sub.collector = next
-		sub.epoch++
-		sub.timerDeadline = now.Add(r.collectorTimeout())
-		switches = append(switches, switchReq{
-			sc:  sc,
-			msg: &irmc.SelectMsg{Subchannel: sc, Collector: next, Epoch: sub.epoch},
-		})
+		idx := r.Cfg.Senders.IndexOf(st.collector)
+		st.collector = r.Cfg.Senders.Members[(idx+1)%len(r.Cfg.Senders.Members)]
+		st.epoch++
+		st.timerDeadline = now.Add(r.Cfg.CollectorTimeout())
+		switches = append(switches, irmc.SelectMsg{Subchannel: sc, Collector: st.collector, Epoch: st.epoch})
 	}
-	r.mu.Unlock()
-
-	for _, sw := range switches {
-		stop := r.cfg.Track()
-		frame := r.reg.EncodeFrame(irmc.TagSelect, sw.msg)
-		envs := irmc.SealAll(r.cfg.Suite, irmc.TagSelect, frame, r.cfg.Senders.Members)
-		stop()
-		for _, se := range envs {
-			r.cfg.Node.Send(se.To, r.cfg.Stream, se.Env)
-		}
+	r.Mu.Unlock()
+	for i := range switches {
+		r.Post(irmc.TagSelect, &switches[i], r.Cfg.Senders.Members...)
 	}
 }

@@ -158,9 +158,9 @@ func TestEarlyShareAssemblesWithoutFailover(t *testing.T) {
 			t.Fatal("no certificate from the default collector")
 		}
 		rr := r.(*Receiver)
-		rr.mu.Lock()
-		epoch, coll := rr.subs[0].epoch, rr.subs[0].collector
-		rr.mu.Unlock()
+		rr.Mu.Lock()
+		epoch, coll := rr.Subs[0].X.epoch, rr.Subs[0].X.collector
+		rr.Mu.Unlock()
 		if epoch != 0 || coll != c.SenderG.Members[0] {
 			t.Fatalf("receiver switched to collector %v (epoch %d)", coll, epoch)
 		}
@@ -212,9 +212,9 @@ func TestSendSignsOutsideTheLock(t *testing.T) {
 	if err := <-sent; err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sub := s.subs[0]
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	sub := s.Subs[0].X
 	if _, ok := sub.data[3]; ok {
 		t.Error("payload of a position below the window retained")
 	}

@@ -22,8 +22,9 @@
 //	reply, err := client.Write(spider.PutOp("greeting", []byte("hello")))
 //	value, err := client.WeakRead(spider.GetOp("greeting"))
 //
-// See examples/ for runnable programs and DESIGN.md for the
-// architecture and the paper-reproduction experiment index.
+// See examples/ for runnable programs and README.md for the
+// architecture, the request path and how the paper's experiments are
+// reproduced (bench_test.go holds one benchmark per figure).
 package spider
 
 import (
