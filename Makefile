@@ -7,13 +7,12 @@ GO ?= go
 ## commit-channel dedup byte metrics (commit-B/req and wire-B/req on a
 ## strong-read-heavy workload, with dedup on and off), the
 ## keyspace-shard sweep (S=1/2/4 end-to-end write latency; S=1 is the
-## unsharded baseline), the adaptive-batching sweep (low/medium/
-## saturated offered load, best-static vs adaptive; the adaptive
-## acceptance bar is within ~10% of best-static at every level), and
+## unsharded baseline), the batch sweep (low/medium/saturated offered
+## load under the one static batching policy at cap 64), and
 ## the per-suite crypto dimension: sign/verify micro benches for
 ## RSA-1024 vs Ed25519 plus the Ed25519 agreement-throughput rows, so
 ## snapshots record which suite produced each number.
-BENCH_PATTERN := RSAThroughput|MACThroughput|MicroPipelineRSA|MACVector|MACSingle|CommitDedup|ShardSweep|AdaptiveSweep|Ed25519Throughput|RSASign|RSAVerify|Ed25519Sign|Ed25519Verify
+BENCH_PATTERN := RSAThroughput|MACThroughput|MicroPipelineRSA|MACVector|MACSingle|CommitDedup|ShardSweep|BatchSweep|Ed25519Throughput|RSASign|RSAVerify|Ed25519Sign|Ed25519Verify
 
 .PHONY: check build vet test race fuzz-seeds soak soak-smoke bench bench-test bench-snapshot bench-compare loc tidy
 
@@ -38,7 +37,7 @@ test:
 ## announcement is asked about under the lock, verified outside it and
 ## admitted under it again).
 race:
-	$(GO) test -race ./internal/crypto/ ./internal/consensus/pbft/ ./internal/core/ ./internal/irmc/... ./internal/checkpoint/ ./internal/harness/ ./internal/tune/ ./internal/stats/ ./internal/transport/memnet/
+	$(GO) test -race ./internal/crypto/ ./internal/consensus/pbft/ ./internal/core/ ./internal/irmc/... ./internal/checkpoint/ ./internal/harness/ ./internal/stats/ ./internal/transport/memnet/
 
 ## soak: the chaos scenario matrix — crash/restart, partition-and-heal,
 ## leader churn, and the gray-failure scenarios (slow leader rotated,

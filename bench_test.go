@@ -557,20 +557,19 @@ func BenchmarkMACThroughputBatch64(b *testing.B) {
 	benchPBFTThroughput(b, crypto.SuiteRSA, crypto.DefaultPipeline(), 64, pbft.AuthMACVector, 64)
 }
 
-// --- adaptive batching sweep --------------------------------------------------
+// --- batch sweep ------------------------------------------------------------
 
-// benchAdaptiveSweep is the closed-loop variant of benchPBFTThroughput:
-// a semaphore of `outstanding` permits bounds the requests in flight
+// benchBatchSweep is the closed-loop variant of benchPBFTThroughput: a
+// semaphore of `outstanding` permits bounds the requests in flight
 // (permits release as the counting replica delivers), so the load
 // level is the semaphore width rather than tight-loop saturation — a
 // tight loop saturates at any flow count, which cannot express "low
 // offered load". The pipeline window is 16 batches so the saturated
-// level genuinely overruns it; the resulting queue is the adaptive
-// controller's grow signal. Each load level runs once with the best
-// static batch size for that level and once with AdaptiveBatching
-// discovering its own operating point from the same cap; the adaptive
-// acceptance bar is staying within ~10% of best-static at every level.
-func benchAdaptiveSweep(b *testing.B, outstanding, batch int, adaptive bool) {
+// level genuinely overruns it. Every level runs the one batching
+// policy at one cap of 64: an idle leader proposes at once, a busy one
+// takes what queued behind its in-flight instances, so the batch
+// follows the load without retuning.
+func benchBatchSweep(b *testing.B, outstanding int) {
 	nodes := []ids.NodeID{1, 2, 3, 4}
 	group := ids.Group{ID: 1, Members: nodes, F: 1}
 	suites := crypto.NewSuites(nodes, crypto.SuiteRSA)
@@ -584,6 +583,7 @@ func benchAdaptiveSweep(b *testing.B, outstanding, batch int, adaptive bool) {
 	for i := 0; i < outstanding; i++ {
 		sem <- struct{}{}
 	}
+	occ := stats.NewOccupancy()
 	replicas := make([]*pbft.Replica, 0, len(nodes))
 	for _, id := range nodes {
 		counting := id == nodes[0]
@@ -592,8 +592,8 @@ func benchAdaptiveSweep(b *testing.B, outstanding, batch int, adaptive bool) {
 			Suite:              suites[id],
 			Node:               net.Node(id),
 			Stream:             1,
-			BatchSize:          batch,
-			AdaptiveBatching:   adaptive,
+			BatchSize:          64,
+			BatchOccupancy:     occ,
 			Window:             16,
 			CheckpointInterval: 4,
 			RequestTimeout:     time.Minute, // saturation is not a faulty leader
@@ -628,11 +628,8 @@ func benchAdaptiveSweep(b *testing.B, outstanding, batch int, adaptive bool) {
 		}
 	}()
 
-	// Warm up for half a second of wall clock before the timer starts:
-	// the adaptive controller converges in ~150ms (AIMD ramp plus one
-	// probe cycle), and the measurement should compare operating
-	// points, not charge adaptive for its one-time ramp — which at
-	// small fixed iteration counts would dominate the window.
+	// Warm up for half a second of wall clock before the timer starts,
+	// so the measurement compares operating points, not start-up.
 	leader := replicas[0]
 	warmed := 0
 	for warmUntil := time.Now().Add(500 * time.Millisecond); time.Now().Before(warmUntil); warmed++ {
@@ -643,6 +640,7 @@ func benchAdaptiveSweep(b *testing.B, outstanding, batch int, adaptive bool) {
 		time.Sleep(time.Millisecond)
 	}
 	target.Store(int64(warmed) + int64(b.N))
+	occ.Reset()
 
 	b.ResetTimer()
 	start := time.Now()
@@ -658,29 +656,19 @@ func benchAdaptiveSweep(b *testing.B, outstanding, batch int, adaptive bool) {
 		b.Fatalf("delivered %d of %d requests before timeout", delivered.Load()-int64(warmed), b.N)
 	}
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "req/s")
-	if adaptive {
-		b.ReportMetric(float64(leader.BatchTarget()), "batch-target")
-	}
+	b.ReportMetric(occ.Summarize().Mean, "batch-mean")
 }
 
-// Low load: one request in flight. Best static is batch 1 (no flush
-// delay, one signature per request is unavoidable); adaptive must hold
-// its MinBatch floor and collapse the flush delay to zero.
-func BenchmarkAdaptiveSweepLowStatic(b *testing.B) { benchAdaptiveSweep(b, 1, 1, false) }
-
-func BenchmarkAdaptiveSweepLowAdaptive(b *testing.B) { benchAdaptiveSweep(b, 1, 64, true) }
+// Low load: one request in flight, so every batch is a single request
+// proposed by an idle leader.
+func BenchmarkBatchSweepLow(b *testing.B) { benchBatchSweep(b, 1) }
 
 // Medium load: the in-flight bound equals the pipeline window, so the
-// leader sees intermittent queueing. Best static is a mid batch.
-func BenchmarkAdaptiveSweepMediumStatic(b *testing.B) { benchAdaptiveSweep(b, 16, 8, false) }
-
-func BenchmarkAdaptiveSweepMediumAdaptive(b *testing.B) { benchAdaptiveSweep(b, 16, 64, true) }
+// leader sees intermittent queueing.
+func BenchmarkBatchSweepMedium(b *testing.B) { benchBatchSweep(b, 16) }
 
 // Saturated: in-flight far beyond the window keeps a standing queue.
-// Best static is the full batch cap; adaptive must climb to it.
-func BenchmarkAdaptiveSweepSaturatedStatic(b *testing.B) { benchAdaptiveSweep(b, 128, 64, false) }
-
-func BenchmarkAdaptiveSweepSaturatedAdaptive(b *testing.B) { benchAdaptiveSweep(b, 128, 64, true) }
+func BenchmarkBatchSweepSaturated(b *testing.B) { benchBatchSweep(b, 128) }
 
 // --- commit-channel payload dedup ------------------------------------------------
 

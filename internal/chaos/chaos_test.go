@@ -369,38 +369,31 @@ func TestChaosCrashRestartDuringCheckpointAdoption(t *testing.T) {
 	}
 }
 
-// TestChaosAdaptiveSurgeThenIdle drives the self-tuning pipeline
-// through a load surge followed by near-idle with both adaptive knobs
-// on. The batch controller must climb off its floor under the surge
-// and collapse back to batch 1 once only the trickle remains, the
-// auto-sized commit windows must stay within [1, configured capacity]
-// throughout and shrink once drained, and the standing chaos
-// invariants — no divergent replies, no stalled commit subchannel,
-// linearizable per-key history — must hold across both transitions.
-func TestChaosAdaptiveSurgeThenIdle(t *testing.T) {
-	c := buildSpider(t, func(o *harness.BuildOptions) {
-		o.AdaptiveBatching = true
-		o.AdaptiveWindows = true
-	})
-	r := NewRunner(c, Options{Name: "adaptive-surge", Seed: 7})
+// TestChaosSurgeThenIdle drives the pipeline through a load surge
+// between two trickle phases on the static knobs: the leader's batches
+// fill behind a standing queue and empty again once only the trickle
+// remains, and the standing chaos invariants — no divergent replies, no
+// stalled commit subchannel, linearizable per-key history — must hold
+// across both transitions.
+func TestChaosSurgeThenIdle(t *testing.T) {
+	c := buildSpider(t, nil)
+	r := NewRunner(c, Options{Name: "surge-idle", Seed: 7})
 	// A single sequential client: one request in flight at a time, so
-	// the leader's queue never stands and the floor target is exact.
+	// the leader's queue never stands.
 	trickle := Load{
 		Regions:  []topo.Region{topo.Virginia},
 		Clients:  1,
-		Keys:     []string{"adapt-a", "adapt-b"},
+		Keys:     []string{"surge-a", "surge-b"},
 		Interval: 15 * time.Millisecond,
 	}
 	if err := r.StartLoad(trickle); err != nil {
 		t.Fatalf("trickle load: %v", err)
 	}
-	waitFor(t, convergeBudget(), "a floor batch target under trickle load", func() bool {
-		return maxBatchTarget(c) == 1
-	})
+	time.Sleep(300 * time.Millisecond)
 
 	// Surge: more closed-loop clients than the 64-slot agreement window
 	// (1ns think time is effectively closed-loop), so the leader sees a
-	// standing queue — the controller's grow signal.
+	// standing queue.
 	surge := Load{
 		Regions:  []topo.Region{topo.Virginia, topo.Oregon},
 		Clients:  48,
@@ -410,68 +403,19 @@ func TestChaosAdaptiveSurgeThenIdle(t *testing.T) {
 	if err := r.StartLoad(surge); err != nil {
 		t.Fatalf("surge load: %v", err)
 	}
-	waitFor(t, convergeBudget(), "the batch target to climb off its floor", func() bool {
-		return maxBatchTarget(c) > 1
-	})
-	checkWindowBounds(t, c)
-	// Let the surge actually run: the climb can be observed within a
-	// few controller intervals, and stopping that instant leaves too
-	// few completed ops for the report's sanity floor.
-	time.Sleep(300 * time.Millisecond)
+	time.Sleep(500 * time.Millisecond)
 
-	// Idle down: stop everything, keep only the trickle so proposals —
-	// and with them controller adjustments — keep happening.
+	// Idle down: stop everything, keep only the trickle.
 	r.StopLoad()
 	if err := r.StartLoad(trickle); err != nil {
 		t.Fatalf("post-surge trickle: %v", err)
 	}
-	waitFor(t, convergeBudget(), "the batch target to collapse back to the floor", func() bool {
-		return maxBatchTarget(c) == 1
-	})
-	waitFor(t, convergeBudget(), "the commit windows to shrink below the static cap", func() bool {
-		checkWindowBounds(t, c)
-		for _, capacity := range c.CommitWindowCapacities() {
-			if capacity < 64 {
-				return true
-			}
-		}
-		return false
-	})
+	time.Sleep(300 * time.Millisecond)
 
 	rep := r.Finish(topo.Virginia, convergeBudget())
 	requireClean(t, rep)
 	if rep.Ops < 100 {
 		t.Errorf("only %d ops completed across the surge", rep.Ops)
-	}
-}
-
-// maxBatchTarget returns the largest adaptive batch target any
-// agreement replica currently aims for (the leader's controller is
-// the only one fed, so this is the leader's view).
-func maxBatchTarget(c *harness.Cluster) int {
-	max := 0
-	for _, targets := range c.BatchTargets() {
-		for _, tgt := range targets {
-			if tgt > max {
-				max = tgt
-			}
-		}
-	}
-	return max
-}
-
-// checkWindowBounds asserts every auto-sized commit window stays
-// within [1, the configured static capacity].
-func checkWindowBounds(t *testing.T, c *harness.Cluster) {
-	t.Helper()
-	caps := c.CommitWindowCapacities()
-	if len(caps) == 0 {
-		t.Fatal("no commit-window capacities reported under AdaptiveWindows")
-	}
-	for gid, capacity := range caps {
-		if capacity < 1 || capacity > 64 {
-			t.Errorf("group %d commit window capacity %d escaped [1,64]", gid, capacity)
-		}
 	}
 }
 

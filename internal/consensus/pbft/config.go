@@ -137,7 +137,9 @@ type Config struct {
 	// accepted, so mixed groups interoperate during a mode migration.
 	NormalCaseAuth AuthMode
 
-	// BatchSize caps payloads per consensus instance.
+	// BatchSize caps payloads per consensus instance. It is a cap, not
+	// a target: the batch a leader proposes holds what queued up while
+	// earlier instances were in flight, so it follows the load.
 	BatchSize int
 	// BatchOccupancy, when set, records the number of payloads in every
 	// batch this replica proposes while leading, making underfilled
@@ -150,18 +152,6 @@ type Config struct {
 	// whichever comes first. A leader with nothing in flight never
 	// waits — it proposes what it has at once.
 	BatchDelay time.Duration
-	// AdaptiveBatching closes the loop between offered load and the
-	// batching knobs: the replica runs an AIMD controller
-	// (internal/tune) that swings the effective batch size within
-	// [1, BatchSize] and the partial-batch flush delay within
-	// [0, BatchDelay], from EWMAs of batch occupancy and queue depth
-	// sampled at propose time. Off by default: the static
-	// BatchSize/BatchDelay behavior stays byte-for-byte reachable.
-	AdaptiveBatching bool
-	// ArrivalRate, when set with AdaptiveBatching, receives every
-	// admitted request so deployments can read the windowed offered
-	// load (req/s) the controller saw.
-	ArrivalRate *stats.Rate
 	// Window is the number of batches that may be in flight beyond
 	// the low watermark (pipeline depth).
 	Window int

@@ -79,9 +79,6 @@ func peekFrame(payload []byte) (wire.TypeTag, uint64) {
 // instance of the new view stalls until the group changes view again.
 func TestVoteAheadOfNewViewIsKept(t *testing.T) {
 	for _, m := range batchModes {
-		if m.adaptive {
-			continue
-		}
 		t.Run(m.name, func(t *testing.T) {
 			var late *lateNewViewNode
 			c := newCluster(t, 4, 1, func(i int, cfg *Config) {

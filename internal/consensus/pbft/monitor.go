@@ -95,10 +95,9 @@ func newMonitor(cfg *Config, now time.Time) *monitor {
 	}
 }
 
-// observeArrival records one freshly admitted request. Unlike the
-// adaptive-batching recorder this is per-replica private state, so
-// every group member records every request it Orders without
-// overcounting anything.
+// observeArrival records one freshly admitted request. The recorder is
+// per-replica private state, so every group member records every
+// request it Orders without overcounting anything.
 func (m *monitor) observeArrival(now time.Time) {
 	m.arrival.RecordAt(now, 1)
 }

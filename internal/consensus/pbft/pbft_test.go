@@ -436,6 +436,42 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigDefaultCheckpointIntervalClamped pins the defaulting
+// contract: an explicitly small Window with an unset CheckpointInterval
+// must clamp the default below the window (the comment on
+// CheckpointInterval says "must be smaller than Window" — silently
+// wedging the pipeline or rejecting a config the user never
+// contradicted are both wrong).
+func TestConfigDefaultCheckpointIntervalClamped(t *testing.T) {
+	c := newCluster(t, 4, 1, func(i int, cfg *Config) {
+		cfg.Window = 8
+		cfg.CheckpointInterval = 0 // defaulted: would be 16 >= 8
+	})
+	defer c.stop()
+	for _, r := range c.replicas {
+		if got := r.cfg.CheckpointInterval; got != 4 {
+			t.Fatalf("defaulted checkpoint interval = %d, want 4 (window 8 / 2)", got)
+		}
+	}
+	// The clamped pipeline must actually run past several checkpoints.
+	c.start()
+	for i := 0; i < 40; i++ {
+		c.orderAll(fmt.Appendf(nil, "clamp-%d", i))
+	}
+	c.waitDeliveries(40, 10*time.Second, nil)
+}
+
+// TestConfigExplicitCheckpointIntervalRejected: an explicitly
+// contradictory pair still fails construction — only the value the
+// defaulting picked itself may be adjusted.
+func TestConfigExplicitCheckpointIntervalRejected(t *testing.T) {
+	cfg := Config{CheckpointInterval: 8, Window: 8}
+	cfg.applyDefaults()
+	if err := cfg.validate(); err == nil {
+		t.Fatal("explicit checkpoint interval >= window passed validation")
+	}
+}
+
 func TestStartStopIdempotent(t *testing.T) {
 	c := newCluster(t, 4, 1, nil)
 	c.start()

@@ -12,7 +12,6 @@ import (
 	"spider/internal/crypto"
 	"spider/internal/ids"
 	"spider/internal/transport"
-	"spider/internal/tune"
 	"spider/internal/wire"
 )
 
@@ -139,16 +138,10 @@ type Replica struct {
 	batchTimerOn  bool
 	batchTimer    *time.Timer // live partial-batch flush timer, canceled by Stop
 
-	// tuner, when AdaptiveBatching is configured, owns the effective
-	// batch size and flush delay. It is consulted and updated only
-	// under r.mu at points the hot path already holds it, so the
-	// adaptive mode adds no locking. Nil when the static knobs rule.
-	tuner *tune.BatchController
-
 	// mon, when SuspectSlowLeader is configured, watches the current
 	// leader's delivery throughput and latency and accuses it via a
 	// proactive view change when it gray-fails. Fed and evaluated only
-	// under r.mu, like the tuner. Nil when the gate is off.
+	// under r.mu. Nil when the gate is off.
 	mon *monitor
 
 	// vcCount counts every view change this replica entered (timeout-
@@ -239,13 +232,6 @@ func New(cfg Config) (*Replica, error) {
 		recvLanes:    make(map[ids.NodeID]*crypto.Lane, len(cfg.Group.Members)),
 		voteReqAt:    make(map[ids.NodeID]time.Time),
 		voteAnsAt:    make(map[ids.NodeID]time.Time),
-	}
-	if cfg.AdaptiveBatching {
-		r.tuner = tune.NewBatchController(tune.BatchConfig{
-			MaxBatch: cfg.BatchSize,
-			MaxDelay: cfg.BatchDelay,
-			Rate:     cfg.ArrivalRate,
-		})
 	}
 	if cfg.SuspectSlowLeader {
 		r.mon = newMonitor(&r.cfg, time.Now())
@@ -383,41 +369,12 @@ func (r *Replica) Order(payload []byte) {
 	r.seen[d] = reqQueued
 	r.pendingSince[d] = time.Now()
 	r.queue = append(r.queue, queuedReq{payload: payload, digest: d})
-	// Only the leader samples arrivals: every group member Orders every
-	// request, so an unconditional sample into a shared recorder would
-	// overcount offered load by the group size.
-	if r.tuner != nil && r.isLeaderLocked() {
-		r.tuner.ObserveArrival(time.Now())
-	}
 	// The gray-failure monitor's arrival window is per-replica private
 	// state, so every member records unconditionally.
 	if r.mon != nil {
 		r.mon.observeArrival(time.Now())
 	}
 	r.maybeProposeLocked(false)
-}
-
-// BatchTarget returns the batch size the replica currently aims for:
-// the adaptive controller's target when AdaptiveBatching is on, the
-// static BatchSize otherwise. Exposed for tests and figure footnotes.
-func (r *Replica) BatchTarget() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.batchTargetLocked()
-}
-
-func (r *Replica) batchTargetLocked() int {
-	if r.tuner != nil {
-		return r.tuner.Batch()
-	}
-	return r.cfg.BatchSize
-}
-
-func (r *Replica) batchDelayLocked() time.Duration {
-	if r.tuner != nil {
-		return r.tuner.Delay()
-	}
-	return r.cfg.BatchDelay
 }
 
 // GC implements consensus.Agreement: delivered batches entirely below
@@ -880,17 +837,16 @@ func (r *Replica) maybeProposeLocked(force bool) {
 // O(queued): under saturation the queue holds thousands of requests
 // and rewriting it per batch was a measurable share of the hot path.
 func (r *Replica) takeBatchLocked(force bool) []queuedReq {
-	target := r.batchTargetLocked()
 	// Count before allocating: most calls at a loaded leader end in
 	// "not yet", and those must not cost a batch-sized slice each.
 	n, end := 0, 0
-	for ; end < len(r.queue) && n < target; end++ {
+	for ; end < len(r.queue) && n < r.cfg.BatchSize; end++ {
 		if r.seen[r.queue[end].digest] == reqQueued {
 			n++
 		}
 	}
 	idle := r.nextSeq <= r.nextDeliver
-	if n < target && !force && !idle {
+	if n < r.cfg.BatchSize && !force && !idle {
 		if n > 0 {
 			r.armBatchTimerLocked()
 		}
@@ -905,16 +861,34 @@ func (r *Replica) takeBatchLocked(force bool) []queuedReq {
 			} // else delivered or already in flight; drop silently
 		}
 	}
-	// Release the consumed prefix before advancing the slice offset:
-	// the entries behind the offset would otherwise keep their payload
-	// slices reachable until a capacity-exceeding append happens to
-	// reallocate the backing array.
-	clear(r.queue[:end])
-	r.queue = r.queue[end:]
+	r.popQueueLocked(end)
+	return batch
+}
+
+// trimQueueLocked drops the queue's head prefix of entries that are no
+// longer reqQueued, the rule takeBatchLocked applies to what it pops.
+// Followers never take batches, so without this after every delivery
+// each payload they were asked to Order would stay reachable from their
+// queue for good. An entry in flight may go too: its payload is in the
+// log, and a view change requeues it from there.
+func (r *Replica) trimQueueLocked() {
+	n := 0
+	for n < len(r.queue) && r.seen[r.queue[n].digest] != reqQueued {
+		n++
+	}
+	r.popQueueLocked(n)
+}
+
+// popQueueLocked releases the queue's first n entries before advancing
+// the slice offset: the entries behind the offset would otherwise keep
+// their payload slices reachable until a capacity-exceeding append
+// happens to reallocate the backing array.
+func (r *Replica) popQueueLocked(n int) {
+	clear(r.queue[:n])
+	r.queue = r.queue[n:]
 	if len(r.queue) == 0 {
 		r.queue = nil
 	}
-	return batch
 }
 
 func (r *Replica) armBatchTimerLocked() {
@@ -924,10 +898,8 @@ func (r *Replica) armBatchTimerLocked() {
 	r.batchTimerOn = true
 	// The timer handle is retained so Stop can cancel it: an orphaned
 	// AfterFunc would fire into the stopped replica's lock and keep the
-	// replica reachable until the delay elapses. The delay re-arms from
-	// the adaptive controller's current value when AdaptiveBatching is
-	// on, so trickle load flushes partial batches almost immediately.
-	r.batchTimer = time.AfterFunc(r.batchDelayLocked(), func() {
+	// replica reachable until the delay elapses.
+	r.batchTimer = time.AfterFunc(r.cfg.BatchDelay, func() {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		r.batchTimerOn = false
@@ -948,9 +920,6 @@ func (r *Replica) proposeLocked(batch []queuedReq) {
 	}
 	if r.cfg.BatchOccupancy != nil {
 		r.cfg.BatchOccupancy.Record(len(payloads))
-	}
-	if r.tuner != nil {
-		r.tuner.ObservePropose(time.Now(), len(batch), len(r.queue))
 	}
 	seq := r.nextSeq
 	r.nextSeq++
@@ -1265,6 +1234,7 @@ func (r *Replica) deliveryLoop() {
 		}
 		// A committed successor may already be waiting.
 		r.cond.Broadcast()
+		r.trimQueueLocked()
 		// With this instance gone the leader may be idle: what queued up
 		// behind it leaves now, not when the batch timer fires.
 		r.maybeProposeLocked(false)

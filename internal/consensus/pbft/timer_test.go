@@ -10,18 +10,13 @@ import (
 )
 
 // batchModes are the configurations the batch-taking rule must hold in:
-// both normal-case authentication modes, with static knobs and with the
-// adaptive controller (which starts at a batch target of one, so every
-// batch it sees in these tests is a full one).
+// both normal-case authentication modes.
 var batchModes = []struct {
-	name     string
-	auth     AuthMode
-	adaptive bool
+	name string
+	auth AuthMode
 }{
-	{"mac/static", AuthMACVector, false},
-	{"mac/adaptive", AuthMACVector, true},
-	{"signed/static", AuthSignatures, false},
-	{"signed/adaptive", AuthSignatures, true},
+	{"mac/static", AuthMACVector},
+	{"signed/static", AuthSignatures},
 }
 
 // batchSizes records, for the leader of view 0, the size of every batch
@@ -62,9 +57,8 @@ func timerState(r *Replica) *time.Timer {
 
 // slowBatching gives every replica a batch the tests never fill and a
 // flush timer that never fires within a test.
-func slowBatching(auth AuthMode, adaptive bool, cfg *Config) {
+func slowBatching(auth AuthMode, cfg *Config) {
 	cfg.NormalCaseAuth = auth
-	cfg.AdaptiveBatching = adaptive
 	cfg.BatchSize = 8
 	cfg.BatchDelay = time.Minute
 }
@@ -76,7 +70,7 @@ func slowBatching(auth AuthMode, adaptive bool, cfg *Config) {
 func TestIdleLeaderProposesAtOnce(t *testing.T) {
 	for _, m := range batchModes {
 		t.Run(m.name, func(t *testing.T) {
-			c := newCluster(t, 4, 1, func(_ int, cfg *Config) { slowBatching(m.auth, m.adaptive, cfg) })
+			c := newCluster(t, 4, 1, func(_ int, cfg *Config) { slowBatching(m.auth, cfg) })
 			defer c.stop()
 			c.start()
 			leader := c.replicas[0]
@@ -95,18 +89,13 @@ func TestIdleLeaderProposesAtOnce(t *testing.T) {
 // and leave together the moment it is delivered — two instances, of one
 // and three requests. The first instance is held in flight by delaying
 // the leader's outbound frames; a cut would lose the pre-prepare, which
-// PBFT does not retransmit. Static batching only: the adaptive
-// controller's target is one here, so it proposes every request as its
-// own full batch and never has a partial batch to hold.
+// PBFT does not retransmit.
 func TestQueueBehindInflightTravelsAsOneBatch(t *testing.T) {
 	for _, m := range batchModes {
-		if m.adaptive {
-			continue
-		}
 		t.Run(m.name, func(t *testing.T) {
 			var sizes batchSizes
 			c := newCluster(t, 4, 1, func(i int, cfg *Config) {
-				slowBatching(m.auth, m.adaptive, cfg)
+				slowBatching(m.auth, cfg)
 				sizes.wrap(i, cfg)
 			})
 			defer c.stop()
@@ -148,7 +137,7 @@ func TestQueueBehindInflightTravelsAsOneBatch(t *testing.T) {
 func TestNewLeaderFlushesInheritedQueue(t *testing.T) {
 	for _, m := range batchModes {
 		t.Run(m.name, func(t *testing.T) {
-			c := newCluster(t, 4, 1, func(_ int, cfg *Config) { slowBatching(m.auth, m.adaptive, cfg) })
+			c := newCluster(t, 4, 1, func(_ int, cfg *Config) { slowBatching(m.auth, cfg) })
 			defer c.stop()
 			c.start()
 			c.net.Isolate(1, true)

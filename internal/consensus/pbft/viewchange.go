@@ -488,13 +488,6 @@ func (r *Replica) adoptViewLocked(nv *newView, plan reissuePlan, reissues []*pre
 	r.vcTarget = nv.View
 	r.vcSent = false
 	r.curTimeout = r.cfg.RequestTimeout
-	if r.tuner != nil {
-		// The controller's signals belong to the deposed leader's
-		// regime. A replica that just lost leadership is never fed
-		// again and would freeze at its last elevated target; the new
-		// leader ramps from the floor like any fresh one.
-		r.tuner.Reset()
-	}
 	if r.mon != nil {
 		// Close the old view's throughput record and grant the new
 		// leader its grace period before it can be judged.

@@ -16,7 +16,6 @@ import (
 	"spider/internal/irmc"
 	"spider/internal/stats"
 	"spider/internal/storage"
-	"spider/internal/tune"
 	"spider/internal/wire"
 )
 
@@ -137,7 +136,6 @@ type AgreementReplica struct {
 	undecodableLog *stats.LogGate
 
 	stopped bool
-	stopCh  chan struct{} // closed by Stop; wakes the window resize loop
 	wg      sync.WaitGroup
 }
 
@@ -174,7 +172,6 @@ func NewAgreementReplica(cfg AgreementConfig) (*AgreementReplica, error) {
 		undecodableLog: stats.NewLogGate(undecodableLogInterval),
 		winLo:          1,
 		winHi:          ids.SeqNr(cfg.Tunables.AgreementWindow),
-		stopCh:         make(chan struct{}),
 	}
 	a.cond = sync.NewCond(&a.mu)
 
@@ -210,9 +207,6 @@ func NewAgreementReplica(cfg AgreementConfig) (*AgreementReplica, error) {
 		BatchOccupancy: cfg.BatchOccupancy,
 		Pipeline:       cfg.Pipeline,
 		NormalCaseAuth: cfg.ConsensusAuth,
-
-		AdaptiveBatching: cfg.AdaptiveBatching,
-		ArrivalRate:      cfg.ArrivalRate,
 
 		SuspectSlowLeader: cfg.SuspectSlowLeader,
 		MonitorInterval:   cfg.SlowLeaderInterval,
@@ -351,73 +345,7 @@ func (a *AgreementReplica) rehydrate(img *storage.Image) {
 // Start launches consensus and the registry handler.
 func (a *AgreementReplica) Start() {
 	a.cfg.Node.Handle(clientStream(a.cfg.Group.ID), a.onClientFrame)
-	if a.cfg.AdaptiveWindows {
-		a.wg.Add(1)
-		go a.windowResizeLoop()
-	}
 	a.ag.Start()
-}
-
-// windowResizeLoop auto-sizes each execution group's commit-channel
-// send window from its measured drain rate: once per progress tick it
-// samples the sender's cumulative flow counters (positions acked by
-// the receiver quorum, sends blocked on a full window) and lets an
-// AIMD controller pick the effective capacity within
-// [ExecutionCheckpointInterval+1, CommitChannelCapacity]. The floor
-// keeps the window above the receivers' ack granularity — execution
-// replicas only move the window at checkpoint positions — and a
-// too-small window self-corrects anyway, because the sends it blocks
-// are exactly the controller's grow signal. The flow counters and the
-// resize live in the sender core both channel implementations share.
-func (a *AgreementReplica) windowResizeLoop() {
-	defer a.wg.Done()
-	channel := irmc.Config{ProgressIntervalMS: a.cfg.Tunables.ChannelProgressMS}
-	interval := channel.ProgressInterval()
-	minCap := a.cfg.Tunables.ExecutionCheckpointInterval + 1
-	type groupState struct {
-		ctl         *tune.WindowController
-		acked, blkd int64
-	}
-	states := make(map[ids.GroupID]*groupState)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-a.stopCh:
-			return
-		case <-ticker.C:
-		}
-		type target struct {
-			gid ids.GroupID
-			fc  irmc.Sender
-		}
-		var targets []target
-		a.mu.Lock()
-		for gid, g := range a.groups {
-			targets = append(targets, target{gid: gid, fc: g.commitSend})
-		}
-		a.mu.Unlock()
-		now := time.Now()
-		for _, t := range targets {
-			st := states[t.gid]
-			if st == nil {
-				st = &groupState{ctl: tune.NewWindowController(tune.WindowConfig{
-					Min:      minCap,
-					Max:      a.cfg.Tunables.CommitChannelCapacity,
-					Interval: interval,
-				})}
-				states[t.gid] = st
-			}
-			// All commit sends of a group travel subchannel 0.
-			fs := t.fc.FlowStats(0)
-			acked := int(fs.Acked - st.acked)
-			blocked := int(fs.Blocked - st.blkd)
-			st.acked, st.blkd = fs.Acked, fs.Blocked
-			if c := st.ctl.Observe(now, acked, blocked, fs.Outstanding); c != fs.Capacity {
-				t.fc.SetCapacity(0, c)
-			}
-		}
-	}
 }
 
 // Stop shuts the replica down.
@@ -428,7 +356,6 @@ func (a *AgreementReplica) Stop() {
 		return
 	}
 	a.stopped = true
-	close(a.stopCh)
 	a.cond.Broadcast()
 	groups := make([]*egroup, 0, len(a.groups))
 	for _, g := range a.groups {
@@ -450,30 +377,6 @@ func (a *AgreementReplica) Stop() {
 	if a.cfg.Store != nil {
 		_ = a.cfg.Store.Close()
 	}
-}
-
-// BatchTarget reports the batch size consensus currently aims for —
-// the adaptive controller's moving target under AdaptiveBatching, the
-// static configured size otherwise — when the consensus implementation
-// exposes one (PBFT does). Tests and figure footnotes use it to watch
-// per-shard controllers adapt independently.
-func (a *AgreementReplica) BatchTarget() (int, bool) {
-	if b, ok := a.ag.(interface{ BatchTarget() int }); ok {
-		return b.BatchTarget(), true
-	}
-	return 0, false
-}
-
-// CommitWindowCapacities reports each execution group's current
-// effective commit-channel send window capacity.
-func (a *AgreementReplica) CommitWindowCapacities() map[ids.GroupID]int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[ids.GroupID]int, len(a.groups))
-	for gid, g := range a.groups {
-		out[gid] = g.commitSend.FlowStats(0).Capacity
-	}
-	return out
 }
 
 // ConsensusLeader reports the current consensus view's leader, when

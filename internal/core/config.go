@@ -278,28 +278,12 @@ type AgreementConfig struct {
 	// ConsensusBatch caps payloads per consensus instance (default 16,
 	// clamped to AgreementWindow). The whole batch travels the commit
 	// data plane as one unit — one commit-channel position, one signed
-	// Send per execution group — so this knob trades latency for
-	// end-to-end throughput as a first-class workload dimension.
-	// ConsensusBatch = 1 restores request-at-a-time semantics.
+	// Send per execution group. An idle PBFT leader proposes at once
+	// and a busy one takes what queued behind its in-flight instances,
+	// so batches follow the load up to this cap and a large cap costs
+	// no latency at trickle load. ConsensusBatch = 1 restores
+	// request-at-a-time semantics.
 	ConsensusBatch int
-	// AdaptiveBatching closes the loop on the batching knobs: PBFT's
-	// leader swings its effective batch size within [1,ConsensusBatch]
-	// and the flush delay toward zero at trickle load, driven by
-	// measured occupancy and queue depth (internal/tune). Off by
-	// default — the static ConsensusBatch point stays byte-for-byte
-	// reachable.
-	AdaptiveBatching bool
-	// AdaptiveWindows auto-sizes the commit channels' effective send
-	// windows from their measured drain rate: blocked sends grow a
-	// window toward Tunables.CommitChannelCapacity, sustained slack
-	// shrinks it toward the execution checkpoint interval, bounding
-	// in-flight memory at low load. Sender-local (no wire change), on
-	// either channel implementation. Off by default.
-	AdaptiveWindows bool
-	// ArrivalRate, when set with AdaptiveBatching, records every
-	// admitted consensus payload so deployments can read the windowed
-	// offered load (req/s) the batch controller saw.
-	ArrivalRate *stats.Rate
 	// SuspectSlowLeader enables PBFT's gray-failure defense: every
 	// agreement replica monitors the leader's delivery throughput and
 	// latency against the median of recent healthy measurements and

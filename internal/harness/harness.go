@@ -99,14 +99,6 @@ type BuildOptions struct {
 	// each operation by key hash. Shards: 1 is byte-for-byte the
 	// unsharded system.
 	Shards int
-	// AdaptiveBatching enables the self-tuning batch controller on
-	// every Spider agreement session: the leader swings its effective
-	// batch size and flush delay with measured offered load instead of
-	// sitting on the static knobs (default off).
-	AdaptiveBatching bool
-	// AdaptiveWindows auto-sizes the commit channels' effective send
-	// windows from measured drain rate (default off).
-	AdaptiveWindows bool
 	// StateDir, when set, gives every Spider replica a write-behind
 	// persistent store under <StateDir>/n<node>-s<shard>-<kind>, so a
 	// replica crashed with CrashNode and brought back with RestartNode
@@ -173,7 +165,6 @@ type Cluster struct {
 	batchOcc []*stats.Occupancy
 	sendOcc  []*stats.Occupancy
 	commit   []*core.CommitStats
-	arrival  []*stats.Rate
 
 	// Baseline state.
 	globalGroup ids.Group                 // BFT / WV / Spider-0E
@@ -232,7 +223,6 @@ func Build(opts BuildOptions) (*Cluster, error) {
 		c.batchOcc = append(c.batchOcc, stats.NewOccupancy())
 		c.sendOcc = append(c.sendOcc, stats.NewOccupancy())
 		c.commit = append(c.commit, &core.CommitStats{})
-		c.arrival = append(c.arrival, stats.NewRate(time.Second))
 	}
 	c.Net = memnet.New(memnet.Options{
 		Placement:  c.Placement,
@@ -292,64 +282,6 @@ func mergeOccupancy(shards []*stats.Occupancy) stats.OccupancySummary {
 	return agg.Summarize()
 }
 
-// ArrivalRate aggregates the per-shard offered-load recorders the
-// adaptive batch controllers feed (req/s over a 1s sliding window,
-// merged exactly once at read time). Zero unless AdaptiveBatching ran
-// load recently.
-func (c *Cluster) ArrivalRate() float64 {
-	agg := stats.NewRate(time.Second)
-	for _, r := range c.arrival {
-		agg.Merge(r)
-	}
-	return agg.PerSecond()
-}
-
-// ArrivalTotals reports each shard's all-time admitted-request count
-// from the adaptive controllers' rate recorders, in shard order.
-// Sharded-stats tests use it to pin exactly-once accounting.
-func (c *Cluster) ArrivalTotals() []int64 {
-	out := make([]int64, len(c.arrival))
-	for i, r := range c.arrival {
-		out[i] = r.Total()
-	}
-	return out
-}
-
-// BatchTargets reports the current consensus batch-size target of
-// every running agreement replica, grouped by shard. Under
-// AdaptiveBatching only the leader's controller sees proposals, so a
-// shard's adapted target is the maximum of its replicas'.
-func (c *Cluster) BatchTargets() map[core.ShardID][]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[core.ShardID][]int)
-	for _, rec := range c.records {
-		if rec.kind != kindAgree || !rec.running || rec.agree == nil {
-			continue
-		}
-		if t, ok := rec.agree.BatchTarget(); ok {
-			out[rec.shard] = append(out[rec.shard], t)
-		}
-	}
-	return out
-}
-
-// CommitWindowCapacities reports the effective commit-channel send
-// window capacity per execution group, from the shard-0 agreement
-// replica hosting the consensus leader's node (all replicas resize
-// independently from the same ack stream, so any running one is
-// representative).
-func (c *Cluster) CommitWindowCapacities() map[ids.GroupID]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, rec := range c.records {
-		if rec.kind == kindAgree && rec.running && rec.agree != nil && rec.shard == 0 {
-			return rec.agree.CommitWindowCapacities()
-		}
-	}
-	return nil
-}
-
 // CommitSummary aggregates the per-shard commit-channel byte and
 // dedup counters of every Spider agreement and execution replica.
 func (c *Cluster) CommitSummary() core.CommitSummary {
@@ -371,9 +303,6 @@ func (c *Cluster) ResetStats() {
 	}
 	for _, cs := range c.commit {
 		cs.Reset()
-	}
-	for _, r := range c.arrival {
-		r.Reset()
 	}
 }
 
@@ -884,9 +813,6 @@ func (c *Cluster) startRecord(rec *replicaRecord) error {
 			CommitStats:      c.commit[rec.shard],
 			BatchOccupancy:   c.batchOcc[rec.shard],
 			SendOccupancy:    c.sendOcc[rec.shard],
-			AdaptiveBatching: c.Opts.AdaptiveBatching,
-			AdaptiveWindows:  c.Opts.AdaptiveWindows,
-			ArrivalRate:      c.arrival[rec.shard],
 			Shard:            rec.shard,
 			Store:            st,
 			// Gray-failure defense: evaluate the leader every 1/8th of

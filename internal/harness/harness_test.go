@@ -264,128 +264,6 @@ func TestShardedStatsCountExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestShardedAdaptiveIndependent: with AdaptiveBatching on in a
-// two-shard cluster, each shard's leader runs its own controller fed
-// by its own arrival recorder. Saturating shard 0 while trickling
-// shard 1 must grow only shard 0's batch target, and the per-shard
-// stats must still merge exactly once (every ordered request appears
-// in exactly one shard's arrival total and batch-occupancy recorder).
-func TestShardedAdaptiveIndependent(t *testing.T) {
-	p := tinyProfile()
-	cluster, err := p.build(SystemSpider, func(o *BuildOptions) {
-		o.Shards = 2
-		o.AdaptiveBatching = true
-		o.AdaptiveWindows = true
-	})
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	defer cluster.Stop()
-	cluster.ResetStats()
-
-	// Keys pinned to a shard by probing the routing hash.
-	m := core.ShardMap{Shards: 2}
-	keyFor := func(shard core.ShardID, i int) string {
-		for j := 0; ; j++ {
-			k := fmt.Sprintf("adapt-%d-%d-%d", shard, i, j)
-			if m.Of(k) == shard {
-				return k
-			}
-		}
-	}
-	write := func(client *core.Client, key string) error {
-		op := app.EncodeOp(app.Op{Kind: app.OpPut, Key: key, Value: []byte("v")})
-		_, err := client.Write(op)
-		return err
-	}
-
-	// More closed-loop writers than the 64-slot agreement window keep
-	// shard 0's leader genuinely backlogged (requests queue once the
-	// pipeline is full — that backlog is the controller's grow signal);
-	// between waves a single sequential writer trickles shard 1.
-	const writers = 96
-	clients := make([]*core.Client, writers)
-	for i := range clients {
-		if clients[i], err = cluster.NewClient(topo.Virginia); err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-	shard0Writes, shard1Writes := 0, 0
-	shard0Target := func() int {
-		max := 0
-		for _, tgt := range cluster.BatchTargets()[0] {
-			if tgt > max {
-				max = tgt
-			}
-		}
-		return max
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for wave := 0; shard0Target() < 4; wave++ {
-		if time.Now().After(deadline) {
-			t.Fatalf("shard 0 batch target stuck at %d (targets %v)", shard0Target(), cluster.BatchTargets())
-		}
-		errs := make(chan error, writers)
-		for w := 0; w < writers; w++ {
-			go func(w int) {
-				var err error
-				for i := 0; i < 6 && err == nil; i++ {
-					err = write(clients[w], keyFor(0, wave*writers*6+w*6+i))
-				}
-				errs <- err
-			}(w)
-		}
-		for w := 0; w < writers; w++ {
-			if err := <-errs; err != nil {
-				t.Fatalf("saturation wave %d: %v", wave, err)
-			}
-		}
-		shard0Writes += writers * 6
-		if err := write(clients[0], keyFor(1, wave)); err != nil {
-			t.Fatalf("trickle write %d: %v", wave, err)
-		}
-		shard1Writes++
-	}
-
-	targets := cluster.BatchTargets()
-	for _, tgt := range targets[1] {
-		if tgt != 1 {
-			t.Errorf("trickle shard 1 batch target = %d, want 1 (controllers not independent): %v", tgt, targets)
-		}
-	}
-
-	// Exactly-once accounting across shards: every request the leaders
-	// admitted shows up once in its shard's arrival recorder (never the
-	// other shard's), and the merged batch-occupancy total covers each
-	// admitted request exactly once — a recorder shared across shards
-	// or merged twice breaks these equalities.
-	arrivals := cluster.ArrivalTotals()
-	if len(arrivals) != 2 {
-		t.Fatalf("arrival recorders = %d, want 2", len(arrivals))
-	}
-	if arrivals[0] < int64(shard0Writes) || arrivals[1] != int64(shard1Writes) {
-		t.Errorf("arrival totals = %v, want [>=%d %d]", arrivals, shard0Writes, shard1Writes)
-	}
-	if batch := cluster.BatchOccSummary(); batch.Total != arrivals[0]+arrivals[1] {
-		t.Errorf("batch occupancy total = %d, want %d admitted requests", batch.Total, arrivals[0]+arrivals[1])
-	}
-	if rate := cluster.ArrivalRate(); rate < 0 {
-		t.Errorf("merged arrival rate = %f", rate)
-	}
-
-	// The window resize loop is live: every commit channel reports an
-	// effective capacity within the configured bounds.
-	caps := cluster.CommitWindowCapacities()
-	if len(caps) == 0 {
-		t.Error("no commit-window capacities reported under AdaptiveWindows")
-	}
-	for gid, capy := range caps {
-		if capy < 1 {
-			t.Errorf("group %d effective window capacity = %d", gid, capy)
-		}
-	}
-}
-
 // TestShardBuildValidation: the harness rejects shard counts above the
 // protocol limit and sharding of systems without per-shard sessions.
 func TestShardBuildValidation(t *testing.T) {

@@ -101,23 +101,16 @@ type SenderSub[X any] struct {
 	// receiver-side collection senders exchange nothing and it stays
 	// empty. The implementation puts and releases; the core reports it.
 	Early Hold[*SigShareMsg]
-	// Flow counters behind FlowStats: acked counts positions the fr+1
-	// receiver quorum has drained past (positions this sender's own move
-	// skipped are not drained and do not count until the receivers
-	// announce them), blocked counts Sends that had to wait on a full
-	// window, highSent is the highest position handed to Send.
-	acked, blocked int64
-	highSent       ids.Position
 	// X is the implementation's own state for the subchannel.
 	X X
 }
 
 // SenderCore is the part of a sender endpoint that Figure 14 specifies
 // whatever the collection strategy: subchannel state, the window wait
-// in front of Send, MoveWindow, the receivers' announcements, the
-// re-announcement of a move until every receiver has acknowledged it,
-// and the flow counters. An implementation embeds it, adds Send, and
-// hears about every change of a window through one hook.
+// in front of Send, MoveWindow, the receivers' announcements, and the
+// re-announcement of a move until every receiver has acknowledged it.
+// An implementation embeds it, adds Send, and hears about every advance
+// of a window through one hook.
 type SenderCore[X any] struct {
 	endpoint
 	Subs    map[ids.Subchannel]*SenderSub[X]
@@ -127,10 +120,9 @@ type SenderCore[X any] struct {
 
 // Init prepares the core. initX fills the implementation's state of a
 // new subchannel. changed is called under Mu whenever a subchannel's
-// window admits positions it did not before — its start advanced or its
-// capacity grew: the implementation prunes what the start has passed,
-// admits what it held for the new range, and returns what it then wants
-// done once Mu is released (nil: nothing).
+// window start advances: the implementation prunes what the start has
+// passed, admits what it held for the new range, and returns what it
+// then wants done once Mu is released (nil: nothing).
 func (c *SenderCore[X]) Init(cfg Config, initX func(*X), changed func(*SenderSub[X]) func()) error {
 	c.Subs, c.initX, c.changed = make(map[ids.Subchannel]*SenderSub[X]), initX, changed
 	return c.endpoint.init(cfg)
@@ -170,11 +162,6 @@ func (c *SenderCore[X]) Sub(sc ids.Subchannel) *SenderSub[X] {
 func (c *SenderCore[X]) WaitWindow(sc ids.Subchannel, p ids.Position) (*SenderSub[X], error) {
 	c.Mu.Lock()
 	sub := c.Sub(sc)
-	if !c.closed && p > sub.Win.Max() {
-		// A window-full stall is the auto-sizer's grow signal: the round
-		// trip to the fr+1 ack quorum is serializing sends.
-		sub.blocked++
-	}
 	for !c.closed && p > sub.Win.Max() {
 		c.cond.Wait()
 	}
@@ -187,14 +174,11 @@ func (c *SenderCore[X]) WaitWindow(sc ids.Subchannel, p ids.Position) (*SenderSu
 		c.Mu.Unlock()
 		return nil, &TooOldError{NewStart: start}
 	}
-	if p > sub.highSent {
-		sub.highSent = p
-	}
 	return sub, nil
 }
 
 // update applies fn to the subchannel under Mu. When fn reports that
-// the window admits more than before, blocked Sends wake and the
+// the window start advanced, blocked Sends wake and the
 // implementation's hook runs; what the hook returns runs unlocked.
 func (c *SenderCore[X]) update(sc ids.Subchannel, fn func(*SenderSub[X]) bool) {
 	var after func()
@@ -227,9 +211,7 @@ func (c *SenderCore[X]) MoveWindow(sc ids.Subchannel, p ids.Position) {
 // OnReceiverMove records a receiver's announced window start.
 func (c *SenderCore[X]) OnReceiverMove(from ids.NodeID, m *MoveMsg) {
 	c.update(m.Subchannel, func(sub *SenderSub[X]) bool {
-		drained, advanced := sub.Win.Announce(from, m.Position, c.Cfg.Receivers)
-		sub.acked += drained
-		return advanced
+		return sub.Win.Announce(from, m.Position, c.Cfg.Receivers)
 	})
 }
 
@@ -262,31 +244,6 @@ func (c *SenderCore[X]) reannounceMoves() {
 	for i := range work {
 		c.Post(TagMove, &work[i].move, work[i].to...)
 	}
-}
-
-// FlowStats implements Sender.
-func (c *SenderCore[X]) FlowStats(sc ids.Subchannel) FlowStats {
-	c.Mu.Lock()
-	defer c.Mu.Unlock()
-	sub := c.Sub(sc)
-	out := FlowStats{Acked: sub.acked, Blocked: sub.blocked, Capacity: sub.Win.Capacity}
-	if sub.highSent >= sub.Win.Start {
-		out.Outstanding = int(sub.highSent - sub.Win.Start + 1)
-	}
-	return out
-}
-
-// SetCapacity implements Sender. It is a sender-local decision: the
-// other endpoints keep the configured capacity and a smaller sender
-// window is always inside it, so moves, fs+1 matching and repair are
-// untouched; shrinking only makes Send block earlier.
-func (c *SenderCore[X]) SetCapacity(sc ids.Subchannel, n int) {
-	n = min(max(n, 1), c.Cfg.Capacity)
-	c.update(sc, func(sub *SenderSub[X]) bool {
-		grew := n > sub.Win.Capacity
-		sub.Win.Capacity = n
-		return grew
-	})
 }
 
 // Held reports how many early entries of sender peer are held for

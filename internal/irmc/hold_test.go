@@ -8,8 +8,7 @@ import (
 )
 
 // TestSenderWindowOwnMoveIsImmediate pins the sender-side window rule:
-// start = max(own move, fr+1-highest receiver announcement), with the
-// drained count following the receiver quorum alone.
+// start = max(own move, fr+1-highest receiver announcement).
 func TestSenderWindowOwnMoveIsImmediate(t *testing.T) {
 	receivers := ids.Group{Members: []ids.NodeID{11, 12, 13, 14}, F: 1}
 	w := NewSenderWindow(2)
@@ -26,19 +25,17 @@ func TestSenderWindowOwnMoveIsImmediate(t *testing.T) {
 	}
 
 	// One receiver (≤ fr) announcing far ahead moves nothing.
-	if drained, advanced := w.Announce(11, 50, receivers); drained != 0 || advanced {
-		t.Fatalf("single announcement: drained=%d advanced=%v", drained, advanced)
+	if w.Announce(11, 50, receivers) {
+		t.Fatal("single announcement moved the start")
 	}
-	// The quorum catching up with the own move drains positions 1..9
-	// without moving the start, which is already there.
-	drained, advanced := w.Announce(12, 10, receivers)
-	if drained != 9 || advanced || w.Start != 10 {
-		t.Fatalf("quorum at 10: drained=%d advanced=%v start=%d", drained, advanced, w.Start)
+	// The quorum catching up with the own move does not move the start,
+	// which is already there.
+	if w.Announce(12, 10, receivers) || w.Start != 10 {
+		t.Fatalf("quorum at 10: start=%d, want 10 and no advance", w.Start)
 	}
 	// The quorum passing the own move moves the start.
-	drained, advanced = w.Announce(12, 12, receivers)
-	if drained != 2 || !advanced || w.Start != 12 {
-		t.Fatalf("quorum at 12: drained=%d advanced=%v start=%d", drained, advanced, w.Start)
+	if !w.Announce(12, 12, receivers) || w.Start != 12 {
+		t.Fatalf("quorum at 12: start=%d, want 12 and an advance", w.Start)
 	}
 	if _, lag := w.Unacknowledged(receivers.Members); len(lag) != 2 {
 		t.Fatalf("lagging receivers = %v, want the two silent ones", lag)

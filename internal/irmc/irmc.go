@@ -73,7 +73,9 @@ func AsTooOld(err error) (*TooOldError, bool) {
 }
 
 // Sender is the sender-side endpoint interface (Figure 14); the package
-// comment states the window rule behind it.
+// comment states the window rule behind it. The window's capacity is
+// Config.Capacity, fixed for the channel: the paper's built-in flow
+// control.
 type Sender interface {
 	// Send submits msg for subchannel sc at position p. It blocks
 	// while p lies beyond the window's upper bound, returns a
@@ -87,13 +89,6 @@ type Sender interface {
 	// asked. Positions only move forward; calls with lower positions
 	// are ignored.
 	MoveWindow(sc ids.Subchannel, p ids.Position)
-	// FlowStats reports the subchannel's cumulative flow counters and
-	// current window occupancy, the inputs of adaptive window sizing.
-	FlowStats(sc ids.Subchannel) FlowStats
-	// SetCapacity throttles this sender's window on the subchannel to
-	// n positions, clamped to [1, Config.Capacity]; growing it admits
-	// blocked Sends at once.
-	SetCapacity(sc ids.Subchannel, n int)
 	// Close releases the endpoint and unblocks pending calls.
 	Close()
 }
@@ -268,7 +263,6 @@ type SenderWindow struct {
 	Window
 	own      ids.Position                // highest move this sender requested (0: none)
 	recvWins map[ids.NodeID]ids.Position // window starts announced by receivers
-	quorum   ids.Position                // (fr+1)-highest announced start
 }
 
 // NewSenderWindow returns a sender window anchored at position 1.
@@ -276,7 +270,6 @@ func NewSenderWindow(capacity int) SenderWindow {
 	return SenderWindow{
 		Window:   NewWindow(capacity),
 		recvWins: make(map[ids.NodeID]ids.Position),
-		quorum:   1,
 	}
 }
 
@@ -291,21 +284,14 @@ func (w *SenderWindow) Request(p ids.Position) (fresh, advanced bool) {
 	return true, w.Advance(p)
 }
 
-// Announce records receiver from's announced window start. drained is
-// how far the receiver quorum's start advanced — positions fr+1
-// receivers have moved past, whether or not the window start moved
-// with them — and advanced reports whether the window start moved.
-func (w *SenderWindow) Announce(from ids.NodeID, p ids.Position, receivers ids.Group) (drained int64, advanced bool) {
+// Announce records receiver from's announced window start and reports
+// whether the window start moved to the new (fr+1)-highest one.
+func (w *SenderWindow) Announce(from ids.NodeID, p ids.Position, receivers ids.Group) bool {
 	if p <= w.recvWins[from] {
-		return 0, false // announcements only move forward
+		return false // announcements only move forward
 	}
 	w.recvWins[from] = p
-	q := KHighest(w.recvWins, receivers.Members, receivers.F+1)
-	if q > w.quorum {
-		drained = int64(q - w.quorum)
-		w.quorum = q
-	}
-	return drained, w.Advance(q)
+	return w.Advance(KHighest(w.recvWins, receivers.Members, receivers.F+1))
 }
 
 // Unacknowledged returns this sender's requested move and the
@@ -321,18 +307,6 @@ func (w *SenderWindow) Unacknowledged(receivers []ids.NodeID) (ids.Position, []i
 		}
 	}
 	return w.own, lag
-}
-
-// FlowStats is a snapshot of one subchannel's sender-side flow
-// counters, the measurement inputs of adaptive window sizing: Acked
-// and Blocked are cumulative (the sampler differences consecutive
-// snapshots for per-interval drain and stall rates), Outstanding and
-// Capacity are instantaneous.
-type FlowStats struct {
-	Acked       int64 // positions the receiver ack quorum drained past
-	Blocked     int64 // Send calls that stalled on a full window
-	Outstanding int   // positions sent but not yet acked
-	Capacity    int   // current effective window capacity
 }
 
 // KHighest returns the k-th highest position in values (k >= 1).

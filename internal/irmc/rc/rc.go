@@ -130,10 +130,8 @@ func (s *Sender) onResend(from ids.NodeID, m *irmc.ResendMsg) {
 	}
 	sub := s.Sub(m.Subchannel)
 	lo := max(m.From, sub.Win.Start)
-	// Walk the retained map itself rather than [lo, win.Max()]: every
-	// retained entry is in-window by construction (pruned on advance),
-	// and an adaptively shrunk effective capacity must not hide
-	// positions sent while the window was wider.
+	// Every retained entry is in-window by construction (Send admits
+	// only in-window positions, and the window's advance prunes).
 	var envs [][]byte
 	for p, env := range sub.X.retained {
 		if p >= lo {

@@ -389,10 +389,10 @@ var rateEpoch = time.Now()
 
 // Rate measures events per second over a sliding window on the
 // monotonic clock (wall-clock jumps cannot distort it: time.Time
-// subtraction prefers the monotonic reading). It is the offered-load
-// input of the adaptive batching controller, and is mergeable like
-// Occupancy so sharded deployments can aggregate per-shard recorders
-// exactly once at read time. Safe for concurrent use.
+// subtraction prefers the monotonic reading). It feeds PBFT's
+// slow-leader monitor, and is mergeable like Occupancy so sharded
+// deployments can aggregate per-shard recorders exactly once at read
+// time. Safe for concurrent use.
 type Rate struct {
 	mu       sync.Mutex
 	window   time.Duration

@@ -14,21 +14,64 @@ import (
 // when a registration is earlier than what is armed, so a burst of
 // frames with later deadlines costs a heap push each and no system call.
 //
-// sysTimer is the platform seam (timer_linux.go, timer_other.go):
-// arm(d) sets the single pending expiry to d from now, replacing any
-// earlier setting; wait() blocks until an expiry and reports false once
-// close() was called. arm is only called under mu with closed unset, so
-// it never races with close.
+// The timer's arm is only called under mu with closed unset, so it never
+// races with close.
 type clock struct {
 	mu     sync.Mutex
 	due    linkHeap
 	armed  time.Time // expiry the timer is set to; zero when it is not set
 	closed bool
-	timer  *sysTimer
+	timer  sysTimer
 }
 
-func newClock() *clock {
-	return &clock{timer: newSysTimer()}
+// sysTimer is the platform seam: arm(d) sets the single pending expiry
+// to d from now, replacing any earlier setting; wait() blocks until an
+// expiry and reports false once close() was called.
+type sysTimer interface {
+	arm(d time.Duration)
+	wait() bool
+	close()
+}
+
+// newSysTimer returns a timerfd where the kernel gives one
+// (timer_linux.go), and the runtime timer otherwise: on other
+// platforms, or when the descriptor table is full or a sandbox filters
+// the call. The runtime timer delivers up to a millisecond late on an
+// idle process, but an emulated network that cannot tell time at all
+// is of no use to the test or benchmark that asked for it.
+func newSysTimer() sysTimer {
+	if t, err := newTimerfd(); err == nil {
+		return t
+	}
+	return newRuntimeTimer()
+}
+
+// runtimeTimer is the portable sysTimer, compiled on every platform.
+type runtimeTimer struct {
+	t    *time.Timer
+	done chan struct{}
+}
+
+func newRuntimeTimer() *runtimeTimer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &runtimeTimer{t: t, done: make(chan struct{})}
+}
+
+func (t *runtimeTimer) arm(d time.Duration) { t.t.Reset(d) }
+
+func (t *runtimeTimer) wait() bool {
+	select {
+	case <-t.t.C:
+		return true
+	case <-t.done:
+		return false
+	}
+}
+
+func (t *runtimeTimer) close() {
+	close(t.done)
+	t.t.Stop()
 }
 
 // sleepUntil registers l to be woken (one token on l.wake) once at has

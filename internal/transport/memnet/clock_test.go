@@ -153,6 +153,44 @@ func TestConcurrentLinksShareClock(t *testing.T) {
 	done.Wait()
 }
 
+// TestRuntimeTimerFallbackDelivers: where the kernel refuses a timerfd
+// the clock runs on the runtime timer instead of panicking. A network
+// built on it delivers every frame, in link order and never before its
+// delay, on zone and WAN links alike.
+func TestRuntimeTimerFallbackDelivers(t *testing.T) {
+	p := zonePlacement()
+	net := newNetwork(Options{Placement: p}, newRuntimeTimer())
+	defer net.Close()
+	const perLink = 50
+	var done sync.WaitGroup
+	done.Add(2 * perLink)
+	epoch := time.Now()
+	for _, to := range []ids.NodeID{2, 3} {
+		oneWay, next := p.OneWay(1, to), uint32(0)
+		net.Node(to).Handle(testStream, func(_ ids.NodeID, payload []byte) {
+			defer done.Done()
+			seq := binary.BigEndian.Uint32(payload)
+			sent := time.Duration(binary.BigEndian.Uint64(payload[4:]))
+			if seq != next {
+				t.Errorf("link to %v delivered frame %d at position %d", to, seq, next)
+			}
+			next = seq + 1
+			if d := time.Since(epoch) - sent; d < oneWay {
+				t.Errorf("link to %v frame %d arrived after %v, before its %v delay", to, seq, d, oneWay)
+			}
+		})
+	}
+	for i := 0; i < perLink; i++ {
+		for _, to := range []ids.NodeID{2, 3} {
+			payload := binary.BigEndian.AppendUint32(nil, uint32(i))
+			payload = binary.BigEndian.AppendUint64(payload, uint64(time.Since(epoch)))
+			net.Node(1).Send(to, testStream, payload)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	done.Wait()
+}
+
 // openFDs counts this process's open descriptors (Linux only).
 func openFDs(t *testing.T) int {
 	entries, err := os.ReadDir("/proc/self/fd")

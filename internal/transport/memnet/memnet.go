@@ -157,7 +157,10 @@ var _ transport.Network = (*Network)(nil)
 type linkKey struct{ from, to ids.NodeID }
 
 // New creates an emulated network.
-func New(opts Options) *Network {
+func New(opts Options) *Network { return newNetwork(opts, newSysTimer()) }
+
+// newNetwork is New with the delivery clock's timer chosen by the caller.
+func newNetwork(opts Options, timer sysTimer) *Network {
 	if opts.PendingLimit <= 0 {
 		opts.PendingLimit = 4096
 	}
@@ -171,7 +174,7 @@ func New(opts Options) *Network {
 		profiles: make(map[regionPair]Profile),
 		degraded: make(map[ids.NodeID]degradeSpec),
 		done:     make(chan struct{}),
-		clock:    newClock(),
+		clock:    &clock{timer: timer},
 	}
 	n.wg.Add(1)
 	go func() {

@@ -196,17 +196,6 @@ type LocalClusterOptions struct {
 	// its key; see ShardMap for the key-to-shard function.
 	Shards int
 
-	// AdaptiveBatching enables the closed-loop controller that adapts
-	// the leader's batch size and flush delay to the measured offered
-	// load (ROADMAP item 4). Off by default: the static ConsensusBatch
-	// knobs apply unchanged.
-	AdaptiveBatching bool
-
-	// AdaptiveWindows auto-sizes the commit-channel flow-control
-	// windows from the measured drain rate of each execution group.
-	// Sender-local only — no wire change — and off by default.
-	AdaptiveWindows bool
-
 	// SuspectSlowLeader arms the gray-failure defense: agreement
 	// replicas monitor the leader's delivery throughput and proposal
 	// latency and proactively rotate to the next view when the leader
@@ -248,8 +237,6 @@ func NewLocalCluster(opts LocalClusterOptions) (*LocalCluster, error) {
 		SuiteKind:         suite,
 		Channel:           channel,
 		Shards:            opts.Shards,
-		AdaptiveBatching:  opts.AdaptiveBatching,
-		AdaptiveWindows:   opts.AdaptiveWindows,
 		SuspectSlowLeader: opts.SuspectSlowLeader,
 	})
 	if err != nil {
