@@ -5,14 +5,13 @@ GO ?= go
 ## BENCH_PATTERN: the benchmark set snapshots record — the agreement
 ## throughput suite, the zero-allocation micro paths, the
 ## commit-channel dedup byte metrics (commit-B/req and wire-B/req on a
-## strong-read-heavy workload, with dedup on and off), the
-## keyspace-shard sweep (S=1/2/4 end-to-end write latency; S=1 is the
-## unsharded baseline), the batch sweep (low/medium/saturated offered
-## load under the one static batching policy at cap 64), and
-## the per-suite crypto dimension: sign/verify micro benches for
-## RSA-1024 vs Ed25519 plus the Ed25519 agreement-throughput rows, so
-## snapshots record which suite produced each number.
-BENCH_PATTERN := RSAThroughput|MACThroughput|MicroPipelineRSA|MACVector|MACSingle|CommitDedup|ShardSweep|BatchSweep|Ed25519Throughput|RSASign|RSAVerify|Ed25519Sign|Ed25519Verify
+## strong-read-heavy workload, with dedup on and off), the batch sweep
+## (low/medium/saturated offered load under the one static batching
+## policy at cap 64), and the per-suite crypto dimension: sign/verify
+## micro benches for RSA-1024 vs Ed25519 plus the Ed25519
+## agreement-throughput rows, so snapshots record which suite produced
+## each number.
+BENCH_PATTERN := RSAThroughput|MACThroughput|MicroPipelineRSA|MACVector|MACSingle|CommitDedup|BatchSweep|Ed25519Throughput|RSASign|RSAVerify|Ed25519Sign|Ed25519Verify
 
 .PHONY: check build vet test race fuzz-seeds soak soak-smoke bench bench-test bench-snapshot bench-compare loc tidy
 
@@ -31,11 +30,11 @@ test:
 	$(GO) test ./...
 
 ## race: the concurrency-sensitive packages under the race detector
-## (harness included: sharded clusters aggregate per-shard stats while
-## workload goroutines write them; memnet included: every sending
-## goroutine shares the delivery clock's heap; checkpoint included: an
-## announcement is asked about under the lock, verified outside it and
-## admitted under it again).
+## (harness included: every Spider replica records into the cluster's
+## shared occupancy and commit counters while workload goroutines run;
+## memnet included: every sending goroutine shares the delivery clock's
+## heap; checkpoint included: an announcement is asked about under the
+## lock, verified outside it and admitted under it again).
 race:
 	$(GO) test -race ./internal/crypto/ ./internal/consensus/pbft/ ./internal/core/ ./internal/irmc/... ./internal/checkpoint/ ./internal/harness/ ./internal/stats/ ./internal/transport/memnet/
 

@@ -4,7 +4,7 @@
 // percentiles as custom metrics (p50-ms / p90-ms); `cmd/spider-bench`
 // runs the same experiments at full fidelity and prints the complete
 // tables. Absolute numbers depend on the host; the *shape* (who wins,
-// by what factor) is the reproduction target — see EXPERIMENTS.md.
+// by what factor) is the reproduction target.
 package spider_test
 
 import (
@@ -825,37 +825,3 @@ func BenchmarkMicroEndToEndWrite(b *testing.B) {
 		}
 	}
 }
-
-// benchShardSweep is BenchmarkMicroEndToEndWrite over a keyspace-
-// sharded cluster: identical workload and key distribution, S
-// independent agreement sessions. The S=1 row is the unsharded
-// baseline (byte-for-byte the same wiring); on a single CPU the
-// sharded rows must stay within ~10% of it — sharding buys multicore
-// scale-out, not single-core speedups.
-func benchShardSweep(b *testing.B, shards int) {
-	cluster, err := harness.Build(harness.BuildOptions{
-		System:    harness.SystemSpider,
-		Regions:   []topo.Region{topo.Virginia},
-		Scale:     0.001,
-		SuiteKind: crypto.SuiteInsecure,
-		Shards:    shards,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cluster.Stop()
-	client, err := cluster.NewClient(topo.Virginia)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Write(spider.PutOp(fmt.Sprintf("k%d", i%64), []byte("v"))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkShardSweepS1(b *testing.B) { benchShardSweep(b, 1) }
-func BenchmarkShardSweepS2(b *testing.B) { benchShardSweep(b, 2) }
-func BenchmarkShardSweepS4(b *testing.B) { benchShardSweep(b, 4) }

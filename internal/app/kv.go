@@ -70,17 +70,6 @@ func (res *Result) UnmarshalWire(r *wire.Reader) {
 // EncodeOp serializes an operation for use as a request payload.
 func EncodeOp(op Op) []byte { return wire.Encode(&op) }
 
-// OpKey returns the key an encoded operation addresses, for keyspace
-// shard routing; ok is false when the payload is not a key-value
-// operation.
-func OpKey(opBytes []byte) (key string, ok bool) {
-	var op Op
-	if err := wire.Decode(opBytes, &op); err != nil || op.Kind == 0 {
-		return "", false
-	}
-	return op.Key, true
-}
-
 // DecodeResult parses a reply payload produced by the store.
 func DecodeResult(payload []byte) (Result, error) {
 	var res Result

@@ -62,8 +62,7 @@ type Load struct {
 	Regions []topo.Region
 	// Clients per region (default 1).
 	Clients int
-	// Keys are the shared counter keys; pick keys covering every shard
-	// of a sharded deployment (default: one key "chaos-0").
+	// Keys are the shared counter keys (default: one key "chaos-0").
 	Keys []string
 	// Interval is the per-client think time between operations
 	// (default 20ms; 0 means closed-loop).
@@ -119,7 +118,7 @@ type Report struct {
 	Violations []string            `json:"violations"`
 	Ops        int                 `json:"ops"`
 	Probes     []harness.ExecProbe `json:"probes"`
-	// Gray-failure defense counters of the shard-0 agreement session:
+	// Gray-failure defense counters of the agreement group:
 	// total view changes entered, how many were proactive slow-leader
 	// rotations (with the monitor's reasons), and per-view delivery
 	// throughput when the monitor recorded it.
@@ -412,7 +411,7 @@ func (r *Runner) monitor() {
 	ticker := time.NewTicker(r.opts.ProbeInterval)
 	defer ticker.Stop()
 	var (
-		maxSeq      = make(map[string]ids.SeqNr) // "group/shard" -> high-water seq
+		maxSeq      = make(map[string]ids.SeqNr) // "g<id>" -> high-water seq
 		lastAdvance = time.Now()
 		divergence  = make(map[string]bool) // reported divergences, deduped
 		stalled     bool
@@ -431,13 +430,13 @@ func (r *Runner) monitor() {
 		atSeq := make(map[string]gs)
 		advanced := false
 		for _, p := range probes {
-			key := fmt.Sprintf("g%d/s%d", p.Group, p.Shard)
+			key := fmt.Sprintf("g%d", p.Group)
 			seqKey := fmt.Sprintf("%s@%d", key, p.Seq)
 			dig := fmt.Sprintf("%x", p.Digest)
 			if prev, ok := atSeq[seqKey]; ok && prev.digest != dig && !divergence[seqKey] {
 				divergence[seqKey] = true
-				r.violate("divergence: group %d shard %d at seq %d: node %d digest %s != node %d digest %s",
-					p.Group, p.Shard, p.Seq, prev.node, prev.digest[:8], p.Node, dig[:8])
+				r.violate("divergence: group %d at seq %d: node %d digest %s != node %d digest %s",
+					p.Group, p.Seq, prev.node, prev.digest[:8], p.Node, dig[:8])
 			}
 			atSeq[seqKey] = gs{digest: dig, node: p.Node}
 			if p.Seq > maxSeq[key] {
@@ -464,14 +463,14 @@ func (r *Runner) monitor() {
 // --- finish -------------------------------------------------------------------
 
 // Finish stops the load and the monitor, waits for every execution
-// group to converge (per group and shard: all running replicas at the
-// same sequence number with the same digest), verifies each counter
+// group to converge (per group: all running replicas at the same
+// sequence number with the same digest), verifies each counter
 // key's final value through an ordered read, checks the history for
 // per-key linearizability, and writes a JSON failure artifact when any
 // invariant was violated. readRegion hosts the verification client.
 func (r *Runner) Finish(readRegion topo.Region, convergeTimeout time.Duration) *Report {
 	r.StopLoad()
-	// Convergence: all running replicas of a group/shard reach the
+	// Convergence: all running replicas of a group reach the
 	// same (seq, digest). Load has stopped, so retransmits drain.
 	deadline := time.Now().Add(convergeTimeout)
 	var probes []harness.ExecProbe
@@ -479,7 +478,7 @@ func (r *Runner) Finish(readRegion topo.Region, convergeTimeout time.Duration) *
 		probes = r.c.ExecProbes()
 		byGroup := make(map[string]map[string]bool)
 		for _, p := range probes {
-			key := fmt.Sprintf("g%d/s%d", p.Group, p.Shard)
+			key := fmt.Sprintf("g%d", p.Group)
 			if byGroup[key] == nil {
 				byGroup[key] = make(map[string]bool)
 			}
@@ -554,7 +553,7 @@ func (r *Runner) Finish(readRegion topo.Region, convergeTimeout time.Duration) *
 func summarize(probes []harness.ExecProbe) []string {
 	out := make([]string, 0, len(probes))
 	for _, p := range probes {
-		out = append(out, fmt.Sprintf("n%d g%d/s%d seq=%d dig=%x", p.Node, p.Group, p.Shard, p.Seq, p.Digest[:4]))
+		out = append(out, fmt.Sprintf("n%d g%d seq=%d dig=%x", p.Node, p.Group, p.Seq, p.Digest[:4]))
 	}
 	return out
 }

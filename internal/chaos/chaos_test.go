@@ -71,11 +71,11 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 }
 
 // converged reports whether every execution group's running replicas
-// agree on (seq, digest), per group and shard.
+// agree on (seq, digest), per group.
 func converged(c *harness.Cluster) bool {
 	states := make(map[string]map[string]bool)
 	for _, p := range c.ExecProbes() {
-		key := fmt.Sprintf("g%d/s%d", p.Group, p.Shard)
+		key := fmt.Sprintf("g%d", p.Group)
 		if states[key] == nil {
 			states[key] = make(map[string]bool)
 		}
@@ -89,40 +89,14 @@ func converged(c *harness.Cluster) bool {
 	return true
 }
 
-func maxSeq(c *harness.Cluster) ids.SeqNr {
+func maxSeq(probes []harness.ExecProbe) ids.SeqNr {
 	var max ids.SeqNr
-	for _, p := range c.ExecProbes() {
+	for _, p := range probes {
 		if p.Seq > max {
 			max = p.Seq
 		}
 	}
 	return max
-}
-
-func perShardMaxSeq(probes []harness.ExecProbe) map[core.ShardID]ids.SeqNr {
-	out := make(map[core.ShardID]ids.SeqNr)
-	for _, p := range probes {
-		if p.Seq > out[p.Shard] {
-			out[p.Shard] = p.Seq
-		}
-	}
-	return out
-}
-
-// shardKeys picks perShard counter keys for every shard of an S-shard
-// map, so a load covers all agreement sessions.
-func shardKeys(shards, perShard int) []string {
-	m := core.ShardMap{Shards: shards}
-	got := make(map[core.ShardID]int)
-	var out []string
-	for i := 0; len(out) < shards*perShard && i < 100000; i++ {
-		k := fmt.Sprintf("chaos-%d", i)
-		if s := m.Of(k); got[s] < perShard {
-			got[s]++
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 func requireClean(t *testing.T, rep *Report) {
@@ -261,9 +235,9 @@ func TestChaosLeaderChurnUnderLoad(t *testing.T) {
 		id, ok := c.AgreementLeader()
 		return ok && id != old
 	})
-	before := maxSeq(c)
+	before := maxSeq(c.ExecProbes())
 	waitFor(t, convergeBudget(), "post-churn progress", func() bool {
-		return maxSeq(c) > before
+		return maxSeq(c.ExecProbes()) > before
 	})
 	if err := r.Restart(old); err != nil {
 		t.Fatalf("restart old leader: %v", err)
@@ -279,15 +253,14 @@ func TestChaosLeaderChurnUnderLoad(t *testing.T) {
 // TestPartitionHealMidBatch partitions the leader's region (which also
 // hosts the whole agreement group) away from the rest of the WAN at a
 // known batch boundary, heals after the view-change grace period, and
-// requires every keyspace shard to resume with a linearizable history.
+// requires the agreement session to resume with a linearizable history.
 func TestPartitionHealMidBatch(t *testing.T) {
-	c := buildSpider(t, func(o *harness.BuildOptions) { o.Shards = 2 })
-	keys := shardKeys(2, 2)
+	c := buildSpider(t, nil)
 	r := NewRunner(c, Options{Name: "partition-heal", Seed: 7})
 	load := Load{
 		Regions:  []topo.Region{topo.Virginia, topo.Oregon},
 		Clients:  1,
-		Keys:     keys,
+		Keys:     []string{"heal-a", "heal-b"},
 		Interval: 15 * time.Millisecond,
 	}
 	if err := r.StartLoad(load); err != nil {
@@ -295,7 +268,7 @@ func TestPartitionHealMidBatch(t *testing.T) {
 	}
 	time.Sleep(900 * time.Millisecond)
 
-	before := perShardMaxSeq(c.ExecProbes())
+	before := maxSeq(c.ExecProbes())
 	r.Partition(topo.Virginia)
 	time.Sleep(2500 * time.Millisecond) // past the 2s consensus grace
 	r.Heal()
@@ -303,14 +276,8 @@ func TestPartitionHealMidBatch(t *testing.T) {
 
 	rep := r.Finish(topo.Virginia, convergeBudget())
 	requireClean(t, rep)
-	after := perShardMaxSeq(rep.Probes)
-	for shard, seq := range before {
-		if after[shard] <= seq {
-			t.Errorf("shard %d did not resume: seq %d before partition, %d at end", shard, seq, after[shard])
-		}
-	}
-	if len(after) != 2 {
-		t.Errorf("probes cover %d shards, want 2", len(after))
+	if after := maxSeq(rep.Probes); after <= before {
+		t.Errorf("session did not resume: seq %d before partition, %d at end", before, after)
 	}
 }
 
@@ -336,7 +303,7 @@ func TestChaosCrashRestartDuringCheckpointAdoption(t *testing.T) {
 	time.Sleep(800 * time.Millisecond)
 
 	victim := c.ExecNodes(topo.Oregon)[1]
-	crashSeq := maxSeq(c)
+	crashSeq := maxSeq(c.ExecProbes())
 	if err := r.Crash(victim); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
@@ -344,7 +311,7 @@ func TestChaosCrashRestartDuringCheckpointAdoption(t *testing.T) {
 	// window and several checkpoint intervals — so its warm suffix is
 	// useless and restart MUST go through checkpoint adoption.
 	waitFor(t, convergeBudget(), "the cluster to outrun the victim", func() bool {
-		return maxSeq(c) > crashSeq+80
+		return maxSeq(c.ExecProbes()) > crashSeq+80
 	})
 	if err := r.Restart(victim); err != nil {
 		t.Fatalf("restart: %v", err)

@@ -86,9 +86,9 @@ func TestSlowLeaderRotated(t *testing.T) {
 	// form among the healthy 2f+1, so the group must return to at
 	// least 80% of the pre-fault rate.
 	waitFor(t, convergeBudget(), "post-rotation progress", func() bool {
-		before := maxSeq(c)
+		before := maxSeq(c.ExecProbes())
 		time.Sleep(100 * time.Millisecond)
-		return maxSeq(c) > before
+		return maxSeq(c.ExecProbes()) > before
 	})
 	post := opsRate(r, 1500*time.Millisecond)
 	if post < 0.8*pre {

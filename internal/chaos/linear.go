@@ -50,7 +50,7 @@ func (h *History) Snapshot() []Obs {
 }
 
 // PerKeyTotals returns the number of increments recorded per key — the
-// counter value every replica of the owning shard must converge to.
+// counter value every execution replica must converge to.
 func (h *History) PerKeyTotals() map[string]int64 {
 	totals := make(map[string]int64)
 	for _, o := range h.Snapshot() {
@@ -67,9 +67,9 @@ func (h *History) PerKeyTotals() map[string]int64 {
 //  2. each client observes its own operations on a key in strictly
 //     increasing counter order (session order).
 //
-// The keyspace partition is disjoint, so per-key linearizability of
-// every key is linearizability of the sharded store as a whole. All
-// violations found are returned.
+// Linearizability is local: per-key linearizability of every key is
+// linearizability of the store as a whole. All violations found are
+// returned.
 func CheckLinearizable(obs []Obs) []string {
 	var violations []string
 	perKey := make(map[string][]int64)

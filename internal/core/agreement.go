@@ -233,7 +233,7 @@ func NewAgreementReplica(cfg AgreementConfig) (*AgreementReplica, error) {
 		Group:    cfg.Group,
 		Suite:    cfg.Suite,
 		Node:     cfg.Node,
-		Stream:   checkpointStream(cfg.Shard),
+		Stream:   checkpointStream(),
 		OnStable: a.onStableCheckpoint,
 	})
 	if err != nil {

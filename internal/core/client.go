@@ -141,24 +141,13 @@ func (c *Client) laneFor(from ids.NodeID) *crypto.Lane {
 	defer c.mu.Unlock()
 	lane, ok := c.lanes[from]
 	if !ok {
-		if !c.group.Contains(from) && !c.cfg.AgreementGroup.Contains(from) && !c.shardMember(from) {
+		if !c.group.Contains(from) && !c.cfg.AgreementGroup.Contains(from) {
 			return nil
 		}
 		lane = c.pipe.NewLane()
 		c.lanes[from] = lane
 	}
 	return lane
-}
-
-// shardMember reports whether a node belongs to any configured shard
-// group (replicas of all shards may answer a sharded client).
-func (c *Client) shardMember(from ids.NodeID) bool {
-	for i := range c.cfg.ShardGroups {
-		if c.cfg.ShardGroups[i].Contains(from) {
-			return true
-		}
-	}
-	return false
 }
 
 // onInbox is the reply-stream transport handler. It only schedules the
@@ -192,36 +181,10 @@ func (c *Client) onInbox(from ids.NodeID, payload []byte) {
 	})
 }
 
-// route returns the shard group owning op's key in a sharded
-// deployment, or ok=false when the client is unsharded or the
-// operation must not be rerouted. Admin operations are unkeyed and
-// target whichever group SwitchGroup selected; unkeyed or undecodable
-// keyed operations route to shard 0.
-func (c *Client) route(kind RequestKind, op []byte) (ids.Group, bool) {
-	if len(c.cfg.ShardGroups) == 0 || kind == KindAdmin {
-		return ids.Group{}, false
-	}
-	shard := ShardID(0)
-	if key, ok := c.cfg.KeyOf(op); ok {
-		shard = c.cfg.ShardMap.Of(key)
-	}
-	return c.cfg.ShardGroups[shard].Clone(), true
-}
-
 func (c *Client) do(kind RequestKind, op []byte) ([]byte, error) {
 	c.ensureHandler()
 
 	c.mu.Lock()
-	// Keyspace-sharded routing: redirect this operation to the shard
-	// session owning its key. The client stays sequential with one
-	// counter sequence across all shards (replies are matched by
-	// counter on the shared reply stream), so per-shard request
-	// subchannels observe increasing — not necessarily dense —
-	// counters, exactly the multi-session semantics replicas already
-	// support.
-	if g, ok := c.route(kind, op); ok {
-		c.group = g
-	}
 	c.counter++
 	req := ClientRequest{
 		Kind:    kind,

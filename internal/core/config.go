@@ -129,14 +129,11 @@ func replyStream() transport.Stream {
 	return transport.MakeStream(transport.KindClient, 0)
 }
 
-// checkpointStream is shared by all groups of one shard; cross-group
-// state fetches (Section 3.5) rely on every replica of the shard
-// listening on the same stream, with group separation enforced
-// cryptographically inside the messages. Shards checkpoint
-// independently, so each gets its own stream; shard 0 uses the stream
-// id an unsharded deployment always used.
-func checkpointStream(shard ShardID) transport.Stream {
-	return transport.MakeStream(transport.KindCheckpoint, uint32(shard))
+// checkpointStream is shared by all groups; cross-group state fetches
+// (Section 3.5) rely on every replica listening on the same stream,
+// with group separation enforced cryptographically inside the messages.
+func checkpointStream() transport.Stream {
+	return transport.MakeStream(transport.KindCheckpoint, 0)
 }
 
 func pbftStream(group ids.GroupID) transport.Stream {
@@ -192,20 +189,6 @@ type ExecutionConfig struct {
 	// off the transport goroutines; nil selects the process-wide
 	// default pool.
 	Pipeline *crypto.Pipeline
-	// Shard is this replica's agreement session in a keyspace-sharded
-	// deployment; it selects the shard-local checkpoint stream. The
-	// zero value is the single (or first) shard, matching unsharded
-	// behavior exactly.
-	Shard ShardID
-	// ShardMap partitions the keyspace; with more than one shard the
-	// replica drops forwarded requests whose key routes to a different
-	// shard (admin operations are unkeyed and exempt), so a faulty
-	// client cannot plant keys in a foreign shard's partition.
-	ShardMap ShardMap
-	// KeyOf extracts the routing key of an operation (false for
-	// unkeyed payloads, which route to shard 0). Required when
-	// ShardMap has more than one shard.
-	KeyOf func(op []byte) (string, bool)
 	// Store, when set, persists execution checkpoints and the
 	// post-checkpoint batch suffix write-behind, and rehydrates the
 	// replica from disk at construction instead of a cold full-state
@@ -235,27 +218,7 @@ func (c *ExecutionConfig) validate() error {
 	if !c.Group.Contains(c.Suite.Node()) {
 		return fmt.Errorf("core: replica %v not in group %v", c.Suite.Node(), c.Group.ID)
 	}
-	if err := validateShard(c.Shard, c.ShardMap); err != nil {
-		return err
-	}
-	if c.ShardMap.Shards > 1 && c.KeyOf == nil {
-		return errors.New("core: sharded execution replica requires KeyOf")
-	}
 	return c.Tunables.validate()
-}
-
-// validateShard checks a replica's shard index against its map.
-func validateShard(s ShardID, m ShardMap) error {
-	if s < 0 || s >= MaxShards {
-		return fmt.Errorf("core: shard %d outside [0, %d)", s, MaxShards)
-	}
-	if m.Shards > MaxShards {
-		return fmt.Errorf("core: %d shards exceed the maximum of %d", m.Shards, MaxShards)
-	}
-	if m.Shards > 1 && int(s) >= m.Shards {
-		return fmt.Errorf("core: shard %d outside the %d-shard map", s, m.Shards)
-	}
-	return nil
 }
 
 // AgreementConfig parameterizes one agreement replica.
@@ -326,12 +289,6 @@ type AgreementConfig struct {
 	// goroutines and the replica locks; nil selects the process-wide
 	// default pool.
 	Pipeline *crypto.Pipeline
-	// Shard is this replica's agreement session in a keyspace-sharded
-	// deployment; it selects the shard-local checkpoint stream. All
-	// other per-shard separation (PBFT stream, IRMC channels) derives
-	// from the shard-qualified Group.ID. The zero value matches
-	// unsharded behavior exactly.
-	Shard ShardID
 	// Store, when set, persists agreement checkpoints, the batch
 	// history suffix and the installed PBFT view write-behind, and
 	// rehydrates the replica from disk at construction. The replica
@@ -348,9 +305,6 @@ func (c *AgreementConfig) validate() error {
 	}
 	if !c.Group.Contains(c.Suite.Node()) {
 		return fmt.Errorf("core: replica %v not in group %v", c.Suite.Node(), c.Group.ID)
-	}
-	if err := validateShard(c.Shard, ShardMap{}); err != nil {
-		return err
 	}
 	return c.Tunables.validate()
 }
@@ -385,20 +339,6 @@ type ClientConfig struct {
 	// Pipeline runs reply MAC verification off the inbox stream handler
 	// on per-replica lanes; nil selects the process-wide default pool.
 	Pipeline *crypto.Pipeline
-	// ShardGroups, in a keyspace-sharded deployment, lists the
-	// client's per-shard execution groups indexed by ShardID (usually
-	// the shard variants of its region's group). When set, every keyed
-	// operation routes to the group owning its key; Group remains the
-	// default for admin and unrouteable traffic. Empty means unsharded
-	// (current behavior).
-	ShardGroups []ids.Group
-	// ShardMap partitions the keyspace; defaulted to len(ShardGroups)
-	// shards when unset.
-	ShardMap ShardMap
-	// KeyOf extracts the routing key of an operation (false for
-	// unkeyed payloads, which route to shard 0). Required when
-	// ShardGroups is set.
-	KeyOf func(op []byte) (string, bool)
 }
 
 func (c *ClientConfig) validate() error {
@@ -410,22 +350,6 @@ func (c *ClientConfig) validate() error {
 	}
 	if c.Suite == nil || c.Node == nil {
 		return errors.New("core: suite and node required")
-	}
-	if len(c.ShardGroups) > 0 {
-		if len(c.ShardGroups) != c.ShardMap.Shards {
-			return fmt.Errorf("core: %d shard groups for a %d-shard map", len(c.ShardGroups), c.ShardMap.Shards)
-		}
-		if c.ShardMap.Shards > MaxShards {
-			return fmt.Errorf("core: %d shards exceed the maximum of %d", c.ShardMap.Shards, MaxShards)
-		}
-		if c.KeyOf == nil {
-			return errors.New("core: sharded client requires KeyOf")
-		}
-		for _, g := range c.ShardGroups {
-			if len(g.Members) < 2*g.F+1 {
-				return fmt.Errorf("core: shard group %v size %d < 2f+1", g.ID, len(g.Members))
-			}
-		}
 	}
 	return nil
 }
@@ -439,8 +363,5 @@ func (c *ClientConfig) applyDefaults() {
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 30 * time.Second
-	}
-	if len(c.ShardGroups) > 0 && c.ShardMap.Shards == 0 {
-		c.ShardMap.Shards = len(c.ShardGroups)
 	}
 }

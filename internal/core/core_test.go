@@ -412,6 +412,17 @@ func TestFaultyClientContained(t *testing.T) {
 		env := sealClientFrame(suite, crypto.DomainClientRequest, frame, replica)
 		node.Send(replica, clientStream(group.ID), env)
 	}
+	// Raw garbage on the client and consensus streams at every
+	// replica: undecodable frames must be dropped without wedging the
+	// pipelines.
+	garbage := []byte("\xde\xad\xbe\xef not a frame")
+	for _, replica := range group.Members {
+		node.Send(replica, clientStream(group.ID), garbage)
+	}
+	for _, replica := range d.agGroup.Members {
+		node.Send(replica, clientStream(d.agGroup.ID), garbage)
+		node.Send(replica, pbftStream(d.agGroup.ID), garbage)
+	}
 
 	honest := d.client(101, group)
 	if _, err := honest.Write(putOp("good", "value")); err != nil {

@@ -98,19 +98,6 @@ func (s *CommitStats) Reset() {
 	s.CacheMisses.Reset()
 }
 
-// Add returns the field-wise sum of two summaries, for aggregating
-// the per-shard CommitStats of a sharded deployment.
-func (s CommitSummary) Add(o CommitSummary) CommitSummary {
-	return CommitSummary{
-		PayloadBytes: s.PayloadBytes + o.PayloadBytes,
-		WireBytes:    s.WireBytes + o.WireBytes,
-		RefsSent:     s.RefsSent + o.RefsSent,
-		FullSent:     s.FullSent + o.FullSent,
-		CacheHits:    s.CacheHits + o.CacheHits,
-		CacheMisses:  s.CacheMisses + o.CacheMisses,
-	}
-}
-
 // String renders the summary in a compact, table-friendly form.
 func (s CommitSummary) String() string {
 	return fmt.Sprintf("payload=%dB wire=%dB refs=%d full=%d cache=%d hit/%d miss",

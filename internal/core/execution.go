@@ -126,7 +126,7 @@ func NewExecutionReplica(cfg ExecutionConfig) (*ExecutionReplica, error) {
 		Group:    cfg.Group,
 		Suite:    cfg.Suite,
 		Node:     cfg.Node,
-		Stream:   checkpointStream(cfg.Shard),
+		Stream:   checkpointStream(),
 		OnStable: e.onStableCheckpoint,
 	})
 	if err != nil {
@@ -294,34 +294,12 @@ func (e *ExecutionReplica) onClientFrame(from ids.NodeID, payload []byte) {
 	if req.Client.Node() != from {
 		return // requests must come from their author
 	}
-	if req.Kind != KindAdmin && !e.ownsKey(req.Op) {
-		// Keyspace-sharded routing check: this operation's key belongs
-		// to a different shard's session. Correct clients never send
-		// it here; dropping it keeps a faulty client from planting a
-		// key in a foreign shard's partition (admin operations are
-		// unkeyed and exempt).
-		return
-	}
 	switch req.Kind {
 	case KindWeakRead:
 		e.serveWeakRead(req)
 	case KindWrite, KindStrongRead, KindAdmin:
 		e.acceptRequest(req)
 	}
-}
-
-// ownsKey reports whether an operation's key routes to this replica's
-// shard. Single-shard deployments own every key; unkeyed operations
-// route to shard 0.
-func (e *ExecutionReplica) ownsKey(op []byte) bool {
-	if e.cfg.ShardMap.Shards <= 1 {
-		return true
-	}
-	shard := ShardID(0)
-	if key, ok := e.cfg.KeyOf(op); ok {
-		shard = e.cfg.ShardMap.Of(key)
-	}
-	return shard == e.cfg.Shard
 }
 
 // serveWeakRead answers immediately from local state (Section 3.3):
@@ -501,8 +479,8 @@ func (e *ExecutionReplica) runForwarder(f *forwarder, client ids.ClientID) {
 		// window to the new counter, then insert the request there.
 		// The move takes effect at this sender at once, so the Send
 		// behind it never waits for the agreement side, however far
-		// the counter jumped (weak reads and other shards consume
-		// counters this subchannel never sees).
+		// the counter jumped (weak reads consume counters this
+		// subchannel never sees).
 		e.reqSender.MoveWindow(sub, ids.Position(p.counter))
 		// Send may return TooOld when the client has already moved
 		// on; that is exactly the paper's garbage-collection rule.

@@ -35,10 +35,10 @@ func farNet(clients ...ids.ClientID) (*memnet.Network, time.Duration) {
 	return memnet.New(memnet.Options{Placement: p}), 2 * p.OneWay(21, 1)
 }
 
-// medianWrite walks the cycle ('r' weak read, 'w' write; key i belongs
-// to the i-th write) and returns the median write latency after two
-// unmeasured warm-up cycles.
-func medianWrite(t *testing.T, c *Client, cycle string, key func(i int) string) time.Duration {
+// medianWrite walks the cycle ('r' weak read, 'w' write, all on one
+// key) and returns the median write latency after two unmeasured
+// warm-up cycles.
+func medianWrite(t *testing.T, c *Client, cycle string) time.Duration {
 	t.Helper()
 	const warmup, measured = 2, 9
 	var lat []time.Duration
@@ -46,13 +46,13 @@ func medianWrite(t *testing.T, c *Client, cycle string, key func(i int) string) 
 	for round := 0; round < warmup+measured; round++ {
 		for _, op := range cycle {
 			if op == 'r' {
-				if _, err := c.WeakRead(getOp(key(writes))); err != nil {
+				if _, err := c.WeakRead(getOp("k")); err != nil {
 					t.Fatalf("weak read: %v", err)
 				}
 				continue
 			}
 			start := time.Now()
-			if _, err := c.Write(putOp(key(writes), fmt.Sprintf("v%d", writes))); err != nil {
+			if _, err := c.Write(putOp("k", fmt.Sprintf("v%d", writes))); err != nil {
 				t.Fatalf("write %d: %v", writes, err)
 			}
 			if round >= warmup {
@@ -91,25 +91,11 @@ func TestWriteAfterWeakReadIsOneRoundTrip(t *testing.T) {
 				d := newDeploymentOn(t, net, 1, tun, 0, DedupOn, crypto.SuiteInsecure, nil, 101)
 				d.start()
 				client := d.client(101, d.execGroups[0])
-				median := medianWrite(t, client, cycle, func(int) string { return "k" })
+				median := medianWrite(t, client, cycle)
 				requireOneRoundTrip(t, "cycle "+cycle, median, rtt)
 			})
 		}
 	}
-}
-
-// TestShardAlternatingWritesAreOneRoundTrip: a sharded client has one
-// counter sequence across all shards, so each shard's request
-// subchannel sees every other counter when the client alternates.
-func TestShardAlternatingWritesAreOneRoundTrip(t *testing.T) {
-	net, rtt := farNet(101)
-	d := newShardedDeploymentOn(t, net, 2, 1, testTunables(), 101)
-	d.start()
-	client := d.client(101)
-	m := ShardMap{Shards: 2}
-	keys := []string{keyForShard(m, 0, "alt"), keyForShard(m, 1, "alt")}
-	median := medianWrite(t, client, "w", func(i int) string { return keys[i%2] })
-	requireOneRoundTrip(t, "alternating shards", median, rtt)
 }
 
 // TestJoinDoesNotWaitForNewGroup: AdminAddGroup anchors the new commit

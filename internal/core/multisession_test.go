@@ -40,37 +40,3 @@ func TestClientSessionsWithCounterJumps(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedClientSessionsWithCounterJumps repeats the counter-jump
-// scenario against a sharded deployment. Shard routing splits one
-// client's counter sequence across per-shard request subchannels, so
-// each shard already observes sparse counters in steady state; session
-// restarts must still execute every request exactly once on every
-// shard it touches.
-func TestShardedClientSessionsWithCounterJumps(t *testing.T) {
-	const shards = 2
-	d := newShardedDeployment(t, shards, 1, testTunables(), 101)
-	d.start()
-	m := ShardMap{Shards: shards}
-
-	// One counter key per shard; every session increments both.
-	keys := []string{
-		keyForShard(m, 0, "jump0"),
-		keyForShard(m, 1, "jump1"),
-	}
-	base := uint64(1_000_000_000_000)
-	for session := 0; session < 3; session++ {
-		c := d.clientAt(101, base+uint64(session)*1_000_000)
-		for s, key := range keys {
-			res, err := c.Write(incOp(key, 1))
-			if err != nil {
-				t.Fatalf("session %d shard %d write: %v", session, s, err)
-			}
-			got := decodeResult(t, res)
-			if got.Counter != int64(session+1) {
-				t.Fatalf("session %d shard %d: counter = %d, want %d (request replayed or skipped)",
-					session, s, got.Counter, session+1)
-			}
-		}
-	}
-}

@@ -211,34 +211,22 @@ func TestStrongReadPlaceholders(t *testing.T) {
 	t.Fatal("write after strong read did not reach all groups")
 }
 
-// TestShardedPerKeyLinearizability is a multi-shard history checker:
-// several clients concurrently increment counter keys spread over both
-// shards of a sharded deployment, and the recorded histories must be
-// per-key linearizable. OpInc returns the post-increment value, so
-// linearizability of a key is exactly: (1) across all clients, the
-// returned counters for that key form the set {1..N} with no gaps or
-// duplicates; (2) each client observes its own operations on the key
-// in strictly increasing order (session order); (3) every replica of
-// the owning shard converges to N. The partitions are disjoint, so
-// per-key linearizability of every key is linearizability of the
-// sharded store as a whole.
-func TestShardedPerKeyLinearizability(t *testing.T) {
+// TestPerKeyLinearizability is a history checker: several clients
+// concurrently increment a handful of counter keys, and the recorded
+// histories must be per-key linearizable. OpInc returns the
+// post-increment value, so linearizability of a key is exactly: (1)
+// across all clients, the returned counters for that key form the set
+// {1..N} with no gaps or duplicates; (2) each client observes its own
+// operations on the key in strictly increasing order (session order);
+// (3) every replica of the execution group converges to N.
+func TestPerKeyLinearizability(t *testing.T) {
 	const (
-		shards     = 2
 		numClients = 3
 		opsPer     = 8
 	)
-	d := newShardedDeployment(t, shards, 1, testTunables(), 101, 102, 103)
+	d := newDeployment(t, 1, testTunables(), nil, 101, 102, 103)
 	d.start()
-	m := ShardMap{Shards: shards}
-
-	// Two counter keys per shard.
-	var keys []string
-	for s := 0; s < shards; s++ {
-		keys = append(keys,
-			keyForShard(m, ShardID(s), fmt.Sprintf("lin-a%d", s)),
-			keyForShard(m, ShardID(s), fmt.Sprintf("lin-b%d", s)))
-	}
+	keys := []string{"lin-a0", "lin-b0", "lin-a1", "lin-b1"}
 
 	type obs struct {
 		client  int
@@ -255,7 +243,7 @@ func TestShardedPerKeyLinearizability(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			client := d.client(ids.ClientID(101 + ci))
+			client := d.client(ids.ClientID(101+ci), d.execGroups[0])
 			for i := 0; i < opsPer; i++ {
 				key := keys[(ci+i)%len(keys)]
 				res, err := client.Write(incOp(key, 1))
@@ -299,15 +287,14 @@ func TestShardedPerKeyLinearizability(t *testing.T) {
 		}
 	}
 
-	// (3): every replica of each key's owning shard converges to the
-	// key's total count.
+	// (3): every replica converges to each key's total count.
 	deadline := time.Now().Add(10 * time.Second)
+	g := d.execGroups[0]
 	for key, counters := range perKey {
 		want := int64(len(counters))
-		g := ShardGroup(d.execBases[0], m.Of(key))
 		for _, member := range g.Members {
 			for {
-				if d.readShard(g.ID, member, getOp(key)).Counter == want {
+				if replicaRead(d, g.ID, member, getOp(key)).Counter == want {
 					break
 				}
 				if time.Now().After(deadline) {

@@ -92,30 +92,20 @@ type BuildOptions struct {
 	// by-digest references for request content the destination group
 	// forwarded (default on; core.DedupOff for the ablation).
 	CommitDedup core.DedupMode
-	// Shards runs S independent Spider agreement sessions over a
-	// partitioned keyspace (default 1; Spider and Spider-1E only).
-	// Shard s reuses the same physical nodes under shard-qualified
-	// group ids, so no extra identities are provisioned; clients route
-	// each operation by key hash. Shards: 1 is byte-for-byte the
-	// unsharded system.
-	Shards int
 	// StateDir, when set, gives every Spider replica a write-behind
-	// persistent store under <StateDir>/n<node>-s<shard>-<kind>, so a
-	// replica crashed with CrashNode and brought back with RestartNode
+	// persistent store under <StateDir>/n<node>-<kind>, so a replica
+	// crashed with CrashNode and brought back with RestartNode
 	// rehydrates from its on-disk checkpoint and log suffix instead of
 	// cold-starting into a full state fetch.
 	StateDir string
-	// SuspectSlowLeader arms the gray-failure defense on every Spider
-	// agreement session: replicas monitor the leader's delivery
+	// SuspectSlowLeader arms the gray-failure defense on Spider's
+	// agreement group: replicas monitor the leader's delivery
 	// throughput and proposal latency and proactively rotate a leader
 	// that underperforms without crashing (default off).
 	SuspectSlowLeader bool
 }
 
 func (o *BuildOptions) applyDefaults() {
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
 	if len(o.Regions) == 0 {
 		o.Regions = append([]topo.Region{}, topo.EvalRegions...)
 	}
@@ -157,14 +147,11 @@ type Cluster struct {
 	records         []*replicaRecord
 	byNode          map[ids.NodeID][]*replicaRecord
 
-	// Per-shard occupancy recorders and commit-channel counters: shard
-	// s's Spider replicas record only into index s, so each event is
-	// charged to exactly one recorder and read-time aggregation (the
-	// accessor methods below) counts it exactly once. A single-shard
-	// deployment has one entry each.
-	batchOcc []*stats.Occupancy
-	sendOcc  []*stats.Occupancy
-	commit   []*core.CommitStats
+	// Occupancy recorders and commit-channel counters shared by every
+	// Spider replica.
+	batchOcc *stats.Occupancy
+	sendOcc  *stats.Occupancy
+	commit   *core.CommitStats
 
 	// Baseline state.
 	globalGroup ids.Group                 // BFT / WV / Spider-0E
@@ -186,10 +173,9 @@ const (
 // stop-closure lifecycle; only Spider replicas are crash-restartable.
 type replicaRecord struct {
 	node    ids.NodeID
-	shard   core.ShardID
 	kind    string      // kindExec or kindAgree
-	group   ids.Group   // shard-qualified group the replica serves
-	peers   []ids.Group // exec: the other groups' shard variants
+	group   ids.Group   // group the replica serves
+	peers   []ids.Group // exec: the other execution groups
 	entries []core.GroupEntry
 	region  topo.Region
 	dir     string // persistent state dir ("" without StateDir)
@@ -212,17 +198,9 @@ func Build(opts BuildOptions) (*Cluster, error) {
 		byNode:        make(map[ids.NodeID][]*replicaRecord),
 		hftSiteOf:     make(map[topo.Region]int),
 		groupOf:       make(map[topo.Region]ids.Group),
-	}
-	if opts.Shards > core.MaxShards {
-		return nil, fmt.Errorf("harness: %d shards exceed the maximum of %d", opts.Shards, core.MaxShards)
-	}
-	if opts.Shards > 1 && opts.System != SystemSpider && opts.System != SystemSpider1E {
-		return nil, fmt.Errorf("harness: system %q does not support sharding", opts.System)
-	}
-	for s := 0; s < opts.Shards; s++ {
-		c.batchOcc = append(c.batchOcc, stats.NewOccupancy())
-		c.sendOcc = append(c.sendOcc, stats.NewOccupancy())
-		c.commit = append(c.commit, &core.CommitStats{})
+		batchOcc:      stats.NewOccupancy(),
+		sendOcc:       stats.NewOccupancy(),
+		commit:        &core.CommitStats{},
 	}
 	c.Net = memnet.New(memnet.Options{
 		Placement:  c.Placement,
@@ -261,49 +239,29 @@ func Build(opts BuildOptions) (*Cluster, error) {
 	return c, nil
 }
 
-// BatchOccSummary aggregates the per-shard batch-occupancy recorders
-// (requests per proposed consensus batch): each shard's observations
-// are merged exactly once at read time.
+// BatchOccSummary summarizes the batch-occupancy recorder (requests
+// per proposed consensus batch).
 func (c *Cluster) BatchOccSummary() stats.OccupancySummary {
-	return mergeOccupancy(c.batchOcc)
+	return c.batchOcc.Summarize()
 }
 
-// SendOccSummary aggregates the per-shard commit-channel Send
-// occupancy recorders.
+// SendOccSummary summarizes the commit-channel Send occupancy recorder.
 func (c *Cluster) SendOccSummary() stats.OccupancySummary {
-	return mergeOccupancy(c.sendOcc)
+	return c.sendOcc.Summarize()
 }
 
-func mergeOccupancy(shards []*stats.Occupancy) stats.OccupancySummary {
-	agg := stats.NewOccupancy()
-	for _, o := range shards {
-		agg.Merge(o)
-	}
-	return agg.Summarize()
-}
-
-// CommitSummary aggregates the per-shard commit-channel byte and
-// dedup counters of every Spider agreement and execution replica.
+// CommitSummary reports the commit-channel byte and dedup counters of
+// every Spider agreement and execution replica.
 func (c *Cluster) CommitSummary() core.CommitSummary {
-	var sum core.CommitSummary
-	for _, cs := range c.commit {
-		sum = sum.Add(cs.Summarize())
-	}
-	return sum
+	return c.commit.Summarize()
 }
 
-// ResetStats zeroes every shard's occupancy recorders and commit
-// counters (benchmarks reset after warmup).
+// ResetStats zeroes the occupancy recorders and commit counters
+// (benchmarks reset after warmup).
 func (c *Cluster) ResetStats() {
-	for _, o := range c.batchOcc {
-		o.Reset()
-	}
-	for _, o := range c.sendOcc {
-		o.Reset()
-	}
-	for _, cs := range c.commit {
-		cs.Reset()
-	}
+	c.batchOcc.Reset()
+	c.sendOcc.Reset()
+	c.commit.Reset()
 }
 
 // Stop shuts everything down.
@@ -381,12 +339,11 @@ func (c *Cluster) RestartNode(id ids.NodeID) error {
 }
 
 // ExecProbe is one execution replica's divergence probe: two probes of
-// the same group and shard at the same sequence number must carry the
-// same digest.
+// the same group at the same sequence number must carry the same
+// digest.
 type ExecProbe struct {
 	Node   ids.NodeID
 	Group  ids.GroupID
-	Shard  core.ShardID
 	Region topo.Region
 	Seq    ids.SeqNr
 	Digest crypto.Digest
@@ -408,7 +365,6 @@ func (c *Cluster) ExecProbes() []ExecProbe {
 		out = append(out, ExecProbe{
 			Node:   rec.node,
 			Group:  rec.group.ID,
-			Shard:  rec.shard,
 			Region: rec.region,
 			Seq:    seq,
 			Digest: dig,
@@ -417,9 +373,9 @@ func (c *Cluster) ExecProbes() []ExecProbe {
 	return out
 }
 
-// AgreementLeader reports the consensus leader of the (shard 0)
-// agreement group as seen by the running replica with the highest
-// installed view — the freshest opinion available during churn.
+// AgreementLeader reports the consensus leader of the agreement group
+// as seen by the running replica with the highest installed view — the
+// freshest opinion available during churn.
 func (c *Cluster) AgreementLeader() (ids.NodeID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -427,7 +383,7 @@ func (c *Cluster) AgreementLeader() (ids.NodeID, bool) {
 	bestView := uint64(0)
 	found := false
 	for _, rec := range c.records {
-		if rec.kind != kindAgree || !rec.running || rec.agree == nil || rec.shard != 0 {
+		if rec.kind != kindAgree || !rec.running || rec.agree == nil {
 			continue
 		}
 		id, ok := rec.agree.ConsensusLeader()
@@ -486,7 +442,7 @@ func (c *Cluster) RestoreNode(id ids.NodeID) {
 }
 
 // GrayStats aggregates the gray-failure defense counters of the
-// shard-0 agreement session.
+// agreement group.
 type GrayStats struct {
 	// ViewChanges is the highest view-change count any replica entered
 	// (timeout-driven and proactive alike).
@@ -500,8 +456,8 @@ type GrayStats struct {
 	ViewRates []pbft.ViewRate
 }
 
-// GrayFailureStats reports the shard-0 agreement session's view-change
-// and proactive-rotation counters. Each replica counts independently
+// GrayFailureStats reports the agreement group's view-change and
+// proactive-rotation counters. Each replica counts independently
 // (monitors are per-replica local state), so the cluster-level figure
 // is the maximum across running replicas.
 func (c *Cluster) GrayFailureStats() GrayStats {
@@ -511,7 +467,7 @@ func (c *Cluster) GrayFailureStats() GrayStats {
 	bestView := uint64(0)
 	haveView := false
 	for _, rec := range c.records {
-		if rec.kind != kindAgree || !rec.running || rec.agree == nil || rec.shard != 0 {
+		if rec.kind != kindAgree || !rec.running || rec.agree == nil {
 			continue
 		}
 		if vc, ok := rec.agree.ConsensusViewChanges(); ok && vc > out.ViewChanges {
@@ -698,55 +654,38 @@ func (c *Cluster) spiderTunables() core.Tunables {
 	}
 }
 
-// shardMap returns the deployment's keyspace partition.
-func (c *Cluster) shardMap() core.ShardMap {
-	return core.ShardMap{Shards: c.Opts.Shards}
-}
-
-// buildSpider deploys one complete Spider session per shard: shard s
-// reuses the same agreement and execution nodes under shard-qualified
-// group ids (agreement 1+s, execution base+s), so every session gets
-// its own PBFT instance, IRMC lanes, flow-control windows and
-// checkpoint stream while sharing the crypto pipeline and transport.
-// With Shards: 1 the loop degenerates to exactly the unsharded build.
+// buildSpider deploys the agreement group and one execution group per
+// region.
 func (c *Cluster) buildSpider() error {
 	c.adminID = ids.ClientID(10001 + maxClients - 1) // reserve the last client id
-	for s := 0; s < c.Opts.Shards; s++ {
-		shard := core.ShardID(s)
-		agGroup := core.ShardGroup(c.spiderAgreement, shard)
-		var entries []core.GroupEntry
-		var peerList []ids.Group
-		for r, g := range c.spiderGroups {
-			sg := core.ShardGroup(g, shard)
-			entries = append(entries, core.GroupEntry{Group: sg, Region: string(r)})
-			peerList = append(peerList, sg)
+	var entries []core.GroupEntry
+	var peerList []ids.Group
+	for r, g := range c.spiderGroups {
+		entries = append(entries, core.GroupEntry{Group: g, Region: string(r)})
+		peerList = append(peerList, g)
+	}
+	for _, m := range c.spiderAgreement.Members {
+		rec := &replicaRecord{
+			node:    m,
+			kind:    kindAgree,
+			group:   c.spiderAgreement,
+			entries: entries,
+			region:  c.Opts.AgreementRegion,
 		}
-		for _, m := range agGroup.Members {
-			rec := &replicaRecord{
-				node:    m,
-				shard:   shard,
-				kind:    kindAgree,
-				group:   agGroup,
-				entries: entries,
-				region:  c.Opts.AgreementRegion,
-			}
-			if err := c.addRecord(rec); err != nil {
-				return err
-			}
-		}
-		for r, g := range c.spiderGroups {
-			if err := c.startExecGroup(core.ShardGroup(g, shard), peerList, shard, r); err != nil {
-				return err
-			}
+		if err := c.addRecord(rec); err != nil {
+			return err
 		}
 	}
 	for r, g := range c.spiderGroups {
+		if err := c.startExecGroup(g, peerList, r); err != nil {
+			return err
+		}
 		c.groupOf[r] = g
 	}
 	return nil
 }
 
-func (c *Cluster) startExecGroup(g ids.Group, peers []ids.Group, shard core.ShardID, region topo.Region) error {
+func (c *Cluster) startExecGroup(g ids.Group, peers []ids.Group, region topo.Region) error {
 	var peerGroups []ids.Group
 	for _, p := range peers {
 		if p.ID != g.ID {
@@ -756,7 +695,6 @@ func (c *Cluster) startExecGroup(g ids.Group, peers []ids.Group, shard core.Shar
 	for _, m := range g.Members {
 		rec := &replicaRecord{
 			node:   m,
-			shard:  shard,
 			kind:   kindExec,
 			group:  g,
 			peers:  peerGroups,
@@ -790,7 +728,7 @@ func (c *Cluster) startRecord(rec *replicaRecord) error {
 	var st storage.Store
 	if c.Opts.StateDir != "" {
 		if rec.dir == "" {
-			rec.dir = filepath.Join(c.Opts.StateDir, fmt.Sprintf("n%d-s%d-%s", rec.node, rec.shard, rec.kind))
+			rec.dir = filepath.Join(c.Opts.StateDir, fmt.Sprintf("n%d-%s", rec.node, rec.kind))
 		}
 		ds, err := storage.Open(rec.dir)
 		if err != nil {
@@ -810,10 +748,9 @@ func (c *Cluster) startRecord(rec *replicaRecord) error {
 			ConsensusTimeout: 2 * time.Second,
 			ConsensusAuth:    c.Opts.ConsensusAuth,
 			CommitDedup:      c.Opts.CommitDedup,
-			CommitStats:      c.commit[rec.shard],
-			BatchOccupancy:   c.batchOcc[rec.shard],
-			SendOccupancy:    c.sendOcc[rec.shard],
-			Shard:            rec.shard,
+			CommitStats:      c.commit,
+			BatchOccupancy:   c.batchOcc,
+			SendOccupancy:    c.sendOcc,
 			Store:            st,
 			// Gray-failure defense: evaluate the leader every 1/8th of
 			// the request timeout; after a rotation hold fire for one
@@ -833,17 +770,14 @@ func (c *Cluster) startRecord(rec *replicaRecord) error {
 	case kindExec:
 		er, err := core.NewExecutionReplica(core.ExecutionConfig{
 			Group:          rec.group,
-			AgreementGroup: core.ShardGroup(c.spiderAgreement, rec.shard),
+			AgreementGroup: c.spiderAgreement,
 			PeerGroups:     rec.peers,
 			Suite:          c.suites[rec.node],
 			Node:           c.Net.Node(rec.node),
 			App:            app.NewKVStore(),
 			Tunables:       c.spiderTunables(),
 			CommitDedup:    c.Opts.CommitDedup,
-			CommitStats:    c.commit[rec.shard],
-			Shard:          rec.shard,
-			ShardMap:       c.shardMap(),
-			KeyOf:          app.OpKey,
+			CommitStats:    c.commit,
 			Store:          st,
 		})
 		if err != nil {
@@ -984,7 +918,7 @@ func (c *Cluster) NewClient(region topo.Region) (*core.Client, error) {
 	c.mu.Unlock()
 	c.Placement.Place(id.Node(), topo.Site{Region: region, Zone: int(id) % 3})
 
-	cfg := core.ClientConfig{
+	client, err := core.NewClient(core.ClientConfig{
 		ID:             id,
 		Group:          group,
 		AgreementGroup: c.spiderAgreement,
@@ -993,18 +927,7 @@ func (c *Cluster) NewClient(region topo.Region) (*core.Client, error) {
 		Retry:          2 * time.Second,
 		Deadline:       60 * time.Second,
 		RetryMax:       8 * time.Second,
-	}
-	if c.Opts.Shards > 1 {
-		// One client edge over S sessions: route each operation to the
-		// shard group owning its key (the shard variants of the
-		// client's contact group share its members and region).
-		for s := 0; s < c.Opts.Shards; s++ {
-			cfg.ShardGroups = append(cfg.ShardGroups, core.ShardGroup(group, core.ShardID(s)))
-		}
-		cfg.ShardMap = c.shardMap()
-		cfg.KeyOf = app.OpKey
-	}
-	client, err := core.NewClient(cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -1035,15 +958,12 @@ func (c *Cluster) AddRegion(region topo.Region) error {
 	}
 	delete(c.spiderPending, region)
 
-	for s := 0; s < c.Opts.Shards; s++ {
-		shard := core.ShardID(s)
-		var peers []ids.Group
-		for _, existing := range c.spiderGroups {
-			peers = append(peers, core.ShardGroup(existing, shard))
-		}
-		if err := c.startExecGroup(core.ShardGroup(g, shard), peers, shard, region); err != nil {
-			return err
-		}
+	var peers []ids.Group
+	for _, existing := range c.spiderGroups {
+		peers = append(peers, existing)
+	}
+	if err := c.startExecGroup(g, peers, region); err != nil {
+		return err
 	}
 	if c.admin == nil {
 		c.Placement.Place(c.adminID.Node(), topo.Site{Region: c.Opts.AgreementRegion, Zone: 0})
@@ -1067,25 +987,14 @@ func (c *Cluster) AddRegion(region topo.Region) error {
 		}
 		c.admin = admin
 	}
-	// Reconfigure every shard session: the admin client keeps one
-	// counter sequence across the S sessions (counter jumps are the
-	// documented multi-session semantics), switching its contact group
-	// to each shard's variant before addressing that shard.
-	adminHome := c.admin.Group()
-	for s := 0; s < c.Opts.Shards; s++ {
-		shard := core.ShardID(s)
-		c.admin.SwitchGroup(core.ShardGroup(adminHome, shard))
-		err := c.admin.Admin(core.AdminOp{
-			Kind:   core.AdminAddGroup,
-			Group:  core.ShardGroup(g, shard),
-			Region: string(region),
-		})
-		if err != nil {
-			c.admin.SwitchGroup(adminHome)
-			return err
-		}
+	err := c.admin.Admin(core.AdminOp{
+		Kind:   core.AdminAddGroup,
+		Group:  g,
+		Region: string(region),
+	})
+	if err != nil {
+		return err
 	}
-	c.admin.SwitchGroup(adminHome)
 	c.spiderGroups[region] = g
 	c.groupOf[region] = g
 	return nil
@@ -1115,18 +1024,7 @@ type Workload struct {
 	StrongReadFrac float64
 	// ValueSize is the write payload size (the paper uses 200 bytes).
 	ValueSize int
-	// KeySkew > 0 draws each operation's key from a Zipf distribution
-	// with exponent 1+KeySkew over a shared key universe instead of
-	// the per-client fixed key, so shard imbalance under hot keys is
-	// generatable and measurable (larger skew concentrates load on
-	// fewer keys, hence fewer shards). 0 keeps the current uniform
-	// per-client key behavior.
-	KeySkew float64
 }
-
-// skewKeyUniverse is the shared key universe a skewed workload draws
-// from; ~1k keys spread over all shards of any supported shard count.
-const skewKeyUniverse = 1024
 
 func (w *Workload) applyDefaults() {
 	if w.ClientsPerRegion <= 0 {
@@ -1221,15 +1119,7 @@ func runClient(h *Handle, client *core.Client, region topo.Region, idx int, w Wo
 			return
 		}
 	}
-	// Skewed workloads draw each operation's key from a shared Zipf'd
-	// universe; key 0 is the hottest, so high skew funnels most
-	// operations onto a handful of keys (and thus shards).
-	var zipf *rand.Zipf
-	if w.KeySkew > 0 {
-		zipf = rand.NewZipf(rng, 1+w.KeySkew, 1, skewKeyUniverse-1)
-	}
 
-	seq := 0
 	for time.Now().Before(deadline) {
 		select {
 		case <-h.stop:
@@ -1240,16 +1130,12 @@ func runClient(h *Handle, client *core.Client, region topo.Region, idx int, w Wo
 		if w.StrongReadFrac > 0 && rng.Float64() < w.StrongReadFrac {
 			kind = core.KindStrongRead
 		}
-		opKey := key
-		if zipf != nil {
-			opKey = fmt.Sprintf("zipf-%04d", zipf.Uint64())
-		}
 		var op []byte
 		switch kind {
 		case core.KindWrite:
-			op = app.EncodeOp(app.Op{Kind: app.OpPut, Key: opKey, Value: value})
+			op = app.EncodeOp(app.Op{Kind: app.OpPut, Key: key, Value: value})
 		default:
-			op = app.EncodeOp(app.Op{Kind: app.OpGet, Key: opKey})
+			op = app.EncodeOp(app.Op{Kind: app.OpGet, Key: key})
 		}
 		start := time.Now()
 		var err error
@@ -1265,7 +1151,6 @@ func runClient(h *Handle, client *core.Client, region topo.Region, idx int, w Wo
 		if err == nil && start.After(warmupEnd) {
 			rec.RecordAt(start, elapsed)
 		}
-		seq++
 		if pause := interval - elapsed; pause > 0 {
 			select {
 			case <-h.stop:

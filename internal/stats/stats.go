@@ -340,33 +340,6 @@ func (o *Occupancy) Summarize() OccupancySummary {
 	}
 }
 
-// Merge folds all of src's observations into o. Each observation is
-// copied exactly once per call, so aggregating per-shard recorders at
-// read time cannot double count events the way sharing one recorder
-// across sessions could.
-func (o *Occupancy) Merge(src *Occupancy) {
-	src.mu.Lock()
-	freq := make(map[int]int64, len(src.freq))
-	for v, n := range src.freq {
-		freq[v] = n
-	}
-	obs, sum := src.obs, src.sum
-	src.mu.Unlock()
-	if obs == 0 {
-		return
-	}
-	o.mu.Lock()
-	if o.freq == nil {
-		o.freq = make(map[int]int64, len(freq))
-	}
-	for v, n := range freq {
-		o.freq[v] += n
-	}
-	o.obs += obs
-	o.sum += sum
-	o.mu.Unlock()
-}
-
 // Reset discards all observations.
 func (o *Occupancy) Reset() {
 	o.mu.Lock()
@@ -381,18 +354,14 @@ func (o *Occupancy) Reset() {
 // rate forgets old events with a granularity of window/rateBuckets.
 const rateBuckets = 16
 
-// rateEpoch anchors every Rate recorder's bucket grid to one shared
-// monotonic origin, so per-shard recorders created at different times
-// still bucket the same instant into the same tick and Merge adds
-// aligned buckets instead of smearing events across the window.
+// rateEpoch is the monotonic origin of every Rate recorder's bucket
+// grid.
 var rateEpoch = time.Now()
 
 // Rate measures events per second over a sliding window on the
 // monotonic clock (wall-clock jumps cannot distort it: time.Time
 // subtraction prefers the monotonic reading). It feeds PBFT's
-// slow-leader monitor, and is mergeable like Occupancy so sharded
-// deployments can aggregate per-shard recorders exactly once at read
-// time. Safe for concurrent use.
+// slow-leader monitor. Safe for concurrent use.
 type Rate struct {
 	mu       sync.Mutex
 	window   time.Duration
@@ -400,7 +369,6 @@ type Rate struct {
 	buckets  [rateBuckets]int64
 	lastTick int64
 	started  bool
-	total    int64
 }
 
 // NewRate returns a rate recorder averaging over the given window.
@@ -462,7 +430,6 @@ func (r *Rate) RecordAt(now time.Time, n int) {
 	if t > r.lastTick-rateBuckets { // not already aged out of the window
 		r.buckets[idx] += int64(n)
 	}
-	r.total += int64(n)
 	r.mu.Unlock()
 }
 
@@ -481,66 +448,12 @@ func (r *Rate) PerSecondAt(now time.Time) float64 {
 	return float64(sum) / r.window.Seconds()
 }
 
-// Total returns the all-time event count, independent of the window.
-func (r *Rate) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Merge folds src's window contents and total into r. Both recorders
-// share the process-wide bucket grid, so in-window events land in the
-// bucket covering the instant they were recorded at; recorders with
-// different window sizes cannot align and src's in-window events are
-// folded into r's bucket at src's newest tick instead. Each event is
-// added exactly once per call, mirroring Occupancy.Merge.
-func (r *Rate) Merge(src *Rate) {
-	if src == nil || src == r {
-		return
-	}
-	src.mu.Lock()
-	buckets := src.buckets
-	lastTick, started := src.lastTick, src.started
-	total := src.total
-	width := src.width
-	src.mu.Unlock()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.total += total
-	if !started {
-		return
-	}
-	if width != r.width {
-		var sum int64
-		for _, b := range buckets {
-			sum += b
-		}
-		if !r.started {
-			r.started, r.lastTick = true, lastTick
-		}
-		r.buckets[(r.lastTick%rateBuckets+rateBuckets)%rateBuckets] += sum
-		return
-	}
-	r.advanceLocked(lastTick)
-	// src's ring holds ticks (lastTick-rateBuckets, lastTick]; copy the
-	// ones still inside r's window.
-	for t := lastTick - rateBuckets + 1; t <= lastTick; t++ {
-		if t <= r.lastTick-rateBuckets {
-			continue
-		}
-		idx := (t%rateBuckets + rateBuckets) % rateBuckets
-		r.buckets[idx] += buckets[idx]
-	}
-}
-
-// Reset discards the window contents and the all-time total.
+// Reset discards the window contents.
 func (r *Rate) Reset() {
 	r.mu.Lock()
 	r.buckets = [rateBuckets]int64{}
 	r.started = false
 	r.lastTick = 0
-	r.total = 0
 	r.mu.Unlock()
 }
 

@@ -83,14 +83,6 @@ type (
 	// CommitStats aggregates commit-channel byte and payload-dedup
 	// counters across the replicas it is shared with.
 	CommitStats = core.CommitStats
-
-	// ShardID identifies one keyspace shard of a sharded deployment.
-	ShardID = core.ShardID
-	// ShardMap is the deterministic key-to-shard routing function.
-	ShardMap = core.ShardMap
-	// ShardSeq addresses one committed batch of one shard's session,
-	// ordered globally by core.MergeOrder's (Seq, Shard) rule.
-	ShardSeq = core.ShardSeq
 )
 
 // Admin operation kinds.
@@ -190,11 +182,6 @@ type LocalClusterOptions struct {
 	Suite string
 	// UseIRMCSC selects the sender-side-collection channel variant.
 	UseIRMCSC bool
-	// Shards runs this many independent agreement sessions over a
-	// partitioned keyspace (default 1 — byte-for-byte the unsharded
-	// deployment). Clients route each operation to the session owning
-	// its key; see ShardMap for the key-to-shard function.
-	Shards int
 
 	// SuspectSlowLeader arms the gray-failure defense: agreement
 	// replicas monitor the leader's delivery throughput and proposal
@@ -236,7 +223,6 @@ func NewLocalCluster(opts LocalClusterOptions) (*LocalCluster, error) {
 		Scale:             opts.LatencyScale,
 		SuiteKind:         suite,
 		Channel:           channel,
-		Shards:            opts.Shards,
 		SuspectSlowLeader: opts.SuspectSlowLeader,
 	})
 	if err != nil {
