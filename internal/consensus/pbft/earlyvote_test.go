@@ -22,7 +22,7 @@ type lateNewViewNode struct {
 	mu       sync.Mutex
 	leader   ids.NodeID // sender of the kept-back new-view; 0 before and after
 	kept     [][]byte
-	released bool
+	released bool // a new-view vote was handed over before the new view
 }
 
 func (n *lateNewViewNode) Handle(stream transport.Stream, h transport.Handler) {
@@ -40,7 +40,10 @@ func (n *lateNewViewNode) Handle(stream transport.Stream, h transport.Handler) {
 			n.mu.Unlock()
 			return
 		}
-		release := n.leader != 0 && tag == tagPrepare && view > 0
+		// A vote in the new view that outruns the new-view message on
+		// its own is the order under test too; the new view then passes
+		// unheld, since no second such vote may ever come to release it.
+		release := !n.released && tag == tagPrepare && view > 0
 		var kept [][]byte
 		var leader ids.NodeID
 		if release {

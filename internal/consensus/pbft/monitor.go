@@ -15,6 +15,13 @@ type ViewRate struct {
 	PerSec float64
 }
 
+// Rotation is one proactive accusation of a slow leader: the view it
+// deposed and the monitor's human-readable reason.
+type Rotation struct {
+	View   uint64
+	Reason string
+}
+
 // monitor is the gray-failure leader performance monitor
 // (Config.SuspectSlowLeader). Every replica runs one against its own
 // observations of the group: request arrivals and deliveries recorded
@@ -70,7 +77,7 @@ type monitor struct {
 
 	lastRotate time.Time
 	rotations  uint64
-	reasons    []string
+	reasons    []Rotation
 }
 
 const (
@@ -188,7 +195,7 @@ func (m *monitor) evaluate(now time.Time, view uint64, demand bool, oldestWait t
 	m.streak = 0
 	reason := fmt.Sprintf("view %d: %.1f/s < %.2f x %.1f/s, lat %.0fms > %.0fms (arrival %.1f/s)",
 		view, rate, m.frac, rateMed, lat*1000, latMed/m.frac*1000, m.arrival.PerSecondAt(now))
-	m.reasons = append(m.reasons, reason)
+	m.reasons = append(m.reasons, Rotation{View: view, Reason: reason})
 	if len(m.reasons) > monitorReasons {
 		m.reasons = m.reasons[len(m.reasons)-monitorReasons:]
 	}

@@ -125,6 +125,9 @@ type Replica struct {
 	queue        []queuedReq
 	seen         map[crypto.Digest]reqState
 	pendingSince map[crypto.Digest]time.Time
+	// retired holds the payloads delivered below the latest stable
+	// checkpoint; their seen records go when the next one stabilizes.
+	retired []crypto.Digest
 
 	ckptVotes    map[uint64]map[ids.NodeID]ckptVote
 	stableProof  []signedRaw
@@ -316,15 +319,15 @@ func (r *Replica) ViewChanges() uint64 {
 }
 
 // Rotations returns how many proactive (gray-failure) rotations this
-// replica initiated and the recorded reasons, newest last. Zero and
-// nil unless SuspectSlowLeader is on.
-func (r *Replica) Rotations() (uint64, []string) {
+// replica initiated and the recorded accusations, newest last. Zero
+// and nil unless SuspectSlowLeader is on.
+func (r *Replica) Rotations() (uint64, []Rotation) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.mon == nil {
 		return 0, nil
 	}
-	return r.mon.rotations, append([]string(nil), r.mon.reasons...)
+	return r.mon.rotations, append([]Rotation(nil), r.mon.reasons...)
 }
 
 // ViewThroughput returns the monitor's per-view delivery rates
@@ -1313,13 +1316,21 @@ func (r *Replica) stabilizeLocked(batch, global uint64, chain crypto.Digest, pro
 	if r.nextSeq <= batch {
 		r.nextSeq = batch + 1
 	}
+	// Delivered payloads are forgotten one checkpoint late: an Order of
+	// a payload racing its own delivery must still find it delivered,
+	// not re-arm the fault-detection timer for a payload no leader will
+	// propose again.
+	for _, d := range r.retired {
+		delete(r.seen, d)
+	}
+	r.retired = r.retired[:0]
 	for seq, e := range r.log {
 		// Keep committed-but-undelivered entries: the delivery loop
 		// still needs their payloads.
 		if seq <= batch && (e.delivered || !e.committed) {
 			for _, d := range e.payloadDigestsLocked() {
 				if e.delivered || r.seen[d] == reqDelivered {
-					delete(r.seen, d)
+					r.retired = append(r.retired, d)
 					delete(r.pendingSince, d)
 				}
 			}

@@ -410,10 +410,12 @@ func (a *AgreementReplica) ConsensusViewChanges() (uint64, bool) {
 
 // ConsensusRotations reports how many proactive slow-leader rotations
 // this replica's performance monitor has triggered, plus the recorded
-// human-readable reasons (most recent last). Zero with no reasons when
-// the monitor is disabled or the implementation lacks one.
-func (a *AgreementReplica) ConsensusRotations() (uint64, []string, bool) {
-	if r, ok := a.ag.(interface{ Rotations() (uint64, []string) }); ok {
+// accusations (most recent last). Zero with none when the monitor is
+// disabled or the implementation lacks one.
+func (a *AgreementReplica) ConsensusRotations() (uint64, []pbft.Rotation, bool) {
+	if r, ok := a.ag.(interface {
+		Rotations() (uint64, []pbft.Rotation)
+	}); ok {
 		n, reasons := r.Rotations()
 		return n, reasons, true
 	}
@@ -591,12 +593,21 @@ func (a *AgreementReplica) receiveLoop(recv irmc.Receiver, client ids.ClientID) 
 			}
 			return // channel closed (group removed or shutdown)
 		}
-		a.ag.Order(payload)
 		a.mu.Lock()
+		// Consensus may have agreed on this request (or a newer one of
+		// the client) while Receive waited: a follower learns payloads
+		// from the leader's proposal. Ordering it again would re-arm the
+		// fault-detection timer for a payload whose delivery record a
+		// checkpoint may already have collected, deposing a correct
+		// leader one timeout later.
+		fresh := a.t[client] < pos
 		if pos+1 > a.tplus[client] {
 			a.tplus[client] = pos + 1
 		}
 		a.mu.Unlock()
+		if fresh {
+			a.ag.Order(payload)
+		}
 	}
 }
 

@@ -9,8 +9,10 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -448,7 +450,8 @@ type GrayStats struct {
 	// (timeout-driven and proactive alike).
 	ViewChanges uint64
 	// Rotations counts proactive slow-leader rotations triggered by the
-	// performance monitor; Reasons holds their recorded explanations.
+	// performance monitor; Reasons holds one recorded explanation per
+	// accused view, oldest view first.
 	Rotations uint64
 	Reasons   []string
 	// ViewRates is per-view delivery throughput as seen by the replica
@@ -459,13 +462,17 @@ type GrayStats struct {
 // GrayFailureStats reports the agreement group's view-change and
 // proactive-rotation counters. Each replica counts independently
 // (monitors are per-replica local state), so the cluster-level figure
-// is the maximum across running replicas.
+// is the maximum across running replicas. Replicas join a view change
+// others started, so the accusers of successive slow leaders may be
+// different replicas: rotations also count the distinct views any
+// replica accused.
 func (c *Cluster) GrayFailureStats() GrayStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out GrayStats
 	bestView := uint64(0)
 	haveView := false
+	accused := make(map[uint64]string)
 	for _, rec := range c.records {
 		if rec.kind != kindAgree || !rec.running || rec.agree == nil {
 			continue
@@ -473,9 +480,13 @@ func (c *Cluster) GrayFailureStats() GrayStats {
 		if vc, ok := rec.agree.ConsensusViewChanges(); ok && vc > out.ViewChanges {
 			out.ViewChanges = vc
 		}
-		if n, reasons, ok := rec.agree.ConsensusRotations(); ok && n >= out.Rotations && n > 0 {
-			out.Rotations = n
-			out.Reasons = reasons
+		if n, rots, ok := rec.agree.ConsensusRotations(); ok {
+			out.Rotations = max(out.Rotations, n)
+			for _, rot := range rots {
+				if _, dup := accused[rot.View]; !dup {
+					accused[rot.View] = rot.Reason
+				}
+			}
 		}
 		if view, ok := rec.agree.ConsensusView(); ok {
 			if rates := rec.agree.ConsensusViewRates(); len(rates) > 0 && (!haveView || view > bestView) {
@@ -484,6 +495,10 @@ func (c *Cluster) GrayFailureStats() GrayStats {
 			}
 		}
 	}
+	for _, v := range slices.Sorted(maps.Keys(accused)) {
+		out.Reasons = append(out.Reasons, accused[v])
+	}
+	out.Rotations = max(out.Rotations, uint64(len(accused)))
 	return out
 }
 
