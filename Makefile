@@ -97,15 +97,16 @@ bench-compare:
 	test "$$new" != "$(OLD)" || { echo "bench-compare: NEW resolved to OLD ($$new); pass NEW=<other snapshot>"; exit 2; }; \
 	$(GO) run ./tools/benchcompare $(OLD) $$new
 
-## loc: the two size numbers a simplification is judged by — lines of
+## loc: the size numbers a simplification is judged by — lines of
 ## product Go code in the root module (every line of a .go file that is
 ## not a _test.go, not under bench/, and not in a test-support package:
-## irmctest, cryptotest), and the same for internal/irmc/** alone.
-## At PR 16: 21481 and 2640.
+## irmctest, cryptotest), and the same for internal/irmc/** and
+## internal/consensus/pbft alone.
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/irmctest/*' ! -path '*/cryptotest/*' -print0 | xargs -0 cat | wc -l
 loc:
 	@echo "product Go lines, root module:     $$($(call LOC,.))"
 	@echo "product Go lines, internal/irmc/**: $$($(call LOC,./internal/irmc))"
+	@echo "product Go lines, consensus/pbft:   $$($(call LOC,./internal/consensus/pbft))"
 
 tidy:
 	$(GO) mod tidy

@@ -18,8 +18,8 @@ const grayDelay = 150 * time.Millisecond
 
 // rotationBudget bounds how long detection plus the resulting view
 // change may take: the monitor needs its 4-interval rate window to
-// drain plus MonitorStrikes flagged intervals (250ms each at the
-// harness tuning), then the view change itself must propagate.
+// drain plus three flagged intervals (250ms each at the harness's 2s
+// request timeout), then the view change itself must propagate.
 func rotationBudget() time.Duration {
 	if raceflag.Enabled {
 		return 30 * time.Second

@@ -15,7 +15,7 @@ var benchNodes = []ids.NodeID{1, 2, 3, 4}
 // TestPrepareEnvelopeAllocs is the allocation-regression guard for the
 // pooled envelope-encoding path: building a prepare frame in a pooled
 // writer, producing its MAC vector, and encoding the multicast
-// envelope — the per-message work of authMulticastLocked — must stay
+// envelope — the per-message work of Replica.authMulticast — must stay
 // within a fixed allocation budget. The envelope itself is one
 // irreducible allocation (the transport retains it); the budget allows
 // it plus the two MAC-vector allocations.

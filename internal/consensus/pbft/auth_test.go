@@ -8,7 +8,7 @@ import (
 
 	"spider/internal/crypto"
 	"spider/internal/ids"
-	"spider/internal/transport/memnet"
+	"spider/internal/transport"
 	"spider/internal/wire"
 )
 
@@ -26,7 +26,21 @@ func macFrom(s crypto.Suite, members []ids.NodeID, tag wire.TypeTag, m wire.Mars
 	return wire.Encode(&raw)
 }
 
-// authRecord is one dispatched frame's authentication summary.
+// tapNode shows a test every frame its replica receives, before the
+// replica sees it.
+type tapNode struct {
+	transport.Node
+	see func(from ids.NodeID, payload []byte)
+}
+
+func (n *tapNode) Handle(stream transport.Stream, h transport.Handler) {
+	n.Node.Handle(stream, func(from ids.NodeID, payload []byte) {
+		n.see(from, payload)
+		h(from, payload)
+	})
+}
+
+// authRecord is one received frame's authentication summary.
 type authRecord struct {
 	from ids.NodeID
 	tag  wire.TypeTag
@@ -34,33 +48,42 @@ type authRecord struct {
 	mac  bool
 }
 
-// recordAuth installs a dispatch hook collecting authentication
-// summaries of frames from other replicas.
-func recordAuth(r *Replica) func() []authRecord {
-	var mu sync.Mutex
-	var recs []authRecord
-	r.dispatchHook = func(from ids.NodeID, tag wire.TypeTag, _ wire.Message, raw *signedRaw) {
-		if from == r.me {
+// authTap records the authentication of every frame replica 2 receives
+// from the other replicas.
+type authTap struct {
+	mu   sync.Mutex
+	recs []authRecord
+}
+
+func (a *authTap) wrap(i int, cfg *Config) {
+	if i != 1 {
+		return
+	}
+	cfg.Node = &tapNode{Node: cfg.Node, see: func(from ids.NodeID, payload []byte) {
+		var raw signedRaw
+		if from == 2 || wire.Decode(payload, &raw) != nil {
 			return
 		}
-		mu.Lock()
-		recs = append(recs, authRecord{from: from, tag: tag, sig: len(raw.Sig) > 0, mac: len(raw.MACVec) > 0})
-		mu.Unlock()
-	}
-	return func() []authRecord {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]authRecord(nil), recs...)
-	}
+		tag, _ := peekFrame(payload)
+		a.mu.Lock()
+		a.recs = append(a.recs, authRecord{from: from, tag: tag, sig: len(raw.Sig) > 0, mac: len(raw.MACVec) > 0})
+		a.mu.Unlock()
+	}}
+}
+
+func (a *authTap) snap() []authRecord {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]authRecord(nil), a.recs...)
 }
 
 // TestMACModeWireAuthentication asserts the default mode puts MAC
 // vectors on prepare/commit and signatures on pre-prepare and
 // checkpoint frames.
 func TestMACModeWireAuthentication(t *testing.T) {
-	c := newCluster(t, 4, 1, nil)
+	var tap authTap
+	c := newCluster(t, 4, 1, tap.wrap)
 	defer c.stop()
-	snap := recordAuth(c.replicas[1])
 	c.start()
 
 	const total = 40 // enough batches to cross a checkpoint interval
@@ -70,13 +93,13 @@ func TestMACModeWireAuthentication(t *testing.T) {
 	c.waitDeliveries(total, 10*time.Second, nil)
 
 	// Checkpoint frames trail the deliveries that trigger them; wait
-	// until at least one of each interesting tag has been dispatched.
+	// until at least one of each interesting tag has arrived.
 	want := []wire.TypeTag{tagPrePrepare, tagPrepare, tagCommit, tagCheckpoint}
 	deadline := time.Now().Add(5 * time.Second)
 	counts := make(map[wire.TypeTag]int)
 	for {
 		counts = make(map[wire.TypeTag]int)
-		for _, rec := range snap() {
+		for _, rec := range tap.snap() {
 			counts[rec.tag]++
 		}
 		complete := true
@@ -95,7 +118,7 @@ func TestMACModeWireAuthentication(t *testing.T) {
 			t.Fatalf("no frames of tag %d observed", tag)
 		}
 	}
-	for _, rec := range snap() {
+	for _, rec := range tap.snap() {
 		switch rec.tag {
 		case tagPrepare, tagCommit:
 			if rec.sig || !rec.mac {
@@ -111,11 +134,12 @@ func TestMACModeWireAuthentication(t *testing.T) {
 
 // TestSignatureModeStillWorks pins the classic fully signed variant.
 func TestSignatureModeStillWorks(t *testing.T) {
-	c := newCluster(t, 4, 1, func(_ int, cfg *Config) {
+	var tap authTap
+	c := newCluster(t, 4, 1, func(i int, cfg *Config) {
 		cfg.NormalCaseAuth = AuthSignatures
+		tap.wrap(i, cfg)
 	})
 	defer c.stop()
-	snap := recordAuth(c.replicas[1])
 	c.start()
 
 	const total = 12
@@ -124,9 +148,9 @@ func TestSignatureModeStillWorks(t *testing.T) {
 	}
 	c.waitDeliveries(total, 10*time.Second, nil)
 
-	for _, rec := range snap() {
+	for _, rec := range tap.snap() {
 		if !rec.sig {
-			t.Fatalf("signature mode dispatched unsigned frame tag %d from %v", rec.tag, rec.from)
+			t.Fatalf("signature mode sent an unsigned frame tag %d from %v", rec.tag, rec.from)
 		}
 	}
 }
@@ -136,26 +160,32 @@ func TestSignatureModeStillWorks(t *testing.T) {
 // view change whose view-change messages carry signature-based
 // prepared proofs (satellite: the MAC/view-change interop seam).
 func TestMACModeViewChange(t *testing.T) {
-	c := newCluster(t, 4, 1, func(_ int, cfg *Config) {
+	// Record the view-change traffic replica 2 sees.
+	var mu sync.Mutex
+	var vcs []*viewChange
+	c := newCluster(t, 4, 1, func(i int, cfg *Config) {
 		// A roomier timeout widens the proof-upgrade hold (a fraction
 		// of it), so a heavily loaded CI box cannot expire the hold
 		// before the signed re-votes arrive and emit proof-less view
 		// changes — legitimate protocol behavior, but it would starve
 		// the proofs>0 assertion below.
 		cfg.RequestTimeout = time.Second
+		if i != 1 {
+			return
+		}
+		cfg.Node = &tapNode{Node: cfg.Node, see: func(_ ids.NodeID, payload []byte) {
+			var raw signedRaw
+			if tag, _ := peekFrame(payload); tag != tagViewChange || wire.Decode(payload, &raw) != nil {
+				return
+			}
+			if _, msg, err := registry.DecodeFrame(raw.Frame); err == nil {
+				mu.Lock()
+				vcs = append(vcs, msg.(*viewChange))
+				mu.Unlock()
+			}
+		}}
 	})
 	defer c.stop()
-
-	// Record the view-change traffic replica 2 sees.
-	var mu sync.Mutex
-	var vcs []*viewChange
-	c.replicas[1].dispatchHook = func(from ids.NodeID, tag wire.TypeTag, msg wire.Message, raw *signedRaw) {
-		if tag == tagViewChange {
-			mu.Lock()
-			vcs = append(vcs, msg.(*viewChange))
-			mu.Unlock()
-		}
-	}
 	c.start()
 
 	for i := 0; i < 8; i++ {
@@ -223,85 +253,52 @@ func TestMACModeViewChange(t *testing.T) {
 // under MAC votes and is pushed into a view change, but the peers
 // WITHHOLD their signed re-votes, so the proof-upgrade round can never
 // make the prepared proof transferable. The bounded hold in
-// maybeEmitViewChangeLocked must expire (curTimeout/8, capped at
-// 250ms) and the view-change message must go out WITHOUT the
-// non-transferable entry — len(Prepared) == 0 — instead of stalling
-// the view change on proofs that will never arrive.
+// maybeEmitViewChange must expire (curTimeout/8, capped at 250ms) and
+// the view-change message must go out WITHOUT the non-transferable
+// entry — len(Prepared) == 0 — instead of stalling the view change on
+// proofs that will never arrive. Replica 2 runs on the simulation's
+// synthetic clock; the test plays its peers, which receive nothing.
 func TestMACViewChangeQuorumShortfall(t *testing.T) {
-	members := []ids.NodeID{1, 2, 3, 4}
-	group := ids.Group{ID: 1, Members: members, F: 1}
-	suites := crypto.NewSuites(members, crypto.SuiteInsecure)
-	net := memnet.New(memnet.Options{})
-	defer net.Close()
-
-	col := &collector{}
-	r, err := New(Config{
-		Group:   group,
-		Suite:   suites[2], // leader of view 1
-		Node:    net.Node(2),
-		Stream:  testStream,
-		Deliver: col.deliver,
-		// 2s timeout: the timer tick (timeout/8 = 250ms) re-runs
-		// maybeEmitViewChangeLocked right after the capped 250ms hold
-		// expires, while the view-change deadline (2x timeout after
-		// the backoff doubling) stays far away.
-		BatchSize:      1,
-		RequestTimeout: 2 * time.Second,
+	s := newSim(t, func(cfg *Config) {
+		// 2s timeout: the timeout check (every timeout/8 = 250ms) re-runs
+		// maybeEmitViewChange right after the capped 250ms hold expires,
+		// while the view-change deadline (2x timeout after the backoff
+		// doubling) stays far away.
+		cfg.BatchSize = 1
+		cfg.RequestTimeout = 2 * time.Second
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var ownVCs []*viewChange
-	net.Node(3).Handle(testStream, func(from ids.NodeID, payload []byte) {
-		var raw signedRaw
-		if err := wire.Decode(payload, &raw); err != nil {
-			return
-		}
-		tag, msg, err := registry.DecodeFrame(raw.Frame)
-		if err != nil {
-			return
-		}
-		if tag == tagViewChange {
-			mu.Lock()
-			ownVCs = append(ownVCs, msg.(*viewChange))
-			mu.Unlock()
-		}
-	})
-	r.Start()
-	defer r.Stop()
+	s.down[1], s.down[3], s.down[4] = true, true, true
+	r := s.reps[2].core // leader of view 1
+	send := func(from ids.NodeID, env []byte) { s.arrive(simFrame{from: from, to: 2, env: env}) }
+	members := s.members
 
 	payload := []byte("mac-prepared-unprovable-batch")
 	digest := batchDigest([][]byte{payload})
-	send := func(from ids.NodeID, env []byte) { net.Node(from).Send(2, testStream, env) }
 
 	// View 0: the entry prepares under MAC votes (not transferable).
-	send(1, sealFrom(suites[1], tagPrePrepare, &prePrepare{View: 0, Seq: 1, Payloads: [][]byte{payload}}))
-	send(3, macFrom(suites[3], members, tagPrepare, &prepare{View: 0, Seq: 1, Digest: digest}))
-	send(4, macFrom(suites[4], members, tagPrepare, &prepare{View: 0, Seq: 1, Digest: digest}))
-	waitState(t, r, "entry prepared under MACs", func() bool {
-		e, ok := r.log[1]
-		return ok && e.prepared && !e.committed
-	})
+	send(1, sealFrom(s.suites[1], tagPrePrepare, &prePrepare{View: 0, Seq: 1, Payloads: [][]byte{payload}}))
+	send(3, macFrom(s.suites[3], members, tagPrepare, &prepare{View: 0, Seq: 1, Digest: digest}))
+	send(4, macFrom(s.suites[4], members, tagPrepare, &prepare{View: 0, Seq: 1, Digest: digest}))
+	if e, ok := r.log[1]; !ok || !e.prepared || e.committed {
+		t.Fatal("entry not prepared under MACs")
+	}
 
 	// Push into the view change — but never send the signed re-votes
 	// the proof upgrade waits for.
-	start := time.Now()
-	send(3, sealFrom(suites[3], tagViewChange, &viewChange{NewView: 1}))
-	send(4, sealFrom(suites[4], tagViewChange, &viewChange{NewView: 1}))
+	start := s.now
+	send(3, sealFrom(s.suites[3], tagViewChange, &viewChange{NewView: 1}))
+	send(4, sealFrom(s.suites[4], tagViewChange, &viewChange{NewView: 1}))
 
 	// With 2f+1 proof-less view changes (peers' plus its own) the
 	// replica, leader of view 1, completes the view change.
-	waitState(t, r, "view 1 adopted despite withheld re-votes", func() bool {
+	s.run("view 1 adopted despite withheld re-votes", 10*time.Second, func() bool {
 		return r.view == 1 && !r.inVC
 	})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
+	if elapsed := s.now.Sub(start); elapsed > 5*time.Second {
 		t.Fatalf("view change took %v; hold apparently not bounded", elapsed)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
+	ownVCs := s.sentViewChanges(2)
 	if len(ownVCs) == 0 {
 		t.Fatal("replica never emitted its view-change message")
 	}
@@ -318,86 +315,33 @@ func TestMACViewChangeQuorumShortfall(t *testing.T) {
 	}
 }
 
-// waitState polls a replica-state predicate under the lock.
-func waitState(t *testing.T, r *Replica, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		r.mu.Lock()
-		ok := cond()
-		r.mu.Unlock()
-		if ok {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timeout waiting for %s", what)
-}
-
 // TestMACViewChangeAdoptsPreparedEntry is the deterministic version of
-// the interop seam: a single real replica prepares a batch under MAC
-// votes (never committing it), is pushed into a view change it will
-// lead, upgrades its proof with signed re-votes, and must re-propose
-// the same batch in the new view — where MAC votes then commit and
-// deliver it.
+// the interop seam: a single replica prepares a batch under MAC votes
+// (never committing it), is pushed into a view change it will lead,
+// upgrades its proof with signed re-votes, and must re-propose the same
+// batch in the new view — where MAC votes then commit and deliver it.
+// Replica 2 runs on the simulation's synthetic clock; the test plays its
+// peers, which receive nothing.
 func TestMACViewChangeAdoptsPreparedEntry(t *testing.T) {
-	members := []ids.NodeID{1, 2, 3, 4}
-	group := ids.Group{ID: 1, Members: members, F: 1}
-	suites := crypto.NewSuites(members, crypto.SuiteInsecure)
-	net := memnet.New(memnet.Options{})
-	defer net.Close()
-
-	col := &collector{}
-	r, err := New(Config{
-		Group:          group,
-		Suite:          suites[2], // leader of view 1
-		Node:           net.Node(2),
-		Stream:         testStream,
-		Deliver:        col.deliver,
-		BatchSize:      1,
-		RequestTimeout: time.Minute, // the test drives the view change itself
+	s := newSim(t, func(cfg *Config) {
+		cfg.BatchSize = 1
+		cfg.RequestTimeout = time.Minute // the test drives the view change itself
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Observe everything multicast to node 3.
-	var mu sync.Mutex
-	var ownVCs []*viewChange
-	var newViews []*newView
-	net.Node(3).Handle(testStream, func(from ids.NodeID, payload []byte) {
-		var raw signedRaw
-		if err := wire.Decode(payload, &raw); err != nil {
-			return
-		}
-		tag, msg, err := registry.DecodeFrame(raw.Frame)
-		if err != nil {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		switch tag {
-		case tagViewChange:
-			ownVCs = append(ownVCs, msg.(*viewChange))
-		case tagNewView:
-			newViews = append(newViews, msg.(*newView))
-		}
-	})
-	r.Start()
-	defer r.Stop()
+	s.down[1], s.down[3], s.down[4] = true, true, true
+	r := s.reps[2].core // leader of view 1
+	send := func(from ids.NodeID, env []byte) { s.arrive(simFrame{from: from, to: 2, env: env}) }
+	suites, members := s.suites, s.members
 
 	payload := []byte("mac-prepared-batch")
 	digest := batchDigest([][]byte{payload})
-	send := func(from ids.NodeID, env []byte) { net.Node(from).Send(2, testStream, env) }
 
 	// View 0: pre-prepare from leader 1, MAC prepares from 3 and 4.
 	send(1, sealFrom(suites[1], tagPrePrepare, &prePrepare{View: 0, Seq: 1, Payloads: [][]byte{payload}}))
 	send(3, macFrom(suites[3], members, tagPrepare, &prepare{View: 0, Seq: 1, Digest: digest}))
 	send(4, macFrom(suites[4], members, tagPrepare, &prepare{View: 0, Seq: 1, Digest: digest}))
-	waitState(t, r, "entry prepared under MACs", func() bool {
-		e, ok := r.log[1]
-		return ok && e.prepared && !e.committed
-	})
+	if e, ok := r.log[1]; !ok || !e.prepared || e.committed {
+		t.Fatal("entry not prepared under MACs")
+	}
 
 	// Proof upgrade material: signed re-votes from 3 and 4, then
 	// view-change messages pushing the replica into view 1.
@@ -406,44 +350,35 @@ func TestMACViewChangeAdoptsPreparedEntry(t *testing.T) {
 	send(3, sealFrom(suites[3], tagViewChange, &viewChange{NewView: 1}))
 	send(4, sealFrom(suites[4], tagViewChange, &viewChange{NewView: 1}))
 
-	waitState(t, r, "view 1 adopted", func() bool { return r.view == 1 && !r.inVC })
+	s.run("view 1 adopted", time.Second, func() bool { return r.view == 1 && !r.inVC })
 
 	// The replica led the view change: its own view-change message
 	// must carry the upgraded, signature-based prepared proof, and its
 	// new-view must re-propose the batch.
-	mu.Lock()
+	ownVCs := s.sentViewChanges(2)
 	if len(ownVCs) == 0 {
-		mu.Unlock()
 		t.Fatal("replica never emitted its view-change message")
 	}
 	vc := ownVCs[len(ownVCs)-1]
 	if len(vc.Prepared) != 1 {
-		mu.Unlock()
 		t.Fatalf("view change carried %d prepared proofs, want 1", len(vc.Prepared))
 	}
 	for i := range vc.Prepared[0].Prepares {
 		if !vc.Prepared[0].Prepares[i].transferable() {
-			mu.Unlock()
 			t.Fatal("upgraded prepared proof still contains MAC votes")
 		}
 	}
+	newViews := s.multicasts(2, tagNewView)
 	if len(newViews) == 0 {
-		mu.Unlock()
 		t.Fatal("no new-view observed")
 	}
-	nv := newViews[len(newViews)-1]
+	nv := newViews[len(newViews)-1].(*newView)
 	if len(nv.PrePrepares) != 1 {
-		mu.Unlock()
 		t.Fatalf("new view re-issued %d batches, want 1", len(nv.PrePrepares))
 	}
-	_, rpp, err := registry.DecodeFrame(nv.PrePrepares[0].Frame)
-	mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reissued := rpp.(*prePrepare)
-	if reissued.Seq != 1 || reissued.View != 1 || batchDigest(reissued.Payloads) != digest {
-		t.Fatalf("re-issued pre-prepare (view %d, seq %d) does not match the MAC-prepared batch", reissued.View, reissued.Seq)
+	reissued := decodePrePrepare(&nv.PrePrepares[0])
+	if reissued == nil || reissued.Seq != 1 || reissued.View != 1 || batchDigest(reissued.Payloads) != digest {
+		t.Fatal("reissued pre-prepare does not match the MAC-prepared batch")
 	}
 
 	// Normal case in view 1 commits and delivers the adopted batch.
@@ -452,15 +387,9 @@ func TestMACViewChangeAdoptsPreparedEntry(t *testing.T) {
 	send(3, macFrom(suites[3], members, tagCommit, &commit{View: 1, Seq: 1, Digest: digest}))
 	send(4, macFrom(suites[4], members, tagCommit, &commit{View: 1, Seq: 1, Digest: digest}))
 
-	deadline := time.Now().Add(10 * time.Second)
-	for col.count() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("batch prepared under MACs was never delivered after the view change")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	seqs, payloads := col.snapshot()
-	if seqs[0] != 1 || !bytes.Equal(payloads[0], payload) {
-		t.Fatalf("delivered (%d, %q), want (1, %q)", seqs[0], payloads[0], payload)
+	s.run("the adopted batch delivered", time.Second, s.allDelivered(1))
+	b := s.delivered[2][0]
+	if b.Seq != 1 || !bytes.Equal(b.Payloads[0], payload) {
+		t.Fatalf("delivered (%d, %q), want (1, %q)", b.Seq, b.Payloads[0], payload)
 	}
 }

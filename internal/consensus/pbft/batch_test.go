@@ -71,7 +71,7 @@ func TestFollowersTrimQueue(t *testing.T) {
 	c.waitDeliveries(total, 10*time.Second, nil)
 	for i, r := range c.replicas {
 		r.mu.Lock()
-		n := len(r.queue)
+		n := len(r.core.queue)
 		r.mu.Unlock()
 		if n != 0 {
 			t.Errorf("replica %d still queues %d payloads after all were delivered", i, n)

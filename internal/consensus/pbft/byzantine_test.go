@@ -23,73 +23,93 @@ func corruptMACEnv(s crypto.Suite, members []ids.NodeID, tag wire.TypeTag, m wir
 
 // TestMACVectorFaultInjection sends a corrupted entry, a truncated
 // vector, and a vector authenticated for the wrong view from a
-// (spoofed) group member. The receiver must drop every frame without
-// dispatching it and fall back to requesting a signed copy of the
-// vote, which the genuine peer answers — so the protocol keeps moving
-// instead of stalling (satellite: Byzantine fault injection).
+// (spoofed) group member. The receiver must drop every frame on its
+// lane without handing it to the core and fall back to requesting a
+// signed copy of the vote, which the genuine peer answers — so the
+// protocol keeps moving instead of stalling (satellite: Byzantine fault
+// injection).
 func TestMACVectorFaultInjection(t *testing.T) {
-	c := newCluster(t, 4, 1, nil)
-	defer c.stop()
-
-	// Victim: replica 4 (index 3). Track what reaches its dispatch,
-	// and what reaches the impersonated peer 2 (index 1).
-	bogus := crypto.Hash([]byte("bogus-digest"))
+	// Victim: replica 4 (index 3). Watch what reaches it from the
+	// impersonated peer 2 (index 1), and what reaches peer 2 from it.
 	var mu sync.Mutex
 	var signedFromPeer []crypto.Digest
-	bogusDispatched := 0
-	c.replicas[3].dispatchHook = func(from ids.NodeID, tag wire.TypeTag, msg wire.Message, raw *signedRaw) {
-		if tag != tagPrepare || from != 2 {
-			return
-		}
-		p := msg.(*prepare)
-		mu.Lock()
-		defer mu.Unlock()
-		if p.Digest == bogus {
-			bogusDispatched++
-		}
-		if len(raw.Sig) > 0 {
-			signedFromPeer = append(signedFromPeer, p.Digest)
-		}
-	}
 	voteRequests := 0
-	c.replicas[1].dispatchHook = func(from ids.NodeID, tag wire.TypeTag, msg wire.Message, raw *signedRaw) {
-		if tag == tagVoteRequest && from == 4 {
-			mu.Lock()
-			voteRequests++
-			mu.Unlock()
+	c := newCluster(t, 4, 1, func(i int, cfg *Config) {
+		switch i {
+		case 3:
+			cfg.Node = &tapNode{Node: cfg.Node, see: func(from ids.NodeID, payload []byte) {
+				var raw signedRaw
+				if from != 2 || wire.Decode(payload, &raw) != nil || len(raw.Sig) == 0 {
+					return
+				}
+				if tag, msg, err := registry.DecodeFrame(raw.Frame); err == nil && tag == tagPrepare {
+					mu.Lock()
+					signedFromPeer = append(signedFromPeer, msg.(*prepare).Digest)
+					mu.Unlock()
+				}
+			}}
+		case 1:
+			cfg.Node = &tapNode{Node: cfg.Node, see: func(from ids.NodeID, payload []byte) {
+				if tag, _ := peekFrame(payload); tag == tagVoteRequest && from == 4 {
+					mu.Lock()
+					voteRequests++
+					mu.Unlock()
+				}
+			}}
 		}
-	}
+	})
+	defer c.stop()
 	c.start()
 
 	// Establish an entry every replica voted on.
 	c.orderAll(payloadN(0))
 	c.waitDeliveries(1, 5*time.Second, nil)
 	realDigest := batchDigest([][]byte{payloadN(0)})
+	bogus := crypto.Hash([]byte("bogus-digest"))
 
 	members := c.group.Members
 	suites := crypto.NewSuites(members, crypto.SuiteInsecure)
 	attacker := suites[2]
+	victim := c.replicas[3]
 	victimIdx := c.group.IndexOf(4)
-	send := func(env []byte) { c.net.Node(2).Send(4, testStream, env) }
-
-	// (a) corrupted MAC entry for the victim.
-	send(corruptMACEnv(attacker, members, tagPrepare, &prepare{View: 0, Seq: 1, Digest: bogus},
-		func(vec [][]byte) [][]byte {
-			vec[victimIdx][0] ^= 0xff
-			return vec
-		}))
-	// (b) truncated vector.
-	send(corruptMACEnv(attacker, members, tagPrepare, &prepare{View: 0, Seq: 1, Digest: bogus},
-		func(vec [][]byte) [][]byte { return vec[:2] }))
+	injected := [][]byte{
+		// (a) corrupted MAC entry for the victim.
+		corruptMACEnv(attacker, members, tagPrepare, &prepare{View: 0, Seq: 1, Digest: bogus},
+			func(vec [][]byte) [][]byte {
+				vec[victimIdx][0] ^= 0xff
+				return vec
+			}),
+		// (b) truncated vector.
+		corruptMACEnv(attacker, members, tagPrepare, &prepare{View: 0, Seq: 1, Digest: bogus},
+			func(vec [][]byte) [][]byte { return vec[:2] }),
+	}
 	// (c) vector authenticated for the wrong view: valid MACs over a
 	// view-7 prepare, replayed under a view-0 frame.
 	wrongFrame := registry.EncodeFrame(tagPrepare, &prepare{View: 7, Seq: 1, Digest: bogus})
 	wrongVec := crypto.MACVector(attacker, members, crypto.DomainPBFT, wrongFrame)
-	raw := signedRaw{From: 2, Frame: registry.EncodeFrame(tagPrepare, &prepare{View: 0, Seq: 1, Digest: bogus}), MACVec: wrongVec}
-	send(wire.Encode(&raw))
+	injected = append(injected, wire.Encode(&signedRaw{From: 2, Frame: registry.EncodeFrame(tagPrepare, &prepare{View: 0, Seq: 1, Digest: bogus}), MACVec: wrongVec}))
+
+	// The victim's lane refuses each frame — nothing reaches its core —
+	// and turns it into a request for a signed copy.
+	for k, env := range injected {
+		in := inbound{from: 2, env: env}
+		if err := wire.Decode(env, &in.raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := victim.check(&in); err == nil {
+			t.Fatalf("corrupted MAC frame %d passed the lane check", k)
+		}
+		if in.fallback == nil || in.fallback.Kind != voteKindPrepare || in.fallback.Seq != 1 {
+			t.Fatalf("corrupted MAC frame %d asks for %+v, want a signed prepare for seq 1", k, in.fallback)
+		}
+	}
 
 	// The fallback round trip: victim asks 2 for a signed vote, the
 	// genuine replica 2 answers with its real (correct-digest) vote.
+	send := func(env []byte) { c.net.Node(2).Send(4, testStream, env) }
+	for _, env := range injected {
+		send(env)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		mu.Lock()
@@ -104,12 +124,7 @@ func TestMACVectorFaultInjection(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// None of the injected frames may have reached dispatch.
 	mu.Lock()
-	if bogusDispatched != 0 {
-		mu.Unlock()
-		t.Fatalf("%d corrupted MAC frames were dispatched", bogusDispatched)
-	}
 	for _, d := range signedFromPeer {
 		if d != realDigest {
 			mu.Unlock()
@@ -117,6 +132,16 @@ func TestMACVectorFaultInjection(t *testing.T) {
 		}
 	}
 	mu.Unlock()
+	victim.mu.Lock()
+	for seq, e := range victim.core.log {
+		for from, v := range e.prepareVotes {
+			if v.digest == bogus {
+				victim.mu.Unlock()
+				t.Fatalf("the victim holds a corrupted vote from %v for %d", from, seq)
+			}
+		}
+	}
+	victim.mu.Unlock()
 
 	// And the group keeps ordering: no stall.
 	c.orderAll(payloadN(1))
@@ -185,7 +210,7 @@ func TestCheckpointCertOneBadShare(t *testing.T) {
 }
 
 // TestCommitCertOneBadShare covers the commit-certificate path used by
-// installCommittedEntryLocked, in both authentication flavors: signed
+// installCommittedEntry, in both authentication flavors: signed
 // commits and relayed MAC-vector commits (whose receiver entry the
 // relayer cannot forge).
 func TestCommitCertOneBadShare(t *testing.T) {
@@ -208,11 +233,9 @@ func TestCommitCertOneBadShare(t *testing.T) {
 		if !v.ok || v.digest != digest {
 			t.Fatal("valid signed commit certificate rejected")
 		}
-		// The verdict path installs the entry under the lock.
-		r.mu.Lock()
-		r.installCommittedEntryLocked(&ce, &v)
-		committed := r.log[1] != nil && r.log[1].committed
-		r.mu.Unlock()
+		// The verdict path installs the entry in the core.
+		r.core.installCommittedEntry(&ce, &v)
+		committed := r.core.log[1] != nil && r.core.log[1].committed
 		if !committed {
 			t.Fatal("verified certificate was not installed")
 		}
@@ -262,13 +285,11 @@ func TestCommitCertOneBadShare(t *testing.T) {
 		if fresh.verifyCommitCert(&ce, 0, 1).ok {
 			t.Fatal("certificate with a fabricated self commit accepted")
 		}
-		fresh.mu.Lock()
-		e := fresh.entryLocked(1)
+		e := fresh.core.entry(1)
 		e.havePP = true
 		e.view = 0
 		e.digest = digest
 		e.sentCommit = true
-		fresh.mu.Unlock()
 		if !fresh.verifyCommitCert(&ce, 0, 1).ok {
 			t.Fatal("certificate echoing our own genuine commit rejected")
 		}

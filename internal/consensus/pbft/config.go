@@ -162,55 +162,26 @@ type Config struct {
 	// RequestTimeout is how long a payload may stay undelivered
 	// before the replica suspects the leader and starts a view
 	// change. It doubles on consecutive failed view changes,
-	// saturating at ViewChangeTimeoutCap.
+	// saturating at 8× RequestTimeout, and sets the monitor's timing.
 	RequestTimeout time.Duration
-	// ViewChangeTimeoutCap bounds the consecutive-failure doubling of
-	// the view-change timeout. Without a cap a long partition pushes
-	// the timeout to minutes and post-heal recovery waits for the
-	// whole residue; with it, competing view changes still converge
-	// (the cap leaves room for several round trips) but recovery
-	// latency after a heal stays bounded. Defaults to 8× RequestTimeout.
-	ViewChangeTimeoutCap time.Duration
 
 	// SuspectSlowLeader enables the gray-failure defense: a leader
 	// performance monitor that tracks per-view delivery throughput and
 	// request latency (stats.Rate over a sliding window plus an EWMA of
 	// Order→deliver latency) and proactively starts a view change when
-	// the current leader underperforms the median of recent healthy
-	// measurements by more than SlowFraction while requests are
-	// demonstrably waiting. Off by default: without it the replica's
-	// behavior is byte-for-byte the classic silence-timeout protocol.
+	// the current leader delivers at less than half the median of
+	// recent healthy measurements, at more than twice their latency,
+	// while requests are demonstrably waiting. Off by default: without
+	// it the replica's behavior is byte-for-byte the classic
+	// silence-timeout protocol.
 	//
 	// Safety is unconditional — a proactive rotation is an ordinary
 	// view change and still needs the usual 2f+1 quorum, so f
 	// slow-accusing Byzantine replicas cannot depose a correct leader.
 	// Liveness against accusation storms is guarded by hysteresis
-	// (MonitorStrikes consecutive slow intervals) and a bounded
-	// rotation rate (RotationCooldown per replica).
+	// (three consecutive slow intervals) and a bounded rotation rate
+	// (one per RequestTimeout per replica).
 	SuspectSlowLeader bool
-	// MonitorInterval is how often the monitor re-evaluates the leader
-	// (and the width of one throughput sample). Defaults to
-	// RequestTimeout/8, floored at 10ms.
-	MonitorInterval time.Duration
-	// MonitorGrace is how long after a view install the monitor stays
-	// quiet, giving a fresh leader time to ramp before it can be
-	// judged. Defaults to 2× MonitorInterval.
-	MonitorGrace time.Duration
-	// SlowFraction is the underperformance threshold in (0,1): the
-	// leader is suspected when delivery throughput falls below
-	// SlowFraction × the median of recent healthy intervals AND
-	// latency exceeds the healthy median by more than 1/SlowFraction.
-	// Defaults to 0.5.
-	SlowFraction float64
-	// MonitorStrikes is the hysteresis: consecutive slow intervals
-	// required before the monitor accuses. Defaults to 3.
-	MonitorStrikes int
-	// RotationCooldown bounds the proactive rotation rate per replica:
-	// after initiating one proactive view change the monitor holds its
-	// fire for this long, so even a persistently failing signal cannot
-	// livelock the group through back-to-back rotations. Defaults to
-	// 2× RequestTimeout.
-	RotationCooldown time.Duration
 	// Pipeline runs signature verification and signing off the
 	// transport handler goroutines and the replica lock; nil selects
 	// the process-wide default pool (crypto.DefaultPipeline). Pass
@@ -258,27 +229,6 @@ func (c *Config) applyDefaults() {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 2 * time.Second
 	}
-	if c.ViewChangeTimeoutCap <= 0 {
-		c.ViewChangeTimeoutCap = 8 * c.RequestTimeout
-	}
-	if c.MonitorInterval <= 0 {
-		c.MonitorInterval = c.RequestTimeout / 8
-		if c.MonitorInterval < 10*time.Millisecond {
-			c.MonitorInterval = 10 * time.Millisecond
-		}
-	}
-	if c.MonitorGrace <= 0 {
-		c.MonitorGrace = 2 * c.MonitorInterval
-	}
-	if c.SlowFraction <= 0 || c.SlowFraction >= 1 {
-		c.SlowFraction = 0.5
-	}
-	if c.MonitorStrikes <= 0 {
-		c.MonitorStrikes = 3
-	}
-	if c.RotationCooldown <= 0 {
-		c.RotationCooldown = 2 * c.RequestTimeout
-	}
 	if c.Policy == nil {
 		c.Policy = CountQuorum{Need: 2*c.Group.F + 1}
 	}
@@ -302,9 +252,6 @@ func (c *Config) validate() error {
 	}
 	if c.CheckpointInterval >= c.Window {
 		return fmt.Errorf("pbft: checkpoint interval %d must be < window %d", c.CheckpointInterval, c.Window)
-	}
-	if c.ViewChangeTimeoutCap < c.RequestTimeout {
-		return fmt.Errorf("pbft: view-change timeout cap %v must be >= request timeout %v", c.ViewChangeTimeoutCap, c.RequestTimeout)
 	}
 	return nil
 }

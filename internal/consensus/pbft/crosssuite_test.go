@@ -67,7 +67,7 @@ func TestCrossSuitePrePrepareRejected(t *testing.T) {
 	deadline := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		r.mu.Lock()
-		n := len(r.log)
+		n := len(r.core.log)
 		r.mu.Unlock()
 		if n != 0 {
 			t.Fatal("forged pre-prepare was admitted to the log")

@@ -144,6 +144,16 @@ func (m *prePrepare) UnmarshalWire(r *wire.Reader) {
 	}
 }
 
+// decodePrePrepare decodes a raw's frame as a pre-prepare; nil if it is
+// not one.
+func decodePrePrepare(raw *signedRaw) *prePrepare {
+	tag, msg, err := registry.DecodeFrame(raw.Frame)
+	if err != nil || tag != tagPrePrepare {
+		return nil
+	}
+	return msg.(*prePrepare)
+}
+
 // batchDigest canonically hashes a batch's payloads. It deliberately
 // excludes the view so a batch re-proposed after a view change keeps
 // its digest.

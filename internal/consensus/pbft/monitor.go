@@ -26,30 +26,30 @@ type Rotation struct {
 // (Config.SuspectSlowLeader). Every replica runs one against its own
 // observations of the group: request arrivals and deliveries recorded
 // into stats.Rate windows plus an EWMA of Order→deliver latency, all
-// fed at points the hot path already holds the replica lock, so the
-// monitor adds no locking of its own.
+// fed by the core as it steps.
 //
 // The decision rule is deliberately two-signal. An interval flags the
 // leader slow only when (a) there is live demand (an admitted request
-// is still waiting), (b) delivery throughput fell below SlowFraction ×
-// the median of recent healthy intervals — spanning recent views, since
-// the baseline survives view installs — and (c) latency exceeds the
-// healthy median by more than 1/SlowFraction. Requiring both signals
-// kills the classic false positives: an overload spike blows up latency
-// but keeps throughput at capacity (fails b), a load drop deflates
-// throughput but not latency (fails c), and a degraded *follower*
-// changes neither, because quorums keep forming among the 2f+1 timely
-// members. After MonitorStrikes consecutive slow intervals the replica
-// accuses; the accusation is an ordinary view change, so rotation still
-// requires the normal 2f+1 quorum — f Byzantine slow-accusers cannot
-// depose a correct leader — and the per-replica RotationCooldown bounds
-// the rotation rate so a persistent bad signal cannot livelock the
-// group.
+// is still waiting), (b) delivery throughput fell below monitorFraction
+// × the median of recent healthy intervals — spanning recent views,
+// since the baseline survives view installs — and (c) latency exceeds
+// the healthy median by more than 1/monitorFraction. Requiring both
+// signals kills the classic false positives: an overload spike blows up
+// latency but keeps throughput at capacity (fails b), a load drop
+// deflates throughput but not latency (fails c), and a degraded
+// *follower* changes neither, because quorums keep forming among the
+// 2f+1 timely members. After monitorStrikes consecutive slow intervals
+// the replica accuses; the accusation is an ordinary view change, so
+// rotation still requires the normal 2f+1 quorum — f Byzantine
+// slow-accusers cannot depose a correct leader — and a per-replica
+// cooldown of one request timeout bounds the rotation rate so a
+// persistent bad signal cannot livelock the group.
+//
+// The timing follows RequestTimeout: the monitor judges once per
+// interval, max(RequestTimeout/8, 10ms), which is also the width of one
+// throughput sample, and a fresh leader gets two intervals of grace.
 type monitor struct {
 	interval time.Duration
-	grace    time.Duration
-	frac     float64
-	strikes  int
 	cooldown time.Duration
 
 	delivery *stats.Rate // payloads delivered, sliding window
@@ -81,22 +81,21 @@ type monitor struct {
 }
 
 const (
-	monitorBaseMin  = 4 // healthy samples required before judging
-	monitorBaseMax  = 8 // baseline ring size
-	monitorReasons  = 8 // rotation reasons retained
+	monitorFraction = 0.5 // the underperformance threshold, in (0,1)
+	monitorStrikes  = 3   // consecutive slow intervals before accusing
+	monitorBaseMin  = 4   // healthy samples required before judging
+	monitorBaseMax  = 8   // baseline ring size
+	monitorReasons  = 8   // rotation reasons retained
 	monitorLatFloor = float64(time.Millisecond) / float64(time.Second)
 )
 
 func newMonitor(cfg *Config, now time.Time) *monitor {
-	window := 4 * cfg.MonitorInterval
+	interval := max(cfg.RequestTimeout/8, 10*time.Millisecond)
 	return &monitor{
-		interval:  cfg.MonitorInterval,
-		grace:     cfg.MonitorGrace,
-		frac:      cfg.SlowFraction,
-		strikes:   cfg.MonitorStrikes,
-		cooldown:  cfg.RotationCooldown,
-		delivery:  stats.NewRate(window),
-		arrival:   stats.NewRate(window),
+		interval:  interval,
+		cooldown:  cfg.RequestTimeout,
+		delivery:  stats.NewRate(4 * interval),
+		arrival:   stats.NewRate(4 * interval),
 		viewStart: now,
 		viewAt:    now,
 	}
@@ -147,15 +146,15 @@ func (m *monitor) onViewInstall(now time.Time, oldView uint64) {
 	m.streak = 0
 }
 
-// evaluate is called from the replica's timer tick (under its lock)
-// and judges the current leader once per MonitorInterval. It returns
-// a non-empty reason when the replica should accuse the leader now.
+// evaluate is called from the core's tick and judges the current leader
+// once per interval. It returns a non-empty reason when the replica
+// should accuse the leader now.
 func (m *monitor) evaluate(now time.Time, view uint64, demand bool, oldestWait time.Duration) string {
 	if now.Sub(m.lastEval) < m.interval {
 		return ""
 	}
 	m.lastEval = now
-	if now.Sub(m.viewStart) < m.grace {
+	if now.Sub(m.viewStart) < 2*m.interval { // a fresh leader's grace
 		return ""
 	}
 	rate := m.delivery.PerSecondAt(now)
@@ -177,14 +176,14 @@ func (m *monitor) evaluate(now time.Time, view uint64, demand bool, oldestWait t
 	if latMed < monitorLatFloor {
 		latMed = monitorLatFloor
 	}
-	slow := demand && rate < m.frac*rateMed && lat > latMed/m.frac
+	slow := demand && rate < monitorFraction*rateMed && lat > latMed/monitorFraction
 	if !slow {
 		m.recordHealthy(rate, lat)
 		m.streak = 0
 		return ""
 	}
 	m.streak++
-	if m.streak < m.strikes {
+	if m.streak < monitorStrikes {
 		return ""
 	}
 	if !m.lastRotate.IsZero() && now.Sub(m.lastRotate) < m.cooldown {
@@ -194,7 +193,7 @@ func (m *monitor) evaluate(now time.Time, view uint64, demand bool, oldestWait t
 	m.rotations++
 	m.streak = 0
 	reason := fmt.Sprintf("view %d: %.1f/s < %.2f x %.1f/s, lat %.0fms > %.0fms (arrival %.1f/s)",
-		view, rate, m.frac, rateMed, lat*1000, latMed/m.frac*1000, m.arrival.PerSecondAt(now))
+		view, rate, monitorFraction, rateMed, lat*1000, latMed/monitorFraction*1000, m.arrival.PerSecondAt(now))
 	m.reasons = append(m.reasons, Rotation{View: view, Reason: reason})
 	if len(m.reasons) > monitorReasons {
 		m.reasons = m.reasons[len(m.reasons)-monitorReasons:]

@@ -6,16 +6,11 @@ import (
 	"time"
 )
 
-// monitorTestConfig returns a Config with the monitor knobs pinned so
-// the synthetic-clock tests below are deterministic.
+// monitorTestConfig returns the Config the synthetic-clock tests below
+// run the monitor under: a 100ms interval, 200ms of grace and an 800ms
+// cooldown, all derived from the request timeout.
 func monitorTestConfig() *Config {
-	return &Config{
-		MonitorInterval:  100 * time.Millisecond,
-		MonitorGrace:     200 * time.Millisecond,
-		SlowFraction:     0.5,
-		MonitorStrikes:   3,
-		RotationCooldown: time.Second,
-	}
+	return &Config{RequestTimeout: 800 * time.Millisecond}
 }
 
 // feedHealthy advances the monitor through n intervals of healthy
@@ -38,7 +33,7 @@ func feedHealthy(t *testing.T, m *monitor, start time.Time, n int) time.Time {
 // TestMonitorAccusesSlowLeader drives the monitor with a synthetic
 // clock: after a healthy baseline, a leader degraded to ~40× the
 // healthy latency and a fraction of the healthy throughput must be
-// accused — no sooner than MonitorStrikes intervals into the fault
+// accused — no sooner than monitorStrikes intervals into the fault
 // (hysteresis), and within a handful of intervals overall (the
 // 4-interval sliding rate window still carries healthy history for the
 // first ticks, so detection lands once it drains plus the strikes).
@@ -63,7 +58,7 @@ func TestMonitorAccusesSlowLeader(t *testing.T) {
 		t.Fatal("no accusation within 10 slow intervals")
 	}
 	if accusedAt < 3 {
-		t.Fatalf("accused after %d intervals, before MonitorStrikes=3 could accumulate", accusedAt)
+		t.Fatalf("accused after %d intervals, before monitorStrikes=3 could accumulate", accusedAt)
 	}
 	if accusedAt > 8 {
 		t.Fatalf("accusation took %d intervals, want within window drain + strikes", accusedAt)
@@ -127,14 +122,14 @@ func TestMonitorCooldownAndViewInstall(t *testing.T) {
 	if now, ok = accuse(5); !ok {
 		t.Fatal("first accusation never fired")
 	}
-	// Still slow: strikes rebuild immediately but the cooldown (1s = 10
-	// intervals) holds fire.
+	// Still slow: strikes rebuild immediately but the cooldown (800ms =
+	// 8 intervals) holds fire.
 	rotated := m.rotations
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 7; i++ {
 		now = now.Add(100 * time.Millisecond)
 		m.observeDelivery(now, 1, 200*time.Millisecond)
 		if m.evaluate(now, 0, true, 200*time.Millisecond) != "" {
-			t.Fatalf("accused again %dms after rotation, inside the 1s cooldown", (i+1)*100)
+			t.Fatalf("accused again %dms after rotation, inside the 800ms cooldown", (i+1)*100)
 		}
 	}
 	if m.rotations != rotated {
@@ -165,51 +160,23 @@ func TestMonitorCooldownAndViewInstall(t *testing.T) {
 }
 
 // TestViewChangeTimeoutCapSaturates pins the backoff clamp: repeated
-// failed view changes double curTimeout only up to ViewChangeTimeoutCap
-// (default 8× RequestTimeout), instead of growing without bound.
+// failed view changes double curTimeout only up to 8× RequestTimeout,
+// instead of growing without bound.
 func TestViewChangeTimeoutCapSaturates(t *testing.T) {
 	c := newCluster(t, 4, 1, func(i int, cfg *Config) {
 		cfg.RequestTimeout = 100 * time.Millisecond
 	})
-	// Not started: no timers or handlers run, so curTimeout moves only
-	// through the direct calls below.
+	// Not started: the core moves only through the direct calls below.
 	defer c.stop()
-	r := c.replicas[3]
-	wantCap := 800 * time.Millisecond // default 8× RequestTimeout
-	if got := r.cfg.ViewChangeTimeoutCap; got != wantCap {
-		t.Fatalf("default ViewChangeTimeoutCap = %v, want %v", got, wantCap)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	core := c.replicas[3].core
 	want := []time.Duration{200, 400, 800, 800, 800, 800} // ms
 	for i, w := range want {
-		r.startViewChangeLocked(uint64(i + 1))
-		if got := r.curTimeout; got != w*time.Millisecond {
+		core.startViewChange(uint64(i + 1))
+		if got := core.curTimeout; got != w*time.Millisecond {
 			t.Fatalf("after %d view changes curTimeout = %v, want %v", i+1, got, w*time.Millisecond)
 		}
 	}
-	if got := r.vcCount; got != uint64(len(want)) {
+	if got := core.vcCount; got != uint64(len(want)) {
 		t.Fatalf("vcCount = %d, want %d", got, len(want))
-	}
-}
-
-// TestViewChangeTimeoutCapValidated: a cap below the request timeout is
-// a configuration error, and an explicit cap is honored as given.
-func TestViewChangeTimeoutCapValidated(t *testing.T) {
-	cfg := Config{
-		RequestTimeout:       time.Second,
-		ViewChangeTimeoutCap: 500 * time.Millisecond,
-	}
-	cfg.applyDefaults()
-	if err := cfg.validate(); err == nil {
-		t.Fatal("cap below RequestTimeout passed validation")
-	}
-	cfg2 := Config{
-		RequestTimeout:       time.Second,
-		ViewChangeTimeoutCap: 3 * time.Second,
-	}
-	cfg2.applyDefaults()
-	if cfg2.ViewChangeTimeoutCap != 3*time.Second {
-		t.Fatalf("explicit cap overwritten to %v", cfg2.ViewChangeTimeoutCap)
 	}
 }

@@ -281,8 +281,8 @@ func TestCheckpointGarbageCollection(t *testing.T) {
 
 	for ri, r := range c.replicas {
 		r.mu.Lock()
-		lowWM := r.lowWM
-		logSize := len(r.log)
+		lowWM := r.core.lowWM
+		logSize := len(r.core.log)
 		r.mu.Unlock()
 		if lowWM == 0 {
 			t.Errorf("replica %d never stabilized a checkpoint", ri)

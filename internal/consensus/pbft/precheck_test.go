@@ -14,8 +14,8 @@ import (
 
 // lone is one started replica (node 2, a follower of view 0) whose
 // peers exist only as suites: the test plays them by handing frames to
-// onFrame. The serial pipeline processes each frame before onFrame
-// returns, and the counting suite shows what it cost.
+// its transport handler. The serial pipeline processes each frame before
+// the handler returns, and the counting suite shows what it cost.
 type lone struct {
 	t      *testing.T
 	r      *Replica
@@ -66,16 +66,16 @@ func (l *lone) pbftVerifies() int64 { return l.count.Verifies(crypto.DomainPBFT)
 
 // signed hands the replica a signed frame from peer `from`.
 func (l *lone) signed(from ids.NodeID, tag wire.TypeTag, m wire.Marshaler) {
-	l.r.onFrame(from, sealFrom(l.suites[from], tag, m))
+	l.r.onFrames(from, [][]byte{sealFrom(l.suites[from], tag, m)})
 }
 
-// waitFor polls a condition on the replica's state under its lock.
-func (l *lone) waitFor(what string, cond func() bool) {
+// waitFor polls a condition on the replica's core under its lock.
+func (l *lone) waitFor(what string, cond func(c *core) bool) {
 	l.t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		l.r.mu.Lock()
-		ok := cond()
+		ok := cond(l.r.core)
 		l.r.mu.Unlock()
 		if ok {
 			return
@@ -99,14 +99,14 @@ func TestSignedVotesVerifiedOnlyUntilQuorum(t *testing.T) {
 	digest := batchDigest([][]byte{payload})
 
 	l.signed(1, tagPrePrepare, &prePrepare{View: 0, Seq: 1, Payloads: [][]byte{payload}})
-	l.waitFor("the replica's own prepare", func() bool {
-		_, ok := l.r.log[1].prepareVotes[2]
+	l.waitFor("the replica's own prepare", func(c *core) bool {
+		_, ok := c.log[1].prepareVotes[2]
 		return ok
 	})
 	l.signed(3, tagPrepare, &prepare{View: 0, Seq: 1, Digest: digest})
-	l.waitFor("the replica's own commit", func() bool {
-		_, ok := l.r.log[1].commitVotes[2]
-		return l.r.log[1].prepared && ok
+	l.waitFor("the replica's own commit", func(c *core) bool {
+		_, ok := c.log[1].commitVotes[2]
+		return c.log[1].prepared && ok
 	})
 	if got := l.pbftVerifies(); got != 2 {
 		t.Fatalf("%d signature checks to prepare, want 2 (pre-prepare, one prepare)", got)
@@ -118,7 +118,7 @@ func TestSignedVotesVerifiedOnlyUntilQuorum(t *testing.T) {
 
 	l.signed(1, tagCommit, &commit{View: 0, Seq: 1, Digest: digest})
 	l.signed(3, tagCommit, &commit{View: 0, Seq: 1, Digest: digest})
-	l.waitFor("the commit quorum", func() bool { return l.r.log[1].committed })
+	l.waitFor("the commit quorum", func(c *core) bool { return c.log[1].committed })
 	if got := l.pbftVerifies(); got != 4 {
 		t.Fatalf("%d signature checks to commit, want 4", got)
 	}
@@ -132,13 +132,13 @@ func TestSignedVotesVerifiedOnlyUntilQuorum(t *testing.T) {
 	two := &prepare{View: 0, Seq: 2, Digest: batchDigest([][]byte{[]byte("two")})}
 	frame := registry.EncodeFrame(tagPrepare, two)
 	forged := signedRaw{From: 4, Frame: frame, Sig: l.suites[3].Sign(crypto.DomainPBFT, frame)}
-	l.r.onFrame(4, wire.Encode(&forged))
+	l.r.onFrames(4, [][]byte{wire.Encode(&forged)})
 	l.signed(4, tagPrepare, two)
 	if got := l.pbftVerifies(); got != 7 {
 		t.Errorf("%d signature checks, want 7: the forged prepare and the genuine one after it are both checked", got)
 	}
-	l.waitFor("the genuine prepare to count", func() bool {
-		_, ok := l.r.log[2].prepareVotes[4]
+	l.waitFor("the genuine prepare to count", func(c *core) bool {
+		_, ok := c.log[2].prepareVotes[4]
 		return ok
 	})
 
@@ -189,17 +189,17 @@ func TestMACModeReVotesStillVerified(t *testing.T) {
 	vote := &prepare{View: 0, Seq: 1, Digest: digest}
 
 	l.signed(1, tagPrePrepare, &prePrepare{View: 0, Seq: 1, Payloads: [][]byte{payload}})
-	l.waitFor("the replica's own prepare", func() bool {
-		_, ok := l.r.log[1].prepareVotes[2]
+	l.waitFor("the replica's own prepare", func(c *core) bool {
+		_, ok := c.log[1].prepareVotes[2]
 		return ok
 	})
-	l.r.onFrame(3, macFrom(l.suites[3], l.group.Members, tagPrepare, vote))
-	l.waitFor("the entry to be prepared", func() bool { return l.r.log[1].prepared })
+	l.r.onFrames(3, [][]byte{macFrom(l.suites[3], l.group.Members, tagPrepare, vote)})
+	l.waitFor("the entry to be prepared", func(c *core) bool { return c.log[1].prepared })
 	if got := l.pbftVerifies(); got != 1 {
 		t.Fatalf("%d signature checks to prepare under MACs, want 1 (the pre-prepare)", got)
 	}
 	l.r.mu.Lock()
-	whole := l.r.transferableProofLocked(l.r.log[1])
+	whole := l.r.core.transferableProof(l.r.core.log[1])
 	l.r.mu.Unlock()
 	if whole {
 		t.Fatal("an entry prepared on MAC votes has a transferable proof")
@@ -212,9 +212,9 @@ func TestMACModeReVotesStillVerified(t *testing.T) {
 	if got := l.pbftVerifies(); got != 3 {
 		t.Fatalf("%d signature checks, want 3: both re-votes for the prepared entry are needed", got)
 	}
-	l.waitFor("the transferable proof", func() bool {
-		e := l.r.log[1]
-		return len(e.prepareVotes[3].raw.Sig) > 0 && len(e.prepareVotes[4].raw.Sig) > 0 && l.r.transferableProofLocked(e)
+	l.waitFor("the transferable proof", func(c *core) bool {
+		e := c.log[1]
+		return len(e.prepareVotes[3].raw.Sig) > 0 && len(e.prepareVotes[4].raw.Sig) > 0 && c.transferableProof(e)
 	})
 	// A replayed re-vote adds nothing to a whole proof.
 	l.signed(4, tagPrepare, vote)
@@ -222,16 +222,16 @@ func TestMACModeReVotesStillVerified(t *testing.T) {
 		t.Errorf("a re-vote was verified although the transferable proof was whole")
 	}
 
-	// The view change that needs the proof gets it.
+	// The view change that needs the proof gets it: peers 3 and 4 ask
+	// for view 1, and the replica joins them.
 	vcs := make(chan []byte, 4)
 	l.net.Node(3).Handle(testStream, func(_ ids.NodeID, env []byte) {
 		if tag, _ := peekFrame(env); tag == tagViewChange {
 			vcs <- env
 		}
 	})
-	l.r.mu.Lock()
-	l.r.startViewChangeLocked(1)
-	l.r.mu.Unlock()
+	l.signed(3, tagViewChange, &viewChange{NewView: 1})
+	l.signed(4, tagViewChange, &viewChange{NewView: 1})
 	select {
 	case env := <-vcs:
 		var raw signedRaw

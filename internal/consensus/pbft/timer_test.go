@@ -45,14 +45,12 @@ func (b *batchSizes) snapshot() []int {
 	return slices.Clone(b.sizes)
 }
 
-// timerState reports the replica's live batch timer (nil when unarmed).
-func timerState(r *Replica) *time.Timer {
+// flushAt reports when the replica's waiting partial batch is flushed
+// (zero when none waits).
+func flushAt(r *Replica) time.Time {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.batchTimerOn {
-		return nil
-	}
-	return r.batchTimer
+	return r.core.flushAt
 }
 
 // slowBatching gives every replica a batch the tests never fill and a
@@ -66,7 +64,7 @@ func slowBatching(auth AuthMode, cfg *Config) {
 // TestIdleLeaderProposesAtOnce: a single request at a leader with
 // nothing in flight is proposed immediately — delivered everywhere
 // although the batch is an eighth full and the flush timer is a minute
-// long — and the timer is never armed.
+// long — and the flush is never armed.
 func TestIdleLeaderProposesAtOnce(t *testing.T) {
 	for _, m := range batchModes {
 		t.Run(m.name, func(t *testing.T) {
@@ -76,16 +74,16 @@ func TestIdleLeaderProposesAtOnce(t *testing.T) {
 			leader := c.replicas[0]
 			leader.Order([]byte("lonely request"))
 			c.waitDeliveries(1, 5*time.Second, nil)
-			// A minute-long timer armed at any point would still be live.
-			if timerState(leader) != nil {
-				t.Fatal("idle leader armed the batch timer")
+			// A minute-long flush armed at any point would still wait.
+			if !flushAt(leader).IsZero() {
+				t.Fatal("idle leader armed the batch flush")
 			}
 		})
 	}
 }
 
 // TestQueueBehindInflightTravelsAsOneBatch: requests that arrive while
-// an instance is in flight wait behind it (arming the flush timer once)
+// an instance is in flight wait behind it (arming the flush once)
 // and leave together the moment it is delivered — two instances, of one
 // and three requests. The first instance is held in flight by delaying
 // the leader's outbound frames; a cut would lose the pre-prepare, which
@@ -104,18 +102,18 @@ func TestQueueBehindInflightTravelsAsOneBatch(t *testing.T) {
 			c.net.Degrade(1, 200*time.Millisecond, 0)
 
 			leader.Order(payloadN(0))
-			if timerState(leader) != nil {
-				t.Fatal("idle leader armed the batch timer")
+			if !flushAt(leader).IsZero() {
+				t.Fatal("idle leader armed the batch flush")
 			}
 			leader.Order(payloadN(1))
-			first := timerState(leader)
-			if first == nil {
-				t.Fatal("partial batch behind an in-flight instance did not arm the timer")
+			first := flushAt(leader)
+			if first.IsZero() {
+				t.Fatal("partial batch behind an in-flight instance did not arm the flush")
 			}
 			leader.Order(payloadN(2))
 			leader.Order(payloadN(3))
-			if timerState(leader) != first {
-				t.Fatal("batch timer re-armed while already armed")
+			if !flushAt(leader).Equal(first) {
+				t.Fatal("batch flush re-armed while already armed")
 			}
 			if got := sizes.snapshot(); len(got) != 0 {
 				t.Fatalf("leader delivered %v while its first pre-prepare was still on the wire", got)
@@ -156,9 +154,9 @@ func TestNewLeaderFlushesInheritedQueue(t *testing.T) {
 }
 
 // TestStopCancelsBatchTimer: a partial batch behind an in-flight
-// instance arms the flush timer; Stop must cancel it instead of leaving
-// a live time.AfterFunc that later fires into the stopped replica's
-// lock (and keeps the replica reachable until the delay elapses).
+// instance arms the flush, which the replica's one timer serves; Stop
+// must cancel that timer instead of leaving it to fire into the stopped
+// replica's lock (and keep the replica reachable until it does).
 func TestStopCancelsBatchTimer(t *testing.T) {
 	c := newCluster(t, 4, 1, func(i int, cfg *Config) {
 		cfg.BatchSize = 8
@@ -171,17 +169,14 @@ func TestStopCancelsBatchTimer(t *testing.T) {
 	// timer.
 	c.net.Degrade(1, time.Minute, 0)
 	leader.Order([]byte("in flight"))
-	leader.Order([]byte("lonely request")) // < BatchSize behind it: arms the timer
-	if timerState(leader) == nil {
-		t.Fatal("partial batch never armed the flush timer")
+	leader.Order([]byte("lonely request")) // < BatchSize behind it: arms the flush
+	if flushAt(leader).IsZero() {
+		t.Fatal("partial batch never armed the flush")
 	}
 
 	leader.Stop()
-	leader.mu.Lock()
-	timer, on := leader.batchTimer, leader.batchTimerOn
-	leader.mu.Unlock()
-	if timer != nil || on {
-		t.Fatalf("Stop left the batch timer live (timer=%v on=%v)", timer != nil, on)
+	if leader.timer.Stop() {
+		t.Fatal("Stop left the replica's timer live")
 	}
 }
 
@@ -203,12 +198,12 @@ func TestBatchTimerFlushesPartialBatch(t *testing.T) {
 	c.net.Degrade(1, 100*time.Millisecond, 0)
 	leader.Order([]byte("in flight"))
 	leader.Order([]byte("flush me"))
-	// The timer, not the first instance's delivery, must propose the
+	// The flush, not the first instance's delivery, must propose the
 	// second: it is on the wire while the first pre-prepare still is.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		leader.mu.Lock()
-		proposed := leader.nextSeq == 3
+		proposed := leader.core.nextSeq == 3
 		leader.mu.Unlock()
 		if proposed {
 			break

@@ -209,8 +209,6 @@ func NewAgreementReplica(cfg AgreementConfig) (*AgreementReplica, error) {
 		NormalCaseAuth: cfg.ConsensusAuth,
 
 		SuspectSlowLeader: cfg.SuspectSlowLeader,
-		MonitorInterval:   cfg.SlowLeaderInterval,
-		RotationCooldown:  cfg.SlowLeaderCooldown,
 	}
 	if img != nil && len(img.Meta) == 8 {
 		pbftCfg.StartView = binary.BigEndian.Uint64(img.Meta)

@@ -255,12 +255,6 @@ type AgreementConfig struct {
 	// normal 2f+1 view-change quorum. Off by default — the classic
 	// silence-timeout behavior stays byte-for-byte unchanged.
 	SuspectSlowLeader bool
-	// SlowLeaderInterval overrides the monitor's evaluation interval
-	// (default ConsensusTimeout/8, floored at 10ms).
-	SlowLeaderInterval time.Duration
-	// SlowLeaderCooldown bounds the proactive rotation rate per
-	// replica (default 2× ConsensusTimeout).
-	SlowLeaderCooldown time.Duration
 	// ConsensusAuth selects how PBFT authenticates its normal-case
 	// messages. The zero value is the paper's agreement-cluster
 	// optimisation: MAC vectors among the agreement replicas (whose

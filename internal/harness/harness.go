@@ -767,12 +767,10 @@ func (c *Cluster) startRecord(rec *replicaRecord) error {
 			BatchOccupancy:   c.batchOcc,
 			SendOccupancy:    c.sendOcc,
 			Store:            st,
-			// Gray-failure defense: evaluate the leader every 1/8th of
-			// the request timeout; after a rotation hold fire for one
-			// full timeout so the new leader can prove itself.
-			SuspectSlowLeader:  c.Opts.SuspectSlowLeader,
-			SlowLeaderInterval: 250 * time.Millisecond,
-			SlowLeaderCooldown: 2 * time.Second,
+			// Gray-failure defense: the monitor judges the leader every
+			// 1/8th of the request timeout and, after a rotation, holds
+			// fire for one full timeout so the new leader can prove itself.
+			SuspectSlowLeader: c.Opts.SuspectSlowLeader,
 		})
 		if err != nil {
 			if st != nil {
