@@ -100,13 +100,14 @@ bench-compare:
 ## loc: the size numbers a simplification is judged by — lines of
 ## product Go code in the root module (every line of a .go file that is
 ## not a _test.go, not under bench/, and not in a test-support package:
-## irmctest, cryptotest), and the same for internal/irmc/** and
-## internal/consensus/pbft alone.
+## irmctest, cryptotest), and the same for internal/irmc/**,
+## internal/consensus/pbft and internal/quorum alone.
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/irmctest/*' ! -path '*/cryptotest/*' -print0 | xargs -0 cat | wc -l
 loc:
 	@echo "product Go lines, root module:     $$($(call LOC,.))"
 	@echo "product Go lines, internal/irmc/**: $$($(call LOC,./internal/irmc))"
 	@echo "product Go lines, consensus/pbft:   $$($(call LOC,./internal/consensus/pbft))"
+	@echo "product Go lines, internal/quorum:  $$($(call LOC,./internal/quorum))"
 
 tidy:
 	$(GO) mod tidy

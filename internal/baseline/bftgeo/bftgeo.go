@@ -20,6 +20,7 @@ import (
 	"spider/internal/core"
 	"spider/internal/crypto"
 	"spider/internal/ids"
+	"spider/internal/quorum"
 	"spider/internal/transport"
 	"spider/internal/wire"
 )
@@ -35,7 +36,7 @@ type Config struct {
 	// App is the hosted application.
 	App core.Application
 	// Policy optionally overrides PBFT quorums (weighted voting).
-	Policy pbft.QuorumPolicy
+	Policy quorum.Rule
 	// Consensus tunables; zero values use pbft defaults.
 	Consensus pbft.Config
 }
@@ -110,10 +111,6 @@ func (r *Replica) Stop() {
 	r.mu.Unlock()
 	r.ag.Stop()
 }
-
-// Consensus exposes the underlying PBFT instance (tests, leader
-// placement in the harness).
-func (r *Replica) Consensus() *pbft.Replica { return r.ag }
 
 func (r *Replica) validate(payload []byte) error {
 	var req core.ClientRequest

@@ -21,6 +21,7 @@ import (
 
 	"spider/internal/crypto"
 	"spider/internal/ids"
+	"spider/internal/quorum"
 	"spider/internal/transport"
 	"spider/internal/wire"
 )
@@ -63,6 +64,10 @@ func (c *Config) validate() error {
 	}
 	return nil
 }
+
+// errMismatch rejects a certificate entry that vouches for another
+// checkpoint than the one it comes with.
+var errMismatch = errors.New("checkpoint: announcement does not match the state")
 
 // Message tags.
 const (
@@ -175,8 +180,9 @@ type Component struct {
 	snapshots map[ids.SeqNr][]byte
 	snapSeqs  []ids.SeqNr // insertion order for pruning
 
-	// Announcement votes per sequence number.
-	votes map[ids.SeqNr]map[ids.NodeID]voteAnn
+	// Announcements per sequence number, one per member, grouped by the
+	// snapshot hash they vouch for.
+	announces *quorum.Collector[ids.SeqNr, crypto.Digest, signedAnnounce]
 
 	// Latest stable checkpoint.
 	stableSeq   ids.SeqNr
@@ -195,11 +201,6 @@ type Component struct {
 	fetches atomic.Int64
 }
 
-type voteAnn struct {
-	hash crypto.Digest
-	raw  signedAnnounce
-}
-
 // New creates a checkpoint component and registers its handler.
 func New(cfg Config) (*Component, error) {
 	if err := cfg.validate(); err != nil {
@@ -216,7 +217,7 @@ func New(cfg Config) (*Component, error) {
 		me:         cfg.Suite.Node(),
 		done:       make(chan struct{}),
 		snapshots:  make(map[ids.SeqNr][]byte),
-		votes:      make(map[ids.SeqNr]map[ids.NodeID]voteAnn),
+		announces:  quorum.New[ids.SeqNr, crypto.Digest, signedAnnounce](quorum.Count(cfg.Group.F+1), len(cfg.Group.Members)),
 		fetchPeers: make(map[ids.GroupID]ids.Group),
 	}
 	cfg.Node.Handle(cfg.Stream, c.onFrame)
@@ -244,13 +245,6 @@ func (c *Component) AddFetchPeers(g ids.Group) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.fetchPeers[g.ID] = g.Clone()
-}
-
-// RemoveFetchPeers removes a registered peer group.
-func (c *Component) RemoveFetchPeers(id ids.GroupID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.fetchPeers, id)
 }
 
 // StableSeq returns the latest stable checkpoint sequence number.
@@ -398,8 +392,7 @@ func (c *Component) verifyAnnounce(raw *signedAnnounce, group ids.Group) (*annou
 // change anything: the component has stopped, the checkpoint is
 // already stable, or its signer's vote for it is counted.
 func (c *Component) staleAnnounceLocked(from ids.NodeID, seq ids.SeqNr) bool {
-	_, dup := c.votes[seq][from]
-	return c.stopped || seq <= c.stableSeq || dup
+	return c.stopped || seq <= c.stableSeq || c.announces.Voted(seq, from) != nil
 }
 
 func (c *Component) onAnnounce(raw *signedAnnounce) {
@@ -425,22 +418,14 @@ func (c *Component) onAnnounce(raw *signedAnnounce) {
 		c.mu.Unlock()
 		return
 	}
-	votes, ok := c.votes[ann.Seq]
-	if !ok {
-		votes = make(map[ids.NodeID]voteAnn)
-		c.votes[ann.Seq] = votes
-	}
-	votes[raw.From] = voteAnn{hash: ann.Hash, raw: *raw}
-
-	var cert []signedAnnounce
-	for _, v := range votes {
-		if v.hash == ann.Hash {
-			cert = append(cert, v.raw)
-		}
-	}
-	if len(cert) < c.cfg.Group.F+1 {
+	c.announces.Add(ann.Seq, raw.From, ann.Hash, *raw)
+	if !c.announces.Reached(ann.Seq, ann.Hash) {
 		c.mu.Unlock()
 		return
+	}
+	var cert []signedAnnounce
+	for _, raw := range c.announces.Matching(ann.Seq, ann.Hash) {
+		cert = append(cert, raw)
 	}
 	// Stable. Deliver if we hold the matching state; otherwise fetch.
 	state, haveState := c.snapshots[ann.Seq]
@@ -472,11 +457,7 @@ func (c *Component) installStableLocked(seq ids.SeqNr, state []byte, cert []sign
 	if c.wantSeq <= seq {
 		c.wantSeq = 0
 	}
-	for s := range c.votes {
-		if s <= seq {
-			delete(c.votes, s)
-		}
-	}
+	c.announces.DropBelow(seq + 1)
 }
 
 func (c *Component) onFetchReq(from ids.NodeID, req *fetchReq) {
@@ -515,19 +496,14 @@ func (c *Component) onFetchReply(reply *fetchReply) {
 	// Verify the certificate: F+1 distinct members of the issuing
 	// group signed matching announcements whose hash covers the state.
 	hash := crypto.Hash(reply.State)
-	voters := make(map[ids.NodeID]bool)
-	for i := range reply.Cert {
-		raw := &reply.Cert[i]
-		if voters[raw.From] {
-			continue
+	cert := quorum.Cert{Rule: quorum.Count(group.F + 1), Members: group}
+	if !cert.Verify(len(reply.Cert), func(i int) ids.NodeID { return reply.Cert[i].From }, func(i int) error {
+		ann, err := c.verifyAnnounce(&reply.Cert[i], group)
+		if err == nil && (ann.Seq != reply.Seq || ann.Hash != hash) {
+			err = errMismatch
 		}
-		ann, err := c.verifyAnnounce(raw, group)
-		if err != nil || ann.Seq != reply.Seq || ann.Hash != hash {
-			continue
-		}
-		voters[raw.From] = true
-	}
-	if len(voters) < group.F+1 {
+		return err
+	}) {
 		return
 	}
 

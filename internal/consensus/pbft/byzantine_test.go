@@ -133,11 +133,11 @@ func TestMACVectorFaultInjection(t *testing.T) {
 	}
 	mu.Unlock()
 	victim.mu.Lock()
-	for seq, e := range victim.core.log {
-		for from, v := range e.prepareVotes {
-			if v.digest == bogus {
+	for seq, votes := range victim.core.prepares.All() {
+		for _, v := range votes {
+			if v.Key.digest == bogus {
 				victim.mu.Unlock()
-				t.Fatalf("the victim holds a corrupted vote from %v for %d", from, seq)
+				t.Fatalf("the victim holds a corrupted vote from %v for %d", v.From, seq)
 			}
 		}
 	}

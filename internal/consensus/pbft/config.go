@@ -8,37 +8,12 @@ import (
 
 	"spider/internal/crypto"
 	"spider/internal/ids"
+	"spider/internal/quorum"
 	"spider/internal/stats"
 	"spider/internal/transport"
 
 	"spider/internal/consensus"
 )
-
-// QuorumPolicy decides when a set of distinct voters constitutes a
-// quorum. The default counting policy implements classic PBFT (2f+1 of
-// 3f+1); the weighted policy implements WHEAT-style weighted voting
-// and backs the BFT-WV baseline.
-type QuorumPolicy interface {
-	// IsQuorum reports whether the voter set reaches a quorum. The
-	// map is borrowed for the duration of the call only: the replica
-	// reuses one scratch map across tallies on the hot path, so
-	// implementations must not retain or mutate it — copy if a voter
-	// set needs to outlive the call.
-	IsQuorum(voters map[ids.NodeID]bool) bool
-}
-
-// CountQuorum is the classic policy: a quorum is any Need distinct
-// voters.
-type CountQuorum struct {
-	Need int
-}
-
-var _ QuorumPolicy = CountQuorum{}
-
-// IsQuorum implements QuorumPolicy.
-func (q CountQuorum) IsQuorum(voters map[ids.NodeID]bool) bool {
-	return len(voters) >= q.Need
-}
 
 // WeightedQuorum implements WHEAT-style weighted voting (Sousa &
 // Bessani, SRDS '15): with n = 3f+1+Δ replicas, 2f replicas carry
@@ -50,9 +25,9 @@ type WeightedQuorum struct {
 	Need    float64
 }
 
-var _ QuorumPolicy = WeightedQuorum{}
+var _ quorum.Rule = WeightedQuorum{}
 
-// IsQuorum implements QuorumPolicy.
+// IsQuorum implements quorum.Rule.
 func (q WeightedQuorum) IsQuorum(voters map[ids.NodeID]bool) bool {
 	var total float64
 	for v := range voters {
@@ -130,7 +105,7 @@ type Config struct {
 	// (A-Validity). Nil accepts everything.
 	Validate consensus.ValidateFunc
 	// Policy decides quorums; nil means classic 2f+1 counting.
-	Policy QuorumPolicy
+	Policy quorum.Rule
 	// NormalCaseAuth selects signature or MAC-vector authentication
 	// for prepare and commit; the zero value is AuthMACVector (the
 	// paper's fast path). Inbound messages of either kind are always
@@ -230,7 +205,7 @@ func (c *Config) applyDefaults() {
 		c.RequestTimeout = 2 * time.Second
 	}
 	if c.Policy == nil {
-		c.Policy = CountQuorum{Need: 2*c.Group.F + 1}
+		c.Policy = quorum.Count(2*c.Group.F + 1)
 	}
 	if c.Pipeline == nil {
 		c.Pipeline = crypto.DefaultPipeline()

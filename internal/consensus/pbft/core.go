@@ -7,6 +7,7 @@ import (
 	"spider/internal/consensus"
 	"spider/internal/crypto"
 	"spider/internal/ids"
+	"spider/internal/quorum"
 	"spider/internal/wire"
 )
 
@@ -72,11 +73,11 @@ const (
 	reqDelivered                     // delivered to the application
 )
 
-// voteRaw is one stored prepare/commit vote.
-type voteRaw struct {
+// voteKey is what a prepare or commit vouches for: the entry whose view
+// and batch digest it names.
+type voteKey struct {
 	view   uint64
 	digest crypto.Digest
-	raw    signedRaw
 }
 
 // entry is the log slot for one batch sequence number.
@@ -89,26 +90,17 @@ type entry struct {
 	havePP   bool
 	ppRaw    signedRaw
 
-	prepareVotes map[ids.NodeID]voteRaw
-	commitVotes  map[ids.NodeID]voteRaw
-
-	prepared     bool
-	preparedRaws []signedRaw // prepare raws matching digest, snapshotted when prepared
-	committed    bool
-	sentPrepare  bool
-	sentCommit   bool
-	delivered    bool
-	globalStart  uint64 // first global sequence number (set at delivery)
-	globalEnd    uint64 // last global sequence number (set at delivery)
+	prepared    bool
+	committed   bool
+	sentPrepare bool
+	sentCommit  bool
+	delivered   bool
+	globalStart uint64 // first global sequence number (set at delivery)
+	globalEnd   uint64 // last global sequence number (set at delivery)
 }
 
-func newEntry(seq uint64) *entry {
-	return &entry{
-		seq:          seq,
-		prepareVotes: make(map[ids.NodeID]voteRaw),
-		commitVotes:  make(map[ids.NodeID]voteRaw),
-	}
-}
+// key is what a vote must name to count toward this entry.
+func (e *entry) key() voteKey { return voteKey{view: e.view, digest: e.digest} }
 
 // payloadDigests returns the entry's per-payload digests, computing and
 // caching them on first use (entries installed via commit certificates
@@ -125,10 +117,10 @@ type queuedReq struct {
 	digest  crypto.Digest
 }
 
-type ckptVote struct {
+// ckptKey is what a checkpoint vote vouches for at its batch.
+type ckptKey struct {
 	global uint64
 	chain  crypto.Digest
-	raw    signedRaw
 }
 
 // jumpTarget describes a stable checkpoint this replica should fast
@@ -182,6 +174,14 @@ type core struct {
 	log     map[uint64]*entry
 	lowWM   uint64 // last stable (garbage-collected) batch
 
+	// The votes, one per member per batch sequence number (per target
+	// view for view changes). A vote at a sequence number also has a log
+	// entry there, and both go together.
+	prepares    *quorum.Collector[uint64, voteKey, signedRaw]
+	commits     *quorum.Collector[uint64, voteKey, signedRaw]
+	checkpoints *quorum.Collector[uint64, ckptKey, signedRaw]
+	viewChanges *quorum.Collector[uint64, struct{}, vcVote]
+
 	nextDeliver uint64        // next batch to take
 	nextGlobal  uint64        // next global sequence number to assign
 	chain       crypto.Digest // rolling digest of delivered batches
@@ -193,13 +193,11 @@ type core struct {
 	// checkpoint; their seen records go when the next one stabilizes.
 	retired []crypto.Digest
 
-	ckptVotes    map[uint64]map[ids.NodeID]ckptVote
 	stableProof  []signedRaw
 	stableGlobal uint64
 	stableChain  crypto.Digest
 	pendingJump  *jumpTarget // catch-up target, performed by evTake
 
-	vcs           map[uint64]map[ids.NodeID]vcVote
 	heldVotes     map[ids.NodeID][]*inbound // early votes per sender, see handleVote
 	lastStatusReq time.Time
 	// flushAt is when the partial batch waiting behind in-flight
@@ -226,9 +224,6 @@ type core struct {
 	vcSent bool
 	vcHold time.Time
 
-	// votersScratch is the reusable vote-tally map handed out by voters.
-	votersScratch map[ids.NodeID]bool
-
 	// voteReqAt rate-limits signed-vote fallback requests per peer;
 	// voteAnsAt rate-limits the answers, so a replayed (validly
 	// signed) voteRequest envelope cannot buy unbounded signing work.
@@ -245,6 +240,7 @@ type core struct {
 }
 
 func newCore(cfg *Config, now time.Time) *core {
+	n := len(cfg.Group.Members)
 	c := &core{
 		cfg:          cfg,
 		me:           cfg.Suite.Node(),
@@ -253,10 +249,12 @@ func newCore(cfg *Config, now time.Time) *core {
 		nextDeliver:  1,
 		nextGlobal:   1,
 		log:          make(map[uint64]*entry),
+		prepares:     quorum.New[uint64, voteKey, signedRaw](cfg.Policy, n),
+		commits:      quorum.New[uint64, voteKey, signedRaw](cfg.Policy, n),
+		checkpoints:  quorum.New[uint64, ckptKey, signedRaw](cfg.Policy, n),
+		viewChanges:  quorum.New[uint64, struct{}, vcVote](cfg.Policy, n),
 		seen:         make(map[crypto.Digest]reqState),
 		pendingSince: make(map[crypto.Digest]time.Time),
-		ckptVotes:    make(map[uint64]map[ids.NodeID]ckptVote),
-		vcs:          make(map[uint64]map[ids.NodeID]vcVote),
 		curTimeout:   cfg.RequestTimeout,
 		voteReqAt:    make(map[ids.NodeID]time.Time),
 		voteAnsAt:    make(map[ids.NodeID]time.Time),
@@ -354,7 +352,7 @@ func (c *core) window() uint64 { return c.lowWM + 2*uint64(c.cfg.Window) }
 func (c *core) entry(seq uint64) *entry {
 	e, ok := c.log[seq]
 	if !ok {
-		e = newEntry(seq)
+		e = &entry{seq: seq}
 		c.log[seq] = e
 	}
 	return e
@@ -432,12 +430,12 @@ func (c *core) gc(before ids.SeqNr) {
 // join is complete: the entry is committed, or prepared with a
 // transferable proof — so MAC mode keeps every signed re-vote of the
 // proof-upgrade round until the proof it rebuilds is whole. Votes
-// the core holds for a later view, and commits far enough ahead to
+// the core holds for a later view, and votes far enough ahead to
 // trigger a status request, go on to be verified.
 func (c *core) voteStillCounts(from ids.NodeID, msg wire.Message) bool {
 	switch m := msg.(type) {
 	case *prepare:
-		if c.votedAhead(m.View, m.Seq) {
+		if c.votedAhead(m.View, m.Seq) || m.Seq > c.window() {
 			return true
 		}
 		if c.stalePrepare(from, m, true) {
@@ -481,8 +479,7 @@ func (c *core) staleViewChange(from ids.NodeID, vc *viewChange) bool {
 	if vc.NewView <= c.view {
 		return true
 	}
-	_, dup := c.vcs[vc.NewView][from]
-	return dup
+	return c.viewChanges.Voted(vc.NewView, from) != nil
 }
 
 // staleNewView reports whether a new-view frame targets a view at or
@@ -717,18 +714,27 @@ func (c *core) releaseHeldVotes() {
 }
 
 func (c *core) handlePrepare(from ids.NodeID, p *prepare, raw signedRaw) {
+	if p.Seq > c.window() {
+		c.maybeRequestStatus()
+		return
+	}
 	if c.stalePrepare(from, p, raw.transferable()) {
 		return
 	}
 	e := c.entry(p.Seq)
-	e.prepareVotes[from] = voteRaw{view: p.View, digest: p.Digest, raw: raw}
+	if v := c.prepares.Voted(p.Seq, from); v != nil {
+		v.Val = raw // a signed re-vote upgrades the MAC vote it repeats
+	} else {
+		c.prepares.Add(p.Seq, from, voteKey{view: p.View, digest: p.Digest}, raw)
+	}
 	c.checkPrepared(e)
 }
 
 // stalePrepare reports whether a prepare from `from` is to be discarded:
 // below the watermark, outside what its authentication kind may vote on,
 // from the proposer, or a repeat. Shared by the handler and by
-// voteStillCounts, which asks before the signature is checked.
+// voteStillCounts, which asks before the signature is checked. The
+// handler checks the window first.
 func (c *core) stalePrepare(from ids.NodeID, p *prepare, signed bool) bool {
 	if p.Seq <= c.lowWM {
 		return true
@@ -749,53 +755,23 @@ func (c *core) stalePrepare(from ids.NodeID, p *prepare, signed bool) bool {
 	} else if c.inVC || p.View != c.view || p.Seq < c.nextDeliver {
 		return true // MAC votes serve only the live view's fast path
 	}
-	if !ok {
-		return false
-	}
 	// One vote per node, except that a signed re-vote for the same
 	// (view, digest) upgrades a MAC vote into a transferable one.
-	cur, dup := e.prepareVotes[from]
-	return dup && (!signed || cur.raw.transferable() || cur.view != p.View || cur.digest != p.Digest)
+	cur := c.prepares.Voted(p.Seq, from)
+	return cur != nil && (!signed || cur.Val.transferable() || cur.Key != voteKey{view: p.View, digest: p.Digest})
 }
 
-// voters returns the reusable quorum-counting scratch map, cleared. Vote
-// tallies run on every prepare/commit arrival, so a fresh map per check
-// would be a steady allocation on the hot path; quorum policies only
-// read the map and never retain it.
-func (c *core) voters() map[ids.NodeID]bool {
-	if c.votersScratch == nil {
-		c.votersScratch = make(map[ids.NodeID]bool, len(c.cfg.Group.Members))
-	}
-	clear(c.votersScratch)
-	return c.votersScratch
-}
-
+// checkPrepared prepares e once its prepares, with the proposer's
+// pre-prepare as the proposer's vote, reach a quorum.
 func (c *core) checkPrepared(e *entry) {
 	if !e.havePP {
 		return
 	}
-	voters := c.voters()
-	voters[c.cfg.leaderOf(e.view)] = true
-	var sigRaws []signedRaw
-	for node, v := range e.prepareVotes {
-		if v.view == e.view && v.digest == e.digest {
-			voters[node] = true
-			if v.raw.transferable() {
-				sigRaws = append(sigRaws, v.raw)
-			}
+	if !e.prepared {
+		if !c.prepares.Reached(e.seq, e.key(), c.cfg.leaderOf(e.view)) {
+			return
 		}
-	}
-	if !e.prepared && !c.cfg.Policy.IsQuorum(voters) {
-		return
-	}
-	first := !e.prepared
-	e.prepared = true
-	// Only signed votes survive into the prepared proof: MAC votes are
-	// not transferable, so under the MAC fast path this set usually
-	// stays empty until the view-change proof-upgrade round reissues
-	// the votes with signatures.
-	e.preparedRaws = sigRaws
-	if first {
+		e.prepared = true
 		if !e.sentCommit {
 			e.sentCommit = true
 			c.authMulticast(tagCommit, &commit{View: e.view, Seq: e.seq, Digest: e.digest}, false)
@@ -859,7 +835,7 @@ func (c *core) handleCommit(from ids.NodeID, cm *commit, raw signedRaw) {
 		return
 	}
 	e := c.entry(cm.Seq)
-	e.commitVotes[from] = voteRaw{view: cm.View, digest: cm.Digest, raw: raw}
+	c.commits.Add(cm.Seq, from, voteKey{view: cm.View, digest: cm.Digest}, raw)
 	c.checkCommitted(e)
 }
 
@@ -867,28 +843,12 @@ func (c *core) handleCommit(from ids.NodeID, cm *commit, raw signedRaw) {
 // outside the live view, below what is still open, or a repeat. Shared
 // by the handler and by voteStillCounts.
 func (c *core) staleCommit(from ids.NodeID, cm *commit) bool {
-	if c.inVC || cm.View != c.view || cm.Seq <= c.lowWM || cm.Seq < c.nextDeliver {
-		return true
-	}
-	e, ok := c.log[cm.Seq]
-	if !ok {
-		return false
-	}
-	_, dup := e.commitVotes[from]
-	return dup
+	return c.inVC || cm.View != c.view || cm.Seq <= c.lowWM || cm.Seq < c.nextDeliver ||
+		c.commits.Voted(cm.Seq, from) != nil
 }
 
 func (c *core) checkCommitted(e *entry) {
-	if e.committed || !e.havePP {
-		return
-	}
-	voters := c.voters()
-	for node, v := range e.commitVotes {
-		if v.view == e.view && v.digest == e.digest {
-			voters[node] = true
-		}
-	}
-	if !c.cfg.Policy.IsQuorum(voters) {
+	if e.committed || !e.havePP || !c.commits.Reached(e.seq, e.key()) {
 		return
 	}
 	e.committed = true
@@ -964,29 +924,18 @@ func chainDigest(prev, batch crypto.Digest) crypto.Digest {
 // --- internal checkpoints & catch-up -------------------------------------
 
 func (c *core) handleCheckpoint(from ids.NodeID, cp *checkpointMsg, raw signedRaw) {
-	if cp.BatchSeq <= c.lowWM {
+	if cp.BatchSeq > c.window() {
+		c.maybeRequestStatus()
 		return
 	}
-	votes, ok := c.ckptVotes[cp.BatchSeq]
-	if !ok {
-		votes = make(map[ids.NodeID]ckptVote)
-		c.ckptVotes[cp.BatchSeq] = votes
-	}
-	if _, dup := votes[from]; dup {
+	key := ckptKey{global: cp.GlobalSeq, chain: cp.Chain}
+	if cp.BatchSeq <= c.lowWM || !c.checkpoints.Add(cp.BatchSeq, from, key, raw) ||
+		!c.checkpoints.Reached(cp.BatchSeq, key) {
 		return
 	}
-	votes[from] = ckptVote{global: cp.GlobalSeq, chain: cp.Chain, raw: raw}
-
-	voters := make(map[ids.NodeID]bool)
 	var proof []signedRaw
-	for node, v := range votes {
-		if v.global == cp.GlobalSeq && v.chain == cp.Chain {
-			voters[node] = true
-			proof = append(proof, v.raw)
-		}
-	}
-	if !c.cfg.Policy.IsQuorum(voters) {
-		return
+	for _, raw := range c.checkpoints.Matching(cp.BatchSeq, key) {
+		proof = append(proof, raw)
 	}
 	c.stabilize(cp.BatchSeq, cp.GlobalSeq, cp.Chain, proof)
 }
@@ -1034,11 +983,9 @@ func (c *core) stabilize(batch, global uint64, chain crypto.Digest, proof []sign
 			delete(c.log, seq)
 		}
 	}
-	for seq := range c.ckptVotes {
-		if seq <= batch {
-			delete(c.ckptVotes, seq)
-		}
-	}
+	c.prepares.DropBelow(batch + 1)
+	c.commits.DropBelow(batch + 1)
+	c.checkpoints.DropBelow(batch + 1)
 	c.notify()
 	c.maybePropose(false)
 }
@@ -1117,10 +1064,8 @@ func (c *core) handleStatusRequest(from ids.NodeID, req *statusRequest) {
 	for _, seq := range seqs[:min(len(seqs), maxStatusEntries)] {
 		e := c.log[seq]
 		var commits []signedRaw
-		for _, v := range e.commitVotes {
-			if v.view == e.view && v.digest == e.digest {
-				commits = append(commits, v.raw)
-			}
+		for _, raw := range c.commits.Matching(seq, e.key()) {
+			commits = append(commits, raw)
 		}
 		reply.Entries = append(reply.Entries, committedEntry{PrePrepare: e.ppRaw, Commits: commits})
 	}
@@ -1244,10 +1189,11 @@ func (c *core) deliveryLooksStuck() bool {
 		return true
 	}
 	if e, ok := c.log[c.nextDeliver]; ok {
-		if !e.havePP && len(e.commitVotes) > 0 {
+		commits := len(c.commits.At(c.nextDeliver))
+		if !e.havePP && commits > 0 {
 			return true // peers committed a batch we never saw proposed
 		}
-		if !e.committed && len(e.commitVotes) > c.cfg.Group.F {
+		if !e.committed && commits > c.cfg.Group.F {
 			return true // a correct replica already committed it
 		}
 	}

@@ -456,10 +456,60 @@ func coreCheckpoint(t *testing.T, s *sim) {
 		if len(c.log) != total-8 {
 			t.Errorf("replica %v holds %d log entries, want %d", id, len(c.log), total-8)
 		}
-		for seq := range c.ckptVotes {
+		for seq := range c.checkpoints.All() {
 			if seq <= c.lowWM {
 				t.Errorf("replica %v kept checkpoint votes for %d", id, seq)
 			}
 		}
 	}
+}
+
+// TestOutOfWindowVotesNotRecorded: prepares and checkpoints above the
+// window leave nothing behind — no log entry, no vote — however many a
+// faulty replica sends, as pre-prepares and commits there never did; and
+// the group still orders.
+func TestOutOfWindowVotesNotRecorded(t *testing.T) {
+	s := newSim(t, nil)
+	faulty, victim := ids.NodeID(2), ids.NodeID(1)
+	r := s.reps[faulty]
+	for i := range uint64(1000) {
+		seq := 1_000_000 + i
+		for _, m := range []struct {
+			tag  wire.TypeTag
+			msg  wire.Marshaler
+			auth crypto.GroupAuthenticator
+		}{
+			{tagPrepare, &prepare{View: 0, Seq: seq, Digest: crypto.Hash([]byte("bogus"))}, r.macAuth},
+			{tagCheckpoint, &checkpointMsg{BatchSeq: seq, GlobalSeq: seq}, r.sigAuth},
+		} {
+			frame := registry.EncodeFrame(m.tag, m.msg)
+			sig, vec := m.auth.Authenticate(frame)
+			s.post(faulty, victim, wire.Encode(&signedRaw{From: faulty, Frame: frame, Sig: sig, MACVec: vec}))
+		}
+	}
+	s.run("the flood", time.Second, func() bool { return len(s.queue) == 0 })
+	c := s.reps[victim].core
+	above := func(seq uint64) bool { return seq > c.window() }
+	for seq := range c.log {
+		if above(seq) {
+			t.Fatalf("log entry %d recorded above the window %d", seq, c.window())
+		}
+	}
+	for seq := range c.prepares.All() {
+		if above(seq) {
+			t.Fatalf("prepare for %d recorded above the window %d", seq, c.window())
+		}
+	}
+	for seq := range c.checkpoints.All() {
+		if above(seq) {
+			t.Fatalf("checkpoint vote for %d recorded above the window %d", seq, c.window())
+		}
+	}
+
+	const total = 12
+	for i := range total {
+		s.order(payloadN(i), s.members...)
+	}
+	s.run("ordering after the flood", time.Second, s.allDelivered(total))
+	s.sameOrder()
 }

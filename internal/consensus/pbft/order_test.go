@@ -141,15 +141,15 @@ func TestAsyncVerifyRejectsBadSignatures(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		r.mu.Lock()
-		var votes map[ids.NodeID]voteRaw
-		if e, ok := r.core.log[1]; ok {
-			votes = e.prepareVotes
+		n := len(r.core.prepares.At(1))
+		var sig []byte
+		v := r.core.prepares.Voted(1, 3)
+		if v != nil {
+			sig = v.Val.Sig
 		}
-		v, have := votes[3]
-		n := len(votes)
 		r.mu.Unlock()
-		if have {
-			if !bytes.Equal(v.raw.Sig, genuine) {
+		if v != nil {
+			if !bytes.Equal(sig, genuine) {
 				t.Fatal("a vote with a bad signature reached the core")
 			}
 			if n != 1 {

@@ -100,13 +100,11 @@ func TestSignedVotesVerifiedOnlyUntilQuorum(t *testing.T) {
 
 	l.signed(1, tagPrePrepare, &prePrepare{View: 0, Seq: 1, Payloads: [][]byte{payload}})
 	l.waitFor("the replica's own prepare", func(c *core) bool {
-		_, ok := c.log[1].prepareVotes[2]
-		return ok
+		return c.prepares.Voted(1, 2) != nil
 	})
 	l.signed(3, tagPrepare, &prepare{View: 0, Seq: 1, Digest: digest})
 	l.waitFor("the replica's own commit", func(c *core) bool {
-		_, ok := c.log[1].commitVotes[2]
-		return c.log[1].prepared && ok
+		return c.log[1].prepared && c.commits.Voted(1, 2) != nil
 	})
 	if got := l.pbftVerifies(); got != 2 {
 		t.Fatalf("%d signature checks to prepare, want 2 (pre-prepare, one prepare)", got)
@@ -138,8 +136,7 @@ func TestSignedVotesVerifiedOnlyUntilQuorum(t *testing.T) {
 		t.Errorf("%d signature checks, want 7: the forged prepare and the genuine one after it are both checked", got)
 	}
 	l.waitFor("the genuine prepare to count", func(c *core) bool {
-		_, ok := c.log[2].prepareVotes[4]
-		return ok
+		return c.prepares.Voted(2, 4) != nil
 	})
 
 	// The status reply for a lagging peer still proves the commit.
@@ -190,8 +187,7 @@ func TestMACModeReVotesStillVerified(t *testing.T) {
 
 	l.signed(1, tagPrePrepare, &prePrepare{View: 0, Seq: 1, Payloads: [][]byte{payload}})
 	l.waitFor("the replica's own prepare", func(c *core) bool {
-		_, ok := c.log[1].prepareVotes[2]
-		return ok
+		return c.prepares.Voted(1, 2) != nil
 	})
 	l.r.onFrames(3, [][]byte{macFrom(l.suites[3], l.group.Members, tagPrepare, vote)})
 	l.waitFor("the entry to be prepared", func(c *core) bool { return c.log[1].prepared })
@@ -214,7 +210,8 @@ func TestMACModeReVotesStillVerified(t *testing.T) {
 	}
 	l.waitFor("the transferable proof", func(c *core) bool {
 		e := c.log[1]
-		return len(e.prepareVotes[3].raw.Sig) > 0 && len(e.prepareVotes[4].raw.Sig) > 0 && c.transferableProof(e)
+		signed := func(from ids.NodeID) bool { v := c.prepares.Voted(1, from); return v != nil && len(v.Val.Sig) > 0 }
+		return signed(3) && signed(4) && c.transferableProof(e)
 	})
 	// A replayed re-vote adds nothing to a whole proof.
 	l.signed(4, tagPrepare, vote)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"spider/internal/ids"
+	"spider/internal/quorum"
 )
 
 func votersOf(nodes ...ids.NodeID) map[ids.NodeID]bool {
@@ -17,7 +18,7 @@ func votersOf(nodes ...ids.NodeID) map[ids.NodeID]bool {
 }
 
 func TestCountQuorum(t *testing.T) {
-	q := CountQuorum{Need: 3}
+	q := quorum.Count(3)
 	if q.IsQuorum(votersOf(1, 2)) {
 		t.Error("2 voters accepted for need=3")
 	}
@@ -116,7 +117,7 @@ func TestQuickCountIntersection(t *testing.T) {
 		for i := range members {
 			members[i] = ids.NodeID(i + 1)
 		}
-		q := CountQuorum{Need: 2*fct + 1}
+		q := quorum.Count(2*fct + 1)
 		a := randomSubset(rng, members)
 		b := randomSubset(rng, members)
 		if !q.IsQuorum(a) || !q.IsQuorum(b) {

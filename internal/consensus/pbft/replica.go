@@ -9,6 +9,7 @@ import (
 	"spider/internal/consensus"
 	"spider/internal/crypto"
 	"spider/internal/ids"
+	"spider/internal/quorum"
 	"spider/internal/transport"
 	"spider/internal/wire"
 )
@@ -47,6 +48,9 @@ type Replica struct {
 	sigAuth    crypto.GroupAuthenticator
 	macAuth    crypto.GroupAuthenticator
 	normalAuth crypto.GroupAuthenticator
+
+	// certs checks the certificates frames carry, on the crypto pipeline.
+	certs quorum.Cert
 }
 
 var _ consensus.Agreement = (*Replica)(nil)
@@ -72,6 +76,7 @@ func New(cfg Config) (*Replica, error) {
 		signLane:  cfg.Pipeline.NewLane(),
 		sigAuth:   crypto.NewSignatureAuthenticator(cfg.Suite, crypto.DomainPBFT),
 		macAuth:   crypto.NewMACVectorAuthenticator(cfg.Suite, cfg.Group.Members, crypto.DomainPBFT),
+		certs:     quorum.Cert{Rule: cfg.Policy, Members: cfg.Group, Run: cfg.Pipeline.RunBatch},
 	}
 	r.core = newCore(&r.cfg, time.Now())
 	r.cond = sync.NewCond(&r.mu)

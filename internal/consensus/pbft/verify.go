@@ -138,42 +138,10 @@ func (r *Replica) verifyAuthRaw(raw *signedRaw) error {
 	return fmt.Errorf("pbft: unauthenticated frame from %v", raw.From)
 }
 
-// verifyQuorum is the one certificate check. It runs check(i) for the
-// first raw of every sender in raws that is not implicit, fans the
-// checks out across the crypto pipeline, and asks the quorum policy
-// whether the senders that passed, together with the implicit ones (a
-// proposer whose pre-prepare is its vote), form a quorum.
-func (r *Replica) verifyQuorum(raws []signedRaw, check func(i int) error, implicit ...ids.NodeID) bool {
-	seen := make(map[ids.NodeID]bool, len(raws)+len(implicit))
-	for _, id := range implicit {
-		seen[id] = true
-	}
-	checks := make([]func() error, 0, len(raws))
-	froms := make([]ids.NodeID, 0, len(raws))
-	for i := range raws {
-		if seen[raws[i].From] {
-			continue
-		}
-		seen[raws[i].From] = true
-		froms = append(froms, raws[i].From)
-		checks = append(checks, func() error { return check(i) })
-	}
-	voters := make(map[ids.NodeID]bool, len(froms)+len(implicit))
-	for _, id := range implicit {
-		voters[id] = true
-	}
-	for i, err := range r.cfg.Pipeline.RunBatch(checks) {
-		if err == nil {
-			voters[froms[i]] = true
-		}
-	}
-	return r.cfg.Policy.IsQuorum(voters)
-}
-
 // verifyCheckpointProof checks a checkpoint certificate: a quorum of
 // distinct group members signed matching checkpoint messages.
 func (r *Replica) verifyCheckpointProof(batch, global uint64, chain crypto.Digest, proof []signedRaw) bool {
-	return r.verifyQuorum(proof, func(i int) error {
+	return r.certs.Verify(len(proof), func(i int) ids.NodeID { return proof[i].From }, func(i int) error {
 		raw := &proof[i]
 		if err := r.verifyRaw(raw); err != nil {
 			return err
@@ -214,7 +182,7 @@ func (r *Replica) verifyCommitCert(ce *committedEntry, lowWM, nextDeliver uint64
 		return commitCertVerdict{}
 	}
 	digest := batchDigest(pp.Payloads)
-	if !r.verifyQuorum(ce.Commits, func(i int) error {
+	if !r.certs.Verify(len(ce.Commits), func(i int) ids.NodeID { return ce.Commits[i].From }, func(i int) error {
 		raw := &ce.Commits[i]
 		tag, msg, err := registry.DecodeFrame(raw.Frame)
 		if err != nil || tag != tagCommit {
@@ -275,7 +243,7 @@ func (r *Replica) verifyPreparedProof(proof *preparedProof) (*prePrepare, crypto
 		return nil, crypto.Digest{}, false
 	}
 	digest := batchDigest(pp.Payloads)
-	if !r.verifyQuorum(proof.Prepares, func(i int) error {
+	if !r.certs.Verify(len(proof.Prepares), func(i int) ids.NodeID { return proof.Prepares[i].From }, func(i int) error {
 		raw := &proof.Prepares[i]
 		if !raw.transferable() {
 			return crypto.ErrBadSignature
@@ -313,7 +281,7 @@ type nvVerdict struct {
 // stays in the core.
 func (r *Replica) verifyNewView(from ids.NodeID, nv *newView) *nvVerdict {
 	vcs := make([]*viewChange, len(nv.ViewChanges))
-	if !r.verifyQuorum(nv.ViewChanges, func(i int) error {
+	if !r.certs.Verify(len(nv.ViewChanges), func(i int) ids.NodeID { return nv.ViewChanges[i].From }, func(i int) error {
 		raw := &nv.ViewChanges[i]
 		if from != r.me && (!raw.transferable() || r.verifyRaw(raw) != nil) {
 			return crypto.ErrBadSignature

@@ -69,15 +69,24 @@ func (c *core) multicastReVotes() {
 // embedded in a view-change message: the signed pre-prepare plus enough
 // signed prepare votes to form a quorum with the proposer.
 func (c *core) transferableProof(e *entry) bool {
-	if !e.ppRaw.transferable() {
-		return false
+	return e.ppRaw.transferable() && c.prepares.ReachedBy(e.seq, e.key(), transferable, c.cfg.leaderOf(e.view))
+}
+
+// transferable reports whether a prepare vote may serve in a proof.
+func transferable(raw signedRaw) bool { return raw.transferable() }
+
+// preparedRaws returns the prepared proof's votes: only signed ones, as
+// MAC votes are not transferable. Under the MAC fast path there are
+// none until the view-change proof-upgrade round reissues the votes
+// with signatures.
+func (c *core) preparedRaws(e *entry) []signedRaw {
+	var raws []signedRaw
+	for _, raw := range c.prepares.Matching(e.seq, e.key()) {
+		if raw.transferable() {
+			raws = append(raws, raw)
+		}
 	}
-	voters := c.voters()
-	voters[c.cfg.leaderOf(e.view)] = true
-	for i := range e.preparedRaws {
-		voters[e.preparedRaws[i].From] = true
-	}
-	return c.cfg.Policy.IsQuorum(voters)
+	return raws
 }
 
 // holdForProofs reports whether any prepared entry still lacks a
@@ -127,7 +136,7 @@ func (c *core) maybeEmitViewChange() {
 		}
 		vc.Prepared = append(vc.Prepared, preparedProof{
 			PrePrepare: e.ppRaw,
-			Prepares:   e.preparedRaws,
+			Prepares:   c.preparedRaws(e),
 		})
 	}
 	env, _ := c.seal(tagViewChange, vc)
@@ -135,23 +144,14 @@ func (c *core) maybeEmitViewChange() {
 }
 
 func (c *core) handleViewChange(from ids.NodeID, vc *viewChange, raw signedRaw, verified bool) {
-	if vc.NewView <= c.view {
-		return
-	}
-	votes, ok := c.vcs[vc.NewView]
-	if !ok {
-		votes = make(map[ids.NodeID]vcVote)
-		c.vcs[vc.NewView] = votes
-	}
-	if _, dup := votes[from]; dup {
-		return
-	}
-	if !verified {
-		// The lane could not validate the embedded evidence
+	if vc.NewView <= c.view || !verified {
+		// Stale, or the lane could not validate the embedded evidence
 		// (certificates or prepared proofs).
 		return
 	}
-	votes[from] = vcVote{msg: vc, raw: raw}
+	if !c.viewChanges.Add(vc.NewView, from, struct{}{}, vcVote{msg: vc, raw: raw}) {
+		return
+	}
 
 	// Liveness amplification: if f+1 distinct replicas want views
 	// beyond ours, at least one correct replica does — join the
@@ -160,14 +160,8 @@ func (c *core) handleViewChange(from ids.NodeID, vc *viewChange, raw signedRaw, 
 
 	// If this replica leads the target view and holds a quorum of view
 	// changes, install the view.
-	if c.cfg.leaderOf(vc.NewView) == c.me {
-		voters := make(map[ids.NodeID]bool, len(votes))
-		for n := range votes {
-			voters[n] = true
-		}
-		if c.cfg.Policy.IsQuorum(voters) {
-			c.buildNewView(vc.NewView)
-		}
+	if c.cfg.leaderOf(vc.NewView) == c.me && c.viewChanges.Reached(vc.NewView, struct{}{}) {
+		c.buildNewView(vc.NewView)
 	}
 }
 
@@ -177,13 +171,13 @@ func (c *core) maybeJoinViewChange() {
 		floor = c.vcTarget
 	}
 	distinct := make(map[ids.NodeID]uint64) // replica -> smallest target above floor
-	for target, votes := range c.vcs {
+	for target, votes := range c.viewChanges.All() {
 		if target <= floor {
 			continue
 		}
-		for n := range votes {
-			if cur, ok := distinct[n]; !ok || target < cur {
-				distinct[n] = target
+		for _, v := range votes {
+			if cur, ok := distinct[v.From]; !ok || target < cur {
+				distinct[v.From] = target
 			}
 		}
 	}
@@ -255,10 +249,9 @@ func (c *core) buildNewView(target uint64) {
 	if c.view >= target {
 		return
 	}
-	votes := c.vcs[target]
-	raws := make([]signedRaw, 0, len(votes))
-	msgs := make([]*viewChange, 0, len(votes))
-	for _, v := range votes {
+	var raws []signedRaw
+	var msgs []*viewChange
+	for _, v := range c.viewChanges.Matching(target, struct{}{}) {
 		raws = append(raws, v.raw)
 		msgs = append(msgs, v.msg)
 	}
@@ -311,11 +304,7 @@ func (c *core) adoptView(nv *newView, plan reissuePlan, reissues []*prePrepare, 
 	// hands out arena-backed frame slices); retaining the alias would
 	// pin the whole arena chunk for the lifetime of the view.
 	c.lastNewViewEnv = append([]byte(nil), env...)
-	for target := range c.vcs {
-		if target <= c.view {
-			delete(c.vcs, target)
-		}
-	}
+	c.viewChanges.DropBelow(c.view + 1)
 	// Every still-pending request gets a fresh timeout under the new
 	// leader; keeping old timestamps would depose the new leader
 	// before it had any chance to order them.
@@ -347,6 +336,8 @@ func (c *core) adoptView(nv *newView, plan reissuePlan, reissues []*prePrepare, 
 			}
 		}
 		delete(c.log, seq)
+		c.prepares.Drop(seq)
+		c.commits.Drop(seq)
 	}
 
 	// Install the reissued pre-prepares and vote for them.
@@ -357,7 +348,7 @@ func (c *core) adoptView(nv *newView, plan reissuePlan, reissues []*prePrepare, 
 		if pp.Seq < c.nextDeliver {
 			continue // already delivered in an earlier view
 		}
-		e := newEntry(pp.Seq)
+		e := &entry{seq: pp.Seq}
 		e.view = nv.View
 		e.payloads = pp.Payloads
 		digests := e.payloadDigests()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +9,7 @@ import (
 
 	"spider/internal/crypto"
 	"spider/internal/ids"
+	"spider/internal/quorum"
 	"spider/internal/wire"
 )
 
@@ -53,12 +53,12 @@ type registryVote struct {
 	info RegistryInfo
 }
 
-// replyWait collects replies for one in-flight request.
+// replyWait collects replies for one in-flight request: one per replica,
+// grouped by result, at the request's counter.
 type replyWait struct {
 	counter uint64
-	need    int
-	votes   map[ids.NodeID][]byte // replica -> result
-	done    chan []byte           // closed with the accepted result
+	replies *quorum.Collector[uint64, string, struct{}]
+	done    chan []byte // receives the accepted result
 }
 
 // ErrTimeout is returned when an operation misses its deadline.
@@ -201,8 +201,7 @@ func (c *Client) do(kind RequestKind, op []byte) ([]byte, error) {
 	group := c.group.Clone()
 	wait := &replyWait{
 		counter: req.Counter,
-		need:    group.F + 1,
-		votes:   make(map[ids.NodeID][]byte),
+		replies: quorum.New[uint64, string, struct{}](quorum.Count(group.F+1), len(group.Members)),
 		done:    make(chan []byte, 1),
 	}
 	c.waiting = wait
@@ -275,18 +274,8 @@ func (c *Client) applyReply(from ids.NodeID, reply *Reply) {
 	if !c.group.Contains(from) {
 		return // replies only count from the current group
 	}
-	if _, dup := wait.votes[from]; dup {
-		return // one vote per replica
-	}
-	wait.votes[from] = reply.Result
-
-	matching := 0
-	for _, r := range wait.votes {
-		if bytes.Equal(r, reply.Result) {
-			matching++
-		}
-	}
-	if matching >= wait.need {
+	result := string(reply.Result)
+	if wait.replies.Add(wait.counter, from, result, struct{}{}) && wait.replies.Reached(wait.counter, result) {
 		c.waiting = nil
 		wait.done <- reply.Result
 	}
@@ -335,23 +324,17 @@ func (c *Client) QueryRegistry() (RegistryInfo, error) {
 		c.cfg.Node.Send(replica, clientStream(c.cfg.AgreementGroup.ID), env)
 	}
 
-	need := c.cfg.AgreementGroup.F + 1
 	// fa+1 *distinct* replicas must report identical contents: a single
 	// faulty replica resending a forged view must never reach quorum.
-	voters := make(map[string]map[ids.NodeID]bool)
-	infos := make(map[string]RegistryInfo)
+	group := c.cfg.AgreementGroup
+	replies := quorum.New[int, string, struct{}](quorum.Count(group.F+1), len(group.Members))
 	deadline := time.After(c.cfg.Deadline)
 	for {
 		select {
 		case v := <-votes:
 			key := string(wire.Encode(&RegistryInfo{Entries: v.info.Entries})) // ignore Seq for matching
-			if voters[key] == nil {
-				voters[key] = make(map[ids.NodeID]bool)
-			}
-			voters[key][v.from] = true
-			infos[key] = v.info
-			if len(voters[key]) >= need {
-				return infos[key], nil
+			if replies.Add(0, v.from, key, struct{}{}) && replies.Reached(0, key) {
+				return v.info, nil
 			}
 		case <-deadline:
 			return RegistryInfo{}, fmt.Errorf("%w: registry query", ErrTimeout)

@@ -267,10 +267,6 @@ func (e *ExecutionReplica) SnapshotInfo() (ids.SeqNr, crypto.Digest) {
 	return e.sn, crypto.Hash(e.cfg.App.Snapshot())
 }
 
-// AddPeerGroup registers another execution group as a checkpoint
-// source (used when groups join at runtime).
-func (e *ExecutionReplica) AddPeerGroup(g ids.Group) { e.cp.AddFetchPeers(g) }
-
 // Inspect runs f with the application while the replica's state lock
 // is held, so tests and operational tooling can examine local state
 // without racing ordered execution. f must not block or mutate.

@@ -29,16 +29,6 @@ type Digest [DigestSize]byte
 // Hash digests raw bytes.
 func Hash(data []byte) Digest { return sha256.Sum256(data) }
 
-// HashMessage digests the canonical wire encoding of m, encoding into
-// a pooled scratch buffer (no allocation in steady state).
-func HashMessage(m wire.Marshaler) Digest {
-	w := wire.GetWriter()
-	m.MarshalWire(w)
-	d := Hash(w.Bytes())
-	wire.PutWriter(w)
-	return d
-}
-
 // String returns a short hexadecimal prefix for logging.
 func (d Digest) String() string { return fmt.Sprintf("%x", d[:6]) }
 
@@ -53,22 +43,18 @@ type Domain uint8
 
 // Signing and MAC domains used by the protocol packages.
 const (
-	DomainClientRequest   Domain = iota + 1 // client Write/Read signatures
-	DomainReply                             // execution replica -> client replies
-	DomainIRMCSend                          // IRMC-RC Send messages
-	DomainIRMCMove                          // IRMC Move window updates
-	DomainIRMCShare                         // IRMC-SC SigShare messages
-	DomainIRMCCert                          // IRMC-SC Certificate messages
-	DomainIRMCProgress                      // IRMC-SC Progress messages
-	DomainIRMCSelect                        // IRMC-SC collector selection
-	DomainCheckpoint                        // checkpoint component messages
-	DomainCheckpointFetch                   // checkpoint state transfer
-	DomainPBFT                              // PBFT protocol messages
-	DomainPBFTViewChange                    // PBFT view-change / new-view
-	DomainHFTLocal                          // HFT site-local protocol
-	DomainHFTGlobal                         // HFT global protocol (threshold shares)
-	DomainAdmin                             // reconfiguration commands
-	DomainIRMCResend                        // IRMC-RC resend requests (window-loss repair)
+	DomainClientRequest Domain = iota + 1 // client Write/Read signatures
+	DomainReply                           // execution replica -> client replies
+	DomainIRMCSend                        // IRMC-RC Send messages
+	DomainIRMCMove                        // IRMC Move window updates
+	DomainIRMCShare                       // IRMC-SC SigShare messages
+	DomainIRMCCert                        // IRMC-SC Certificate messages
+	DomainIRMCProgress                    // IRMC-SC Progress messages
+	DomainIRMCSelect                      // IRMC-SC collector selection
+	DomainCheckpoint                      // checkpoint component messages
+	DomainPBFT                            // PBFT protocol messages
+	DomainHFTGlobal                       // HFT global protocol (threshold shares)
+	DomainIRMCResend                      // IRMC-RC resend requests (window-loss repair)
 )
 
 // Errors returned by verification.

@@ -23,6 +23,7 @@ import (
 	"spider/internal/core"
 	"spider/internal/crypto"
 	"spider/internal/ids"
+	"spider/internal/quorum"
 	"spider/internal/stats"
 	"spider/internal/storage"
 	"spider/internal/topo"
@@ -812,7 +813,7 @@ func (c *Cluster) buildSpider0E() error {
 	return c.buildBFT(nil) // same structure: one PBFT group executes
 }
 
-func (c *Cluster) buildBFT(policy pbft.QuorumPolicy) error {
+func (c *Cluster) buildBFT(policy quorum.Rule) error {
 	for _, m := range c.globalGroup.Members {
 		r, err := bftgeo.New(bftgeo.Config{
 			Group:  c.globalGroup,

@@ -41,9 +41,6 @@ func (g GroupID) Valid() bool { return g > 0 }
 // protocol state that is indexed per client.
 type ClientID int32
 
-// NoClient is the zero ClientID.
-const NoClient ClientID = 0
-
 // String returns a short human-readable form such as "c12".
 func (c ClientID) String() string { return "c" + strconv.FormatInt(int64(c), 10) }
 
@@ -52,10 +49,6 @@ func (c ClientID) Valid() bool { return c > 0 }
 
 // Node converts the client identifier to the node identifier it shares.
 func (c ClientID) Node() NodeID { return NodeID(c) }
-
-// ClientOf converts a node identifier to the client identifier it
-// shares. It is the inverse of ClientID.Node.
-func ClientOf(n NodeID) ClientID { return ClientID(n) }
 
 // SeqNr is a protocol sequence number (agreement order position).
 type SeqNr uint64
@@ -80,10 +73,6 @@ type Group struct {
 
 // Size returns the number of members.
 func (g Group) Size() int { return len(g.Members) }
-
-// Quorum returns the number of members whose agreement proves at least
-// one correct member agrees (F+1).
-func (g Group) Quorum() int { return g.F + 1 }
 
 // Contains reports whether id is a member of the group.
 func (g Group) Contains(id NodeID) bool {

@@ -205,10 +205,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// IsSender reports whether this endpoint's identity belongs to the
-// sender group.
-func (c *Config) IsSender() bool { return c.Senders.Contains(c.Suite.Node()) }
-
 // Track starts CPU accounting for one processing section; the returned
 // function stops it. Safe with a nil receiver configuration.
 func (c *Config) Track() func() {

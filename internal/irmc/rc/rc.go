@@ -18,6 +18,7 @@ import (
 	"spider/internal/crypto"
 	"spider/internal/ids"
 	"spider/internal/irmc"
+	"spider/internal/quorum"
 	"spider/internal/transport"
 	"spider/internal/wire"
 )
@@ -160,16 +161,11 @@ type Receiver struct {
 
 type recvSub = irmc.ReceiverSub[recvState]
 
-// recvState holds the positions still collecting votes; a position
-// that reaches fs+1 moves to the core's delivered store.
+// recvState holds the senders' submissions, one per sender per
+// position, grouped by payload digest; a position that reaches fs+1
+// moves to the core's delivered store.
 type recvState struct {
-	slots map[ids.Position]*slot
-}
-
-// slot collects per-position submissions until fs+1 senders agree.
-type slot struct {
-	votes    map[ids.NodeID]crypto.Digest
-	payloads map[crypto.Digest][]byte
+	sends *quorum.Collector[ids.Position, crypto.Digest, []byte]
 }
 
 var _ irmc.Receiver = (*Receiver)(nil)
@@ -178,7 +174,9 @@ var _ irmc.Receiver = (*Receiver)(nil)
 // transport handler.
 func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 	r := &Receiver{}
-	err := r.Init(cfg, func(st *recvState) { st.slots = make(map[ids.Position]*slot) }, pruneSlots, r.admitLocked)
+	err := r.Init(cfg, func(st *recvState) {
+		st.sends = quorum.New[ids.Position, crypto.Digest, []byte](quorum.Count(cfg.Senders.F+1), len(cfg.Senders.Members))
+	}, func(sub *recvSub) { sub.X.sends.DropBelow(sub.Win.Start) }, r.admitLocked)
 	if err != nil {
 		return nil, err
 	}
@@ -189,14 +187,6 @@ func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 	}
 	transport.RegisterBatch(cfg.Node, cfg.Stream, r.onFrames)
 	return r, nil
-}
-
-func pruneSlots(sub *recvSub) {
-	for p := range sub.X.slots {
-		if p < sub.Win.Start {
-			delete(sub.X.slots, p)
-		}
-	}
 }
 
 // nackStuck (Config.Resend only) runs once per collector timeout and
@@ -249,7 +239,7 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 // whose signature has not been verified yet. A valid one changes
 // nothing below the window, once the position is delivered, or when
 // this sender's verified vote is already counted. Positions beyond the
-// window have no slot and go on to be verified and held.
+// window hold no votes and go on to be verified and held.
 func (r *Receiver) wantSend(from ids.NodeID, m *irmc.SendMsg) bool {
 	r.Mu.Lock()
 	defer r.Mu.Unlock()
@@ -260,15 +250,7 @@ func (r *Receiver) wantSend(from ids.NodeID, m *irmc.SendMsg) bool {
 	if !ok {
 		return true
 	}
-	if m.Position < sub.Win.Start || sub.Delivered(m.Position) {
-		return false
-	}
-	sl, ok := sub.X.slots[m.Position]
-	if !ok {
-		return true
-	}
-	_, voted := sl.votes[from]
-	return !voted
+	return m.Position >= sub.Win.Start && !sub.Delivered(m.Position) && sub.X.sends.Voted(m.Position, from) == nil
 }
 
 func (r *Receiver) onSend(from ids.NodeID, m *irmc.SendMsg) {
@@ -287,37 +269,20 @@ func (r *Receiver) onSend(from ids.NodeID, m *irmc.SendMsg) {
 }
 
 // admitLocked counts from's submission for in-window position p and
-// delivers the position once fs+1 senders agree.
+// delivers the position once fs+1 senders agree: fs+1 identical
+// submissions prove that at least one correct sender vouches for the
+// content (IRMC-Correctness I).
 func (r *Receiver) admitLocked(sub *recvSub, from ids.NodeID, p ids.Position, payload []byte) {
 	if sub.Delivered(p) {
 		return
 	}
-	sl, ok := sub.X.slots[p]
-	if !ok {
-		sl = &slot{
-			votes:    make(map[ids.NodeID]crypto.Digest),
-			payloads: make(map[crypto.Digest][]byte),
-		}
-		sub.X.slots[p] = sl
-	}
-	if _, dup := sl.votes[from]; dup {
-		return // one submission per sender per position
-	}
 	digest := crypto.Hash(payload)
-	sl.votes[from] = digest
-	if _, ok := sl.payloads[digest]; !ok {
-		sl.payloads[digest] = payload
+	if !sub.X.sends.Add(p, from, digest, payload) || !sub.X.sends.Reached(p, digest) {
+		return
 	}
-	matching := 0
-	for _, d := range sl.votes {
-		if d == digest {
-			matching++
-		}
+	for _, first := range sub.X.sends.Matching(p, digest) {
+		r.Deliver(sub, p, first)
+		break
 	}
-	// fs+1 identical submissions prove at least one correct sender
-	// vouches for the content (IRMC-Correctness I).
-	if matching >= r.Cfg.Senders.F+1 {
-		r.Deliver(sub, p, sl.payloads[digest])
-		delete(sub.X.slots, p)
-	}
+	sub.X.sends.Drop(p)
 }

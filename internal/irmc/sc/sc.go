@@ -12,8 +12,10 @@
 // MAC) and admits its own share locally in Send instead of mailing
 // itself a copy. A peer's share is verified only while it can still
 // complete something (wantShare): not once the position has its
-// certificate, and not once fs+1 verified shares for the digest are
-// in, because the own Send completes the certificate from there.
+// certificate, not once the peer has a share there (one share per
+// sender per position, whatever its digest), and not once fs+1 verified
+// shares for the digest are in, because the own Send completes the
+// certificate from there.
 // Receivers skip a certificate for a position already delivered.
 //
 // Windows, moves, early holds and their repair are irmc.SenderCore and
@@ -33,6 +35,7 @@ import (
 	"spider/internal/crypto"
 	"spider/internal/ids"
 	"spider/internal/irmc"
+	"spider/internal/quorum"
 	"spider/internal/transport"
 	"spider/internal/wire"
 )
@@ -56,8 +59,10 @@ type Sender struct {
 type senderSub = irmc.SenderSub[senderState]
 
 type senderState struct {
-	data   map[ids.Position][]byte                                  // own submissions
-	shares map[ids.Position]map[crypto.Digest]map[ids.NodeID][]byte // validated share sigs
+	data map[ids.Position][]byte // own submissions
+	// shares holds the validated share signatures, this sender's own
+	// included: one per sender per position, grouped by digest.
+	shares *quorum.Collector[ids.Position, crypto.Digest, []byte]
 	certs  map[ids.Position]*irmc.CertificateMsg
 
 	collectors map[ids.NodeID]collectorChoice // per receiver
@@ -76,7 +81,7 @@ func NewSender(cfg irmc.Config) (*Sender, error) {
 	s := &Sender{}
 	err := s.Init(cfg, func(st *senderState) {
 		st.data = make(map[ids.Position][]byte)
-		st.shares = make(map[ids.Position]map[crypto.Digest]map[ids.NodeID][]byte)
+		st.shares = quorum.New[ids.Position, crypto.Digest, []byte](quorum.Count(cfg.Senders.F+1), len(cfg.Senders.Members))
 		st.certs = make(map[ids.Position]*irmc.CertificateMsg)
 		st.collectors = make(map[ids.NodeID]collectorChoice)
 	}, s.windowChangedLocked)
@@ -176,10 +181,11 @@ func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
 // wantShare is the admission pre-check (see irmc.OpenLanes) for a
 // peer's share whose signature has not been verified yet. A valid one
 // changes nothing below the window, once the position has its
-// certificate, a second time from the same peer, or once fs+1 verified
-// shares for its digest are held: with the own share among them the
-// certificate exists, without it the own Send completes it. Positions
-// beyond the window go on to be verified and held.
+// certificate, once the peer has a share at the position (whatever its
+// digest), or once fs+1 verified shares for its digest are held: with
+// the own share among them the certificate exists, without it the own
+// Send completes it. Positions beyond the window go on to be verified
+// and held.
 func (s *Sender) wantShare(from ids.NodeID, m *irmc.SigShareMsg) bool {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
@@ -190,12 +196,8 @@ func (s *Sender) wantShare(from ids.NodeID, m *irmc.SigShareMsg) bool {
 	if !ok {
 		return true
 	}
-	if m.Position < sub.Win.Start || sub.X.certs[m.Position] != nil {
-		return false
-	}
-	byNode := sub.X.shares[m.Position][m.Digest]
-	_, dup := byNode[from]
-	return !dup && len(byNode) <= s.Cfg.Senders.F
+	return m.Position >= sub.Win.Start && sub.X.certs[m.Position] == nil &&
+		sub.X.shares.Voted(m.Position, from) == nil && !sub.X.shares.Reached(m.Position, m.Digest)
 }
 
 // readyCert is a freshly assembled certificate and the receivers that
@@ -234,27 +236,16 @@ func (s *Sender) onShare(from ids.NodeID, m *irmc.SigShareMsg) {
 }
 
 // admitShareLocked stores from's share for an in-window position and
-// assembles the certificate once fs+1 shares match our own payload.
+// assembles the certificate, of exactly fs+1 shares, once that many
+// match our own payload.
 func (s *Sender) admitShareLocked(sub *senderSub, from ids.NodeID, m *irmc.SigShareMsg) (readyCert, bool) {
 	st := &sub.X
-	byDigest, ok := st.shares[m.Position]
-	if !ok {
-		byDigest = make(map[crypto.Digest]map[ids.NodeID][]byte)
-		st.shares[m.Position] = byDigest
-	}
-	byNode, ok := byDigest[m.Digest]
-	if !ok {
-		byNode = make(map[ids.NodeID][]byte)
-		byDigest[m.Digest] = byNode
-	}
-	if _, dup := byNode[from]; dup {
+	if !st.shares.Add(m.Position, from, m.Digest, m.Sig) {
 		return readyCert{}, false
 	}
-	byNode[from] = m.Sig
-
 	payload, havePayload := st.data[m.Position]
 	if !havePayload || st.certs[m.Position] != nil ||
-		m.Digest != crypto.Hash(payload) || len(byNode) < s.Cfg.Senders.F+1 {
+		m.Digest != crypto.Hash(payload) || !st.shares.Reached(m.Position, m.Digest) {
 		return readyCert{}, false
 	}
 	cert := &irmc.CertificateMsg{
@@ -262,7 +253,7 @@ func (s *Sender) admitShareLocked(sub *senderSub, from ids.NodeID, m *irmc.SigSh
 		Position:   m.Position,
 		Payload:    payload,
 	}
-	for node, sig := range byNode {
+	for node, sig := range st.shares.Matching(m.Position, m.Digest) {
 		cert.Shares = append(cert.Shares, irmc.ShareSig{Node: node, Sig: sig})
 		if len(cert.Shares) == s.Cfg.Senders.F+1 {
 			break
@@ -298,11 +289,7 @@ func (s *Sender) windowChangedLocked(sub *senderSub) func() {
 			delete(st.data, pos)
 		}
 	}
-	for pos := range st.shares {
-		if pos < sub.Win.Start {
-			delete(st.shares, pos)
-		}
-	}
+	st.shares.DropBelow(sub.Win.Start)
 	for pos := range st.certs {
 		if pos < sub.Win.Start {
 			delete(st.certs, pos)
@@ -377,8 +364,9 @@ type Receiver struct {
 	irmc.ReceiverCore[recvState]
 
 	// lanes verify inbound certificates (fs+1 share signatures each)
-	// on the crypto pipeline, one lane per sender.
+	// on the crypto pipeline, one lane per sender; certs is the check.
 	lanes *irmc.OpenLanes
+	certs quorum.Cert
 }
 
 type recvSub = irmc.ReceiverSub[recvState]
@@ -411,6 +399,7 @@ func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 		return nil, err
 	}
 	r.lanes = irmc.NewOpenLanes(cfg, r.Reg, cfg.Senders.Members)
+	r.certs = quorum.Cert{Rule: quorum.Count(cfg.Senders.F + 1), Members: cfg.Senders}
 	r.Every(max(cfg.CollectorTimeout()/4, 10*time.Millisecond), r.checkCollectors)
 	transport.RegisterBatch(cfg.Node, cfg.Stream, r.onFrames)
 	return r, nil
@@ -462,19 +451,10 @@ func (r *Receiver) wantCertificate(m *irmc.CertificateMsg) bool {
 // carries fs+1 valid share signatures from distinct sender-group
 // members over its exact payload.
 func (r *Receiver) verifyCertificate(m *irmc.CertificateMsg) bool {
-	digest := crypto.Hash(m.Payload)
-	sharePayload := irmc.SharePayload(m.Subchannel, m.Position, digest)
-	voters := make(map[ids.NodeID]bool, len(m.Shares))
-	for _, sh := range m.Shares {
-		if voters[sh.Node] || !r.Cfg.Senders.Contains(sh.Node) {
-			continue
-		}
-		if err := r.Cfg.Suite.Verify(sh.Node, crypto.DomainIRMCShare, sharePayload, sh.Sig); err != nil {
-			continue
-		}
-		voters[sh.Node] = true
-	}
-	return len(voters) >= r.Cfg.Senders.F+1
+	sharePayload := irmc.SharePayload(m.Subchannel, m.Position, crypto.Hash(m.Payload))
+	return r.certs.Verify(len(m.Shares), func(i int) ids.NodeID { return m.Shares[i].Node }, func(i int) error {
+		return r.Cfg.Suite.Verify(m.Shares[i].Node, crypto.DomainIRMCShare, sharePayload, m.Shares[i].Sig)
+	})
 }
 
 // onCertificate installs a certificate already validated on the

@@ -2,6 +2,7 @@ package sc
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -218,8 +219,64 @@ func TestSendSignsOutsideTheLock(t *testing.T) {
 	if _, ok := sub.data[3]; ok {
 		t.Error("payload of a position below the window retained")
 	}
-	if len(sub.shares[3]) != 0 || sub.certs[3] != nil {
+	if len(sub.shares.At(3)) != 0 || sub.certs[3] != nil {
 		t.Error("own share admitted below the window")
+	}
+}
+
+// TestShareEquivocationHoldsOneShare: a faulty peer that signs many
+// digests for one in-window position gets one share there — one
+// verification, one stored signature — whatever the others carry, and
+// the position still gets its certificate once the correct senders send.
+func TestShareEquivocationHoldsOneShare(t *testing.T) {
+	suites := irmctest.Suites()
+	c := newChannel(t, irmctest.Options{Capacity: 8, NodeSuites: suites})
+	defer c.Close()
+	collector := c.Senders[0].(*Sender)
+	peer := c.SenderG.Members[1]
+	const p = ids.Position(3)
+
+	wanted := 0
+	for i := range 500 {
+		d := crypto.Hash([]byte(fmt.Sprintf("equivocation %d", i)))
+		m := &irmc.SigShareMsg{Subchannel: 0, Position: p, Digest: d,
+			Sig: suites[peer].Sign(crypto.DomainIRMCShare, irmc.SharePayload(0, p, d))}
+		if collector.wantShare(peer, m) {
+			wanted++
+		}
+		collector.onShare(peer, m)
+	}
+	collector.Mu.Lock()
+	stored := 0
+	for _, v := range collector.Subs[0].X.shares.At(p) {
+		if v.From == peer {
+			stored++
+		}
+	}
+	collector.Mu.Unlock()
+	if wanted > 1 || stored > 1 {
+		t.Fatalf("one peer's equivocating shares at one position: %d wanted, %d stored, want at most 1", wanted, stored)
+	}
+
+	want := []byte("certified despite the equivocation")
+	got := make(chan []byte, 1)
+	go func() {
+		if msg, err := c.Receivers[0].Receive(0, p); err == nil {
+			got <- msg
+		}
+	}()
+	for _, s := range []irmc.Sender{c.Senders[0], c.Senders[2]} {
+		if err := s.Send(0, p, want); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	select {
+	case msg := <-got:
+		if !bytes.Equal(msg, want) {
+			t.Fatalf("delivered %q", msg)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no certificate after the correct senders sent")
 	}
 }
 

@@ -415,10 +415,7 @@ func (r *Rate) advanceLocked(t int64) {
 	r.lastTick = t
 }
 
-// Record counts n events now.
-func (r *Rate) Record(n int) { r.RecordAt(time.Now(), n) }
-
-// RecordAt is Record with an injected clock, for tests.
+// RecordAt counts n events at now.
 func (r *Rate) RecordAt(now time.Time, n int) {
 	if n <= 0 {
 		return
@@ -433,10 +430,7 @@ func (r *Rate) RecordAt(now time.Time, n int) {
 	r.mu.Unlock()
 }
 
-// PerSecond returns the event rate over the trailing window.
-func (r *Rate) PerSecond() float64 { return r.PerSecondAt(time.Now()) }
-
-// PerSecondAt is PerSecond with an injected clock, for tests.
+// PerSecondAt returns the event rate over the window that ends at now.
 func (r *Rate) PerSecondAt(now time.Time) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -139,9 +139,6 @@ func Open(dir string) (*DirStore, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *DirStore) Dir() string { return s.dir }
-
 // DroppedAppends reports how many log records the full write-behind
 // queue discarded.
 func (s *DirStore) DroppedAppends() int64 { return s.dropped.Load() }

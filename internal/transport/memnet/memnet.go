@@ -111,11 +111,6 @@ type Profile struct {
 var (
 	// ProfileHealthy restores a pair to placement baseline.
 	ProfileHealthy = Profile{}
-	// ProfileDegraded models a congested path: noticeably slower,
-	// occasionally lossy.
-	ProfileDegraded = Profile{ExtraLatency: 30 * time.Millisecond, JitterFrac: 0.2, Loss: 0.01}
-	// ProfileLossy models a flapping path: heavy jitter and loss.
-	ProfileLossy = Profile{ExtraLatency: 10 * time.Millisecond, JitterFrac: 0.5, Loss: 0.05}
 )
 
 // regionPair is an unordered region pair (profiles are symmetric).

@@ -52,7 +52,6 @@ const (
 	KindRequestCh  StreamKind = 3 // request IRMC (execution -> agreement)
 	KindCommitCh   StreamKind = 4 // commit IRMC (agreement -> execution)
 	KindCheckpoint StreamKind = 5 // checkpoint component within a group
-	KindFetch      StreamKind = 6 // checkpoint state transfer
 	KindHFT        StreamKind = 7 // HFT baseline traffic
 	KindBench      StreamKind = 8 // microbenchmark traffic
 )

@@ -132,9 +132,6 @@ type Writer struct {
 // retain the slice.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
 // Reset discards the accumulated bytes, retaining capacity.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
@@ -152,9 +149,6 @@ func (w *Writer) WriteVarint(v int64) {
 
 // WriteUint64 appends v as an unsigned varint.
 func (w *Writer) WriteUint64(v uint64) { w.WriteUvarint(v) }
-
-// WriteUint32 appends v as an unsigned varint.
-func (w *Writer) WriteUint32(v uint32) { w.WriteUvarint(uint64(v)) }
 
 // WriteInt appends v as a signed varint.
 func (w *Writer) WriteInt(v int) { w.WriteVarint(int64(v)) }
@@ -272,9 +266,6 @@ func DecodeShared(buf []byte, m Unmarshaler) error {
 // Err returns the sticky decoding error, if any.
 func (r *Reader) Err() error { return r.err }
 
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
 // Close verifies the message was consumed exactly.
 func (r *Reader) Close() error {
 	if r.err != nil {
@@ -328,16 +319,6 @@ func (r *Reader) ReadVarint() int64 {
 
 // ReadUint64 consumes an unsigned varint.
 func (r *Reader) ReadUint64() uint64 { return r.ReadUvarint() }
-
-// ReadUint32 consumes an unsigned varint and narrows it to 32 bits.
-func (r *Reader) ReadUint32() uint32 {
-	v := r.ReadUvarint()
-	if v > math.MaxUint32 {
-		r.fail("uint32 overflow")
-		return 0
-	}
-	return uint32(v)
-}
 
 // ReadInt consumes a signed varint and narrows it to int.
 func (r *Reader) ReadInt() int {
