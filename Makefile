@@ -11,13 +11,14 @@ GO ?= go
 ## micro benches for RSA-1024 vs Ed25519 plus the Ed25519
 ## agreement-throughput rows, so snapshots record which suite produced
 ## each number.
-BENCH_PATTERN := RSAThroughput|MACThroughput|MicroPipelineRSA|MACVector|MACSingle|CommitDedup|BatchSweep|Ed25519Throughput|RSASign|RSAVerify|Ed25519Sign|Ed25519Verify
+BENCH_PATTERN := RSAThroughput|MACThroughput|MACVector|MACSingle|CommitDedup|BatchSweep|Ed25519Throughput|RSASign|RSAVerify|Ed25519Sign|Ed25519Verify
 
 .PHONY: check build vet test race fuzz-seeds soak soak-smoke bench bench-test bench-snapshot bench-compare loc tidy
 
 ## check: what CI runs — build, vet, full test suite, and the
-## concurrency-sensitive packages under the race detector (the MAC
-## authenticator lanes and certificate batches are race-prone surface).
+## concurrency-sensitive packages under the race detector (every peer's
+## delivery goroutine verifies while others step the protocol under its
+## lock).
 check: build vet test fuzz-seeds race
 
 build:
@@ -60,9 +61,9 @@ soak-smoke:
 fuzz-seeds:
 	$(GO) test -run 'Fuzz' ./internal/wire/
 
-## bench: agreement-throughput benchmarks — signature PBFT (serial vs
-## parallel pipeline) against the MAC-vector fast path, plus the
-## batch-size sweep of the batched commit data plane.
+## bench: agreement-throughput benchmarks — signature PBFT against the
+## MAC-vector fast path, plus the batch-size sweep of the batched commit
+## data plane.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 2000x . ./internal/crypto/
 

@@ -404,15 +404,13 @@ func BenchmarkAblationRealCrypto(b *testing.B) {
 // benchPBFTThroughput measures raw agreement throughput of one
 // 4-replica PBFT group under the given signature suite over a
 // zero-latency in-process network, so CPU-bound crypto — not the WAN —
-// is the bottleneck. pipe selects the crypto execution mode: the serial
-// pipeline reproduces the old inline behavior (signing under the
-// replica lock, verification on the transport goroutines); the default
-// pipeline fans both out across cores. auth selects signature-PBFT or
-// the MAC-vector fast path. flows is the number of concurrent
+// is the bottleneck. A replica signs under its lock and verifies on
+// each peer's delivery goroutine. auth selects signature-PBFT or the
+// MAC-vector fast path. flows is the number of concurrent
 // submitters. batch is the consensus batch size — a first-class
 // workload dimension now that a batch crosses the whole data plane as
 // one unit (one pre-prepare signature, one delivery callback).
-func benchPBFTThroughput(b *testing.B, suite crypto.SuiteKind, pipe *crypto.Pipeline, flows int, auth pbft.AuthMode, batch int) {
+func benchPBFTThroughput(b *testing.B, suite crypto.SuiteKind, flows int, auth pbft.AuthMode, batch int) {
 	nodes := []ids.NodeID{1, 2, 3, 4}
 	group := ids.Group{ID: 1, Members: nodes, F: 1}
 	suites := crypto.NewSuites(nodes, suite)
@@ -432,7 +430,6 @@ func benchPBFTThroughput(b *testing.B, suite crypto.SuiteKind, pipe *crypto.Pipe
 			Stream:         1,
 			BatchSize:      batch,
 			RequestTimeout: time.Minute, // saturation is not a faulty leader
-			Pipeline:       pipe,
 			NormalCaseAuth: auth,
 			Deliver: func(batch consensus.Batch) {
 				if counting && delivered.Add(int64(len(batch.Payloads))) >= target {
@@ -493,44 +490,34 @@ func benchPBFTThroughput(b *testing.B, suite crypto.SuiteKind, pipe *crypto.Pipe
 // PR 1/PR 2 numbers.
 const benchBatch = 8
 
-func BenchmarkRSAThroughputSerialSingleFlow(b *testing.B) {
-	benchPBFTThroughput(b, crypto.SuiteRSA, crypto.SerialPipeline(), 1, pbft.AuthSignatures, benchBatch)
-}
-
+// The "Pipeline" in the signature-PBFT names is historical: it keeps the
+// names the committed BENCH_*.json snapshots compare by.
 func BenchmarkRSAThroughputPipelineSingleFlow(b *testing.B) {
-	benchPBFTThroughput(b, crypto.SuiteRSA, crypto.DefaultPipeline(), 1, pbft.AuthSignatures, benchBatch)
-}
-
-func BenchmarkRSAThroughputSerial64Clients(b *testing.B) {
-	benchPBFTThroughput(b, crypto.SuiteRSA, crypto.SerialPipeline(), 64, pbft.AuthSignatures, benchBatch)
+	benchPBFTThroughput(b, crypto.SuiteRSA, 1, pbft.AuthSignatures, benchBatch)
 }
 
 func BenchmarkRSAThroughputPipeline64Clients(b *testing.B) {
-	benchPBFTThroughput(b, crypto.SuiteRSA, crypto.DefaultPipeline(), 64, pbft.AuthSignatures, benchBatch)
+	benchPBFTThroughput(b, crypto.SuiteRSA, 64, pbft.AuthSignatures, benchBatch)
 }
 
 // The same signature-PBFT configurations under the Ed25519 suite: the
 // per-suite rows snapshots compare against the RSAThroughput* set. The
 // benchmark name carries the suite dimension.
-func BenchmarkEd25519ThroughputSerialSingleFlow(b *testing.B) {
-	benchPBFTThroughput(b, crypto.SuiteEd25519, crypto.SerialPipeline(), 1, pbft.AuthSignatures, benchBatch)
-}
-
 func BenchmarkEd25519ThroughputPipelineSingleFlow(b *testing.B) {
-	benchPBFTThroughput(b, crypto.SuiteEd25519, crypto.DefaultPipeline(), 1, pbft.AuthSignatures, benchBatch)
+	benchPBFTThroughput(b, crypto.SuiteEd25519, 1, pbft.AuthSignatures, benchBatch)
 }
 
 func BenchmarkEd25519ThroughputPipeline64Clients(b *testing.B) {
-	benchPBFTThroughput(b, crypto.SuiteEd25519, crypto.DefaultPipeline(), 64, pbft.AuthSignatures, benchBatch)
+	benchPBFTThroughput(b, crypto.SuiteEd25519, 64, pbft.AuthSignatures, benchBatch)
 }
 
 // The MAC-vector fast path on the same RSA suite: prepare/commit carry
 // HMAC vectors, only pre-prepare and checkpoint signing remains on the
-// hot path. Compare against RSAThroughputSerial* for the paper's
+// hot path. Compare against RSAThroughputPipeline* for the paper's
 // agreement-cluster optimisation (acceptance: ≥1.5× single-flow even
 // on one core, where it cannot hide behind parallelism).
 func BenchmarkMACThroughputSingleFlow(b *testing.B) {
-	benchPBFTThroughput(b, crypto.SuiteRSA, crypto.DefaultPipeline(), 1, pbft.AuthMACVector, benchBatch)
+	benchPBFTThroughput(b, crypto.SuiteRSA, 1, pbft.AuthMACVector, benchBatch)
 }
 
 // MACThroughput64Clients runs with batching on (batch 64): under
@@ -539,22 +526,22 @@ func BenchmarkMACThroughputSingleFlow(b *testing.B) {
 // per batch, which is the end-to-end win the batched commit data plane
 // exists for. The MACThroughputBatch* sweep below isolates the knob.
 func BenchmarkMACThroughput64Clients(b *testing.B) {
-	benchPBFTThroughput(b, crypto.SuiteRSA, crypto.DefaultPipeline(), 64, pbft.AuthMACVector, 64)
+	benchPBFTThroughput(b, crypto.SuiteRSA, 64, pbft.AuthMACVector, 64)
 }
 
 // Batch-size sweep at 64 concurrent flows: batch 1 restores
 // request-at-a-time semantics (one signature and one position per
 // request), the larger sizes show how far amortization carries.
 func BenchmarkMACThroughputBatch1(b *testing.B) {
-	benchPBFTThroughput(b, crypto.SuiteRSA, crypto.DefaultPipeline(), 64, pbft.AuthMACVector, 1)
+	benchPBFTThroughput(b, crypto.SuiteRSA, 64, pbft.AuthMACVector, 1)
 }
 
 func BenchmarkMACThroughputBatch8(b *testing.B) {
-	benchPBFTThroughput(b, crypto.SuiteRSA, crypto.DefaultPipeline(), 64, pbft.AuthMACVector, 8)
+	benchPBFTThroughput(b, crypto.SuiteRSA, 64, pbft.AuthMACVector, 8)
 }
 
 func BenchmarkMACThroughputBatch64(b *testing.B) {
-	benchPBFTThroughput(b, crypto.SuiteRSA, crypto.DefaultPipeline(), 64, pbft.AuthMACVector, 64)
+	benchPBFTThroughput(b, crypto.SuiteRSA, 64, pbft.AuthMACVector, 64)
 }
 
 // --- batch sweep ------------------------------------------------------------
@@ -745,43 +732,6 @@ func BenchmarkMicroRSAVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// benchPipelineVerify pushes b.N RSA verifications through one lane of
-// the given pipeline; compute overlaps across workers while deliveries
-// stay ordered, so the parallel/serial ratio is the raw speedup the
-// pipeline buys on this machine.
-func benchPipelineVerify(b *testing.B, pipe *crypto.Pipeline) {
-	suites := crypto.NewSuites([]ids.NodeID{1, 2}, crypto.SuiteRSA)
-	msg := make([]byte, 256)
-	sig := suites[1].Sign(crypto.DomainPBFT, msg)
-	lane := pipe.NewLane()
-	var wg sync.WaitGroup
-	var failed atomic.Int64
-	wg.Add(b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lane.Go(func() error {
-			return suites[2].Verify(1, crypto.DomainPBFT, msg, sig)
-		}, func(err error) {
-			if err != nil {
-				failed.Add(1)
-			}
-			wg.Done()
-		})
-	}
-	wg.Wait()
-	if failed.Load() > 0 {
-		b.Fatalf("%d verifications failed", failed.Load())
-	}
-}
-
-func BenchmarkMicroPipelineRSAVerifySerial(b *testing.B) {
-	benchPipelineVerify(b, crypto.SerialPipeline())
-}
-
-func BenchmarkMicroPipelineRSAVerifyParallel(b *testing.B) {
-	benchPipelineVerify(b, crypto.DefaultPipeline())
 }
 
 func BenchmarkMicroWireEncode(b *testing.B) {

@@ -29,7 +29,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"spider/internal/app"
 	"spider/internal/core"
@@ -98,12 +97,11 @@ func run() error {
 			admins[i] = ids.ClientID(a)
 		}
 		ar, err := core.NewAgreementReplica(core.AgreementConfig{
-			Group:            agreement,
-			ExecGroups:       cfg.Entries(),
-			AdminClients:     admins,
-			Suite:            suite,
-			Node:             node,
-			ConsensusTimeout: 2 * time.Second,
+			Group:        agreement,
+			ExecGroups:   cfg.Entries(),
+			AdminClients: admins,
+			Suite:        suite,
+			Node:         node,
 		})
 		if err != nil {
 			return err

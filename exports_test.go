@@ -24,6 +24,15 @@ import (
 // interface's method instead (the memnet clock's Less and Swap serve
 // heap.Interface, every MarshalWire serves wire.Marshaler). An export
 // nothing uses is dead code with a public face: delete it.
+//
+// It also fails on every exported struct field declared under internal/
+// that nothing sets: a field only ever read holds its zero value, so it
+// is an option nobody takes or a counter nobody counts. Setting means a
+// composite literal (keyed or positional), an assignment, ++ or --,
+// taking the field's address, or calling a pointer-receiver method on a
+// field that is not a pointer (cs.PayloadBytes.Add). Embedded fields
+// and fields with a struct tag are exempt: the first are set through the
+// type they embed, the second by a decoder.
 func TestExportsReferenced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -37,6 +46,7 @@ func TestExportsReferenced(t *testing.T) {
 		pkgs: make(map[string]*types.Package),
 		std:  importer.ForCompiler(fset, "source", nil),
 		used: make(map[token.Pos]bool),
+		set:  make(map[token.Pos]bool),
 	}
 	paths := slices.Sorted(maps.Keys(dirs))
 	for _, p := range paths {
@@ -52,7 +62,7 @@ func TestExportsReferenced(t *testing.T) {
 		}
 	}
 	m.markImplementations()
-	var unused []string
+	var unused, unset []string
 	for _, p := range paths {
 		if !strings.HasPrefix(p, "spider/internal/") {
 			continue
@@ -63,11 +73,44 @@ func TestExportsReferenced(t *testing.T) {
 					unused = append(unused, fset.Position(d.name.Pos()).String()+": "+d.name.Name)
 				}
 			}
+			for _, id := range settableFields(f) {
+				if m.used[id.Pos()] && !m.set[id.Pos()] {
+					unset = append(unset, fset.Position(id.Pos()).String()+": "+id.Name)
+				}
+			}
 		}
 	}
 	for _, u := range unused {
 		t.Errorf("exported but never referenced: %s", u)
 	}
+	for _, u := range unset {
+		t.Errorf("exported field never set: %s", u)
+	}
+}
+
+// settableFields lists a file's exported struct fields that the set rule
+// applies to: named, untagged fields of its top-level struct types.
+func settableFields(f *ast.File) []*ast.Ident {
+	var out []*ast.Ident
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			return false
+		case *ast.StructType:
+			for _, fl := range n.Fields.List {
+				if fl.Tag != nil {
+					continue
+				}
+				for _, id := range fl.Names {
+					if id.IsExported() {
+						out = append(out, id)
+					}
+				}
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // pkgDir is one directory's Go files, split the way the go tool builds
@@ -137,6 +180,7 @@ type moduleCheck struct {
 	pkgs map[string]*types.Package
 	std  types.Importer
 	used map[token.Pos]bool
+	set  map[token.Pos]bool // struct fields something sets
 	// named lists the module's named types. Every package it sees, the
 	// standard library's included, is searched for interfaces, and ifaces
 	// holds the interface literals of the module's code.
@@ -171,7 +215,11 @@ func (m *moduleCheck) check(p string) *types.Package {
 }
 
 func (m *moduleCheck) typeCheck(p string, files []*ast.File) *types.Package {
-	info := &types.Info{Uses: make(map[*ast.Ident]types.Object), Types: make(map[ast.Expr]types.TypeAndValue)}
+	info := &types.Info{
+		Uses:       make(map[*ast.Ident]types.Object),
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
 	conf := types.Config{Importer: m}
 	pkg, err := conf.Check(p, m.fset, files, info)
 	if err != nil {
@@ -200,7 +248,86 @@ func (m *moduleCheck) typeCheck(p string, files []*ast.File) *types.Package {
 		}
 		m.used[obj.Pos()] = true
 	}
+	m.markSets(files, info)
 	return pkg
+}
+
+// markSets records which struct fields the files set.
+func (m *moduleCheck) markSets(files []*ast.File, info *types.Info) {
+	mark := func(v *types.Var) { m.set[v.Origin().Pos()] = true }
+	notPointer := func(e ast.Expr) bool {
+		_, ptr := info.Types[e].Type.Underlying().(*types.Pointer)
+		return !ptr
+	}
+	// assign marks the field that storing to e sets, and, where e lies
+	// inside a struct or array value, the fields holding that value.
+	var assign func(e ast.Expr)
+	assign = func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				mark(sel.Obj().(*types.Var))
+				if notPointer(e.X) {
+					assign(e.X)
+				}
+			}
+		case *ast.IndexExpr:
+			if _, ok := info.Types[e.X].Type.Underlying().(*types.Array); ok {
+				assign(e.X)
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					assign(l)
+				}
+			case *ast.IncDecStmt:
+				assign(n.X)
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					assign(n.Key)
+					if n.Value != nil {
+						assign(n.Value)
+					}
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					assign(n.X)
+				}
+			case *ast.SelectorExpr:
+				// A pointer-receiver method of a value takes its address.
+				sel := info.Selections[n]
+				if sel == nil || sel.Kind() != types.MethodVal {
+					break
+				}
+				if _, ptr := sel.Obj().(*types.Func).Signature().Recv().Type().(*types.Pointer); ptr && notPointer(n.X) {
+					assign(n.X)
+				}
+			case *ast.CompositeLit:
+				t := info.Types[n].Type
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							mark(v)
+						}
+					} else if i < st.NumFields() {
+						mark(st.Field(i))
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // markImplementations marks, for every named module type that

@@ -15,13 +15,16 @@ import (
 	"spider/internal/topo"
 )
 
-// EventKind names one scripted fault action.
+// EventKind names one fault action, as the failure artifact records
+// it. Play runs the kinds an Event describes (partition, heal,
+// kill-leader, surge); the Runner methods that perform the others record
+// them too.
 type EventKind string
 
-// The scripted fault actions.
+// The fault actions.
 const (
-	EventCrash      EventKind = "crash"       // fail-stop Node
-	EventRestart    EventKind = "restart"     // bring Node back from disk
+	EventCrash      EventKind = "crash"       // fail-stop a node (Runner.Crash)
+	EventRestart    EventKind = "restart"     // bring it back from disk (Runner.Restart)
 	EventPartition  EventKind = "partition"   // isolate Regions from the rest
 	EventHeal       EventKind = "heal"        // remove the partition
 	EventKillLeader EventKind = "kill-leader" // crash the current consensus leader
@@ -29,9 +32,9 @@ const (
 
 	// Gray-failure actions: the node stays up and answers everything,
 	// just slowly — the failure mode crash detectors miss.
-	EventDegrade       EventKind = "degrade"        // slow the node's outbound frames by Delay
+	EventDegrade       EventKind = "degrade"        // slow a node's outbound frames (Runner.Degrade)
 	EventDegradeLeader EventKind = "degrade-leader" // degrade the current consensus leader
-	EventRestore       EventKind = "restore"        // lift a degrade
+	EventRestore       EventKind = "restore"        // lift a degrade (Runner.RestoreNode)
 )
 
 // Event is one step of a scenario timeline. At is the offset from the
@@ -39,11 +42,8 @@ const (
 type Event struct {
 	At      time.Duration
 	Kind    EventKind
-	Node    ids.NodeID    // Crash / Restart / Degrade / Restore
 	Regions []topo.Region // Partition
 	Clients int           // Surge: extra clients per load region
-	Delay   time.Duration // Degrade: extra outbound one-way delay
-	Jitter  float64       // Degrade: random extra fraction of total delay
 }
 
 // AppliedEvent records an executed event for the failure artifact.
@@ -285,22 +285,12 @@ func (r *Runner) Play(events []Event, load Load) error {
 		}
 		var err error
 		switch ev.Kind {
-		case EventCrash:
-			err = r.Crash(ev.Node)
-		case EventRestart:
-			err = r.Restart(ev.Node)
 		case EventPartition:
 			r.Partition(ev.Regions...)
 		case EventHeal:
 			r.Heal()
 		case EventKillLeader:
 			_, err = r.KillLeader()
-		case EventDegrade:
-			r.Degrade(ev.Node, ev.Delay, ev.Jitter)
-		case EventDegradeLeader:
-			_, err = r.DegradeLeader(ev.Delay, ev.Jitter)
-		case EventRestore:
-			r.RestoreNode(ev.Node)
 		case EventSurge:
 			surge := load
 			surge.Clients = ev.Clients

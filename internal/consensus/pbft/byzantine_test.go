@@ -23,8 +23,8 @@ func corruptMACEnv(s crypto.Suite, members []ids.NodeID, tag wire.TypeTag, m wir
 
 // TestMACVectorFaultInjection sends a corrupted entry, a truncated
 // vector, and a vector authenticated for the wrong view from a
-// (spoofed) group member. The receiver must drop every frame on its
-// lane without handing it to the core and fall back to requesting a
+// (spoofed) group member. The receiver must drop every frame in its
+// check without handing it to the core and fall back to requesting a
 // signed copy of the vote, which the genuine peer answers — so the
 // protocol keeps moving instead of stalling (satellite: Byzantine fault
 // injection).
@@ -89,7 +89,7 @@ func TestMACVectorFaultInjection(t *testing.T) {
 	wrongVec := crypto.MACVector(attacker, members, crypto.DomainPBFT, wrongFrame)
 	injected = append(injected, wire.Encode(&signedRaw{From: 2, Frame: registry.EncodeFrame(tagPrepare, &prepare{View: 0, Seq: 1, Digest: bogus}), MACVec: wrongVec}))
 
-	// The victim's lane refuses each frame — nothing reaches its core —
+	// The victim's check refuses each frame — nothing reaches its core —
 	// and turns it into a request for a signed copy.
 	for k, env := range injected {
 		in := inbound{from: 2, env: env}
@@ -150,7 +150,7 @@ func TestMACVectorFaultInjection(t *testing.T) {
 
 // certReplica builds an unstarted replica for certificate-verification
 // unit tests.
-func certReplica(t *testing.T, pipe *crypto.Pipeline) (*Replica, map[ids.NodeID]crypto.Suite, []ids.NodeID) {
+func certReplica(t *testing.T) (*Replica, map[ids.NodeID]crypto.Suite, []ids.NodeID) {
 	t.Helper()
 	members := []ids.NodeID{1, 2, 3, 4}
 	group := ids.Group{ID: 1, Members: members, F: 1}
@@ -158,12 +158,11 @@ func certReplica(t *testing.T, pipe *crypto.Pipeline) (*Replica, map[ids.NodeID]
 	net := memnet.New(memnet.Options{})
 	t.Cleanup(net.Close)
 	r, err := New(Config{
-		Group:    group,
-		Suite:    suites[1],
-		Node:     net.Node(1),
-		Stream:   testStream,
-		Deliver:  func(consensus.Batch) {},
-		Pipeline: pipe,
+		Group:   group,
+		Suite:   suites[1],
+		Node:    net.Node(1),
+		Stream:  testStream,
+		Deliver: func(consensus.Batch) {},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,32 +180,40 @@ func macRawFrom(s crypto.Suite, members []ids.NodeID, tag wire.TypeTag, m wire.M
 	return signedRaw{From: s.Node(), Frame: frame, MACVec: crypto.MACVector(s, members, crypto.DomainPBFT, frame)}
 }
 
-// TestCheckpointCertOneBadShare asserts checkpoint certificates run
-// through the pipeline batch path and are rejected whole when a
-// single share is corrupt (satellite: pipeline certificate batches).
+// TestCheckpointCertOneBadShare asserts checkpoint certificates are
+// rejected whole when a single share is corrupt, whether one goroutine
+// checks them or several at once (as concurrent frame deliveries do).
 func TestCheckpointCertOneBadShare(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		pipe *crypto.Pipeline
-	}{{"serial", crypto.SerialPipeline()}, {"parallel", crypto.DefaultPipeline()}} {
-		t.Run(mode.name, func(t *testing.T) {
-			r, suites, _ := certReplica(t, mode.pipe)
-			chain := crypto.Hash([]byte("chain"))
-			msg := &checkpointMsg{BatchSeq: 8, GlobalSeq: 20, Chain: chain}
-			proof := []signedRaw{
-				signedRawFrom(suites[2], tagCheckpoint, msg),
-				signedRawFrom(suites[3], tagCheckpoint, msg),
-				signedRawFrom(suites[4], tagCheckpoint, msg),
-			}
-			if !r.verifyCheckpointProof(8, 20, chain, proof) {
-				t.Fatal("valid checkpoint certificate rejected")
-			}
-			proof[1].Sig[0] ^= 0xff
-			if r.verifyCheckpointProof(8, 20, chain, proof) {
-				t.Fatal("checkpoint certificate with one bad share accepted")
-			}
-		})
+	r, suites, _ := certReplica(t)
+	chain := crypto.Hash([]byte("chain"))
+	msg := &checkpointMsg{BatchSeq: 8, GlobalSeq: 20, Chain: chain}
+	check := func(t *testing.T) {
+		proof := []signedRaw{
+			signedRawFrom(suites[2], tagCheckpoint, msg),
+			signedRawFrom(suites[3], tagCheckpoint, msg),
+			signedRawFrom(suites[4], tagCheckpoint, msg),
+		}
+		if !r.verifyCheckpointProof(8, 20, chain, proof) {
+			t.Error("valid checkpoint certificate rejected")
+			return
+		}
+		proof[1].Sig[0] ^= 0xff
+		if r.verifyCheckpointProof(8, 20, chain, proof) {
+			t.Error("checkpoint certificate with one bad share accepted")
+		}
 	}
+	t.Run("serial", check)
+	t.Run("parallel", func(t *testing.T) {
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				check(t)
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // TestCommitCertOneBadShare covers the commit-certificate path used by
@@ -214,7 +221,7 @@ func TestCheckpointCertOneBadShare(t *testing.T) {
 // commits and relayed MAC-vector commits (whose receiver entry the
 // relayer cannot forge).
 func TestCommitCertOneBadShare(t *testing.T) {
-	r, suites, members := certReplica(t, crypto.DefaultPipeline())
+	r, suites, members := certReplica(t)
 	payload := []byte("batch")
 	pp := &prePrepare{View: 0, Seq: 1, Payloads: [][]byte{payload}}
 	digest := batchDigest(pp.Payloads)
@@ -273,7 +280,7 @@ func TestCommitCertOneBadShare(t *testing.T) {
 		// otherwise a replica that missed its peers' commits could
 		// never use a quorum-sized certificate containing its own vote
 		// — and must not count when fabricated by the relayer.
-		fresh, fsuites, fmembers := certReplica(t, crypto.DefaultPipeline())
+		fresh, fsuites, fmembers := certReplica(t)
 		ce := committedEntry{
 			PrePrepare: signedRawFrom(fsuites[1], tagPrePrepare, pp),
 			Commits: []signedRaw{
@@ -315,7 +322,7 @@ func TestCommitCertOneBadShare(t *testing.T) {
 // TestPreparedProofRejectsMACVotes asserts MAC-authenticated votes
 // cannot be smuggled into a view-change prepared proof.
 func TestPreparedProofRejectsMACVotes(t *testing.T) {
-	r, suites, members := certReplica(t, crypto.DefaultPipeline())
+	r, suites, members := certReplica(t)
 	payload := []byte("batch")
 	pp := &prePrepare{View: 0, Seq: 1, Payloads: [][]byte{payload}}
 	digest := batchDigest(pp.Payloads)

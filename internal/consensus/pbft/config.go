@@ -157,11 +157,6 @@ type Config struct {
 	// (three consecutive slow intervals) and a bounded rotation rate
 	// (one per RequestTimeout per replica).
 	SuspectSlowLeader bool
-	// Pipeline runs signature verification and signing off the
-	// transport handler goroutines and the replica lock; nil selects
-	// the process-wide default pool (crypto.DefaultPipeline). Pass
-	// crypto.SerialPipeline() to force the old inline behavior.
-	Pipeline *crypto.Pipeline
 
 	// StartView seeds the replica's view on construction. A replica
 	// restarting from durable state passes its last installed view so
@@ -206,9 +201,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Policy == nil {
 		c.Policy = quorum.Count(2*c.Group.F + 1)
-	}
-	if c.Pipeline == nil {
-		c.Pipeline = crypto.DefaultPipeline()
 	}
 }
 

@@ -15,16 +15,16 @@ import (
 // change, the checkpoints, the request queue and the monitor, changed
 // only through Step. It never reads the clock (every event carries its
 // time), never blocks, starts no goroutine and verifies nothing: frames
-// reach it already checked by their lane, and whatever it wants done —
-// a frame sent, a vote authenticated and multicast, a batch handed up —
-// it returns as actions, in the order it wants them done. Replica wraps
-// it with the lock, the crypto lanes, the transport, one timer and the
-// delivery goroutine.
+// reach it already checked (Replica.check), and whatever it wants done
+// — a frame sent, a vote authenticated and multicast, a batch handed up
+// — it returns as actions, in the order it wants them done. Replica
+// wraps it with the lock, the transport, one timer and the delivery
+// goroutine.
 
 type eventKind uint8
 
 const (
-	evFrame eventKind = iota + 1 // a frame its lane checked
+	evFrame eventKind = iota + 1 // a checked frame
 	evOrder                      // a payload to order
 	evGC                         // delivered payloads below a global sequence number may go
 	evTick                       // the timer fired
@@ -46,7 +46,7 @@ type actionKind uint8
 const (
 	actSend          actionKind = iota + 1 // env to one member
 	actMulticast                           // env to every member, this replica included
-	actAuthMulticast                       // authenticate msg on the signing lane, then multicast it
+	actAuthMulticast                       // authenticate msg, then multicast it
 	actDeliverable                         // evTake has work
 	actDeliver                             // the batch evTake took
 	actViewInstalled                       // view was installed
@@ -136,9 +136,9 @@ type vcVote struct {
 	raw signedRaw
 }
 
-// inbound is one frame on its way to the core, with everything its lane
-// worked out off the lock: the decoded message, payload validation and
-// certificate verdicts.
+// inbound is one frame on its way to the core, with everything its
+// check worked out off the lock: the decoded message, payload validation
+// and certificate verdicts.
 type inbound struct {
 	from      ids.NodeID
 	tag       wire.TypeTag
@@ -156,8 +156,8 @@ type inbound struct {
 	fallback *voteRequest
 }
 
-// core is one replica's protocol state. Only Step and the queries the
-// lanes ask change or read it, and Replica serializes both.
+// core is one replica's protocol state. Only Step and the queries a
+// frame's check asks change or read it, and Replica serializes both.
 type core struct {
 	cfg *Config
 	me  ids.NodeID
@@ -320,8 +320,8 @@ func (c *core) multicast(env []byte) {
 	c.out = append(c.out, action{kind: actMulticast, env: env})
 }
 
-// authMulticast has Replica authenticate m off the lock and multicast
-// it; the signing lane keeps these in the order the core produced them.
+// authMulticast has Replica authenticate m and multicast it, in the
+// order the core produced them.
 // Used for the high-rate normal-case messages (prepare, commit — signed
 // or MAC-vector authenticated per NormalCaseAuth) and for checkpoints
 // (always signed, they form certificates); messages whose raws must be
@@ -418,11 +418,12 @@ func (c *core) gc(before ids.SeqNr) {
 	}
 }
 
-// --- lane queries ---------------------------------------------------------
+// --- check queries --------------------------------------------------------
 //
-// A lane asks these, under Replica's lock, before it spends public-key
-// work on a frame. They change no protocol state, and a stale answer
-// only costs a drop or a verification the handler then discards.
+// A frame's check asks these, under Replica's lock, before it spends
+// public-key work on the frame. They change no protocol state, and a
+// stale answer only costs a drop or a verification the handler then
+// discards.
 
 // voteStillCounts asks, before a signed prepare or commit is verified,
 // whether the core would use a valid vote like it. Not if the handlers'
@@ -635,10 +636,10 @@ func (c *core) handlePrePrepare(from ids.NodeID, pp *prePrepare, raw signedRaw, 
 	}
 	if valErr != nil {
 		return // refuse to endorse an invalid payload (A-Validity,
-		// checked on the lane)
+		// checked with the frame)
 	}
 	if !validated && from != c.me && c.cfg.Validate != nil {
-		// The lane skipped validation because the frame looked
+		// The check skipped validation because the frame looked
 		// droppable when it asked; the state moved in its favor, so
 		// validate inline (rare: a racing watermark or view install).
 		for _, p := range pp.Payloads {
@@ -1081,7 +1082,7 @@ func (c *core) handleStatusReply(reply *statusReply, v *statusVerdict) {
 		// A relayed new-view envelope lets a replica stuck in an old
 		// view adopt the group's current one; it is self-certifying
 		// (it embeds the signed view-change quorum) and was verified
-		// on the lane like a directly received one.
+		// with the reply like a directly received one.
 		c.handleNewView(v.nvFrom, v.nvMsg, v.nv, reply.NewViewEnv)
 	}
 	if reply.StableBatch > c.lowWM && v.stableOK {
@@ -1092,9 +1093,9 @@ func (c *core) handleStatusReply(reply *statusReply, v *statusVerdict) {
 	}
 }
 
-// installCommittedEntry installs a batch whose commit certificate the
-// lane already verified, re-checking only the state-dependent window
-// conditions.
+// installCommittedEntry installs a batch whose commit certificate was
+// already verified with its frame, re-checking only the state-dependent
+// window conditions.
 func (c *core) installCommittedEntry(ce *committedEntry, v *commitCertVerdict) {
 	if !v.ok {
 		return

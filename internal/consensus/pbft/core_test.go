@@ -86,8 +86,8 @@ type simFrame struct {
 // sim wires the cores of one group through an in-test router on a
 // synthetic clock: one goroutine, no transport, no sleep. Each member is
 // a Replica that is never started. The router plays Replica's part: it runs
-// every frame through the replica's own lane check (on the serial
-// pipeline), steps the core, and carries out the actions itself.
+// every frame through the replica's own check, steps the core, and
+// carries out the actions itself.
 // Frames travel in one global FIFO order and arrive at once; the clock
 // moves only when nothing is in flight.
 type sim struct {
@@ -128,7 +128,6 @@ func newSim(t *testing.T, mutate func(cfg *Config)) *sim {
 			Node:               nopNode{},
 			Stream:             testStream,
 			Deliver:            func(consensus.Batch) {},
-			Pipeline:           crypto.SerialPipeline(),
 			BatchSize:          4,
 			BatchDelay:         2 * time.Millisecond,
 			Window:             32,
@@ -190,7 +189,7 @@ func (s *sim) step(id ids.NodeID, ev event) {
 	}
 }
 
-// arrive hands one frame to its receiver the way Replica's lanes do.
+// arrive hands one frame to its receiver the way Replica.onFrames does.
 func (s *sim) arrive(f simFrame) {
 	var raw signedRaw
 	if err := wire.Decode(f.env, &raw); err != nil || raw.From != f.from {

@@ -15,9 +15,9 @@ import (
 
 // TestAsyncVerifyPreservesSenderOrder feeds a replica a long run of
 // signed prepare/commit frames from one peer through the transport
-// handler and asserts the async verification pipeline hands them to the
-// core in submission order: parallel signature checking must never
-// reorder one sender's messages (vote bookkeeping, view-change and
+// handler and asserts that verification hands them to the core in
+// submission order: checking signatures must never reorder one sender's
+// messages (vote bookkeeping, view-change and
 // checkpoint certificate logic all assume the transport's per-sender
 // FIFO). The votes are for a view the replica has not installed, so the
 // core holds each one in arrival order, which is what the test reads.
@@ -101,7 +101,7 @@ func TestAsyncVerifyPreservesSenderOrder(t *testing.T) {
 	}
 }
 
-// TestAsyncVerifyRejectsBadSignatures asserts the pipeline path still
+// TestAsyncVerifyRejectsBadSignatures asserts the transport handler
 // refuses frames that fail verification: only the genuine vote reaches
 // the core's log.
 func TestAsyncVerifyRejectsBadSignatures(t *testing.T) {

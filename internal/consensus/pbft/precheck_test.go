@@ -14,8 +14,8 @@ import (
 
 // lone is one started replica (node 2, a follower of view 0) whose
 // peers exist only as suites: the test plays them by handing frames to
-// its transport handler. The serial pipeline processes each frame before
-// the handler returns, and the counting suite shows what it cost.
+// its transport handler. The handler processes each frame before it
+// returns, and the counting suite shows what it cost.
 type lone struct {
 	t      *testing.T
 	r      *Replica
@@ -56,7 +56,6 @@ func (l *lone) config(id ids.NodeID, s crypto.Suite) Config {
 		Node:           l.net.Node(id),
 		Stream:         testStream,
 		Deliver:        func(consensus.Batch) {},
-		Pipeline:       crypto.SerialPipeline(),
 		RequestTimeout: time.Minute,
 	}
 }

@@ -3,7 +3,6 @@ package pbft
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spider/internal/consensus"
@@ -15,8 +14,7 @@ import (
 )
 
 // Replica is one PBFT group member implementing consensus.Agreement. It
-// wraps the core (core.go): it owns the one lock, the
-// per-member verify lanes and the signing lane, the transport handler,
+// wraps the core (core.go): it owns the one lock, the transport handler,
 // a single timer and the delivery goroutine, and turns each of them into
 // events for the core and the core's actions into sends, signatures and
 // deliveries.
@@ -33,14 +31,6 @@ type Replica struct {
 	timer   *time.Timer
 	wakeAt  time.Time // when timer fires next
 
-	// One inbound lane per group member keeps per-sender FIFO dispatch
-	// while verification fans out across the worker pool, and signLane
-	// orders this replica's own outbound prepare/commit/checkpoint
-	// messages, whose authentication also happens off the lock.
-	recvLanes map[ids.NodeID]*crypto.Lane
-	signLane  *crypto.Lane
-	stopFlag  atomic.Bool
-
 	// Authenticators: sigAuth signs (always used for messages that may
 	// land in proofs), macAuth produces/checks MAC vectors over the
 	// group, and normalAuth is whichever of the two the configured
@@ -49,7 +39,7 @@ type Replica struct {
 	macAuth    crypto.GroupAuthenticator
 	normalAuth crypto.GroupAuthenticator
 
-	// certs checks the certificates frames carry, on the crypto pipeline.
+	// certs checks the certificates frames carry.
 	certs quorum.Cert
 }
 
@@ -70,19 +60,14 @@ func New(cfg Config) (*Replica, error) {
 		return nil, err
 	}
 	r := &Replica{
-		cfg:       cfg,
-		me:        cfg.Suite.Node(),
-		recvLanes: make(map[ids.NodeID]*crypto.Lane, len(cfg.Group.Members)),
-		signLane:  cfg.Pipeline.NewLane(),
-		sigAuth:   crypto.NewSignatureAuthenticator(cfg.Suite, crypto.DomainPBFT),
-		macAuth:   crypto.NewMACVectorAuthenticator(cfg.Suite, cfg.Group.Members, crypto.DomainPBFT),
-		certs:     quorum.Cert{Rule: cfg.Policy, Members: cfg.Group, Run: cfg.Pipeline.RunBatch},
+		cfg:     cfg,
+		me:      cfg.Suite.Node(),
+		sigAuth: crypto.NewSignatureAuthenticator(cfg.Suite, crypto.DomainPBFT),
+		macAuth: crypto.NewMACVectorAuthenticator(cfg.Suite, cfg.Group.Members, crypto.DomainPBFT),
+		certs:   quorum.Cert{Rule: cfg.Policy, Members: cfg.Group},
 	}
 	r.core = newCore(&r.cfg, time.Now())
 	r.cond = sync.NewCond(&r.mu)
-	for _, m := range cfg.Group.Members {
-		r.recvLanes[m] = cfg.Pipeline.NewLane()
-	}
 	r.normalAuth = r.macAuth
 	if cfg.NormalCaseAuth == AuthSignatures {
 		r.normalAuth = r.sigAuth
@@ -117,7 +102,6 @@ func (r *Replica) Stop() {
 		return
 	}
 	r.stopped = true
-	r.stopFlag.Store(true)
 	if r.timer != nil {
 		r.timer.Stop()
 	}
@@ -230,93 +214,66 @@ func (r *Replica) step(ev event) (batch consensus.Batch, taken bool) {
 	return batch, taken
 }
 
-// ask runs a core query for a lane, under the lock.
+// ask runs a core query for check, under the lock.
 func (r *Replica) ask(q func(c *core) bool) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return q(r.core)
 }
 
-// authMulticast authenticates an actAuthMulticast message on the
-// signing lane and multicasts the envelope once the material is ready.
-// The lane preserves submission order, so peers observe this replica's
-// messages in the order the core produced them even though the crypto
-// happens off the lock.
+// authMulticast authenticates an actAuthMulticast message and
+// multicasts the envelope, inside the step that produced it, so peers
+// observe this replica's messages in the order the core produced them.
 func (r *Replica) authMulticast(a *action) {
-	// The frame is encoded under the lock (the message may reference
-	// core state) into a pooled buffer; only the envelope — encoded
-	// exactly once for all recipients — is a fresh allocation, because
-	// the transport retains it. The pooled buffer is released on the
-	// signing lane once the envelope exists.
+	// The frame is encoded (the message may reference core state) into a
+	// pooled buffer; only the envelope — encoded exactly once for all
+	// recipients — is a fresh allocation, because the transport retains
+	// it.
 	fw := wire.GetWriter()
 	frame := registry.AppendFrame(fw.Bytes(), a.tag, a.msg)
 	auth := r.normalAuth
 	if a.signed {
 		auth = r.sigAuth
 	}
-	var env []byte
-	r.signLane.Go(func() error {
-		sig, vec := auth.Authenticate(frame)
-		env = wire.Encode(&signedRaw{From: r.me, Frame: frame, Sig: sig, MACVec: vec})
-		wire.PutWriter(fw)
-		return nil
-	}, func(error) {
-		// Deliberately lock-free: with a synchronous pipeline this
-		// callback runs on the submitting goroutine, which already
-		// holds r.mu. The transport is safe for concurrent use and
-		// drops traffic after shutdown.
-		if r.stopFlag.Load() {
-			return
-		}
-		r.cfg.Node.Multicast(r.cfg.Group.Members, r.cfg.Stream, env)
-	})
+	sig, vec := auth.Authenticate(frame)
+	env := wire.Encode(&signedRaw{From: r.me, Frame: frame, Sig: sig, MACVec: vec})
+	wire.PutWriter(fw)
+	r.cfg.Node.Multicast(r.cfg.Group.Members, r.cfg.Stream, env)
 }
 
 // onFrames admits a run of frames that arrived back-to-back from one
-// peer. It only decodes the envelopes; everything else runs on the
-// sender's lane (check), so the transport goroutine and the lock are
-// never blocked on crypto. The lane guarantees frames of one peer reach
-// the core in arrival order, and the whole run enters the lane as one
-// GoBatch submission so a saturated link pays the pipeline queue
-// locking once per drain instead of once per frame.
+// peer, in arrival order, on the peer's delivery goroutine. Each frame
+// is checked (check: authentication and certificates) without the lock,
+// which is taken only for the step that feeds it to the core.
 func (r *Replica) onFrames(from ids.NodeID, payloads [][]byte) {
-	lane := r.recvLanes[from]
-	if lane == nil {
+	if !r.cfg.Group.Contains(from) {
 		return // not a group member
 	}
-	jobs := make([]crypto.Job, 0, len(payloads))
 	// One backing array for the run's inbound records: a saturated
-	// link pays two allocations per drain instead of one per frame.
-	ins := make([]inbound, 0, len(payloads))
-	for _, payload := range payloads {
+	// link pays one allocation per drain instead of one per frame.
+	ins := make([]inbound, len(payloads))
+	for i, payload := range payloads {
 		// Zero-copy decode: the envelope's frame, signature and MAC
 		// vector alias the transport payload, which the transport
 		// contract guarantees is immutable shared data. Vote raws
 		// retained in the log therefore pin their frame (and, over
 		// tcpnet, its arena chunk) until checkpoint GC — a bounded,
 		// documented trade for an allocation-free admission path.
-		var raw signedRaw
-		if err := wire.DecodeShared(payload, &raw); err != nil {
+		in := &ins[i]
+		if err := wire.DecodeShared(payload, &in.raw); err != nil {
 			continue
 		}
-		if raw.From != from {
+		if in.raw.From != from {
 			continue // transport identity must match the claimed sender
 		}
-		ins = append(ins, inbound{from: from, raw: raw, env: payload})
-		in := &ins[len(ins)-1]
-		jobs = append(jobs, crypto.Job{
-			Compute: func() error { return r.check(in) },
-			Deliver: func(err error) {
-				if err != nil && in.fallback == nil {
-					return
-				}
-				r.mu.Lock()
-				defer r.mu.Unlock()
-				r.step(event{kind: evFrame, now: time.Now(), in: in})
-			},
-		})
+		in.from, in.env = from, payload
+		if err := r.check(in); err != nil && in.fallback == nil {
+			continue
+		}
+		r.mu.Lock()
+		r.step(event{kind: evFrame, now: time.Now(), in: in})
+		r.mu.Unlock()
 	}
-	lane.GoBatch(jobs)
 }
 
 // onTimer is the one timer's callback: a tick for the core, which then

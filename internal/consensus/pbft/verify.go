@@ -9,17 +9,18 @@ import (
 	"spider/internal/wire"
 )
 
-// What runs on a frame's lane, off the replica lock: authentication,
-// A-Validity and certificate checks. Only Replica.ask reads the core.
+// What runs on a frame's delivery goroutine, off the replica lock:
+// authentication, A-Validity and certificate checks. Only Replica.ask
+// reads the core.
 
 // errVoteNotNeeded drops a signed vote before its signature check.
 var errVoteNotNeeded = errors.New("pbft: vote can no longer change anything")
 
-// check is one frame's lane work: decode it, authenticate it, and
-// precompute what its handler needs (payload validation, certificate
-// verdicts). A non-nil error drops the frame; a MAC-authenticated vote
-// that failed leaves in.fallback set for the core to ask for a signed
-// copy.
+// check is one frame's work before the core sees it: decode it,
+// authenticate it, and precompute what its handler needs (payload
+// validation, certificate verdicts). A non-nil error drops the frame; a
+// MAC-authenticated vote that failed leaves in.fallback set for the core
+// to ask for a signed copy.
 //
 // Cheap acceptance check first, public-key work second: a signed
 // prepare or commit is asked about (voteStillCounts) before its
@@ -68,10 +69,9 @@ func (r *Replica) check(in *inbound) error {
 		// as CPU-bound as the envelope signature and must not run under
 		// the replica lock. Gated on the same cheap acceptance checks
 		// the handler applies, so duplicate or out-of-window
-		// pre-prepares cannot buy batch-sized validation work on the
-		// shared pool (the handler falls back to inline validation for
-		// the rare frame that becomes acceptable between this check and
-		// dispatch).
+		// pre-prepares cannot buy batch-sized validation work (the
+		// handler falls back to inline validation for the rare frame
+		// that becomes acceptable between this check and dispatch).
 		pp := in.msg.(*prePrepare)
 		if from != r.me && r.cfg.Validate != nil && r.ask(func(c *core) bool { return c.wouldAcceptPrePrepare(from, pp) }) {
 			in.validated = true
@@ -265,7 +265,7 @@ func (r *Replica) verifyPreparedProof(proof *preparedProof) (*prePrepare, crypto
 	return pp, digest, true
 }
 
-// nvVerdict is the lane's verdict for one new-view message: whether the
+// nvVerdict is check's verdict for one new-view message: whether the
 // view-change quorum and the reissued pre-prepares check out, and the
 // reissue plan both were validated against.
 type nvVerdict struct {
@@ -334,7 +334,7 @@ func (r *Replica) verifyNewView(from ids.NodeID, nv *newView) *nvVerdict {
 	return &nvVerdict{ok: true, plan: plan, reissues: reissues}
 }
 
-// statusVerdict carries the certificate verdicts the lane precomputed
+// statusVerdict carries the certificate verdicts check precomputed
 // for one status reply, so the core only pays for state updates, never
 // for signature loops.
 type statusVerdict struct {
@@ -346,10 +346,10 @@ type statusVerdict struct {
 	nv     *nvVerdict
 }
 
-// verifyStatusReply runs every certificate in a status reply through
-// the crypto pipeline. A snapshot of the core's watermarks skips work
-// that cannot matter; the core re-checks all state-dependent conditions,
-// so a stale snapshot can only cost a retry, never correctness.
+// verifyStatusReply checks every certificate in a status reply. A
+// snapshot of the core's watermarks skips work that cannot matter; the
+// core re-checks all state-dependent conditions, so a stale snapshot can
+// only cost a retry, never correctness.
 func (r *Replica) verifyStatusReply(reply *statusReply) *statusVerdict {
 	var lowWM, nextDeliver, view uint64
 	r.ask(func(c *core) bool {

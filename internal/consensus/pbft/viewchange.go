@@ -145,7 +145,7 @@ func (c *core) maybeEmitViewChange() {
 
 func (c *core) handleViewChange(from ids.NodeID, vc *viewChange, raw signedRaw, verified bool) {
 	if vc.NewView <= c.view || !verified {
-		// Stale, or the lane could not validate the embedded evidence
+		// Stale, or check could not validate the embedded evidence
 		// (certificates or prepared proofs).
 		return
 	}

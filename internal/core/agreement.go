@@ -122,7 +122,8 @@ type AgreementReplica struct {
 	// receive loops (Order) and again when the leader's pre-prepare is
 	// vetted (A-Validity), so remembering digests that already passed
 	// halves the RSA verification cost per ordered request. Guarded by
-	// its own lock because validation runs on crypto-pipeline workers.
+	// its own lock because validation runs on the PBFT peers' delivery
+	// goroutines and the receive loops.
 	vmu    sync.Mutex
 	vcache map[crypto.Digest]struct{}
 	vfifo  []crypto.Digest
@@ -205,7 +206,6 @@ func NewAgreementReplica(cfg AgreementConfig) (*AgreementReplica, error) {
 		RequestTimeout: cfg.ConsensusTimeout,
 		BatchSize:      batch,
 		BatchOccupancy: cfg.BatchOccupancy,
-		Pipeline:       cfg.Pipeline,
 		NormalCaseAuth: cfg.ConsensusAuth,
 
 		SuspectSlowLeader: cfg.SuspectSlowLeader,
@@ -477,10 +477,8 @@ func (a *AgreementReplica) attachGroupLocked(entry GroupEntry) error {
 		Suite:              a.cfg.Suite,
 		Node:               a.cfg.Node,
 		Stream:             requestStream(gid),
-		Meter:              a.cfg.Meter,
 		ProgressIntervalMS: a.cfg.Tunables.ChannelProgressMS,
 		CollectorTimeoutMS: a.cfg.Tunables.ChannelCollectorMS,
-		Pipeline:           a.cfg.Pipeline,
 		OnNewSubchannel: func(sc ids.Subchannel) {
 			a.ensureReceiveLoop(gid, ids.ClientID(sc))
 		},
@@ -499,14 +497,12 @@ func (a *AgreementReplica) attachGroupLocked(entry GroupEntry) error {
 		Suite:              a.cfg.Suite,
 		Node:               a.cfg.Node,
 		Stream:             commitStream(gid),
-		Meter:              a.cfg.Meter,
 		SendBytes:          wireBytes,
 		ProgressIntervalMS: a.cfg.Tunables.ChannelProgressMS,
 		CollectorTimeoutMS: a.cfg.Tunables.ChannelCollectorMS,
 		// Commit channels carry committed batches the execution side has
 		// no other way to obtain; RC repairs window loss via resend.
-		Resend:   true,
-		Pipeline: a.cfg.Pipeline,
+		Resend: true,
 	})
 	if err != nil {
 		reqRecv.Close()
@@ -636,8 +632,8 @@ func (a *AgreementReplica) markValidated(d crypto.Digest) {
 // validatePayload is PBFT's A-Validity hook: only correctly signed
 // client requests from wrapped submissions may be ordered, and admin
 // operations must come from authorized clients. It runs off the PBFT
-// replica lock, on crypto-pipeline workers and receive-loop
-// goroutines.
+// replica lock, on the PBFT peers' delivery goroutines and the receive
+// loops.
 func (a *AgreementReplica) validatePayload(payload []byte) error {
 	d := crypto.Hash(payload)
 	if a.wasValidated(d) {

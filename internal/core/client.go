@@ -27,14 +27,6 @@ type Client struct {
 	counter uint64
 	waiting *replyWait
 
-	// Reply verification runs off the transport handler on per-replica
-	// crypto lanes: each replica's replies are opened and dispatched in
-	// arrival order while the MAC checks of different replicas overlap
-	// across the pipeline workers — a many-client benchmark process no
-	// longer serializes every reply on one inbox goroutine.
-	pipe  *crypto.Pipeline
-	lanes map[ids.NodeID]*crypto.Lane // guarded by mu
-
 	// registryVotes receives registry replies while a QueryRegistry is
 	// in flight; nil otherwise. Guarded by mu.
 	registryVotes chan registryVote
@@ -70,16 +62,10 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	pipe := cfg.Pipeline
-	if pipe == nil {
-		pipe = crypto.DefaultPipeline()
-	}
 	return &Client{
 		cfg:     cfg,
 		group:   cfg.Group.Clone(),
 		counter: cfg.CounterStart,
-		pipe:    pipe,
-		lanes:   make(map[ids.NodeID]*crypto.Lane),
 	}, nil
 }
 
@@ -131,54 +117,33 @@ func (c *Client) ensureHandler() {
 	})
 }
 
-// laneFor returns the crypto lane ordering one replica's inbound
-// replies, creating it on demand — but only for nodes that are
-// execution-group or agreement-group members: the transport sender
-// identity is an unauthenticated claim, and per-claimed-id state would
-// be an allocation amplifier. Returns nil for strangers.
-func (c *Client) laneFor(from ids.NodeID) *crypto.Lane {
+// known reports whether from is an execution-group or agreement-group
+// member: the transport sender identity is an unauthenticated claim, and
+// a stranger's frame is not worth a MAC check.
+func (c *Client) known(from ids.NodeID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	lane, ok := c.lanes[from]
-	if !ok {
-		if !c.group.Contains(from) && !c.cfg.AgreementGroup.Contains(from) {
-			return nil
-		}
-		lane = c.pipe.NewLane()
-		c.lanes[from] = lane
-	}
-	return lane
+	return c.group.Contains(from) || c.cfg.AgreementGroup.Contains(from)
 }
 
-// onInbox is the reply-stream transport handler. It only schedules the
-// frame: MAC verification and decoding run on the sending replica's
-// crypto lane, and the verified message is dispatched in per-replica
-// arrival order (ROADMAP: client-side reply verification off the
-// stream handler). Frames from strangers are dropped by laneFor.
+// onInbox is the reply-stream transport handler. It runs on the sending
+// replica's delivery goroutine, so each replica's replies are verified
+// and dispatched in arrival order. Frames from strangers are dropped
+// before the MAC check.
 func (c *Client) onInbox(from ids.NodeID, payload []byte) {
-	lane := c.laneFor(from)
-	if lane == nil {
+	if !c.known(from) {
 		return
 	}
-	var (
-		tag wire.TypeTag
-		msg wire.Message
-	)
-	lane.Go(func() error {
-		var err error
-		tag, msg, err = openClientFrame(c.cfg.Suite, crypto.DomainReply, from, payload)
-		return err
-	}, func(err error) {
-		if err != nil {
-			return
-		}
-		switch tag {
-		case tagReply:
-			c.applyReply(from, msg.(*Reply))
-		case tagRegistryInfo:
-			c.applyRegistryInfo(from, msg.(*RegistryInfo))
-		}
-	})
+	tag, msg, err := openClientFrame(c.cfg.Suite, crypto.DomainReply, from, payload)
+	if err != nil {
+		return
+	}
+	switch tag {
+	case tagReply:
+		c.applyReply(from, msg.(*Reply))
+	case tagRegistryInfo:
+		c.applyRegistryInfo(from, msg.(*RegistryInfo))
+	}
 }
 
 func (c *Client) do(kind RequestKind, op []byte) ([]byte, error) {
@@ -260,7 +225,7 @@ func jitterRetry(interval time.Duration, rnd func() float64) time.Duration {
 
 // applyReply collects replica replies; fe+1 matching results complete
 // the pending operation (lines 17–24 of Figure 15). It runs on the
-// sender's crypto lane after the envelope verified.
+// sender's delivery goroutine after the envelope verified.
 func (c *Client) applyReply(from ids.NodeID, reply *Reply) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -11,10 +11,9 @@ import (
 )
 
 // TestClientReplyDispatchOrder feeds a client's inbox a long run of
-// sealed replies from one replica and asserts the per-replica crypto
-// lane dispatches them in arrival order: moving MAC verification off
-// the reply stream handler onto the pipeline must never reorder one
-// replica's replies (the vote bookkeeping in applyReply assumes it).
+// sealed replies from one replica and asserts they are dispatched in
+// arrival order: MAC verification must never reorder one replica's
+// replies (the vote bookkeeping in applyReply assumes it).
 func TestClientReplyDispatchOrder(t *testing.T) {
 	net := memnet.New(memnet.Options{})
 	t.Cleanup(net.Close)
@@ -72,7 +71,7 @@ func TestClientReplyDispatchOrder(t *testing.T) {
 }
 
 // TestClientReplyBadMACDropped: a reply whose MAC does not verify must
-// be dropped on the lane, not dispatched.
+// be dropped, not dispatched.
 func TestClientReplyBadMACDropped(t *testing.T) {
 	net := memnet.New(memnet.Options{})
 	t.Cleanup(net.Close)
@@ -99,7 +98,7 @@ func TestClientReplyBadMACDropped(t *testing.T) {
 	env[len(env)-1] ^= 0xFF // corrupt the MAC
 	client.onInbox(1, env)
 
-	// A subsequent good reply still flows (the lane recovered).
+	// A subsequent good reply still flows.
 	good := sealClientFrame(suites[1], crypto.DomainReply, frame, ids.NodeID(101))
 	client.onInbox(1, good)
 

@@ -35,20 +35,24 @@ func (k ChannelKind) String() string {
 }
 
 // Tunables bundles the protocol parameters shared by the replica
-// roles. The zero value selects the defaults listed per field.
+// roles. The zero value selects the defaults listed per field, which
+// are the values the repository benchmark measures.
 type Tunables struct {
 	// RequestChannelCapacity is the per-client request subchannel
 	// capacity; the paper uses 2 (|rE,c| = 2).
 	RequestChannelCapacity int
 	// CommitChannelCapacity is the commit subchannel capacity |cE,0|;
 	// it must be at least the execution checkpoint interval
-	// (default 128).
+	// (default 4·ke = 64).
 	CommitChannelCapacity int
-	// ExecutionCheckpointInterval is ke (default 64).
+	// ExecutionCheckpointInterval is ke (default 16). Moderate
+	// checkpoint intervals keep a joining group's catch-up short: it
+	// needs a checkpoint covering its join point before it can execute
+	// (Section 3.6).
 	ExecutionCheckpointInterval int
-	// AgreementCheckpointInterval is ka (default 64).
+	// AgreementCheckpointInterval is ka (default 16).
 	AgreementCheckpointInterval int
-	// AgreementWindow is AG-WIN, at least ka (default 128).
+	// AgreementWindow is AG-WIN, at least ka (default 4·ka = 64).
 	AgreementWindow int
 	// SlackGroups is z: how many trailing execution groups the
 	// agreement group does not wait for (default 0).
@@ -77,16 +81,16 @@ func (t *Tunables) applyDefaults() {
 		t.RequestChannelCapacity = 2
 	}
 	if t.ExecutionCheckpointInterval <= 0 {
-		t.ExecutionCheckpointInterval = 64
+		t.ExecutionCheckpointInterval = 16
 	}
 	if t.AgreementCheckpointInterval <= 0 {
-		t.AgreementCheckpointInterval = 64
+		t.AgreementCheckpointInterval = 16
 	}
 	if t.CommitChannelCapacity <= 0 {
-		t.CommitChannelCapacity = 2 * t.ExecutionCheckpointInterval
+		t.CommitChannelCapacity = 4 * t.ExecutionCheckpointInterval
 	}
 	if t.AgreementWindow <= 0 {
-		t.AgreementWindow = 2 * t.AgreementCheckpointInterval
+		t.AgreementWindow = 4 * t.AgreementCheckpointInterval
 	}
 	if t.PayloadCacheEntries <= 0 {
 		t.PayloadCacheEntries = defaultPayloadCacheEntries
@@ -174,8 +178,6 @@ type ExecutionConfig struct {
 	App Application
 	// Tunables: protocol parameters.
 	Tunables Tunables
-	// Meter, when set, accounts this replica's processing time.
-	Meter *stats.CPUMeter
 	// CommitDedup must match the agreement group's setting: with dedup
 	// on, forwarded payloads are hashed into the content-addressed
 	// cache that resolves the commit channel's by-digest references;
@@ -185,10 +187,6 @@ type ExecutionConfig struct {
 	// CommitStats, when set, accumulates this replica's payload-cache
 	// hit/miss counts (commit-channel dedup). May be shared.
 	CommitStats *CommitStats
-	// Pipeline runs client-signature checks and channel verification
-	// off the transport goroutines; nil selects the process-wide
-	// default pool.
-	Pipeline *crypto.Pipeline
 	// Store, when set, persists execution checkpoints and the
 	// post-checkpoint batch suffix write-behind, and rehydrates the
 	// replica from disk at construction instead of a cold full-state
@@ -235,8 +233,8 @@ type AgreementConfig struct {
 	Node  transport.Node
 	// Tunables: protocol parameters.
 	Tunables Tunables
-	// ConsensusTimeout is PBFT's request timeout (defaults to 1s; the
-	// agreement group sits in one region, so it can be tight).
+	// ConsensusTimeout is PBFT's request timeout (0: PBFT's default,
+	// 2 s).
 	ConsensusTimeout time.Duration
 	// ConsensusBatch caps payloads per consensus instance (default 16,
 	// clamped to AgreementWindow). The whole batch travels the commit
@@ -271,18 +269,12 @@ type AgreementConfig struct {
 	// CommitStats, when set, accumulates commit-channel byte and dedup
 	// counters across fanOut and the channel senders. May be shared.
 	CommitStats *CommitStats
-	// Meter, when set, accounts this replica's processing time.
-	Meter *stats.CPUMeter
 	// BatchOccupancy, when set, records the requests per consensus
 	// batch this replica proposes while leading.
 	BatchOccupancy *stats.Occupancy
 	// SendOccupancy, when set, records the requests per commit-channel
 	// Send, making underfilled batches visible in harness output.
 	SendOccupancy *stats.Occupancy
-	// Pipeline runs consensus and channel crypto off the transport
-	// goroutines and the replica locks; nil selects the process-wide
-	// default pool.
-	Pipeline *crypto.Pipeline
 	// Store, when set, persists agreement checkpoints, the batch
 	// history suffix and the installed PBFT view write-behind, and
 	// rehydrates the replica from disk at construction. The replica
@@ -330,9 +322,6 @@ type ClientConfig struct {
 	// counter); short-lived processes pass a persisted or time-derived
 	// value here.
 	CounterStart uint64
-	// Pipeline runs reply MAC verification off the inbox stream handler
-	// on per-replica lanes; nil selects the process-wide default pool.
-	Pipeline *crypto.Pipeline
 }
 
 func (c *ClientConfig) validate() error {

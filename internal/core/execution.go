@@ -47,12 +47,6 @@ type ExecutionReplica struct {
 
 	forwarders map[ids.ClientID]*forwarder
 
-	// pipe runs client-signature verification off the transport
-	// goroutine; one lane per client keeps each client's requests in
-	// submission order while checks for different clients overlap.
-	pipe  *crypto.Pipeline
-	lanes map[ids.ClientID]*crypto.Lane // guarded by mu
-
 	// replaying suppresses client replies while the disk suffix is
 	// re-executed during rehydration (the replies were already sent
 	// before the crash; the cache still filters duplicates).
@@ -78,12 +72,7 @@ func NewExecutionReplica(cfg ExecutionConfig) (*ExecutionReplica, error) {
 		replies:    make(map[ids.ClientID]replyCacheEntry),
 		cache:      newPayloadCache(cfg.Tunables.PayloadCacheEntries),
 		forwarders: make(map[ids.ClientID]*forwarder),
-		pipe:       cfg.Pipeline,
-		lanes:      make(map[ids.ClientID]*crypto.Lane),
 		done:       make(chan struct{}),
-	}
-	if e.pipe == nil {
-		e.pipe = crypto.DefaultPipeline()
 	}
 	e.cond = sync.NewCond(&e.mu)
 
@@ -95,10 +84,8 @@ func NewExecutionReplica(cfg ExecutionConfig) (*ExecutionReplica, error) {
 		Suite:              cfg.Suite,
 		Node:               cfg.Node,
 		Stream:             requestStream(cfg.Group.ID),
-		Meter:              cfg.Meter,
 		ProgressIntervalMS: cfg.Tunables.ChannelProgressMS,
 		CollectorTimeoutMS: cfg.Tunables.ChannelCollectorMS,
-		Pipeline:           cfg.Pipeline,
 	})
 	if err != nil {
 		return nil, err
@@ -110,13 +97,11 @@ func NewExecutionReplica(cfg ExecutionConfig) (*ExecutionReplica, error) {
 		Suite:              cfg.Suite,
 		Node:               cfg.Node,
 		Stream:             commitStream(cfg.Group.ID),
-		Meter:              cfg.Meter,
 		ProgressIntervalMS: cfg.Tunables.ChannelProgressMS,
 		CollectorTimeoutMS: cfg.Tunables.ChannelCollectorMS,
 		// Commit channels carry committed batches the execution side has
 		// no other way to obtain; RC repairs window loss via resend.
-		Resend:   true,
-		Pipeline: cfg.Pipeline,
+		Resend: true,
 	})
 	if err != nil {
 		e.reqSender.Close()
@@ -279,9 +264,6 @@ func (e *ExecutionReplica) Inspect(f func(app Application)) {
 // --- client traffic -------------------------------------------------------
 
 func (e *ExecutionReplica) onClientFrame(from ids.NodeID, payload []byte) {
-	if e.cfg.Meter != nil {
-		defer e.cfg.Meter.Track()()
-	}
 	tag, msg, err := openClientFrame(e.cfg.Suite, crypto.DomainClientRequest, from, payload)
 	if err != nil || tag != tagRequest {
 		return
@@ -339,33 +321,16 @@ func (e *ExecutionReplica) acceptRequest(req *ClientRequest) {
 		if !retry {
 			return
 		}
-		e.mu.Lock()
-		if e.stopped {
-			e.mu.Unlock()
-			return
-		}
+	} else {
+		e.mu.Unlock()
 	}
-	lane, ok := e.lanes[req.Client]
-	if !ok {
-		lane = e.pipe.NewLane()
-		e.lanes[req.Client] = lane
-	}
-	e.mu.Unlock()
 
 	// Verify the client signature only for requests we are about to
 	// forward (the expensive check runs at most once per request), on
-	// the crypto pipeline so the transport goroutine is free to admit
-	// other clients' traffic meanwhile.
-	lane.Go(func() error {
-		if e.cfg.Meter != nil {
-			defer e.cfg.Meter.Track()()
-		}
-		return e.cfg.Suite.Verify(req.Client.Node(), crypto.DomainClientRequest, req.SigPayload(), req.Sig)
-	}, func(err error) {
-		if err == nil {
-			e.admitVerified(req)
-		}
-	})
+	// the client's delivery goroutine and without the lock.
+	if e.cfg.Suite.Verify(req.Client.Node(), crypto.DomainClientRequest, req.SigPayload(), req.Sig) == nil {
+		e.admitVerified(req)
+	}
 }
 
 // admitVerified forwards a request whose signature already checked

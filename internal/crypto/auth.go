@@ -41,8 +41,8 @@ func (k AuthKind) String() string {
 // fixed group of nodes under one signing domain. It is the seam that
 // lets a protocol switch its normal-case messages between signatures
 // and MAC vectors without touching message flow. Implementations are
-// safe for concurrent use and cheap enough to call from crypto
-// pipeline workers.
+// safe for concurrent use: every peer's delivery goroutine verifies
+// with the same one.
 type GroupAuthenticator interface {
 	// Kind reports which authentication this instance produces.
 	Kind() AuthKind

@@ -1,9 +1,7 @@
 package crypto
 
 import (
-	"errors"
 	"testing"
-	"time"
 
 	"spider/internal/ids"
 )
@@ -61,63 +59,5 @@ func TestGroupAuthenticatorMACVector(t *testing.T) {
 		if err := recv.Verify(1, frame, nil, vec[:2]); err == nil {
 			t.Fatalf("member %v accepted truncated vector", m)
 		}
-	}
-}
-
-func TestRunBatchResultsInOrder(t *testing.T) {
-	for _, workers := range []int{0, 1, 4} {
-		p := NewPipeline(workers)
-		errBad := errors.New("bad")
-		fns := make([]func() error, 16)
-		for i := range fns {
-			i := i
-			fns[i] = func() error {
-				if i%3 == 0 {
-					return errBad
-				}
-				return nil
-			}
-		}
-		errs := p.RunBatch(fns)
-		for i, err := range errs {
-			want := error(nil)
-			if i%3 == 0 {
-				want = errBad
-			}
-			if !errors.Is(err, want) && err != want {
-				t.Fatalf("workers=%d: errs[%d] = %v, want %v", workers, i, err, want)
-			}
-		}
-		if got := p.RunBatch(nil); len(got) != 0 {
-			t.Fatalf("empty batch returned %d errors", len(got))
-		}
-		p.Close()
-	}
-}
-
-// TestRunBatchFromWorker asserts a batch submitted from inside a
-// pipeline compute function cannot deadlock, even on a single-worker
-// pool whose only worker is the submitter itself: the caller claims
-// and runs unstarted work.
-func TestRunBatchFromWorker(t *testing.T) {
-	p := NewPipeline(1)
-	defer p.Close()
-	lane := p.NewLane()
-	done := make(chan []error, 1)
-	lane.Go(func() error {
-		done <- p.RunBatch([]func() error{
-			func() error { return nil },
-			func() error { return errors.New("x") },
-			func() error { return nil },
-		})
-		return nil
-	}, func(error) {})
-	select {
-	case errs := <-done:
-		if errs[0] != nil || errs[1] == nil || errs[2] != nil {
-			t.Fatalf("unexpected results: %v", errs)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("RunBatch deadlocked when called from a pipeline worker")
 	}
 }

@@ -655,19 +655,7 @@ func rotate(members []ids.NodeID, k int) []ids.NodeID {
 // --- system builders ----------------------------------------------------------
 
 func (c *Cluster) spiderTunables() core.Tunables {
-	return core.Tunables{
-		SlackGroups: c.Opts.SlackGroups,
-		Channel:     c.Opts.Channel,
-		// Moderate checkpoint intervals keep joining groups' catch-up
-		// time short (a new group needs a checkpoint covering its
-		// join point before it can execute; Section 3.6).
-		ExecutionCheckpointInterval: 16,
-		AgreementCheckpointInterval: 16,
-		CommitChannelCapacity:       64,
-		AgreementWindow:             64,
-		ChannelProgressMS:           50,
-		ChannelCollectorMS:          1000,
-	}
+	return core.Tunables{SlackGroups: c.Opts.SlackGroups, Channel: c.Opts.Channel}
 }
 
 // buildSpider deploys the agreement group and one execution group per
@@ -755,19 +743,18 @@ func (c *Cluster) startRecord(rec *replicaRecord) error {
 	switch rec.kind {
 	case kindAgree:
 		ar, err := core.NewAgreementReplica(core.AgreementConfig{
-			Group:            rec.group,
-			ExecGroups:       rec.entries,
-			AdminClients:     []ids.ClientID{c.adminID},
-			Suite:            c.suites[rec.node],
-			Node:             c.Net.Node(rec.node),
-			Tunables:         c.spiderTunables(),
-			ConsensusTimeout: 2 * time.Second,
-			ConsensusAuth:    c.Opts.ConsensusAuth,
-			CommitDedup:      c.Opts.CommitDedup,
-			CommitStats:      c.commit,
-			BatchOccupancy:   c.batchOcc,
-			SendOccupancy:    c.sendOcc,
-			Store:            st,
+			Group:          rec.group,
+			ExecGroups:     rec.entries,
+			AdminClients:   []ids.ClientID{c.adminID},
+			Suite:          c.suites[rec.node],
+			Node:           c.Net.Node(rec.node),
+			Tunables:       c.spiderTunables(),
+			ConsensusAuth:  c.Opts.ConsensusAuth,
+			CommitDedup:    c.Opts.CommitDedup,
+			CommitStats:    c.commit,
+			BatchOccupancy: c.batchOcc,
+			SendOccupancy:  c.sendOcc,
+			Store:          st,
 			// Gray-failure defense: the monitor judges the leader every
 			// 1/8th of the request timeout and, after a rotation, holds
 			// fire for one full timeout so the new leader can prove itself.
@@ -1028,14 +1015,6 @@ type Workload struct {
 	Warmup   time.Duration
 	// Kind selects writes, strong reads, or weak reads.
 	Kind core.RequestKind
-	// StrongReadFrac, in (0, 1], issues that fraction of each client's
-	// operations as strong reads instead of Kind. Strong reads are
-	// designated to the issuing client's own group, so a mixed
-	// multi-region workload makes every consensus batch
-	// per-group-divergent — the regime where commit-channel payload
-	// dedup pays off (each group's copy references the requests it
-	// forwarded; the rest arrive as placeholders or full content).
-	StrongReadFrac float64
 	// ValueSize is the write payload size (the paper uses 200 bytes).
 	ValueSize int
 }
@@ -1128,7 +1107,7 @@ func runClient(h *Handle, client *core.Client, region topo.Region, idx int, w Wo
 
 	// Seed one key so read workloads have data to fetch.
 	key := fmt.Sprintf("%s-%d", region, idx)
-	if w.Kind != core.KindWrite || w.StrongReadFrac > 0 {
+	if w.Kind != core.KindWrite {
 		if _, err := client.Write(app.EncodeOp(app.Op{Kind: app.OpPut, Key: key, Value: value})); err != nil {
 			return
 		}
@@ -1140,12 +1119,8 @@ func runClient(h *Handle, client *core.Client, region topo.Region, idx int, w Wo
 			return
 		default:
 		}
-		kind := w.Kind
-		if w.StrongReadFrac > 0 && rng.Float64() < w.StrongReadFrac {
-			kind = core.KindStrongRead
-		}
 		var op []byte
-		switch kind {
+		switch w.Kind {
 		case core.KindWrite:
 			op = app.EncodeOp(app.Op{Kind: app.OpPut, Key: key, Value: value})
 		default:
@@ -1153,7 +1128,7 @@ func runClient(h *Handle, client *core.Client, region topo.Region, idx int, w Wo
 		}
 		start := time.Now()
 		var err error
-		switch kind {
+		switch w.Kind {
 		case core.KindWrite:
 			_, err = client.Write(op)
 		case core.KindStrongRead:

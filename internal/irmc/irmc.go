@@ -162,17 +162,6 @@ type Config struct {
 	// subchannel. Spider's agreement replicas use it to discover
 	// per-client request subchannels and spawn receive loops.
 	OnNewSubchannel func(sc ids.Subchannel)
-	// Pipeline runs inbound signature verification off the transport
-	// handler goroutines; nil selects the process-wide default pool.
-	Pipeline *crypto.Pipeline
-}
-
-// Pipe returns the configured crypto pipeline or the process default.
-func (c *Config) Pipe() *crypto.Pipeline {
-	if c.Pipeline != nil {
-		return c.Pipeline
-	}
-	return crypto.DefaultPipeline()
 }
 
 // ProgressInterval is ProgressIntervalMS as a duration, 50 ms when unset.

@@ -47,8 +47,6 @@ type Options struct {
 	// NodeSuites, when set, replaces Suites(): a case wraps the nodes'
 	// suites to count their work or to corrupt one node's signatures.
 	NodeSuites map[ids.NodeID]crypto.Suite
-	// Pipeline, when set, is every endpoint's crypto pipeline.
-	Pipeline *crypto.Pipeline
 }
 
 // SuiteSet returns the suites the channel's endpoints are to use.
@@ -576,8 +574,8 @@ func submissionVerifiesFrom(c *cryptotest.CountingSuite, signer ids.NodeID) int6
 // verifies what completes a position's quorum and nothing that arrives
 // after it. Per position the first fs+1 senders submit, every receiver
 // delivers, and only then do the remaining senders submit, so what they
-// send can only be surplus; the serial pipeline admits one frame of a
-// link at a time, so the counts are exact. A receiver pays fs+1
+// send can only be surplus; an endpoint admits one frame of a link at
+// a time, so the counts are exact. A receiver pays fs+1
 // verifications per position under either implementation (fs+1 Sends,
 // or the fs+1 shares of one certificate). Under sender-side collection
 // a sender pays at most fs+1 share verifications per position, exactly
@@ -586,7 +584,7 @@ func submissionVerifiesFrom(c *cryptotest.CountingSuite, signer ids.NodeID) int6
 func testVerifiesOnlyUntilQuorum(t *testing.T, factory Factory) {
 	const positions = 200
 	suites, counters := cryptotest.CountingAll(Suites())
-	c := factory(t, Options{Capacity: 256, NodeSuites: suites, Pipeline: crypto.SerialPipeline()})
+	c := factory(t, Options{Capacity: 256, NodeSuites: suites})
 	defer c.Close()
 	quorum := c.SenderG.F + 1
 
@@ -660,7 +658,7 @@ func testBadSignatureFirstStillDelivers(t *testing.T, factory Factory) {
 	last := len(senderG.Members) - 1 // not the IRMC-SC default collector
 	bad := senderG.Members[last]
 	suites[bad] = badSigSuite{suites[bad]}
-	c := factory(t, Options{Capacity: 8, NodeSuites: suites, Pipeline: crypto.SerialPipeline()})
+	c := factory(t, Options{Capacity: 8, NodeSuites: suites})
 	defer c.Close()
 
 	refused := func() int64 {

@@ -336,7 +336,7 @@ func Open(suite crypto.Suite, reg *wire.Registry, from ids.NodeID, payload []byt
 	return openWanted(suite, reg, from, payload, nil)
 }
 
-// openWanted is Open with the admission question (see OpenLanes) asked
+// openWanted is Open with the admission question (see Admit) asked
 // where it saves work: after the MAC check of a MAC'd envelope, before
 // the signature check of a signed one.
 func openWanted(suite crypto.Suite, reg *wire.Registry, from ids.NodeID, payload []byte,

@@ -151,12 +151,6 @@ func (s *Sender) onResend(from ids.NodeID, m *irmc.ResendMsg) {
 // Receiver is the IRMC-RC receiver endpoint.
 type Receiver struct {
 	irmc.ReceiverCore[recvState]
-
-	// lanes run signature verification of inbound Send messages on
-	// the crypto pipeline, one lane per sender so each peer's frames
-	// are admitted in arrival order while the RSA checks of different
-	// messages overlap across cores.
-	lanes *irmc.OpenLanes
 }
 
 type recvSub = irmc.ReceiverSub[recvState]
@@ -180,7 +174,6 @@ func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.lanes = irmc.NewOpenLanes(cfg, r.Reg, cfg.Senders.Members)
 	if cfg.Resend {
 		lastStuck := make(map[ids.Subchannel]ids.Position)
 		r.Every(cfg.CollectorTimeout(), func() { r.nackStuck(lastStuck) })
@@ -219,11 +212,10 @@ func (r *Receiver) nackStuck(lastStuck map[ids.Subchannel]ids.Position) {
 	}
 }
 
-// onFrames admits a drained run of frames from one sender through the
-// crypto pipeline in a single batch submission. A Send is asked about
-// (wantSend) before its signature is checked.
+// onFrames admits a drained run of frames from one sender. A Send is
+// asked about (wantSend) before its signature is checked.
 func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
-	r.lanes.SubmitBatch(from, payloads, func(tag wire.TypeTag, msg wire.Message) bool {
+	r.Admit(from, r.Cfg.Senders.Contains(from), payloads, func(tag wire.TypeTag, msg wire.Message) bool {
 		return tag != irmc.TagSend || r.wantSend(from, msg.(*irmc.SendMsg))
 	}, nil, func(tag wire.TypeTag, msg wire.Message) {
 		switch tag {
@@ -235,7 +227,7 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 	})
 }
 
-// wantSend is the admission pre-check (see irmc.OpenLanes) for a Send
+// wantSend is the admission pre-check (see Admit) for a Send
 // whose signature has not been verified yet. A valid one changes
 // nothing below the window, once the position is delivered, or when
 // this sender's verified vote is already counted. Positions beyond the

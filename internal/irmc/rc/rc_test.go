@@ -25,7 +25,6 @@ func newChannel(t *testing.T, o irmctest.Options) *irmctest.Channel {
 			Suite:     suites[id],
 			Node:      net.Node(id),
 			Stream:    stream,
-			Pipeline:  o.Pipeline,
 		})
 		if err != nil {
 			t.Fatalf("NewSender(%v): %v", id, err)
@@ -40,7 +39,6 @@ func newChannel(t *testing.T, o irmctest.Options) *irmctest.Channel {
 			Suite:     suites[id],
 			Node:      net.Node(id),
 			Stream:    stream,
-			Pipeline:  o.Pipeline,
 		})
 		if err != nil {
 			t.Fatalf("NewReceiver(%v): %v", id, err)

@@ -48,12 +48,6 @@ type Sender struct {
 	irmc.SenderCore[senderState]
 	me    ids.NodeID
 	peers []ids.NodeID // the sender group without this sender
-
-	// lanes verify inbound traffic on the crypto pipeline, one lane
-	// per peer (share signatures from fellow senders are the CPU-heavy
-	// case) so admission order per peer is preserved while the RSA
-	// work spreads across cores.
-	lanes *irmc.OpenLanes
 }
 
 type senderSub = irmc.SenderSub[senderState]
@@ -94,7 +88,6 @@ func NewSender(cfg irmc.Config) (*Sender, error) {
 			s.peers = append(s.peers, id)
 		}
 	}
-	s.lanes = irmc.NewOpenLanes(cfg, s.Reg, s.peers, cfg.Receivers.Members)
 	s.Start(s.announceProgress)
 	transport.RegisterBatch(cfg.Node, cfg.Stream, s.onFrames)
 	return s, nil
@@ -153,9 +146,9 @@ func (s *Sender) Send(sc ids.Subchannel, p ids.Position, msg []byte) error {
 }
 
 func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
-	fromSender := s.Cfg.Senders.Contains(from)
+	fromSender := from != s.me && s.Cfg.Senders.Contains(from)
 	fromReceiver := s.Cfg.Receivers.Contains(from)
-	s.lanes.SubmitBatch(from, payloads, func(tag wire.TypeTag, msg wire.Message) bool {
+	s.Admit(from, fromSender || fromReceiver, payloads, func(tag wire.TypeTag, msg wire.Message) bool {
 		return tag != irmc.TagSigShare || !fromSender || s.wantShare(from, msg.(*irmc.SigShareMsg))
 	}, func(tag wire.TypeTag, msg wire.Message) error {
 		if tag == irmc.TagSigShare && fromSender {
@@ -178,7 +171,7 @@ func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
 	})
 }
 
-// wantShare is the admission pre-check (see irmc.OpenLanes) for a
+// wantShare is the admission pre-check (see Admit) for a
 // peer's share whose signature has not been verified yet. A valid one
 // changes nothing below the window, once the position has its
 // certificate, once the peer has a share at the position (whatever its
@@ -213,8 +206,8 @@ func (s *Sender) sendReady(ready []readyCert) {
 	}
 }
 
-// onShare admits a share signature already validated on the pipeline,
-// or holds it when the local window has not reached its position.
+// onShare admits a share signature already validated, or holds it when
+// the local window has not reached its position.
 func (s *Sender) onShare(from ids.NodeID, m *irmc.SigShareMsg) {
 	s.Mu.Lock()
 	if s.Closed() {
@@ -363,9 +356,7 @@ func (s *Sender) announceProgress() {
 type Receiver struct {
 	irmc.ReceiverCore[recvState]
 
-	// lanes verify inbound certificates (fs+1 share signatures each)
-	// on the crypto pipeline, one lane per sender; certs is the check.
-	lanes *irmc.OpenLanes
+	// certs checks an inbound certificate's fs+1 share signatures.
 	certs quorum.Cert
 }
 
@@ -398,7 +389,6 @@ func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.lanes = irmc.NewOpenLanes(cfg, r.Reg, cfg.Senders.Members)
 	r.certs = quorum.Cert{Rule: quorum.Count(cfg.Senders.F + 1), Members: cfg.Senders}
 	r.Every(max(cfg.CollectorTimeout()/4, 10*time.Millisecond), r.checkCollectors)
 	transport.RegisterBatch(cfg.Node, cfg.Stream, r.onFrames)
@@ -406,13 +396,13 @@ func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 }
 
 func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
-	r.lanes.SubmitBatch(from, payloads, func(tag wire.TypeTag, msg wire.Message) bool {
+	r.Admit(from, r.Cfg.Senders.Contains(from), payloads, func(tag wire.TypeTag, msg wire.Message) bool {
 		return tag != irmc.TagCertificate || r.wantCertificate(msg.(*irmc.CertificateMsg))
 	}, func(tag wire.TypeTag, msg wire.Message) error {
 		if tag == irmc.TagCertificate {
-			// The certificate's fs+1 share signatures are the CPU-heavy
-			// part of admission; verify them on the pipeline too, so
-			// only validated certificates reach the endpoint lock.
+			// The certificate's fs+1 share signatures are checked before
+			// the endpoint lock is taken: only validated certificates
+			// reach it.
 			if !r.verifyCertificate(msg.(*irmc.CertificateMsg)) {
 				return errBadCertificate
 			}
@@ -430,7 +420,7 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 	})
 }
 
-// wantCertificate is the admission pre-check (see irmc.OpenLanes) for
+// wantCertificate is the admission pre-check (see Admit) for
 // a certificate whose shares have not been verified yet: below the
 // window or already delivered (a replay after a collector switch, a
 // second collector) it changes nothing.
@@ -457,8 +447,8 @@ func (r *Receiver) verifyCertificate(m *irmc.CertificateMsg) bool {
 	})
 }
 
-// onCertificate installs a certificate already validated on the
-// pipeline, or holds it when the window has not reached its position.
+// onCertificate installs a certificate already validated, or holds it
+// when the window has not reached its position.
 func (r *Receiver) onCertificate(from ids.NodeID, m *irmc.CertificateMsg) {
 	r.Mu.Lock()
 	defer r.Mu.Unlock()

@@ -32,7 +32,6 @@ func newChannelTimeouts(t *testing.T, o irmctest.Options, progressMS, collectorM
 			Suite:              suites[id],
 			Node:               net.Node(id),
 			Stream:             stream,
-			Pipeline:           o.Pipeline,
 			ProgressIntervalMS: progressMS,
 			CollectorTimeoutMS: collectorMS,
 		})
@@ -49,7 +48,6 @@ func newChannelTimeouts(t *testing.T, o irmctest.Options, progressMS, collectorM
 			Suite:              suites[id],
 			Node:               net.Node(id),
 			Stream:             stream,
-			Pipeline:           o.Pipeline,
 			ProgressIntervalMS: progressMS,
 			CollectorTimeoutMS: collectorMS,
 		})

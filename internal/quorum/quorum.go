@@ -165,14 +165,10 @@ func (c *Collector[P, K, V]) DropBelow(p P) {
 }
 
 // Cert is how a certificate — a list of entries, each vouched for by one
-// member — is checked as a whole: who may vouch, what makes a quorum,
-// and where the checks run.
+// member — is checked as a whole: who may vouch and what makes a quorum.
 type Cert struct {
 	Rule    Rule
 	Members ids.Group
-	// Run runs the checks and returns their errors in order, such as
-	// crypto.Pipeline.RunBatch; nil runs them one after another.
-	Run func(checks []func() error) []error
 }
 
 // Verify reports whether a certificate of n entries, entry i vouched for
@@ -180,33 +176,19 @@ type Cert struct {
 // checked (check(i) returns nil when it is valid); entries of non-members
 // and of implicit voters are never checked, and an entry that fails
 // counts for nothing. The implicit voters count without an entry. Every
-// first entry is checked, also once a quorum of them has passed.
+// first entry is checked, in order, also once a quorum of them has
+// passed.
 func (c Cert) Verify(n int, from func(i int) ids.NodeID, check func(i int) error, implicit ...ids.NodeID) bool {
 	valid := make(map[ids.NodeID]bool, n+len(implicit)) // member -> its entry passed
 	for _, id := range implicit {
 		valid[id] = true
 	}
-	var todo []int // entries the Run checks
 	for i := range n {
 		id := from(i)
 		if _, seen := valid[id]; seen || !c.Members.Contains(id) {
 			continue
 		}
-		if c.Run == nil {
-			valid[id] = check(i) == nil
-		} else {
-			valid[id] = true
-			todo = append(todo, i)
-		}
-	}
-	if len(todo) > 0 {
-		checks := make([]func() error, len(todo))
-		for j, i := range todo {
-			checks[j] = func() error { return check(i) }
-		}
-		for j, err := range c.Run(checks) {
-			valid[from(todo[j])] = err == nil
-		}
+		valid[id] = check(i) == nil
 	}
 	maps.DeleteFunc(valid, func(_ ids.NodeID, ok bool) bool { return !ok })
 	return c.Rule.IsQuorum(valid)

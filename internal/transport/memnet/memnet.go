@@ -93,16 +93,13 @@ type Options struct {
 }
 
 // Profile shapes all links between one region pair beyond the
-// placement's base latency: extra one-way delay, extra jitter, and
-// probabilistic frame loss. Profiles model WAN weather (congestion,
+// placement's base latency: extra one-way delay and probabilistic frame
+// loss. Profiles model WAN weather (congestion,
 // routing flaps) for chaos scenarios; drop decisions come from the
 // per-link seeded generators, so runs replay from the network seed.
 type Profile struct {
 	// ExtraLatency is added to every frame's one-way delay.
 	ExtraLatency time.Duration
-	// JitterFrac adds uniform random delay in [0, JitterFrac*delay]
-	// on top of the network-wide jitter option.
-	JitterFrac float64
 	// Loss is the per-frame drop probability in [0,1].
 	Loss float64
 }
@@ -427,7 +424,7 @@ func (n *Network) send(from, to ids.NodeID, stream transport.Stream, payload []b
 		base = n.opts.Placement.OneWay(from, to)
 	}
 	base += prof.ExtraLatency + deg.delay
-	l.enqueue(frame{from: from, stream: stream, payload: payload}, base, n.opts.JitterFrac+prof.JitterFrac+deg.jitter)
+	l.enqueue(frame{from: from, stream: stream, payload: payload}, base, n.opts.JitterFrac+deg.jitter)
 }
 
 // frameOverhead approximates per-frame header cost (IP+TCP headers) so

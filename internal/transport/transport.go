@@ -10,8 +10,11 @@
 // Delivery contract: frames between the same ordered pair of nodes are
 // delivered in FIFO order per stream pair; delivery is asynchronous and
 // best-effort (a crashed or partitioned receiver silently loses
-// frames). Handlers must not block for long — a handler that needs to
-// wait must hand the frame to its own goroutine. These are exactly the
+// frames). Each peer's frames are handed to the handlers on that peer's
+// own delivery goroutine, so different peers' frames are handled side by
+// side. A handler may spend bounded CPU on a frame — authentication runs
+// there — but must never wait for another frame: that frame may be
+// queued behind the one being handled. These are exactly the
 // assumptions the paper's protocols make of their channels, with
 // retransmission and flow control layered above (IRMCs, client retry).
 //
@@ -26,12 +29,11 @@
 // encoded frame serves an entire multicast.
 //
 // On delivery, the payload handed to a Handler is immutable shared
-// data: the handler may read it from any goroutine and may retain it
-// (delivery to async crypto lanes relies on that), but must never
-// write to it — other frames may share the same backing allocation
-// (tcpnet carves inbound frames from a receive arena). Because a
-// retained frame pins its whole arena chunk, long-lived retention
-// (state stored across views, checkpoints) should copy.
+// data: the handler may read it from any goroutine and may retain it,
+// but must never write to it — other frames may share the same backing
+// allocation (tcpnet carves inbound frames from a receive arena).
+// Because a retained frame pins its whole arena chunk, long-lived
+// retention (state stored across views, checkpoints) should copy.
 package transport
 
 import "spider/internal/ids"
@@ -68,8 +70,8 @@ type Handler func(from ids.NodeID, payload []byte)
 
 // BatchHandler processes a run of frames that arrived back-to-back
 // from the same peer on the same stream, in arrival order. Receivers
-// use it to amortize per-frame admission cost (crypto-pipeline queue
-// locking, lock acquisitions) when a link's queue has built up; the
+// use it to amortize per-frame admission cost (allocations, lock
+// acquisitions) when a link's queue has built up; the
 // run length is an artifact of queue depth, never a delivery guarantee.
 type BatchHandler func(from ids.NodeID, payloads [][]byte)
 
