@@ -134,16 +134,21 @@ type Config struct {
 	// checkpoints; must be smaller than Window so the pipeline never
 	// outruns garbage collection.
 	CheckpointInterval int
-	// RequestTimeout is how long a payload may stay undelivered
-	// before the replica suspects the leader and starts a view
-	// change. It doubles on consecutive failed view changes,
-	// saturating at 8× RequestTimeout, and sets the monitor's timing.
+	// RequestTimeout is the first guess and the ceiling of the failure
+	// detector, not the detection time. A replica suspects the leader
+	// and starts a view change once a payload it Ordered has gone
+	// uncommitted for twice its measured Order→commit latency plus four
+	// deviations, kept between RequestTimeout/8 and RequestTimeout;
+	// until 16 batches have been measured it waits RequestTimeout. The
+	// view-change timeout doubles from there on consecutive failed view
+	// changes, saturating at 8× RequestTimeout. RequestTimeout also sets
+	// the periodic checks and the monitor's timing.
 	RequestTimeout time.Duration
 
 	// SuspectSlowLeader enables the gray-failure defense: a leader
 	// performance monitor that tracks per-view delivery throughput and
 	// request latency (stats.Rate over a sliding window plus an EWMA of
-	// Order→deliver latency) and proactively starts a view change when
+	// Order→commit latency) and proactively starts a view change when
 	// the current leader delivers at less than half the median of
 	// recent healthy measurements, at more than twice their latency,
 	// while requests are demonstrably waiting. Off by default: without

@@ -70,6 +70,7 @@ type reqState uint8
 const (
 	reqQueued    reqState = iota + 1 // waiting to be proposed
 	reqInflight                      // part of a proposed batch
+	reqCommitted                     // its batch committed here; waiting for Deliver
 	reqDelivered                     // delivered to the application
 )
 
@@ -168,6 +169,8 @@ type core struct {
 	inVC       bool
 	vcTarget   uint64
 	vcDeadline time.Time
+	// curTimeout is the view-change timeout while view changes fail in a
+	// row, doubling from the detector's; zero otherwise (see timeout).
 	curTimeout time.Duration
 
 	nextSeq uint64 // leader: next batch sequence to propose
@@ -186,9 +189,12 @@ type core struct {
 	nextGlobal  uint64        // next global sequence number to assign
 	chain       crypto.Digest // rolling digest of delivered batches
 
-	queue        []queuedReq
-	seen         map[crypto.Digest]reqState
-	pendingSince map[crypto.Digest]time.Time
+	queue []queuedReq
+	seen  map[crypto.Digest]reqState
+	// pending times the payloads this replica Ordered until their batch
+	// commits here, and lat smooths those waits (detector.go).
+	pending pendingClock
+	lat     orderLatency
 	// retired holds the payloads delivered below the latest stable
 	// checkpoint; their seen records go when the next one stabilizes.
 	retired []crypto.Digest
@@ -242,22 +248,21 @@ type core struct {
 func newCore(cfg *Config, now time.Time) *core {
 	n := len(cfg.Group.Members)
 	c := &core{
-		cfg:          cfg,
-		me:           cfg.Suite.Node(),
-		view:         cfg.StartView,
-		nextSeq:      1,
-		nextDeliver:  1,
-		nextGlobal:   1,
-		log:          make(map[uint64]*entry),
-		prepares:     quorum.New[uint64, voteKey, signedRaw](cfg.Policy, n),
-		commits:      quorum.New[uint64, voteKey, signedRaw](cfg.Policy, n),
-		checkpoints:  quorum.New[uint64, ckptKey, signedRaw](cfg.Policy, n),
-		viewChanges:  quorum.New[uint64, struct{}, vcVote](cfg.Policy, n),
-		seen:         make(map[crypto.Digest]reqState),
-		pendingSince: make(map[crypto.Digest]time.Time),
-		curTimeout:   cfg.RequestTimeout,
-		voteReqAt:    make(map[ids.NodeID]time.Time),
-		voteAnsAt:    make(map[ids.NodeID]time.Time),
+		cfg:         cfg,
+		me:          cfg.Suite.Node(),
+		view:        cfg.StartView,
+		nextSeq:     1,
+		nextDeliver: 1,
+		nextGlobal:  1,
+		log:         make(map[uint64]*entry),
+		prepares:    quorum.New[uint64, voteKey, signedRaw](cfg.Policy, n),
+		commits:     quorum.New[uint64, voteKey, signedRaw](cfg.Policy, n),
+		checkpoints: quorum.New[uint64, ckptKey, signedRaw](cfg.Policy, n),
+		viewChanges: quorum.New[uint64, struct{}, vcVote](cfg.Policy, n),
+		seen:        make(map[crypto.Digest]reqState),
+		pending:     newPendingClock(),
+		voteReqAt:   make(map[ids.NodeID]time.Time),
+		voteAnsAt:   make(map[ids.NodeID]time.Time),
 	}
 	if cfg.SuspectSlowLeader {
 		c.mon = newMonitor(cfg, now)
@@ -286,12 +291,37 @@ func (c *core) Step(ev event) []action {
 	return c.out
 }
 
-// wake is when the core next wants a tick.
+// wake is when the core next wants a tick: the periodic check, a due
+// flush, or the moment it would suspect the leader.
 func (c *core) wake() time.Time {
-	if !c.flushAt.IsZero() && c.flushAt.Before(c.nextTick) {
-		return c.flushAt
+	w := c.nextTick
+	if !c.flushAt.IsZero() && c.flushAt.Before(w) {
+		w = c.flushAt
 	}
-	return c.nextTick
+	if at, ok := c.suspectAt(); ok && at.Before(w) {
+		w = at
+	}
+	return w
+}
+
+// timeout is how long this replica lets the leader keep a payload
+// waiting: the detector's estimate, or the backed-off view-change
+// timeout while view changes fail in a row.
+func (c *core) timeout() time.Duration {
+	if c.curTimeout > 0 {
+		return c.curTimeout
+	}
+	return c.lat.timeout(c.cfg.RequestTimeout)
+}
+
+// suspectAt is when the oldest pending payload will have waited out
+// the timeout, or earlier (pending.floor may be stale); false while
+// nothing is pending or a view change runs.
+func (c *core) suspectAt() (time.Time, bool) {
+	if c.inVC || len(c.pending.since) == 0 {
+		return time.Time{}, false
+	}
+	return c.pending.floor.Add(c.timeout()), true
 }
 
 // deliverable reports whether evTake has work: the next batch is
@@ -386,18 +416,16 @@ func (c *core) frame(in *inbound) {
 
 func (c *core) order(payload []byte, d crypto.Digest) {
 	switch c.seen[d] {
-	case reqDelivered:
+	case reqCommitted, reqDelivered:
 		return
 	case reqQueued, reqInflight:
-		// Known but undelivered: make sure the fault-detection timer
+		// Known but uncommitted: make sure the fault-detection clock
 		// covers it (it may have been requeued by a view change).
-		if _, ok := c.pendingSince[d]; !ok {
-			c.pendingSince[d] = c.now
-		}
+		c.pending.arm(d, c.now)
 		return
 	}
 	c.seen[d] = reqQueued
-	c.pendingSince[d] = c.now
+	c.pending.arm(d, c.now)
 	c.queue = append(c.queue, queuedReq{payload: payload, digest: d})
 	// The gray-failure monitor's arrival window is per-replica private
 	// state, so every member records unconditionally.
@@ -656,7 +684,7 @@ func (c *core) handlePrePrepare(from ids.NodeID, pp *prePrepare, raw signedRaw, 
 	e.havePP = true
 	e.ppRaw = raw
 	for _, d := range digests {
-		if c.seen[d] != reqDelivered {
+		if c.seen[d] < reqCommitted {
 			c.seen[d] = reqInflight
 		}
 	}
@@ -853,7 +881,33 @@ func (c *core) checkCommitted(e *entry) {
 		return
 	}
 	e.committed = true
+	c.stopClock(e)
 	c.notify()
+}
+
+// stopClock stops the fault-detection clock for a batch that just
+// committed here: what it still waits for — its turn at Deliver, behind
+// the commit channel's window — is not the leader's to answer for. The
+// oldest wait among its payloads that this replica Ordered is the
+// batch's one latency sample, for the detector and the monitor alike.
+func (c *core) stopClock(e *entry) {
+	var oldest time.Duration
+	sampled := false
+	for _, d := range e.payloadDigests() {
+		if c.seen[d] < reqCommitted {
+			c.seen[d] = reqCommitted // a late Order must not re-arm it
+		}
+		if w, ok := c.pending.stop(d, c.now); ok {
+			oldest, sampled = max(oldest, w), true
+		}
+	}
+	if !sampled {
+		return
+	}
+	c.lat.observe(oldest)
+	if c.mon != nil {
+		c.mon.observeLatency(oldest)
+	}
 }
 
 // --- delivery -----------------------------------------------------------
@@ -878,20 +932,13 @@ func (c *core) take() {
 	c.nextDeliver++
 	c.nextGlobal += uint64(len(e.payloads))
 	c.chain = chainDigest(c.chain, e.digest)
-	var worstLat time.Duration
 	for _, d := range e.payloadDigests() {
-		if c.mon != nil {
-			if t0, ok := c.pendingSince[d]; ok {
-				worstLat = max(worstLat, c.now.Sub(t0))
-			}
-		}
 		c.seen[d] = reqDelivered
-		delete(c.pendingSince, d)
 	}
 	if c.mon != nil {
-		c.mon.observeDelivery(c.now, len(e.payloads), worstLat)
+		c.mon.observeDelivery(c.now, len(e.payloads))
 	}
-	c.curTimeout = c.cfg.RequestTimeout // progress: reset backoff
+	c.curTimeout = 0 // progress: reset backoff
 
 	// One batch per instance, null batches included: the layer above
 	// keys its commit-channel positions on batch sequence numbers, so
@@ -978,7 +1025,6 @@ func (c *core) stabilize(batch, global uint64, chain crypto.Digest, proof []sign
 			for _, d := range e.payloadDigests() {
 				if e.delivered || c.seen[d] == reqDelivered {
 					c.retired = append(c.retired, d)
-					delete(c.pendingSince, d)
 				}
 			}
 			delete(c.log, seq)
@@ -1004,7 +1050,6 @@ func (c *core) performJump(j *jumpTarget) {
 		}
 		for _, d := range e.payloadDigests() {
 			c.seen[d] = reqDelivered
-			delete(c.pendingSince, d)
 		}
 		delete(c.log, seq)
 	}
@@ -1013,17 +1058,17 @@ func (c *core) performJump(j *jumpTarget) {
 	c.chain = j.chain
 	// History is gone: this replica can no longer tell whether its
 	// pending payloads were ordered inside the window it skipped, so
-	// their fault-detection markers are dropped. Censorship detection
-	// is unharmed: the 2f other correct replicas keep their markers
+	// their fault-detection clocks are stopped. Censorship detection
+	// is unharmed: the 2f other correct replicas keep their clocks
 	// (only f replicas can be this far behind in a live system), and
-	// upstream retries re-arm markers here via Order.
-	clear(c.pendingSince)
+	// upstream retries re-arm them here via Order.
+	c.pending.reset()
 	// Jumping means the group made progress without us; if we were
 	// sulking in a lonely view change, rejoin normal operation.
 	if c.inVC {
 		c.inVC = false
 		c.vcTarget = c.view
-		c.curTimeout = c.cfg.RequestTimeout
+		c.curTimeout = 0
 	}
 }
 
@@ -1116,67 +1161,69 @@ func (c *core) installCommittedEntry(ce *committedEntry, v *commitCertVerdict) {
 	e.ppRaw = ce.PrePrepare
 	e.prepared = true
 	e.committed = true
+	c.stopClock(e)
 	c.notify()
 }
 
 // --- timers ---------------------------------------------------------------
 
-// tick proposes a partial batch whose flush came due, and checks the
-// timeouts every RequestTimeout/8 (at least 5ms).
+// tick proposes a partial batch whose flush came due, suspects the
+// leader once the oldest pending payload has waited out the timeout,
+// and runs the periodic checks every RequestTimeout/8 (at least 5ms).
 func (c *core) tick() {
 	if !c.flushAt.IsZero() && !c.now.Before(c.flushAt) {
 		c.flushAt = time.Time{}
 		c.maybePropose(true)
 	}
-	if c.now.Before(c.nextTick) {
-		return
-	}
-	// Ticks keep their phase, as a ticker's do: a late one does not delay
-	// the next, and whole intervals missed are skipped. The first tick
-	// sets the phase.
-	every := max(c.cfg.RequestTimeout/8, 5*time.Millisecond)
-	if c.nextTick.IsZero() {
-		c.nextTick = c.now
-	}
-	c.nextTick = c.nextTick.Add((c.now.Sub(c.nextTick)/every + 1) * every)
+	periodic := !c.now.Before(c.nextTick)
+	if periodic {
+		// Ticks keep their phase, as a ticker's do: a late one does not
+		// delay the next, and whole intervals missed are skipped. The
+		// first tick sets the phase.
+		every := max(c.cfg.RequestTimeout/8, 5*time.Millisecond)
+		if c.nextTick.IsZero() {
+			c.nextTick = c.now
+		}
+		c.nextTick = c.nextTick.Add((c.now.Sub(c.nextTick)/every + 1) * every)
 
-	// Stuck detection: if delivery has not advanced for a while and
-	// there is evidence the group moved on without us (commit votes we
-	// cannot use, committed batches beyond a gap, or a watermark ahead
-	// of delivery), ask peers for the missing material. A missed
-	// message must trigger state transfer, not a view change.
-	if c.nextDeliver != c.progressSeq {
-		c.progressSeq = c.nextDeliver
-		c.progressAt = c.now
-	} else if c.now.Sub(c.progressAt) > c.curTimeout/4 && c.deliveryLooksStuck() {
-		c.maybeRequestStatus()
+		// Stuck detection: if delivery has not advanced for a while and
+		// there is evidence the group moved on without us (commit votes
+		// we cannot use, committed batches beyond a gap, or a watermark
+		// ahead of delivery), ask peers for the missing material. A
+		// missed message must trigger state transfer, not a view change.
+		if c.nextDeliver != c.progressSeq {
+			c.progressSeq = c.nextDeliver
+			c.progressAt = c.now
+		} else if c.now.Sub(c.progressAt) > c.timeout()/4 && c.deliveryLooksStuck() {
+			c.maybeRequestStatus()
+		}
 	}
-
 	if c.inVC {
-		if !c.vcSent {
+		if periodic && !c.vcSent {
 			// The proof-upgrade hold may have expired: emit the
 			// view-change message with whatever proofs were rebuilt.
 			c.maybeEmitViewChange()
 		}
-		if c.now.After(c.vcDeadline) {
+		if periodic && c.now.After(c.vcDeadline) {
 			c.startViewChange(c.vcTarget + 1)
 		}
 		return
 	}
 	var oldestWait time.Duration
-	for _, t := range c.pendingSince {
-		oldestWait = max(oldestWait, c.now.Sub(t))
-	}
-	if oldestWait > c.curTimeout {
-		c.startViewChange(c.view + 1)
-		return
+	at, waiting := c.suspectAt()
+	if waiting && (periodic || !c.now.Before(at)) {
+		oldest, _ := c.pending.oldest()
+		if oldestWait = c.now.Sub(oldest); oldestWait >= c.timeout() {
+			c.startViewChange(c.view + 1)
+			return
+		}
 	}
 	// Gray-failure defense: the silence timeout above never fires
 	// against a leader that commits *just* fast enough, so the
 	// performance monitor separately accuses a leader that measurably
 	// underperforms the recent healthy baseline while requests wait.
-	if c.mon != nil {
-		if reason := c.mon.evaluate(c.now, c.view, len(c.pendingSince) > 0, oldestWait); reason != "" {
+	if periodic && c.mon != nil {
+		if reason := c.mon.evaluate(c.now, c.view, waiting, oldestWait); reason != "" {
 			c.startViewChange(c.view + 1)
 		}
 	}
@@ -1190,6 +1237,9 @@ func (c *core) deliveryLooksStuck() bool {
 		return true
 	}
 	if e, ok := c.log[c.nextDeliver]; ok {
+		if e.committed {
+			return false // waiting for Deliver, not for a message
+		}
 		commits := len(c.commits.At(c.nextDeliver))
 		if !e.havePP && commits > 0 {
 			return true // peers committed a batch we never saw proposed

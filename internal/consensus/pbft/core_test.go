@@ -81,6 +81,7 @@ type nopNode struct{ transport.Node }
 type simFrame struct {
 	from, to ids.NodeID
 	env      []byte
+	at       time.Time // when it arrives
 }
 
 // sim wires the cores of one group through an in-test router on a
@@ -88,12 +89,18 @@ type simFrame struct {
 // a Replica that is never started. The router plays Replica's part: it runs
 // every frame through the replica's own check, steps the core, and
 // carries out the actions itself.
-// Frames travel in one global FIFO order and arrive at once; the clock
-// moves only when nothing is in flight.
+// Frames travel in one global FIFO order and arrive delay after they
+// are sent (at once by default); the clock moves only when no frame is
+// due.
 type sim struct {
-	t       *testing.T
-	now     time.Time
+	t   *testing.T
+	now time.Time
+	// tick is how far the clock moves when no frame is due; every live
+	// replica is ticked then. Zero moves it to the next frame arrival or
+	// replica wake-up instead, and ticks only the replicas due, as
+	// Replica's one timer does.
 	tick    time.Duration
+	delay   time.Duration
 	members []ids.NodeID
 	suites  map[ids.NodeID]crypto.Suite
 	reps    map[ids.NodeID]*Replica
@@ -106,6 +113,12 @@ type sim struct {
 	// whether it took care of it (held it back or delivered it itself).
 	intercept func(simFrame) bool
 	delivered map[ids.NodeID][]consensus.Batch
+	// held replicas do not take committed batches: their Deliver blocks.
+	held map[ids.NodeID]bool
+	// firstVC is when each replica first entered a view change; ticks
+	// counts the ticks each replica was given.
+	firstVC map[ids.NodeID]time.Time
+	ticks   map[ids.NodeID]int
 }
 
 func newSim(t *testing.T, mutate func(cfg *Config)) *sim {
@@ -118,6 +131,9 @@ func newSim(t *testing.T, mutate func(cfg *Config)) *sim {
 		reps:      make(map[ids.NodeID]*Replica),
 		down:      make(map[ids.NodeID]bool),
 		delivered: make(map[ids.NodeID][]consensus.Batch),
+		held:      make(map[ids.NodeID]bool),
+		firstVC:   make(map[ids.NodeID]time.Time),
+		ticks:     make(map[ids.NodeID]int),
 	}
 	group := ids.Group{ID: 1, Members: s.members, F: 1}
 	s.suites = crypto.NewSuites(s.members, crypto.EnvSuiteKind(crypto.SuiteInsecure))
@@ -148,7 +164,7 @@ func newSim(t *testing.T, mutate func(cfg *Config)) *sim {
 }
 
 func (s *sim) post(from, to ids.NodeID, env []byte) {
-	f := simFrame{from: from, to: to, env: env}
+	f := simFrame{from: from, to: to, env: env, at: s.now.Add(s.delay)}
 	s.sent = append(s.sent, f)
 	if s.down[from] || s.down[to] || (s.drop != nil && s.drop(f)) {
 		return
@@ -184,7 +200,21 @@ func (s *sim) step(id ids.NodeID, ev event) {
 			s.delivered[id] = append(s.delivered[id], a.batch)
 		}
 	}
-	for ev.kind != evTake && r.core.deliverable() {
+	if r.core.vcCount > 0 && s.firstVC[id].IsZero() {
+		s.firstVC[id] = s.now
+	}
+	if ev.kind == evTick {
+		s.ticks[id]++
+	}
+	for ev.kind != evTake && !s.held[id] && r.core.deliverable() {
+		s.step(id, event{kind: evTake})
+	}
+}
+
+// release unblocks a held replica's Deliver: it takes what committed.
+func (s *sim) release(id ids.NodeID) {
+	s.held[id] = false
+	for s.reps[id].core.deliverable() {
 		s.step(id, event{kind: evTake})
 	}
 }
@@ -209,14 +239,14 @@ func (s *sim) order(payload []byte, at ...ids.NodeID) {
 	}
 }
 
-// run delivers frames until none is in flight, then advances the clock
-// by one tick and ticks every live replica, until done holds. It fails
-// the test if that takes more than limit of synthetic time.
+// run delivers the frames that are due, then advances the clock (see
+// sim.tick) and ticks the replicas, until done holds. It fails the test
+// if that takes more than limit of synthetic time.
 func (s *sim) run(what string, limit time.Duration, done func() bool) {
 	s.t.Helper()
 	end := s.now.Add(limit)
 	for !done() {
-		if len(s.queue) > 0 {
+		if len(s.queue) > 0 && !s.queue[0].at.After(s.now) {
 			f := s.queue[0]
 			s.queue = s.queue[1:]
 			if !s.down[f.to] && (s.intercept == nil || !s.intercept(f)) {
@@ -227,9 +257,23 @@ func (s *sim) run(what string, limit time.Duration, done func() bool) {
 		if s.now.After(end) {
 			s.t.Fatalf("%s: not within %v of synthetic time", what, limit)
 		}
-		s.now = s.now.Add(s.tick)
-		for _, id := range s.members {
-			if !s.down[id] {
+		next := s.now.Add(s.tick)
+		if s.tick == 0 {
+			next = time.Time{}
+			for _, id := range s.live() {
+				if w := s.reps[id].core.wake(); next.IsZero() || w.Before(next) {
+					next = w
+				}
+			}
+		}
+		if len(s.queue) > 0 && s.queue[0].at.Before(next) {
+			next = s.queue[0].at
+		}
+		if next.After(s.now) {
+			s.now = next
+		}
+		for _, id := range s.live() {
+			if s.tick > 0 || !s.reps[id].core.wake().After(s.now) {
 				s.step(id, event{kind: evTick})
 			}
 		}

@@ -25,8 +25,8 @@ type Rotation struct {
 // monitor is the gray-failure leader performance monitor
 // (Config.SuspectSlowLeader). Every replica runs one against its own
 // observations of the group: request arrivals and deliveries recorded
-// into stats.Rate windows plus an EWMA of Order→deliver latency, all
-// fed by the core as it steps.
+// into stats.Rate windows plus an EWMA of Order→commit latency (the
+// failure detector's per-batch sample), all fed by the core as it steps.
 //
 // The decision rule is deliberately two-signal. An interval flags the
 // leader slow only when (a) there is live demand (an admitted request
@@ -55,7 +55,7 @@ type monitor struct {
 	delivery *stats.Rate // payloads delivered, sliding window
 	arrival  *stats.Rate // fresh requests admitted via Order
 
-	latEWMA float64 // Order→deliver latency, seconds
+	latEWMA float64 // Order→commit latency, seconds
 	haveLat bool
 
 	// Healthy-interval baselines (median over a bounded ring). Only
@@ -108,24 +108,25 @@ func (m *monitor) observeArrival(now time.Time) {
 	m.arrival.RecordAt(now, 1)
 }
 
-// observeDelivery records one delivered batch: n payloads and the
-// worst Order→deliver latency among those this replica admitted
-// itself (zero when the batch carried only payloads it first saw
-// proposed).
-func (m *monitor) observeDelivery(now time.Time, n int, worstLat time.Duration) {
+// observeDelivery records one delivered batch of n payloads.
+func (m *monitor) observeDelivery(now time.Time, n int) {
 	if n <= 0 {
 		return
 	}
 	m.delivery.RecordAt(now, n)
 	m.viewN += uint64(n)
-	if worstLat > 0 {
-		l := worstLat.Seconds()
-		if m.haveLat {
-			m.latEWMA = 0.7*m.latEWMA + 0.3*l
-		} else {
-			m.latEWMA = l
-			m.haveLat = true
-		}
+}
+
+// observeLatency records one committed batch's latency sample: the
+// oldest Order→commit wait among the payloads this replica Ordered
+// itself (see core.stopClock).
+func (m *monitor) observeLatency(lat time.Duration) {
+	l := lat.Seconds()
+	if m.haveLat {
+		m.latEWMA = 0.7*m.latEWMA + 0.3*l
+	} else {
+		m.latEWMA = l
+		m.haveLat = true
 	}
 }
 

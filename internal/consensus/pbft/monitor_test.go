@@ -22,7 +22,8 @@ func feedHealthy(t *testing.T, m *monitor, start time.Time, n int) time.Time {
 	for i := 0; i < n; i++ {
 		now = now.Add(100 * time.Millisecond)
 		m.observeArrival(now)
-		m.observeDelivery(now, 10, 5*time.Millisecond)
+		m.observeDelivery(now, 10)
+		m.observeLatency(5 * time.Millisecond)
 		if reason := m.evaluate(now, 0, true, 5*time.Millisecond); reason != "" {
 			t.Fatalf("healthy interval %d accused the leader: %s", i, reason)
 		}
@@ -46,7 +47,8 @@ func TestMonitorAccusesSlowLeader(t *testing.T) {
 	accusedAt := 0
 	for i := 1; i <= 10 && accusedAt == 0; i++ {
 		now = now.Add(100 * time.Millisecond)
-		m.observeDelivery(now, 1, 200*time.Millisecond)
+		m.observeDelivery(now, 1)
+		m.observeLatency(200 * time.Millisecond)
 		if reason := m.evaluate(now, 0, true, 200*time.Millisecond); reason != "" {
 			accusedAt = i
 			if !strings.Contains(reason, "view 0") {
@@ -80,7 +82,8 @@ func TestMonitorTwoSignalRule(t *testing.T) {
 	// Overload: latency blows past the threshold, throughput holds.
 	for i := 0; i < 5; i++ {
 		now = now.Add(100 * time.Millisecond)
-		m.observeDelivery(now, 10, 300*time.Millisecond)
+		m.observeDelivery(now, 10)
+		m.observeLatency(300 * time.Millisecond)
 		if reason := m.evaluate(now, 0, true, 300*time.Millisecond); reason != "" {
 			t.Fatalf("overload interval accused the leader: %s", reason)
 		}
@@ -92,7 +95,8 @@ func TestMonitorTwoSignalRule(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		now = now.Add(100 * time.Millisecond)
 		if i%2 == 0 {
-			m2.observeDelivery(now, 1, 5*time.Millisecond)
+			m2.observeDelivery(now, 1)
+			m2.observeLatency(5 * time.Millisecond)
 		}
 		if reason := m2.evaluate(now, 0, false, 0); reason != "" {
 			t.Fatalf("idle interval accused the leader: %s", reason)
@@ -111,7 +115,8 @@ func TestMonitorCooldownAndViewInstall(t *testing.T) {
 	accuse := func(limit int) (time.Time, bool) {
 		for i := 0; i < limit; i++ {
 			now = now.Add(100 * time.Millisecond)
-			m.observeDelivery(now, 1, 200*time.Millisecond)
+			m.observeDelivery(now, 1)
+			m.observeLatency(200 * time.Millisecond)
 			if m.evaluate(now, 0, true, 200*time.Millisecond) != "" {
 				return now, true
 			}
@@ -127,7 +132,8 @@ func TestMonitorCooldownAndViewInstall(t *testing.T) {
 	rotated := m.rotations
 	for i := 0; i < 7; i++ {
 		now = now.Add(100 * time.Millisecond)
-		m.observeDelivery(now, 1, 200*time.Millisecond)
+		m.observeDelivery(now, 1)
+		m.observeLatency(200 * time.Millisecond)
 		if m.evaluate(now, 0, true, 200*time.Millisecond) != "" {
 			t.Fatalf("accused again %dms after rotation, inside the 800ms cooldown", (i+1)*100)
 		}
@@ -153,30 +159,43 @@ func TestMonitorCooldownAndViewInstall(t *testing.T) {
 		t.Fatalf("view install dropped the healthy baselines (%d -> %d)", baseLen, len(m.rateBase))
 	}
 	now = now.Add(100 * time.Millisecond)
-	m.observeDelivery(now, 1, 200*time.Millisecond)
+	m.observeDelivery(now, 1)
+	m.observeLatency(200 * time.Millisecond)
 	if reason := m.evaluate(now, 4, true, 200*time.Millisecond); reason != "" {
 		t.Fatalf("accused the new leader inside its grace period: %s", reason)
 	}
 }
 
 // TestViewChangeTimeoutCapSaturates pins the backoff clamp: repeated
-// failed view changes double curTimeout only up to 8× RequestTimeout,
-// instead of growing without bound.
+// failed view changes double the timeout, starting from the detector's
+// (RequestTimeout before it has samples, its floor of RequestTimeout/8
+// after a fast group's), only up to 8× RequestTimeout, instead of
+// growing without bound.
 func TestViewChangeTimeoutCapSaturates(t *testing.T) {
 	c := newCluster(t, 4, 1, func(i int, cfg *Config) {
 		cfg.RequestTimeout = 100 * time.Millisecond
 	})
-	// Not started: the core moves only through the direct calls below.
+	// Not started: the cores move only through the direct calls below.
 	defer c.stop()
-	core := c.replicas[3].core
-	want := []time.Duration{200, 400, 800, 800, 800, 800} // ms
-	for i, w := range want {
-		core.startViewChange(uint64(i + 1))
-		if got := core.curTimeout; got != w*time.Millisecond {
-			t.Fatalf("after %d view changes curTimeout = %v, want %v", i+1, got, w*time.Millisecond)
+	for i, tc := range []struct {
+		samples int
+		want    []time.Duration // ms
+	}{
+		{0, []time.Duration{200, 400, 800, 800, 800, 800}},
+		{detectorWarmup, []time.Duration{25, 50, 100, 200, 400, 800, 800}},
+	} {
+		core := c.replicas[i].core
+		for range tc.samples {
+			core.lat.observe(time.Millisecond)
 		}
-	}
-	if got := core.vcCount; got != uint64(len(want)) {
-		t.Fatalf("vcCount = %d, want %d", got, len(want))
+		for n, w := range tc.want {
+			core.startViewChange(uint64(n + 1))
+			if got := core.curTimeout; got != w*time.Millisecond {
+				t.Fatalf("%d samples: after %d view changes curTimeout = %v, want %v", tc.samples, n+1, got, w*time.Millisecond)
+			}
+		}
+		if got := core.vcCount; got != uint64(len(tc.want)) {
+			t.Fatalf("%d samples: vcCount = %d, want %d", tc.samples, got, len(tc.want))
+		}
 	}
 }

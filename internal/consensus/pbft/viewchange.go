@@ -12,8 +12,8 @@ import (
 
 // startViewChange abandons the current view and prepares a view-change
 // message for target. The consecutive-failure backoff doubles the
-// timeout so competing view changes eventually converge during long
-// partitions.
+// timeout, starting from the detector's, so competing view changes
+// eventually converge during long partitions.
 //
 // Under the MAC fast path the prepare votes collected during normal
 // operation are not transferable, so entering a view change first runs
@@ -36,7 +36,7 @@ func (c *core) startViewChange(target uint64) {
 	// view-change cadence (and with it recovery latency) to minutes. The
 	// cap is still several times the request timeout, so competing view
 	// changes keep converging.
-	c.curTimeout = min(2*c.curTimeout, 8*c.cfg.RequestTimeout)
+	c.curTimeout = min(2*c.timeout(), 8*c.cfg.RequestTimeout)
 	c.vcDeadline = c.now.Add(c.curTimeout)
 	c.vcSent = false
 	if c.macMode() {
@@ -293,7 +293,7 @@ func (c *core) adoptView(nv *newView, plan reissuePlan, reissues []*prePrepare, 
 	c.inVC = false
 	c.vcTarget = nv.View
 	c.vcSent = false
-	c.curTimeout = c.cfg.RequestTimeout
+	c.curTimeout = 0
 	if c.mon != nil {
 		// Close the old view's throughput record and grant the new
 		// leader its grace period before it can be judged.
@@ -308,9 +308,7 @@ func (c *core) adoptView(nv *newView, plan reissuePlan, reissues []*prePrepare, 
 	// Every still-pending request gets a fresh timeout under the new
 	// leader; keeping old timestamps would depose the new leader
 	// before it had any chance to order them.
-	for d := range c.pendingSince {
-		c.pendingSince[d] = c.now
-	}
+	c.pending.restart(c.now)
 
 	if plan.stableBatch > c.lowWM {
 		c.stabilize(plan.stableBatch, plan.stableGlobal, plan.stableChain, plan.stableProof)
@@ -330,7 +328,7 @@ func (c *core) adoptView(nv *newView, plan reissuePlan, reissues []*prePrepare, 
 		}
 		for _, p := range e.payloads {
 			d := crypto.Hash(p)
-			if c.seen[d] == reqInflight && !reissued[d] {
+			if s := c.seen[d]; (s == reqInflight || s == reqCommitted) && !reissued[d] {
 				c.seen[d] = reqQueued
 				c.queue = append(c.queue, queuedReq{payload: p, digest: d})
 			}

@@ -234,7 +234,10 @@ type AgreementConfig struct {
 	// Tunables: protocol parameters.
 	Tunables Tunables
 	// ConsensusTimeout is PBFT's request timeout (0: PBFT's default,
-	// 2 s).
+	// 2 s): the first guess and the ceiling of its failure detector, not
+	// the detection time. Once it has measured order latency, a replica
+	// suspects the leader after a multiple of it, but never sooner than
+	// an eighth of this (250 ms at the default).
 	ConsensusTimeout time.Duration
 	// ConsensusBatch caps payloads per consensus instance (default 16,
 	// clamped to AgreementWindow). The whole batch travels the commit
