@@ -61,11 +61,7 @@ func TestBatchesFollowLoad(t *testing.T) {
 // Order, but only the leader takes batches off its queue. Once all of
 // it is delivered, no replica may still hold a payload there.
 func TestFollowersTrimQueue(t *testing.T) {
-	c := newCluster(t, 4, 1, func(_ int, cfg *Config) {
-		// A burst, not a fault: a view change could let a replica jump a
-		// checkpoint, skipping deliveries and keeping its queue.
-		cfg.RequestTimeout = time.Minute
-	})
+	c := newCluster(t, 4, 1, nil)
 	defer c.stop()
 	c.start()
 	const total = 253

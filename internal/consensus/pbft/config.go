@@ -136,10 +136,12 @@ type Config struct {
 	CheckpointInterval int
 	// RequestTimeout is the first guess and the ceiling of the failure
 	// detector, not the detection time. A replica suspects the leader
-	// and starts a view change once a payload it Ordered has gone
-	// uncommitted for twice its measured Order→commit latency plus four
-	// deviations, kept between RequestTimeout/8 and RequestTimeout;
-	// until 16 batches have been measured it waits RequestTimeout. The
+	// once a payload it Ordered has gone uncommitted for twice its
+	// measured Order→commit latency plus four deviations, kept between
+	// RequestTimeout/8 and RequestTimeout; until 16 batches have been
+	// measured, and while Deliver holds a committed batch, it waits
+	// RequestTimeout. f+1 suspicions start a view change; a replica
+	// alone in its suspicion starts one at RequestTimeout. The
 	// view-change timeout doubles from there on consecutive failed view
 	// changes, saturating at 8× RequestTimeout. RequestTimeout also sets
 	// the periodic checks and the monitor's timing.

@@ -195,6 +195,13 @@ type core struct {
 	// commits here, and lat smooths those waits (detector.go).
 	pending pendingClock
 	lat     orderLatency
+	// suspicions holds when each member's latest suspicion of the
+	// current view arrived, suspectedAt when this replica last sent one
+	// (zero: not in this view).
+	suspicions  map[ids.NodeID]time.Time
+	suspectedAt time.Time
+	// tookAt is when evTake last took a batch.
+	tookAt time.Time
 	// retired holds the payloads delivered below the latest stable
 	// checkpoint; their seen records go when the next one stabilizes.
 	retired []crypto.Digest
@@ -305,33 +312,59 @@ func (c *core) wake() time.Time {
 }
 
 // timeout is how long this replica lets the leader keep a payload
-// waiting: the detector's estimate, or the backed-off view-change
-// timeout while view changes fail in a row.
+// waiting: the detector's estimate, RequestTimeout while a committed
+// batch waits for Deliver here, or the backed-off view-change timeout
+// while view changes fail in a row.
 func (c *core) timeout() time.Duration {
-	if c.curTimeout > 0 {
+	switch {
+	case c.curTimeout > 0:
 		return c.curTimeout
+	case c.headCommitted():
+		return c.cfg.RequestTimeout
 	}
 	return c.lat.timeout(c.cfg.RequestTimeout)
 }
 
-// suspectAt is when the oldest pending payload will have waited out
-// the timeout, or earlier (pending.floor may be stale); false while
-// nothing is pending or a view change runs.
+// suspectAt is when tick next has to look at the oldest pending
+// payload: when it will have waited out the timeout since it was
+// Ordered and since the last batch taken (unless this replica's
+// suspicion is already out), or RequestTimeout since it was Ordered,
+// whichever comes first — or earlier, as pending.floor may be stale.
+// False while nothing is pending or a view change runs.
 func (c *core) suspectAt() (time.Time, bool) {
 	if c.inVC || len(c.pending.since) == 0 {
 		return time.Time{}, false
 	}
-	return c.pending.floor.Add(c.timeout()), true
+	at := c.pending.floor.Add(c.cfg.RequestTimeout)
+	if !c.suspecting() {
+		if s := c.detectFrom(c.pending.floor).Add(c.timeout()); s.Before(at) {
+			at = s
+		}
+	}
+	return at, true
+}
+
+// detectFrom is when the detector starts counting a wait that began at
+// t: then, or when the last batch was taken if that is later. A batch
+// taken is progress, and what waited while Deliver was blocked waited
+// for this replica, not for the leader.
+func (c *core) detectFrom(t time.Time) time.Time {
+	if c.tookAt.After(t) {
+		return c.tookAt
+	}
+	return t
+}
+
+// headCommitted reports whether the next batch to take is committed: it
+// waits for the delivery goroutine, which a blocked Deliver holds.
+func (c *core) headCommitted() bool {
+	e, ok := c.log[c.nextDeliver]
+	return ok && e.committed && !e.delivered
 }
 
 // deliverable reports whether evTake has work: the next batch is
 // committed, or a catch-up jump is pending.
-func (c *core) deliverable() bool {
-	if e, ok := c.log[c.nextDeliver]; ok && e.committed && !e.delivered {
-		return true
-	}
-	return c.pendingJump != nil
-}
+func (c *core) deliverable() bool { return c.headCommitted() || c.pendingJump != nil }
 
 // notify tells Replica when evTake has work.
 func (c *core) notify() {
@@ -411,6 +444,8 @@ func (c *core) frame(in *inbound) {
 		c.handleStatusReply(in.msg.(*statusReply), in.sv)
 	case tagVoteRequest:
 		c.handleVoteRequest(in.from, in.msg.(*voteRequest))
+	case tagSuspicion:
+		c.handleSuspicion(in.from, in.msg.(*suspicion))
 	}
 }
 
@@ -889,7 +924,7 @@ func (c *core) checkCommitted(e *entry) {
 // committed here: what it still waits for — its turn at Deliver, behind
 // the commit channel's window — is not the leader's to answer for. The
 // oldest wait among its payloads that this replica Ordered is the
-// batch's one latency sample, for the detector and the monitor alike.
+// batch's one latency sample; the monitor reads the same estimate.
 func (c *core) stopClock(e *entry) {
 	var oldest time.Duration
 	sampled := false
@@ -901,12 +936,8 @@ func (c *core) stopClock(e *entry) {
 			oldest, sampled = max(oldest, w), true
 		}
 	}
-	if !sampled {
-		return
-	}
-	c.lat.observe(oldest)
-	if c.mon != nil {
-		c.mon.observeLatency(oldest)
+	if sampled {
+		c.lat.observe(oldest)
 	}
 }
 
@@ -927,6 +958,7 @@ func (c *core) take() {
 		return
 	}
 	e.delivered = true
+	c.tookAt = c.now
 	e.globalStart = c.nextGlobal
 	e.globalEnd = c.nextGlobal + uint64(len(e.payloads)) - 1
 	c.nextDeliver++
@@ -1213,9 +1245,14 @@ func (c *core) tick() {
 	at, waiting := c.suspectAt()
 	if waiting && (periodic || !c.now.Before(at)) {
 		oldest, _ := c.pending.oldest()
-		if oldestWait = c.now.Sub(oldest); oldestWait >= c.timeout() {
+		oldestWait = c.now.Sub(oldest)
+		switch {
+		case oldestWait >= c.cfg.RequestTimeout:
+			// Nobody waits longer, alone or not.
 			c.startViewChange(c.view + 1)
 			return
+		case c.now.Sub(c.detectFrom(oldest)) >= c.timeout() && !c.suspecting():
+			c.suspect() // the view change waits for f+1 (detector.go)
 		}
 	}
 	// Gray-failure defense: the silence timeout above never fires
@@ -1223,7 +1260,7 @@ func (c *core) tick() {
 	// performance monitor separately accuses a leader that measurably
 	// underperforms the recent healthy baseline while requests wait.
 	if periodic && c.mon != nil {
-		if reason := c.mon.evaluate(c.now, c.view, waiting, oldestWait); reason != "" {
+		if reason := c.mon.evaluate(c.now, c.view, waiting, c.lat.srtt, oldestWait); reason != "" {
 			c.startViewChange(c.view + 1)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"spider/internal/crypto"
+	"spider/internal/ids"
 )
 
 // The failure detector: how long this replica waits for the leader
@@ -13,10 +14,23 @@ import (
 // (orderLatency). A replica suspects the leader once its oldest pending
 // payload has waited 2·(srtt + 4·rttvar), the smoothed latency and four
 // of its deviations twice over, kept between RequestTimeout/8 and
-// RequestTimeout. A suspicion is only
-// an ordinary view change, which still needs 2f+1 votes: firing early
-// costs liveness, never safety, and a group that is slow but live lifts
-// its own estimate.
+// RequestTimeout, both since it was Ordered and since this replica last
+// took a batch for Deliver (core.detectFrom). While a committed batch
+// waits for Deliver here, the timeout is RequestTimeout. Both rules are
+// for backpressure: when Deliver blocks, the leader's window fills and
+// what queues behind it waits for this replica, not for the leader.
+// RequestTimeout since the Order stays the ceiling either way, so a
+// leader that keeps committing other payloads is still suspected then.
+//
+// A suspicion below RequestTimeout does not leave the view. It is
+// multicast, and the view change starts once f+1 members suspect within
+// one RequestTimeout (handleSuspicion), so at least one correct replica
+// does. A replica left alone in its suspicion — its own CPU stalled, or
+// its own links — stays in the view and leaves alone only at
+// RequestTimeout, as it would without the detector. A view change that
+// does start is an ordinary one, which still needs 2f+1 votes: firing
+// early costs liveness, never safety, and a group that is slow but live
+// lifts its own estimate.
 
 // detectorWarmup is how many samples the estimate needs before it
 // replaces RequestTimeout.
@@ -115,3 +129,44 @@ func (p *pendingClock) restart(now time.Time) {
 
 // reset stops every clock.
 func (p *pendingClock) reset() { clear(p.since) }
+
+// suspecting reports whether this replica's latest suspicion still
+// counts at its peers: sent in this view, less than RequestTimeout ago.
+func (c *core) suspecting() bool {
+	return !c.suspectedAt.IsZero() && c.now.Sub(c.suspectedAt) < c.cfg.RequestTimeout
+}
+
+// suspect multicasts this replica's suspicion of the current leader.
+func (c *core) suspect() {
+	c.suspectedAt = c.now
+	env, _ := c.seal(tagSuspicion, &suspicion{View: c.view})
+	c.multicast(env)
+}
+
+// handleSuspicion records a member's suspicion of the current view and
+// starts the view change once f+1 distinct members sent one within the
+// last RequestTimeout.
+func (c *core) handleSuspicion(from ids.NodeID, s *suspicion) {
+	if c.inVC || s.View != c.view {
+		return
+	}
+	if c.suspicions == nil {
+		c.suspicions = make(map[ids.NodeID]time.Time)
+	}
+	c.suspicions[from] = c.now
+	n := 0
+	for _, at := range c.suspicions {
+		if c.now.Sub(at) < c.cfg.RequestTimeout {
+			n++
+		}
+	}
+	if n > c.cfg.Group.F {
+		c.startViewChange(c.view + 1)
+	}
+}
+
+// forgetSuspicions drops every suspicion of the view being left.
+func (c *core) forgetSuspicions() {
+	clear(c.suspicions)
+	c.suspectedAt = time.Time{}
+}

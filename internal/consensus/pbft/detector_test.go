@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"spider/internal/crypto"
 )
 
 // The failure detector on the simulation, with the clock moving from
@@ -131,6 +133,103 @@ func TestDetectorBlockedDeliverKeepsLeader(t *testing.T) {
 		if n := s.reps[id].core.vcCount; n != 0 {
 			t.Errorf("replica %v started %d view changes while Deliver blocked", id, n)
 		}
+	}
+}
+
+// TestDetectorBackpressureKeepsLeader: every replica's Deliver blocks
+// for T/2 while more than Window batches are ordered. The leader fills
+// its window and stops proposing; what queues behind it waits for
+// Deliver, not for the leader, so nobody suspects it.
+func TestDetectorBackpressureKeepsLeader(t *testing.T) {
+	s, T := newDetectorSim(t, time.Millisecond)
+	s.warmUp(32)
+	for _, id := range s.members {
+		s.held[id] = true
+	}
+	t0 := s.now
+	cfg := s.reps[1].cfg
+	n := (cfg.Window + 8) * cfg.BatchSize
+	for i := range n {
+		s.order(fmt.Appendf(nil, "behind a blocked Deliver %d", i), s.members...)
+	}
+	s.run("Deliver blocked for T/2", T, func() bool { return !s.now.Before(t0.Add(T / 2)) })
+	if c := s.reps[1].core; c.nextSeq <= c.lowWM+uint64(cfg.Window) || len(c.queue) == 0 {
+		t.Fatalf("leader proposed up to %d with %d queued, want a full window and a queue", c.nextSeq-1, len(c.queue))
+	}
+	for _, id := range s.members {
+		s.release(id)
+	}
+	s.run("delivered", 4*T, s.allDelivered(32+n))
+	s.sameOrder()
+	for _, id := range s.members {
+		if n, sus := s.reps[id].core.vcCount, len(s.multicasts(id, tagSuspicion)); n != 0 || sus != 0 {
+			t.Errorf("replica %v sent %d suspicions and started %d view changes while Deliver blocked", id, sus, n)
+		}
+	}
+}
+
+// TestDetectorLoneSuspicionKeepsView: a replica that hears nothing for
+// T/4 — longer than its timeout, shorter than T — suspects the leader
+// alone, as one whose own CPU stalled does. It says so but stays in the
+// view, and delivers everything once the frames come in.
+func TestDetectorLoneSuspicionKeepsView(t *testing.T) {
+	s, T := newDetectorSim(t, time.Millisecond)
+	s.warmUp(32)
+	var stalled []simFrame
+	until := s.now.Add(T / 4)
+	s.intercept = func(f simFrame) bool {
+		if f.to == 4 && s.now.Before(until) {
+			stalled = append(stalled, f)
+			return true
+		}
+		return false
+	}
+	s.order([]byte("while replica 4 hears nothing"), s.members...)
+	s.run("the stall", T, func() bool { return !s.now.Before(until) })
+	s.intercept = nil
+	for _, f := range stalled {
+		s.arrive(f)
+	}
+	s.run("delivered", T, s.allDelivered(33))
+	s.sameOrder()
+	if n := len(s.multicasts(4, tagSuspicion)); n != 1 {
+		t.Errorf("replica 4 sent %d suspicions, want 1", n)
+	}
+	for _, id := range s.members {
+		if n := s.reps[id].core.vcCount; n != 0 {
+			t.Errorf("replica %v started %d view changes", id, n)
+		}
+	}
+}
+
+// TestDetectorCommittedBatchSurvivesViewChange: a batch committed at a
+// replica whose Deliver is blocked has its clock stopped there. The
+// view changes before Deliver takes it; the replica keeps the committed
+// batch instead of waiting for the new view to commit it again (its
+// peers, which delivered it, would not vote for it), so it delivers it
+// once Deliver unblocks, and never suspects the new leader.
+func TestDetectorCommittedBatchSurvivesViewChange(t *testing.T) {
+	s, T := newDetectorSim(t, time.Millisecond)
+	s.warmUp(32)
+	s.held[2] = true
+	p := []byte("committed at 2, not delivered")
+	s.order(p, s.members...)
+	c := s.reps[2].core
+	s.run("committed at 2", T, c.deliverable)
+	if _, ok := c.pending.since[crypto.Hash(p)]; ok {
+		t.Fatal("clock still runs after the commit")
+	}
+	s.down[1] = true
+	s.order([]byte("after the leader fell silent"), s.live()...)
+	s.run("view 1 installed at 2", 10*T, func() bool { return c.view == 1 })
+	if e, ok := c.log[33]; !ok || !e.committed || e.view != 0 {
+		t.Fatal("the batch committed in view 0 did not survive the view change")
+	}
+	s.release(2)
+	s.run("view 1 delivers", 10*T, s.allDelivered(34))
+	s.sameOrder()
+	if n := c.vcCount; n != 1 {
+		t.Errorf("replica 2 started %d view changes, want 1", n)
 	}
 }
 

@@ -37,6 +37,7 @@ const (
 	tagStatusRequest
 	tagStatusReply
 	tagVoteRequest
+	tagSuspicion
 )
 
 // registry decodes the envelope bodies exchanged between replicas.
@@ -51,6 +52,7 @@ var registry = func() *wire.Registry {
 	r.Register(tagStatusRequest, "status-request", func() wire.Message { return new(statusRequest) })
 	r.Register(tagStatusReply, "status-reply", func() wire.Message { return new(statusReply) })
 	r.Register(tagVoteRequest, "vote-request", func() wire.Message { return new(voteRequest) })
+	r.Register(tagSuspicion, "suspicion", func() wire.Message { return new(suspicion) })
 	return r
 }()
 
@@ -363,6 +365,16 @@ func (m *voteRequest) UnmarshalWire(r *wire.Reader) {
 	m.View = r.ReadUint64()
 	m.Seq = r.ReadUint64()
 }
+
+// suspicion tells the group that a payload the sender Ordered has waited
+// out the failure detector's timeout in View. One changes nothing: f+1
+// of them start a view change (core.handleSuspicion).
+type suspicion struct {
+	View uint64
+}
+
+func (m *suspicion) MarshalWire(w *wire.Writer)   { w.WriteUint64(m.View) }
+func (m *suspicion) UnmarshalWire(r *wire.Reader) { m.View = r.ReadUint64() }
 
 // statusRequest asks peers for catch-up help: the sender has delivered
 // batches below NextDeliver and wants newer checkpoint proofs plus any

@@ -25,8 +25,9 @@ type Rotation struct {
 // monitor is the gray-failure leader performance monitor
 // (Config.SuspectSlowLeader). Every replica runs one against its own
 // observations of the group: request arrivals and deliveries recorded
-// into stats.Rate windows plus an EWMA of Order→commit latency (the
-// failure detector's per-batch sample), all fed by the core as it steps.
+// into stats.Rate windows as the core steps, and the failure detector's
+// smoothed Order→commit latency (srtt), which the core passes to
+// evaluate.
 //
 // The decision rule is deliberately two-signal. An interval flags the
 // leader slow only when (a) there is live demand (an admitted request
@@ -54,9 +55,6 @@ type monitor struct {
 
 	delivery *stats.Rate // payloads delivered, sliding window
 	arrival  *stats.Rate // fresh requests admitted via Order
-
-	latEWMA float64 // Order→commit latency, seconds
-	haveLat bool
 
 	// Healthy-interval baselines (median over a bounded ring). Only
 	// intervals that were not flagged slow contribute, so a degrading
@@ -117,19 +115,6 @@ func (m *monitor) observeDelivery(now time.Time, n int) {
 	m.viewN += uint64(n)
 }
 
-// observeLatency records one committed batch's latency sample: the
-// oldest Order→commit wait among the payloads this replica Ordered
-// itself (see core.stopClock).
-func (m *monitor) observeLatency(lat time.Duration) {
-	l := lat.Seconds()
-	if m.haveLat {
-		m.latEWMA = 0.7*m.latEWMA + 0.3*l
-	} else {
-		m.latEWMA = l
-		m.haveLat = true
-	}
-}
-
 // onViewInstall closes the books on the old view — its measured
 // throughput joins the per-view record — and restarts the grace
 // period for the new leader. Baselines and the rotation cooldown
@@ -148,9 +133,10 @@ func (m *monitor) onViewInstall(now time.Time, oldView uint64) {
 }
 
 // evaluate is called from the core's tick and judges the current leader
-// once per interval. It returns a non-empty reason when the replica
-// should accuse the leader now.
-func (m *monitor) evaluate(now time.Time, view uint64, demand bool, oldestWait time.Duration) string {
+// once per interval, srtt being the detector's smoothed Order→commit
+// latency. It returns a non-empty reason when the replica should accuse
+// the leader now.
+func (m *monitor) evaluate(now time.Time, view uint64, demand bool, srtt, oldestWait time.Duration) string {
 	if now.Sub(m.lastEval) < m.interval {
 		return ""
 	}
@@ -159,10 +145,10 @@ func (m *monitor) evaluate(now time.Time, view uint64, demand bool, oldestWait t
 		return ""
 	}
 	rate := m.delivery.PerSecondAt(now)
-	lat := m.latEWMA
+	lat := srtt.Seconds()
 	if demand && oldestWait.Seconds() > lat {
 		// A request stuck right now outranks the delivery history:
-		// under a hard gray stall the EWMA goes stale while the
+		// under a hard gray stall the estimate goes stale while the
 		// oldest admitted request keeps aging.
 		lat = oldestWait.Seconds()
 	}

@@ -23,8 +23,7 @@ func feedHealthy(t *testing.T, m *monitor, start time.Time, n int) time.Time {
 		now = now.Add(100 * time.Millisecond)
 		m.observeArrival(now)
 		m.observeDelivery(now, 10)
-		m.observeLatency(5 * time.Millisecond)
-		if reason := m.evaluate(now, 0, true, 5*time.Millisecond); reason != "" {
+		if reason := m.evaluate(now, 0, true, 5*time.Millisecond, 5*time.Millisecond); reason != "" {
 			t.Fatalf("healthy interval %d accused the leader: %s", i, reason)
 		}
 	}
@@ -48,8 +47,7 @@ func TestMonitorAccusesSlowLeader(t *testing.T) {
 	for i := 1; i <= 10 && accusedAt == 0; i++ {
 		now = now.Add(100 * time.Millisecond)
 		m.observeDelivery(now, 1)
-		m.observeLatency(200 * time.Millisecond)
-		if reason := m.evaluate(now, 0, true, 200*time.Millisecond); reason != "" {
+		if reason := m.evaluate(now, 0, true, 200*time.Millisecond, 200*time.Millisecond); reason != "" {
 			accusedAt = i
 			if !strings.Contains(reason, "view 0") {
 				t.Fatalf("reason %q does not name the view", reason)
@@ -83,8 +81,7 @@ func TestMonitorTwoSignalRule(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		now = now.Add(100 * time.Millisecond)
 		m.observeDelivery(now, 10)
-		m.observeLatency(300 * time.Millisecond)
-		if reason := m.evaluate(now, 0, true, 300*time.Millisecond); reason != "" {
+		if reason := m.evaluate(now, 0, true, 300*time.Millisecond, 300*time.Millisecond); reason != "" {
 			t.Fatalf("overload interval accused the leader: %s", reason)
 		}
 	}
@@ -96,9 +93,8 @@ func TestMonitorTwoSignalRule(t *testing.T) {
 		now = now.Add(100 * time.Millisecond)
 		if i%2 == 0 {
 			m2.observeDelivery(now, 1)
-			m2.observeLatency(5 * time.Millisecond)
 		}
-		if reason := m2.evaluate(now, 0, false, 0); reason != "" {
+		if reason := m2.evaluate(now, 0, false, 5*time.Millisecond, 0); reason != "" {
 			t.Fatalf("idle interval accused the leader: %s", reason)
 		}
 	}
@@ -116,8 +112,7 @@ func TestMonitorCooldownAndViewInstall(t *testing.T) {
 		for i := 0; i < limit; i++ {
 			now = now.Add(100 * time.Millisecond)
 			m.observeDelivery(now, 1)
-			m.observeLatency(200 * time.Millisecond)
-			if m.evaluate(now, 0, true, 200*time.Millisecond) != "" {
+			if m.evaluate(now, 0, true, 200*time.Millisecond, 200*time.Millisecond) != "" {
 				return now, true
 			}
 		}
@@ -133,8 +128,7 @@ func TestMonitorCooldownAndViewInstall(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		now = now.Add(100 * time.Millisecond)
 		m.observeDelivery(now, 1)
-		m.observeLatency(200 * time.Millisecond)
-		if m.evaluate(now, 0, true, 200*time.Millisecond) != "" {
+		if m.evaluate(now, 0, true, 200*time.Millisecond, 200*time.Millisecond) != "" {
 			t.Fatalf("accused again %dms after rotation, inside the 800ms cooldown", (i+1)*100)
 		}
 	}
@@ -160,8 +154,7 @@ func TestMonitorCooldownAndViewInstall(t *testing.T) {
 	}
 	now = now.Add(100 * time.Millisecond)
 	m.observeDelivery(now, 1)
-	m.observeLatency(200 * time.Millisecond)
-	if reason := m.evaluate(now, 4, true, 200*time.Millisecond); reason != "" {
+	if reason := m.evaluate(now, 4, true, 200*time.Millisecond, 200*time.Millisecond); reason != "" {
 		t.Fatalf("accused the new leader inside its grace period: %s", reason)
 	}
 }

@@ -267,9 +267,6 @@ func TestCheckpointGarbageCollection(t *testing.T) {
 		cfg.BatchSize = 1 // one batch per payload for predictable seqs
 		cfg.CheckpointInterval = 4
 		cfg.Window = 16
-		// A burst, not a fault: a view change could let a replica jump a
-		// checkpoint and skip deliveries the test waits for.
-		cfg.RequestTimeout = time.Minute
 	})
 	defer c.stop()
 	c.start()

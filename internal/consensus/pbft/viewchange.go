@@ -32,6 +32,7 @@ func (c *core) startViewChange(target uint64) {
 	c.inVC = true
 	c.vcTarget = target
 	c.vcCount++
+	c.forgetSuspicions()
 	// Saturate the backoff: a long partition must not push the post-heal
 	// view-change cadence (and with it recovery latency) to minutes. The
 	// cap is still several times the request timeout, so competing view
@@ -309,13 +310,16 @@ func (c *core) adoptView(nv *newView, plan reissuePlan, reissues []*prePrepare, 
 	// leader; keeping old timestamps would depose the new leader
 	// before it had any chance to order them.
 	c.pending.restart(c.now)
+	c.forgetSuspicions()
 
 	if plan.stableBatch > c.lowWM {
 		c.stabilize(plan.stableBatch, plan.stableGlobal, plan.stableChain, plan.stableProof)
 	}
 
 	// Payloads that were in flight but are not part of the new view's
-	// plan go back to the queue.
+	// plan go back to the queue. Committed batches stay: every later
+	// view's plan carries them unchanged, and this replica delivers them
+	// as committed, whether or not its Deliver has taken them yet.
 	reissued := make(map[crypto.Digest]bool)
 	for _, pp := range reissues {
 		for _, p := range pp.Payloads {
@@ -323,12 +327,12 @@ func (c *core) adoptView(nv *newView, plan reissuePlan, reissues []*prePrepare, 
 		}
 	}
 	for seq, e := range c.log {
-		if e.delivered || seq <= c.lowWM {
+		if e.committed || seq <= c.lowWM {
 			continue
 		}
 		for _, p := range e.payloads {
 			d := crypto.Hash(p)
-			if s := c.seen[d]; (s == reqInflight || s == reqCommitted) && !reissued[d] {
+			if c.seen[d] == reqInflight && !reissued[d] {
 				c.seen[d] = reqQueued
 				c.queue = append(c.queue, queuedReq{payload: p, digest: d})
 			}
@@ -343,8 +347,8 @@ func (c *core) adoptView(nv *newView, plan reissuePlan, reissues []*prePrepare, 
 	maxSeq := c.lowWM
 	for i, pp := range reissues {
 		maxSeq = max(maxSeq, pp.Seq)
-		if pp.Seq < c.nextDeliver {
-			continue // already delivered in an earlier view
+		if e, ok := c.log[pp.Seq]; pp.Seq < c.nextDeliver || ok && e.committed {
+			continue // already committed in an earlier view
 		}
 		e := &entry{seq: pp.Seq}
 		e.view = nv.View

@@ -237,7 +237,8 @@ type AgreementConfig struct {
 	// 2 s): the first guess and the ceiling of its failure detector, not
 	// the detection time. Once it has measured order latency, a replica
 	// suspects the leader after a multiple of it, but never sooner than
-	// an eighth of this (250 ms at the default).
+	// an eighth of this (250 ms at the default), and f+1 suspicions
+	// start the view change.
 	ConsensusTimeout time.Duration
 	// ConsensusBatch caps payloads per consensus instance (default 16,
 	// clamped to AgreementWindow). The whole batch travels the commit
