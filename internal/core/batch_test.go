@@ -126,9 +126,6 @@ func TestByzantineMalformedBatchRejected(t *testing.T) {
 	// Node 4 is a legitimate agreement-group sender identity (fa = 1),
 	// here acting Byzantine: garbage batches, an oversized item-count
 	// claim, and a decodable batch carrying a fabricated write.
-	evilSuite := d.suites[4]
-	evilNode := d.net.Node(4)
-	reg := irmc.NewRegistry()
 	var oversized wire.Writer
 	oversized.WriteSeq(1)
 	oversized.WriteInt(MaxBatchItems + 1)
@@ -144,18 +141,7 @@ func TestByzantineMalformedBatchRejected(t *testing.T) {
 		oversized.Bytes(),
 		wire.Encode(&forged),
 	}
-	for pos := ids.Position(1); pos <= 24; pos++ {
-		frame := reg.EncodeFrame(irmc.TagSend, &irmc.SendMsg{
-			Subchannel: 0, Position: pos, Payload: payloads[int(pos)%len(payloads)],
-		})
-		env, err := irmc.Seal(evilSuite, irmc.TagSend, frame, ids.NoNode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range d.execGroups[0].Members {
-			evilNode.Send(m, commitStream(d.execGroups[0].ID), env)
-		}
-	}
+	d.forgeCommitSends(4, d.execGroups[0], payloads, 24)
 
 	// The subchannel must keep delivering the correct majority's
 	// batches: writes continue to complete and converge.

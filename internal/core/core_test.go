@@ -8,7 +8,9 @@ import (
 
 	"spider/internal/app"
 	"spider/internal/crypto"
+	"spider/internal/crypto/cryptotest"
 	"spider/internal/ids"
+	"spider/internal/irmc"
 	"spider/internal/transport/memnet"
 )
 
@@ -20,6 +22,9 @@ type deployment struct {
 	agGroup    ids.Group
 	execGroups []ids.Group
 	suites     map[ids.NodeID]crypto.Suite
+	// execCrypto counts the crypto work of the initial execution
+	// replicas, which run on these wrappers of their suites.
+	execCrypto map[ids.NodeID]*cryptotest.CountingSuite
 
 	agreement []*AgreementReplica
 	execution map[ids.GroupID][]*ExecutionReplica
@@ -56,10 +61,11 @@ func newDeploymentBatch(t *testing.T, numExec int, tun Tunables, batch int, admi
 }
 
 // newDeploymentDedup additionally pins the commit-channel dedup mode,
-// so tests can compare the reference and full-content data planes.
+// so tests can compare the reference and full-content data planes. Its
+// suite is the insecure test suite unless SPIDER_SUITE names another.
 func newDeploymentDedup(t *testing.T, numExec int, tun Tunables, batch int, dedup DedupMode, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
 	t.Helper()
-	return newDeploymentSuite(t, numExec, tun, batch, dedup, crypto.SuiteInsecure, adminClients, clientIDs...)
+	return newDeploymentSuite(t, numExec, tun, batch, dedup, crypto.EnvSuiteKind(crypto.SuiteInsecure), adminClients, clientIDs...)
 }
 
 // newDeploymentSuite additionally selects the crypto suite, for tests
@@ -74,11 +80,12 @@ func newDeploymentSuite(t *testing.T, numExec int, tun Tunables, batch int, dedu
 func newDeploymentOn(t *testing.T, net *memnet.Network, numExec int, tun Tunables, batch int, dedup DedupMode, suite crypto.SuiteKind, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
 	t.Helper()
 	d := &deployment{
-		t:         t,
-		net:       net,
-		execution: make(map[ids.GroupID][]*ExecutionReplica),
-		apps:      make(map[ids.NodeID]*app.KVStore),
-		commit:    &CommitStats{},
+		t:          t,
+		net:        net,
+		execution:  make(map[ids.GroupID][]*ExecutionReplica),
+		execCrypto: make(map[ids.NodeID]*cryptotest.CountingSuite),
+		apps:       make(map[ids.NodeID]*app.KVStore),
+		commit:     &CommitStats{},
 	}
 	d.agGroup = ids.Group{ID: 1, Members: []ids.NodeID{1, 2, 3, 4}, F: 1}
 	all := append([]ids.NodeID{}, d.agGroup.Members...)
@@ -133,11 +140,12 @@ func newDeploymentOn(t *testing.T, net *memnet.Network, numExec int, tun Tunable
 		for _, m := range g.Members {
 			kv := app.NewKVStore()
 			d.apps[m] = kv
+			d.execCrypto[m] = cryptotest.Counting(d.suites[m])
 			er, err := NewExecutionReplica(ExecutionConfig{
 				Group:          g,
 				AgreementGroup: d.agGroup,
 				PeerGroups:     peers,
-				Suite:          d.suites[m],
+				Suite:          d.execCrypto[m],
 				Node:           d.net.Node(m),
 				App:            kv,
 				Tunables:       tun,
@@ -175,6 +183,46 @@ func (d *deployment) stop() {
 		ar.Stop()
 	}
 	d.net.Close()
+}
+
+// forgeCommitSends plays agreement replica from gone Byzantine: it seals
+// a commit-channel Send for each of positions 1..positions, carrying
+// payloads[pos % len(payloads)], for every member of execution group g,
+// pairwise as a correct sender does, and sends them. It returns once
+// every member has opened them all, and fails the test if a member
+// rejected one on its MAC: what the caller asserts next must be decided
+// by the checks behind the envelope, not by the envelope.
+func (d *deployment) forgeCommitSends(from ids.NodeID, g ids.Group, payloads [][]byte, positions int) {
+	d.t.Helper()
+	opened := func(m ids.NodeID) int64 { return d.execCrypto[m].MACVerifiesFrom(crypto.DomainIRMCSend, from) }
+	before := make(map[ids.NodeID]int64, len(g.Members))
+	for _, m := range g.Members {
+		before[m] = opened(m)
+	}
+	reg := irmc.NewRegistry()
+	node := d.net.Node(from)
+	for pos := ids.Position(1); pos <= ids.Position(positions); pos++ {
+		frame := reg.EncodeFrame(irmc.TagSend, &irmc.SendMsg{
+			Subchannel: 0, Position: pos, Payload: payloads[int(pos)%len(payloads)],
+		})
+		if err := irmc.SealMulti(d.suites[from], irmc.TagSend, frame, g.Members, func(to ids.NodeID, env []byte) {
+			node.Send(to, commitStream(g.ID), env)
+		}); err != nil {
+			d.t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, m := range g.Members {
+		for opened(m)-before[m] < int64(positions) {
+			if time.Now().After(deadline) {
+				d.t.Fatalf("replica %v opened %d of %d forged Sends", m, opened(m)-before[m], positions)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := d.execCrypto[m].MACRejectsFrom(crypto.DomainIRMCSend, from); n != 0 {
+			d.t.Fatalf("replica %v rejected %d Sends from %v on their MAC", m, n, from)
+		}
+	}
 }
 
 func (d *deployment) client(id ids.ClientID, group ids.Group) *Client {

@@ -7,7 +7,6 @@ import (
 
 	"spider/internal/crypto"
 	"spider/internal/ids"
-	"spider/internal/irmc"
 	"spider/internal/wire"
 )
 
@@ -276,10 +275,6 @@ func TestByzantineForgedDigestRef(t *testing.T) {
 		t.Fatalf("write before injection: %v", err)
 	}
 
-	evilSuite := d.suites[4]
-	evilNode := d.net.Node(4)
-	reg := irmc.NewRegistry()
-
 	// A forged reference: the digest of a fabricated write that was
 	// never forwarded or ordered. If any replica applied it, the key
 	// "forged" would appear.
@@ -298,18 +293,7 @@ func TestByzantineForgedDigestRef(t *testing.T) {
 	truncated.WriteRaw(make([]byte, 8))
 
 	payloads := [][]byte{wire.Encode(&forgedRef), truncated.Bytes()}
-	for pos := ids.Position(1); pos <= 24; pos++ {
-		frame := reg.EncodeFrame(irmc.TagSend, &irmc.SendMsg{
-			Subchannel: 0, Position: pos, Payload: payloads[int(pos)%len(payloads)],
-		})
-		env, err := irmc.Seal(evilSuite, irmc.TagSend, frame, ids.NoNode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range d.execGroups[0].Members {
-			evilNode.Send(m, commitStream(d.execGroups[0].ID), env)
-		}
-	}
+	d.forgeCommitSends(4, d.execGroups[0], payloads, 24)
 
 	// The subchannel must keep delivering the correct majority's
 	// batches: writes continue to complete and converge.

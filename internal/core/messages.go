@@ -170,7 +170,7 @@ const MaxBatchItems = 4096
 
 // ExecuteBatchMsg is the commit-channel payload: every Execute of one
 // consensus batch travels in a single subchannel position, so the
-// per-position costs — one signed Send per execution group, one window
+// per-position costs — one MAC'd Send per execution group, one window
 // step, one wide-area frame — are paid once per batch instead of once
 // per request. Item i carries the request agreed at sequence number
 // Start+i; an empty Items slice announces a null batch (a view change

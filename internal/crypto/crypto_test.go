@@ -3,7 +3,6 @@ package crypto
 import (
 	"testing"
 	"testing/quick"
-	"time"
 
 	"spider/internal/ids"
 	"spider/internal/wire"
@@ -223,55 +222,56 @@ func TestQuickMACConsistency(t *testing.T) {
 	}
 }
 
-// TestMACPreloadMatchesLazy: a provider filled by preload and one that
-// meets its peers one at a time derive the same pairwise keys — every
-// pair's MAC is byte-identical and verifies at the other end — and
-// preloading a deployment-sized peer set (528 identities on the
-// repository benchmark) builds the table once rather than once per
-// peer.
-func TestMACPreloadMatchesLazy(t *testing.T) {
-	master, msg := []byte("master secret"), []byte("payload")
+// macKeys returns how many pairwise keys s has derived.
+func macKeys(t *testing.T, s Suite) int {
+	t.Helper()
+	var p *macProvider
+	switch s := s.(type) {
+	case *ed25519Suite:
+		p = s.macs
+	case *rsaSuite:
+		p = s.macs
+	case *insecureSuite:
+		p = s.macs
+	default:
+		t.Fatalf("unknown suite type %T", s)
+	}
+	return len(*p.peers.Load())
+}
+
+// TestMACKeysDerivedOnFirstContact: a suite derives a pairwise key the
+// first time it meets a peer, never at construction — a deployment
+// builds one suite per identity (528 on the repository benchmark), and
+// deriving every pair up front cost it ≈ 279 000 keys — and both ends of
+// every pair derive the same key.
+func TestMACKeysDerivedOnFirstContact(t *testing.T) {
 	nodes := make([]ids.NodeID, 528)
 	for i := range nodes {
 		nodes[i] = ids.NodeID(i + 1)
 	}
-	small := nodes[:40]
-	pre := make(map[ids.NodeID]*macProvider, len(small))
-	for _, id := range small {
-		pre[id] = newMACProvider(id, master)
-		pre[id].preload(small)
+	deployments := map[string]map[ids.NodeID]Suite{
+		"ed25519":  NewSuites(nodes, SuiteEd25519),
+		"insecure": NewSuites(nodes, SuiteInsecure),
+		"rsa":      testSuites(t, 4)[SuiteRSA],
 	}
-	for _, a := range small {
-		lazy := newMACProvider(a, master)
-		for _, b := range small {
-			want := lazy.mac(b, DomainReply, msg)
-			if got := pre[a].mac(b, DomainReply, msg); string(got) != string(want) {
-				t.Fatalf("pair (%v,%v): preloaded MAC differs from the lazily derived one", a, b)
-			}
-			if err := pre[b].verify(a, DomainReply, msg, want); err != nil {
-				t.Fatalf("pair (%v,%v): %v", a, b, err)
+	msg := []byte("payload")
+	for name, suites := range deployments {
+		for id, s := range suites {
+			if n := macKeys(t, s); n != 0 {
+				t.Fatalf("%s: suite %v derived %d keys before first contact", name, id, n)
 			}
 		}
-	}
-
-	// Copying the table per peer took ≈ 7 ms for 528 peers (≈ 3.3 s
-	// for a deployment's 528 providers); one pass takes ≈ 0.9 ms
-	// (≈ 0.4 s). The bound is a coarse guard against the quadratic
-	// shape coming back, best of three so a descheduled run cannot
-	// fail it.
-	best := time.Hour
-	for i := 0; i < 3; i++ {
-		p := newMACProvider(1, master)
-		start := time.Now()
-		p.preload(nodes)
-		if d := time.Since(start); d < best {
-			best = d
+		met := nodes[:min(40, len(suites))]
+		for _, a := range met {
+			for _, b := range met {
+				mac := suites[a].MAC(b, DomainReply, msg)
+				if err := suites[b].VerifyMAC(a, DomainReply, msg, mac); err != nil {
+					t.Fatalf("%s: pair (%v,%v): %v", name, a, b, err)
+				}
+			}
 		}
-		if n := len(*p.peers.Load()); n != len(nodes) {
-			t.Fatalf("preload left %d peers in the table, want %d", n, len(nodes))
+		if n := macKeys(t, suites[1]); n != len(met) {
+			t.Errorf("%s: suite 1 holds %d keys after meeting %d peers", name, n, len(met))
 		}
-	}
-	if best > 100*time.Millisecond {
-		t.Fatalf("preload of %d peers took %v", len(nodes), best)
 	}
 }

@@ -59,22 +59,15 @@ var edPayloadPool = sync.Pool{
 }
 
 // NewEd25519Suite creates the suite for one node. All suites of a
-// deployment must share the same directory and master secret; as with
-// the RSA suite, every pairwise MAC key is derived at construction so
-// the MAC hot path never takes a lock.
+// deployment must share the same directory and master secret. Pairwise
+// MAC keys are derived on first contact with a peer.
 func NewEd25519Suite(node ids.NodeID, priv ed25519.PrivateKey, dir *Ed25519Directory, masterSecret []byte) Suite {
-	s := &ed25519Suite{
+	return &ed25519Suite{
 		node: node,
 		priv: priv,
 		dir:  dir,
 		macs: newMACProvider(node, masterSecret),
 	}
-	peers := make([]ids.NodeID, 0, len(dir.keys))
-	for id := range dir.keys {
-		peers = append(peers, id)
-	}
-	s.macs.preload(peers)
-	return s
 }
 
 func (s *ed25519Suite) Node() ids.NodeID { return s.node }

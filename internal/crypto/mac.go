@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"hash"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -58,37 +59,27 @@ func newMACProvider(node ids.NodeID, master []byte) *macProvider {
 	return p
 }
 
-// preload derives the pairwise keys for every listed peer up front, so
-// a deployment whose peer set is known at construction (the usual case:
-// the suite directory lists all nodes) never touches the cold path —
-// and never the mutex — during operation. The table is copied and
-// published once per call, not once per peer: that was quadratic in
-// the deployment size.
-func (p *macProvider) preload(peers []ids.NodeID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cur := *p.peers.Load()
-	next := make(map[ids.NodeID]*peerMAC, len(cur)+len(peers))
-	for k, v := range cur {
-		next[k] = v
-	}
-	for _, id := range peers {
-		if _, ok := next[id]; !ok {
-			next[id] = p.derive(id)
-		}
-	}
-	p.peers.Store(&next)
-}
-
 // peer returns the entry for the given peer, deriving the key on first
-// use. The fast path is one atomic load and a map read; a late first
-// contact is a preload of one.
+// contact. The fast path is one atomic load and a map read. Keys are
+// never derived ahead of use: a deployment builds one suite per
+// identity, and a node talks to a few dozen peers of the hundreds its
+// directory lists, so deriving every pair up front cost a deployment
+// hundreds of thousands of keys it never used.
 func (p *macProvider) peer(id ids.NodeID) *peerMAC {
 	if pm, ok := (*p.peers.Load())[id]; ok {
 		return pm
 	}
-	p.preload([]ids.NodeID{id})
-	return (*p.peers.Load())[id]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cur := *p.peers.Load()
+	if pm, ok := cur[id]; ok {
+		return pm
+	}
+	next := maps.Clone(cur)
+	pm := p.derive(id)
+	next[id] = pm
+	p.peers.Store(&next)
+	return pm
 }
 
 // derive computes the pairwise key this node shares with id.

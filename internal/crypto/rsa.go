@@ -45,23 +45,15 @@ type rsaSuite struct {
 var _ Suite = (*rsaSuite)(nil)
 
 // NewRSASuite creates the suite for one node. All suites of a
-// deployment must share the same directory and master secret. The
-// directory names the deployment's full node set, so every pairwise
-// MAC key is derived here, once, and the MAC hot path never takes a
-// lock or derives a key again.
+// deployment must share the same directory and master secret. Pairwise
+// MAC keys are derived on first contact with a peer.
 func NewRSASuite(node ids.NodeID, priv *rsa.PrivateKey, dir *Directory, masterSecret []byte) Suite {
-	s := &rsaSuite{
+	return &rsaSuite{
 		node: node,
 		priv: priv,
 		dir:  dir,
 		macs: newMACProvider(node, masterSecret),
 	}
-	peers := make([]ids.NodeID, 0, len(dir.keys))
-	for id := range dir.keys {
-		peers = append(peers, id)
-	}
-	s.macs.preload(peers)
-	return s
 }
 
 func (s *rsaSuite) Node() ids.NodeID { return s.node }

@@ -10,11 +10,9 @@ package ids
 
 import "strconv"
 
-// NodeID uniquely identifies a node (replica or client) in a deployment.
+// NodeID uniquely identifies a node (replica or client) in a deployment;
+// valid node identifiers start at 1.
 type NodeID int32
-
-// NoNode is the zero NodeID; valid node identifiers start at 1.
-const NoNode NodeID = 0
 
 // String returns a short human-readable form such as "n7".
 func (n NodeID) String() string { return "n" + strconv.FormatInt(int64(n), 10) }

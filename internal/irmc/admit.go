@@ -10,25 +10,25 @@ import (
 // the transport's delivery goroutine for that peer, so each peer's frames
 // are checked in order while different peers' checks already run side
 // by side. A frame from a non-member (member false) is dropped before
-// any crypto work. All three channel endpoints that do public-key
-// verification on inbound traffic admit through it.
+// any crypto work. The receivers of both implementations and the
+// IRMC-SC sender, the endpoints that take channel content from their
+// peers, admit through it.
 //
-// It is also their one admission seam. Each of them collects a quorum
-// of public-key-authenticated messages per position — fs+1 Sends, fs+1
-// shares, one certificate — and what arrives after the quorum is in
-// would be verified only to be discarded. So between the cheap part of
-// opening a frame (decoding, the MAC check of a MAC'd tag) and the
-// expensive part (a Send's signature, a share's, a certificate's share
-// set) the endpoint is asked, under its own lock, whether a valid frame
-// from this peer for this position could still change anything
-// (wanted). A pre-check may only drop: the content of a Send is not
-// vouched for yet, so the answer reads endpoint state and nothing else —
-// it never creates a subchannel, records a vote or reserves a place, and
-// a forged frame cannot keep the next valid one from being verified.
-// verify, when non-nil, then runs the extra checks on the decoded
-// message (share signatures, certificate share sets). A frame that fails
-// to open or to verify is dropped. Each frame's work is charged to the
-// endpoint's CPU meter.
+// It is also their one admission seam. Opening a frame is cheap: the
+// envelope's MAC is the whole check of who sent it. Two IRMC-SC
+// endpoints then have public-key work to do — a share's signature, a
+// certificate's share set — and collect a quorum of such messages per
+// position, so what arrives after the quorum is in would be verified
+// only to be discarded. Between opening and that work the endpoint is
+// asked, under its own lock, whether a valid frame from this peer for
+// this position could still change anything (wanted, when non-nil). A
+// pre-check may only drop: the content is not vouched for yet, so the
+// answer reads endpoint state and nothing else — it never creates a
+// subchannel, records a vote or reserves a place, and a forged frame
+// cannot keep the next valid one from being verified. verify, when
+// non-nil, then runs the public-key checks on the decoded message. A
+// frame that fails to open, is not wanted or fails to verify is dropped.
+// Each frame's work is charged to the endpoint's CPU meter.
 func (e *endpoint) Admit(from ids.NodeID, member bool, payloads [][]byte,
 	wanted func(wire.TypeTag, wire.Message) bool,
 	verify func(wire.TypeTag, wire.Message) error,
@@ -38,11 +38,8 @@ func (e *endpoint) Admit(from ids.NodeID, member bool, payloads [][]byte,
 	}
 	for _, payload := range payloads {
 		stop := e.Cfg.Track()
-		tag, msg, err := openWanted(e.Cfg.Suite, e.Reg, from, payload, wanted)
-		if err == nil && verify != nil {
-			err = verify(tag, msg)
-		}
-		if err == nil {
+		tag, msg, err := Open(e.Cfg.Suite, e.Reg, from, payload)
+		if err == nil && (wanted == nil || wanted(tag, msg)) && (verify == nil || verify(tag, msg) == nil) {
 			deliver(tag, msg)
 		}
 		stop()

@@ -70,18 +70,26 @@ func (e *endpoint) Every(interval time.Duration, fn func()) {
 	}()
 }
 
-// Post marshals msg once, seals it for each recipient and hands the
-// envelopes to the transport, returning the bytes handed over. It is
-// called without Mu.
+// Post marshals msg once and posts the frame (PostFrame). It is called
+// without Mu.
 func (e *endpoint) Post(tag wire.TypeTag, msg wire.Marshaler, to ...ids.NodeID) int64 {
 	if len(to) == 0 {
 		return 0
 	}
 	stop := e.Cfg.Track()
+	frame := e.Reg.EncodeFrame(tag, msg)
+	stop()
+	return e.PostFrame(tag, frame, to...)
+}
+
+// PostFrame seals an encoded frame for each recipient and hands the
+// envelopes to the transport, returning the bytes handed over. It is
+// called without Mu.
+func (e *endpoint) PostFrame(tag wire.TypeTag, frame []byte, to ...ids.NodeID) int64 {
+	stop := e.Cfg.Track()
 	envs := make([][]byte, 0, len(to))
-	// A MAC'd tag cannot fail to seal; Send, the one signed tag, is
-	// sealed once with Seal and never comes through here.
-	_ = SealMulti(e.Cfg.Suite, tag, e.Reg.EncodeFrame(tag, msg), to, func(_ ids.NodeID, env []byte) {
+	// Every tag the endpoints post is known, so sealing cannot fail.
+	_ = SealMulti(e.Cfg.Suite, tag, frame, to, func(_ ids.NodeID, env []byte) {
 		envs = append(envs, env)
 	})
 	stop()

@@ -2,12 +2,12 @@ package irmc
 
 import (
 	"bytes"
+	"errors"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"spider/internal/crypto"
-	"spider/internal/crypto/cryptotest"
 	"spider/internal/ids"
 	"spider/internal/wire"
 )
@@ -101,17 +101,24 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 }
 
+// seal builds one envelope from suite's node to recipient to.
+func seal(t *testing.T, suite crypto.Suite, tag wire.TypeTag, msg wire.Marshaler, to ids.NodeID) []byte {
+	t.Helper()
+	var env []byte
+	if err := SealMulti(suite, tag, NewRegistry().EncodeFrame(tag, msg), []ids.NodeID{to}, func(_ ids.NodeID, e []byte) { env = e }); err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
 func TestEnvelopeAuth(t *testing.T) {
 	suites := crypto.NewSuites([]ids.NodeID{1, 2, 3}, crypto.SuiteInsecure)
 	reg := NewRegistry()
-	frame := reg.EncodeFrame(TagSend, &SendMsg{Subchannel: 0, Position: 1, Payload: []byte("m")})
+	send := &SendMsg{Subchannel: 0, Position: 1, Payload: []byte("m")}
 
-	env, err := Seal(suites[1], TagSend, frame, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := seal(t, suites[1], TagSend, send, 2)
 	if _, _, err := Open(suites[2], reg, 1, env); err != nil {
-		t.Errorf("valid signed envelope rejected: %v", err)
+		t.Errorf("valid Send envelope rejected: %v", err)
 	}
 	// Envelope relayed under the wrong transport identity must fail.
 	if _, _, err := Open(suites[2], reg, 3, env); err == nil {
@@ -124,96 +131,69 @@ func TestEnvelopeAuth(t *testing.T) {
 		t.Error("tampered envelope accepted")
 	}
 
-	// MAC'd envelope is recipient specific.
-	mframe := reg.EncodeFrame(TagMove, &MoveMsg{Subchannel: 0, Position: 2})
-	menv, err := Seal(suites[1], TagMove, mframe, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(suites[2], reg, 1, menv); err != nil {
-		t.Errorf("valid MAC envelope rejected: %v", err)
-	}
-	if _, _, err := Open(suites[3], reg, 1, menv); err == nil {
-		t.Error("MAC envelope accepted by wrong recipient")
-	}
-
-	// A share travels in a MAC'd envelope as well: the signature that
-	// counts is the one inside the message, and Open never checks it.
+	// Every envelope is recipient specific, a Send's included: what 1
+	// sealed for 2 does not convince 3.
 	share := &SigShareMsg{Subchannel: 0, Position: 1, Sig: []byte("checked by the endpoint, not by Open")}
-	senv, err := Seal(suites[1], TagSigShare, reg.EncodeFrame(TagSigShare, share), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(suites[2], reg, 1, senv); err != nil {
-		t.Errorf("valid share envelope rejected: %v", err)
-	}
-	if _, _, err := Open(suites[3], reg, 1, senv); err == nil {
-		t.Error("share envelope accepted by wrong recipient: it is not MAC'd")
-	}
-	if err := SealMulti(suites[1], TagSend, frame, []ids.NodeID{2, 3}, func(ids.NodeID, []byte) {
-		t.Error("SealMulti emitted an envelope for a signed tag")
-	}); err == nil {
-		t.Error("SealMulti accepted a signed tag")
-	}
-	for tag, wantSigned := range map[wire.TypeTag]bool{
-		TagSend: true, TagSigShare: false, TagMove: false, TagCertificate: false,
-		TagProgress: false, TagSelect: false, TagResend: false,
+	for _, c := range []struct {
+		tag wire.TypeTag
+		msg wire.Marshaler
+	}{
+		{TagSend, send}, {TagMove, &MoveMsg{Position: 2}}, {TagSigShare, share},
+		{TagCertificate, &CertificateMsg{Position: 1}}, {TagProgress, &ProgressMsg{}},
+		{TagSelect, &SelectMsg{Collector: 1}}, {TagResend, &ResendMsg{From: 1}},
 	} {
-		if _, signed, err := AuthDomain(tag); err != nil || signed != wantSigned {
-			t.Errorf("AuthDomain(%d): signed=%v err=%v, want signed=%v", tag, signed, err, wantSigned)
+		env := seal(t, suites[1], c.tag, c.msg, 2)
+		if tag, _, err := Open(suites[2], reg, 1, env); err != nil || tag != c.tag {
+			t.Errorf("tag %d: valid envelope opened as %d, %v", c.tag, tag, err)
+		}
+		if _, _, err := Open(suites[3], reg, 1, env); !errors.Is(err, crypto.ErrBadMAC) {
+			t.Errorf("tag %d: envelope for another recipient: err=%v, want a bad MAC", c.tag, err)
 		}
 	}
 }
 
-// TestOpenAsksBeforeVerifying: the admission question comes after a MAC
-// check and before a signature check, and a refusal drops the frame.
+// TestOpenAsksBeforeVerifying: Admit asks its question after the MAC
+// check and before the public-key check, and a refusal drops the frame.
 func TestOpenAsksBeforeVerifying(t *testing.T) {
 	suites := crypto.NewSuites([]ids.NodeID{1, 2}, crypto.SuiteInsecure)
-	counting := cryptotest.Counting(suites[2])
-	reg := NewRegistry()
-	send, err := Seal(suites[1], TagSend, reg.EncodeFrame(TagSend, &SendMsg{Position: 7, Payload: []byte("m")}), 2)
-	if err != nil {
-		t.Fatal(err)
+	e := &endpoint{Cfg: Config{Suite: suites[2]}, Reg: NewRegistry()}
+	share := seal(t, suites[1], TagSigShare, &SigShareMsg{Position: 7, Sig: []byte("s")}, 2)
+	var asked, verified, delivered int
+	admit := func(payload []byte, want bool) {
+		e.Admit(1, true, [][]byte{payload}, func(tag wire.TypeTag, msg wire.Message) bool {
+			asked++
+			if tag != TagSigShare || msg.(*SigShareMsg).Position != 7 {
+				t.Errorf("asked about tag %d %+v", tag, msg)
+			}
+			return want
+		}, func(wire.TypeTag, wire.Message) error {
+			verified++
+			return nil
+		}, func(wire.TypeTag, wire.Message) { delivered++ })
 	}
-	asked := 0
-	refuse := func(tag wire.TypeTag, msg wire.Message) bool {
-		asked++
-		if tag != TagSend || msg.(*SendMsg).Position != 7 {
-			t.Errorf("asked about tag %d %+v", tag, msg)
-		}
-		return false
+	admit(share, false)
+	if asked != 1 || verified != 0 || delivered != 0 {
+		t.Errorf("refused share: asked %d, verified %d, delivered %d; want 1, 0, 0", asked, verified, delivered)
 	}
-	if _, _, err := openWanted(counting, reg, 1, send, refuse); err == nil {
-		t.Error("refused Send was opened")
-	}
-	if n := counting.Verifies(crypto.DomainIRMCSend); asked != 1 || n != 0 {
-		t.Errorf("refused Send: asked %d times, %d signature checks; want 1 and 0", asked, n)
-	}
-	if _, _, err := openWanted(counting, reg, 1, send, func(wire.TypeTag, wire.Message) bool { return true }); err != nil {
-		t.Errorf("wanted Send rejected: %v", err)
-	}
-	if n := counting.Verifies(crypto.DomainIRMCSend); n != 1 {
-		t.Errorf("wanted Send: %d signature checks, want 1", n)
+	admit(share, true)
+	if asked != 2 || verified != 1 || delivered != 1 {
+		t.Errorf("wanted share: asked %d, verified %d, delivered %d; want 2, 1, 1", asked, verified, delivered)
 	}
 
-	// A MAC'd frame that fails its MAC is never asked about.
-	move, err := Seal(suites[1], TagMove, reg.EncodeFrame(TagMove, &MoveMsg{Position: 2}), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	move[len(move)-1] ^= 0xFF
-	asked = 0
-	if _, _, err := openWanted(counting, reg, 1, move, refuse); err == nil || asked != 0 {
-		t.Errorf("forged MAC frame: err=%v, asked %d times", err, asked)
+	// A frame that fails its MAC is never asked about.
+	share[len(share)-1] ^= 0xFF
+	admit(share, true)
+	if asked != 2 || verified != 1 || delivered != 1 {
+		t.Errorf("forged MAC frame: asked %d, verified %d, delivered %d; want 2, 1, 1", asked, verified, delivered)
 	}
 }
 
 func TestAuthDomainUnknownTag(t *testing.T) {
-	if _, _, err := AuthDomain(99); err == nil {
+	if _, err := authDomain(99); err == nil {
 		t.Error("unknown tag accepted")
 	}
-	if _, err := Seal(nil, 99, nil, 0); err == nil {
-		t.Error("Seal with unknown tag accepted")
+	if err := SealMulti(nil, 99, nil, []ids.NodeID{1}, func(ids.NodeID, []byte) {}); err == nil {
+		t.Error("SealMulti with unknown tag accepted")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -128,6 +129,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("EarlyFloodIsBounded", func(t *testing.T) { testEarlyFloodIsBounded(t, factory) })
 	t.Run("VerifiesOnlyUntilQuorum", func(t *testing.T) { testVerifiesOnlyUntilQuorum(t, factory) })
 	t.Run("BadSignatureFirstStillDelivers", func(t *testing.T) { testBadSignatureFirstStillDelivers(t, factory) })
+	t.Run("BadMACFirstStillDelivers", func(t *testing.T) { testBadMACFirstStillDelivers(t, factory) })
 	t.Run("MoveReachesIsolatedReceiver", func(t *testing.T) { testMoveReachesIsolatedReceiver(t, factory) })
 }
 
@@ -556,31 +558,42 @@ func testEarlyFloodIsBounded(t *testing.T, factory Factory) {
 	waitMsg(t, flooded, good, 5*time.Second)
 }
 
-// submissionVerifies is the public-key work an endpoint did to admit
-// channel content: Send signatures (receiver-side collection) plus
-// share signatures (sender-side collection: fellow senders' shares at a
-// sender, certificate shares at a receiver).
-func submissionVerifies(c *cryptotest.CountingSuite) int64 {
-	return c.Verifies(crypto.DomainIRMCSend) + c.Verifies(crypto.DomainIRMCShare)
+// sharesChecked reports whether the senders checked one another's share
+// signatures. Sender-side collection does; under receiver-side
+// collection senders exchange nothing.
+func sharesChecked(c *Channel, counters map[ids.NodeID]*cryptotest.CountingSuite) bool {
+	for _, id := range c.SenderG.Members {
+		if counters[id].Verifies(crypto.DomainIRMCShare) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
-// submissionVerifiesFrom is the part of submissionVerifies spent on
-// one signer's signatures.
-func submissionVerifiesFrom(c *cryptotest.CountingSuite, signer ids.NodeID) int64 {
-	return c.VerifiesFrom(crypto.DomainIRMCSend, signer) + c.VerifiesFrom(crypto.DomainIRMCShare, signer)
+// requireNoPublicKeyOps is what receiver-side collection costs in
+// public-key work: nothing. Every message, a Send included, is
+// authenticated by its envelope's pairwise MAC.
+func requireNoPublicKeyOps(t *testing.T, counters map[ids.NodeID]*cryptotest.CountingSuite) {
+	t.Helper()
+	for id, cs := range counters {
+		if n := cs.PublicKeyOps(); n != 0 {
+			t.Errorf("node %v made %d Sign and Verify calls under receiver-side collection, want 0", id, n)
+		}
+	}
 }
 
 // testVerifiesOnlyUntilQuorum: with every sender correct, an endpoint
-// verifies what completes a position's quorum and nothing that arrives
-// after it. Per position the first fs+1 senders submit, every receiver
-// delivers, and only then do the remaining senders submit, so what they
-// send can only be surplus; an endpoint admits one frame of a link at
-// a time, so the counts are exact. A receiver pays fs+1
-// verifications per position under either implementation (fs+1 Sends,
-// or the fs+1 shares of one certificate). Under sender-side collection
-// a sender pays at most fs+1 share verifications per position, exactly
-// fs where its own share is in before any peer's arrives (the sender
-// that submits first), and never one for its own share.
+// does the public-key work that completes a position's quorum and none
+// for what arrives after it. Per position the first fs+1 senders
+// submit, every receiver delivers, and only then do the remaining
+// senders submit, so what they send can only be surplus; an endpoint
+// admits one frame of a link at a time, so the counts are exact. Under
+// receiver-side collection there is no public-key work at all. Under
+// sender-side collection a receiver pays fs+1 verifications per position
+// (the shares of one certificate), and a sender at most fs+1 share
+// verifications per position, exactly fs where its own share is in
+// before any peer's arrives (the sender that submits first), and never
+// one for its own share.
 func testVerifiesOnlyUntilQuorum(t *testing.T, factory Factory) {
 	const positions = 200
 	suites, counters := cryptotest.CountingAll(Suites())
@@ -609,17 +622,14 @@ func testVerifiesOnlyUntilQuorum(t *testing.T, factory Factory) {
 	// endpoint which does verify it is caught doing so.
 	time.Sleep(100 * time.Millisecond)
 
+	if !sharesChecked(c, counters) {
+		requireNoPublicKeyOps(t, counters)
+		return
+	}
 	for _, id := range c.ReceiverG.Members {
-		if got, want := submissionVerifies(counters[id]), int64(quorum*positions); got != want {
+		if got, want := counters[id].Verifies(crypto.DomainIRMCShare), int64(quorum*positions); got != want {
 			t.Errorf("receiver %v: %d verifications for %d positions, want %d (fs+1 each)", id, got, positions, want)
 		}
-	}
-	var shareWork int64
-	for _, id := range c.SenderG.Members {
-		shareWork += counters[id].Verifies(crypto.DomainIRMCShare)
-	}
-	if shareWork == 0 {
-		return // receiver-side collection: senders verify no submissions
 	}
 	for i, id := range c.SenderG.Members {
 		got := counters[id].Verifies(crypto.DomainIRMCShare)
@@ -646,12 +656,31 @@ func (s badSigSuite) Sign(d crypto.Domain, msg []byte) []byte {
 	return sig
 }
 
+// waitOpened waits until the envelopes of from's first submission have
+// been opened at fs+1 endpoints — receivers opening Sends under
+// receiver-side collection, the other senders opening shares under
+// sender-side collection — and then a little longer, for what follows
+// the MAC check on the same goroutine.
+func waitOpened(t *testing.T, c *Channel, counters map[ids.NodeID]*cryptotest.CountingSuite, from ids.NodeID) {
+	t.Helper()
+	waitCond(t, "the first submission to be opened", func() bool {
+		var n int64
+		for _, cs := range counters {
+			n += cs.MACVerifiesFrom(crypto.DomainIRMCSend, from) + cs.MACVerifiesFrom(crypto.DomainIRMCShare, from)
+		}
+		return n >= int64(c.SenderG.F+1)
+	})
+	time.Sleep(50 * time.Millisecond)
+}
+
 // testBadSignatureFirstStillDelivers: the submission that arrives first
-// carries an invalid signature. It must be verified and refused — not
-// counted towards the quorum, not placed in a certificate, and not
-// allowed to stand in the way of what follows: the next fs+1 valid
-// submissions are verified as if it had never come, and every receiver
-// delivers.
+// carries an invalid signature. Under sender-side collection, where the
+// signature is a share's, it must be verified and refused — not counted
+// towards the quorum, not placed in a certificate, and not allowed to
+// stand in the way of what follows: the next fs+1 valid submissions are
+// verified as if it had never come, and every receiver delivers. Under
+// receiver-side collection a Send carries no signature, so the faulty
+// signer changes nothing and no endpoint signs or verifies anything.
 func testBadSignatureFirstStillDelivers(t *testing.T, factory Factory) {
 	suites, counters := cryptotest.CountingAll(Suites())
 	senderG, _ := Groups()
@@ -661,28 +690,11 @@ func testBadSignatureFirstStillDelivers(t *testing.T, factory Factory) {
 	c := factory(t, Options{Capacity: 8, NodeSuites: suites})
 	defer c.Close()
 
-	refused := func() int64 {
-		var n int64
-		for _, cs := range counters {
-			n += submissionVerifiesFrom(cs, bad)
-		}
-		return n
-	}
 	want := []byte("valid after invalid")
 	if err := c.Senders[last].Send(0, 1, want); err != nil {
 		t.Fatalf("faulty Send: %v", err)
 	}
-	// It reaches every receiver (receiver-side collection) or every
-	// other sender (sender-side collection), at least fs+1 endpoints
-	// either way.
-	deadline := time.Now().Add(5 * time.Second)
-	for refused() < int64(c.SenderG.F+1) {
-		if time.Now().After(deadline) {
-			t.Fatal("the invalid submission was never verified")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond)
+	waitOpened(t, c, counters, bad)
 
 	chans := make([]<-chan receiveResult, len(c.Receivers))
 	for i, r := range c.Receivers {
@@ -696,12 +708,106 @@ func testBadSignatureFirstStillDelivers(t *testing.T, factory Factory) {
 	for _, ch := range chans {
 		waitMsg(t, ch, want, 10*time.Second)
 	}
+	if !sharesChecked(c, counters) {
+		requireNoPublicKeyOps(t, counters)
+		return
+	}
+	var refused int64
+	for _, cs := range counters {
+		refused += cs.VerifiesFrom(crypto.DomainIRMCShare, bad)
+	}
+	if refused < int64(c.SenderG.F+1) {
+		t.Errorf("the invalid share was verified %d times, want at least fs+1 = %d", refused, c.SenderG.F+1)
+	}
 	for _, id := range c.ReceiverG.Members {
-		if good := submissionVerifies(counters[id]) - submissionVerifiesFrom(counters[id], bad); good != int64(c.SenderG.F+1) {
+		cs := counters[id]
+		if good := cs.Verifies(crypto.DomainIRMCShare) - cs.VerifiesFrom(crypto.DomainIRMCShare, bad); good != int64(c.SenderG.F+1) {
 			t.Errorf("receiver %v delivered on %d valid verifications, want fs+1 = %d", id, good, c.SenderG.F+1)
 		}
-		if n := counters[id].VerifiesFrom(crypto.DomainIRMCShare, bad); n != 0 {
+		if n := cs.VerifiesFrom(crypto.DomainIRMCShare, bad); n != 0 {
 			t.Errorf("receiver %v was sent a certificate holding the invalid share", id)
+		}
+	}
+}
+
+// badMACSuite makes every MAC its node emits fail verification while
+// on is set.
+type badMACSuite struct {
+	crypto.Suite
+	on *atomic.Bool
+}
+
+func (s badMACSuite) corrupt(mac []byte) []byte {
+	if s.on.Load() {
+		mac[len(mac)-1] ^= 1
+	}
+	return mac
+}
+
+func (s badMACSuite) MAC(to ids.NodeID, d crypto.Domain, msg []byte) []byte {
+	return s.corrupt(s.Suite.MAC(to, d, msg))
+}
+
+func (s badMACSuite) MACAppend(to ids.NodeID, d crypto.Domain, msg, dst []byte) []byte {
+	return s.corrupt(s.Suite.MACAppend(to, d, msg, dst))
+}
+
+// testBadMACFirstStillDelivers: the submission that arrives first comes
+// in envelopes whose MAC is bad. It must be dropped on the MAC check,
+// before any public-key work — not counted towards the quorum (one more
+// valid submission delivers nothing), and not allowed to take its
+// sender's one vote: the next fs+1 valid submissions, that sender's
+// among them, deliver at every receiver. Under sender-side collection a
+// sender's submission is final (a second Send for the position does
+// nothing), so there its own share, admitted where it was made, is that
+// submission, and the certificate it completes arrives through a
+// collector switch.
+func testBadMACFirstStillDelivers(t *testing.T, factory Factory) {
+	suites, counters := cryptotest.CountingAll(Suites())
+	senderG, _ := Groups()
+	last := len(senderG.Members) - 1 // not the IRMC-SC default collector
+	bad := senderG.Members[last]
+	var corrupt atomic.Bool
+	corrupt.Store(true)
+	suites[bad] = badMACSuite{suites[bad], &corrupt}
+	c := factory(t, Options{Capacity: 8, NodeSuites: suites})
+	defer c.Close()
+
+	want := []byte("valid after a bad MAC")
+	if err := c.Senders[last].Send(0, 1, want); err != nil {
+		t.Fatalf("Send with bad MACs: %v", err)
+	}
+	waitOpened(t, c, counters, bad)
+	corrupt.Store(false)
+	var rejected int64
+	for _, cs := range counters {
+		rejected += cs.MACRejectsFrom(crypto.DomainIRMCSend, bad) + cs.MACRejectsFrom(crypto.DomainIRMCShare, bad)
+	}
+	if rejected < int64(c.SenderG.F+1) {
+		t.Fatalf("%d envelopes with a bad MAC were rejected, want at least fs+1 = %d", rejected, c.SenderG.F+1)
+	}
+
+	chans := make([]<-chan receiveResult, len(c.Receivers))
+	for i, r := range c.Receivers {
+		chans[i] = receiveAsync(r, 0, 1)
+	}
+	if err := c.Senders[0].Send(0, 1, want); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	select {
+	case res := <-chans[0]:
+		t.Fatalf("delivered on one valid submission and one with a bad MAC: %q err=%v", res.msg, res.err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if err := c.Senders[last].Send(0, 1, want); err != nil {
+		t.Fatalf("Send after the bad MAC: %v", err)
+	}
+	for _, ch := range chans {
+		waitMsg(t, ch, want, 10*time.Second)
+	}
+	for _, id := range c.SenderG.Members {
+		if n := counters[id].VerifiesFrom(crypto.DomainIRMCShare, bad); n != 0 {
+			t.Errorf("sender %v verified a share signature from behind a bad MAC %d times", id, n)
 		}
 	}
 }

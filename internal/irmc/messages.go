@@ -1,7 +1,6 @@
 package irmc
 
 import (
-	"errors"
 	"fmt"
 
 	"spider/internal/crypto"
@@ -33,8 +32,10 @@ func NewRegistry() *wire.Registry {
 	return r
 }
 
-// SendMsg carries one message for a subchannel position (IRMC-RC).
-// It is signed by the sender so receivers can count distinct vouchers.
+// SendMsg carries one message for a subchannel position (IRMC-RC). Its
+// envelope's pairwise MAC tells the receiver which sender vouches for
+// it; a receiver counts vouchers itself and never relays a Send, so
+// nothing about it needs to be transferable.
 type SendMsg struct {
 	Subchannel ids.Subchannel
 	Position   ids.Position
@@ -208,10 +209,10 @@ func (m *SelectMsg) UnmarshalWire(r *wire.Reader) {
 }
 
 // ResendMsg is a receiver's request (IRMC-RC with resend repair) that
-// the sender re-transmit its retained Send envelopes for subchannel
-// positions at or above From. Receivers issue it when a Receive has
-// been blocked on an in-window, unresolved position for a full repair
-// interval — the signature that the original Send multicast was lost
+// the sender re-transmit its retained Sends for subchannel positions at
+// or above From. Receivers issue it when a Receive has been blocked on
+// an in-window, unresolved position for a full repair interval — the
+// sign that the original Send fan-out was lost
 // (partition, crash, restart) rather than merely late.
 type ResendMsg struct {
 	Subchannel ids.Subchannel
@@ -231,13 +232,14 @@ func (m *ResendMsg) UnmarshalWire(r *wire.Reader) {
 }
 
 // Envelope is the on-wire frame of every IRMC message: the encoded
-// frame plus authentication. Only Send envelopes carry a signature;
-// everything else carries a pairwise MAC, as in the paper. That
-// includes SigShare: what authenticates a share is the signature
-// inside the message, which binds signer, subchannel, position and
-// digest and is checked by every party that counts it (fellow senders
-// before storing it, receivers inside the certificate). The envelope
-// only tells the receiving sender who is talking, so a MAC suffices.
+// frame plus a pairwise MAC, as in the paper. A MAC convinces only the
+// one recipient it was made for, which is all any IRMC envelope needs:
+// an IRMC-RC receiver counts fs+1 matching Sends that each reached it
+// directly, and no envelope is ever relayed. What must convince a third
+// party is signed inside the message: an IRMC-SC share's signature binds
+// signer, subchannel, position and digest and is checked by every party
+// that counts it (fellow senders before storing it, receivers inside
+// the certificate).
 type Envelope struct {
 	From  ids.NodeID
 	Frame []byte
@@ -258,57 +260,37 @@ func (e *Envelope) UnmarshalWire(r *wire.Reader) {
 	e.Auth = r.ReadBytes()
 }
 
-// AuthDomain returns the signing/MAC domain for a message tag and
-// whether the envelope is signed (true) or MAC'd (false).
-func AuthDomain(tag wire.TypeTag) (crypto.Domain, bool, error) {
+// authDomain returns the MAC domain of a message tag.
+func authDomain(tag wire.TypeTag) (crypto.Domain, error) {
 	switch tag {
 	case TagSend:
-		return crypto.DomainIRMCSend, true, nil
+		return crypto.DomainIRMCSend, nil
 	case TagSigShare:
-		return crypto.DomainIRMCShare, false, nil
+		return crypto.DomainIRMCShare, nil
 	case TagMove:
-		return crypto.DomainIRMCMove, false, nil
+		return crypto.DomainIRMCMove, nil
 	case TagCertificate:
-		return crypto.DomainIRMCCert, false, nil
+		return crypto.DomainIRMCCert, nil
 	case TagProgress:
-		return crypto.DomainIRMCProgress, false, nil
+		return crypto.DomainIRMCProgress, nil
 	case TagSelect:
-		return crypto.DomainIRMCSelect, false, nil
+		return crypto.DomainIRMCSelect, nil
 	case TagResend:
-		return crypto.DomainIRMCResend, false, nil
+		return crypto.DomainIRMCResend, nil
 	default:
-		return 0, false, fmt.Errorf("irmc: unknown tag %d", tag)
+		return 0, fmt.Errorf("irmc: unknown tag %d", tag)
 	}
 }
 
-// Seal builds an authenticated envelope for one recipient.
-func Seal(suite crypto.Suite, tag wire.TypeTag, frame []byte, to ids.NodeID) ([]byte, error) {
-	domain, signed, err := AuthDomain(tag)
-	if err != nil {
-		return nil, err
-	}
-	env := Envelope{From: suite.Node(), Frame: frame}
-	if signed {
-		env.Auth = suite.Sign(domain, frame)
-	} else {
-		env.Auth = suite.MAC(to, domain, frame)
-	}
-	return wire.Encode(&env), nil
-}
-
-// SealMulti builds MAC-authenticated envelopes for every recipient,
-// marshaling the message exactly once: each recipient's envelope is
-// assembled in a pooled writer (MAC into reused scratch) and costs one
-// exactly-sized allocation. emit is called once per recipient with a
-// slice the callee owns. The one signed tag, Send, is recipient
-// independent and sealed once with Seal.
+// SealMulti builds an envelope for every recipient, marshaling the
+// message exactly once: each recipient's envelope is assembled in a
+// pooled writer (MAC into reused scratch) and costs one exactly-sized
+// allocation. emit is called once per recipient with a slice the callee
+// owns.
 func SealMulti(suite crypto.Suite, tag wire.TypeTag, frame []byte, to []ids.NodeID, emit func(ids.NodeID, []byte)) error {
-	domain, signed, err := AuthDomain(tag)
+	domain, err := authDomain(tag)
 	if err != nil {
 		return err
-	}
-	if signed {
-		return fmt.Errorf("irmc: tag %d is signed, seal it once with Seal", tag)
 	}
 	ew := wire.GetWriter()
 	var macScratch [crypto.DigestSize]byte
@@ -324,23 +306,13 @@ func SealMulti(suite crypto.Suite, tag wire.TypeTag, frame []byte, to []ids.Node
 	return nil
 }
 
-// errUnwanted drops a frame its endpoint could no longer use.
-var errUnwanted = errors.New("irmc: frame can no longer change anything")
-
-// Open verifies an envelope received from `from` and returns the
-// decoded message. The envelope is decoded zero-copy (its frame and
-// auth fields alias payload, which the transport contract keeps
-// immutable); the inner message is decoded with owning reads, so
-// nothing the caller retains aliases the transport buffer.
+// Open checks an envelope received from `from` — its sender and its
+// MAC — and returns the decoded message. The envelope is decoded
+// zero-copy (its frame and auth fields alias payload, which the
+// transport contract keeps immutable); the inner message is decoded with
+// owning reads, so nothing the caller retains aliases the transport
+// buffer.
 func Open(suite crypto.Suite, reg *wire.Registry, from ids.NodeID, payload []byte) (wire.TypeTag, wire.Message, error) {
-	return openWanted(suite, reg, from, payload, nil)
-}
-
-// openWanted is Open with the admission question (see Admit) asked
-// where it saves work: after the MAC check of a MAC'd envelope, before
-// the signature check of a signed one.
-func openWanted(suite crypto.Suite, reg *wire.Registry, from ids.NodeID, payload []byte,
-	wanted func(wire.TypeTag, wire.Message) bool) (wire.TypeTag, wire.Message, error) {
 	var env Envelope
 	if err := wire.DecodeShared(payload, &env); err != nil {
 		return 0, nil, err
@@ -351,27 +323,12 @@ func openWanted(suite crypto.Suite, reg *wire.Registry, from ids.NodeID, payload
 	if len(env.Frame) == 0 {
 		return 0, nil, fmt.Errorf("irmc: empty frame")
 	}
-	tag := wire.TypeTag(env.Frame[0])
-	domain, signed, err := AuthDomain(tag)
+	domain, err := authDomain(wire.TypeTag(env.Frame[0]))
 	if err != nil {
 		return 0, nil, err
 	}
-	if !signed {
-		if err := suite.VerifyMAC(from, domain, env.Frame, env.Auth); err != nil {
-			return 0, nil, err
-		}
-	}
-	tag, msg, err := reg.DecodeFrame(env.Frame)
-	if err != nil {
+	if err := suite.VerifyMAC(from, domain, env.Frame, env.Auth); err != nil {
 		return 0, nil, err
 	}
-	if wanted != nil && !wanted(tag, msg) {
-		return 0, nil, errUnwanted
-	}
-	if signed {
-		if err := suite.Verify(from, domain, env.Frame, env.Auth); err != nil {
-			return 0, nil, err
-		}
-	}
-	return tag, msg, nil
+	return reg.DecodeFrame(env.Frame)
 }

@@ -1,9 +1,18 @@
 // Package rc implements the IRMC with receiver-side collection
-// (Figure 18 of the paper): every sender forwards its signed Send
-// message to every receiver, and each receiver independently collects
-// fs+1 matching submissions before delivering. This maximizes
-// throughput at the cost of wide-area bandwidth, the trade-off
-// Figure 9 quantifies against IRMC-SC.
+// (Figure 18 of the paper): every sender forwards its Send message to
+// every receiver, and each receiver independently collects fs+1
+// matching submissions before delivering. This maximizes throughput at
+// the cost of wide-area bandwidth, the trade-off Figure 9 quantifies
+// against IRMC-SC.
+//
+// A Send carries a pairwise MAC, like every IRMC envelope, and no
+// signature: the receiver that counts it is the one it was sealed for,
+// and nothing ever relays it, so no third party needs convincing (the
+// same reason PBFT's prepares and commits carry MAC vectors). A
+// Byzantine sender could always send different content to different
+// receivers, signed or not; fs+1 matching Sends at one receiver still
+// include a correct sender's. So neither side does public-key work:
+// opening the envelope is the whole admission check.
 //
 // Windows, moves, early holds and their repair are irmc.SenderCore and
 // irmc.ReceiverCore (the package comment of irmc states the rule).
@@ -28,10 +37,9 @@ type Sender struct {
 	irmc.SenderCore[senderState]
 }
 
-// senderState holds the sealed Send envelope of every in-window
-// position (Config.Resend only), pruned as the window advances. The
-// envelope is recipient independent, so a retained entry can be re-sent
-// verbatim to any receiver that missed the original multicast.
+// senderState holds the encoded Send frame of every in-window position
+// (Config.Resend only), pruned as the window advances; a retained frame
+// is sealed again for the one receiver that missed the original fan-out.
 type senderState struct {
 	retained map[ids.Position][]byte
 }
@@ -63,36 +71,30 @@ func pruneRetained(sub *irmc.SenderSub[senderState]) func() {
 
 // Send implements irmc.Sender: it blocks while the position is beyond
 // the window (which this sender's own MoveWindow has already moved),
-// then fans the signed message out to every receiver.
+// then seals the message for every receiver and sends it.
 func (s *Sender) Send(sc ids.Subchannel, p ids.Position, msg []byte) error {
-	if _, err := s.WaitWindow(sc, p); err != nil {
-		return err
-	}
-	s.Mu.Unlock()
-
 	stop := s.Cfg.Track()
 	frame := s.Reg.EncodeFrame(irmc.TagSend, &irmc.SendMsg{Subchannel: sc, Position: p, Payload: msg})
-	// The signature is recipient independent: seal once, send the
-	// same bytes to every receiver.
-	env, err := irmc.Seal(s.Cfg.Suite, irmc.TagSend, frame, ids.NoNode)
 	stop()
+	sub, err := s.WaitWindow(sc, p)
 	if err != nil {
 		return err
 	}
-	if s.Cfg.SendBytes != nil {
-		// RC ships the full envelope to every receiver — the wide-area
-		// cost Figure 9 charges this implementation for.
-		s.Cfg.SendBytes.Add(int64(len(env)) * int64(len(s.Cfg.Receivers.Members)))
-	}
 	if s.Cfg.Resend {
-		s.Mu.Lock()
-		if sub := s.Sub(sc); p >= sub.Win.Start {
-			sub.X.retained[p] = env
-		}
-		s.Mu.Unlock()
+		sub.X.retained[p] = frame
 	}
-	s.Cfg.Node.Multicast(s.Cfg.Receivers.Members, s.Cfg.Stream, env)
+	s.Mu.Unlock()
+	s.post(frame, s.Cfg.Receivers.Members...)
 	return nil
+}
+
+// post seals a Send frame for the given receivers and sends it. RC
+// ships the full payload to every receiver — the wide-area cost Figure
+// 9 charges this implementation for, counted in SendBytes.
+func (s *Sender) post(frame []byte, to ...ids.NodeID) {
+	if n := s.PostFrame(irmc.TagSend, frame, to...); s.Cfg.SendBytes != nil {
+		s.Cfg.SendBytes.Add(n)
+	}
 }
 
 // onFrame handles inbound Move and Resend messages from receivers.
@@ -114,7 +116,7 @@ func (s *Sender) onFrame(from ids.NodeID, payload []byte) {
 	}
 }
 
-// onResend re-transmits retained in-window envelopes at or above the
+// onResend re-transmits retained in-window Sends at or above the
 // requested position to the one receiver that asked. Positions the
 // window has passed are omitted — the re-announced Move tells that
 // receiver to move on, after which a checkpoint fetch covers the gap.
@@ -133,18 +135,15 @@ func (s *Sender) onResend(from ids.NodeID, m *irmc.ResendMsg) {
 	lo := max(m.From, sub.Win.Start)
 	// Every retained entry is in-window by construction (Send admits
 	// only in-window positions, and the window's advance prunes).
-	var envs [][]byte
-	for p, env := range sub.X.retained {
+	var frames [][]byte
+	for p, frame := range sub.X.retained {
 		if p >= lo {
-			envs = append(envs, env)
+			frames = append(frames, frame)
 		}
 	}
 	s.Mu.Unlock()
-	for _, env := range envs {
-		if s.Cfg.SendBytes != nil {
-			s.Cfg.SendBytes.Add(int64(len(env)))
-		}
-		s.Cfg.Node.Send(from, s.Cfg.Stream, env)
+	for _, frame := range frames {
+		s.post(frame, from)
 	}
 }
 
@@ -189,7 +188,7 @@ func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 // ticks means the original Send multicast was lost to this receiver
 // (partition, restart), which no amount of waiting repairs under RC's
 // fire-and-forget fan-out. All senders are then asked to re-transmit
-// their retained envelopes from the lowest stuck position.
+// their retained Sends from the lowest stuck position.
 func (r *Receiver) nackStuck(lastStuck map[ids.Subchannel]ids.Position) {
 	var nacks []irmc.ResendMsg
 	r.Mu.Lock()
@@ -212,12 +211,11 @@ func (r *Receiver) nackStuck(lastStuck map[ids.Subchannel]ids.Position) {
 	}
 }
 
-// onFrames admits a drained run of frames from one sender. A Send is
-// asked about (wantSend) before its signature is checked.
+// onFrames admits a drained run of frames from one sender. A Send whose
+// MAC checks out goes straight to onSend: a repeat vote or a delivered
+// position costs nothing there (admitLocked).
 func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
-	r.Admit(from, r.Cfg.Senders.Contains(from), payloads, func(tag wire.TypeTag, msg wire.Message) bool {
-		return tag != irmc.TagSend || r.wantSend(from, msg.(*irmc.SendMsg))
-	}, nil, func(tag wire.TypeTag, msg wire.Message) {
+	r.Admit(from, r.Cfg.Senders.Contains(from), payloads, nil, nil, func(tag wire.TypeTag, msg wire.Message) {
 		switch tag {
 		case irmc.TagSend:
 			r.onSend(from, msg.(*irmc.SendMsg))
@@ -225,24 +223,6 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 			r.OnSenderMove(from, msg.(*irmc.MoveMsg))
 		}
 	})
-}
-
-// wantSend is the admission pre-check (see Admit) for a Send
-// whose signature has not been verified yet. A valid one changes
-// nothing below the window, once the position is delivered, or when
-// this sender's verified vote is already counted. Positions beyond the
-// window hold no votes and go on to be verified and held.
-func (r *Receiver) wantSend(from ids.NodeID, m *irmc.SendMsg) bool {
-	r.Mu.Lock()
-	defer r.Mu.Unlock()
-	if r.Closed() {
-		return false
-	}
-	sub, ok := r.Subs[m.Subchannel]
-	if !ok {
-		return true
-	}
-	return m.Position >= sub.Win.Start && !sub.Delivered(m.Position) && sub.X.sends.Voted(m.Position, from) == nil
 }
 
 func (r *Receiver) onSend(from ids.NodeID, m *irmc.SendMsg) {
