@@ -118,10 +118,10 @@ type Report struct {
 	Violations []string            `json:"violations"`
 	Ops        int                 `json:"ops"`
 	Probes     []harness.ExecProbe `json:"probes"`
-	// Gray-failure defense counters of the agreement group:
-	// total view changes entered, how many were proactive slow-leader
-	// rotations (with the monitor's reasons), and per-view delivery
-	// throughput when the monitor recorded it.
+	// Gray-failure defense counters of the agreement group: total
+	// view changes entered, how many suspicions the failure detector's
+	// slowness rule sent (with their reasons), and per-view commit
+	// throughput.
 	ViewChanges     uint64     `json:"view_changes"`
 	Rotations       uint64     `json:"rotations"`
 	RotationReasons []string   `json:"rotation_reasons,omitempty"`
@@ -259,7 +259,8 @@ func (r *Runner) Degrade(id ids.NodeID, delay time.Duration, jitter float64) {
 }
 
 // DegradeLeader degrades the node the agreement group currently
-// follows — the scenario the leader performance monitor exists for.
+// follows — the scenario the failure detector's slowness rule exists
+// for.
 func (r *Runner) DegradeLeader(delay time.Duration, jitter float64) (ids.NodeID, error) {
 	id, ok := r.c.AgreementLeader()
 	if !ok {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"spider/internal/harness"
 	"spider/internal/raceflag"
 	"spider/internal/topo"
 )
@@ -17,9 +16,11 @@ import (
 const grayDelay = 150 * time.Millisecond
 
 // rotationBudget bounds how long detection plus the resulting view
-// change may take: the monitor needs its 4-interval rate window to
-// drain plus three flagged intervals (250ms each at the harness's 2s
-// request timeout), then the view change itself must propagate.
+// change may take: the failure detector's slowness rule judges once a
+// tick (T/8, 250ms at the harness's 2s request timeout T). Its commit
+// rate covers four ticks, which must drain before three slow ticks in a
+// row make a replica suspect the leader; f+1 suspicions then start the
+// view change, which must propagate.
 func rotationBudget() time.Duration {
 	if raceflag.Enabled {
 		return 30 * time.Second
@@ -36,15 +37,13 @@ func opsRate(r *Runner, window time.Duration) float64 {
 	return float64(r.History().Len()-before) / window.Seconds()
 }
 
-// TestSlowLeaderRotated is the tentpole acceptance test: with the
-// monitor armed, a leader degraded to many times its normal proposal
+// TestSlowLeaderRotated is the tentpole acceptance test: a leader
+// degraded to many times its normal proposal
 // latency — without crashing — must be proactively rotated, and
 // throughput must recover to at least 80% of the pre-fault rate even
 // though the deposed gray node stays degraded as a follower.
 func TestSlowLeaderRotated(t *testing.T) {
-	c := buildSpider(t, func(o *harness.BuildOptions) {
-		o.SuspectSlowLeader = true
-	})
+	c := buildSpider(t, nil)
 	r := NewRunner(c, Options{Name: "slow-leader", Seed: 7})
 	load := Load{
 		Regions:  []topo.Region{topo.Virginia, topo.Oregon},
@@ -55,8 +54,8 @@ func TestSlowLeaderRotated(t *testing.T) {
 	if err := r.StartLoad(load); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	// Let the monitors build their healthy baselines (4 intervals at
-	// 250ms plus grace), then take the pre-fault throughput.
+	// Let the detectors build their healthy baselines (4 ticks of 250ms
+	// after two of grace), then take the pre-fault throughput.
 	time.Sleep(2 * time.Second)
 	pre := opsRate(r, 1500*time.Millisecond)
 	if pre <= 0 {
@@ -109,11 +108,10 @@ func TestSlowLeaderRotated(t *testing.T) {
 // TestSlowFollowerNotRotated pins the no-false-positive property: a
 // degraded agreement *follower* changes neither delivery throughput
 // nor proposal latency (quorums form among the timely members), so the
-// monitor must stay silent — no rotation, no view change, same leader.
+// slowness rule must stay silent — no rotation, no view change, same
+// leader.
 func TestSlowFollowerNotRotated(t *testing.T) {
-	c := buildSpider(t, func(o *harness.BuildOptions) {
-		o.SuspectSlowLeader = true
-	})
+	c := buildSpider(t, nil)
 	r := NewRunner(c, Options{Name: "slow-follower", Seed: 7})
 	load := Load{
 		Regions:  []topo.Region{topo.Virginia, topo.Oregon},
@@ -141,8 +139,8 @@ func TestSlowFollowerNotRotated(t *testing.T) {
 		t.Fatal("no follower found")
 	}
 	r.Degrade(follower, grayDelay, 0.1)
-	// Run through many monitor intervals — far more than the strike
-	// threshold — with the gray follower in place.
+	// Run through many ticks — far more than the strike threshold —
+	// with the gray follower in place.
 	time.Sleep(3 * time.Second)
 
 	if id, ok := c.AgreementLeader(); !ok || id != leader {
@@ -167,9 +165,7 @@ func TestSlowFollowerNotRotated(t *testing.T) {
 // — all under monitored load with a clean linearizable history and an
 // artifact carrying the rotation evidence.
 func TestChaosGrayFailureTimeline(t *testing.T) {
-	c := buildSpider(t, func(o *harness.BuildOptions) {
-		o.SuspectSlowLeader = true
-	})
+	c := buildSpider(t, nil)
 	r := NewRunner(c, Options{Name: "gray-timeline", Seed: 7})
 	load := Load{
 		Regions:  []topo.Region{topo.Virginia, topo.Oregon},
@@ -192,9 +188,10 @@ func TestChaosGrayFailureTimeline(t *testing.T) {
 	})
 	r.RestoreNode(first)
 
-	// The monitor's rotation cooldown (2s at the harness tuning) plus
-	// the new leader's grace period gate the second accusation, so the
-	// budget here covers cooldown + detection.
+	// There is no cooldown: the new view cleared every suspicion. The
+	// new leader's grace (two ticks, 500ms) and the commit rate's
+	// four-tick window gate the second suspicion, and the budget keeps
+	// 2s on top of detection for them.
 	second, err := r.DegradeLeader(grayDelay, 0.1)
 	if err != nil {
 		t.Fatalf("degrade second leader: %v", err)

@@ -144,26 +144,9 @@ type Config struct {
 	// alone in its suspicion starts one at RequestTimeout. The
 	// view-change timeout doubles from there on consecutive failed view
 	// changes, saturating at 8× RequestTimeout. RequestTimeout also sets
-	// the periodic checks and the monitor's timing.
+	// the periodic checks, every RequestTimeout/8, on which the
+	// detector's slowness rule judges the leader (detector.go).
 	RequestTimeout time.Duration
-
-	// SuspectSlowLeader enables the gray-failure defense: a leader
-	// performance monitor that tracks per-view delivery throughput and
-	// request latency (stats.Rate over a sliding window plus an EWMA of
-	// Order→commit latency) and proactively starts a view change when
-	// the current leader delivers at less than half the median of
-	// recent healthy measurements, at more than twice their latency,
-	// while requests are demonstrably waiting. Off by default: without
-	// it the replica's behavior is byte-for-byte the classic
-	// silence-timeout protocol.
-	//
-	// Safety is unconditional — a proactive rotation is an ordinary
-	// view change and still needs the usual 2f+1 quorum, so f
-	// slow-accusing Byzantine replicas cannot depose a correct leader.
-	// Liveness against accusation storms is guarded by hysteresis
-	// (three consecutive slow intervals) and a bounded rotation rate
-	// (one per RequestTimeout per replica).
-	SuspectSlowLeader bool
 
 	// StartView seeds the replica's view on construction. A replica
 	// restarting from durable state passes its last installed view so

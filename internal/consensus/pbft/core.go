@@ -12,14 +12,14 @@ import (
 )
 
 // The core is PBFT without its concurrency: the log, the votes, the view
-// change, the checkpoints, the request queue and the monitor, changed
-// only through Step. It never reads the clock (every event carries its
-// time), never blocks, starts no goroutine and verifies nothing: frames
-// reach it already checked (Replica.check), and whatever it wants done
-// — a frame sent, a vote authenticated and multicast, a batch handed up
-// — it returns as actions, in the order it wants them done. Replica
-// wraps it with the lock, the transport, one timer and the delivery
-// goroutine.
+// change, the checkpoints, the request queue and the failure detector,
+// changed only through Step. It never reads the clock (every event
+// carries its time), never blocks, starts no goroutine and verifies
+// nothing: frames reach it already checked (Replica.check), and
+// whatever it wants done — a frame sent, a vote authenticated and
+// multicast, a batch handed up — it returns as actions, in the order it
+// wants them done. Replica wraps it with the lock, the transport, one
+// timer and the delivery goroutine.
 
 type eventKind uint8
 
@@ -218,10 +218,8 @@ type core struct {
 	flushAt  time.Time
 	nextTick time.Time // next timeout check; zero before the first tick
 
-	// mon, when SuspectSlowLeader is configured, watches the current
-	// leader's delivery throughput and latency and accuses it via a
-	// proactive view change when it gray-fails. Nil when the gate is off.
-	mon *monitor
+	// slow is the detector's slowness rule (detector.go).
+	slow slowness
 
 	// vcCount counts every view change this replica entered (timeout-
 	// driven, join-amplified, or proactive), for figures and chaos
@@ -271,9 +269,7 @@ func newCore(cfg *Config, now time.Time) *core {
 		voteReqAt:   make(map[ids.NodeID]time.Time),
 		voteAnsAt:   make(map[ids.NodeID]time.Time),
 	}
-	if cfg.SuspectSlowLeader {
-		c.mon = newMonitor(cfg, now)
-	}
+	c.slow = newSlowness(c.tickEvery(), now)
 	return c
 }
 
@@ -462,11 +458,6 @@ func (c *core) order(payload []byte, d crypto.Digest) {
 	c.seen[d] = reqQueued
 	c.pending.arm(d, c.now)
 	c.queue = append(c.queue, queuedReq{payload: payload, digest: d})
-	// The gray-failure monitor's arrival window is per-replica private
-	// state, so every member records unconditionally.
-	if c.mon != nil {
-		c.mon.observeArrival(c.now)
-	}
 	c.maybePropose(false)
 }
 
@@ -924,8 +915,10 @@ func (c *core) checkCommitted(e *entry) {
 // committed here: what it still waits for — its turn at Deliver, behind
 // the commit channel's window — is not the leader's to answer for. The
 // oldest wait among its payloads that this replica Ordered is the
-// batch's one latency sample; the monitor reads the same estimate.
+// batch's one latency sample, and its payloads count towards the
+// slowness rule's commit rate.
 func (c *core) stopClock(e *entry) {
+	c.slow.commit(c.now, len(e.payloads))
 	var oldest time.Duration
 	sampled := false
 	for _, d := range e.payloadDigests() {
@@ -966,9 +959,6 @@ func (c *core) take() {
 	c.chain = chainDigest(c.chain, e.digest)
 	for _, d := range e.payloadDigests() {
 		c.seen[d] = reqDelivered
-	}
-	if c.mon != nil {
-		c.mon.observeDelivery(c.now, len(e.payloads))
 	}
 	c.curTimeout = 0 // progress: reset backoff
 
@@ -1199,9 +1189,14 @@ func (c *core) installCommittedEntry(ce *committedEntry, v *commitCertVerdict) {
 
 // --- timers ---------------------------------------------------------------
 
+// tickEvery is the period of the core's periodic checks.
+func (c *core) tickEvery() time.Duration {
+	return max(c.cfg.RequestTimeout/8, 5*time.Millisecond)
+}
+
 // tick proposes a partial batch whose flush came due, suspects the
 // leader once the oldest pending payload has waited out the timeout,
-// and runs the periodic checks every RequestTimeout/8 (at least 5ms).
+// and runs the periodic checks, the slowness rule among them.
 func (c *core) tick() {
 	if !c.flushAt.IsZero() && !c.now.Before(c.flushAt) {
 		c.flushAt = time.Time{}
@@ -1212,7 +1207,7 @@ func (c *core) tick() {
 		// Ticks keep their phase, as a ticker's do: a late one does not
 		// delay the next, and whole intervals missed are skipped. The
 		// first tick sets the phase.
-		every := max(c.cfg.RequestTimeout/8, 5*time.Millisecond)
+		every := c.tickEvery()
 		if c.nextTick.IsZero() {
 			c.nextTick = c.now
 		}
@@ -1241,28 +1236,21 @@ func (c *core) tick() {
 		}
 		return
 	}
-	var oldestWait time.Duration
+	var wait time.Duration
 	at, waiting := c.suspectAt()
 	if waiting && (periodic || !c.now.Before(at)) {
 		oldest, _ := c.pending.oldest()
-		oldestWait = c.now.Sub(oldest)
-		switch {
-		case oldestWait >= c.cfg.RequestTimeout:
+		if c.now.Sub(oldest) >= c.cfg.RequestTimeout {
 			// Nobody waits longer, alone or not.
 			c.startViewChange(c.view + 1)
 			return
-		case c.now.Sub(c.detectFrom(oldest)) >= c.timeout() && !c.suspecting():
+		}
+		if wait = c.now.Sub(c.detectFrom(oldest)); wait >= c.timeout() && !c.suspecting() {
 			c.suspect() // the view change waits for f+1 (detector.go)
 		}
 	}
-	// Gray-failure defense: the silence timeout above never fires
-	// against a leader that commits *just* fast enough, so the
-	// performance monitor separately accuses a leader that measurably
-	// underperforms the recent healthy baseline while requests wait.
-	if periodic && c.mon != nil {
-		if reason := c.mon.evaluate(c.now, c.view, waiting, c.lat.srtt, oldestWait); reason != "" {
-			c.startViewChange(c.view + 1)
-		}
+	if periodic {
+		c.judgeSpeed(waiting, wait)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,8 +90,9 @@ type simFrame struct {
 // a Replica that is never started. The router plays Replica's part: it runs
 // every frame through the replica's own check, steps the core, and
 // carries out the actions itself.
-// Frames travel in one global FIFO order and arrive delay after they
-// are sent (at once by default); the clock moves only when no frame is
+// Frames arrive delay after they are sent (at once by default), plus
+// the lag of either end, in the order they are due and, when due
+// together, in the order sent; the clock moves only when no frame is
 // due.
 type sim struct {
 	t   *testing.T
@@ -99,8 +101,11 @@ type sim struct {
 	// replica is ticked then. Zero moves it to the next frame arrival or
 	// replica wake-up instead, and ticks only the replicas due, as
 	// Replica's one timer does.
-	tick    time.Duration
-	delay   time.Duration
+	tick  time.Duration
+	delay time.Duration
+	// lag slows a replica down: every frame it sends or receives takes
+	// that much longer.
+	lag     map[ids.NodeID]time.Duration
 	members []ids.NodeID
 	suites  map[ids.NodeID]crypto.Suite
 	reps    map[ids.NodeID]*Replica
@@ -130,6 +135,7 @@ func newSim(t *testing.T, mutate func(cfg *Config)) *sim {
 		members:   []ids.NodeID{1, 2, 3, 4},
 		reps:      make(map[ids.NodeID]*Replica),
 		down:      make(map[ids.NodeID]bool),
+		lag:       make(map[ids.NodeID]time.Duration),
 		delivered: make(map[ids.NodeID][]consensus.Batch),
 		held:      make(map[ids.NodeID]bool),
 		firstVC:   make(map[ids.NodeID]time.Time),
@@ -164,12 +170,16 @@ func newSim(t *testing.T, mutate func(cfg *Config)) *sim {
 }
 
 func (s *sim) post(from, to ids.NodeID, env []byte) {
-	f := simFrame{from: from, to: to, env: env, at: s.now.Add(s.delay)}
+	f := simFrame{from: from, to: to, env: env, at: s.now.Add(s.delay + s.lag[from] + s.lag[to])}
 	s.sent = append(s.sent, f)
 	if s.down[from] || s.down[to] || (s.drop != nil && s.drop(f)) {
 		return
 	}
-	s.queue = append(s.queue, f)
+	i := len(s.queue)
+	for i > 0 && s.queue[i-1].at.After(f.at) {
+		i--
+	}
+	s.queue = slices.Insert(s.queue, i, f)
 }
 
 // step feeds one event to a core at the current time and carries out

@@ -2,10 +2,12 @@ package pbft
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"spider/internal/crypto"
+	"spider/internal/ids"
 )
 
 // The failure detector on the simulation, with the clock moving from
@@ -24,10 +26,41 @@ func newDetectorSim(t *testing.T, delay time.Duration) (*sim, time.Duration) {
 // latency samples at each.
 func (s *sim) warmUp(n int) {
 	s.t.Helper()
-	base := len(s.payloads(s.live()[0]))
-	for i := range n {
-		s.order(fmt.Appendf(nil, "warm-up %d", i), s.live()...)
-		s.run("warm-up", time.Minute, s.allDelivered(base+i+1))
+	s.inTurn("warm-up", func(i int) bool { return i == n })
+}
+
+// inTurn orders payloads at every live replica, each once the one
+// before was delivered everywhere, until stop(i) holds before the i-th.
+func (s *sim) inTurn(what string, stop func(i int) bool) {
+	s.t.Helper()
+	for i := 0; !stop(i); i++ {
+		n := len(s.payloads(s.live()[0]))
+		s.order(fmt.Appendf(nil, "%s %d", what, i), s.live()...)
+		s.run(what, time.Minute, s.allDelivered(n+1))
+	}
+}
+
+// offer orders a payload at every member each gap, for dur: an open
+// loop, unlike inTurn. It returns how many it ordered.
+func (s *sim) offer(gap, dur time.Duration) int {
+	s.t.Helper()
+	n := 0
+	for end := s.now.Add(dur); s.now.Before(end); n++ {
+		s.order(fmt.Appendf(nil, "offered at %d", s.now.UnixNano()), s.members...)
+		next := s.now.Add(gap)
+		s.run("offered load", gap, func() bool { return !s.now.Before(next) })
+	}
+	return n
+}
+
+// keptLeader asserts that no replica sent a suspicion or started a view
+// change.
+func (s *sim) keptLeader(while string) {
+	s.t.Helper()
+	for _, id := range s.members {
+		if n, sus := s.reps[id].core.vcCount, len(s.multicasts(id, tagSuspicion)); n != 0 || sus != 0 {
+			s.t.Errorf("replica %v sent %d suspicions and started %d view changes %s", id, sus, n, while)
+		}
 	}
 }
 
@@ -136,6 +169,32 @@ func TestDetectorBlockedDeliverKeepsLeader(t *testing.T) {
 	}
 }
 
+// holdDeliver blocks every replica's Deliver for hold while more than
+// Window batches are ordered, so the leader fills its window and stops
+// proposing, then releases them and waits until everything is delivered.
+func (s *sim) holdDeliver(hold time.Duration) {
+	s.t.Helper()
+	cfg := s.reps[1].cfg
+	T, before := cfg.RequestTimeout, len(s.payloads(1))
+	for _, id := range s.members {
+		s.held[id] = true
+	}
+	t0 := s.now
+	n := (cfg.Window + 8) * cfg.BatchSize
+	for i := range n {
+		s.order(fmt.Appendf(nil, "behind a blocked Deliver %d", i), s.members...)
+	}
+	s.run("Deliver blocked", hold+T, func() bool { return !s.now.Before(t0.Add(hold)) })
+	if c := s.reps[1].core; c.nextSeq <= c.lowWM+uint64(cfg.Window) || len(c.queue) == 0 {
+		s.t.Fatalf("leader proposed up to %d with %d queued, want a full window and a queue", c.nextSeq-1, len(c.queue))
+	}
+	for _, id := range s.members {
+		s.release(id)
+	}
+	s.run("delivered", 4*T, s.allDelivered(before+n))
+	s.sameOrder()
+}
+
 // TestDetectorBackpressureKeepsLeader: every replica's Deliver blocks
 // for T/2 while more than Window batches are ordered. The leader fills
 // its window and stops proposing; what queues behind it waits for
@@ -143,29 +202,20 @@ func TestDetectorBlockedDeliverKeepsLeader(t *testing.T) {
 func TestDetectorBackpressureKeepsLeader(t *testing.T) {
 	s, T := newDetectorSim(t, time.Millisecond)
 	s.warmUp(32)
-	for _, id := range s.members {
-		s.held[id] = true
-	}
-	t0 := s.now
-	cfg := s.reps[1].cfg
-	n := (cfg.Window + 8) * cfg.BatchSize
-	for i := range n {
-		s.order(fmt.Appendf(nil, "behind a blocked Deliver %d", i), s.members...)
-	}
-	s.run("Deliver blocked for T/2", T, func() bool { return !s.now.Before(t0.Add(T / 2)) })
-	if c := s.reps[1].core; c.nextSeq <= c.lowWM+uint64(cfg.Window) || len(c.queue) == 0 {
-		t.Fatalf("leader proposed up to %d with %d queued, want a full window and a queue", c.nextSeq-1, len(c.queue))
-	}
-	for _, id := range s.members {
-		s.release(id)
-	}
-	s.run("delivered", 4*T, s.allDelivered(32+n))
-	s.sameOrder()
-	for _, id := range s.members {
-		if n, sus := s.reps[id].core.vcCount, len(s.multicasts(id, tagSuspicion)); n != 0 || sus != 0 {
-			t.Errorf("replica %v sent %d suspicions and started %d view changes while Deliver blocked", id, sus, n)
-		}
-	}
+	s.holdDeliver(T / 2)
+	s.keptLeader("while Deliver blocked")
+}
+
+// TestDetectorSlownessBackpressureKeepsLeader: the same with 300 orders
+// of warm-up, which give the slowness rule its baseline, and Deliver
+// blocked for 0.7·T. Nothing commits while payloads wait, which looks
+// like a slow leader, but the wait is for Deliver here, so the slowness
+// rule does not judge it either.
+func TestDetectorSlownessBackpressureKeepsLeader(t *testing.T) {
+	s, T := newDetectorSim(t, time.Millisecond)
+	s.warmUp(300)
+	s.holdDeliver(T * 7 / 10)
+	s.keptLeader("while Deliver blocked")
 }
 
 // TestDetectorLoneSuspicionKeepsView: a replica that hears nothing for
@@ -249,6 +299,251 @@ func TestDetectorIdleWakeups(t *testing.T) {
 		}
 		if !s.firstVC[id].IsZero() {
 			t.Errorf("idle replica %v started a view change", id)
+		}
+	}
+}
+
+// TestDetectorSlownessDeposesSlowLeader: the leader slows down so that
+// an order commits at 0.9× the silence timeout. The silence rule never
+// fires, since every payload commits in time and the estimate follows
+// the leader. The slowness rule does, at more than f replicas, and view
+// 1 takes over.
+func TestDetectorSlownessDeposesSlowLeader(t *testing.T) {
+	s, T := newDetectorSim(t, time.Millisecond)
+	s.warmUp(300)
+	silence := s.reps[2].core.timeout()
+	// A follower commits three hops after the order; one is the leader's.
+	s.lag[1] = silence*9/10 - 3*s.delay
+	t0 := s.now
+	s.inTurn("behind a slow leader", func(int) bool {
+		for _, id := range s.members {
+			if s.reps[id].core.view != 1 {
+				return false
+			}
+		}
+		return true
+	})
+	s.sameOrder()
+	suspected := 0
+	for _, id := range s.members {
+		if n, _ := s.reps[id].Rotations(); n > 0 {
+			suspected++
+		}
+		if d := s.firstVC[id].Sub(t0); d > 2*T {
+			t.Errorf("replica %v started its view change %v after the leader slowed down, want within 2·T", id, d)
+		}
+	}
+	if suspected <= s.reps[1].cfg.Group.F {
+		t.Errorf("%d replicas found the leader slow, want more than f", suspected)
+	}
+	if _, rots := s.reps[2].Rotations(); len(rots) == 0 || rots[0].View != 0 {
+		t.Errorf("replica 2's slowness suspicions: %+v, want one of view 0", rots)
+	}
+}
+
+// TestDetectorSlownessLoneReplicaKeepsView: replica 4 alone slows down —
+// each frame it sends or receives takes 0.9× the silence timeout longer,
+// as under a stalled CPU. It finds the leader slow and says so, but the
+// others do not, so nobody leaves view 0.
+func TestDetectorSlownessLoneReplicaKeepsView(t *testing.T) {
+	s, T := newDetectorSim(t, time.Millisecond)
+	s.warmUp(300)
+	s.lag[4] = s.reps[4].core.timeout()*9/10 - 3*s.delay
+	end := s.now.Add(2 * T)
+	s.inTurn("while replica 4 lags", func(int) bool { return !s.now.Before(end) })
+	s.sameOrder()
+	if n, _ := s.reps[4].Rotations(); n == 0 {
+		t.Error("replica 4 sent no slowness suspicion")
+	}
+	for _, id := range s.members {
+		c := s.reps[id].core
+		if sus := len(s.multicasts(id, tagSuspicion)); id != 4 && sus != 0 {
+			t.Errorf("replica %v sent %d suspicions", id, sus)
+		}
+		if c.vcCount != 0 || c.view != 0 {
+			t.Errorf("replica %v started %d view changes and is in view %d", id, c.vcCount, c.view)
+		}
+	}
+}
+
+// TestDetectorSlownessOverloadKeepsLeader: the offered load doubles past
+// what the group commits — a window of two one-payload batches — under
+// the same leader. The queue builds and the wait grows past twice its
+// healthy median, but the commit rate stays at capacity, so the slowness
+// rule keeps the leader. The wait alone would depose it: this is why
+// the rule also reads the commit rate.
+func TestDetectorSlownessOverloadKeepsLeader(t *testing.T) {
+	s := newSim(t, func(cfg *Config) { cfg.BatchSize, cfg.Window, cfg.CheckpointInterval = 1, 2, 1 })
+	s.tick, s.delay = time.Millisecond, 2*time.Millisecond
+	T := s.reps[1].cfg.RequestTimeout
+	n := s.offer(6*time.Millisecond, 4*T)
+	healthy := make(map[ids.NodeID]time.Duration)
+	for _, id := range s.members {
+		healthy[id] = median(s.reps[id].core.slow.waits)
+	}
+	n += s.offer(3*time.Millisecond, T)
+	for _, id := range s.members {
+		if c := s.reps[id].core; c.lat.srtt <= slowFactor*healthy[id] {
+			t.Errorf("replica %v waits %v per order, not above %d× the healthy %v: no overload", id, c.lat.srtt, slowFactor, healthy[id])
+		}
+	}
+	s.run("the queue drained", 4*T, s.allDelivered(n))
+	s.sameOrder()
+	s.keptLeader("under overload")
+}
+
+// slownessCore returns a core of a never-run sim with T = 800ms and a
+// warmed-up estimate: the slowness rule judges every 100ms and grants a
+// new view 200ms of grace.
+func slownessCore(t *testing.T) *core {
+	s := newSim(t, func(cfg *Config) { cfg.RequestTimeout = 800 * time.Millisecond })
+	c := s.reps[1].core
+	c.now, c.lat.n = s.now, detectorWarmup
+	return c
+}
+
+// slowTick moves c one tick on and feeds the slowness rule n payloads
+// committed in it and a wait of srtt. It reports whether the rule
+// suspected the leader.
+func slowTick(c *core, n int, srtt time.Duration, demand bool) bool {
+	c.now = c.now.Add(c.tickEvery())
+	c.slow.commit(c.now, n)
+	c.lat.srtt = srtt
+	sent := c.slow.rotations
+	c.judgeSpeed(demand, 0)
+	return c.slow.rotations > sent
+}
+
+// healthyTicks feeds n ticks of a healthy group: 10 payloads a tick,
+// each committed 5ms after its order.
+func healthyTicks(t *testing.T, c *core, n int) {
+	t.Helper()
+	for i := range n {
+		if slowTick(c, 10, 5*time.Millisecond, true) {
+			t.Fatalf("healthy tick %d suspected the leader: %v", i, c.slow.reasons)
+		}
+	}
+}
+
+// TestDetectorSlownessHysteresis: after a healthy baseline, a leader
+// degraded to 40× the healthy wait and a tenth of the rate is suspected
+// no sooner than slowStrikes ticks into the fault, and within the
+// commit rate's four-tick window plus the strikes. The suspicion counts
+// for T (8 ticks); while it does, the rule does not repeat it, and once
+// it has expired in the same view, it does.
+func TestDetectorSlownessHysteresis(t *testing.T) {
+	c := slownessCore(t)
+	healthyTicks(t, c, 8)
+	at := 0
+	for i := 1; i <= 10 && at == 0; i++ {
+		if slowTick(c, 1, 200*time.Millisecond, true) {
+			at = i
+		}
+	}
+	if at < slowStrikes || at > 4+slowStrikes {
+		t.Fatalf("suspected %d ticks into the fault, want within [%d, %d]", at, slowStrikes, 4+slowStrikes)
+	}
+	if !c.suspecting() || len(c.slow.reasons) != 1 || !strings.Contains(c.slow.reasons[0].Reason, "view 0") {
+		t.Fatalf("suspecting %v with reasons %v, want one naming view 0", c.suspecting(), c.slow.reasons)
+	}
+	for i := 1; ; i++ {
+		if slowTick(c, 1, 200*time.Millisecond, true) {
+			if d := time.Duration(i) * c.tickEvery(); d < c.cfg.RequestTimeout {
+				t.Fatalf("suspected again %v after the first suspicion, while it still counted", d)
+			}
+			break
+		}
+		if i > 12 {
+			t.Fatal("no second suspicion after the first expired")
+		}
+	}
+}
+
+// TestDetectorSlownessTwoSignals: overload (the wait far above the
+// baseline, the rate at capacity) and a load drop (the rate collapses,
+// the wait stays) are not suspected, and without a payload waiting
+// nothing is, whatever the measurements.
+func TestDetectorSlownessTwoSignals(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		wait   time.Duration
+		demand bool
+	}{
+		{"overload", 10, 300 * time.Millisecond, true},
+		{"load drop", 1, 5 * time.Millisecond, true},
+		{"no demand", 1, 300 * time.Millisecond, false},
+	} {
+		c := slownessCore(t)
+		healthyTicks(t, c, 8)
+		for range 10 {
+			if slowTick(c, tc.n, tc.wait, tc.demand) {
+				t.Fatalf("%s suspected the leader: %v", tc.name, c.slow.reasons)
+			}
+		}
+	}
+}
+
+// TestDetectorSlownessViewInstall: a view install records the old view's
+// rate and keeps the baseline, so once the new leader's grace of two
+// ticks' time is over it is judged at once: a slow one is suspected
+// slowStrikes ticks later.
+func TestDetectorSlownessViewInstall(t *testing.T) {
+	c := slownessCore(t)
+	healthyTicks(t, c, 8)
+	for i := 0; !slowTick(c, 1, 200*time.Millisecond, true); i++ {
+		if i > 10 {
+			t.Fatal("the slow leader was never suspected")
+		}
+	}
+	base := len(c.slow.rates)
+	c.forgetSuspicions() // as the view change does
+	c.slow.newView(c.now, 0)
+	c.view = 1
+	if rates := c.slow.snapshotViewRates(c.now, 1); len(rates) != 1 || rates[0].View != 0 {
+		t.Fatalf("view rates %+v, want view 0's", rates)
+	}
+	if len(c.slow.rates) != base {
+		t.Fatalf("the view install changed the baseline from %d to %d ticks", base, len(c.slow.rates))
+	}
+	// The grace is two ticks' time, so the second tick is judged.
+	for i := 1; i <= 1+slowStrikes; i++ {
+		if got, want := slowTick(c, 1, 200*time.Millisecond, true), i == 1+slowStrikes; got != want {
+			t.Fatalf("tick %d of view 1: suspected %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestViewChangeTimeoutCapSaturates pins the backoff clamp: repeated
+// failed view changes double the timeout, starting from the detector's
+// (RequestTimeout before it has samples, its floor of RequestTimeout/8
+// after a fast group's), only up to 8× RequestTimeout, instead of
+// growing without bound.
+func TestViewChangeTimeoutCapSaturates(t *testing.T) {
+	c := newCluster(t, 4, 1, func(i int, cfg *Config) {
+		cfg.RequestTimeout = 100 * time.Millisecond
+	})
+	// Not started: the cores move only through the direct calls below.
+	defer c.stop()
+	for i, tc := range []struct {
+		samples int
+		want    []time.Duration // ms
+	}{
+		{0, []time.Duration{200, 400, 800, 800, 800, 800}},
+		{detectorWarmup, []time.Duration{25, 50, 100, 200, 400, 800, 800}},
+	} {
+		core := c.replicas[i].core
+		for range tc.samples {
+			core.lat.observe(time.Millisecond)
+		}
+		for n, w := range tc.want {
+			core.startViewChange(uint64(n + 1))
+			if got := core.curTimeout; got != w*time.Millisecond {
+				t.Fatalf("%d samples: after %d view changes curTimeout = %v, want %v", tc.samples, n+1, got, w*time.Millisecond)
+			}
+		}
+		if got := core.vcCount; got != uint64(len(tc.want)) {
+			t.Fatalf("%d samples: vcCount = %d, want %d", tc.samples, got, len(tc.want))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -132,28 +133,21 @@ func (r *Replica) ViewChanges() uint64 {
 	return r.core.vcCount
 }
 
-// Rotations returns how many proactive (gray-failure) rotations this
-// replica initiated and the recorded accusations, newest last. Zero
-// and nil unless SuspectSlowLeader is on.
+// Rotations returns how many suspicions the failure detector's slowness
+// rule sent from this replica, and the latest ones with their reasons,
+// newest last.
 func (r *Replica) Rotations() (uint64, []Rotation) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.core.mon == nil {
-		return 0, nil
-	}
-	return r.core.mon.rotations, append([]Rotation(nil), r.core.mon.reasons...)
+	return r.core.slow.rotations, slices.Clone(r.core.slow.reasons)
 }
 
-// ViewThroughput returns the monitor's per-view delivery rates
-// (completed views plus the current one). Nil unless
-// SuspectSlowLeader is on.
+// ViewThroughput returns the payloads committed per second in each
+// recent view, the current one so far included.
 func (r *Replica) ViewThroughput() []ViewRate {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.core.mon == nil {
-		return nil
-	}
-	return r.core.mon.snapshotViewRates(time.Now(), r.core.view)
+	return r.core.slow.snapshotViewRates(time.Now(), r.core.view)
 }
 
 // Order implements consensus.Agreement.

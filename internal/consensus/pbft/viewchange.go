@@ -289,17 +289,12 @@ func (c *core) handleNewView(from ids.NodeID, nv *newView, v *nvVerdict, env []b
 // if ahead of ours, rebuild the log from the reissued pre-prepares,
 // requeue orphaned payloads, and resume normal operation.
 func (c *core) adoptView(nv *newView, plan reissuePlan, reissues []*prePrepare, env []byte) {
-	oldView := c.view
+	c.slow.newView(c.now, c.view)
 	c.view = nv.View
 	c.inVC = false
 	c.vcTarget = nv.View
 	c.vcSent = false
 	c.curTimeout = 0
-	if c.mon != nil {
-		// Close the old view's throughput record and grant the new
-		// leader its grace period before it can be judged.
-		c.mon.onViewInstall(c.now, oldView)
-	}
 	c.out = append(c.out, action{kind: actViewInstalled, view: nv.View})
 	// Copied because env may alias a transport receive buffer (tcpnet
 	// hands out arena-backed frame slices); retaining the alias would

@@ -207,8 +207,6 @@ func NewAgreementReplica(cfg AgreementConfig) (*AgreementReplica, error) {
 		BatchSize:      batch,
 		BatchOccupancy: cfg.BatchOccupancy,
 		NormalCaseAuth: cfg.ConsensusAuth,
-
-		SuspectSlowLeader: cfg.SuspectSlowLeader,
 	}
 	if img != nil && len(img.Meta) == 8 {
 		pbftCfg.StartView = binary.BigEndian.Uint64(img.Meta)
@@ -406,10 +404,10 @@ func (a *AgreementReplica) ConsensusViewChanges() (uint64, bool) {
 	return 0, false
 }
 
-// ConsensusRotations reports how many proactive slow-leader rotations
-// this replica's performance monitor has triggered, plus the recorded
-// accusations (most recent last). Zero with none when the monitor is
-// disabled or the implementation lacks one.
+// ConsensusRotations reports how many suspicions of a slow leader this
+// replica's failure detector sent, plus the latest ones with their
+// reasons (most recent last), when the consensus implementation counts
+// them.
 func (a *AgreementReplica) ConsensusRotations() (uint64, []pbft.Rotation, bool) {
 	if r, ok := a.ag.(interface {
 		Rotations() (uint64, []pbft.Rotation)
@@ -420,9 +418,8 @@ func (a *AgreementReplica) ConsensusRotations() (uint64, []pbft.Rotation, bool) 
 	return 0, nil, false
 }
 
-// ConsensusViewRates reports per-view delivery throughput as recorded
-// by the leader performance monitor — nil unless SuspectSlowLeader is
-// enabled on a consensus implementation that tracks it.
+// ConsensusViewRates reports the payloads committed per second in each
+// recent view, when the consensus implementation records them.
 func (a *AgreementReplica) ConsensusViewRates() []pbft.ViewRate {
 	if r, ok := a.ag.(interface{ ViewThroughput() []pbft.ViewRate }); ok {
 		return r.ViewThroughput()

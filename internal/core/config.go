@@ -249,14 +249,6 @@ type AgreementConfig struct {
 	// no latency at trickle load. ConsensusBatch = 1 restores
 	// request-at-a-time semantics.
 	ConsensusBatch int
-	// SuspectSlowLeader enables PBFT's gray-failure defense: every
-	// agreement replica monitors the leader's delivery throughput and
-	// latency against the median of recent healthy measurements and
-	// proactively rotates a leader that is slow but not silent (see
-	// pbft.Config.SuspectSlowLeader). Rotation still requires the
-	// normal 2f+1 view-change quorum. Off by default — the classic
-	// silence-timeout behavior stays byte-for-byte unchanged.
-	SuspectSlowLeader bool
 	// ConsensusAuth selects how PBFT authenticates its normal-case
 	// messages. The zero value is the paper's agreement-cluster
 	// optimisation: MAC vectors among the agreement replicas (whose

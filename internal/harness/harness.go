@@ -101,11 +101,6 @@ type BuildOptions struct {
 	// rehydrates from its on-disk checkpoint and log suffix instead of
 	// cold-starting into a full state fetch.
 	StateDir string
-	// SuspectSlowLeader arms the gray-failure defense on Spider's
-	// agreement group: replicas monitor the leader's delivery
-	// throughput and proposal latency and proactively rotate a leader
-	// that underperforms without crashing (default off).
-	SuspectSlowLeader bool
 }
 
 func (o *BuildOptions) applyDefaults() {
@@ -450,19 +445,20 @@ type GrayStats struct {
 	// ViewChanges is the highest view-change count any replica entered
 	// (timeout-driven and proactive alike).
 	ViewChanges uint64
-	// Rotations counts proactive slow-leader rotations triggered by the
-	// performance monitor; Reasons holds one recorded explanation per
-	// accused view, oldest view first.
+	// Rotations counts the suspicions of a slow leader the failure
+	// detector's slowness rule sent (the most any one replica sent);
+	// Reasons holds one recorded explanation per suspected view, oldest
+	// view first.
 	Rotations uint64
 	Reasons   []string
-	// ViewRates is per-view delivery throughput as seen by the replica
-	// with the freshest view, empty unless SuspectSlowLeader is on.
+	// ViewRates is per-view commit throughput as seen by the replica
+	// with the freshest view.
 	ViewRates []pbft.ViewRate
 }
 
 // GrayFailureStats reports the agreement group's view-change and
-// proactive-rotation counters. Each replica counts independently
-// (monitors are per-replica local state), so the cluster-level figure
+// slowness-suspicion counters. Each replica counts independently
+// (failure detectors are per-replica local state), so the cluster-level figure
 // is the maximum across running replicas. Replicas join a view change
 // others started, so the accusers of successive slow leaders may be
 // different replicas: rotations also count the distinct views any
@@ -755,10 +751,6 @@ func (c *Cluster) startRecord(rec *replicaRecord) error {
 			BatchOccupancy: c.batchOcc,
 			SendOccupancy:  c.sendOcc,
 			Store:          st,
-			// Gray-failure defense: the monitor judges the leader every
-			// 1/8th of the request timeout and, after a rotation, holds
-			// fire for one full timeout so the new leader can prove itself.
-			SuspectSlowLeader: c.Opts.SuspectSlowLeader,
 		})
 		if err != nil {
 			if st != nil {

@@ -360,8 +360,9 @@ var rateEpoch = time.Now()
 
 // Rate measures events per second over a sliding window on the
 // monotonic clock (wall-clock jumps cannot distort it: time.Time
-// subtraction prefers the monotonic reading). It feeds PBFT's
-// slow-leader monitor. Safe for concurrent use.
+// subtraction prefers the monotonic reading). It feeds the commit rate
+// of PBFT's failure detector, which the slowness rule reads. Safe for
+// concurrent use.
 type Rate struct {
 	mu       sync.Mutex
 	window   time.Duration

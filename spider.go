@@ -182,13 +182,6 @@ type LocalClusterOptions struct {
 	Suite string
 	// UseIRMCSC selects the sender-side-collection channel variant.
 	UseIRMCSC bool
-
-	// SuspectSlowLeader arms the gray-failure defense: agreement
-	// replicas monitor the leader's delivery throughput and proposal
-	// latency and proactively rotate to the next view when the leader
-	// underperforms without crashing. Safety is unaffected (rotation
-	// uses the normal view-change quorum); off by default.
-	SuspectSlowLeader bool
 }
 
 // LocalCluster is a complete Spider deployment running in-process.
@@ -215,15 +208,14 @@ func NewLocalCluster(opts LocalClusterOptions) (*LocalCluster, error) {
 		channel = core.ChannelSC
 	}
 	cluster, err := harness.Build(harness.BuildOptions{
-		System:            harness.SystemSpider,
-		F:                 opts.F,
-		Regions:           opts.Regions,
-		ExtraRegions:      opts.ExtraRegions,
-		AgreementRegion:   opts.AgreementRegion,
-		Scale:             opts.LatencyScale,
-		SuiteKind:         suite,
-		Channel:           channel,
-		SuspectSlowLeader: opts.SuspectSlowLeader,
+		System:          harness.SystemSpider,
+		F:               opts.F,
+		Regions:         opts.Regions,
+		ExtraRegions:    opts.ExtraRegions,
+		AgreementRegion: opts.AgreementRegion,
+		Scale:           opts.LatencyScale,
+		SuiteKind:       suite,
+		Channel:         channel,
 	})
 	if err != nil {
 		return nil, err
