@@ -42,7 +42,6 @@ func run() error {
 	clients := flag.Int("clients", 0, "override clients per region")
 	rate := flag.Float64("rate", 0, "override per-client op rate (ops/s)")
 	scale := flag.Float64("scale", 0, "override latency scale (1.0 = calibrated WAN)")
-	rsa := flag.Bool("rsa", false, "force RSA-1024 signatures (shorthand for -suite rsa)")
 	suite := flag.String("suite", "", "crypto suite: rsa, ed25519, insecure (default: the profile's)")
 	sc := flag.Bool("irmc-sc", false, "use the IRMC-SC channel variant in Spider")
 	flag.Parse()
@@ -67,9 +66,6 @@ func run() error {
 	}
 	if *scale > 0 {
 		p.Scale = *scale
-	}
-	if *rsa {
-		p.Suite = crypto.SuiteRSA
 	}
 	if *suite != "" {
 		kind, err := crypto.ParseSuiteKind(*suite)

@@ -8,7 +8,8 @@
 // Example deploy.json:
 //
 //	{
-//	  "crypto": "insecure",
+//	  "crypto": "ed25519",
+//	  "key_dir": "keys/",
 //	  "agreement": {"id": 1, "f": 1, "members": [1, 2, 3, 4]},
 //	  "exec_groups": [
 //	    {"id": 10, "f": 1, "members": [11, 12, 13], "region": "virginia"}

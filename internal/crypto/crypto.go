@@ -1,8 +1,12 @@
 // Package crypto provides the authentication primitives used throughout
-// the reproduction, mirroring the paper's choices (Section 5): 1024-bit
-// RSA signatures for channel-internal IRMC traffic and client request
-// signatures, and HMAC-SHA-256 MACs for client–replica and
-// replica–replica messages that do not require non-repudiation.
+// the reproduction, mirroring the paper's two choices (Section 5):
+// signatures where a message must convince a third party — client
+// requests, IRMC-SC signature shares and certificates, checkpoint and
+// view-change proofs, and PBFT when it runs signed — and HMAC-SHA-256
+// MACs everywhere else, IRMC envelopes and PBFT's MAC vectors included.
+// Signatures are RSA-1024 as in the paper's evaluation, Ed25519, or an
+// insecure HMAC stand-in for tests; one suite implementation serves all
+// three, and only its signing step differs by kind.
 //
 // Every signing and MAC operation is bound to a Domain so that bytes
 // signed in one protocol context can never be replayed in another.
@@ -82,14 +86,6 @@ type Suite interface {
 	MACAppend(to ids.NodeID, d Domain, msg, dst []byte) []byte
 	// VerifyMAC checks a MAC produced by `from` for this node under d.
 	VerifyMAC(from ids.NodeID, d Domain, msg, mac []byte) error
-}
-
-// payload prepends the domain tag to the signed bytes.
-func payload(d Domain, msg []byte) []byte {
-	out := make([]byte, 1+len(msg))
-	out[0] = byte(d)
-	copy(out[1:], msg)
-	return out
 }
 
 // MACVector authenticates msg to every member of a group, as used by

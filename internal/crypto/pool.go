@@ -1,78 +1,66 @@
 package crypto
 
 import (
-	"crypto/rsa"
+	"crypto"
+	"errors"
+	"slices"
 	"sync"
 
 	"spider/internal/ids"
 )
 
-// devPool caches generated RSA keys for the lifetime of the process so
-// that tests and in-process deployments do not pay key-generation cost
-// for every cluster they assemble. The cache is the one piece of
-// process-global state in this module; it holds key material only, no
-// deployment state, and is safe for concurrent use.
+// devPool caches generated keys, per suite kind, for the lifetime of
+// the process so that tests and in-process deployments do not pay
+// key-generation cost for every cluster they assemble. The cache is the
+// one piece of process-global state in this module; it holds key
+// material only, no deployment state, and is safe for concurrent use.
 var devPool struct {
 	mu   sync.Mutex
-	keys []*rsa.PrivateKey
+	keys map[SuiteKind][]crypto.Signer
 }
 
-// devKeys returns n cached RSA keys of DefaultKeyBits, generating any
-// missing ones in parallel.
-func devKeys(n int) []*rsa.PrivateKey {
+// devKeys returns n cached keys of a key-file suite, generating any
+// missing ones in parallel. Calls hand keys out prefix-stable: the
+// first n keys are the same on every call.
+func devKeys(kind SuiteKind, n int) []crypto.Signer {
 	devPool.mu.Lock()
 	defer devPool.mu.Unlock()
-	missing := n - len(devPool.keys)
-	if missing > 0 {
-		fresh := make([]*rsa.PrivateKey, missing)
+	have := devPool.keys[kind]
+	if missing := n - len(have); missing > 0 {
+		fresh := make([]crypto.Signer, missing)
 		errs := make([]error, missing)
 		var wg sync.WaitGroup
 		for i := range fresh {
 			wg.Add(1)
-			// i is passed as a parameter so every worker owns its slot
-			// regardless of language version: under pre-Go-1.22
-			// loop-variable semantics (this file predates the module's
-			// go directive) the by-reference capture made the workers
-			// race on one slot and leave nil keys in the pool.
-			go func(i int) {
+			go func() {
 				defer wg.Done()
-				fresh[i], errs[i] = GenerateKey(DefaultKeyBits)
-			}(i)
+				fresh[i], errs[i] = kind.spec().newKey()
+			}()
 		}
 		wg.Wait()
-		for i, key := range fresh {
-			if errs[i] != nil || key == nil {
-				// Key generation only fails if the system randomness
-				// source is broken; nothing in the process can proceed
-				// in that case. Appending one key at a time keeps the
-				// pool free of nil slots even then.
-				panic(errs[i])
-			}
-			devPool.keys = append(devPool.keys, key)
+		if err := errors.Join(errs...); err != nil {
+			// Key generation only fails if the system randomness
+			// source is broken; nothing in the process can proceed
+			// in that case.
+			panic(err)
 		}
+		if devPool.keys == nil {
+			devPool.keys = make(map[SuiteKind][]crypto.Signer)
+		}
+		have = append(have, fresh...)
+		devPool.keys[kind] = have
 	}
-	if n > len(devPool.keys) {
-		// Unreachable: missing is recomputed from the pool length on
-		// every call, so a partial fill (a generation panic a caller
-		// recovered from) is regenerated on the next call. Guarded
-		// anyway — fail loudly rather than hand out a short slice or
-		// nil keys that callers would index out of range.
-		panic("crypto: key pool shorter than requested after fill")
-	}
-	out := make([]*rsa.PrivateKey, n)
-	copy(out, devPool.keys[:n])
-	return out
+	return slices.Clone(have[:n])
 }
 
 // SuiteKind selects the authentication implementation for a deployment.
 // Each kind has a registry entry (see registry.go) naming it and
-// providing its constructors and key codec.
+// providing its key generator.
 type SuiteKind int
 
 const (
 	// SuiteRSA uses RSA-1024 signatures as in the paper's evaluation.
-	// It is the zero value: legacy key directories without a suite
-	// manifest load as RSA.
+	// It is the zero value.
 	SuiteRSA SuiteKind = iota
 	// SuiteInsecure uses HMAC-based pseudo-signatures; fast, for
 	// protocol-logic tests and latency-dominated benchmarks.
@@ -88,5 +76,18 @@ const (
 // process.
 func NewSuites(nodes []ids.NodeID, kind SuiteKind) map[ids.NodeID]Suite {
 	master := []byte("spider-deployment-master-secret")
-	return kind.spec().devSuites(nodes, master)
+	keys := make([]crypto.Signer, len(nodes))
+	var dir map[ids.NodeID]crypto.PublicKey
+	if HasKeyFiles(kind) {
+		keys = devKeys(kind, len(nodes))
+		dir = make(map[ids.NodeID]crypto.PublicKey, len(nodes))
+		for i, n := range nodes {
+			dir[n] = keys[i].Public()
+		}
+	}
+	suites := make(map[ids.NodeID]Suite, len(nodes))
+	for i, n := range nodes {
+		suites[n] = newSuite(n, keys[i], dir, master)
+	}
+	return suites
 }

@@ -1,6 +1,8 @@
 package crypto
 
 import (
+	"crypto"
+	"crypto/x509"
 	"sync"
 	"testing"
 
@@ -8,24 +10,18 @@ import (
 )
 
 // privateKeyID extracts a comparable identity for the suite's signing
-// key, so distinctness checks work across suite implementations.
+// key, so distinctness checks work across key types.
 func privateKeyID(t *testing.T, n ids.NodeID, s Suite) string {
 	t.Helper()
-	switch impl := s.(type) {
-	case *rsaSuite:
-		if impl.priv == nil {
-			t.Fatalf("node %v: nil private key", n)
-		}
-		return impl.priv.N.String()
-	case *ed25519Suite:
-		if impl.priv == nil {
-			t.Fatalf("node %v: nil private key", n)
-		}
-		return string(impl.priv)
-	default:
-		t.Fatalf("node %v: suite %T has no private key", n, s)
-		return ""
+	key := s.(*suite).key
+	if key == nil {
+		t.Fatalf("node %v: nil private key", n)
 	}
+	der, err := x509.MarshalPKIXPublicKey(key.Public())
+	if err != nil {
+		t.Fatalf("node %v: %v", n, err)
+	}
+	return string(der)
 }
 
 // checkDistinctKeys asserts every key is present and no two nodes share
@@ -82,18 +78,6 @@ func TestNewSuitesRSAConcurrent(t *testing.T) {
 	}
 }
 
-// TestDevKeysPrefixStable asserts repeated calls hand out the same keys
-// in slice order, which cross-call suite compatibility relies on.
-func TestDevKeysPrefixStable(t *testing.T) {
-	a := devKeys(8)
-	b := devKeys(4)
-	for i := range b {
-		if a[i] != b[i] {
-			t.Fatalf("key %d differs between calls", i)
-		}
-	}
-}
-
 // TestNewSuitesEd25519KeysDistinct mirrors the RSA distinctness check
 // for the Ed25519 dev-key pool.
 func TestNewSuitesEd25519KeysDistinct(t *testing.T) {
@@ -104,15 +88,22 @@ func TestNewSuitesEd25519KeysDistinct(t *testing.T) {
 	checkDistinctKeys(t, NewSuites(nodes, SuiteEd25519), nodes)
 }
 
-// TestDevEd25519KeysPrefixStable pins the same prefix-stable handout
-// contract for the Ed25519 pool: suites built by separate NewSuites
-// calls within one process must be able to verify each other.
-func TestDevEd25519KeysPrefixStable(t *testing.T) {
-	a := devEd25519Keys(8)
-	b := devEd25519Keys(4)
-	for i := range b {
-		if !a[i].Equal(b[i]) {
-			t.Fatalf("key %d differs between calls", i)
+// TestDevKeysPrefixStable asserts repeated calls hand out the same keys
+// in slice order, for every key-file suite: suites built by separate
+// NewSuites calls within one process must be able to verify each other.
+func TestDevKeysPrefixStable(t *testing.T) {
+	for _, kind := range RegisteredSuiteKinds() {
+		if !HasKeyFiles(kind) {
+			continue
 		}
+		t.Run(kind.String(), func(t *testing.T) {
+			a := devKeys(kind, 8)
+			b := devKeys(kind, 4)
+			for i := range b {
+				if !a[i].(interface{ Equal(crypto.PrivateKey) bool }).Equal(b[i]) {
+					t.Fatalf("key %d differs between calls", i)
+				}
+			}
+		})
 	}
 }

@@ -1,8 +1,12 @@
 package crypto
 
 import (
+	"crypto"
 	"crypto/ed25519"
+	"crypto/rand"
 	"crypto/rsa"
+	"crypto/x509"
+	"encoding/pem"
 	"fmt"
 	"os"
 	"sort"
@@ -14,122 +18,41 @@ import (
 // the system needs to treat a signature suite as data — its canonical
 // name (config files, manifests, bench labels), its signature size (for
 // capacity hints only; the wire format is length-prefixed and never
-// assumes a size), the in-process dev constructor used by tests and the
-// local-cluster harness, and the on-disk key codec used by the
-// multi-process deployment tooling.
+// assumes a size), and its key generator. Every kind shares one suite
+// implementation and one key codec (PKCS#8 private keys, PKIX public
+// keys).
 type suiteSpec struct {
 	name    string
 	sigSize int
-	// keyFiles reports whether the suite stores per-node key pairs in a
-	// key directory. Suites without key files (shared-secret test
-	// crypto) are constructed from the master secret alone.
-	keyFiles bool
-	// devSuites builds compatible suites for all nodes from the
-	// process-global dev key pool (no disk involved).
-	devSuites func(nodes []ids.NodeID, master []byte) map[ids.NodeID]Suite
-	// generateKeyPEM creates one fresh key pair in PEM form.
-	generateKeyPEM func() (priv, pub []byte, err error)
-	// suiteFromKeys builds one node's suite from PEM key material.
-	suiteFromKeys func(self ids.NodeID, priv []byte, pubs map[ids.NodeID][]byte, master []byte) (Suite, error)
+	// newKey creates one fresh signing key. It is nil for suites
+	// without key files (shared-secret test crypto), which are
+	// constructed from the master secret alone.
+	newKey func() (crypto.Signer, error)
 }
 
 // suiteRegistry maps every known SuiteKind to its spec. Adding a suite
-// means adding a constant in pool.go and an entry here; NewSuites, the
-// deploy key tooling, the behavioural test matrix, and the CI suite
-// matrix all pick it up from this table.
+// means adding a constant in pool.go, an entry here, and its key types
+// in suite.go and keyKind; NewSuites, the deploy key tooling, the
+// behavioural test matrix, and the CI suite matrix all pick it up from
+// this table.
 var suiteRegistry = map[SuiteKind]suiteSpec{
 	SuiteRSA: {
-		name:     "rsa",
-		sigSize:  DefaultKeyBits / 8,
-		keyFiles: true,
-		devSuites: func(nodes []ids.NodeID, master []byte) map[ids.NodeID]Suite {
-			keys := devKeys(len(nodes))
-			pubs := make(map[ids.NodeID]*rsa.PublicKey, len(nodes))
-			for i, n := range nodes {
-				pubs[n] = &keys[i].PublicKey
-			}
-			dir := NewDirectory(pubs)
-			suites := make(map[ids.NodeID]Suite, len(nodes))
-			for i, n := range nodes {
-				suites[n] = NewRSASuite(n, keys[i], dir, master)
-			}
-			return suites
-		},
-		generateKeyPEM: func() (priv, pub []byte, err error) {
-			key, err := GenerateKey(DefaultKeyBits)
-			if err != nil {
-				return nil, nil, err
-			}
-			return MarshalPrivateKeyPEM(key), MarshalPublicKeyPEM(&key.PublicKey), nil
-		},
-		suiteFromKeys: func(self ids.NodeID, priv []byte, pubs map[ids.NodeID][]byte, master []byte) (Suite, error) {
-			key, err := ParsePrivateKeyPEM(priv)
-			if err != nil {
-				return nil, err
-			}
-			dir := make(map[ids.NodeID]*rsa.PublicKey, len(pubs))
-			for id, data := range pubs {
-				pub, err := ParsePublicKeyPEM(data)
-				if err != nil {
-					return nil, fmt.Errorf("node %v: %w", id, err)
-				}
-				dir[id] = pub
-			}
-			return NewRSASuite(self, key, NewDirectory(dir), master), nil
+		name:    "rsa",
+		sigSize: DefaultKeyBits / 8,
+		newKey: func() (crypto.Signer, error) {
+			return rsa.GenerateKey(rand.Reader, DefaultKeyBits)
 		},
 	},
 	SuiteInsecure: {
 		name:    "insecure",
 		sigSize: DigestSize,
-		devSuites: func(nodes []ids.NodeID, master []byte) map[ids.NodeID]Suite {
-			suites := make(map[ids.NodeID]Suite, len(nodes))
-			for _, n := range nodes {
-				suites[n] = NewInsecureSuite(n, master)
-			}
-			return suites
-		},
-		suiteFromKeys: func(self ids.NodeID, _ []byte, _ map[ids.NodeID][]byte, master []byte) (Suite, error) {
-			return NewInsecureSuite(self, master), nil
-		},
 	},
 	SuiteEd25519: {
-		name:     "ed25519",
-		sigSize:  Ed25519SignatureSize,
-		keyFiles: true,
-		devSuites: func(nodes []ids.NodeID, master []byte) map[ids.NodeID]Suite {
-			keys := devEd25519Keys(len(nodes))
-			pubs := make(map[ids.NodeID]ed25519.PublicKey, len(nodes))
-			for i, n := range nodes {
-				pubs[n] = keys[i].Public().(ed25519.PublicKey)
-			}
-			dir := NewEd25519Directory(pubs)
-			suites := make(map[ids.NodeID]Suite, len(nodes))
-			for i, n := range nodes {
-				suites[n] = NewEd25519Suite(n, keys[i], dir, master)
-			}
-			return suites
-		},
-		generateKeyPEM: func() (priv, pub []byte, err error) {
-			key, err := GenerateEd25519Key()
-			if err != nil {
-				return nil, nil, err
-			}
-			return MarshalEd25519PrivateKeyPEM(key), MarshalEd25519PublicKeyPEM(key.Public().(ed25519.PublicKey)), nil
-		},
-		suiteFromKeys: func(self ids.NodeID, priv []byte, pubs map[ids.NodeID][]byte, master []byte) (Suite, error) {
-			key, err := ParseEd25519PrivateKeyPEM(priv)
-			if err != nil {
-				return nil, err
-			}
-			dir := make(map[ids.NodeID]ed25519.PublicKey, len(pubs))
-			for id, data := range pubs {
-				pub, err := ParseEd25519PublicKeyPEM(data)
-				if err != nil {
-					return nil, fmt.Errorf("node %v: %w", id, err)
-				}
-				dir[id] = pub
-			}
-			return NewEd25519Suite(self, key, NewEd25519Directory(dir), master), nil
+		name:    "ed25519",
+		sigSize: Ed25519SignatureSize,
+		newKey: func() (crypto.Signer, error) {
+			_, key, err := ed25519.GenerateKey(rand.Reader)
+			return key, err
 		},
 	},
 }
@@ -182,23 +105,89 @@ func SignatureSize(k SuiteKind) int { return k.spec().sigSize }
 
 // HasKeyFiles reports whether the suite stores per-node key pairs in a
 // key directory (see deploy.GenerateKeys).
-func HasKeyFiles(k SuiteKind) bool { return k.spec().keyFiles }
+func HasKeyFiles(k SuiteKind) bool { return k.spec().newKey != nil }
+
+// PEM block types of the key codec.
+const (
+	privateKeyPEM = "PRIVATE KEY" // PKCS#8
+	publicKeyPEM  = "PUBLIC KEY"  // PKIX
+)
 
 // GenerateSuiteKeyPEM creates one fresh key pair for the suite in PEM
 // form, for the deployment key tooling.
 func GenerateSuiteKeyPEM(k SuiteKind) (priv, pub []byte, err error) {
 	s := k.spec()
-	if s.generateKeyPEM == nil {
+	if s.newKey == nil {
 		return nil, nil, fmt.Errorf("crypto: suite %v has no key files", k)
 	}
-	return s.generateKeyPEM()
+	key, err := s.newKey()
+	if err != nil {
+		return nil, nil, fmt.Errorf("crypto: generate %v key: %w", k, err)
+	}
+	privDER, err := x509.MarshalPKCS8PrivateKey(key)
+	if err != nil {
+		return nil, nil, fmt.Errorf("crypto: marshal %v private key: %w", k, err)
+	}
+	pubDER, err := x509.MarshalPKIXPublicKey(key.Public())
+	if err != nil {
+		return nil, nil, fmt.Errorf("crypto: marshal %v public key: %w", k, err)
+	}
+	return pem.EncodeToMemory(&pem.Block{Type: privateKeyPEM, Bytes: privDER}),
+		pem.EncodeToMemory(&pem.Block{Type: publicKeyPEM, Bytes: pubDER}), nil
 }
 
 // SuiteFromKeys builds one node's suite from PEM key material read from
 // a key directory. Suites without key files ignore priv and pubs and
 // derive everything from the master secret.
 func SuiteFromKeys(k SuiteKind, self ids.NodeID, priv []byte, pubs map[ids.NodeID][]byte, master []byte) (Suite, error) {
-	return k.spec().suiteFromKeys(self, priv, pubs, master)
+	if !HasKeyFiles(k) {
+		return newSuite(self, nil, nil, master), nil
+	}
+	key, err := parseKeyPEM(k, priv, privateKeyPEM, x509.ParsePKCS8PrivateKey)
+	if err != nil {
+		return nil, err
+	}
+	dir := make(map[ids.NodeID]crypto.PublicKey, len(pubs))
+	for id, data := range pubs {
+		if dir[id], err = parseKeyPEM(k, data, publicKeyPEM, x509.ParsePKIXPublicKey); err != nil {
+			return nil, fmt.Errorf("node %v: %w", id, err)
+		}
+	}
+	return newSuite(self, key.(crypto.Signer), dir, master), nil
+}
+
+// parseKeyPEM decodes one PEM block of the given type with parse and
+// rejects a key that does not belong to suite k.
+func parseKeyPEM(k SuiteKind, data []byte, blockType string, parse func([]byte) (any, error)) (any, error) {
+	block, _ := pem.Decode(data)
+	if block == nil || block.Type != blockType {
+		found := "no PEM block"
+		if block != nil {
+			found = fmt.Sprintf("a %q block", block.Type)
+		}
+		return nil, fmt.Errorf("crypto: want a %q PEM block, found %s", blockType, found)
+	}
+	key, err := parse(block.Bytes)
+	if err != nil {
+		return nil, fmt.Errorf("crypto: parse %v key: %w", k, err)
+	}
+	if keyKind(key) != k {
+		return nil, fmt.Errorf("crypto: %T is not a %v key", key, k)
+	}
+	return key, nil
+}
+
+// keyKind names the suite a parsed key belongs to. Keys of no
+// registered suite report SuiteInsecure, which has no keys, so they
+// match no suite that reads key files.
+func keyKind(key any) SuiteKind {
+	switch key.(type) {
+	case *rsa.PrivateKey, *rsa.PublicKey:
+		return SuiteRSA
+	case ed25519.PrivateKey, ed25519.PublicKey:
+		return SuiteEd25519
+	}
+	return SuiteInsecure
 }
 
 // EnvSuiteKind returns the suite selected by the SPIDER_SUITE

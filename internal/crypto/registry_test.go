@@ -1,7 +1,9 @@
 package crypto
 
 import (
-	"crypto/ed25519"
+	"crypto/rsa"
+	"crypto/x509"
+	"encoding/pem"
 	"testing"
 
 	"spider/internal/ids"
@@ -21,8 +23,7 @@ func TestSuiteKindNamesRoundTrip(t *testing.T) {
 	if _, err := ParseSuiteKind("quantum"); err == nil {
 		t.Error("unknown suite name parsed")
 	}
-	// The zero value must stay RSA: legacy key directories without a
-	// manifest and zero-valued configs both rely on it.
+	// The zero value must stay RSA: zero-valued configs rely on it.
 	if SuiteRSA != 0 {
 		t.Error("SuiteRSA is not the zero value")
 	}
@@ -62,49 +63,11 @@ func TestEnvSuiteKind(t *testing.T) {
 	EnvSuiteKind(SuiteInsecure)
 }
 
-func TestEd25519KeyPEMRoundTrip(t *testing.T) {
-	key, err := GenerateEd25519Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseEd25519PrivateKeyPEM(MarshalEd25519PrivateKeyPEM(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !parsed.Equal(key) {
-		t.Error("private key round trip mismatch")
-	}
-	pub := key.Public().(ed25519.PublicKey)
-	parsedPub, err := ParseEd25519PublicKeyPEM(MarshalEd25519PublicKeyPEM(pub))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !parsedPub.Equal(pub) {
-		t.Error("public key round trip mismatch")
-	}
-	if _, err := ParseEd25519PrivateKeyPEM([]byte("garbage")); err == nil {
-		t.Error("garbage private key accepted")
-	}
-	if _, err := ParseEd25519PublicKeyPEM([]byte("garbage")); err == nil {
-		t.Error("garbage public key accepted")
-	}
-	// RSA PEM blocks fed to the Ed25519 parser (and vice versa) must
-	// fail with a type error, not be mis-parsed.
-	rsaKey := devKeys(1)[0]
-	if _, err := ParseEd25519PrivateKeyPEM(MarshalPrivateKeyPEM(rsaKey)); err == nil {
-		t.Error("RSA private key PEM accepted as Ed25519")
-	}
-	if _, err := ParseEd25519PublicKeyPEM(MarshalPublicKeyPEM(&rsaKey.PublicKey)); err == nil {
-		t.Error("RSA public key PEM accepted as Ed25519")
-	}
-	if _, err := ParsePrivateKeyPEM(MarshalEd25519PrivateKeyPEM(key)); err == nil {
-		t.Error("Ed25519 private key PEM accepted as RSA")
-	}
-}
-
-// TestSuiteFromKeysRoundTrip drives every key-file suite through its
-// registry codec: generate PEM material, build suites for two nodes
-// from it, and cross-verify.
+// TestSuiteFromKeysRoundTrip drives every key-file suite through the
+// key codec: generate PEM material, build suites for two nodes from it,
+// and cross-verify. Garbage, a PEM block of the wrong type (a PKCS#1
+// key of earlier builds, or a public key where the private one belongs)
+// and a key of another suite are all rejected at parse time.
 func TestSuiteFromKeysRoundTrip(t *testing.T) {
 	for _, kind := range RegisteredSuiteKinds() {
 		if !HasKeyFiles(kind) {
@@ -152,6 +115,21 @@ func TestSuiteFromKeysRoundTrip(t *testing.T) {
 			}
 			if _, err := SuiteFromKeys(kind, 1, privs[1], map[ids.NodeID][]byte{1: pubs[1], 2: wrongPub}, master); err == nil {
 				t.Error("public key of wrong suite accepted")
+			}
+			pkcs1 := devKeys(SuiteRSA, 1)[0].(*rsa.PrivateKey)
+			for _, bad := range []struct{ name, priv, pub string }{
+				{"garbage", "garbage", "garbage"},
+				{"swapped", string(pubs[1]), string(privs[1])},
+				{"PKCS#1",
+					string(pem.EncodeToMemory(&pem.Block{Type: "RSA PRIVATE KEY", Bytes: x509.MarshalPKCS1PrivateKey(pkcs1)})),
+					string(pem.EncodeToMemory(&pem.Block{Type: "RSA PUBLIC KEY", Bytes: x509.MarshalPKCS1PublicKey(&pkcs1.PublicKey)}))},
+			} {
+				if _, err := SuiteFromKeys(kind, 1, []byte(bad.priv), pubs, master); err == nil {
+					t.Errorf("%s private key accepted", bad.name)
+				}
+				if _, err := SuiteFromKeys(kind, 1, privs[1], map[ids.NodeID][]byte{1: pubs[1], 2: []byte(bad.pub)}, master); err == nil {
+					t.Errorf("%s public key accepted", bad.name)
+				}
 			}
 		})
 	}

@@ -6,9 +6,7 @@ package deploy
 import (
 	"crypto/rand"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -135,23 +133,21 @@ func (c *Config) Entries() []core.GroupEntry {
 // MAC keys derive from it (development only).
 var masterSecret = []byte("spider-deployment-master-secret")
 
-// groupSecretFile is the deployment group key written next to the RSA
-// key material. Pairwise MAC keys — including the MAC vectors of the
-// PBFT fast path — derive from it, so it stands in for the key
-// exchange a production deployment would run and must be distributed
-// to replicas only, never to clients of an untrusted domain.
+// groupSecretFile is the deployment group key written next to the key
+// material. Pairwise MAC keys — including the MAC vectors of the PBFT
+// fast path and every IRMC envelope — derive from it, so it stands in
+// for the key exchange a production deployment would run and must be
+// distributed to replicas only, never to clients of an untrusted
+// domain.
 const groupSecretFile = "group.secret"
 
-// groupSecret loads the deployment's group key. Only a genuinely
-// missing file falls back to the development secret (key directories
-// generated before one existed); any other read failure is an error —
-// silently deriving the MAC keys that authenticate PBFT votes from a
-// publicly known constant would let anyone forge them.
+// groupSecret loads the deployment's group key. A missing file is an
+// error like any other: falling back to the publicly known development
+// secret would let anyone forge the MACs that authenticate PBFT votes
+// and IRMC traffic.
 func (c *Config) groupSecret() ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(c.KeyDir, groupSecretFile))
 	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		return masterSecret, nil
 	case err != nil:
 		return nil, fmt.Errorf("deploy: group secret: %w", err)
 	case len(data) == 0:
@@ -162,8 +158,7 @@ func (c *Config) groupSecret() ([]byte, error) {
 
 // suiteManifestFile is the self-describing suite manifest written into
 // every generated key directory: one line naming the suite the keys
-// belong to. Directories that predate the manifest hold RSA keys, so a
-// missing manifest means RSA (pinned by a compat test).
+// belong to. A directory without one is rejected.
 const suiteManifestFile = "suite"
 
 // SuiteKind parses the config's crypto field into a registered suite.
@@ -175,20 +170,16 @@ func (c *Config) SuiteKind() (crypto.SuiteKind, error) {
 	return kind, nil
 }
 
-// keyDirSuite reads the key directory's suite manifest. A missing
-// manifest means a legacy RSA directory.
+// keyDirSuite reads the key directory's suite manifest.
 func (c *Config) keyDirSuite() (crypto.SuiteKind, error) {
-	data, err := os.ReadFile(filepath.Join(c.KeyDir, suiteManifestFile))
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		return crypto.SuiteRSA, nil
-	case err != nil:
-		return 0, fmt.Errorf("deploy: suite manifest: %w", err)
+	path := filepath.Join(c.KeyDir, suiteManifestFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, fmt.Errorf("deploy: suite manifest: %w (regenerate the key dir with -genkeys)", err)
 	}
 	kind, err := crypto.ParseSuiteKind(strings.TrimSpace(string(data)))
 	if err != nil {
-		return 0, fmt.Errorf("deploy: suite manifest %s: %w",
-			filepath.Join(c.KeyDir, suiteManifestFile), err)
+		return 0, fmt.Errorf("deploy: suite manifest %s: %w", path, err)
 	}
 	return kind, nil
 }
@@ -231,22 +222,26 @@ func (c *Config) Suite(self ids.NodeID) (crypto.Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	return crypto.SuiteFromKeys(kind, self, priv, pubs, secret)
+	s, err := crypto.SuiteFromKeys(kind, self, priv, pubs, secret)
+	if err != nil {
+		// Key files of earlier builds (PKCS#1 RSA) land here too.
+		return nil, fmt.Errorf("deploy: key dir %s: %w (regenerate it with -genkeys)", c.KeyDir, err)
+	}
+	return s, nil
 }
 
 // GenerateKeys writes a key pair of the configured suite for every node
 // into dir, plus a suite manifest naming that suite and a fresh random
 // group secret from which the deployment's pairwise MAC keys derive.
-// Configs using a suite without key files (insecure) generate RSA
-// material, matching the historical behavior of pre-provisioning a dir
-// that an "rsa" config can later point at.
+// A suite without key files (insecure) has nothing to generate and is
+// an error.
 func (c *Config) GenerateKeys(dir string) error {
 	kind, err := c.SuiteKind()
 	if err != nil {
 		return err
 	}
 	if !crypto.HasKeyFiles(kind) {
-		kind = crypto.SuiteRSA
+		return fmt.Errorf("deploy: crypto %q has no key files to generate", kind)
 	}
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return fmt.Errorf("deploy: %w", err)

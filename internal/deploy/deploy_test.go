@@ -1,6 +1,9 @@
 package deploy
 
 import (
+	"crypto/rsa"
+	"crypto/x509"
+	"encoding/pem"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,11 +109,11 @@ func TestGenerateAndLoadRSAKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Crypto = "rsa"
 	dir := t.TempDir()
 	if err := cfg.GenerateKeys(dir); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Crypto = "rsa"
 	cfg.KeyDir = dir
 	s1, err := cfg.Suite(1)
 	if err != nil {
@@ -213,43 +216,100 @@ func TestSuiteManifestMismatch(t *testing.T) {
 	}
 }
 
-// TestLegacyKeyDirLoadsAsRSA pins backward compatibility: a key dir
-// without a suite manifest (generated before manifests existed) keeps
-// meaning RSA.
-func TestLegacyKeyDirLoadsAsRSA(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RSA key generation")
-	}
+// generateKeyDir writes a key directory for the sample config under
+// the given suite and points the config at it.
+func generateKeyDir(t *testing.T, suite string) *Config {
+	t.Helper()
 	cfg, err := Load(writeSample(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := cfg.GenerateKeys(dir); err != nil {
+	cfg.Crypto = suite
+	cfg.KeyDir = t.TempDir()
+	if err := cfg.GenerateKeys(cfg.KeyDir); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a pre-manifest directory.
-	if err := os.Remove(filepath.Join(dir, suiteManifestFile)); err != nil {
+	if _, err := cfg.Suite(1); err != nil {
+		t.Fatalf("freshly generated key dir rejected: %v", err)
+	}
+	return cfg
+}
+
+// TestKeyDirWithoutManifestRejected: a key directory must name its
+// suite. One without a manifest is an error, not RSA.
+func TestKeyDirWithoutManifestRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("RSA key generation")
+	}
+	cfg := generateKeyDir(t, "rsa")
+	if err := os.Remove(filepath.Join(cfg.KeyDir, suiteManifestFile)); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Crypto = "rsa"
-	cfg.KeyDir = dir
-	s1, err := cfg.Suite(1)
-	if err != nil {
-		t.Fatalf("legacy manifest-less dir rejected: %v", err)
+	_, err := cfg.Suite(1)
+	if err == nil {
+		t.Fatal("manifest-less key dir accepted")
 	}
-	s2, err := cfg.Suite(2)
-	if err != nil {
+	if !strings.Contains(err.Error(), "-genkeys") {
+		t.Errorf("error does not say to regenerate: %v", err)
+	}
+}
+
+// TestMissingGroupSecretRejected: the pairwise MAC keys derive from
+// group.secret, so a key directory without it is an error rather than
+// a deployment keyed by the public development secret.
+func TestMissingGroupSecretRejected(t *testing.T) {
+	cfg := generateKeyDir(t, "ed25519")
+	if err := os.Remove(filepath.Join(cfg.KeyDir, groupSecretFile)); err != nil {
 		t.Fatal(err)
 	}
-	sig := s1.Sign(crypto.DomainPBFT, []byte("m"))
-	if err := s2.Verify(1, crypto.DomainPBFT, []byte("m"), sig); err != nil {
-		t.Errorf("legacy rsa verify: %v", err)
-	}
-	// And an ed25519 config pointed at a legacy (RSA) dir still fails
-	// loudly rather than mis-parsing the keys.
-	cfg.Crypto = "ed25519"
 	if _, err := cfg.Suite(1); err == nil {
-		t.Error("ed25519 config accepted a manifest-less RSA key dir")
+		t.Fatal("key dir without group secret accepted")
+	}
+}
+
+// TestPKCS1KeyDirRejected: RSA key files of earlier builds (PKCS#1)
+// fail to load with an error that says to regenerate them.
+func TestPKCS1KeyDirRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("RSA key generation")
+	}
+	cfg := generateKeyDir(t, "rsa")
+	path := filepath.Join(cfg.KeyDir, "1.key")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, _ := pem.Decode(data)
+	key, err := x509.ParsePKCS8PrivateKey(block.Bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkcs1 := pem.EncodeToMemory(&pem.Block{Type: "RSA PRIVATE KEY", Bytes: x509.MarshalPKCS1PrivateKey(key.(*rsa.PrivateKey))})
+	if err := os.WriteFile(path, pkcs1, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, err = cfg.Suite(1)
+	if err == nil {
+		t.Fatal("PKCS#1 key file accepted")
+	}
+	if !strings.Contains(err.Error(), "-genkeys") {
+		t.Errorf("error does not say to regenerate: %v", err)
+	}
+}
+
+// TestGenerateKeysWithoutKeyFiles: a suite without key files has
+// nothing to generate; GenerateKeys says so instead of writing keys of
+// another suite.
+func TestGenerateKeysWithoutKeyFiles(t *testing.T) {
+	cfg, err := Load(writeSample(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "keys")
+	if err := cfg.GenerateKeys(dir); err == nil {
+		t.Fatal("insecure config generated keys")
+	}
+	if _, err := os.Stat(dir); err == nil {
+		t.Error("key dir created for a suite without key files")
 	}
 }

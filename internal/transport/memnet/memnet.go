@@ -92,34 +92,6 @@ type Options struct {
 	PendingLimit int
 }
 
-// Profile shapes all links between one region pair beyond the
-// placement's base latency: extra one-way delay and probabilistic frame
-// loss. Profiles model WAN weather (congestion,
-// routing flaps) for chaos scenarios; drop decisions come from the
-// per-link seeded generators, so runs replay from the network seed.
-type Profile struct {
-	// ExtraLatency is added to every frame's one-way delay.
-	ExtraLatency time.Duration
-	// Loss is the per-frame drop probability in [0,1].
-	Loss float64
-}
-
-// Named WAN profiles for scenario scripts.
-var (
-	// ProfileHealthy restores a pair to placement baseline.
-	ProfileHealthy = Profile{}
-)
-
-// regionPair is an unordered region pair (profiles are symmetric).
-type regionPair struct{ a, b topo.Region }
-
-func normPair(a, b topo.Region) regionPair {
-	if b < a {
-		a, b = b, a
-	}
-	return regionPair{a, b}
-}
-
 // Network is an in-process transport with emulated latency.
 type Network struct {
 	opts Options
@@ -130,7 +102,6 @@ type Network struct {
 	cut       map[linkKey]bool
 	isolated  map[ids.NodeID]bool
 	dropRate  map[linkKey]float64
-	profiles  map[regionPair]Profile
 	degraded  map[ids.NodeID]degradeSpec
 	partition map[topo.Region]bool // non-nil while a partition is active
 	closed    bool
@@ -163,7 +134,6 @@ func newNetwork(opts Options, timer sysTimer) *Network {
 		cut:      make(map[linkKey]bool),
 		isolated: make(map[ids.NodeID]bool),
 		dropRate: make(map[linkKey]float64),
-		profiles: make(map[regionPair]Profile),
 		degraded: make(map[ids.NodeID]degradeSpec),
 		done:     make(chan struct{}),
 		clock:    &clock{timer: timer},
@@ -249,22 +219,6 @@ func (n *Network) SetDropRate(a, b ids.NodeID, rate float64) {
 	n.dropRate[linkKey{a, b}] = rate
 }
 
-// SetProfile applies a WAN profile to every link between regions a and
-// b, in both directions (also a == b for intra-region shaping). The
-// zero Profile (ProfileHealthy) removes the shaping. Requires a
-// Placement; without one nodes have no region and profiles never
-// match.
-func (n *Network) SetProfile(a, b topo.Region, p Profile) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	key := normPair(a, b)
-	if p == (Profile{}) {
-		delete(n.profiles, key)
-		return
-	}
-	n.profiles[key] = p
-}
-
 // degradeSpec shapes one gray-failed node's outbound traffic.
 type degradeSpec struct {
 	delay  time.Duration
@@ -276,9 +230,9 @@ type degradeSpec struct {
 // [0, jitter × total one-way delay] drawn from the per-link seeded
 // generators so runs replay deterministically from the network seed. Frames are delayed,
 // never dropped — the node is slow, not dead — and the extra delay
-// composes additively with link profiles, drop schedules, and
-// Partition (a degraded node inside a partitioned region is still
-// partitioned). A second call replaces the first.
+// composes with drop rates and Partition (a degraded node inside a
+// partitioned region is still partitioned). A second call replaces the
+// first.
 func (n *Network) Degrade(id ids.NodeID, delay time.Duration, jitter float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -384,10 +338,6 @@ func (n *Network) send(from, to ids.NodeID, stream transport.Stream, payload []b
 	}
 	key := linkKey{from, to}
 	rate := n.dropRate[key]
-	var prof Profile
-	if from != to && len(n.profiles) > 0 {
-		prof = n.profiles[normPair(rFrom, rTo)]
-	}
 	var deg degradeSpec
 	if from != to {
 		deg = n.degraded[from]
@@ -410,7 +360,7 @@ func (n *Network) send(from, to ids.NodeID, stream transport.Stream, payload []b
 	}
 	n.mu.Unlock()
 
-	if (rate > 0 && l.rand(rate)) || (prof.Loss > 0 && l.rand(prof.Loss)) {
+	if rate > 0 && l.rand(rate) {
 		n.dropped.Add(1)
 		return
 	}
@@ -423,7 +373,7 @@ func (n *Network) send(from, to ids.NodeID, stream transport.Stream, payload []b
 	if n.opts.Placement != nil {
 		base = n.opts.Placement.OneWay(from, to)
 	}
-	base += prof.ExtraLatency + deg.delay
+	base += deg.delay
 	l.enqueue(frame{from: from, stream: stream, payload: payload}, base, n.opts.JitterFrac+deg.jitter)
 }
 

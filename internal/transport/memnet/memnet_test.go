@@ -369,55 +369,6 @@ func TestPartitionHeal(t *testing.T) {
 	wait(counts[3], 1)
 }
 
-// TestProfileShapesLatencyAndLoss: a region-pair profile adds delay
-// and loss on top of the placement baseline, and resetting it to
-// ProfileHealthy restores the baseline.
-func TestProfileShapesLatencyAndLoss(t *testing.T) {
-	p := topo.NewPlacement(0.001)
-	p.Place(1, topo.Site{Region: topo.Virginia})
-	p.Place(2, topo.Site{Region: topo.Tokyo})
-	net := New(Options{Placement: p, Seed: 5})
-	defer net.Close()
-
-	got := make(chan time.Duration, 8)
-	var start time.Time
-	net.Node(2).Handle(testStream, func(ids.NodeID, []byte) {
-		got <- time.Since(start)
-	})
-
-	net.SetProfile(topo.Virginia, topo.Tokyo, Profile{ExtraLatency: 60 * time.Millisecond})
-	start = time.Now()
-	net.Node(1).Send(2, testStream, []byte("slow"))
-	select {
-	case d := <-got:
-		if d < 55*time.Millisecond {
-			t.Fatalf("profiled delivery took %v, want >= ~60ms", d)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("profiled frame not delivered")
-	}
-
-	// Loss 1.0 severs the pair; drops are counted.
-	net.SetProfile(topo.Virginia, topo.Tokyo, Profile{Loss: 1})
-	before := net.Stats().Dropped
-	net.Node(1).Send(2, testStream, []byte("lost"))
-	if net.Stats().Dropped != before+1 {
-		t.Fatal("profile loss did not drop the frame")
-	}
-
-	net.SetProfile(topo.Virginia, topo.Tokyo, ProfileHealthy)
-	start = time.Now()
-	net.Node(1).Send(2, testStream, []byte("fast"))
-	select {
-	case d := <-got:
-		if d > 50*time.Millisecond {
-			t.Fatalf("healthy delivery took %v, want baseline", d)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("healthy frame not delivered")
-	}
-}
-
 // TestDegradeRestore: a degraded node's outbound frames are delayed by
 // roughly the configured amount but never dropped, inbound frames are
 // unaffected, and Restore returns the node to baseline.
