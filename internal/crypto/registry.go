@@ -124,13 +124,19 @@ func GenerateSuiteKeyPEM(k SuiteKind) (priv, pub []byte, err error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("crypto: generate %v key: %w", k, err)
 	}
+	return marshalKeyPEM(key)
+}
+
+// marshalKeyPEM encodes a key pair in the key codec: PKCS#8 for the
+// private key, PKIX for the public one.
+func marshalKeyPEM(key crypto.Signer) (priv, pub []byte, err error) {
 	privDER, err := x509.MarshalPKCS8PrivateKey(key)
 	if err != nil {
-		return nil, nil, fmt.Errorf("crypto: marshal %v private key: %w", k, err)
+		return nil, nil, fmt.Errorf("crypto: marshal %T: %w", key, err)
 	}
 	pubDER, err := x509.MarshalPKIXPublicKey(key.Public())
 	if err != nil {
-		return nil, nil, fmt.Errorf("crypto: marshal %v public key: %w", k, err)
+		return nil, nil, fmt.Errorf("crypto: marshal %T: %w", key.Public(), err)
 	}
 	return pem.EncodeToMemory(&pem.Block{Type: privateKeyPEM, Bytes: privDER}),
 		pem.EncodeToMemory(&pem.Block{Type: publicKeyPEM, Bytes: pubDER}), nil

@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"crypto"
 	"crypto/rsa"
 	"crypto/x509"
 	"encoding/pem"
@@ -62,6 +63,54 @@ func TestEnvSuiteKind(t *testing.T) {
 	}()
 	EnvSuiteKind(SuiteInsecure)
 }
+
+// checkKeyPEMRoundTrip encodes a dev key of the given suite in the key
+// codec and parses it back: both halves must come back equal, and
+// garbage or a key of the other key-file suite must be rejected.
+func checkKeyPEMRoundTrip(t *testing.T, kind, other SuiteKind) {
+	t.Helper()
+	key := devKeys(kind, 1)[0]
+	priv, pub, err := marshalKeyPEM(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := parseKeyPEM(kind, priv, privateKeyPEM, x509.ParsePKCS8PrivateKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !parsed.(interface{ Equal(crypto.PrivateKey) bool }).Equal(key) {
+		t.Error("private key round trip mismatch")
+	}
+	parsedPub, err := parseKeyPEM(kind, pub, publicKeyPEM, x509.ParsePKIXPublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !parsedPub.(interface{ Equal(crypto.PublicKey) bool }).Equal(key.Public()) {
+		t.Error("public key round trip mismatch")
+	}
+	if _, err := parseKeyPEM(kind, []byte("garbage"), privateKeyPEM, x509.ParsePKCS8PrivateKey); err == nil {
+		t.Error("garbage private key accepted")
+	}
+	if _, err := parseKeyPEM(kind, []byte("garbage"), publicKeyPEM, x509.ParsePKIXPublicKey); err == nil {
+		t.Error("garbage public key accepted")
+	}
+	// A well-formed key of the other suite must fail with a type
+	// error, not be mis-parsed.
+	otherPriv, otherPub, err := marshalKeyPEM(devKeys(other, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseKeyPEM(kind, otherPriv, privateKeyPEM, x509.ParsePKCS8PrivateKey); err == nil {
+		t.Errorf("%v private key accepted as %v", other, kind)
+	}
+	if _, err := parseKeyPEM(kind, otherPub, publicKeyPEM, x509.ParsePKIXPublicKey); err == nil {
+		t.Errorf("%v public key accepted as %v", other, kind)
+	}
+}
+
+func TestKeyPEMRoundTrip(t *testing.T) { checkKeyPEMRoundTrip(t, SuiteRSA, SuiteEd25519) }
+
+func TestEd25519KeyPEMRoundTrip(t *testing.T) { checkKeyPEMRoundTrip(t, SuiteEd25519, SuiteRSA) }
 
 // TestSuiteFromKeysRoundTrip drives every key-file suite through the
 // key codec: generate PEM material, build suites for two nodes from it,
