@@ -3,15 +3,13 @@
 GO ?= go
 
 ## BENCH_PATTERN: the benchmark set snapshots record — the agreement
-## throughput suite, the zero-allocation micro paths, the
-## commit-channel dedup byte metrics (commit-B/req and wire-B/req on a
-## strong-read-heavy workload, with dedup on and off), the batch sweep
+## throughput suite, the zero-allocation micro paths, the batch sweep
 ## (low/medium/saturated offered load under the one static batching
 ## policy at cap 64), and the per-suite crypto dimension: sign/verify
 ## micro benches for RSA-1024 vs Ed25519 plus the Ed25519
 ## agreement-throughput rows, so snapshots record which suite produced
 ## each number.
-BENCH_PATTERN := RSAThroughput|MACThroughput|MACVector|MACSingle|CommitDedup|BatchSweep|Ed25519Throughput|RSASign|RSAVerify|Ed25519Sign|Ed25519Verify
+BENCH_PATTERN := RSAThroughput|MACThroughput|MACVector|MACSingle|BatchSweep|Ed25519Throughput|RSASign|RSAVerify|Ed25519Sign|Ed25519Verify
 
 .PHONY: check build vet test race fuzz-seeds soak soak-smoke bench bench-test bench-snapshot bench-compare loc tidy
 

@@ -641,60 +641,6 @@ func BenchmarkBatchSweepMedium(b *testing.B) { benchBatchSweep(b, 16) }
 // Saturated: in-flight far beyond the window keeps a standing queue.
 func BenchmarkBatchSweepSaturated(b *testing.B) { benchBatchSweep(b, 128) }
 
-// --- commit-channel payload dedup ------------------------------------------------
-
-// benchCommitDedup drives a strong-read-heavy workload (the
-// per-group-divergent regime) through a minimal-latency two-region
-// Spider deployment and reports commit-channel payload bytes per
-// request — the dedup acceptance metric recorded by bench snapshots —
-// alongside throughput. The RSA suite gives requests the paper's
-// client signatures, the bulk of what a by-digest reference replaces.
-func benchCommitDedup(b *testing.B, dedup core.DedupMode) {
-	cluster, err := harness.Build(harness.BuildOptions{
-		System:      harness.SystemSpider,
-		Regions:     []topo.Region{topo.Virginia, topo.Oregon},
-		Scale:       0.001,
-		SuiteKind:   crypto.SuiteRSA,
-		CommitDedup: dedup,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cluster.Stop()
-	var clients []*core.Client
-	for _, region := range cluster.Opts.Regions {
-		client, err := cluster.NewClient(region)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := client.Write(spider.PutOp("seed", []byte("v"))); err != nil {
-			b.Fatal(err)
-		}
-		clients = append(clients, client)
-	}
-	cluster.ResetStats()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		if _, err := clients[i%len(clients)].StrongRead(spider.GetOp("seed")); err != nil {
-			b.Fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
-	s := cluster.CommitSummary()
-	b.ReportMetric(float64(s.PayloadBytes)/float64(b.N), "commit-B/req")
-	b.ReportMetric(float64(s.WireBytes)/float64(b.N), "wire-B/req")
-	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "req/s")
-}
-
-func BenchmarkCommitDedupOnStrongReads(b *testing.B) {
-	benchCommitDedup(b, core.DedupOn)
-}
-
-func BenchmarkCommitDedupOffStrongReads(b *testing.B) {
-	benchCommitDedup(b, core.DedupOff)
-}
-
 // --- micro benchmarks ----------------------------------------------------------------
 
 func BenchmarkMicroRSASign(b *testing.B) {

@@ -119,21 +119,26 @@ func requireClean(t *testing.T, rep *Report) {
 // agreement side's checkpoint GC never moves the commit-channel window
 // past the victim's restart position), and the post-restart phase also
 // stays inside it (so no concurrent stability race can trigger a
-// spurious fetch). Dedup is off so no commit frame carries a by-digest
-// reference into the restarted replica's empty payload cache.
+// spurious fetch).
 //
-// The commit channel runs IRMC-SC: its senders retain certificates
-// inside the window and re-distribute them when a lagging receiver
-// rotates collectors, so the restarted replica can pull the positions
-// it missed during downtime without a full-state fetch. (IRMC-RC never
-// retransmits — a position multicast while the victim was down would be
-// unrecoverable except via checkpoint fetch, which is exactly what this
-// test asserts does not happen.)
+// The restarted replica pulls the positions it missed during downtime
+// from the commit channel itself, on both channel kinds: IRMC-SC
+// senders retain certificates inside the window and re-distribute them
+// when a lagging receiver rotates collectors, and IRMC-RC commit
+// channels run with Resend, so their senders re-transmit retained
+// in-window envelopes when a receiver asks. Every Execute carries its
+// request in full, so what the replica receives it can apply at once,
+// whatever it saw before the crash.
 func TestWarmRestartZeroFetch(t *testing.T) {
+	for _, ch := range []core.ChannelKind{core.ChannelRC, core.ChannelSC} {
+		t.Run(ch.String(), func(t *testing.T) { warmRestartZeroFetch(t, ch) })
+	}
+}
+
+func warmRestartZeroFetch(t *testing.T, ch core.ChannelKind) {
 	c := buildSpider(t, func(o *harness.BuildOptions) {
 		o.Regions = []topo.Region{topo.Virginia}
-		o.CommitDedup = core.DedupOff
-		o.Channel = core.ChannelSC
+		o.Channel = ch
 	})
 	client, err := c.NewClient(topo.Virginia)
 	if err != nil {
@@ -289,7 +294,7 @@ func TestPartitionHealMidBatch(t *testing.T) {
 // captured. The run must still converge with a linearizable history —
 // in particular no stale reply from any pre-crash state.
 func TestChaosCrashRestartDuringCheckpointAdoption(t *testing.T) {
-	c := buildSpider(t, nil) // dedup on: restart also loses the payload cache
+	c := buildSpider(t, nil)
 	r := NewRunner(c, Options{Name: "crash-adoption", Seed: 7})
 	load := Load{
 		Regions:  []topo.Region{topo.Virginia, topo.Oregon},

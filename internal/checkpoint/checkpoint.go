@@ -47,10 +47,11 @@ type Config struct {
 	// GossipInterval is how often the latest stable checkpoint is
 	// re-announced (default 500ms).
 	GossipInterval time.Duration
-	// Retain is how many own snapshots to keep for serving fetches
-	// (default 2).
-	Retain int
 }
+
+// retainSnapshots is how many own snapshots a component keeps for
+// serving fetches.
+const retainSnapshots = 2
 
 func (c *Config) validate() error {
 	if len(c.Group.Members) == 0 {
@@ -209,9 +210,6 @@ func New(cfg Config) (*Component, error) {
 	if cfg.GossipInterval <= 0 {
 		cfg.GossipInterval = 500 * time.Millisecond
 	}
-	if cfg.Retain <= 0 {
-		cfg.Retain = 2
-	}
 	c := &Component{
 		cfg:        cfg,
 		me:         cfg.Suite.Node(),
@@ -270,7 +268,7 @@ func (c *Component) Generate(seq ids.SeqNr, state []byte) {
 	}
 	c.snapshots[seq] = state
 	c.snapSeqs = append(c.snapSeqs, seq)
-	for len(c.snapSeqs) > c.cfg.Retain {
+	for len(c.snapSeqs) > retainSnapshots {
 		old := c.snapSeqs[0]
 		c.snapSeqs = c.snapSeqs[1:]
 		if old != seq {

@@ -17,15 +17,14 @@
 package consensus
 
 import (
-	"spider/internal/crypto"
 	"spider/internal/ids"
 )
 
 // Batch is one delivered consensus decision. Protocols order payloads
 // in batches (PBFT proposes up to BatchSize payloads per instance);
 // delivering the batch as a unit lets the layer above amortize its
-// per-decision work — one commit-channel position, one signature and
-// one wide-area frame per execution group — instead of paying them per
+// per-decision work — one commit-channel position, one Send and one
+// wide-area frame per execution group — instead of paying them per
 // request.
 //
 //   - Seq is the dense batch sequence number (1, 2, 3, …). Two correct
@@ -41,17 +40,10 @@ import (
 //     a null batch, which still consumes a batch sequence number (and
 //     therefore must still be announced downstream so position
 //     accounting keyed on batch numbers never stalls).
-//   - Digests, when non-nil, carries crypto.Hash(Payloads[i]) per
-//     payload. Protocols that already hash payloads (PBFT caches them
-//     on the log entry) pass the cached values so the layer above —
-//     which content-addresses payloads for commit-channel dedup — does
-//     not hash everything again; consumers must fall back to hashing
-//     when it is absent.
 type Batch struct {
 	Seq      uint64
 	Start    ids.SeqNr
 	Payloads [][]byte
-	Digests  []crypto.Digest
 }
 
 // End returns the global sequence number of the last payload, or

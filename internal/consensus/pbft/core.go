@@ -969,7 +969,6 @@ func (c *core) take() {
 		Seq:      e.seq,
 		Start:    ids.SeqNr(e.globalStart),
 		Payloads: e.payloads,
-		Digests:  e.payloadDigests(), // cached above; delivered entries are immutable
 	}})
 	if e.seq%uint64(c.cfg.CheckpointInterval) == 0 {
 		// Checkpoints stay signed in both modes: a quorum of them is a

@@ -468,14 +468,12 @@ func (a *AgreementReplica) attachGroupLocked(entry GroupEntry) error {
 	}
 	gid := entry.Group.ID
 	reqRecv, err := newChannelReceiver(a.cfg.Tunables.Channel, irmc.Config{
-		Senders:            entry.Group,
-		Receivers:          a.cfg.Group,
-		Capacity:           a.cfg.Tunables.RequestChannelCapacity,
-		Suite:              a.cfg.Suite,
-		Node:               a.cfg.Node,
-		Stream:             requestStream(gid),
-		ProgressIntervalMS: a.cfg.Tunables.ChannelProgressMS,
-		CollectorTimeoutMS: a.cfg.Tunables.ChannelCollectorMS,
+		Senders:   entry.Group,
+		Receivers: a.cfg.Group,
+		Capacity:  requestChannelCapacity,
+		Suite:     a.cfg.Suite,
+		Node:      a.cfg.Node,
+		Stream:    requestStream(gid),
 		OnNewSubchannel: func(sc ids.Subchannel) {
 			a.ensureReceiveLoop(gid, ids.ClientID(sc))
 		},
@@ -488,15 +486,13 @@ func (a *AgreementReplica) attachGroupLocked(entry GroupEntry) error {
 		wireBytes = &a.cfg.CommitStats.WireBytes
 	}
 	commitSend, err := newChannelSender(a.cfg.Tunables.Channel, irmc.Config{
-		Senders:            a.cfg.Group,
-		Receivers:          entry.Group,
-		Capacity:           a.cfg.Tunables.CommitChannelCapacity,
-		Suite:              a.cfg.Suite,
-		Node:               a.cfg.Node,
-		Stream:             commitStream(gid),
-		SendBytes:          wireBytes,
-		ProgressIntervalMS: a.cfg.Tunables.ChannelProgressMS,
-		CollectorTimeoutMS: a.cfg.Tunables.ChannelCollectorMS,
+		Senders:   a.cfg.Group,
+		Receivers: entry.Group,
+		Capacity:  a.cfg.Tunables.CommitChannelCapacity,
+		Suite:     a.cfg.Suite,
+		Node:      a.cfg.Node,
+		Stream:    commitStream(gid),
+		SendBytes: wireBytes,
 		// Commit channels carry committed batches the execution side has
 		// no other way to obtain; RC repairs window loss via resend.
 		Resend: true,
@@ -680,7 +676,6 @@ func (a *AgreementReplica) deliver(b consensus.Batch) {
 	end := b.End()
 
 	reqs := make([]WrappedRequest, len(b.Payloads))
-	digests := make([]crypto.Digest, len(b.Payloads))
 	undecodable := 0
 	for i, payload := range b.Payloads {
 		if err := wire.Decode(payload, &reqs[i]); err != nil {
@@ -691,18 +686,6 @@ func (a *AgreementReplica) deliver(b consensus.Batch) {
 			// visible instead of silently swallowing it.
 			reqs[i] = WrappedRequest{}
 			undecodable++
-			continue
-		}
-		// The content digest of the ordered bytes — the exact bytes the
-		// forwarding group's replicas encoded and cached — keys the
-		// commit-channel dedup references. Consensus already hashed
-		// every payload (PBFT caches the digests on its log entry), so
-		// reuse its values and hash only when the protocol did not
-		// provide them.
-		if i < len(b.Digests) && b.Digests[i] != (crypto.Digest{}) {
-			digests[i] = b.Digests[i]
-		} else {
-			digests[i] = crypto.Hash(payload)
 		}
 	}
 	if undecodable > 0 {
@@ -750,7 +733,7 @@ func (a *AgreementReplica) deliver(b consensus.Batch) {
 			a.applyAdminLocked(pos, req.Op)
 		}
 	}
-	he := histEntry{Pos: pos, Start: b.Start, Reqs: reqs, Digests: digests}
+	he := histEntry{Pos: pos, Start: b.Start, Reqs: reqs}
 	a.hist[pos] = he
 	a.lastPos = pos
 	if a.cfg.Store != nil {
@@ -790,26 +773,13 @@ func (a *AgreementReplica) deliver(b consensus.Batch) {
 	}
 }
 
-// encodedBatch is one encoding variant of a batch's commit payload,
-// with the dedup accounting of its request slots.
-type encodedBatch struct {
-	payload []byte
-	refs    int // slots sent by digest reference
-	full    int // slots sent with full content
-}
-
-// executeBatchFor builds one group's commit payload for a batch: full
-// requests for writes and admin ops, full for the designated group of
-// a strong read, placeholders elsewhere (Section 3.3); request slots
-// without a valid client stay no-ops. With dedup enabled, content the
-// destination group forwarded itself travels as a by-digest reference
-// instead of in full — the group's replicas encoded exactly these
-// bytes when they submitted the request, so the reference resolves
-// from their payload cache (admin ops always go in full: they also
-// execute at the agreement group and must survive any cache state).
-func executeBatchFor(he *histEntry, gid ids.GroupID, dedup bool) encodedBatch {
+// executeBatchFor builds one group's commit payload for a batch: every
+// Execute carries its request in full (Figure 17), except that a strong
+// read travels in full only to its designated group and as a
+// placeholder elsewhere (Section 3.3); request slots without a valid
+// client stay no-ops.
+func executeBatchFor(he *histEntry, gid ids.GroupID) []byte {
 	em := ExecuteBatchMsg{Start: he.Start, Items: make([]ExecuteItem, len(he.Reqs))}
-	var eb encodedBatch
 	for i := range he.Reqs {
 		wrapped := &he.Reqs[i]
 		switch {
@@ -817,31 +787,21 @@ func executeBatchFor(he *histEntry, gid ids.GroupID, dedup bool) encodedBatch {
 			// no-op slot: zero item
 		case wrapped.Req.Kind == KindStrongRead && wrapped.Group != gid:
 			em.Items[i] = ExecuteItem{Client: wrapped.Req.Client, Counter: wrapped.Req.Counter}
-		case dedup && wrapped.Group == gid && wrapped.Req.Kind != KindAdmin && he.digest(i) != (crypto.Digest{}):
-			em.Items[i] = ExecuteItem{Ref: true, Digest: he.digest(i)}
-			eb.refs++
 		default:
 			em.Items[i] = ExecuteItem{Full: true, Req: *wrapped}
-			eb.full++
 		}
 	}
-	eb.payload = wire.Encode(&em)
-	return eb
+	return wire.Encode(&em)
 }
 
-// divergentGroups returns the set of group ids whose commit payload
-// for this batch differs from the shared "outsider" encoding: the
-// designated group of every strong read, and — with dedup on — the
-// forwarding group of every request (its copy carries references).
-// Groups outside the set all receive identical bytes.
-func divergentGroups(he *histEntry, dedup bool) map[ids.GroupID]bool {
+// strongReadGroups returns the designated groups of the batch's strong
+// reads: the only groups whose commit payload differs from the one
+// every other group receives.
+func strongReadGroups(he *histEntry) map[ids.GroupID]bool {
 	var out map[ids.GroupID]bool
 	for i := range he.Reqs {
 		w := &he.Reqs[i]
-		if !w.Req.Client.Valid() {
-			continue
-		}
-		if w.Req.Kind == KindStrongRead || (dedup && w.Req.Kind != KindAdmin) {
+		if w.Req.Client.Valid() && w.Req.Kind == KindStrongRead {
 			if out == nil {
 				out = make(map[ids.GroupID]bool, 4)
 			}
@@ -851,10 +811,10 @@ func divergentGroups(he *histEntry, dedup bool) map[ids.GroupID]bool {
 	return out
 }
 
-// fanOut hands one batch to every group's sender worker — one Send,
-// one signature and one wide-area frame per group per batch — and
-// returns once ne−z sends completed; stragglers finish in the
-// background (global flow control, Section 3.5).
+// fanOut hands one batch to every group's sender worker — one Send
+// and one wide-area frame per group per batch — and returns once
+// ne−z sends completed; stragglers finish in the background (global
+// flow control, Section 3.5).
 func (a *AgreementReplica) fanOut(he *histEntry, targets []*egroup) {
 	if len(targets) == 0 {
 		return
@@ -863,50 +823,34 @@ func (a *AgreementReplica) fanOut(he *histEntry, targets []*egroup) {
 	if need < 1 {
 		need = 1
 	}
-	dedup := a.cfg.CommitDedup == DedupOn
-	// Variant-memoized encoding: a group's payload depends only on
-	// which of the batch's items name it as their forwarding group, so
-	// at most one encoding per forwarding group present in the batch is
-	// needed, plus one shared "outsider" encoding for everyone else
-	// (the channel senders treat submitted payloads as read-only; each
-	// still signs its own wide-area frame). A uniform batch — no strong
-	// reads, no dedup-able requests for any target — still encodes
-	// exactly once.
-	divergent := divergentGroups(he, dedup)
-	var outsider *encodedBatch
-	var perGroup map[ids.GroupID]*encodedBatch
-	payloadFor := func(gid ids.GroupID) *encodedBatch {
-		if divergent[gid] {
-			if eb, ok := perGroup[gid]; ok {
-				return eb
-			}
-			eb := executeBatchFor(he, gid, dedup)
-			if perGroup == nil {
-				perGroup = make(map[ids.GroupID]*encodedBatch, len(divergent))
-			}
-			perGroup[gid] = &eb
-			return &eb
-		}
-		if outsider == nil {
-			// ids.NoGroup matches no forwarding group: every slot
-			// encodes as it would for an uninvolved destination.
-			eb := executeBatchFor(he, ids.NoGroup, dedup)
-			outsider = &eb
-		}
-		return outsider
-	}
+	// The designated group of a strong read gets its own encoding;
+	// every other group shares one (the channel senders treat submitted
+	// payloads as read-only), so a batch without strong reads is
+	// encoded exactly once.
+	designated := strongReadGroups(he)
+	var shared []byte
 	done := make(chan struct{}, len(targets))
 	for _, g := range targets {
 		if a.cfg.SendOccupancy != nil {
 			a.cfg.SendOccupancy.Record(len(he.Reqs))
 		}
-		eb := payloadFor(g.entry.Group.ID)
-		if cs := a.cfg.CommitStats; cs != nil {
-			cs.PayloadBytes.Add(int64(len(eb.payload)))
-			cs.RefsSent.Add(int64(eb.refs))
-			cs.FullSent.Add(int64(eb.full))
+		gid := g.entry.Group.ID
+		var payload []byte
+		switch {
+		case designated[gid]:
+			payload = executeBatchFor(he, gid)
+		case shared == nil:
+			// ids.NoGroup matches no designated group: every strong
+			// read encodes as a placeholder.
+			shared = executeBatchFor(he, ids.NoGroup)
+			payload = shared
+		default:
+			payload = shared
 		}
-		g.sendQ.offer(sendJob{pos: he.Pos, payload: eb.payload, done: done})
+		if cs := a.cfg.CommitStats; cs != nil {
+			cs.PayloadBytes.Add(int64(len(payload)))
+		}
+		g.sendQ.offer(sendJob{pos: he.Pos, payload: payload, done: done})
 	}
 	for i := 0; i < need; i++ {
 		<-done

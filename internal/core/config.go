@@ -38,9 +38,6 @@ func (k ChannelKind) String() string {
 // roles. The zero value selects the defaults listed per field, which
 // are the values the repository benchmark measures.
 type Tunables struct {
-	// RequestChannelCapacity is the per-client request subchannel
-	// capacity; the paper uses 2 (|rE,c| = 2).
-	RequestChannelCapacity int
 	// CommitChannelCapacity is the commit subchannel capacity |cE,0|;
 	// it must be at least the execution checkpoint interval
 	// (default 4·ke = 64).
@@ -59,27 +56,13 @@ type Tunables struct {
 	SlackGroups int
 	// Channel selects the IRMC implementation.
 	Channel ChannelKind
-	// ChannelProgressMS / ChannelCollectorMS are the channels'
-	// irmc.Config.ProgressIntervalMS and CollectorTimeoutMS (0: that
-	// package's defaults, 50 ms and 1 s).
-	ChannelProgressMS  int
-	ChannelCollectorMS int
-	// PayloadCacheEntries bounds the execution replicas'
-	// content-addressed payload cache (commit-channel dedup;
-	// default 4096 entries). Requests resolve within one wide-area
-	// round trip of being forwarded, so a small cache suffices; a miss
-	// only costs a checkpoint fetch, never safety.
-	PayloadCacheEntries int
 }
 
-// defaultPayloadCacheEntries bounds the dedup payload cache when the
-// tunable is unset.
-const defaultPayloadCacheEntries = 4096
+// requestChannelCapacity is the per-client request subchannel
+// capacity; the paper uses 2 (|rE,c| = 2).
+const requestChannelCapacity = 2
 
 func (t *Tunables) applyDefaults() {
-	if t.RequestChannelCapacity <= 0 {
-		t.RequestChannelCapacity = 2
-	}
 	if t.ExecutionCheckpointInterval <= 0 {
 		t.ExecutionCheckpointInterval = 16
 	}
@@ -91,9 +74,6 @@ func (t *Tunables) applyDefaults() {
 	}
 	if t.AgreementWindow <= 0 {
 		t.AgreementWindow = 4 * t.AgreementCheckpointInterval
-	}
-	if t.PayloadCacheEntries <= 0 {
-		t.PayloadCacheEntries = defaultPayloadCacheEntries
 	}
 }
 
@@ -178,15 +158,6 @@ type ExecutionConfig struct {
 	App Application
 	// Tunables: protocol parameters.
 	Tunables Tunables
-	// CommitDedup must match the agreement group's setting: with dedup
-	// on, forwarded payloads are hashed into the content-addressed
-	// cache that resolves the commit channel's by-digest references;
-	// with dedup off no references arrive, so the cache (and its
-	// per-request SHA-256) is skipped entirely.
-	CommitDedup DedupMode
-	// CommitStats, when set, accumulates this replica's payload-cache
-	// hit/miss counts (commit-channel dedup). May be shared.
-	CommitStats *CommitStats
 	// Store, when set, persists execution checkpoints and the
 	// post-checkpoint batch suffix write-behind, and rehydrates the
 	// replica from disk at construction instead of a cold full-state
@@ -256,14 +227,8 @@ type AgreementConfig struct {
 	// view changes, checkpoints and certificates. Set
 	// pbft.AuthSignatures for the fully signed variant.
 	ConsensusAuth pbft.AuthMode
-	// CommitDedup selects whether fanOut substitutes by-digest
-	// references for request content the destination group forwarded
-	// (default on). All agreement replicas of a deployment must agree:
-	// the substitution is part of the commit-channel payload bytes the
-	// IRMC fs+1 matching rule compares.
-	CommitDedup DedupMode
-	// CommitStats, when set, accumulates commit-channel byte and dedup
-	// counters across fanOut and the channel senders. May be shared.
+	// CommitStats, when set, accumulates commit-channel byte counters
+	// across fanOut and the channel senders. May be shared.
 	CommitStats *CommitStats
 	// BatchOccupancy, when set, records the requests per consensus
 	// batch this replica proposes while leading.

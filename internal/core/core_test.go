@@ -30,8 +30,8 @@ type deployment struct {
 	execution map[ids.GroupID][]*ExecutionReplica
 	apps      map[ids.NodeID]*app.KVStore
 
-	// commit aggregates the commit-channel byte and dedup counters of
-	// every replica in the deployment.
+	// commit aggregates the commit-channel byte counters of every
+	// agreement replica in the deployment.
 	commit *CommitStats
 }
 
@@ -57,27 +57,20 @@ func newDeployment(t *testing.T, numExec int, tun Tunables, adminClients []ids.C
 // unbatched semantics stay reachable.
 func newDeploymentBatch(t *testing.T, numExec int, tun Tunables, batch int, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
 	t.Helper()
-	return newDeploymentDedup(t, numExec, tun, batch, DedupOn, adminClients, clientIDs...)
+	return newDeploymentSuite(t, numExec, tun, batch, crypto.EnvSuiteKind(crypto.SuiteInsecure), adminClients, clientIDs...)
 }
 
-// newDeploymentDedup additionally pins the commit-channel dedup mode,
-// so tests can compare the reference and full-content data planes. Its
-// suite is the insecure test suite unless SPIDER_SUITE names another.
-func newDeploymentDedup(t *testing.T, numExec int, tun Tunables, batch int, dedup DedupMode, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
+// newDeploymentSuite additionally selects the crypto suite; the
+// default is the insecure test suite unless SPIDER_SUITE names
+// another.
+func newDeploymentSuite(t *testing.T, numExec int, tun Tunables, batch int, suite crypto.SuiteKind, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
 	t.Helper()
-	return newDeploymentSuite(t, numExec, tun, batch, dedup, crypto.EnvSuiteKind(crypto.SuiteInsecure), adminClients, clientIDs...)
-}
-
-// newDeploymentSuite additionally selects the crypto suite, for tests
-// that measure byte costs with the paper's RSA-1024 signatures.
-func newDeploymentSuite(t *testing.T, numExec int, tun Tunables, batch int, dedup DedupMode, suite crypto.SuiteKind, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
-	t.Helper()
-	return newDeploymentOn(t, memnet.New(memnet.Options{}), numExec, tun, batch, dedup, suite, adminClients, clientIDs...)
+	return newDeploymentOn(t, memnet.New(memnet.Options{}), numExec, tun, batch, suite, adminClients, clientIDs...)
 }
 
 // newDeploymentOn builds the deployment on a network the caller
 // prepared, for tests that place the nodes on the emulated WAN.
-func newDeploymentOn(t *testing.T, net *memnet.Network, numExec int, tun Tunables, batch int, dedup DedupMode, suite crypto.SuiteKind, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
+func newDeploymentOn(t *testing.T, net *memnet.Network, numExec int, tun Tunables, batch int, suite crypto.SuiteKind, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
 	t.Helper()
 	d := &deployment{
 		t:          t,
@@ -122,7 +115,6 @@ func newDeploymentOn(t *testing.T, net *memnet.Network, numExec int, tun Tunable
 			Tunables:         tun,
 			ConsensusTimeout: 500 * time.Millisecond,
 			ConsensusBatch:   batch,
-			CommitDedup:      dedup,
 			CommitStats:      d.commit,
 		})
 		if err != nil {
@@ -149,8 +141,6 @@ func newDeploymentOn(t *testing.T, net *memnet.Network, numExec int, tun Tunable
 				Node:           d.net.Node(m),
 				App:            kv,
 				Tunables:       tun,
-				CommitDedup:    dedup,
-				CommitStats:    d.commit,
 			})
 			if err != nil {
 				t.Fatalf("execution replica %v: %v", m, err)
@@ -641,8 +631,6 @@ func TestUnauthorizedAdminRejected(t *testing.T) {
 func TestSCChannelVariant(t *testing.T) {
 	tun := testTunables()
 	tun.Channel = ChannelSC
-	tun.ChannelProgressMS = 20
-	tun.ChannelCollectorMS = 200
 	d := newDeployment(t, 2, tun, nil, 101)
 	d.start()
 	client := d.client(101, d.execGroups[0])

@@ -32,19 +32,6 @@ type ExecutionReplica struct {
 	commitRecv irmc.Receiver
 	cp         *checkpoint.Component
 
-	// cache is the content-addressed payload store of the commit
-	// channel dedup: the encoded WrappedRequest bytes this replica
-	// forwarded, keyed by digest, so by-digest references arriving on
-	// the commit channel resolve locally instead of shipping the
-	// content back across the WAN. refCounted is the last position
-	// whose resolution outcome was charged to the hit/miss counters —
-	// the Fetch-fallback loop re-resolves the same position every
-	// retry pass, and only the first attempt may count, or a slow
-	// fallback would inflate the headline dedup metrics unboundedly.
-	// Only mainLoop touches refCounted.
-	cache      *payloadCache
-	refCounted ids.Position
-
 	forwarders map[ids.ClientID]*forwarder
 
 	// replaying suppresses client replies while the disk suffix is
@@ -70,7 +57,6 @@ func NewExecutionReplica(cfg ExecutionConfig) (*ExecutionReplica, error) {
 		pos:        1,
 		t:          make(map[ids.ClientID]uint64),
 		replies:    make(map[ids.ClientID]replyCacheEntry),
-		cache:      newPayloadCache(cfg.Tunables.PayloadCacheEntries),
 		forwarders: make(map[ids.ClientID]*forwarder),
 		done:       make(chan struct{}),
 	}
@@ -78,27 +64,23 @@ func NewExecutionReplica(cfg ExecutionConfig) (*ExecutionReplica, error) {
 
 	var err error
 	e.reqSender, err = newChannelSender(cfg.Tunables.Channel, irmc.Config{
-		Senders:            cfg.Group,
-		Receivers:          cfg.AgreementGroup,
-		Capacity:           cfg.Tunables.RequestChannelCapacity,
-		Suite:              cfg.Suite,
-		Node:               cfg.Node,
-		Stream:             requestStream(cfg.Group.ID),
-		ProgressIntervalMS: cfg.Tunables.ChannelProgressMS,
-		CollectorTimeoutMS: cfg.Tunables.ChannelCollectorMS,
+		Senders:   cfg.Group,
+		Receivers: cfg.AgreementGroup,
+		Capacity:  requestChannelCapacity,
+		Suite:     cfg.Suite,
+		Node:      cfg.Node,
+		Stream:    requestStream(cfg.Group.ID),
 	})
 	if err != nil {
 		return nil, err
 	}
 	e.commitRecv, err = newChannelReceiver(cfg.Tunables.Channel, irmc.Config{
-		Senders:            cfg.AgreementGroup,
-		Receivers:          cfg.Group,
-		Capacity:           cfg.Tunables.CommitChannelCapacity,
-		Suite:              cfg.Suite,
-		Node:               cfg.Node,
-		Stream:             commitStream(cfg.Group.ID),
-		ProgressIntervalMS: cfg.Tunables.ChannelProgressMS,
-		CollectorTimeoutMS: cfg.Tunables.ChannelCollectorMS,
+		Senders:   cfg.AgreementGroup,
+		Receivers: cfg.Group,
+		Capacity:  cfg.Tunables.CommitChannelCapacity,
+		Suite:     cfg.Suite,
+		Node:      cfg.Node,
+		Stream:    commitStream(cfg.Group.ID),
 		// Commit channels carry committed batches the execution side has
 		// no other way to obtain; RC repairs window loss via resend.
 		Resend: true,
@@ -360,17 +342,7 @@ func (e *ExecutionReplica) admitVerified(req *ClientRequest) {
 	e.mu.Unlock()
 
 	wrapped := WrappedRequest{Req: *req, Group: e.cfg.Group.ID}
-	payload := wire.Encode(&wrapped)
-	// Remember the exact bytes submitted to agreement: the commit
-	// channel references them by digest instead of shipping them back
-	// (dedup). Cached even if a newer counter replaces this forward —
-	// the replaced request may still have been ordered via a peer. A
-	// DedupOff deployment never receives references, so it skips the
-	// per-request hash and retains nothing.
-	if e.cfg.CommitDedup == DedupOn {
-		e.cache.put(crypto.Hash(payload), payload)
-	}
-	fwd.offer(pendingForward{counter: req.Counter, payload: payload})
+	fwd.offer(pendingForward{counter: req.Counter, payload: wire.Encode(&wrapped)})
 }
 
 // pendingForward is one request awaiting submission to the request
@@ -495,20 +467,6 @@ func (e *ExecutionReplica) mainLoop() {
 			e.waitPosAdvance(pos, 100*time.Millisecond)
 			continue
 		}
-		countStats := pos != e.refCounted
-		e.refCounted = pos
-		if !e.resolveRefs(&em, countStats) {
-			// A by-digest reference missed the payload cache: this
-			// replica never forwarded (or already evicted) the content,
-			// e.g. it joined cold after a checkpoint or was isolated
-			// while the client submitted. Progress must not depend on
-			// the cache: fall back to the checkpoint Fetch path, and
-			// retry — the loop re-receives this position, so a forward
-			// that is merely still in flight resolves on a later pass.
-			e.cp.Fetch(sn + 1)
-			e.waitPosAdvance(pos, 100*time.Millisecond)
-			continue
-		}
 
 		e.mu.Lock()
 		if e.stopped {
@@ -543,8 +501,8 @@ func (e *ExecutionReplica) mainLoop() {
 		}
 		e.pos = pos + 1
 		if e.cfg.Store != nil {
-			// Write-behind: the resolved (reference-free) batch is the
-			// replay unit; a restart re-executes it from here. Calls
+			// Write-behind: the batch is the replay unit; a restart
+			// re-executes it from here. Calls
 			// under the lock keep the append/checkpoint queue order
 			// consistent with state mutation order.
 			e.cfg.Store.Append(uint64(pos), wire.Encode(&em))
@@ -568,50 +526,6 @@ func (e *ExecutionReplica) mainLoop() {
 			e.cp.Generate(snapSeq, snap)
 		}
 	}
-}
-
-// resolveRefs materializes the batch's by-digest reference items from
-// the content-addressed payload cache, reporting whether every
-// reference resolved. Cached bytes are re-verified against the
-// requested digest before use — cache keys are computed locally, so a
-// mismatch indicates a local bug, but a poisoned or aliased entry must
-// never reach apply — and then decoded like any full item. Batches
-// resolve all-or-nothing: execution order within a batch matters, so a
-// single miss halts the whole position for the Fetch fallback. count
-// selects whether outcomes are charged to the hit/miss counters
-// (first resolution attempt per position only).
-func (e *ExecutionReplica) resolveRefs(em *ExecuteBatchMsg, count bool) bool {
-	ok := true
-	for i := range em.Items {
-		item := &em.Items[i]
-		if !item.Ref {
-			continue
-		}
-		payload, hit := e.cache.get(item.Digest)
-		if hit && crypto.Hash(payload) != item.Digest {
-			e.cache.drop(item.Digest)
-			hit = false
-		}
-		var wrapped WrappedRequest
-		if hit && wire.Decode(payload, &wrapped) != nil {
-			e.cache.drop(item.Digest)
-			hit = false
-		}
-		if !hit {
-			if count && e.cfg.CommitStats != nil {
-				e.cfg.CommitStats.CacheMisses.Add(1)
-			}
-			ok = false
-			continue
-		}
-		if count && e.cfg.CommitStats != nil {
-			e.cfg.CommitStats.CacheHits.Add(1)
-		}
-		item.Ref = false
-		item.Full = true
-		item.Req = wrapped
-	}
-	return ok
 }
 
 // waitPosAdvance blocks until the commit position advances past pos or

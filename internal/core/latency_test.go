@@ -88,7 +88,7 @@ func TestWriteAfterWeakReadIsOneRoundTrip(t *testing.T) {
 				net, rtt := farNet(101)
 				tun := testTunables()
 				tun.Channel = channel
-				d := newDeploymentOn(t, net, 1, tun, 0, DedupOn, crypto.SuiteInsecure, nil, 101)
+				d := newDeploymentOn(t, net, 1, tun, 0, crypto.SuiteInsecure, nil, 101)
 				d.start()
 				client := d.client(101, d.execGroups[0])
 				median := medianWrite(t, client, cycle)

@@ -104,28 +104,23 @@ func (r *WrappedRequest) UnmarshalWire(rd *wire.Reader) {
 }
 
 // Item kinds on the wire. Placeholder (0) and full (1) match the
-// historical bool encoding of this frame; ref (2) is the
-// content-addressed reference the commit-channel dedup path sends in
-// place of request content the destination group itself forwarded.
+// historical bool encoding of this frame. Kind 2 is reserved: older
+// builds sent it as a by-digest reference, and it must not be reused,
+// so that such a frame fails to decode like any unknown kind.
 const (
 	itemPlaceholder byte = 0
 	itemFull        byte = 1
-	itemRef         byte = 2
 )
 
 // ExecuteItem is one request slot of an ExecuteBatchMsg: a full
 // request (⟨Execute, r, s⟩ in the paper), the placeholder variant
 // (client and counter only) that non-designated groups receive for
-// strong reads, a by-digest reference to a payload the receiving group
-// forwarded itself (resolved from its content-addressed cache before
-// apply), or — when none of Full/Ref/a valid Client is set — a no-op
-// slot that only consumes its sequence number.
+// strong reads, or — when neither Full nor a valid Client is set — a
+// no-op slot that only consumes its sequence number.
 type ExecuteItem struct {
 	Full    bool
 	Req     WrappedRequest // set when Full
-	Ref     bool
-	Digest  crypto.Digest // content digest of the referenced payload, set when Ref
-	Client  ids.ClientID  // placeholder fields when neither Full nor Ref
+	Client  ids.ClientID   // placeholder fields when not Full
 	Counter uint64
 }
 
@@ -135,9 +130,6 @@ func (m *ExecuteItem) MarshalWire(w *wire.Writer) {
 	case m.Full:
 		w.WriteU8(itemFull)
 		m.Req.MarshalWire(w)
-	case m.Ref:
-		w.WriteU8(itemRef)
-		w.WriteRaw(m.Digest[:])
 	default:
 		w.WriteU8(itemPlaceholder)
 		w.WriteClient(m.Client)
@@ -151,9 +143,6 @@ func (m *ExecuteItem) UnmarshalWire(rd *wire.Reader) {
 	case itemFull:
 		m.Full = true
 		m.Req.UnmarshalWire(rd)
-	case itemRef:
-		m.Ref = true
-		copy(m.Digest[:], rd.ReadRaw(crypto.DigestSize))
 	case itemPlaceholder:
 		m.Client = rd.ReadClient()
 		m.Counter = rd.ReadUint64()
@@ -498,33 +487,20 @@ func (s *execSnapshot) UnmarshalWire(rd *wire.Reader) {
 }
 
 // histEntry is one remembered batch of Executes: its commit-channel
-// position, the sequence number of its first request, the ordered
-// requests, and the content digest of each ordered payload — enough to
-// rebuild the per-group commit-channel payloads, including the
-// by-digest references of the dedup path (a resend after a checkpoint
-// adoption must reference the same content every correct sender does).
-// A request slot whose client id is invalid marks a no-op (a payload
-// that failed to decode at delivery; see AgreementReplica.deliver);
-// its digest is zero and it is never sent by reference.
+// position, the sequence number of its first request, and the ordered
+// requests — enough to rebuild the per-group commit-channel payloads
+// for a resend after a checkpoint adoption. A request slot whose
+// client id is invalid marks a no-op (a payload that failed to decode
+// at delivery; see AgreementReplica.deliver).
 type histEntry struct {
-	Pos     ids.Position
-	Start   ids.SeqNr
-	Reqs    []WrappedRequest
-	Digests []crypto.Digest
+	Pos   ids.Position
+	Start ids.SeqNr
+	Reqs  []WrappedRequest
 }
 
 // end returns the sequence number of the entry's last request.
 func (h *histEntry) end() ids.SeqNr {
 	return h.Start + ids.SeqNr(len(h.Reqs)) - 1
-}
-
-// digest returns the content digest of request slot i, or the zero
-// digest when none was recorded.
-func (h *histEntry) digest(i int) crypto.Digest {
-	if i < len(h.Digests) {
-		return h.Digests[i]
-	}
-	return crypto.Digest{}
 }
 
 func (h *histEntry) MarshalWire(w *wire.Writer) {
@@ -533,8 +509,6 @@ func (h *histEntry) MarshalWire(w *wire.Writer) {
 	w.WriteInt(len(h.Reqs))
 	for i := range h.Reqs {
 		h.Reqs[i].MarshalWire(w)
-		d := h.digest(i)
-		w.WriteRaw(d[:])
 	}
 }
 
@@ -547,10 +521,8 @@ func (h *histEntry) UnmarshalWire(rd *wire.Reader) {
 		return
 	}
 	h.Reqs = make([]WrappedRequest, n)
-	h.Digests = make([]crypto.Digest, n)
 	for i := range h.Reqs {
 		h.Reqs[i].UnmarshalWire(rd)
-		copy(h.Digests[i][:], rd.ReadRaw(crypto.DigestSize))
 	}
 }
 

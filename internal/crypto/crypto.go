@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"spider/internal/ids"
-	"spider/internal/wire"
 )
 
 // DigestSize is the size of a message digest in bytes (SHA-256).
@@ -123,9 +122,3 @@ func VerifyMACVector(s Suite, from ids.NodeID, members []ids.NodeID, d Domain, m
 	}
 	return fmt.Errorf("%w: receiver %v not in group", ErrBadMAC, s.Node())
 }
-
-// WriteMACVector appends a MAC vector to a wire message.
-func WriteMACVector(w *wire.Writer, vec [][]byte) { w.WriteBytesList(vec) }
-
-// ReadMACVector consumes a MAC vector from a wire message.
-func ReadMACVector(r *wire.Reader) [][]byte { return r.ReadBytesList() }

@@ -108,20 +108,6 @@ func TestMACVector(t *testing.T) {
 	}
 }
 
-func TestMACVectorWire(t *testing.T) {
-	vec := [][]byte{[]byte("a"), nil, []byte("ccc")}
-	var w wire.Writer
-	WriteMACVector(&w, vec)
-	r := wire.NewReader(w.Bytes())
-	got := ReadMACVector(r)
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || string(got[0]) != "a" || len(got[1]) != 0 || string(got[2]) != "ccc" {
-		t.Errorf("round trip = %q", got)
-	}
-}
-
 func TestThreshold(t *testing.T) {
 	suites := testSuites(t, 4)[SuiteRSA]
 	group := ids.Group{ID: 1, Members: []ids.NodeID{1, 2, 3, 4}, F: 1}

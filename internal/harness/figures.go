@@ -115,7 +115,7 @@ type LatencyRow struct {
 	Summary stats.Summary
 	Batch   stats.OccupancySummary // requests per proposed consensus batch
 	Send    stats.OccupancySummary // requests per commit-channel Send
-	Commit  core.CommitSummary     // commit-channel bytes and dedup counters
+	Commit  core.CommitSummary     // commit-channel bytes
 	Gray    GrayStats              // view changes and proactive rotations during the run
 }
 
@@ -348,8 +348,7 @@ func RenderLatencyRows(title string, rows []LatencyRow) string {
 	// One occupancy footnote per (system, leader) configuration that
 	// recorded batches: underfilled batches explain latency/throughput
 	// trade-offs the bare percentiles hide. The commit-channel line
-	// adds bytes per ordered request and the dedup cache outcome, the
-	// headline metrics of the payload dedup path.
+	// adds bytes per ordered request.
 	seen := make(map[string]bool)
 	for _, r := range rows {
 		key := r.System + "|" + r.Leader

@@ -91,10 +91,6 @@ type BuildOptions struct {
 	// Spider's agreement group (default: MAC vectors, the paper's
 	// optimisation; pbft.AuthSignatures restores the signed variant).
 	ConsensusAuth pbft.AuthMode
-	// CommitDedup selects whether Spider's commit channels substitute
-	// by-digest references for request content the destination group
-	// forwarded (default on; core.DedupOff for the ablation).
-	CommitDedup core.DedupMode
 	// StateDir, when set, gives every Spider replica a write-behind
 	// persistent store under <StateDir>/n<node>-<kind>, so a replica
 	// crashed with CrashNode and brought back with RestartNode
@@ -248,8 +244,8 @@ func (c *Cluster) SendOccSummary() stats.OccupancySummary {
 	return c.sendOcc.Summarize()
 }
 
-// CommitSummary reports the commit-channel byte and dedup counters of
-// every Spider agreement and execution replica.
+// CommitSummary reports the commit-channel byte counters of every
+// Spider agreement replica.
 func (c *Cluster) CommitSummary() core.CommitSummary {
 	return c.commit.Summarize()
 }
@@ -746,7 +742,6 @@ func (c *Cluster) startRecord(rec *replicaRecord) error {
 			Node:           c.Net.Node(rec.node),
 			Tunables:       c.spiderTunables(),
 			ConsensusAuth:  c.Opts.ConsensusAuth,
-			CommitDedup:    c.Opts.CommitDedup,
 			CommitStats:    c.commit,
 			BatchOccupancy: c.batchOcc,
 			SendOccupancy:  c.sendOcc,
@@ -769,8 +764,6 @@ func (c *Cluster) startRecord(rec *replicaRecord) error {
 			Node:           c.Net.Node(rec.node),
 			App:            app.NewKVStore(),
 			Tunables:       c.spiderTunables(),
-			CommitDedup:    c.Opts.CommitDedup,
-			CommitStats:    c.commit,
 			Store:          st,
 		})
 		if err != nil {

@@ -131,8 +131,8 @@ type Config struct {
 	// envelopes times receivers for IRMC-RC, certificate envelopes for
 	// IRMC-SC (whose payload-bearing wide-area messages are the
 	// certificates; the sig-share exchange stays inside the co-located
-	// sender group). This is the byte accounting behind the
-	// commit-channel dedup figures. Control traffic (moves, progress,
+	// sender group). This is the byte accounting behind
+	// core.CommitStats.WireBytes. Control traffic (moves, progress,
 	// selects) is not counted.
 	SendBytes *stats.Counter
 	// ProgressIntervalMS is the period, in milliseconds, of a sender's

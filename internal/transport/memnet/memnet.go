@@ -247,14 +247,6 @@ func (n *Network) Restore(id ids.NodeID) {
 	delete(n.degraded, id)
 }
 
-// Degraded reports whether the node is currently gray-failed.
-func (n *Network) Degraded(id ids.NodeID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	_, ok := n.degraded[id]
-	return ok
-}
-
 // Partition drops every frame crossing between the given region set
 // and its complement until Heal, emulating a clean network split.
 // Traffic within either side still flows. Nodes without a placement

@@ -404,9 +404,6 @@ func TestDegradeRestore(t *testing.T) {
 	}
 
 	net.Degrade(1, 60*time.Millisecond, 0)
-	if !net.Degraded(1) {
-		t.Fatal("Degraded(1) = false after Degrade")
-	}
 	arm()
 	net.Node(1).Send(2, testStream, []byte("slow out"))
 	if d := recv("degraded outbound"); d < 55*time.Millisecond {
@@ -421,9 +418,6 @@ func TestDegradeRestore(t *testing.T) {
 	}
 
 	net.Restore(1)
-	if net.Degraded(1) {
-		t.Fatal("Degraded(1) = true after Restore")
-	}
 	arm()
 	net.Node(1).Send(2, testStream, []byte("fast again"))
 	if d := recv("restored"); d > 50*time.Millisecond {

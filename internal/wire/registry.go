@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // TypeTag identifies a concrete message type inside a Registry frame.
 type TypeTag uint8
@@ -94,15 +91,4 @@ func (g *Registry) decodeFrame(buf []byte, shared bool) (TypeTag, Message, error
 		return 0, nil, fmt.Errorf("tag %d: %w", tag, err)
 	}
 	return tag, m, nil
-}
-
-// Names returns the registered message names in sorted order, for
-// diagnostics.
-func (g *Registry) Names() []string {
-	names := make([]string, 0, len(g.tags))
-	for n := range g.tags {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

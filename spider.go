@@ -80,8 +80,9 @@ type (
 	// Summary carries the latency percentiles reported by Recorder.
 	Summary = stats.Summary
 
-	// CommitStats aggregates commit-channel byte and payload-dedup
-	// counters across the replicas it is shared with.
+	// CommitStats aggregates commit-channel byte counters (payload
+	// bytes handed to Sends, wide-area bytes shipped) across the
+	// agreement replicas it is shared with.
 	CommitStats = core.CommitStats
 )
 
@@ -95,12 +96,6 @@ const (
 const (
 	ChannelRC = core.ChannelRC
 	ChannelSC = core.ChannelSC
-)
-
-// Commit-channel payload-dedup modes.
-const (
-	DedupOn  = core.DedupOn
-	DedupOff = core.DedupOff
 )
 
 // Regions of the built-in latency model (calibrated to EC2).
