@@ -100,7 +100,8 @@ bench-compare:
 ## product Go code in the root module (every line of a .go file that is
 ## not a _test.go, not under bench/, and not in a test-support package:
 ## irmctest, cryptotest), and the same for internal/irmc/**,
-## internal/consensus/pbft, internal/quorum and internal/crypto alone.
+## internal/consensus/pbft, internal/quorum, internal/crypto,
+## internal/harness, internal/deploy and cmd/ alone.
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/irmctest/*' ! -path '*/cryptotest/*' -print0 | xargs -0 cat | wc -l
 loc:
 	@echo "product Go lines, root module:     $$($(call LOC,.))"
@@ -108,6 +109,9 @@ loc:
 	@echo "product Go lines, consensus/pbft:   $$($(call LOC,./internal/consensus/pbft))"
 	@echo "product Go lines, internal/quorum:  $$($(call LOC,./internal/quorum))"
 	@echo "product Go lines, internal/crypto:  $$($(call LOC,./internal/crypto))"
+	@echo "product Go lines, internal/harness: $$($(call LOC,./internal/harness))"
+	@echo "product Go lines, internal/deploy:  $$($(call LOC,./internal/deploy))"
+	@echo "product Go lines, cmd/:             $$($(call LOC,./cmd))"
 
 tidy:
 	$(GO) mod tidy

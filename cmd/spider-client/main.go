@@ -33,7 +33,6 @@ func run() error {
 	configPath := flag.String("config", "deploy.json", "deployment description")
 	id := flag.Int("id", 0, "client id (must have an address entry)")
 	groupID := flag.Int("group", 0, "execution group to contact")
-	cryptoFlag := flag.String("crypto", "", "override the config's crypto suite (rsa, ed25519, insecure)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -44,16 +43,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *cryptoFlag != "" {
-		cfg.Crypto = *cryptoFlag
-	}
 	self := ids.ClientID(*id)
 	if !self.Valid() {
 		return fmt.Errorf("-id required")
 	}
 	var group ids.Group
 	for _, g := range cfg.ExecGroups {
-		if g.ID == int32(*groupID) {
+		if g.ID == ids.GroupID(*groupID) {
 			group = g.Group()
 		}
 	}

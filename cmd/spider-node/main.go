@@ -1,6 +1,7 @@
 // Command spider-node runs one Spider replica as a standalone process
 // over TCP, taking its role (agreement or execution) from a JSON
-// deployment description:
+// deployment description, and starts it through deploy.Launch, the
+// launcher the in-process harness uses too:
 //
 //	spider-node -config deploy.json -id 3
 //	spider-node -config deploy.json -genkeys keys/   # one-time key setup
@@ -10,9 +11,11 @@
 //	{
 //	  "crypto": "ed25519",
 //	  "key_dir": "keys/",
-//	  "agreement": {"id": 1, "f": 1, "members": [1, 2, 3, 4]},
+//	  "agreement": {"id": 1, "f": 1, "members": [1, 2, 3, 4], "region": "virginia"},
 //	  "exec_groups": [
-//	    {"id": 10, "f": 1, "members": [11, 12, 13], "region": "virginia"}
+//	    {"id": 10, "f": 1, "members": [11, 12, 13], "region": "virginia",
+//	     "sites": [{"region": "virginia", "zone": 0}, {"region": "virginia", "zone": 1},
+//	               {"region": "ohio", "zone": 0}]}
 //	  ],
 //	  "admin_clients": [100],
 //	  "addresses": {
@@ -20,8 +23,20 @@
 //	    "3": "127.0.0.1:7003", "4": "127.0.0.1:7004",
 //	    "11": "127.0.0.1:7011", "12": "127.0.0.1:7012", "13": "127.0.0.1:7013",
 //	    "100": "127.0.0.1:7100"
-//	  }
+//	  },
+//	  "channel": "irmc-rc",
+//	  "consensus_auth": "mac-vector",
+//	  "slack_groups": 0,
+//	  "state_dir": "state/"
 //	}
+//
+// "crypto" is required ("insecure" must be named to be used), and a
+// field the description does not define is an error rather than
+// ignored. "channel", "consensus_auth" and "slack_groups" may be
+// omitted (the values above are the defaults); "sites" places the
+// members in availability zones (default: member i in zone i of the
+// group's region) and "state_dir" gives every replica a persistent
+// store under <state_dir>/n<id>-agree or n<id>-exec.
 package main
 
 import (
@@ -31,8 +46,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"spider/internal/app"
-	"spider/internal/core"
 	"spider/internal/deploy"
 	"spider/internal/ids"
 	"spider/internal/transport/tcpnet"
@@ -49,15 +62,11 @@ func run() error {
 	configPath := flag.String("config", "deploy.json", "deployment description")
 	id := flag.Int("id", 0, "this replica's node id")
 	genkeys := flag.String("genkeys", "", "generate keys of the configured suite for every node into the directory and exit")
-	cryptoFlag := flag.String("crypto", "", "override the config's crypto suite (rsa, ed25519, insecure)")
 	flag.Parse()
 
 	cfg, err := deploy.Load(*configPath)
 	if err != nil {
 		return err
-	}
-	if *cryptoFlag != "" {
-		cfg.Crypto = *cryptoFlag
 	}
 	if *genkeys != "" {
 		if err := cfg.GenerateKeys(*genkeys); err != nil {
@@ -89,61 +98,22 @@ func run() error {
 	}
 	defer node.Close()
 
-	agreement := cfg.Agreement.Group()
-	var stop func()
-	switch {
-	case agreement.Contains(self):
-		admins := make([]ids.ClientID, len(cfg.AdminClients))
-		for i, a := range cfg.AdminClients {
-			admins[i] = ids.ClientID(a)
-		}
-		ar, err := core.NewAgreementReplica(core.AgreementConfig{
-			Group:        agreement,
-			ExecGroups:   cfg.Entries(),
-			AdminClients: admins,
-			Suite:        suite,
-			Node:         node,
-		})
-		if err != nil {
-			return err
-		}
-		ar.Start()
-		stop = ar.Stop
-		fmt.Printf("agreement replica %v listening on %s\n", self, node.Addr())
-	default:
-		var own ids.Group
-		var peers []ids.Group
-		for _, g := range cfg.ExecGroups {
-			grp := g.Group()
-			if grp.Contains(self) {
-				own = grp
-			} else {
-				peers = append(peers, grp)
-			}
-		}
-		if !own.ID.Valid() {
-			return fmt.Errorf("node %v is in no configured group", self)
-		}
-		er, err := core.NewExecutionReplica(core.ExecutionConfig{
-			Group:          own,
-			AgreementGroup: agreement,
-			PeerGroups:     peers,
-			Suite:          suite,
-			Node:           node,
-			App:            app.NewKVStore(),
-		})
-		if err != nil {
-			return err
-		}
-		er.Start()
-		stop = er.Stop
-		fmt.Printf("execution replica %v (group %v) listening on %s\n", self, own.ID, node.Addr())
-	}
-
+	// Catch the stop signal before the replica runs, so a stop that
+	// comes early still shuts it down cleanly and flushes its store.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	rep, err := cfg.Launch(self, deploy.Host{Node: node, Suite: suite})
+	if err != nil {
+		return err
+	}
+	role := "execution"
+	if rep.Agreement != nil {
+		role = "agreement"
+	}
+	fmt.Printf("%s replica %v listening on %s\n", role, self, node.Addr())
+
 	<-sig
 	fmt.Println("shutting down")
-	stop()
+	rep.Stop()
 	return nil
 }

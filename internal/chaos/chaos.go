@@ -223,13 +223,13 @@ func (r *Runner) Restart(id ids.NodeID) error {
 
 // Partition isolates the regions from the rest of the WAN.
 func (r *Runner) Partition(regions ...topo.Region) {
-	r.c.PartitionRegions(regions...)
+	r.c.Net.Partition(regions...)
 	r.note(AppliedEvent{Kind: EventPartition, Regions: regions})
 }
 
 // Heal removes the partition.
 func (r *Runner) Heal() {
-	r.c.HealPartition()
+	r.c.Net.Heal()
 	r.note(AppliedEvent{Kind: EventHeal})
 }
 
@@ -253,7 +253,7 @@ func (r *Runner) KillLeader() (ids.NodeID, error) {
 // delayed by roughly delay (± jitter fraction), nothing is dropped,
 // and the node keeps participating in the protocol.
 func (r *Runner) Degrade(id ids.NodeID, delay time.Duration, jitter float64) {
-	r.c.DegradeNode(id, delay, jitter)
+	r.c.Net.Degrade(id, delay, jitter)
 	r.note(AppliedEvent{Kind: EventDegrade, Node: id,
 		Note: fmt.Sprintf("+%v outbound delay", delay)})
 }
@@ -266,7 +266,7 @@ func (r *Runner) DegradeLeader(delay time.Duration, jitter float64) (ids.NodeID,
 	if !ok {
 		return 0, fmt.Errorf("chaos: no agreement leader visible")
 	}
-	r.c.DegradeNode(id, delay, jitter)
+	r.c.Net.Degrade(id, delay, jitter)
 	r.note(AppliedEvent{Kind: EventDegradeLeader, Node: id,
 		Note: fmt.Sprintf("leader was node %d, +%v outbound delay", id, delay)})
 	return id, nil
@@ -274,7 +274,7 @@ func (r *Runner) DegradeLeader(delay time.Duration, jitter float64) (ids.NodeID,
 
 // RestoreNode lifts a degrade.
 func (r *Runner) RestoreNode(id ids.NodeID) {
-	r.c.RestoreNode(id)
+	r.c.Net.Restore(id)
 	r.note(AppliedEvent{Kind: EventRestore, Node: id})
 }
 

@@ -15,6 +15,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,8 +170,9 @@ var registry = func() *wire.Registry {
 
 // Component implements the checkpoint protocol for one replica.
 type Component struct {
-	cfg Config
-	me  ids.NodeID
+	cfg    Config
+	me     ids.NodeID
+	others []ids.NodeID // the group without me: announcements go there
 
 	mu      sync.Mutex
 	stopped bool
@@ -213,6 +215,7 @@ func New(cfg Config) (*Component, error) {
 	c := &Component{
 		cfg:        cfg,
 		me:         cfg.Suite.Node(),
+		others:     slices.DeleteFunc(slices.Clone(cfg.Group.Members), func(m ids.NodeID) bool { return m == cfg.Suite.Node() }),
 		done:       make(chan struct{}),
 		snapshots:  make(map[ids.SeqNr][]byte),
 		announces:  quorum.New[ids.SeqNr, crypto.Digest, signedAnnounce](quorum.Count(cfg.Group.F+1), len(cfg.Group.Members)),
@@ -253,7 +256,9 @@ func (c *Component) StableSeq() ids.SeqNr {
 }
 
 // Generate implements gen_cp: snapshot the state for seq and announce
-// its hash to the group.
+// its hash to the group. The own vote is counted here, not through a
+// self-delivered copy, so a replica never verifies its own signature;
+// if it completes f+1 matching votes the checkpoint becomes stable.
 func (c *Component) Generate(seq ids.SeqNr, state []byte) {
 	ann := &announce{Group: c.cfg.Group.ID, Seq: seq, Hash: crypto.Hash(state)}
 	frame := wire.Encode(ann)
@@ -276,9 +281,13 @@ func (c *Component) Generate(seq ids.SeqNr, state []byte) {
 		}
 	}
 	c.ownAnnounce = env
-	c.mu.Unlock()
+	var installed, fetch bool
+	if !c.staleAnnounceLocked(c.me, seq) {
+		installed, fetch = c.admitLocked(seq, c.me, ann.Hash, *raw)
+	}
+	c.finishUnlock(seq, installed, fetch)
 
-	c.cfg.Node.Multicast(c.cfg.Group.Members, c.cfg.Stream, env)
+	c.cfg.Node.Multicast(c.others, c.cfg.Stream, env)
 }
 
 // Fetches reports how many full-state fetches this component issued.
@@ -300,12 +309,7 @@ func (c *Component) Fetch(seq ids.SeqNr) {
 	if seq > c.wantSeq {
 		c.wantSeq = seq
 	}
-	targets := make([]ids.NodeID, 0, len(c.cfg.Group.Members))
-	for _, m := range c.cfg.Group.Members {
-		if m != c.me {
-			targets = append(targets, m)
-		}
-	}
+	targets := slices.Clone(c.others)
 	for _, g := range c.fetchPeers {
 		targets = append(targets, g.Members...)
 	}
@@ -332,7 +336,7 @@ func (c *Component) gossipLoop() {
 			stable := c.stableSeq
 			c.mu.Unlock()
 			if env != nil {
-				c.cfg.Node.Multicast(c.cfg.Group.Members, c.cfg.Stream, env)
+				c.cfg.Node.Multicast(c.others, c.cfg.Stream, env)
 			}
 			if want > stable {
 				// Still missing state: keep asking.
@@ -416,34 +420,50 @@ func (c *Component) onAnnounce(raw *signedAnnounce) {
 		c.mu.Unlock()
 		return
 	}
-	c.announces.Add(ann.Seq, raw.From, ann.Hash, *raw)
-	if !c.announces.Reached(ann.Seq, ann.Hash) {
-		c.mu.Unlock()
-		return
+	installed, fetch := c.admitLocked(ann.Seq, raw.From, ann.Hash, *raw)
+	c.finishUnlock(ann.Seq, installed, fetch)
+}
+
+// admitLocked counts one authenticated vote. When it completes f+1
+// matching votes, the checkpoint is installed if this replica holds the
+// matching state, and otherwise must be fetched.
+func (c *Component) admitLocked(seq ids.SeqNr, from ids.NodeID, hash crypto.Digest, raw signedAnnounce) (installed, fetch bool) {
+	c.announces.Add(seq, from, hash, raw)
+	if !c.announces.Reached(seq, hash) {
+		return false, false
 	}
 	var cert []signedAnnounce
-	for _, raw := range c.announces.Matching(ann.Seq, ann.Hash) {
+	for _, raw := range c.announces.Matching(seq, hash) {
 		cert = append(cert, raw)
 	}
 	// Stable. Deliver if we hold the matching state; otherwise fetch.
-	state, haveState := c.snapshots[ann.Seq]
-	if haveState && crypto.Hash(state) != ann.Hash {
+	state, haveState := c.snapshots[seq]
+	if haveState && crypto.Hash(state) != hash {
 		// Our snapshot diverges from the stable one — this replica's
 		// state is corrupt; a fetch repairs it.
 		haveState = false
 	}
 	if !haveState {
-		if ann.Seq > c.wantSeq {
-			c.wantSeq = ann.Seq
+		if seq > c.wantSeq {
+			c.wantSeq = seq
 		}
-		c.mu.Unlock()
-		c.Fetch(ann.Seq)
-		return
+		return false, true
 	}
-	c.installStableLocked(ann.Seq, state, cert)
-	cb := c.cfg.OnStable
+	c.installStableLocked(seq, state, cert)
+	return true, false
+}
+
+// finishUnlock releases the lock and carries out what admitLocked
+// decided: deliver the installed checkpoint or fetch the missing state.
+func (c *Component) finishUnlock(seq ids.SeqNr, installed, fetch bool) {
+	cb, state := c.cfg.OnStable, c.stableState
 	c.mu.Unlock()
-	cb(ann.Seq, state)
+	switch {
+	case installed:
+		cb(seq, state)
+	case fetch:
+		c.Fetch(seq)
+	}
 }
 
 // installStableLocked records a stable checkpoint and prunes older

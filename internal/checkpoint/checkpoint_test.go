@@ -127,8 +127,8 @@ func TestStableAfterQuorum(t *testing.T) {
 // TestAnnouncesVerifiedOnlyWhileTheyCount: every member re-gossips its
 // announcement each interval. A repeat from a sender whose vote is in,
 // and anything for a checkpoint that is already stable, costs no
-// signature check — and stability still rests on f+1 verified
-// announcements.
+// signature check; nor does a replica's own announcement. Stability
+// still rests on f+1 authenticated announcements.
 func TestAnnouncesVerifiedOnlyWhileTheyCount(t *testing.T) {
 	counters := make(map[ids.NodeID]*cryptotest.CountingSuite)
 	fx := newFixtureWrapped(t, 3, 1, 5*time.Millisecond, func(s crypto.Suite) crypto.Suite {
@@ -138,12 +138,13 @@ func TestAnnouncesVerifiedOnlyWhileTheyCount(t *testing.T) {
 	checks := func(i int) int64 { return counters[fx.group.Members[i]].Verifies(crypto.DomainCheckpoint) }
 	state := []byte("state at seq 10")
 
-	// One announcement, gossiped some twenty times: one check each.
+	// One announcement, gossiped some twenty times: one check at each
+	// other member, none at its sender.
 	fx.components[0].Generate(10, state)
 	time.Sleep(100 * time.Millisecond)
 	for i := range fx.components {
-		if got := checks(i); got != 1 {
-			t.Errorf("replica %d: %d signature checks for one sender's repeated announcement, want 1", i, got)
+		if want := min(int64(i), 1); checks(i) != want {
+			t.Errorf("replica %d: %d signature checks for one sender's repeated announcement, want %d", i, checks(i), want)
 		}
 	}
 	if got := fx.components[1].StableSeq(); got != 0 {
@@ -158,8 +159,36 @@ func TestAnnouncesVerifiedOnlyWhileTheyCount(t *testing.T) {
 	}
 	time.Sleep(100 * time.Millisecond)
 	for i := 0; i < 2; i++ {
-		if got := checks(i); got != 2 {
-			t.Errorf("replica %d: %d signature checks, want 2 (f+1 announcements, then stable)", i, got)
+		if got := checks(i); got != 1 {
+			t.Errorf("replica %d: %d signature checks, want 1 (f+1 announcements, one its own, then stable)", i, got)
+		}
+	}
+}
+
+// TestOwnAnnouncementNotVerified: a replica counts its own checkpoint
+// vote when it generates it, so it never verifies its own signature,
+// and its own vote still counts towards f+1.
+func TestOwnAnnouncementNotVerified(t *testing.T) {
+	counters := make(map[ids.NodeID]*cryptotest.CountingSuite)
+	fx := newFixtureWrapped(t, 4, 1, 5*time.Millisecond, func(s crypto.Suite) crypto.Suite {
+		counters[s.Node()] = cryptotest.Counting(s)
+		return counters[s.Node()]
+	})
+	for _, seq := range []ids.SeqNr{10, 20} {
+		state := []byte(fmt.Sprintf("state at seq %d", seq))
+		for _, comp := range fx.components {
+			comp.Generate(seq, state)
+		}
+		for _, rec := range fx.recs {
+			if got := rec.waitFor(t, seq, 5*time.Second); !bytes.Equal(got, state) {
+				t.Fatalf("stable state %q, want %q", got, state)
+			}
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // let the gossip run
+	for _, m := range fx.group.Members {
+		if got := counters[m].VerifiesFrom(crypto.DomainCheckpoint, m); got != 0 {
+			t.Errorf("replica %v verified its own announcement %d times", m, got)
 		}
 	}
 }

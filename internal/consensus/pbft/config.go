@@ -89,6 +89,18 @@ func (m AuthMode) String() string {
 	return "mac-vector"
 }
 
+// MarshalText and UnmarshalText write the auth mode by its name in configs.
+func (m AuthMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+func (m *AuthMode) UnmarshalText(b []byte) error {
+	for *m = AuthMACVector; *m <= AuthSignatures; *m++ {
+		if m.String() == string(b) {
+			return nil
+		}
+	}
+	return fmt.Errorf("pbft: unknown auth mode %q", b)
+}
+
 // Config parameterizes a PBFT replica.
 type Config struct {
 	// Group is the consensus group; classic PBFT needs 3f+1 members.

@@ -34,6 +34,18 @@ func (k ChannelKind) String() string {
 	return "irmc-rc"
 }
 
+// MarshalText and UnmarshalText write the channel by its name in configs.
+func (k ChannelKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+func (k *ChannelKind) UnmarshalText(b []byte) error {
+	for *k = ChannelRC; *k <= ChannelSC; *k++ {
+		if k.String() == string(b) {
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown channel %q", b)
+}
+
 // Tunables bundles the protocol parameters shared by the replica
 // roles. The zero value selects the defaults listed per field, which
 // are the values the repository benchmark measures.

@@ -1,39 +1,50 @@
-// Package deploy loads the JSON deployment descriptions used by the
-// multi-process tooling (cmd/spider-node, cmd/spider-client): group
-// membership, node addresses, and key material.
+// Package deploy describes a Spider deployment — replica groups placed
+// in the availability zones of regions, the crypto suite, the protocol
+// settings and state directories — and launches its replicas. The
+// description is the JSON file of the multi-process tooling
+// (cmd/spider-node, cmd/spider-client); the in-process harness compiles
+// its options into the same Config, and both start replicas through
+// Launch.
 package deploy
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
+	"spider/internal/app"
+	"spider/internal/consensus/pbft"
 	"spider/internal/core"
 	"spider/internal/crypto"
 	"spider/internal/ids"
+	"spider/internal/stats"
+	"spider/internal/storage"
+	"spider/internal/topo"
+	"spider/internal/transport"
 )
 
-// GroupSpec describes one replica group in the config file.
+// GroupSpec describes one replica group.
 type GroupSpec struct {
-	ID      int32   `json:"id"`
-	F       int     `json:"f"`
-	Members []int32 `json:"members"`
-	Region  string  `json:"region,omitempty"`
+	ID      ids.GroupID  `json:"id"`
+	F       int          `json:"f"`
+	Members []ids.NodeID `json:"members"`
+	Region  string       `json:"region,omitempty"`
+	// Sites places the members, one site per member in order. Without
+	// it member i sits in zone i of Region.
+	Sites []topo.Site `json:"sites,omitempty"`
 }
 
 // Group converts the spec to the runtime type.
 func (g GroupSpec) Group() ids.Group {
-	members := make([]ids.NodeID, len(g.Members))
-	for i, m := range g.Members {
-		members[i] = ids.NodeID(m)
-	}
-	return ids.Group{ID: ids.GroupID(g.ID), Members: members, F: g.F}
+	return ids.Group{ID: g.ID, Members: slices.Clone(g.Members), F: g.F}
 }
 
-// Config is the on-disk deployment description.
+// Config is the deployment description.
 type Config struct {
 	// Crypto selects the signature suite: "insecure" (shared-secret
 	// test crypto), "rsa" (RSA-1024 as in the paper), or "ed25519".
@@ -42,31 +53,54 @@ type Config struct {
 	// KeyDir holds <id>.key (private) and <id>.pub files plus a
 	// `suite` manifest naming the suite the keys belong to.
 	KeyDir string `json:"key_dir,omitempty"`
-	// Agreement is the agreement group.
+	// Agreement is the agreement group; its Region hosts it.
 	Agreement GroupSpec `json:"agreement"`
 	// ExecGroups are the execution groups with their regions.
 	ExecGroups []GroupSpec `json:"exec_groups"`
 	// AdminClients may reconfigure the system.
-	AdminClients []int32 `json:"admin_clients,omitempty"`
+	AdminClients []ids.ClientID `json:"admin_clients,omitempty"`
 	// Addresses maps node ids to "host:port" listen/dial addresses.
 	Addresses map[string]string `json:"addresses"`
+	// Channel selects the IRMC implementation: "irmc-rc" (the
+	// default) or "irmc-sc".
+	Channel core.ChannelKind `json:"channel,omitempty"`
+	// SlackGroups is Spider's z: how many trailing execution groups
+	// the agreement group does not wait for.
+	SlackGroups int `json:"slack_groups,omitempty"`
+	// ConsensusAuth selects PBFT's normal-case authentication:
+	// "mac-vector" (the default) or "signatures".
+	ConsensusAuth pbft.AuthMode `json:"consensus_auth,omitempty"`
+	// StateDir, when set, gives every replica a write-behind persistent
+	// store under <StateDir>/n<node>-<kind>, from which a restarted
+	// replica rehydrates instead of fetching the full state.
+	StateDir string `json:"state_dir,omitempty"`
 }
 
-// Load reads and validates a config file.
+// Load reads and validates a config file. Unknown fields are errors,
+// so a misspelled setting cannot silently deploy its default, and the
+// crypto suite must be named: the insecure suite is for development
+// only and is never picked by omission.
 func Load(path string) (*Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: %w", err)
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var cfg Config
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("deploy: parse %s: %w", path, err)
 	}
 	if len(cfg.Agreement.Members) == 0 {
 		return nil, fmt.Errorf("deploy: agreement group required")
 	}
 	if cfg.Crypto == "" {
-		cfg.Crypto = "insecure"
+		return nil, fmt.Errorf(`deploy: "crypto" required ("rsa", "ed25519" or, for development only, "insecure")`)
+	}
+	for _, g := range cfg.groups() {
+		if len(g.Sites) > 0 && len(g.Sites) != len(g.Members) {
+			return nil, fmt.Errorf("deploy: group %d has %d sites for %d members", g.ID, len(g.Sites), len(g.Members))
+		}
 	}
 	return &cfg, nil
 }
@@ -103,21 +137,20 @@ func (c *Config) AllNodes() []ids.NodeID {
 			out = append(out, id)
 		}
 	}
-	for _, m := range c.Agreement.Group().Members {
-		add(m)
-	}
-	for _, g := range c.ExecGroups {
-		for _, m := range g.Group().Members {
+	for _, g := range c.groups() {
+		for _, m := range g.Members {
 			add(m)
 		}
 	}
-	for key := range c.Addresses {
-		var raw int32
-		if _, err := fmt.Sscan(key, &raw); err == nil {
-			add(ids.NodeID(raw))
-		}
+	for id := range c.Peers(0) { // 0 is no node: every addressed one
+		add(id)
 	}
 	return out
+}
+
+// groups lists the agreement group, then the execution groups.
+func (c *Config) groups() []GroupSpec {
+	return append([]GroupSpec{c.Agreement}, c.ExecGroups...)
 }
 
 // Entries converts the exec groups to registry entries.
@@ -127,6 +160,115 @@ func (c *Config) Entries() []core.GroupEntry {
 		out = append(out, core.GroupEntry{Group: g.Group(), Region: g.Region})
 	}
 	return out
+}
+
+// Place records the site of every replica in p: its entry in Sites,
+// or for member i zone i of the group's region.
+func (c *Config) Place(p *topo.Placement) {
+	for _, g := range c.groups() {
+		for i, m := range g.Members {
+			site := topo.Site{Region: topo.Region(g.Region), Zone: i}
+			if len(g.Sites) > 0 {
+				site = g.Sites[i]
+			}
+			p.Place(m, site)
+		}
+	}
+}
+
+// Host is what the process running a replica gives it: its transport
+// endpoint and its crypto identity, and optionally meters an agreement
+// replica reports into (they may be shared by several replicas).
+type Host struct {
+	Node           transport.Node
+	Suite          crypto.Suite
+	CommitStats    *core.CommitStats
+	BatchOccupancy *stats.Occupancy
+	SendOccupancy  *stats.Occupancy
+}
+
+// Replica is a replica started by Launch: exactly one of its fields
+// is set. The zero Replica is none.
+type Replica struct {
+	Agreement *core.AgreementReplica
+	Execution *core.ExecutionReplica
+}
+
+// Stop shuts the replica down, flushing and closing its store.
+func (r Replica) Stop() {
+	if r.Agreement != nil {
+		r.Agreement.Stop()
+	}
+	if r.Execution != nil {
+		r.Execution.Stop()
+	}
+}
+
+// Launch builds and starts the replica the config assigns to self: an
+// agreement replica if self is in the agreement group, otherwise an
+// execution replica of the group that holds it, with the other
+// execution groups as checkpoint-fetch peers. With StateDir set the
+// replica opens its store first and rehydrates from it.
+func (c *Config) Launch(self ids.NodeID, h Host) (Replica, error) {
+	kind, own := "agree", c.Agreement.Group()
+	var peers []ids.Group
+	for _, g := range c.ExecGroups {
+		if grp := g.Group(); grp.Contains(self) {
+			kind, own = "exec", grp
+		} else {
+			peers = append(peers, grp)
+		}
+	}
+	if !own.Contains(self) {
+		return Replica{}, fmt.Errorf("deploy: node %v is in no configured group", self)
+	}
+	var st storage.Store
+	if c.StateDir != "" {
+		ds, err := storage.Open(filepath.Join(c.StateDir, fmt.Sprintf("n%d-%s", self, kind)))
+		if err != nil {
+			return Replica{}, fmt.Errorf("deploy: open store for node %d: %w", self, err)
+		}
+		st = ds
+	}
+	tun := core.Tunables{SlackGroups: c.SlackGroups, Channel: c.Channel}
+	var r Replica
+	var err error
+	if kind == "agree" {
+		r.Agreement, err = core.NewAgreementReplica(core.AgreementConfig{
+			Group:          own,
+			ExecGroups:     c.Entries(),
+			AdminClients:   c.AdminClients,
+			Suite:          h.Suite,
+			Node:           h.Node,
+			Tunables:       tun,
+			ConsensusAuth:  c.ConsensusAuth,
+			CommitStats:    h.CommitStats,
+			BatchOccupancy: h.BatchOccupancy,
+			SendOccupancy:  h.SendOccupancy,
+			Store:          st,
+		})
+		if err == nil {
+			r.Agreement.Start()
+		}
+	} else {
+		r.Execution, err = core.NewExecutionReplica(core.ExecutionConfig{
+			Group:          own,
+			AgreementGroup: c.Agreement.Group(),
+			PeerGroups:     peers,
+			Suite:          h.Suite,
+			Node:           h.Node,
+			App:            app.NewKVStore(),
+			Tunables:       tun,
+			Store:          st,
+		})
+		if err == nil {
+			r.Execution.Start()
+		}
+	}
+	if err != nil && st != nil {
+		_ = st.Close()
+	}
+	return r, err
 }
 
 // masterSecret is shared by all insecure-suite deployments; pairwise

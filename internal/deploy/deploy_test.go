@@ -9,7 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"spider/internal/consensus/pbft"
+	"spider/internal/core"
 	"spider/internal/crypto"
+	"spider/internal/topo"
 )
 
 const sampleConfig = `{
@@ -79,6 +82,73 @@ func TestLoadErrors(t *testing.T) {
 	os.WriteFile(empty, []byte("{}"), 0o644)
 	if _, err := Load(empty); err == nil {
 		t.Error("config without agreement group accepted")
+	}
+}
+
+// loadString writes a config file holding body and loads it.
+func loadString(t *testing.T, body string) (*Config, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "deploy.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return Load(path)
+}
+
+// TestLoadRejectsUnknownField: a misspelled setting is an error naming
+// it, not a deployment running the default.
+func TestLoadRejectsUnknownField(t *testing.T) {
+	typo := strings.Replace(sampleConfig, `"admin_clients"`, `"admin_client"`, 1)
+	_, err := loadString(t, typo)
+	if err == nil || !strings.Contains(err.Error(), "admin_client") {
+		t.Fatalf("misspelled field: err = %v", err)
+	}
+}
+
+// TestLoadRequiresCrypto: a config that names no suite is an error.
+// The insecure suite's MAC keys derive from a public secret, so it is
+// used only when named, as the sample config does.
+func TestLoadRequiresCrypto(t *testing.T) {
+	_, err := loadString(t, strings.Replace(sampleConfig, `"crypto": "insecure",`, "", 1))
+	if err == nil || !strings.Contains(err.Error(), "crypto") {
+		t.Fatalf("config without crypto: err = %v", err)
+	}
+	cfg, err := loadString(t, sampleConfig)
+	if err != nil || cfg.Crypto != "insecure" {
+		t.Fatalf("explicit insecure: crypto %q, err %v", cfg.Crypto, err)
+	}
+}
+
+// TestLoadSettings: the protocol settings and the placement are read
+// by name, and bad values are errors.
+func TestLoadSettings(t *testing.T) {
+	body := strings.Replace(sampleConfig, `"admin_clients": [100],`, `"admin_clients": [100],
+  "channel": "irmc-sc", "consensus_auth": "signatures", "slack_groups": 1, "state_dir": "/var/spider",`, 1)
+	body = strings.Replace(body, `"members": [21, 22, 23], "region": "tokyo"`,
+		`"members": [21, 22, 23], "region": "tokyo", "sites": [{"region": "tokyo", "zone": 2}, {"region": "seoul", "zone": 0}, {"region": "seoul", "zone": 1}]`, 1)
+	cfg, err := loadString(t, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Channel != core.ChannelSC || cfg.ConsensusAuth != pbft.AuthSignatures || cfg.SlackGroups != 1 || cfg.StateDir != "/var/spider" {
+		t.Errorf("settings = %v %v %d %q", cfg.Channel, cfg.ConsensusAuth, cfg.SlackGroups, cfg.StateDir)
+	}
+	p := topo.NewPlacement(1)
+	cfg.Place(p)
+	if site, _ := p.Site(22); site != (topo.Site{Region: topo.Seoul, Zone: 0}) {
+		t.Errorf("node 22 placed at %v", site)
+	}
+	if site, _ := p.Site(12); site != (topo.Site{Region: "virginia", Zone: 1}) {
+		t.Errorf("node 12 placed at %v, want the default zone", site)
+	}
+	for name, bad := range map[string]string{
+		"channel": strings.Replace(body, `"irmc-sc"`, `"irmc-xx"`, 1),
+		"auth":    strings.Replace(body, `"signatures"`, `"none"`, 1),
+		"sites":   strings.Replace(body, `, {"region": "seoul", "zone": 1}`, "", 1),
+	} {
+		if _, err := loadString(t, bad); err == nil {
+			t.Errorf("bad %s accepted", name)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"sync"
 	"time"
@@ -22,10 +21,10 @@ import (
 	"spider/internal/consensus/pbft"
 	"spider/internal/core"
 	"spider/internal/crypto"
+	"spider/internal/deploy"
 	"spider/internal/ids"
 	"spider/internal/quorum"
 	"spider/internal/stats"
-	"spider/internal/storage"
 	"spider/internal/topo"
 	"spider/internal/transport/memnet"
 )
@@ -130,16 +129,15 @@ type Cluster struct {
 
 	mu         sync.Mutex
 	nextClient ids.ClientID
-	clientsOf  map[topo.Region][]*core.Client
 
-	// Spider state.
-	spiderAgreement ids.Group
-	spiderGroups    map[topo.Region]ids.Group
-	spiderPending   map[topo.Region]ids.Group // provisioned, not yet added
-	adminID         ids.ClientID
-	admin           *core.Client
-	records         []*replicaRecord
-	byNode          map[ids.NodeID][]*replicaRecord
+	// Spider state: the deployment description the replicas are
+	// launched from (empty for the other systems), and the extra
+	// regions' groups, provisioned but not yet added.
+	spider        *deploy.Config
+	spiderPending map[topo.Region]deploy.GroupSpec
+	admin         *core.Client
+	records       []*replicaRecord
+	byNode        map[ids.NodeID]*replicaRecord
 
 	// Occupancy recorders and commit-channel counters shared by every
 	// Spider replica.
@@ -150,33 +148,24 @@ type Cluster struct {
 	// Baseline state.
 	globalGroup ids.Group                 // BFT / WV / Spider-0E
 	hftSites    []ids.Group               // HFT
-	hftSiteOf   map[topo.Region]int       // client region -> site index
 	groupOf     map[topo.Region]ids.Group // client region -> contact group
 
 	stops []func()
 }
 
-// Replica kinds tracked by replicaRecord.
-const (
-	kindExec  = "exec"
-	kindAgree = "agree"
-)
+// adminID is the client identity reserved for reconfiguration: the
+// last of the pre-provisioned ones.
+const adminID = ids.ClientID(10001 + maxClients - 1)
 
-// replicaRecord tracks one Spider replica instance — everything needed
-// to rebuild it in place after a crash. Baseline systems keep the old
-// stop-closure lifecycle; only Spider replicas are crash-restartable.
+// replicaRecord tracks one Spider replica: the description it was
+// launched from, which launches it again after a crash, and the running
+// instance (zero while crashed). Baseline systems keep the stop-closure
+// lifecycle; only Spider replicas are crash-restartable.
 type replicaRecord struct {
-	node    ids.NodeID
-	kind    string      // kindExec or kindAgree
-	group   ids.Group   // group the replica serves
-	peers   []ids.Group // exec: the other execution groups
-	entries []core.GroupEntry
-	region  topo.Region
-	dir     string // persistent state dir ("" without StateDir)
-
-	running bool
-	exec    *core.ExecutionReplica
-	agree   *core.AgreementReplica
+	node  ids.NodeID
+	cfg   *deploy.Config
+	group deploy.GroupSpec // the group the replica serves
+	rep   deploy.Replica   // zero while crashed
 }
 
 // Build deploys the selected system onto a fresh emulated WAN.
@@ -186,11 +175,9 @@ func Build(opts BuildOptions) (*Cluster, error) {
 		Opts:          opts,
 		Placement:     topo.NewPlacement(opts.Scale),
 		nextClient:    10001,
-		clientsOf:     make(map[topo.Region][]*core.Client),
-		spiderGroups:  make(map[topo.Region]ids.Group),
-		spiderPending: make(map[topo.Region]ids.Group),
-		byNode:        make(map[ids.NodeID][]*replicaRecord),
-		hftSiteOf:     make(map[topo.Region]int),
+		spider:        new(deploy.Config),
+		spiderPending: make(map[topo.Region]deploy.GroupSpec),
+		byNode:        make(map[ids.NodeID]*replicaRecord),
 		groupOf:       make(map[topo.Region]ids.Group),
 		batchOcc:      stats.NewOccupancy(),
 		sendOcc:       stats.NewOccupancy(),
@@ -203,9 +190,7 @@ func Build(opts BuildOptions) (*Cluster, error) {
 	})
 
 	// Identity plan: replicas first, then clients.
-	alloc := newIDAllocator()
-	plan := c.planIdentities(alloc)
-	allIDs := append([]ids.NodeID{}, plan...)
+	allIDs := c.planIdentities(new(idAllocator))
 	for i := 0; i < maxClients; i++ {
 		allIDs = append(allIDs, ids.NodeID(10001+i))
 	}
@@ -215,9 +200,7 @@ func Build(opts BuildOptions) (*Cluster, error) {
 	switch opts.System {
 	case SystemSpider, SystemSpider1E:
 		err = c.buildSpider()
-	case SystemSpider0E:
-		err = c.buildSpider0E()
-	case SystemBFT:
+	case SystemSpider0E, SystemBFT: // Spider-0E: one PBFT group executes
 		err = c.buildBFT(nil)
 	case SystemWV:
 		err = c.buildWV()
@@ -269,61 +252,47 @@ func (c *Cluster) Stop() {
 	c.records = nil
 	c.mu.Unlock()
 	for i := len(recs) - 1; i >= 0; i-- {
-		stopRecord(recs[i])
+		recs[i].stop()
 	}
 	c.Net.Close()
 }
 
-func stopRecord(rec *replicaRecord) {
-	if rec.exec != nil {
-		rec.exec.Stop()
-		rec.exec = nil
-	}
-	if rec.agree != nil {
-		rec.agree.Stop()
-		rec.agree = nil
-	}
-	rec.running = false
+func (rec *replicaRecord) stop() {
+	rec.rep.Stop()
+	rec.rep = deploy.Replica{}
 }
 
 // --- chaos control surface ----------------------------------------------------
 
-// CrashNode fail-stops every Spider replica hosted on the node: the
-// node is cut off from the network (in-flight frames addressed to it
-// vanish, as with a real process crash) and each instance is stopped,
-// which flushes and closes its persistent store. Only Spider replicas
-// built through records are crashable.
+// CrashNode fail-stops the Spider replica hosted on the node: the node
+// is cut off from the network (in-flight frames addressed to it vanish,
+// as with a real process crash) and the instance is stopped, which
+// flushes and closes its persistent store. Only Spider replicas are
+// crashable.
 func (c *Cluster) CrashNode(id ids.NodeID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	recs := c.byNode[id]
-	if len(recs) == 0 {
-		return fmt.Errorf("harness: node %d hosts no crashable replicas", id)
+	rec := c.byNode[id]
+	if rec == nil {
+		return fmt.Errorf("harness: node %d hosts no crashable replica", id)
 	}
 	c.Net.Isolate(id, true)
-	for _, rec := range recs {
-		if rec.running {
-			stopRecord(rec)
-		}
-	}
+	rec.stop()
 	return nil
 }
 
-// RestartNode rebuilds every crashed replica on the node from its
-// persistent store (when StateDir is set) and reconnects the node. The
-// replicas register their handlers before the isolation lifts, so no
+// RestartNode launches the crashed replica on the node again, from its
+// persistent store when StateDir is set, and reconnects the node. The
+// replica registers its handlers before the isolation lifts, so no
 // frame races the restart.
 func (c *Cluster) RestartNode(id ids.NodeID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	recs := c.byNode[id]
-	if len(recs) == 0 {
-		return fmt.Errorf("harness: node %d hosts no restartable replicas", id)
+	rec := c.byNode[id]
+	if rec == nil {
+		return fmt.Errorf("harness: node %d hosts no restartable replica", id)
 	}
-	for _, rec := range recs {
-		if rec.running {
-			continue
-		}
+	if rec.rep == (deploy.Replica{}) {
 		if err := c.startRecord(rec); err != nil {
 			return err
 		}
@@ -347,19 +316,20 @@ type ExecProbe struct {
 func (c *Cluster) ExecProbes() []ExecProbe {
 	c.mu.Lock()
 	var live []*replicaRecord
+	var execs []*core.ExecutionReplica
 	for _, rec := range c.records {
-		if rec.kind == kindExec && rec.running && rec.exec != nil {
-			live = append(live, rec)
+		if er := rec.rep.Execution; er != nil {
+			live, execs = append(live, rec), append(execs, er)
 		}
 	}
 	c.mu.Unlock()
 	out := make([]ExecProbe, 0, len(live))
-	for _, rec := range live {
-		seq, dig := rec.exec.SnapshotInfo()
+	for i, rec := range live {
+		seq, dig := execs[i].SnapshotInfo()
 		out = append(out, ExecProbe{
 			Node:   rec.node,
 			Group:  rec.group.ID,
-			Region: rec.region,
+			Region: topo.Region(rec.group.Region),
 			Seq:    seq,
 			Digest: dig,
 		})
@@ -377,14 +347,15 @@ func (c *Cluster) AgreementLeader() (ids.NodeID, bool) {
 	bestView := uint64(0)
 	found := false
 	for _, rec := range c.records {
-		if rec.kind != kindAgree || !rec.running || rec.agree == nil {
+		ar := rec.rep.Agreement
+		if ar == nil {
 			continue
 		}
-		id, ok := rec.agree.ConsensusLeader()
+		id, ok := ar.ConsensusLeader()
 		if !ok {
 			continue
 		}
-		view, _ := rec.agree.ConsensusView()
+		view, _ := ar.ConsensusView()
 		if !found || view > bestView {
 			leader, bestView, found = id, view, true
 		}
@@ -393,46 +364,30 @@ func (c *Cluster) AgreementLeader() (ids.NodeID, bool) {
 }
 
 // FetchCalls reports how many full-state checkpoint fetches the node's
-// execution replicas have issued since their last (re)start. A warm
+// execution replica has issued since its last (re)start. A warm
 // restart from disk must keep this at zero.
 func (c *Cluster) FetchCalls(id ids.NodeID) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var total int64
-	for _, rec := range c.byNode[id] {
-		if rec.exec != nil {
-			total += rec.exec.FetchCalls()
-		}
+	if rec := c.byNode[id]; rec != nil && rec.rep.Execution != nil {
+		return rec.rep.Execution.FetchCalls()
 	}
-	return total
+	return 0
 }
 
 // ExecNodes returns the nodes hosting the region's execution group.
 func (c *Cluster) ExecNodes(region topo.Region) []ids.NodeID {
-	g, ok := c.spiderGroups[region]
-	if !ok {
-		return nil
+	for _, g := range c.spider.ExecGroups {
+		if g.Region == string(region) {
+			return slices.Clone(g.Members)
+		}
 	}
-	return append([]ids.NodeID{}, g.Members...)
+	return nil
 }
 
 // AgreementNodes returns the agreement group's nodes, leader first.
 func (c *Cluster) AgreementNodes() []ids.NodeID {
-	return append([]ids.NodeID{}, c.spiderAgreement.Members...)
-}
-
-// DegradeNode turns the node into a gray performer: every frame it
-// sends is delayed by roughly delay (±jitter fraction) on top of the
-// emulated WAN latency, but nothing is dropped and the node keeps
-// running. This is the failure mode crash detectors miss — the node
-// answers everything, just slowly.
-func (c *Cluster) DegradeNode(id ids.NodeID, delay time.Duration, jitter float64) {
-	c.Net.Degrade(id, delay, jitter)
-}
-
-// RestoreNode lifts a DegradeNode slowdown.
-func (c *Cluster) RestoreNode(id ids.NodeID) {
-	c.Net.Restore(id)
+	return slices.Clone(c.spider.Agreement.Members)
 }
 
 // GrayStats aggregates the gray-failure defense counters of the
@@ -467,13 +422,14 @@ func (c *Cluster) GrayFailureStats() GrayStats {
 	haveView := false
 	accused := make(map[uint64]string)
 	for _, rec := range c.records {
-		if rec.kind != kindAgree || !rec.running || rec.agree == nil {
+		ar := rec.rep.Agreement
+		if ar == nil {
 			continue
 		}
-		if vc, ok := rec.agree.ConsensusViewChanges(); ok && vc > out.ViewChanges {
+		if vc, ok := ar.ConsensusViewChanges(); ok && vc > out.ViewChanges {
 			out.ViewChanges = vc
 		}
-		if n, rots, ok := rec.agree.ConsensusRotations(); ok {
+		if n, rots, ok := ar.ConsensusRotations(); ok {
 			out.Rotations = max(out.Rotations, n)
 			for _, rot := range rots {
 				if _, dup := accused[rot.View]; !dup {
@@ -481,8 +437,8 @@ func (c *Cluster) GrayFailureStats() GrayStats {
 				}
 			}
 		}
-		if view, ok := rec.agree.ConsensusView(); ok {
-			if rates := rec.agree.ConsensusViewRates(); len(rates) > 0 && (!haveView || view > bestView) {
+		if view, ok := ar.ConsensusView(); ok {
+			if rates := ar.ConsensusViewRates(); len(rates) > 0 && (!haveView || view > bestView) {
 				out.ViewRates = rates
 				bestView, haveView = view, true
 			}
@@ -495,126 +451,126 @@ func (c *Cluster) GrayFailureStats() GrayStats {
 	return out
 }
 
-// PartitionRegions splits the emulated WAN so the named regions can
-// only talk among themselves.
-func (c *Cluster) PartitionRegions(regions ...topo.Region) {
-	c.Net.Partition(regions...)
-}
-
-// HealPartition removes the active partition.
-func (c *Cluster) HealPartition() {
-	c.Net.Heal()
-}
-
 // --- identity planning ------------------------------------------------------
 
-type idAllocator struct{ next ids.NodeID }
-
-func newIDAllocator() *idAllocator { return &idAllocator{next: 1} }
+// idAllocator hands out node ids in order, starting at 1.
+type idAllocator ids.NodeID
 
 func (a *idAllocator) take(n int) []ids.NodeID {
 	out := make([]ids.NodeID, n)
 	for i := range out {
-		out[i] = a.next
-		a.next++
+		*a++
+		out[i] = ids.NodeID(*a)
 	}
 	return out
 }
 
 // planIdentities allocates every replica id the deployment (and its
-// future extensions) will need and records their placement.
+// future extensions) will need and records their placement. For the
+// Spider systems it compiles the options into the deployment
+// description the replicas are launched from.
 func (c *Cluster) planIdentities(alloc *idAllocator) []ids.NodeID {
 	opts := &c.Opts
 	var all []ids.NodeID
-	place := func(nodes []ids.NodeID, region topo.Region, zoneOf func(i int) (topo.Region, int)) {
+	place := func(nodes []ids.NodeID, sites []topo.Site) {
 		for i, n := range nodes {
-			r, z := region, i
-			if zoneOf != nil {
-				r, z = zoneOf(i)
-			}
-			c.Placement.Place(n, topo.Site{Region: r, Zone: z})
-			all = append(all, n)
+			c.Placement.Place(n, sites[i])
 		}
+		all = append(all, nodes...)
 	}
-	// execGroupZones spreads 2f+1 replicas over the region's zones,
-	// spilling extras into the nearby region for f=2.
-	execSpread := func(region topo.Region) func(int) (topo.Region, int) {
-		return func(i int) (topo.Region, int) {
-			if i < 3 {
-				return region, i
-			}
-			return nearbyRegion[region], i - 3
-		}
-	}
-
 	switch opts.System {
 	case SystemSpider, SystemSpider1E:
-		agreeN := 3*opts.F + 1
-		agree := alloc.take(agreeN)
-		place(agree, opts.AgreementRegion, func(i int) (topo.Region, int) {
-			if i < 4 {
-				return opts.AgreementRegion, i
-			}
-			return nearbyRegion[opts.AgreementRegion], i - 4
-		})
-		c.spiderAgreement = ids.Group{ID: 1, Members: rotate(agree, opts.LeaderIndex), F: opts.F}
-
-		regions := opts.Regions
-		if opts.System == SystemSpider1E {
-			regions = []topo.Region{opts.AgreementRegion}
-		}
-		gid := ids.GroupID(10)
-		for _, r := range regions {
-			members := alloc.take(2*opts.F + 1)
-			place(members, r, execSpread(r))
-			c.spiderGroups[r] = ids.Group{ID: gid, Members: members, F: opts.F}
-			gid += 10
-		}
-		for _, r := range opts.ExtraRegions {
-			members := alloc.take(2*opts.F + 1)
-			place(members, r, execSpread(r))
-			c.spiderPending[r] = ids.Group{ID: gid, Members: members, F: opts.F}
-			gid += 10
+		c.spider = c.spiderConfig(alloc)
+		c.spider.Place(c.Placement)
+		all = c.spider.AllNodes()
+		for _, g := range c.spiderPending {
+			place(g.Members, g.Sites)
 		}
 	case SystemSpider0E:
-		agreeN := 3*opts.F + 1
-		agree := alloc.take(agreeN)
-		place(agree, opts.AgreementRegion, nil)
+		agree := alloc.take(3*opts.F + 1)
+		place(agree, spread(opts.AgreementRegion, len(agree), len(agree)))
 		c.globalGroup = ids.Group{ID: 1, Members: rotate(agree, opts.LeaderIndex), F: opts.F}
-	case SystemBFT:
-		// One replica per region, zone 0; f=2 adds the nearby regions.
+	case SystemBFT, SystemWV:
+		// One replica per region, zone 0; BFT with f=2 adds the nearby
+		// regions.
+		regions := opts.Regions // BFT-WV: Figure 10's five regions = 3f+1+1
+		if opts.System == SystemBFT {
+			regions = bftRegions(opts)
+		}
 		var members []ids.NodeID
-		regions := bftRegions(opts)
 		for _, r := range regions {
 			n := alloc.take(1)
-			place(n, r, nil)
-			members = append(members, n...)
-		}
-		c.globalGroup = ids.Group{ID: 1, Members: rotate(members, opts.LeaderIndex), F: opts.F}
-	case SystemWV:
-		var members []ids.NodeID
-		for _, r := range wvRegions(opts) {
-			n := alloc.take(1)
-			place(n, r, nil)
+			place(n, spread(r, 1, 1))
 			members = append(members, n...)
 		}
 		c.globalGroup = ids.Group{ID: 1, Members: rotate(members, opts.LeaderIndex), F: opts.F}
 	case SystemHFT:
 		gid := ids.GroupID(10)
-		for si, r := range opts.Regions {
+		for _, r := range opts.Regions {
 			members := alloc.take(3*opts.F + 1)
-			place(members, r, func(i int) (topo.Region, int) {
-				if i < 4 {
-					return r, i
-				}
-				return nearbyRegion[r], i - 4
-			})
+			place(members, spread(r, len(members), 4))
 			c.hftSites = append(c.hftSites, ids.Group{ID: gid, Members: members, F: opts.F})
-			c.hftSiteOf[r] = si
 			gid += 10
 		}
 	}
 	return all
+}
+
+// spiderConfig compiles the options into a Spider deployment: the
+// agreement group in AgreementRegion with the leader rotated by
+// LeaderIndex, one execution group per client region (the agreement
+// region alone for Spider-1E), and the extra regions' groups, kept
+// aside until AddRegion.
+func (c *Cluster) spiderConfig(alloc *idAllocator) *deploy.Config {
+	opts := &c.Opts
+	members := alloc.take(3*opts.F + 1)
+	sites := spread(opts.AgreementRegion, len(members), 4)
+	cfg := &deploy.Config{
+		Crypto: opts.SuiteKind.String(),
+		Agreement: deploy.GroupSpec{
+			ID:      1,
+			F:       opts.F,
+			Members: rotate(members, opts.LeaderIndex),
+			Region:  string(opts.AgreementRegion),
+			Sites:   rotate(sites, opts.LeaderIndex),
+		},
+		AdminClients:  []ids.ClientID{adminID},
+		Channel:       opts.Channel,
+		SlackGroups:   opts.SlackGroups,
+		ConsensusAuth: opts.ConsensusAuth,
+		StateDir:      opts.StateDir,
+	}
+	gid := ids.GroupID(10)
+	execGroup := func(r topo.Region) deploy.GroupSpec {
+		members := alloc.take(2*opts.F + 1)
+		g := deploy.GroupSpec{ID: gid, F: opts.F, Members: members, Region: string(r), Sites: spread(r, len(members), 3)}
+		gid += 10
+		return g
+	}
+	regions := opts.Regions
+	if opts.System == SystemSpider1E {
+		regions = []topo.Region{opts.AgreementRegion}
+	}
+	for _, r := range regions {
+		cfg.ExecGroups = append(cfg.ExecGroups, execGroup(r))
+	}
+	for _, r := range opts.ExtraRegions {
+		c.spiderPending[r] = execGroup(r)
+	}
+	return cfg
+}
+
+// spread places n replicas one per zone of region, and those beyond the
+// first local in the zones of the nearby region (the paper's f=2 setup).
+func spread(region topo.Region, n, local int) []topo.Site {
+	sites := make([]topo.Site, n)
+	for i := range sites {
+		sites[i] = topo.Site{Region: region, Zone: i}
+		if i >= local {
+			sites[i] = topo.Site{Region: nearbyRegion[region], Zone: i - local}
+		}
+	}
+	return sites
 }
 
 // bftRegions: replicas live in the client regions; an f=2 setup adds
@@ -627,162 +583,69 @@ func bftRegions(opts *BuildOptions) []topo.Region {
 	return regions[:3*opts.F+1]
 }
 
-// wvRegions: 3f+1+Δ replicas with Δ = one per region beyond 3f+1.
-func wvRegions(opts *BuildOptions) []topo.Region {
-	return opts.Regions // Figure 10 uses five regions = 3f+1+1
-}
-
 // rotate returns members rotated so members[k] comes first (leader).
-func rotate(members []ids.NodeID, k int) []ids.NodeID {
+func rotate[T any](members []T, k int) []T {
 	if len(members) == 0 {
 		return members
 	}
 	k = ((k % len(members)) + len(members)) % len(members)
-	out := make([]ids.NodeID, 0, len(members))
-	out = append(out, members[k:]...)
-	out = append(out, members[:k]...)
-	return out
+	return append(slices.Clone(members[k:]), members[:k]...)
 }
 
 // --- system builders ----------------------------------------------------------
 
-func (c *Cluster) spiderTunables() core.Tunables {
-	return core.Tunables{SlackGroups: c.Opts.SlackGroups, Channel: c.Opts.Channel}
-}
-
-// buildSpider deploys the agreement group and one execution group per
+// buildSpider launches the agreement group and one execution group per
 // region.
 func (c *Cluster) buildSpider() error {
-	c.adminID = ids.ClientID(10001 + maxClients - 1) // reserve the last client id
-	var entries []core.GroupEntry
-	var peerList []ids.Group
-	for r, g := range c.spiderGroups {
-		entries = append(entries, core.GroupEntry{Group: g, Region: string(r)})
-		peerList = append(peerList, g)
-	}
-	for _, m := range c.spiderAgreement.Members {
-		rec := &replicaRecord{
-			node:    m,
-			kind:    kindAgree,
-			group:   c.spiderAgreement,
-			entries: entries,
-			region:  c.Opts.AgreementRegion,
-		}
-		if err := c.addRecord(rec); err != nil {
+	for _, m := range c.spider.Agreement.Members {
+		if err := c.addRecord(m, c.spider, c.spider.Agreement); err != nil {
 			return err
 		}
 	}
-	for r, g := range c.spiderGroups {
-		if err := c.startExecGroup(g, peerList, r); err != nil {
+	for _, g := range c.spider.ExecGroups {
+		if err := c.startExecGroup(c.spider, g); err != nil {
 			return err
 		}
-		c.groupOf[r] = g
+		c.groupOf[topo.Region(g.Region)] = g.Group()
 	}
 	return nil
 }
 
-func (c *Cluster) startExecGroup(g ids.Group, peers []ids.Group, region topo.Region) error {
-	var peerGroups []ids.Group
-	for _, p := range peers {
-		if p.ID != g.ID {
-			peerGroups = append(peerGroups, p)
-		}
-	}
+func (c *Cluster) startExecGroup(cfg *deploy.Config, g deploy.GroupSpec) error {
 	for _, m := range g.Members {
-		rec := &replicaRecord{
-			node:   m,
-			kind:   kindExec,
-			group:  g,
-			peers:  peerGroups,
-			region: region,
-		}
-		if err := c.addRecord(rec); err != nil {
+		if err := c.addRecord(m, cfg, g); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// addRecord starts a fresh record and registers it for crash/restart
+// addRecord launches a replica and registers it for crash/restart
 // bookkeeping.
-func (c *Cluster) addRecord(rec *replicaRecord) error {
+func (c *Cluster) addRecord(node ids.NodeID, cfg *deploy.Config, group deploy.GroupSpec) error {
+	rec := &replicaRecord{node: node, cfg: cfg, group: group}
 	if err := c.startRecord(rec); err != nil {
 		return err
 	}
 	c.mu.Lock()
 	c.records = append(c.records, rec)
-	c.byNode[rec.node] = append(c.byNode[rec.node], rec)
+	c.byNode[node] = rec
 	c.mu.Unlock()
 	return nil
 }
 
-// startRecord (re)builds the record's replica instance. When the
-// cluster has a StateDir the replica opens its per-instance store
-// first, so a restart rehydrates from whatever checkpoint and log
-// suffix the previous incarnation flushed before it was stopped.
-func (c *Cluster) startRecord(rec *replicaRecord) error {
-	var st storage.Store
-	if c.Opts.StateDir != "" {
-		if rec.dir == "" {
-			rec.dir = filepath.Join(c.Opts.StateDir, fmt.Sprintf("n%d-%s", rec.node, rec.kind))
-		}
-		ds, err := storage.Open(rec.dir)
-		if err != nil {
-			return fmt.Errorf("harness: open store for node %d: %w", rec.node, err)
-		}
-		st = ds
-	}
-	switch rec.kind {
-	case kindAgree:
-		ar, err := core.NewAgreementReplica(core.AgreementConfig{
-			Group:          rec.group,
-			ExecGroups:     rec.entries,
-			AdminClients:   []ids.ClientID{c.adminID},
-			Suite:          c.suites[rec.node],
-			Node:           c.Net.Node(rec.node),
-			Tunables:       c.spiderTunables(),
-			ConsensusAuth:  c.Opts.ConsensusAuth,
-			CommitStats:    c.commit,
-			BatchOccupancy: c.batchOcc,
-			SendOccupancy:  c.sendOcc,
-			Store:          st,
-		})
-		if err != nil {
-			if st != nil {
-				_ = st.Close()
-			}
-			return err
-		}
-		ar.Start()
-		rec.agree = ar
-	case kindExec:
-		er, err := core.NewExecutionReplica(core.ExecutionConfig{
-			Group:          rec.group,
-			AgreementGroup: c.spiderAgreement,
-			PeerGroups:     rec.peers,
-			Suite:          c.suites[rec.node],
-			Node:           c.Net.Node(rec.node),
-			App:            app.NewKVStore(),
-			Tunables:       c.spiderTunables(),
-			Store:          st,
-		})
-		if err != nil {
-			if st != nil {
-				_ = st.Close()
-			}
-			return err
-		}
-		er.Start()
-		rec.exec = er
-	default:
-		return fmt.Errorf("harness: unknown replica kind %q", rec.kind)
-	}
-	rec.running = true
-	return nil
-}
-
-func (c *Cluster) buildSpider0E() error {
-	return c.buildBFT(nil) // same structure: one PBFT group executes
+// startRecord launches the record's replica on its emulated-WAN node.
+// With a StateDir the replica rehydrates from whatever checkpoint and
+// log suffix its previous incarnation flushed before it was stopped.
+func (c *Cluster) startRecord(rec *replicaRecord) (err error) {
+	rec.rep, err = rec.cfg.Launch(rec.node, deploy.Host{
+		Node:           c.Net.Node(rec.node),
+		Suite:          c.suites[rec.node],
+		CommitStats:    c.commit,
+		BatchOccupancy: c.batchOcc,
+		SendOccupancy:  c.sendOcc,
+	})
+	return err
 }
 
 func (c *Cluster) buildBFT(policy quorum.Rule) error {
@@ -855,8 +718,8 @@ func (c *Cluster) buildHFT() error {
 			c.stops = append(c.stops, r.Stop)
 		}
 	}
-	for _, region := range c.Opts.Regions {
-		c.groupOf[region] = c.hftSites[c.hftSiteOf[region]]
+	for si, region := range c.Opts.Regions {
+		c.groupOf[region] = c.hftSites[si]
 	}
 	return nil
 }
@@ -903,24 +766,20 @@ func (c *Cluster) NewClient(region topo.Region) (*core.Client, error) {
 	c.nextClient++
 	c.mu.Unlock()
 	c.Placement.Place(id.Node(), topo.Site{Region: region, Zone: int(id) % 3})
+	return c.newClient(id, group)
+}
 
-	client, err := core.NewClient(core.ClientConfig{
+func (c *Cluster) newClient(id ids.ClientID, group ids.Group) (*core.Client, error) {
+	return core.NewClient(core.ClientConfig{
 		ID:             id,
 		Group:          group,
-		AgreementGroup: c.spiderAgreement,
+		AgreementGroup: c.spider.Agreement.Group(),
 		Suite:          c.suites[id.Node()],
 		Node:           c.Net.Node(id.Node()),
 		Retry:          2 * time.Second,
 		Deadline:       60 * time.Second,
 		RetryMax:       8 * time.Second,
 	})
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.clientsOf[region] = append(c.clientsOf[region], client)
-	c.mu.Unlock()
-	return client, nil
 }
 
 // AddRegion brings a provisioned extra region online (Figure 10). For
@@ -944,30 +803,17 @@ func (c *Cluster) AddRegion(region topo.Region) error {
 	}
 	delete(c.spiderPending, region)
 
-	var peers []ids.Group
-	for _, existing := range c.spiderGroups {
-		peers = append(peers, existing)
-	}
-	if err := c.startExecGroup(g, peers, region); err != nil {
+	// The joining group is launched from the description extended by
+	// it, so it fetches checkpoints from every group already running;
+	// the replicas launched earlier keep the description they had.
+	cfg := *c.spider
+	cfg.ExecGroups = append(slices.Clone(cfg.ExecGroups), g)
+	if err := c.startExecGroup(&cfg, g); err != nil {
 		return err
 	}
 	if c.admin == nil {
-		c.Placement.Place(c.adminID.Node(), topo.Site{Region: c.Opts.AgreementRegion, Zone: 0})
-		var anyGroup ids.Group
-		for _, eg := range c.spiderGroups {
-			anyGroup = eg
-			break
-		}
-		admin, err := core.NewClient(core.ClientConfig{
-			ID:             c.adminID,
-			Group:          anyGroup,
-			AgreementGroup: c.spiderAgreement,
-			Suite:          c.suites[c.adminID.Node()],
-			Node:           c.Net.Node(c.adminID.Node()),
-			Retry:          2 * time.Second,
-			Deadline:       60 * time.Second,
-			RetryMax:       8 * time.Second,
-		})
+		c.Placement.Place(adminID.Node(), topo.Site{Region: c.Opts.AgreementRegion, Zone: 0})
+		admin, err := c.newClient(adminID, c.spider.ExecGroups[0].Group())
 		if err != nil {
 			return err
 		}
@@ -975,14 +821,14 @@ func (c *Cluster) AddRegion(region topo.Region) error {
 	}
 	err := c.admin.Admin(core.AdminOp{
 		Kind:   core.AdminAddGroup,
-		Group:  g,
+		Group:  g.Group(),
 		Region: string(region),
 	})
 	if err != nil {
 		return err
 	}
-	c.spiderGroups[region] = g
-	c.groupOf[region] = g
+	c.spider = &cfg
+	c.groupOf[region] = g.Group()
 	return nil
 }
 

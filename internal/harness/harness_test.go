@@ -238,8 +238,8 @@ func TestStatsCountExactlyOnce(t *testing.T) {
 	}
 	// Commit channels broadcast every ordered request to all execution
 	// groups, and each of the agreement replicas charges its own sends.
-	agreementReplicas := int64(len(cluster.spiderAgreement.Members))
-	execGroups := int64(len(cluster.spiderGroups))
+	agreementReplicas := int64(len(cluster.spider.Agreement.Members))
+	execGroups := int64(len(cluster.spider.ExecGroups))
 	want := agreementReplicas * execGroups * writes
 	// A write returns on fe+1 replies, which need only fs+1 agreement
 	// replicas' sends: give the slowest replica time to make its own.

@@ -115,8 +115,8 @@ func msToDuration(ms float64) time.Duration {
 
 // Site is one placement target: an availability zone of a region.
 type Site struct {
-	Region Region
-	Zone   int // availability-zone index within the region
+	Region Region `json:"region"`
+	Zone   int    `json:"zone"` // availability-zone index within the region
 }
 
 // String returns e.g. "virginia/2".

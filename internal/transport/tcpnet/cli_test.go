@@ -1,12 +1,14 @@
 package tcpnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"spider/internal/app"
 	"spider/internal/core"
 	"spider/internal/crypto"
+	"spider/internal/deploy"
 	"spider/internal/ids"
 )
 
@@ -54,39 +56,17 @@ func TestSequentialClientProcesses(t *testing.T) {
 		}
 	}()
 
-	tun := core.Tunables{
-		ExecutionCheckpointInterval: 8, AgreementCheckpointInterval: 8,
-		CommitChannelCapacity: 16, AgreementWindow: 16,
+	cfg := &deploy.Config{
+		Crypto:     "insecure",
+		Agreement:  deploy.GroupSpec{ID: agGroup.ID, F: agGroup.F, Members: agGroup.Members},
+		ExecGroups: []deploy.GroupSpec{{ID: execGroup.ID, F: execGroup.F, Members: execGroup.Members, Region: "local"}},
 	}
-	entry := core.GroupEntry{Group: execGroup, Region: "local"}
-	var stops []func()
-	defer func() {
-		for i := len(stops) - 1; i >= 0; i-- {
-			stops[i]()
-		}
-	}()
-	for _, m := range agGroup.Members {
-		ar, err := core.NewAgreementReplica(core.AgreementConfig{
-			Group: agGroup, ExecGroups: []core.GroupEntry{entry},
-			Suite: suites[m], Node: nodes[m], Tunables: tun,
-			ConsensusTimeout: time.Second,
-		})
+	for _, m := range append(slices.Clone(agGroup.Members), execGroup.Members...) {
+		rep, err := cfg.Launch(m, deploy.Host{Node: nodes[m], Suite: suites[m]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ar.Start()
-		stops = append(stops, ar.Stop)
-	}
-	for _, m := range execGroup.Members {
-		er, err := core.NewExecutionReplica(core.ExecutionConfig{
-			Group: execGroup, AgreementGroup: agGroup,
-			Suite: suites[m], Node: nodes[m], App: app.NewKVStore(), Tunables: tun,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		er.Start()
-		stops = append(stops, er.Stop)
+		defer rep.Stop()
 	}
 
 	runSession := func(session int, op []byte) app.Result {

@@ -169,14 +169,10 @@ type LocalClusterOptions struct {
 	// LatencyScale multiplies the calibrated WAN latencies; use small
 	// values (e.g. 0.05) for fast demos, 1.0 for realistic latency.
 	LatencyScale float64
-	// RealCrypto selects RSA-1024 signatures as in the paper;
-	// the default uses fast HMAC-based test crypto.
-	RealCrypto bool
-	// Suite names any registered crypto suite ("rsa", "ed25519",
-	// "insecure") and takes precedence over RealCrypto when set.
+	// Suite names any registered crypto suite: "rsa" (RSA-1024 as in
+	// the paper), "ed25519", or "insecure", the fast HMAC-based test
+	// crypto that is the default.
 	Suite string
-	// UseIRMCSC selects the sender-side-collection channel variant.
-	UseIRMCSC bool
 }
 
 // LocalCluster is a complete Spider deployment running in-process.
@@ -188,19 +184,12 @@ type LocalCluster struct {
 // emulated WAN and starts them.
 func NewLocalCluster(opts LocalClusterOptions) (*LocalCluster, error) {
 	suite := crypto.SuiteInsecure
-	if opts.RealCrypto {
-		suite = crypto.SuiteRSA
-	}
 	if opts.Suite != "" {
 		kind, err := crypto.ParseSuiteKind(opts.Suite)
 		if err != nil {
 			return nil, err
 		}
 		suite = kind
-	}
-	channel := core.ChannelRC
-	if opts.UseIRMCSC {
-		channel = core.ChannelSC
 	}
 	cluster, err := harness.Build(harness.BuildOptions{
 		System:          harness.SystemSpider,
@@ -210,7 +199,6 @@ func NewLocalCluster(opts LocalClusterOptions) (*LocalCluster, error) {
 		AgreementRegion: opts.AgreementRegion,
 		Scale:           opts.LatencyScale,
 		SuiteKind:       suite,
-		Channel:         channel,
 	})
 	if err != nil {
 		return nil, err
