@@ -33,9 +33,11 @@ test:
 ## shared occupancy and commit counters while workload goroutines run;
 ## memnet included: every sending goroutine shares the delivery clock's
 ## heap; checkpoint included: an announcement is asked about under the
-## lock, verified outside it and admitted under it again).
+## lock, verified outside it and admitted under it again; tcpnet
+## included: it is the transport spider-node ships, with a reader
+## goroutine per connection and a writer per peer queue).
 race:
-	$(GO) test -race ./internal/crypto/ ./internal/consensus/pbft/ ./internal/core/ ./internal/irmc/... ./internal/checkpoint/ ./internal/harness/ ./internal/stats/ ./internal/transport/memnet/
+	$(GO) test -race ./internal/crypto/ ./internal/consensus/pbft/ ./internal/core/ ./internal/irmc/... ./internal/checkpoint/ ./internal/harness/ ./internal/stats/ ./internal/transport/memnet/ ./internal/transport/tcpnet/
 
 ## soak: the chaos scenario matrix — crash/restart, partition-and-heal,
 ## leader churn, and the gray-failure scenarios (slow leader rotated,

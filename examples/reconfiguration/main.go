@@ -46,6 +46,7 @@ func main() {
 	}
 	fmt.Printf("added sao-paulo execution group in %.0fms (admin round trip)\n",
 		time.Since(start).Seconds()*1000)
+	fmt.Println("regions after the join:", cluster.Regions())
 
 	client, err := cluster.NewClient(spider.SaoPaulo)
 	if err != nil {

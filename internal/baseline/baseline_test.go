@@ -10,7 +10,6 @@ import (
 	"spider/internal/app"
 	"spider/internal/baseline/bftgeo"
 	"spider/internal/baseline/hft"
-	"spider/internal/baseline/wv"
 	"spider/internal/consensus/pbft"
 	"spider/internal/core"
 	"spider/internal/crypto"
@@ -117,6 +116,8 @@ func TestBFTBaseline(t *testing.T) {
 	checkFound(t, got, "v")
 }
 
+// TestWVBaseline builds BFT-WV as the harness does for Figure 10: the
+// BFT baseline under a WHEAT quorum policy.
 func TestWVBaseline(t *testing.T) {
 	// 3f+1+Δ = 5 replicas, f=1, Δ=1; replicas 1 and 2 carry Vmax.
 	group := ids.Group{ID: 1, Members: []ids.NodeID{1, 2, 3, 4, 5}, F: 1}
@@ -126,20 +127,21 @@ func TestWVBaseline(t *testing.T) {
 	net := memnet.New(memnet.Options{})
 	defer net.Close()
 
+	policy, err := pbft.NewWheatQuorum(group, 1, []ids.NodeID{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var replicas []*bftgeo.Replica
 	for _, m := range group.Members {
-		r, err := wv.New(wv.Config{
-			Base: bftgeo.Config{
-				Group: group,
-				Suite: suites[m],
-				Node:  net.Node(m),
-				App:   app.NewKVStore(),
-				Consensus: pbft.Config{
-					RequestTimeout: 500 * time.Millisecond,
-				},
+		r, err := bftgeo.New(bftgeo.Config{
+			Group:  group,
+			Suite:  suites[m],
+			Node:   net.Node(m),
+			App:    app.NewKVStore(),
+			Policy: policy,
+			Consensus: pbft.Config{
+				RequestTimeout: 500 * time.Millisecond,
 			},
-			Delta: 1,
-			Vmax:  []ids.NodeID{1, 2},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -158,26 +160,6 @@ func TestWVBaseline(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	weakReadFresh(t, client, "weighted", "quorum")
-}
-
-func TestWVRejectsBadConfig(t *testing.T) {
-	group := ids.Group{ID: 1, Members: []ids.NodeID{1, 2, 3, 4, 5}, F: 1}
-	suites := crypto.NewSuites(group.Members, crypto.SuiteInsecure)
-	net := memnet.New(memnet.Options{})
-	defer net.Close()
-	_, err := wv.New(wv.Config{
-		Base: bftgeo.Config{
-			Group: group,
-			Suite: suites[1],
-			Node:  net.Node(1),
-			App:   app.NewKVStore(),
-		},
-		Delta: 1,
-		Vmax:  []ids.NodeID{1}, // needs exactly 2f
-	})
-	if err == nil {
-		t.Fatal("bad Vmax count accepted")
-	}
 }
 
 // buildHFT assembles an HFT deployment with the given number of sites

@@ -110,7 +110,7 @@ type AgreementReplica struct {
 	winHi   ids.SeqNr
 	t       map[ids.ClientID]uint64    // latest agreed counter per client
 	tplus   map[ids.ClientID]uint64    // next expected counter per client
-	hist    map[ids.Position]histEntry // last CommitChannelCapacity batches
+	hist    map[ids.Position]histEntry // last commitChannelCapacity batches
 	groups  map[ids.GroupID]*egroup
 
 	recvLoops map[recvKey]bool // (group, client) loops already running
@@ -157,7 +157,6 @@ type recvKey struct {
 // NewAgreementReplica wires up an agreement replica with a PBFT
 // instance as its consensus black box. Call Start to begin.
 func NewAgreementReplica(cfg AgreementConfig) (*AgreementReplica, error) {
-	cfg.Tunables.applyDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -172,7 +171,7 @@ func NewAgreementReplica(cfg AgreementConfig) (*AgreementReplica, error) {
 		vcache:         make(map[crypto.Digest]struct{}),
 		undecodableLog: stats.NewLogGate(undecodableLogInterval),
 		winLo:          1,
-		winHi:          ids.SeqNr(cfg.Tunables.AgreementWindow),
+		winHi:          agreementWindow,
 	}
 	a.cond = sync.NewCond(&a.mu)
 
@@ -185,17 +184,6 @@ func NewAgreementReplica(cfg AgreementConfig) (*AgreementReplica, error) {
 		}
 	}
 
-	batch := cfg.ConsensusBatch
-	if batch <= 0 {
-		batch = 16
-	}
-	if batch > cfg.Tunables.AgreementWindow {
-		// Deliver paces on the batch's first sequence number, so a
-		// batch larger than AG-WIN cannot deadlock — but it would make
-		// the window meaningless; clamp to keep overshoot below one
-		// window.
-		batch = cfg.Tunables.AgreementWindow
-	}
 	pbftCfg := pbft.Config{
 		Group:          cfg.Group,
 		Suite:          cfg.Suite,
@@ -203,8 +191,7 @@ func NewAgreementReplica(cfg AgreementConfig) (*AgreementReplica, error) {
 		Stream:         pbftStream(cfg.Group.ID),
 		Deliver:        a.deliver,
 		Validate:       a.validatePayload,
-		RequestTimeout: cfg.ConsensusTimeout,
-		BatchSize:      batch,
+		BatchSize:      consensusBatch,
 		BatchOccupancy: cfg.BatchOccupancy,
 		NormalCaseAuth: cfg.ConsensusAuth,
 	}
@@ -279,7 +266,7 @@ func (a *AgreementReplica) rehydrate(img *storage.Image) {
 			a.hist[he.Pos] = he
 		}
 		a.winLo = snap.Seq + 1
-		a.winHi = snap.Seq + ids.SeqNr(a.cfg.Tunables.AgreementWindow)
+		a.winHi = snap.Seq + agreementWindow
 	}
 	for i := range img.Suffix {
 		ent := &img.Suffix[i]
@@ -467,7 +454,7 @@ func (a *AgreementReplica) attachGroupLocked(entry GroupEntry) error {
 		return fmt.Errorf("core: duplicate execution group %v", entry.Group.ID)
 	}
 	gid := entry.Group.ID
-	reqRecv, err := newChannelReceiver(a.cfg.Tunables.Channel, irmc.Config{
+	reqRecv, err := newChannelReceiver(a.cfg.Channel, irmc.Config{
 		Senders:   entry.Group,
 		Receivers: a.cfg.Group,
 		Capacity:  requestChannelCapacity,
@@ -485,10 +472,10 @@ func (a *AgreementReplica) attachGroupLocked(entry GroupEntry) error {
 	if a.cfg.CommitStats != nil {
 		wireBytes = &a.cfg.CommitStats.WireBytes
 	}
-	commitSend, err := newChannelSender(a.cfg.Tunables.Channel, irmc.Config{
+	commitSend, err := newChannelSender(a.cfg.Channel, irmc.Config{
 		Senders:   a.cfg.Group,
 		Receivers: entry.Group,
-		Capacity:  a.cfg.Tunables.CommitChannelCapacity,
+		Capacity:  commitChannelCapacity,
 		Suite:     a.cfg.Suite,
 		Node:      a.cfg.Node,
 		Stream:    commitStream(gid),
@@ -702,7 +689,7 @@ func (a *AgreementReplica) deliver(b consensus.Batch) {
 	// liveness argument intact — everything below Start was delivered,
 	// so a checkpoint inside the window was already generated and will
 	// eventually stabilize and advance winHi. A batch may overshoot
-	// winHi by at most ConsensusBatch-1 sequence numbers, which is
+	// winHi by at most consensusBatch-1 sequence numbers, which is
 	// pacing slack, not a safety issue (the commit channel's capacity
 	// is the hard flow-control bound). Gating on end instead can
 	// deadlock: the batch that first crosses a ka boundary would block
@@ -755,8 +742,7 @@ func (a *AgreementReplica) deliver(b consensus.Batch) {
 	// Checkpoints fire when a batch crosses a ka boundary (batches no
 	// longer land exactly on multiples); every replica sees the same
 	// batch ends, so all of them snapshot at the same sequence numbers.
-	ka := uint64(a.cfg.Tunables.AgreementCheckpointInterval)
-	ckptDue := len(reqs) > 0 && uint64(end)/ka > uint64(prev)/ka
+	ckptDue := len(reqs) > 0 && end/agreementCheckpointInterval > prev/agreementCheckpointInterval
 	var snap []byte
 	if ckptDue {
 		snap = a.snapshotLocked()
@@ -819,7 +805,7 @@ func (a *AgreementReplica) fanOut(he *histEntry, targets []*egroup) {
 	if len(targets) == 0 {
 		return
 	}
-	need := len(targets) - a.cfg.Tunables.SlackGroups
+	need := len(targets) - a.cfg.SlackGroups
 	if need < 1 {
 		need = 1
 	}
@@ -860,9 +846,8 @@ func (a *AgreementReplica) fanOut(he *histEntry, targets []*egroup) {
 // pruneHistLocked keeps hist at the commit-channel capacity (counted
 // in batch positions, matching the channel's window unit).
 func (a *AgreementReplica) pruneHistLocked() {
-	capacity := ids.Position(a.cfg.Tunables.CommitChannelCapacity)
 	for pos := range a.hist {
-		if pos+capacity <= a.lastPos+1 {
+		if pos+commitChannelCapacity <= a.lastPos+1 {
 			delete(a.hist, pos)
 		}
 	}
@@ -989,7 +974,7 @@ func (a *AgreementReplica) onStableCheckpoint(seq ids.SeqNr, state []byte) {
 	}
 	// Line 57: the window always anchors after the stable checkpoint.
 	a.winLo = seq + 1
-	a.winHi = seq + ids.SeqNr(a.cfg.Tunables.AgreementWindow)
+	a.winHi = seq + agreementWindow
 	targets := make([]*egroup, 0, len(a.groups))
 	for _, g := range a.groups {
 		targets = append(targets, g)

@@ -37,7 +37,6 @@ func TestBatchApplicationPreservesClientOrder(t *testing.T) {
 		Suite:          suites[21],
 		Node:           net.Node(21),
 		App:            kv,
-		Tunables:       testTunables(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +63,7 @@ func TestBatchApplicationPreservesClientOrder(t *testing.T) {
 		s, err := rc.NewSender(irmc.Config{
 			Senders:   agGroup,
 			Receivers: execGroup,
-			Capacity:  testTunables().CommitChannelCapacity,
+			Capacity:  commitChannelCapacity,
 			Suite:     suites[sender],
 			Node:      net.Node(sender),
 			Stream:    commitStream(execGroup.ID),
@@ -115,7 +114,7 @@ func TestBatchApplicationPreservesClientOrder(t *testing.T) {
 // positions. The garbage must never reach execution and must not stall
 // the subchannel — client writes keep completing.
 func TestByzantineMalformedBatchRejected(t *testing.T) {
-	d := newDeployment(t, 1, testTunables(), nil, 101)
+	d := newDeployment(t, 1, nil, 101)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 
@@ -141,11 +140,12 @@ func TestByzantineMalformedBatchRejected(t *testing.T) {
 		oversized.Bytes(),
 		wire.Encode(&forged),
 	}
-	d.forgeCommitSends(4, d.execGroups[0], payloads, 24)
+	d.forgeCommitSends(4, d.execGroups[0], payloads, commitChannelCapacity*3/2)
 
 	// The subchannel must keep delivering the correct majority's
-	// batches: writes continue to complete and converge.
-	for i := 0; i < 12; i++ {
+	// batches past an execution checkpoint: writes continue to complete
+	// and converge.
+	for i := 0; i < executionCheckpointInterval+8; i++ {
 		if _, err := client.Write(putOp(fmt.Sprintf("after%02d", i), "v")); err != nil {
 			t.Fatalf("write %d during injection: %v", i, err)
 		}
@@ -157,96 +157,23 @@ func TestByzantineMalformedBatchRejected(t *testing.T) {
 	}
 }
 
-// TestBatchSizeOneDeployment pins ConsensusBatch = 1: every request is
-// its own batch and its own commit-channel position, i.e. the original
-// request-at-a-time semantics expressed through the batched plane. The
-// write path, checkpointing (several intervals' worth of traffic) and
-// cross-group propagation must all behave identically.
-func TestBatchSizeOneDeployment(t *testing.T) {
-	d := newDeploymentBatch(t, 2, testTunables(), 1, nil, 101)
-	d.start()
-	client := d.client(101, d.execGroups[0])
-
-	const writes = 20 // > 2 checkpoint intervals of 8
-	for i := 0; i < writes; i++ {
-		if _, err := client.Write(incOp("n", 1)); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		done := true
-		for _, g := range d.execGroups {
-			for _, m := range g.Members {
-				if replicaRead(d, g.ID, m, getOp("n")).Counter != writes {
-					done = false
-				}
-			}
-		}
-		if done {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("replicas did not converge with BatchSize=1")
-}
-
-// TestBatchSize64Deployment is the other end of the sweep: a batch
-// size far above the offered load, so every proposal is a partial
-// batch flushed by the batch timer and the encode-once fan-out path
-// carries whole batches. Write-path semantics, checkpointing and
-// cross-group propagation must be unchanged.
-func TestBatchSize64Deployment(t *testing.T) {
-	d := newDeploymentBatch(t, 2, testTunables(), 64, nil, 101)
-	d.start()
-	client := d.client(101, d.execGroups[0])
-
-	const writes = 20 // > 2 checkpoint intervals of 8
-	for i := 0; i < writes; i++ {
-		if _, err := client.Write(incOp("n", 1)); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		done := true
-		for _, g := range d.execGroups {
-			for _, m := range g.Members {
-				if replicaRead(d, g.ID, m, getOp("n")).Counter != writes {
-					done = false
-				}
-			}
-		}
-		if done {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("replicas did not converge with BatchSize=64")
-}
-
-// TestBatchStraddlingWindowDoesNotDeadlock: with AG-WIN equal to the
-// checkpoint interval, a batch that both exceeds winHi and is the
-// first to cross a ka boundary must still deliver — pacing gates on
-// the batch's first sequence number, because gating on its end would
-// block before the very checkpoint that advances the window is
-// generated (regression for the batched-delivery deadlock).
+// TestBatchStraddlingWindowDoesNotDeadlock: a batch whose first
+// sequence number lies inside the window and whose end lies beyond
+// winHi, crossing a ka boundary on the way, must still deliver —
+// pacing gates on the batch's first sequence number, because gating on
+// its end would block before the very checkpoint that advances the
+// window is generated (regression for the batched-delivery deadlock).
+// The replica's peers never run, so no checkpoint turns stable and
+// winHi stays at AG-WIN throughout.
 func TestBatchStraddlingWindowDoesNotDeadlock(t *testing.T) {
 	net := memnet.New(memnet.Options{})
 	t.Cleanup(net.Close)
 	agGroup := ids.Group{ID: 1, Members: []ids.NodeID{1, 2, 3, 4}, F: 1}
 	suites := crypto.NewSuites(agGroup.Members, crypto.SuiteInsecure)
-	tun := Tunables{
-		AgreementCheckpointInterval: 8,
-		AgreementWindow:             8,
-		ExecutionCheckpointInterval: 8,
-		CommitChannelCapacity:       16,
-	}
 	ar, err := NewAgreementReplica(AgreementConfig{
-		Group:    agGroup,
-		Suite:    suites[1],
-		Node:     net.Node(1),
-		Tunables: tun,
+		Group: agGroup,
+		Suite: suites[1],
+		Node:  net.Node(1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,22 +188,28 @@ func TestBatchStraddlingWindowDoesNotDeadlock(t *testing.T) {
 		}
 		return out
 	}
+	// Full batches fill the window up to a few sequence numbers short
+	// of winHi; the last batch starts inside the window, ends beyond
+	// it and crosses the ka boundary at AG-WIN.
+	const straddle = agreementWindow - consensusBatch/2 + 1
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// Batch 1: seqs 1..6 (no boundary crossing, no checkpoint).
-		ar.deliver(consensus.Batch{Seq: 1, Start: 1, Payloads: payloads(6, 1)})
-		// Batch 2: seqs 7..14 — Start inside the window (7 <= 8) but
-		// end beyond it, and it crosses the ka=8 boundary.
-		ar.deliver(consensus.Batch{Seq: 2, Start: 7, Payloads: payloads(8, 7)})
+		seq := uint64(1)
+		for start := uint64(1); start < straddle; start += consensusBatch {
+			n := min(consensusBatch, int(straddle-start))
+			ar.deliver(consensus.Batch{Seq: seq, Start: ids.SeqNr(start), Payloads: payloads(n, start)})
+			seq++
+		}
+		ar.deliver(consensus.Batch{Seq: seq, Start: straddle, Payloads: payloads(consensusBatch, straddle)})
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("delivery deadlocked on a window-straddling batch")
 	}
-	if got := ar.Seq(); got != 14 {
-		t.Fatalf("Seq = %d, want 14", got)
+	if got, want := ar.Seq(), ids.SeqNr(straddle+consensusBatch-1); got != want {
+		t.Fatalf("Seq = %d, want %d", got, want)
 	}
 }
 
@@ -289,10 +222,9 @@ func TestUndecodablePayloadCounted(t *testing.T) {
 	agGroup := ids.Group{ID: 1, Members: []ids.NodeID{1, 2, 3, 4}, F: 1}
 	suites := crypto.NewSuites(agGroup.Members, crypto.SuiteInsecure)
 	ar, err := NewAgreementReplica(AgreementConfig{
-		Group:    agGroup,
-		Suite:    suites[1],
-		Node:     net.Node(1),
-		Tunables: testTunables(),
+		Group: agGroup,
+		Suite: suites[1],
+		Node:  net.Node(1),
 	})
 	if err != nil {
 		t.Fatal(err)

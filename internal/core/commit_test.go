@@ -142,7 +142,6 @@ func TestLegacyAgreementStateStartsCold(t *testing.T) {
 			ExecGroups: []GroupEntry{{Group: exec, Region: "v"}},
 			Suite:      suites[1],
 			Node:       net.Node(1),
-			Tunables:   testTunables(),
 			Store:      st,
 		})
 		if err != nil {
@@ -174,7 +173,7 @@ func TestLegacyAgreementStateStartsCold(t *testing.T) {
 // different groups must execute at (and be answered by) their
 // designated group and arrive as placeholders at the other group.
 func TestStrongReadGroupRouting(t *testing.T) {
-	d := newDeployment(t, 2, testTunables(), nil, 101, 102)
+	d := newDeployment(t, 2, nil, 101, 102)
 	d.start()
 	groupA, groupB := d.execGroups[0], d.execGroups[1]
 	clientA := d.client(101, groupA)
@@ -238,7 +237,7 @@ func TestStrongReadGroupRouting(t *testing.T) {
 // execution, and the subchannel must not stall — client writes keep
 // completing.
 func TestByzantineForgedDigestRef(t *testing.T) {
-	d := newDeployment(t, 1, testTunables(), nil, 101)
+	d := newDeployment(t, 1, nil, 101)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 
@@ -263,11 +262,12 @@ func TestByzantineForgedDigestRef(t *testing.T) {
 	ref.WriteRaw(digest[:])
 
 	payloads := [][]byte{wire.Encode(&forged), ref.Bytes()}
-	d.forgeCommitSends(4, d.execGroups[0], payloads, 24)
+	d.forgeCommitSends(4, d.execGroups[0], payloads, commitChannelCapacity*3/2)
 
 	// The subchannel must keep delivering the correct majority's
-	// batches: writes continue to complete and converge.
-	for i := 0; i < 12; i++ {
+	// batches past an execution checkpoint: writes continue to complete
+	// and converge.
+	for i := 0; i < executionCheckpointInterval+8; i++ {
 		if _, err := client.Write(putOp(fmt.Sprintf("after%02d", i), "v")); err != nil {
 			t.Fatalf("write %d during injection: %v", i, err)
 		}
@@ -290,15 +290,14 @@ func TestByzantineForgedDigestRef(t *testing.T) {
 // converge. (A checkpoint that turns stable while a replica is a batch
 // behind its peers makes that replica fetch, whatever it executes.)
 func TestCutOffReplicaConvergesWithoutFetch(t *testing.T) {
-	tun := testTunables()
-	d := newDeployment(t, 2, tun, nil, 101)
+	d := newDeployment(t, 2, nil, 101)
 	d.start()
 	group := d.execGroups[0]
 	cut := group.Members[2]
 	d.net.Cut(ids.ClientID(101).Node(), cut, true)
 
 	client := d.client(101, group)
-	writes := tun.ExecutionCheckpointInterval - 1
+	writes := executionCheckpointInterval - 1
 	for i := 0; i < writes; i++ {
 		if _, err := client.Write(putOp(fmt.Sprintf("k%02d", i), "v")); err != nil {
 			t.Fatalf("write %d: %v", i, err)

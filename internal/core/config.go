@@ -46,65 +46,44 @@ func (k *ChannelKind) UnmarshalText(b []byte) error {
 	return fmt.Errorf("core: unknown channel %q", b)
 }
 
-// Tunables bundles the protocol parameters shared by the replica
-// roles. The zero value selects the defaults listed per field, which
-// are the values the repository benchmark measures.
-type Tunables struct {
-	// CommitChannelCapacity is the commit subchannel capacity |cE,0|;
-	// it must be at least the execution checkpoint interval
-	// (default 4·ke = 64).
-	CommitChannelCapacity int
-	// ExecutionCheckpointInterval is ke (default 16). Moderate
-	// checkpoint intervals keep a joining group's catch-up short: it
-	// needs a checkpoint covering its join point before it can execute
-	// (Section 3.6).
-	ExecutionCheckpointInterval int
-	// AgreementCheckpointInterval is ka (default 16).
-	AgreementCheckpointInterval int
-	// AgreementWindow is AG-WIN, at least ka (default 4·ka = 64).
-	AgreementWindow int
-	// SlackGroups is z: how many trailing execution groups the
-	// agreement group does not wait for (default 0).
-	SlackGroups int
-	// Channel selects the IRMC implementation.
-	Channel ChannelKind
-}
+// Protocol parameters (Section 3.4). They are constants: the liveness
+// rules tying them together are checked by the compiler below.
+const (
+	// executionCheckpointInterval is ke. Moderate checkpoint intervals
+	// keep a joining group's catch-up short: it needs a checkpoint
+	// covering its join point before it can execute (Section 3.6).
+	executionCheckpointInterval = 16
+	// agreementCheckpointInterval is ka.
+	agreementCheckpointInterval = 16
+	// commitChannelCapacity is the commit subchannel capacity |cE,0|.
+	commitChannelCapacity = 4 * executionCheckpointInterval
+	// agreementWindow is AG-WIN.
+	agreementWindow = 4 * agreementCheckpointInterval
+	// consensusBatch caps payloads per consensus instance. The whole
+	// batch travels the commit data plane as one unit: one
+	// commit-channel position, one Send per execution group. An idle
+	// PBFT leader proposes at once and a busy one takes what queued
+	// behind its in-flight instances, so batches follow the load up to
+	// this cap and the cap costs no latency at trickle load.
+	consensusBatch = 16
+	// requestChannelCapacity is the per-client request subchannel
+	// capacity; the paper uses 2 (|rE,c| = 2).
+	requestChannelCapacity = 2
+)
 
-// requestChannelCapacity is the per-client request subchannel
-// capacity; the paper uses 2 (|rE,c| = 2).
-const requestChannelCapacity = 2
-
-func (t *Tunables) applyDefaults() {
-	if t.ExecutionCheckpointInterval <= 0 {
-		t.ExecutionCheckpointInterval = 16
-	}
-	if t.AgreementCheckpointInterval <= 0 {
-		t.AgreementCheckpointInterval = 16
-	}
-	if t.CommitChannelCapacity <= 0 {
-		t.CommitChannelCapacity = 4 * t.ExecutionCheckpointInterval
-	}
-	if t.AgreementWindow <= 0 {
-		t.AgreementWindow = 4 * t.AgreementCheckpointInterval
-	}
-}
-
-func (t *Tunables) validate() error {
-	if t.CommitChannelCapacity < t.ExecutionCheckpointInterval {
-		// Liveness condition of Section 3.4: the checkpoint interval
-		// must be smaller than the input channel capacity.
-		return fmt.Errorf("core: commit capacity %d < execution checkpoint interval %d breaks liveness",
-			t.CommitChannelCapacity, t.ExecutionCheckpointInterval)
-	}
-	if t.AgreementWindow < t.AgreementCheckpointInterval {
-		return fmt.Errorf("core: AG-WIN %d < ka %d breaks agreement liveness",
-			t.AgreementWindow, t.AgreementCheckpointInterval)
-	}
-	if t.SlackGroups < 0 {
-		return errors.New("core: negative slack")
-	}
-	return nil
-}
+// The liveness rules of Section 3.4, as compile-time checks: a negative
+// difference overflows uint, so a broken combination does not build.
+const (
+	// The execution checkpoint interval must not exceed the commit
+	// channel's capacity.
+	_ uint = commitChannelCapacity - executionCheckpointInterval
+	// AG-WIN must cover one agreement checkpoint interval.
+	_ uint = agreementWindow - agreementCheckpointInterval
+	// Deliver paces on a batch's first sequence number, so a batch may
+	// overshoot winHi by consensusBatch-1; a batch within AG-WIN keeps
+	// that overshoot below one window.
+	_ uint = agreementWindow - consensusBatch
+)
 
 // Streams derive every channel's transport stream from group ids so
 // all parties agree without coordination.
@@ -168,8 +147,8 @@ type ExecutionConfig struct {
 	Node  transport.Node
 	// App is the hosted application instance (not shared).
 	App Application
-	// Tunables: protocol parameters.
-	Tunables Tunables
+	// Channel selects the IRMC implementation.
+	Channel ChannelKind
 	// Store, when set, persists execution checkpoints and the
 	// post-checkpoint batch suffix write-behind, and rehydrates the
 	// replica from disk at construction instead of a cold full-state
@@ -199,7 +178,7 @@ func (c *ExecutionConfig) validate() error {
 	if !c.Group.Contains(c.Suite.Node()) {
 		return fmt.Errorf("core: replica %v not in group %v", c.Suite.Node(), c.Group.ID)
 	}
-	return c.Tunables.validate()
+	return nil
 }
 
 // AgreementConfig parameterizes one agreement replica.
@@ -214,24 +193,11 @@ type AgreementConfig struct {
 	// Suite, Node: identity and transport.
 	Suite crypto.Suite
 	Node  transport.Node
-	// Tunables: protocol parameters.
-	Tunables Tunables
-	// ConsensusTimeout is PBFT's request timeout (0: PBFT's default,
-	// 2 s): the first guess and the ceiling of its failure detector, not
-	// the detection time. Once it has measured order latency, a replica
-	// suspects the leader after a multiple of it, but never sooner than
-	// an eighth of this (250 ms at the default), and f+1 suspicions
-	// start the view change.
-	ConsensusTimeout time.Duration
-	// ConsensusBatch caps payloads per consensus instance (default 16,
-	// clamped to AgreementWindow). The whole batch travels the commit
-	// data plane as one unit — one commit-channel position, one signed
-	// Send per execution group. An idle PBFT leader proposes at once
-	// and a busy one takes what queued behind its in-flight instances,
-	// so batches follow the load up to this cap and a large cap costs
-	// no latency at trickle load. ConsensusBatch = 1 restores
-	// request-at-a-time semantics.
-	ConsensusBatch int
+	// Channel selects the IRMC implementation.
+	Channel ChannelKind
+	// SlackGroups is z: how many trailing execution groups the
+	// agreement group does not wait for (default 0).
+	SlackGroups int
 	// ConsensusAuth selects how PBFT authenticates its normal-case
 	// messages. The zero value is the paper's agreement-cluster
 	// optimisation: MAC vectors among the agreement replicas (whose
@@ -265,7 +231,10 @@ func (c *AgreementConfig) validate() error {
 	if !c.Group.Contains(c.Suite.Node()) {
 		return fmt.Errorf("core: replica %v not in group %v", c.Suite.Node(), c.Group.ID)
 	}
-	return c.Tunables.validate()
+	if c.SlackGroups < 0 {
+		return errors.New("core: negative slack")
+	}
+	return nil
 }
 
 // ClientConfig parameterizes a client handle.

@@ -35,42 +35,25 @@ type deployment struct {
 	commit *CommitStats
 }
 
-// testTunables keeps checkpoint intervals small so tests exercise them.
-func testTunables() Tunables {
-	return Tunables{
-		ExecutionCheckpointInterval: 8,
-		AgreementCheckpointInterval: 8,
-		CommitChannelCapacity:       16,
-		AgreementWindow:             16,
-	}
-}
-
 // newDeployment builds an agreement group (nodes 1..4) and numExec
 // execution groups (nodes 10g+1..10g+3, group ids 10g).
-func newDeployment(t *testing.T, numExec int, tun Tunables, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
+func newDeployment(t *testing.T, numExec int, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
 	t.Helper()
-	return newDeploymentBatch(t, numExec, tun, 0, adminClients, clientIDs...)
-}
-
-// newDeploymentBatch is newDeployment with an explicit consensus batch
-// size (0 = default), so tests can pin BatchSize = 1 and verify the
-// unbatched semantics stay reachable.
-func newDeploymentBatch(t *testing.T, numExec int, tun Tunables, batch int, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
-	t.Helper()
-	return newDeploymentSuite(t, numExec, tun, batch, crypto.EnvSuiteKind(crypto.SuiteInsecure), adminClients, clientIDs...)
+	return newDeploymentSuite(t, numExec, crypto.EnvSuiteKind(crypto.SuiteInsecure), adminClients, clientIDs...)
 }
 
 // newDeploymentSuite additionally selects the crypto suite; the
 // default is the insecure test suite unless SPIDER_SUITE names
 // another.
-func newDeploymentSuite(t *testing.T, numExec int, tun Tunables, batch int, suite crypto.SuiteKind, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
+func newDeploymentSuite(t *testing.T, numExec int, suite crypto.SuiteKind, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
 	t.Helper()
-	return newDeploymentOn(t, memnet.New(memnet.Options{}), numExec, tun, batch, suite, adminClients, clientIDs...)
+	return newDeploymentOn(t, memnet.New(memnet.Options{}), numExec, ChannelRC, suite, adminClients, clientIDs...)
 }
 
 // newDeploymentOn builds the deployment on a network the caller
-// prepared, for tests that place the nodes on the emulated WAN.
-func newDeploymentOn(t *testing.T, net *memnet.Network, numExec int, tun Tunables, batch int, suite crypto.SuiteKind, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
+// prepared, for tests that place the nodes on the emulated WAN, with
+// the given IRMC implementation.
+func newDeploymentOn(t *testing.T, net *memnet.Network, numExec int, channel ChannelKind, suite crypto.SuiteKind, adminClients []ids.ClientID, clientIDs ...ids.ClientID) *deployment {
 	t.Helper()
 	d := &deployment{
 		t:          t,
@@ -107,15 +90,13 @@ func newDeploymentOn(t *testing.T, net *memnet.Network, numExec int, tun Tunable
 	}
 	for _, m := range d.agGroup.Members {
 		ar, err := NewAgreementReplica(AgreementConfig{
-			Group:            d.agGroup,
-			ExecGroups:       entries,
-			AdminClients:     adminClients,
-			Suite:            d.suites[m],
-			Node:             d.net.Node(m),
-			Tunables:         tun,
-			ConsensusTimeout: 500 * time.Millisecond,
-			ConsensusBatch:   batch,
-			CommitStats:      d.commit,
+			Group:        d.agGroup,
+			ExecGroups:   entries,
+			AdminClients: adminClients,
+			Suite:        d.suites[m],
+			Node:         d.net.Node(m),
+			Channel:      channel,
+			CommitStats:  d.commit,
 		})
 		if err != nil {
 			t.Fatalf("agreement replica %v: %v", m, err)
@@ -140,7 +121,7 @@ func newDeploymentOn(t *testing.T, net *memnet.Network, numExec int, tun Tunable
 				Suite:          d.execCrypto[m],
 				Node:           d.net.Node(m),
 				App:            kv,
-				Tunables:       tun,
+				Channel:        channel,
 			})
 			if err != nil {
 				t.Fatalf("execution replica %v: %v", m, err)
@@ -268,7 +249,7 @@ func decodeResult(t *testing.T, payload []byte) app.Result {
 }
 
 func TestWriteAndWeakRead(t *testing.T) {
-	d := newDeployment(t, 2, testTunables(), nil, 101)
+	d := newDeployment(t, 2, nil, 101)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 
@@ -290,7 +271,7 @@ func TestWriteAndWeakRead(t *testing.T) {
 }
 
 func TestWritePropagatesToAllGroups(t *testing.T) {
-	d := newDeployment(t, 2, testTunables(), nil, 101, 102)
+	d := newDeployment(t, 2, nil, 101, 102)
 	d.start()
 	writer := d.client(101, d.execGroups[0])
 	reader := d.client(102, d.execGroups[1])
@@ -314,7 +295,7 @@ func TestWritePropagatesToAllGroups(t *testing.T) {
 }
 
 func TestStrongReadAcrossGroups(t *testing.T) {
-	d := newDeployment(t, 2, testTunables(), nil, 101, 102)
+	d := newDeployment(t, 2, nil, 101, 102)
 	d.start()
 	writer := d.client(101, d.execGroups[0])
 	reader := d.client(102, d.execGroups[1])
@@ -334,7 +315,7 @@ func TestStrongReadAcrossGroups(t *testing.T) {
 }
 
 func TestAtMostOnceExecution(t *testing.T) {
-	d := newDeployment(t, 2, testTunables(), nil, 101)
+	d := newDeployment(t, 2, nil, 101)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 
@@ -367,28 +348,42 @@ func TestAtMostOnceExecution(t *testing.T) {
 }
 
 func TestManyWritesThroughCheckpoints(t *testing.T) {
-	d := newDeployment(t, 2, testTunables(), nil, 101)
+	d := newDeployment(t, 2, nil, 101)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 
-	// 3x the checkpoint interval: windows must keep moving.
-	const writes = 24
+	// Past AG-WIN and the commit channel's capacity, across four and a
+	// half checkpoint intervals: windows must keep moving.
+	const writes = agreementWindow + agreementCheckpointInterval/2
 	for i := 0; i < writes; i++ {
 		if _, err := client.Write(putOp(fmt.Sprintf("k%02d", i), "v")); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	got, err := client.WeakRead(getOp("k23"))
+	last := getOp(fmt.Sprintf("k%02d", writes-1))
+	got, err := client.WeakRead(last)
 	if err != nil {
 		t.Fatalf("weak read: %v", err)
 	}
 	if r := decodeResult(t, got); !r.Found {
 		t.Fatal("last write lost")
 	}
+	// Every replica of both groups applies it.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, g := range d.execGroups {
+		for _, m := range g.Members {
+			for !replicaRead(d, g.ID, m, last).Found {
+				if time.Now().After(deadline) {
+					t.Fatalf("replica %v of group %v never applied the last write", m, g.ID)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		}
+	}
 }
 
 func TestLaggingExecutionReplicaCatchesUp(t *testing.T) {
-	d := newDeployment(t, 2, testTunables(), nil, 101)
+	d := newDeployment(t, 2, nil, 101)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 
@@ -397,7 +392,9 @@ func TestLaggingExecutionReplicaCatchesUp(t *testing.T) {
 	straggler := d.execGroups[0].Members[2]
 	d.net.Isolate(straggler, true)
 
-	const writes = 20 // > 2 checkpoint intervals of 8
+	// Past the commit channel's capacity, across five checkpoint
+	// intervals.
+	const writes = commitChannelCapacity + executionCheckpointInterval
 	for i := 0; i < writes; i++ {
 		if _, err := client.Write(putOp(fmt.Sprintf("k%02d", i), "v")); err != nil {
 			t.Fatalf("write %d: %v", i, err)
@@ -413,7 +410,7 @@ func TestLaggingExecutionReplicaCatchesUp(t *testing.T) {
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		if er.Seq() >= ids.SeqNr(writes-8) { // within one checkpoint of the tip
+		if er.Seq() >= writes-executionCheckpointInterval { // within one checkpoint of the tip
 			if replicaRead(d, d.execGroups[0].ID, straggler, getOp("k08")).Found {
 				return
 			}
@@ -428,7 +425,7 @@ func TestLaggingExecutionReplicaCatchesUp(t *testing.T) {
 }
 
 func TestFaultyClientContained(t *testing.T) {
-	d := newDeployment(t, 1, testTunables(), nil, 101, 102)
+	d := newDeployment(t, 1, nil, 101, 102)
 	d.start()
 	group := d.execGroups[0]
 
@@ -475,7 +472,7 @@ func TestFaultyClientContained(t *testing.T) {
 }
 
 func TestAgreementLeaderFailure(t *testing.T) {
-	d := newDeployment(t, 1, testTunables(), nil, 101)
+	d := newDeployment(t, 1, nil, 101)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 
@@ -501,13 +498,13 @@ func TestAgreementLeaderFailure(t *testing.T) {
 }
 
 func TestAddExecutionGroupAtRuntime(t *testing.T) {
-	tun := testTunables()
-	d := newDeployment(t, 1, tun, []ids.ClientID{200}, 101, 200, 103)
+	d := newDeployment(t, 1, []ids.ClientID{200}, 101, 200, 103)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 
-	// Some history before the new group joins.
-	for i := 0; i < 10; i++ {
+	// Some history before the new group joins, past the first
+	// execution checkpoint.
+	for i := 0; i < executionCheckpointInterval+4; i++ {
 		if _, err := client.Write(putOp(fmt.Sprintf("pre%02d", i), "v")); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
@@ -526,7 +523,6 @@ func TestAddExecutionGroupAtRuntime(t *testing.T) {
 			Suite:          d.suites[m],
 			Node:           d.net.Node(m),
 			App:            kv,
-			Tunables:       tun,
 		})
 		if err != nil {
 			t.Fatalf("new replica %v: %v", m, err)
@@ -582,7 +578,7 @@ func TestAddExecutionGroupAtRuntime(t *testing.T) {
 }
 
 func TestRemoveExecutionGroup(t *testing.T) {
-	d := newDeployment(t, 2, testTunables(), []ids.ClientID{200}, 101, 200)
+	d := newDeployment(t, 2, []ids.ClientID{200}, 101, 200)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 	admin := d.client(200, d.execGroups[0])
@@ -609,7 +605,7 @@ func TestRemoveExecutionGroup(t *testing.T) {
 }
 
 func TestUnauthorizedAdminRejected(t *testing.T) {
-	d := newDeployment(t, 1, testTunables(), []ids.ClientID{200}, 101)
+	d := newDeployment(t, 1, []ids.ClientID{200}, 101)
 	d.start()
 	// Client 101 is not on the admin list; the operation must time
 	// out (never ordered) rather than execute.
@@ -629,18 +625,18 @@ func TestUnauthorizedAdminRejected(t *testing.T) {
 }
 
 func TestSCChannelVariant(t *testing.T) {
-	tun := testTunables()
-	tun.Channel = ChannelSC
-	d := newDeployment(t, 2, tun, nil, 101)
+	d := newDeploymentOn(t, memnet.New(memnet.Options{}), 2, ChannelSC, crypto.EnvSuiteKind(crypto.SuiteInsecure), nil, 101)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 
-	for i := 0; i < 10; i++ {
+	// Past the first execution checkpoint.
+	const writes = executionCheckpointInterval + 4
+	for i := 0; i < writes; i++ {
 		if _, err := client.Write(putOp(fmt.Sprintf("k%d", i), "v")); err != nil {
 			t.Fatalf("write %d over IRMC-SC: %v", i, err)
 		}
 	}
-	got, err := client.WeakRead(getOp("k9"))
+	got, err := client.WeakRead(getOp(fmt.Sprintf("k%d", writes-1)))
 	if err != nil {
 		t.Fatalf("weak read: %v", err)
 	}
@@ -650,7 +646,7 @@ func TestSCChannelVariant(t *testing.T) {
 }
 
 func TestWeakReadIsLocal(t *testing.T) {
-	d := newDeployment(t, 1, testTunables(), nil, 101)
+	d := newDeployment(t, 1, nil, 101)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 	if _, err := client.Write(putOp("k", "v")); err != nil {
@@ -677,16 +673,5 @@ func TestWeakReadIsLocal(t *testing.T) {
 func TestClientConfigValidation(t *testing.T) {
 	if _, err := NewClient(ClientConfig{}); err == nil {
 		t.Fatal("empty client config accepted")
-	}
-}
-
-func TestTunablesValidation(t *testing.T) {
-	bad := Tunables{ExecutionCheckpointInterval: 64, CommitChannelCapacity: 32}
-	if err := bad.validate(); err == nil {
-		t.Fatal("ke > commit capacity accepted (liveness violation)")
-	}
-	bad = Tunables{AgreementCheckpointInterval: 64, AgreementWindow: 32, CommitChannelCapacity: 64, ExecutionCheckpointInterval: 32}
-	if err := bad.validate(); err == nil {
-		t.Fatal("AG-WIN < ka accepted")
 	}
 }

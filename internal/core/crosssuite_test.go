@@ -15,7 +15,7 @@ import (
 // admission check. None of the forged writes may execute, and an
 // honest Ed25519 client sharing the group must be unaffected.
 func TestCrossSuiteClientRequestRejected(t *testing.T) {
-	d := newDeploymentSuite(t, 1, testTunables(), 0, crypto.SuiteEd25519, nil, 101, 102)
+	d := newDeploymentSuite(t, 1, crypto.SuiteEd25519, nil, 101, 102)
 	d.start()
 	group := d.execGroups[0]
 

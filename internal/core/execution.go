@@ -47,7 +47,6 @@ type ExecutionReplica struct {
 // NewExecutionReplica wires up an execution replica. Call Start to
 // begin processing.
 func NewExecutionReplica(cfg ExecutionConfig) (*ExecutionReplica, error) {
-	cfg.Tunables.applyDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -63,7 +62,7 @@ func NewExecutionReplica(cfg ExecutionConfig) (*ExecutionReplica, error) {
 	e.cond = sync.NewCond(&e.mu)
 
 	var err error
-	e.reqSender, err = newChannelSender(cfg.Tunables.Channel, irmc.Config{
+	e.reqSender, err = newChannelSender(cfg.Channel, irmc.Config{
 		Senders:   cfg.Group,
 		Receivers: cfg.AgreementGroup,
 		Capacity:  requestChannelCapacity,
@@ -74,10 +73,10 @@ func NewExecutionReplica(cfg ExecutionConfig) (*ExecutionReplica, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.commitRecv, err = newChannelReceiver(cfg.Tunables.Channel, irmc.Config{
+	e.commitRecv, err = newChannelReceiver(cfg.Channel, irmc.Config{
 		Senders:   cfg.AgreementGroup,
 		Receivers: cfg.Group,
-		Capacity:  cfg.Tunables.CommitChannelCapacity,
+		Capacity:  commitChannelCapacity,
 		Suite:     cfg.Suite,
 		Node:      cfg.Node,
 		Stream:    commitStream(cfg.Group.ID),
@@ -510,8 +509,7 @@ func (e *ExecutionReplica) mainLoop() {
 		// Execution checkpoints fire when a batch crosses a ke
 		// boundary; batch ends are identical at all replicas, so the
 		// group still snapshots at matching sequence numbers.
-		ke := uint64(e.cfg.Tunables.ExecutionCheckpointInterval)
-		ckptDue := uint64(e.sn)/ke > uint64(prev)/ke
+		ckptDue := e.sn/executionCheckpointInterval > prev/executionCheckpointInterval
 		snapSeq := e.sn
 		var snap []byte
 		if ckptDue {

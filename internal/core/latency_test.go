@@ -37,10 +37,11 @@ func farNet(clients ...ids.ClientID) (*memnet.Network, time.Duration) {
 
 // medianWrite walks the cycle ('r' weak read, 'w' write, all on one
 // key) and returns the median write latency after two unmeasured
-// warm-up cycles.
+// warm-up cycles. The cycles together write past an execution
+// checkpoint.
 func medianWrite(t *testing.T, c *Client, cycle string) time.Duration {
 	t.Helper()
-	const warmup, measured = 2, 9
+	const warmup, measured = 2, executionCheckpointInterval - 1
 	var lat []time.Duration
 	writes := 0
 	for round := 0; round < warmup+measured; round++ {
@@ -86,9 +87,7 @@ func TestWriteAfterWeakReadIsOneRoundTrip(t *testing.T) {
 		for _, cycle := range []string{"rw", "rrrw"} {
 			t.Run(fmt.Sprintf("%v/%s", channel, cycle), func(t *testing.T) {
 				net, rtt := farNet(101)
-				tun := testTunables()
-				tun.Channel = channel
-				d := newDeploymentOn(t, net, 1, tun, 0, crypto.SuiteInsecure, nil, 101)
+				d := newDeploymentOn(t, net, 1, channel, crypto.SuiteInsecure, nil, 101)
 				d.start()
 				client := d.client(101, d.execGroups[0])
 				median := medianWrite(t, client, cycle)
@@ -105,12 +104,11 @@ func TestWriteAfterWeakReadIsOneRoundTrip(t *testing.T) {
 // every later batch waits behind, must go through on the sender's own
 // move alone.
 func TestJoinDoesNotWaitForNewGroup(t *testing.T) {
-	tun := testTunables()
-	d := newDeployment(t, 1, tun, []ids.ClientID{200}, 101, 200)
+	d := newDeployment(t, 1, []ids.ClientID{200}, 101, 200)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 	// Push the join point beyond a fresh channel's initial window.
-	for i := 0; i <= tun.CommitChannelCapacity; i++ {
+	for i := 0; i <= commitChannelCapacity; i++ {
 		if _, err := client.Write(putOp("pre", fmt.Sprint(i))); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}

@@ -11,7 +11,7 @@ import (
 // request jumps the client's subchannel window far ahead; the system
 // must execute each request exactly once.
 func TestClientSessionsWithCounterJumps(t *testing.T) {
-	d := newDeployment(t, 1, testTunables(), nil, 101)
+	d := newDeployment(t, 1, nil, 101)
 	d.start()
 
 	base := uint64(1_000_000_000_000)

@@ -147,7 +147,7 @@ func TestAgreementSnapshotRoundTrip(t *testing.T) {
 // checkpointing must still complete every write (the paper's partial
 // synchrony assumption plus reliable-channel emulation by retry).
 func TestLivenessUnderMessageLoss(t *testing.T) {
-	d := newDeployment(t, 1, testTunables(), nil, 101)
+	d := newDeployment(t, 1, nil, 101)
 	// 20% drops in both directions between exec and agreement nodes.
 	for _, e := range d.execGroups[0].Members {
 		for _, a := range d.agGroup.Members {
@@ -177,7 +177,7 @@ func TestLivenessUnderMessageLoss(t *testing.T) {
 // non-designated group stores a placeholder (counter only) for a
 // strong read, and a later write from the same client still executes.
 func TestStrongReadPlaceholders(t *testing.T) {
-	d := newDeployment(t, 2, testTunables(), nil, 101)
+	d := newDeployment(t, 2, nil, 101)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 
@@ -222,9 +222,9 @@ func TestStrongReadPlaceholders(t *testing.T) {
 func TestPerKeyLinearizability(t *testing.T) {
 	const (
 		numClients = 3
-		opsPer     = 8
+		opsPer     = 24 // together past AG-WIN
 	)
-	d := newDeployment(t, 1, testTunables(), nil, 101, 102, 103)
+	d := newDeployment(t, 1, nil, 101, 102, 103)
 	d.start()
 	keys := []string{"lin-a0", "lin-b0", "lin-a1", "lin-b1"}
 
@@ -309,7 +309,7 @@ func TestPerKeyLinearizability(t *testing.T) {
 // TestClientSwitchGroup: a client whose group becomes unavailable
 // switches to another execution group and continues (Section 3.1).
 func TestClientSwitchGroup(t *testing.T) {
-	d := newDeployment(t, 2, testTunables(), nil, 101)
+	d := newDeployment(t, 2, nil, 101)
 	d.start()
 	client := d.client(101, d.execGroups[0])
 

@@ -230,7 +230,6 @@ func (c *Config) Launch(self ids.NodeID, h Host) (Replica, error) {
 		}
 		st = ds
 	}
-	tun := core.Tunables{SlackGroups: c.SlackGroups, Channel: c.Channel}
 	var r Replica
 	var err error
 	if kind == "agree" {
@@ -240,7 +239,8 @@ func (c *Config) Launch(self ids.NodeID, h Host) (Replica, error) {
 			AdminClients:   c.AdminClients,
 			Suite:          h.Suite,
 			Node:           h.Node,
-			Tunables:       tun,
+			Channel:        c.Channel,
+			SlackGroups:    c.SlackGroups,
 			ConsensusAuth:  c.ConsensusAuth,
 			CommitStats:    h.CommitStats,
 			BatchOccupancy: h.BatchOccupancy,
@@ -258,7 +258,7 @@ func (c *Config) Launch(self ids.NodeID, h Host) (Replica, error) {
 			Suite:          h.Suite,
 			Node:           h.Node,
 			App:            app.NewKVStore(),
-			Tunables:       tun,
+			Channel:        c.Channel,
 			Store:          st,
 		})
 		if err == nil {

@@ -385,6 +385,16 @@ func (c *Cluster) ExecNodes(region topo.Region) []ids.NodeID {
 	return nil
 }
 
+// ExecRegions returns the regions hosting execution groups, the ones
+// joined by AddRegion included.
+func (c *Cluster) ExecRegions() []topo.Region {
+	out := make([]topo.Region, 0, len(c.spider.ExecGroups))
+	for _, g := range c.spider.ExecGroups {
+		out = append(out, topo.Region(g.Region))
+	}
+	return out
+}
+
 // AgreementNodes returns the agreement group's nodes, leader first.
 func (c *Cluster) AgreementNodes() []ids.NodeID {
 	return slices.Clone(c.spider.Agreement.Members)

@@ -87,10 +87,11 @@ type Options struct {
 	JitterFrac float64
 	// Seed makes jitter and drop decisions reproducible.
 	Seed int64
-	// PendingLimit bounds frames buffered for not-yet-registered
-	// stream handlers, per stream. Defaults to 4096.
-	PendingLimit int
 }
+
+// pendingLimit bounds frames buffered for not-yet-registered stream
+// handlers, per stream; frames beyond it are dropped and counted.
+const pendingLimit = 4096
 
 // Network is an in-process transport with emulated latency.
 type Network struct {
@@ -124,9 +125,6 @@ func New(opts Options) *Network { return newNetwork(opts, newSysTimer()) }
 
 // newNetwork is New with the delivery clock's timer chosen by the caller.
 func newNetwork(opts Options, timer sysTimer) *Network {
-	if opts.PendingLimit <= 0 {
-		opts.PendingLimit = 4096
-	}
 	n := &Network{
 		opts:     opts,
 		nodes:    make(map[ids.NodeID]*memNode),
@@ -598,7 +596,7 @@ func (m *memNode) deliverRun(from ids.NodeID, stream transport.Stream, payloads 
 	h, ok := m.handlers[stream]
 	if !ok {
 		for _, payload := range payloads {
-			if len(m.pending[stream]) < m.net.opts.PendingLimit {
+			if len(m.pending[stream]) < pendingLimit {
 				m.pending[stream] = append(m.pending[stream], pendingFrame{from: from, payload: payload})
 			} else {
 				m.net.dropped.Add(1)

@@ -1,6 +1,7 @@
 package memnet
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,6 +114,38 @@ func TestHandleBeforeSendBuffering(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("buffered frame not delivered")
+	}
+
+	// Past pendingLimit frames for a stream with no handler, the
+	// buffer keeps the first pendingLimit in order and drops the rest,
+	// counting each drop.
+	for i := 0; i <= pendingLimit; i++ {
+		net.Node(3).Send(4, testStream, binary.BigEndian.AppendUint32(nil, uint32(i)))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for net.Stats().Dropped == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	seq := make(chan uint32, pendingLimit+1)
+	net.Node(4).Handle(testStream, func(_ ids.NodeID, payload []byte) {
+		seq <- binary.BigEndian.Uint32(payload)
+	})
+	for want := uint32(0); want < pendingLimit; want++ {
+		select {
+		case i := <-seq:
+			if i != want {
+				t.Fatalf("buffered frame %d delivered as frame %d", i, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("buffered frame %d not delivered", want)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	if len(seq) != 0 {
+		t.Fatalf("%d frames past the limit delivered", len(seq))
+	}
+	if d := net.Stats().Dropped; d != 1 {
+		t.Fatalf("Dropped = %d, want 1", d)
 	}
 }
 

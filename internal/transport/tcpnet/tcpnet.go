@@ -34,25 +34,16 @@ type Options struct {
 	ListenAddr string
 	// Peers maps node ids to dial addresses.
 	Peers map[ids.NodeID]string
-	// QueueLen bounds the per-peer outbound queue (default 4096).
-	QueueLen int
-	// DialTimeout bounds connection attempts (default 3s).
-	DialTimeout time.Duration
-	// RedialBackoff is the pause after a failed dial (default 500ms).
-	RedialBackoff time.Duration
 }
 
-func (o *Options) applyDefaults() {
-	if o.QueueLen <= 0 {
-		o.QueueLen = 4096
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 3 * time.Second
-	}
-	if o.RedialBackoff <= 0 {
-		o.RedialBackoff = 500 * time.Millisecond
-	}
-}
+const (
+	// queueLen bounds the per-peer outbound queue.
+	queueLen = 4096
+	// dialTimeout bounds connection attempts.
+	dialTimeout = 3 * time.Second
+	// redialBackoff is the pause after a failed dial.
+	redialBackoff = 500 * time.Millisecond
+)
 
 // maxFrameSize bounds inbound frames (protects against corrupt length
 // prefixes).
@@ -139,7 +130,6 @@ var _ transport.Node = (*Node)(nil)
 
 // Listen starts a TCP node.
 func Listen(opts Options) (*Node, error) {
-	opts.applyDefaults()
 	if !opts.Self.Valid() {
 		return nil, errors.New("tcpnet: self id required")
 	}
@@ -515,7 +505,7 @@ func (q *peerQueue) enqueue(stream transport.Stream, payload []byte) {
 	if q.closed {
 		return
 	}
-	if len(q.queue) >= q.node.opts.QueueLen {
+	if len(q.queue) >= queueLen {
 		// Best-effort semantics: drop the oldest frame; the protocols
 		// recover via retries and checkpoints.
 		q.queue = q.queue[1:]
@@ -587,7 +577,7 @@ func (q *peerQueue) run() {
 			if conn == nil {
 				c, err := q.dial()
 				if err != nil {
-					time.Sleep(q.node.opts.RedialBackoff)
+					time.Sleep(redialBackoff)
 					continue
 				}
 				q.mu.Lock()
@@ -616,7 +606,7 @@ func (q *peerQueue) run() {
 }
 
 func (q *peerQueue) dial() (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", q.addr, q.node.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", q.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -107,11 +107,7 @@ func TestReconnect(t *testing.T) {
 	var count atomic.Int32
 	a.Handle(testStream, func(ids.NodeID, []byte) { count.Add(1) })
 
-	b, err := Listen(Options{
-		Self:          2,
-		Peers:         map[ids.NodeID]string{1: addr},
-		RedialBackoff: 50 * time.Millisecond,
-	})
+	b, err := Listen(Options{Self: 2, Peers: map[ids.NodeID]string{1: addr}})
 	if err != nil {
 		t.Fatal(err)
 	}

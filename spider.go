@@ -56,9 +56,6 @@ type (
 	AgreementReplica = core.AgreementReplica
 	// AgreementConfig parameterizes an AgreementReplica.
 	AgreementConfig = core.AgreementConfig
-	// Tunables are the protocol parameters (checkpoint intervals,
-	// channel capacities, AG-WIN, slack groups, IRMC kind).
-	Tunables = core.Tunables
 	// AdminOp reconfigures the system at runtime (Section 3.6).
 	AdminOp = core.AdminOp
 	// GroupEntry is one record of the execution-replica registry.
@@ -219,9 +216,7 @@ func (c *LocalCluster) AddRegion(region Region) error {
 }
 
 // Regions returns the regions currently hosting execution groups.
-func (c *LocalCluster) Regions() []Region {
-	return append([]Region{}, c.inner.Opts.Regions...)
-}
+func (c *LocalCluster) Regions() []Region { return c.inner.ExecRegions() }
 
 // Stop shuts the whole deployment down.
 func (c *LocalCluster) Stop() { c.inner.Stop() }

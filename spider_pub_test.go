@@ -1,6 +1,7 @@
 package spider_test
 
 import (
+	"slices"
 	"testing"
 
 	"spider"
@@ -61,6 +62,9 @@ func TestPublicAPI(t *testing.T) {
 
 	if err := cluster.AddRegion(spider.SaoPaulo); err != nil {
 		t.Fatalf("add region: %v", err)
+	}
+	if got := cluster.Regions(); !slices.Contains(got, spider.SaoPaulo) || len(got) != 3 {
+		t.Fatalf("regions after AddRegion = %v, want the joined sao-paulo too", got)
 	}
 	carol, err := cluster.NewClient(spider.SaoPaulo)
 	if err != nil {
