@@ -31,13 +31,14 @@ test:
 ## race: the concurrency-sensitive packages under the race detector
 ## (harness included: every Spider replica records into the cluster's
 ## shared occupancy and commit counters while workload goroutines run;
-## memnet included: every sending goroutine shares the delivery clock's
-## heap; checkpoint included: an announcement is asked about under the
+## transport included: every peer's delivery goroutine and a registering
+## goroutine share one stream mux; memnet included: every sending
+## goroutine shares the delivery clock's heap; checkpoint included: an announcement is asked about under the
 ## lock, verified outside it and admitted under it again; tcpnet
 ## included: it is the transport spider-node ships, with a reader
 ## goroutine per connection and a writer per peer queue).
 race:
-	$(GO) test -race ./internal/crypto/ ./internal/consensus/pbft/ ./internal/core/ ./internal/irmc/... ./internal/checkpoint/ ./internal/harness/ ./internal/stats/ ./internal/transport/memnet/ ./internal/transport/tcpnet/
+	$(GO) test -race ./internal/crypto/ ./internal/consensus/pbft/ ./internal/core/ ./internal/irmc/... ./internal/checkpoint/ ./internal/harness/ ./internal/stats/ ./internal/transport/ ./internal/transport/memnet/ ./internal/transport/tcpnet/
 
 ## soak: the chaos scenario matrix — crash/restart, partition-and-heal,
 ## leader churn, and the gray-failure scenarios (slow leader rotated,
@@ -103,7 +104,8 @@ bench-compare:
 ## not a _test.go, not under bench/, and not in a test-support package:
 ## irmctest, cryptotest), and the same for internal/irmc/**,
 ## internal/consensus/pbft, internal/quorum, internal/crypto,
-## internal/harness, internal/deploy and cmd/ alone.
+## internal/harness, internal/deploy, internal/transport/** and cmd/
+## alone.
 LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/irmctest/*' ! -path '*/cryptotest/*' -print0 | xargs -0 cat | wc -l
 loc:
 	@echo "product Go lines, root module:     $$($(call LOC,.))"
@@ -113,6 +115,7 @@ loc:
 	@echo "product Go lines, internal/crypto:  $$($(call LOC,./internal/crypto))"
 	@echo "product Go lines, internal/harness: $$($(call LOC,./internal/harness))"
 	@echo "product Go lines, internal/deploy:  $$($(call LOC,./internal/deploy))"
+	@echo "product Go lines, transport/**:     $$($(call LOC,./internal/transport))"
 	@echo "product Go lines, cmd/:             $$($(call LOC,./cmd))"
 
 tidy:

@@ -502,7 +502,7 @@ func (r *Replica) collectShare(payload []byte, share crypto.Share, build func(cr
 // sendToSite ships a frame to every member of a site.
 func (r *Replica) sendToSite(site ids.Group, frame []byte) {
 	stream := transport.MakeStream(transport.KindHFT, uint32(site.ID))
-	r.cfg.Node.Multicast(site.Members, stream, frame)
+	transport.Multicast(r.cfg.Node, site.Members, stream, frame)
 }
 
 // --- global protocol ----------------------------------------------------------

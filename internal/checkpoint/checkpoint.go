@@ -287,7 +287,7 @@ func (c *Component) Generate(seq ids.SeqNr, state []byte) {
 	}
 	c.finishUnlock(seq, installed, fetch)
 
-	c.cfg.Node.Multicast(c.others, c.cfg.Stream, env)
+	transport.Multicast(c.cfg.Node, c.others, c.cfg.Stream, env)
 }
 
 // Fetches reports how many full-state fetches this component issued.
@@ -336,7 +336,7 @@ func (c *Component) gossipLoop() {
 			stable := c.stableSeq
 			c.mu.Unlock()
 			if env != nil {
-				c.cfg.Node.Multicast(c.others, c.cfg.Stream, env)
+				transport.Multicast(c.cfg.Node, c.others, c.cfg.Stream, env)
 			}
 			if want > stable {
 				// Still missing state: keep asking.

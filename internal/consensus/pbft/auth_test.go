@@ -33,10 +33,12 @@ type tapNode struct {
 	see func(from ids.NodeID, payload []byte)
 }
 
-func (n *tapNode) Handle(stream transport.Stream, h transport.Handler) {
-	n.Node.Handle(stream, func(from ids.NodeID, payload []byte) {
-		n.see(from, payload)
-		h(from, payload)
+func (n *tapNode) HandleBatch(stream transport.Stream, h transport.BatchHandler) {
+	n.Node.HandleBatch(stream, func(from ids.NodeID, payloads [][]byte) {
+		for _, p := range payloads {
+			n.see(from, p)
+		}
+		h(from, payloads)
 	})
 }
 

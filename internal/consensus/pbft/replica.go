@@ -87,9 +87,9 @@ func (r *Replica) Start() {
 	r.timer = time.AfterFunc(0, r.onTimer) // the first tick arms the next
 	r.mu.Unlock()
 
-	// Batch-capable transports hand a drained run of queued frames to
-	// onFrames in one call; others fall back to frame-at-a-time.
-	transport.RegisterBatch(r.cfg.Node, r.cfg.Stream, r.onFrames)
+	// The transport hands a drained run of queued frames to onFrames in
+	// one call.
+	r.cfg.Node.HandleBatch(r.cfg.Stream, r.onFrames)
 
 	r.wg.Add(1)
 	go r.deliveryLoop()
@@ -188,7 +188,7 @@ func (r *Replica) step(ev event) (batch consensus.Batch, taken bool) {
 		case actSend:
 			r.cfg.Node.Send(a.to, r.cfg.Stream, a.env)
 		case actMulticast:
-			r.cfg.Node.Multicast(r.cfg.Group.Members, r.cfg.Stream, a.env)
+			transport.Multicast(r.cfg.Node, r.cfg.Group.Members, r.cfg.Stream, a.env)
 		case actAuthMulticast:
 			r.authMulticast(a)
 		case actDeliverable:
@@ -232,7 +232,7 @@ func (r *Replica) authMulticast(a *action) {
 	sig, vec := auth.Authenticate(frame)
 	env := wire.Encode(&signedRaw{From: r.me, Frame: frame, Sig: sig, MACVec: vec})
 	wire.PutWriter(fw)
-	r.cfg.Node.Multicast(r.cfg.Group.Members, r.cfg.Stream, env)
+	transport.Multicast(r.cfg.Node, r.cfg.Group.Members, r.cfg.Stream, env)
 }
 
 // onFrames admits a run of frames that arrived back-to-back from one

@@ -28,7 +28,6 @@ import (
 	"spider/internal/ids"
 	"spider/internal/irmc"
 	"spider/internal/quorum"
-	"spider/internal/transport"
 	"spider/internal/wire"
 )
 
@@ -177,7 +176,7 @@ func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 		lastStuck := make(map[ids.Subchannel]ids.Position)
 		r.Every(cfg.CollectorTimeout(), func() { r.nackStuck(lastStuck) })
 	}
-	transport.RegisterBatch(cfg.Node, cfg.Stream, r.onFrames)
+	cfg.Node.HandleBatch(cfg.Stream, r.onFrames)
 	return r, nil
 }
 

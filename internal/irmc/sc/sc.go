@@ -36,7 +36,6 @@ import (
 	"spider/internal/ids"
 	"spider/internal/irmc"
 	"spider/internal/quorum"
-	"spider/internal/transport"
 	"spider/internal/wire"
 )
 
@@ -89,7 +88,7 @@ func NewSender(cfg irmc.Config) (*Sender, error) {
 		}
 	}
 	s.Start(s.announceProgress)
-	transport.RegisterBatch(cfg.Node, cfg.Stream, s.onFrames)
+	cfg.Node.HandleBatch(cfg.Stream, s.onFrames)
 	return s, nil
 }
 
@@ -391,7 +390,7 @@ func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 	}
 	r.certs = quorum.Cert{Rule: quorum.Count(cfg.Senders.F + 1), Members: cfg.Senders}
 	r.Every(max(cfg.CollectorTimeout()/4, 10*time.Millisecond), r.checkCollectors)
-	transport.RegisterBatch(cfg.Node, cfg.Stream, r.onFrames)
+	cfg.Node.HandleBatch(cfg.Stream, r.onFrames)
 	return r, nil
 }
 

@@ -1,5 +1,5 @@
-// Package memnet implements transport.Network in-process with emulated
-// wide-area latency. Every directed node pair is a FIFO link whose
+// Package memnet is an in-process transport with emulated wide-area
+// latency. Every directed node pair is a FIFO link whose
 // delivery delay comes from a topo.Placement (half the RTT between the
 // nodes' sites, plus optional jitter), so an entire geo-distributed
 // deployment runs inside one test or benchmark while observing the
@@ -89,10 +89,6 @@ type Options struct {
 	Seed int64
 }
 
-// pendingLimit bounds frames buffered for not-yet-registered stream
-// handlers, per stream; frames beyond it are dropped and counted.
-const pendingLimit = 4096
-
 // Network is an in-process transport with emulated latency.
 type Network struct {
 	opts Options
@@ -115,8 +111,6 @@ type Network struct {
 	frames  [numClasses]atomic.Int64
 	dropped atomic.Int64
 }
-
-var _ transport.Network = (*Network)(nil)
 
 type linkKey struct{ from, to ids.NodeID }
 
@@ -151,12 +145,7 @@ func (n *Network) Node(id ids.NodeID) transport.Node {
 	if node, ok := n.nodes[id]; ok {
 		return node
 	}
-	node := &memNode{
-		net:      n,
-		id:       id,
-		handlers: make(map[transport.Stream]transport.Handler),
-		pending:  make(map[transport.Stream][]pendingFrame),
-	}
+	node := &memNode{net: n, id: id}
 	n.nodes[id] = node
 	return node
 }
@@ -379,8 +368,8 @@ const maxDrainRun = 128
 // their scheduled delay, sleeping on the network's clock until the head
 // frame is due. When the head frame's delay has elapsed, any
 // immediately deliverable frames for the same stream queued behind it
-// are drained into one batch delivery, so a receiver with a batch
-// handler admits the whole run at once.
+// are drained into one run, so the receiver admits the whole run in one
+// handler call.
 func (n *Network) runLink(l *link, dst *memNode) {
 	defer n.wg.Done()
 	for {
@@ -396,15 +385,10 @@ func (n *Network) runLink(l *link, dst *memNode) {
 				return
 			}
 		}
-		run := l.drainReady(f.stream, time.Now(), maxDrainRun-1)
-		if len(run) == 0 {
-			dst.deliver(f)
-			continue
+		run := l.drainReady(f.stream, time.Now(), [][]byte{f.payload})
+		if d := dst.Deliver(f.from, f.stream, run); d > 0 {
+			n.dropped.Add(int64(d))
 		}
-		payloads := make([][]byte, 0, len(run)+1)
-		payloads = append(payloads, f.payload)
-		payloads = append(payloads, run...)
-		dst.deliverRun(f.from, f.stream, payloads)
 	}
 }
 
@@ -487,22 +471,21 @@ func (l *link) next() (frame, time.Time, bool) {
 	return tf.frame, tf.at, true
 }
 
-// drainReady pops up to max queued frames whose delivery time has
-// arrived and whose stream matches, preserving FIFO order. It never
-// blocks; an empty result means the head frame travels alone.
-func (l *link) drainReady(stream transport.Stream, now time.Time, max int) [][]byte {
+// drainReady appends to run the queued frames whose delivery time has
+// arrived and whose stream matches, in FIFO order, until run holds
+// maxDrainRun frames. It never blocks.
+func (l *link) drainReady(stream transport.Stream, now time.Time, run [][]byte) [][]byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out [][]byte
-	for len(l.q) > 0 && len(out) < max {
+	for len(l.q) > 0 && len(run) < maxDrainRun {
 		head := l.q[0]
 		if head.stream != stream || head.at.After(now) {
 			break
 		}
-		out = append(out, head.payload)
+		run = append(run, head.payload)
 		l.q = l.q[1:]
 	}
-	return out
+	return run
 }
 
 func (l *link) close() {
@@ -512,101 +495,18 @@ func (l *link) close() {
 	l.cond.Broadcast()
 }
 
-type pendingFrame struct {
-	from    ids.NodeID
-	payload []byte
-}
-
-// memNode implements transport.Node.
+// memNode implements transport.Node; its inbound half is the embedded
+// Mux, fed by the goroutines of the links into the node.
 type memNode struct {
+	transport.Mux
 	net *Network
 	id  ids.NodeID
-
-	mu       sync.Mutex
-	handlers map[transport.Stream]transport.Handler
-	batch    map[transport.Stream]transport.BatchHandler
-	pending  map[transport.Stream][]pendingFrame
 }
 
-var (
-	_ transport.Node      = (*memNode)(nil)
-	_ transport.BatchNode = (*memNode)(nil)
-)
+var _ transport.Node = (*memNode)(nil)
 
 func (m *memNode) ID() ids.NodeID { return m.id }
 
 func (m *memNode) Send(to ids.NodeID, stream transport.Stream, payload []byte) {
 	m.net.send(m.id, to, stream, payload)
-}
-
-func (m *memNode) Multicast(to []ids.NodeID, stream transport.Stream, payload []byte) {
-	for _, dst := range to {
-		m.net.send(m.id, dst, stream, payload)
-	}
-}
-
-func (m *memNode) Handle(stream transport.Stream, h transport.Handler) {
-	m.mu.Lock()
-	m.handlers[stream] = h
-	delete(m.batch, stream)
-	backlog := m.pending[stream]
-	delete(m.pending, stream)
-	m.mu.Unlock()
-	for _, f := range backlog {
-		h(f.from, f.payload)
-	}
-}
-
-// HandleBatch implements transport.BatchNode: frames drained from a
-// link queue in one run reach h as a single call.
-func (m *memNode) HandleBatch(stream transport.Stream, h transport.BatchHandler) {
-	m.mu.Lock()
-	if m.batch == nil {
-		m.batch = make(map[transport.Stream]transport.BatchHandler)
-	}
-	m.batch[stream] = h
-	delete(m.handlers, stream)
-	backlog := m.pending[stream]
-	delete(m.pending, stream)
-	m.mu.Unlock()
-	froms := make([]ids.NodeID, len(backlog))
-	payloads := make([][]byte, len(backlog))
-	for i, f := range backlog {
-		froms[i], payloads[i] = f.from, f.payload
-	}
-	transport.ReplayRuns(h, froms, payloads)
-}
-
-// deliver hands a frame to the registered handler, or buffers it
-// (bounded) until a handler appears.
-func (m *memNode) deliver(f frame) {
-	m.deliverRun(f.from, f.stream, [][]byte{f.payload})
-}
-
-// deliverRun hands a run of same-sender frames to the stream's batch
-// handler in one call, falling back to per-frame delivery (or bounded
-// buffering) when none is registered.
-func (m *memNode) deliverRun(from ids.NodeID, stream transport.Stream, payloads [][]byte) {
-	m.mu.Lock()
-	if bh, ok := m.batch[stream]; ok {
-		m.mu.Unlock()
-		bh(from, payloads)
-		return
-	}
-	h, ok := m.handlers[stream]
-	if !ok {
-		for _, payload := range payloads {
-			if len(m.pending[stream]) < pendingLimit {
-				m.pending[stream] = append(m.pending[stream], pendingFrame{from: from, payload: payload})
-			} else {
-				m.net.dropped.Add(1)
-			}
-		}
-		m.mu.Unlock()
-		return
-	}
-	m.mu.Unlock()
-	for _, payload := range payloads {
-		h(from, payload)
-	}
 }

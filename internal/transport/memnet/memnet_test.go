@@ -116,36 +116,94 @@ func TestHandleBeforeSendBuffering(t *testing.T) {
 		t.Fatal("buffered frame not delivered")
 	}
 
-	// Past pendingLimit frames for a stream with no handler, the
-	// buffer keeps the first pendingLimit in order and drops the rest,
-	// counting each drop.
-	for i := 0; i <= pendingLimit; i++ {
+	// Frames past the backlog's limit are dropped, and each drop shows
+	// in Stats().Dropped: what the handler sees plus what was dropped
+	// is what was sent. (transport's Mux tests the limit itself.)
+	const sent = 10000
+	for i := 0; i < sent; i++ {
 		net.Node(3).Send(4, testStream, binary.BigEndian.AppendUint32(nil, uint32(i)))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for net.Stats().Dropped == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	seq := make(chan uint32, pendingLimit+1)
+	var delivered atomic.Int64
+	last := int64(-1)
 	net.Node(4).Handle(testStream, func(_ ids.NodeID, payload []byte) {
-		seq <- binary.BigEndian.Uint32(payload)
+		i := int64(binary.BigEndian.Uint32(payload))
+		if i <= last {
+			t.Errorf("frame %d delivered after frame %d", i, last)
+		}
+		last = i
+		delivered.Add(1)
 	})
-	for want := uint32(0); want < pendingLimit; want++ {
-		select {
-		case i := <-seq:
-			if i != want {
-				t.Fatalf("buffered frame %d delivered as frame %d", i, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("buffered frame %d not delivered", want)
+	for delivered.Load()+net.Stats().Dropped < sent && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if d := net.Stats().Dropped; d == 0 || delivered.Load()+d != sent {
+		t.Fatalf("delivered %d, Dropped = %d, sent %d", delivered.Load(), d, sent)
+	}
+}
+
+// TestFIFOAcrossRegistration registers a handler while frames are
+// buffered for it and the same sender keeps sending: the replayed
+// frames and those arriving during the replay must reach the handler
+// in send order, one call at a time.
+func TestFIFOAcrossRegistration(t *testing.T) {
+	net := New(Options{})
+	defer net.Close()
+
+	const buffered, total = 2000, 4000
+	send := func(from, to int) {
+		for i := from; i < to; i++ {
+			net.Node(1).Send(2, testStream, binary.BigEndian.AppendUint32(nil, uint32(i)))
 		}
 	}
-	time.Sleep(20 * time.Millisecond)
-	if len(seq) != 0 {
-		t.Fatalf("%d frames past the limit delivered", len(seq))
+	send(0, buffered)
+	time.Sleep(20 * time.Millisecond) // let the link buffer them at node 2
+
+	// The first replayed frame starts the sender again and holds the
+	// replay until a newer frame reaches the handler or 200 ms pass; a
+	// newer frame must not reach it before the replay is done.
+	replaying, overtaken := make(chan struct{}), make(chan struct{})
+	go func() {
+		<-replaying
+		send(buffered, total)
+	}()
+	var inside, overlaps, disorder, got atomic.Int64
+	var last atomic.Int64
+	last.Store(-1)
+	done := make(chan struct{})
+	net.Node(2).Handle(testStream, func(_ ids.NodeID, payload []byte) {
+		if inside.Add(1) != 1 {
+			overlaps.Add(1)
+		}
+		i := int64(binary.BigEndian.Uint32(payload))
+		switch i {
+		case 0:
+			close(replaying)
+			select {
+			case <-overtaken:
+			case <-time.After(200 * time.Millisecond):
+			}
+		case buffered:
+			close(overtaken)
+		}
+		if i <= last.Swap(i) {
+			disorder.Add(1)
+		}
+		inside.Add(-1)
+		if got.Add(1) == total {
+			close(done)
+		}
+	})
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("delivered %d of %d frames", got.Load(), total)
 	}
-	if d := net.Stats().Dropped; d != 1 {
-		t.Fatalf("Dropped = %d, want 1", d)
+	if o, d := overlaps.Load(), disorder.Load(); o != 0 || d != 0 {
+		t.Fatalf("%d out-of-order frames, %d overlapping handler calls", d, o)
 	}
 }
 
@@ -275,7 +333,7 @@ func TestMulticast(t *testing.T) {
 	net.Node(2).Handle(testStream, h)
 	net.Node(3).Handle(testStream, h)
 	net.Node(4).Handle(testStream, h)
-	net.Node(1).Multicast([]ids.NodeID{2, 3, 4}, testStream, []byte("all"))
+	transport.Multicast(net.Node(1), []ids.NodeID{2, 3, 4}, testStream, []byte("all"))
 	select {
 	case <-done:
 	case <-time.After(time.Second):

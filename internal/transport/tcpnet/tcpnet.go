@@ -50,22 +50,22 @@ const (
 const maxFrameSize = 1 << 26 // 64 MiB
 
 // maxInboundBatch bounds how many already-buffered frames one receive
-// drains into a single batch delivery.
+// drains into a single run.
 const maxInboundBatch = 128
 
 // maxFlushBytes bounds how much queued outbound data one connection
 // write coalesces.
 const maxFlushBytes = 256 << 10
 
-// Node is a TCP-backed transport.Node.
+// Node is a TCP-backed transport.Node. Its inbound half is the embedded
+// Mux, fed by one reader goroutine per connection and the loopback
+// goroutine.
 type Node struct {
+	transport.Mux
 	opts     Options
 	listener net.Listener
 
 	mu       sync.Mutex
-	handlers map[transport.Stream]transport.Handler
-	batch    map[transport.Stream]transport.BatchHandler
-	pending  map[transport.Stream][][2]any // buffered (from, payload) pre-registration
 	outbound map[ids.NodeID]*peerQueue
 	inbound  map[net.Conn]struct{}
 	loop     *selfQueue // asynchronous FIFO self-delivery
@@ -100,7 +100,7 @@ func (q *selfQueue) push(f frame) {
 
 // pop drains a run of queued frames sharing the head frame's stream,
 // preserving FIFO order, so loopback traffic reaches batch handlers in
-// batches just like remote traffic.
+// runs just like remote traffic.
 func (q *selfQueue) pop() (transport.Stream, [][]byte, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -135,14 +135,10 @@ func Listen(opts Options) (*Node, error) {
 	}
 	n := &Node{
 		opts:     opts,
-		handlers: make(map[transport.Stream]transport.Handler),
-		pending:  make(map[transport.Stream][][2]any),
 		outbound: make(map[ids.NodeID]*peerQueue),
 		inbound:  make(map[net.Conn]struct{}),
 		loop:     newSelfQueue(),
 	}
-	n.wg.Add(1)
-	go n.loopbackLoop()
 	if opts.ListenAddr != "" {
 		l, err := net.Listen("tcp", opts.ListenAddr)
 		if err != nil {
@@ -152,6 +148,8 @@ func Listen(opts Options) (*Node, error) {
 		n.wg.Add(1)
 		go n.acceptLoop()
 	}
+	n.wg.Add(1)
+	go n.loopbackLoop()
 	return n, nil
 }
 
@@ -198,42 +196,6 @@ func (n *Node) Close() {
 	n.wg.Wait()
 }
 
-// Handle implements transport.Node.
-func (n *Node) Handle(stream transport.Stream, h transport.Handler) {
-	n.mu.Lock()
-	n.handlers[stream] = h
-	delete(n.batch, stream)
-	backlog := n.pending[stream]
-	delete(n.pending, stream)
-	n.mu.Unlock()
-	for _, f := range backlog {
-		h(f[0].(ids.NodeID), f[1].([]byte))
-	}
-}
-
-// HandleBatch implements transport.BatchNode: frames read back-to-back
-// from one connection (or drained from the loopback queue) reach h as
-// a single call.
-func (n *Node) HandleBatch(stream transport.Stream, h transport.BatchHandler) {
-	n.mu.Lock()
-	if n.batch == nil {
-		n.batch = make(map[transport.Stream]transport.BatchHandler)
-	}
-	n.batch[stream] = h
-	delete(n.handlers, stream)
-	backlog := n.pending[stream]
-	delete(n.pending, stream)
-	n.mu.Unlock()
-	froms := make([]ids.NodeID, len(backlog))
-	payloads := make([][]byte, len(backlog))
-	for i, f := range backlog {
-		froms[i], payloads[i] = f[0].(ids.NodeID), f[1].([]byte)
-	}
-	transport.ReplayRuns(h, froms, payloads)
-}
-
-var _ transport.BatchNode = (*Node)(nil)
-
 // Send implements transport.Node.
 func (n *Node) Send(to ids.NodeID, stream transport.Stream, payload []byte) {
 	if to == n.opts.Self {
@@ -261,43 +223,6 @@ func (n *Node) Send(to ids.NodeID, stream transport.Stream, payload []byte) {
 	q.enqueue(stream, payload)
 }
 
-// Multicast implements transport.Node.
-func (n *Node) Multicast(to []ids.NodeID, stream transport.Stream, payload []byte) {
-	for _, dst := range to {
-		n.Send(dst, stream, payload)
-	}
-}
-
-func (n *Node) deliver(from ids.NodeID, stream transport.Stream, payload []byte) {
-	n.deliverRun(from, stream, [][]byte{payload})
-}
-
-// deliverRun hands a run of same-sender frames to the stream's batch
-// handler in one call, falling back to per-frame delivery (or bounded
-// buffering) when none is registered.
-func (n *Node) deliverRun(from ids.NodeID, stream transport.Stream, payloads [][]byte) {
-	n.mu.Lock()
-	if bh, ok := n.batch[stream]; ok {
-		n.mu.Unlock()
-		bh(from, payloads)
-		return
-	}
-	h, ok := n.handlers[stream]
-	if !ok {
-		for _, payload := range payloads {
-			if len(n.pending[stream]) < 4096 {
-				n.pending[stream] = append(n.pending[stream], [2]any{from, payload})
-			}
-		}
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Unlock()
-	for _, payload := range payloads {
-		h(from, payload)
-	}
-}
-
 // loopbackLoop drains asynchronous self-deliveries.
 func (n *Node) loopbackLoop() {
 	defer n.wg.Done()
@@ -306,7 +231,7 @@ func (n *Node) loopbackLoop() {
 		if !ok {
 			return
 		}
-		n.deliverRun(n.opts.Self, stream, payloads)
+		n.Deliver(n.opts.Self, stream, payloads)
 	}
 }
 
@@ -358,26 +283,17 @@ func (n *Node) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		// Greedily drain frames that are already sitting in the read
-		// buffer — never blocking — and hand a run sharing the first
-		// frame's stream to the handler in one call. A batch-capable
-		// sender flushes several frames per write, so under load whole
-		// runs arrive in one kernel read.
+		// Greedily take the frames on the same stream that are already
+		// sitting in the read buffer — never blocking — and hand the run
+		// to the handler in one call. A sender flushes several frames
+		// per write, so under load whole runs arrive in one kernel read.
+		// A garbage header ends the run; the frames before it arrived
+		// intact and are delivered before the next read fails.
 		payloads := [][]byte{payload}
-		corrupt := false
-		for len(payloads) < maxInboundBatch {
-			nextPayload, ok, err := readBufferedFrame(br, stream, &arena)
-			if err != nil {
-				// The next header is garbage, but the frames already
-				// collected arrived intact — deliver them before the
-				// connection tears down (the sender will not resend).
-				corrupt = true
-				break
+		for err == nil && len(payloads) < maxInboundBatch && nextBuffered(br, stream) {
+			if _, payload, err = readFrame(br, &arena); err == nil {
+				payloads = append(payloads, payload)
 			}
-			if !ok {
-				break
-			}
-			payloads = append(payloads, nextPayload)
 		}
 		n.mu.Lock()
 		closed := n.closed
@@ -385,8 +301,8 @@ func (n *Node) serveConn(conn net.Conn) {
 		if closed {
 			return
 		}
-		n.deliverRun(from, stream, payloads)
-		if corrupt {
+		n.Deliver(from, stream, payloads)
+		if err != nil {
 			return
 		}
 	}
@@ -443,33 +359,16 @@ func readFrame(br *bufio.Reader, arena *recvArena) (transport.Stream, []byte, er
 	return stream, payload, nil
 }
 
-// readBufferedFrame reads the next frame only if it is entirely
-// buffered already and belongs to stream; it never blocks on the
-// network. ok=false means no such frame is ready.
-func readBufferedFrame(br *bufio.Reader, stream transport.Stream, arena *recvArena) ([]byte, bool, error) {
+// nextBuffered reports whether the next frame belongs to stream and is
+// entirely in br's buffer already, so reading it never blocks on the
+// network.
+func nextBuffered(br *bufio.Reader, stream transport.Stream) bool {
 	if br.Buffered() < 8 {
-		return nil, false, nil
+		return false
 	}
-	header, err := br.Peek(8)
-	if err != nil {
-		return nil, false, nil
-	}
-	length := binary.LittleEndian.Uint32(header[:4])
-	next := transport.Stream(binary.LittleEndian.Uint32(header[4:]))
-	if length > maxFrameSize {
-		return nil, false, errors.New("tcpnet: oversized frame")
-	}
-	if next != stream || br.Buffered() < 8+int(length) {
-		return nil, false, nil
-	}
-	if _, err := br.Discard(8); err != nil {
-		return nil, false, err
-	}
-	payload := arena.alloc(int(length))
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, false, err
-	}
-	return payload, true, nil
+	header, _ := br.Peek(8)
+	return transport.Stream(binary.LittleEndian.Uint32(header[4:])) == stream &&
+		br.Buffered() >= 8+int(binary.LittleEndian.Uint32(header[:4]))
 }
 
 // --- outbound ---------------------------------------------------------------

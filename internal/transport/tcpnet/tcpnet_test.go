@@ -1,7 +1,10 @@
 package tcpnet
 
 import (
+	"encoding/binary"
 	"fmt"
+	"net"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -96,6 +99,77 @@ func TestUnknownPeerDropped(t *testing.T) {
 	}
 	defer n.Close()
 	n.Send(99, testStream, []byte("nowhere")) // must not panic or block
+}
+
+// TestFailedListenLeavesNoGoroutine listens on an address in use: each
+// failed Listen must leave nothing running behind it.
+func TestFailedListenLeavesNoGoroutine(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		if n, err := Listen(Options{Self: 1, ListenAddr: busy.Addr().String()}); err == nil {
+			n.Close()
+			t.Fatal("Listen on an address in use succeeded")
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines went from %d to %d over 10 failed Listens", before, after)
+	}
+}
+
+// TestFramesBeforeGarbageDelivered writes two frames and a garbage
+// header in one write: the two frames reach the handler, as one run,
+// before the connection is torn down.
+func TestFramesBeforeGarbageDelivered(t *testing.T) {
+	a, err := Listen(Options{Self: 1, ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	got := make(chan []string, 2)
+	a.HandleBatch(testStream, func(_ ids.NodeID, payloads [][]byte) {
+		var run []string
+		for _, p := range payloads {
+			run = append(run, string(p))
+		}
+		got <- run
+	})
+	conn, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := binary.LittleEndian.AppendUint32(nil, 2) // handshake: node 2
+	for _, p := range []string{"one", "two"} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(testStream))
+		buf = append(buf, p...)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, maxFrameSize+1) // garbage length
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(testStream))
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case run := <-got:
+		if !slices.Equal(run, []string{"one", "two"}) {
+			t.Fatalf("run = %q, want [one two]", run)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("frames before the garbage header not delivered")
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("connection still open after a garbage header")
+	}
 }
 
 func TestReconnect(t *testing.T) {

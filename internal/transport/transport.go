@@ -1,22 +1,27 @@
 // Package transport defines the point-to-point messaging abstraction
-// shared by every protocol component. A deployment connects nodes
-// through a Network; each node obtains a Node handle, registers
-// per-Stream handlers, and sends frames to peers.
+// shared by every protocol component. Each node has a Node handle: it
+// registers one handler per Stream and sends frames to peers.
 //
 // Two implementations exist: memnet (in-process, with emulated WAN
 // latency; used by tests, examples and the benchmark harness) and
-// tcpnet (real TCP; used by the cmd/spider-node daemon).
+// tcpnet (real TCP; used by the cmd/spider-node daemon). They differ
+// only in how frames travel; both hand what arrives to an embedded Mux,
+// which holds the handlers, buffers frames that arrive before their
+// handler and delivers each run of frames.
 //
 // Delivery contract: frames between the same ordered pair of nodes are
 // delivered in FIFO order per stream pair; delivery is asynchronous and
 // best-effort (a crashed or partitioned receiver silently loses
 // frames). Each peer's frames are handed to the handlers on that peer's
 // own delivery goroutine, so different peers' frames are handled side by
-// side. A handler may spend bounded CPU on a frame — authentication runs
-// there — but must never wait for another frame: that frame may be
-// queued behind the one being handled. These are exactly the
-// assumptions the paper's protocols make of their channels, with
-// retransmission and flow control layered above (IRMCs, client retry).
+// side. The order holds across registration: frames buffered before a
+// handler registers reach it first, and a frame that arrives while they
+// are replayed waits for them. A handler may spend bounded CPU on a
+// frame — authentication runs there — but must never wait for another
+// frame: that frame may be queued behind the one being handled. These
+// are exactly the assumptions the paper's protocols make of their
+// channels, with retransmission and flow control layered above (IRMCs,
+// client retry).
 //
 // # Buffer ownership
 //
@@ -71,46 +76,9 @@ type Handler func(from ids.NodeID, payload []byte)
 // BatchHandler processes a run of frames that arrived back-to-back
 // from the same peer on the same stream, in arrival order. Receivers
 // use it to amortize per-frame admission cost (allocations, lock
-// acquisitions) when a link's queue has built up; the
-// run length is an artifact of queue depth, never a delivery guarantee.
+// acquisitions) when a link's queue has built up; the run length is an
+// artifact of queue depth, never a delivery guarantee.
 type BatchHandler func(from ids.NodeID, payloads [][]byte)
-
-// BatchNode is optionally implemented by transports whose receive path
-// can hand several queued frames to the handler in one call (memnet
-// link queues, tcpnet's kernel receive buffer). HandleBatch replaces
-// any Handler previously registered for the stream and vice versa.
-type BatchNode interface {
-	HandleBatch(stream Stream, h BatchHandler)
-}
-
-// RegisterBatch registers h on node for stream: as a true batch
-// handler when the transport supports it, frame-at-a-time otherwise.
-// Protocol endpoints that can exploit batched admission register
-// through this helper so they work over every transport.
-func RegisterBatch(node Node, stream Stream, h BatchHandler) {
-	if bn, ok := node.(BatchNode); ok {
-		bn.HandleBatch(stream, h)
-		return
-	}
-	node.Handle(stream, func(from ids.NodeID, payload []byte) {
-		h(from, [][]byte{payload})
-	})
-}
-
-// ReplayRuns feeds a buffered backlog (parallel from/payload slices in
-// arrival order) to a batch handler, grouping consecutive frames from
-// the same sender into one call. Transports use it to flush their
-// pre-registration backlogs through HandleBatch.
-func ReplayRuns(h BatchHandler, froms []ids.NodeID, payloads [][]byte) {
-	for i := 0; i < len(froms); {
-		j := i + 1
-		for j < len(froms) && froms[j] == froms[i] {
-			j++
-		}
-		h(froms[i], payloads[i:j])
-		i = j
-	}
-}
 
 // Node is one endpoint's connection to the network.
 type Node interface {
@@ -119,20 +87,20 @@ type Node interface {
 	// Send asynchronously delivers payload to the stream handler at
 	// `to`. Send never blocks on the receiver.
 	Send(to ids.NodeID, stream Stream, payload []byte)
-	// Multicast sends payload to every node in to (self included if
-	// listed).
-	Multicast(to []ids.NodeID, stream Stream, payload []byte)
-	// Handle registers the handler for a stream. Frames that arrived
-	// before registration are buffered (bounded) and delivered upon
-	// registration, so components may be wired in any order.
+	// HandleBatch registers the handler for a stream, replacing any
+	// earlier one. Frames that arrived before registration are
+	// buffered (bounded) and delivered upon registration, so
+	// components may be wired in any order.
+	HandleBatch(stream Stream, h BatchHandler)
+	// Handle registers a handler that takes one frame per call; it is
+	// HandleBatch over a loop.
 	Handle(stream Stream, h Handler)
 }
 
-// Network creates node handles. Implementations are safe for
-// concurrent use.
-type Network interface {
-	// Node returns the handle for id, creating it if necessary.
-	Node(id ids.NodeID) Node
-	// Close stops delivery and releases resources.
-	Close()
+// Multicast sends payload to every node in to (self included if
+// listed). All destinations share the one payload slice.
+func Multicast(node Node, to []ids.NodeID, stream Stream, payload []byte) {
+	for _, dst := range to {
+		node.Send(dst, stream, payload)
+	}
 }

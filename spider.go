@@ -46,16 +46,6 @@ type (
 	Client = core.Client
 	// ClientConfig parameterizes a Client.
 	ClientConfig = core.ClientConfig
-	// ExecutionReplica hosts the application in an execution group
-	// (Figure 16).
-	ExecutionReplica = core.ExecutionReplica
-	// ExecutionConfig parameterizes an ExecutionReplica.
-	ExecutionConfig = core.ExecutionConfig
-	// AgreementReplica orders requests and hosts the registry
-	// (Figure 17).
-	AgreementReplica = core.AgreementReplica
-	// AgreementConfig parameterizes an AgreementReplica.
-	AgreementConfig = core.AgreementConfig
 	// AdminOp reconfigures the system at runtime (Section 3.6).
 	AdminOp = core.AdminOp
 	// GroupEntry is one record of the execution-replica registry.
@@ -76,11 +66,6 @@ type (
 	Region = topo.Region
 	// Summary carries the latency percentiles reported by Recorder.
 	Summary = stats.Summary
-
-	// CommitStats aggregates commit-channel byte counters (payload
-	// bytes handed to Sends, wide-area bytes shipped) across the
-	// agreement replicas it is shared with.
-	CommitStats = core.CommitStats
 )
 
 // Admin operation kinds.
@@ -110,16 +95,6 @@ const (
 
 // NewClient creates a client handle (see ClientConfig).
 func NewClient(cfg ClientConfig) (*Client, error) { return core.NewClient(cfg) }
-
-// NewExecutionReplica wires up an execution replica.
-func NewExecutionReplica(cfg ExecutionConfig) (*ExecutionReplica, error) {
-	return core.NewExecutionReplica(cfg)
-}
-
-// NewAgreementReplica wires up an agreement replica.
-func NewAgreementReplica(cfg AgreementConfig) (*AgreementReplica, error) {
-	return core.NewAgreementReplica(cfg)
-}
 
 // NewKVStore creates the bundled deterministic key-value application.
 func NewKVStore() *KVStore { return app.NewKVStore() }
