@@ -14,7 +14,7 @@ import (
 	"spider/internal/transport/memnet"
 )
 
-const testStream = transport.Stream(200)
+var testStream = transport.MakeStream(transport.KindCheckpoint, 200)
 
 type stableRec struct {
 	mu     sync.Mutex

@@ -14,7 +14,7 @@ import (
 	"spider/internal/transport/memnet"
 )
 
-const testStream = transport.Stream(100)
+var testStream = transport.MakeStream(transport.KindPBFT, 100)
 
 // collector records ordered deliveries of one replica.
 type collector struct {

@@ -115,7 +115,7 @@ type AgreementReplica struct {
 
 	recvLoops map[recvKey]bool // (group, client) loops already running
 
-	ag consensus.Agreement
+	ag *pbft.Replica
 	cp *checkpoint.Component
 
 	// Validated-payload cache: a request payload is admitted by the
@@ -362,57 +362,26 @@ func (a *AgreementReplica) Stop() {
 	}
 }
 
-// ConsensusLeader reports the current consensus view's leader, when
-// the consensus implementation exposes one (PBFT does). Chaos
+// ConsensusLeader reports the current consensus view's leader. Chaos
 // harnesses use it to aim leader-kill events.
-func (a *AgreementReplica) ConsensusLeader() (ids.NodeID, bool) {
-	if l, ok := a.ag.(interface{ Leader() ids.NodeID }); ok {
-		return l.Leader(), true
-	}
-	return 0, false
-}
+func (a *AgreementReplica) ConsensusLeader() ids.NodeID { return a.ag.Leader() }
 
-// ConsensusView reports the current consensus view number, when the
-// consensus implementation exposes one.
-func (a *AgreementReplica) ConsensusView() (uint64, bool) {
-	if v, ok := a.ag.(interface{ View() uint64 }); ok {
-		return v.View(), true
-	}
-	return 0, false
-}
+// ConsensusView reports the current consensus view number.
+func (a *AgreementReplica) ConsensusView() uint64 { return a.ag.View() }
 
 // ConsensusViewChanges reports how many view changes this replica has
 // entered since it started (timeout-driven, proactive, and adopted
-// alike), when the consensus implementation counts them.
-func (a *AgreementReplica) ConsensusViewChanges() (uint64, bool) {
-	if v, ok := a.ag.(interface{ ViewChanges() uint64 }); ok {
-		return v.ViewChanges(), true
-	}
-	return 0, false
-}
+// alike).
+func (a *AgreementReplica) ConsensusViewChanges() uint64 { return a.ag.ViewChanges() }
 
 // ConsensusRotations reports how many suspicions of a slow leader this
 // replica's failure detector sent, plus the latest ones with their
-// reasons (most recent last), when the consensus implementation counts
-// them.
-func (a *AgreementReplica) ConsensusRotations() (uint64, []pbft.Rotation, bool) {
-	if r, ok := a.ag.(interface {
-		Rotations() (uint64, []pbft.Rotation)
-	}); ok {
-		n, reasons := r.Rotations()
-		return n, reasons, true
-	}
-	return 0, nil, false
-}
+// reasons (most recent last).
+func (a *AgreementReplica) ConsensusRotations() (uint64, []pbft.Rotation) { return a.ag.Rotations() }
 
 // ConsensusViewRates reports the payloads committed per second in each
-// recent view, when the consensus implementation records them.
-func (a *AgreementReplica) ConsensusViewRates() []pbft.ViewRate {
-	if r, ok := a.ag.(interface{ ViewThroughput() []pbft.ViewRate }); ok {
-		return r.ViewThroughput()
-	}
-	return nil
-}
+// recent view.
+func (a *AgreementReplica) ConsensusViewRates() []pbft.ViewRate { return a.ag.ViewThroughput() }
 
 // UndecodablePayloads reports how many ordered payloads failed to
 // decode in deliver — zero in a healthy deployment; anything else

@@ -351,13 +351,8 @@ func (c *Cluster) AgreementLeader() (ids.NodeID, bool) {
 		if ar == nil {
 			continue
 		}
-		id, ok := ar.ConsensusLeader()
-		if !ok {
-			continue
-		}
-		view, _ := ar.ConsensusView()
-		if !found || view > bestView {
-			leader, bestView, found = id, view, true
+		if view := ar.ConsensusView(); !found || view > bestView {
+			leader, bestView, found = ar.ConsensusLeader(), view, true
 		}
 	}
 	return leader, found
@@ -436,22 +431,18 @@ func (c *Cluster) GrayFailureStats() GrayStats {
 		if ar == nil {
 			continue
 		}
-		if vc, ok := ar.ConsensusViewChanges(); ok && vc > out.ViewChanges {
-			out.ViewChanges = vc
-		}
-		if n, rots, ok := ar.ConsensusRotations(); ok {
-			out.Rotations = max(out.Rotations, n)
-			for _, rot := range rots {
-				if _, dup := accused[rot.View]; !dup {
-					accused[rot.View] = rot.Reason
-				}
+		out.ViewChanges = max(out.ViewChanges, ar.ConsensusViewChanges())
+		n, rots := ar.ConsensusRotations()
+		out.Rotations = max(out.Rotations, n)
+		for _, rot := range rots {
+			if _, dup := accused[rot.View]; !dup {
+				accused[rot.View] = rot.Reason
 			}
 		}
-		if view, ok := ar.ConsensusView(); ok {
-			if rates := ar.ConsensusViewRates(); len(rates) > 0 && (!haveView || view > bestView) {
-				out.ViewRates = rates
-				bestView, haveView = view, true
-			}
+		view := ar.ConsensusView()
+		if rates := ar.ConsensusViewRates(); len(rates) > 0 && (!haveView || view > bestView) {
+			out.ViewRates = rates
+			bestView, haveView = view, true
 		}
 	}
 	for _, v := range slices.Sorted(maps.Keys(accused)) {

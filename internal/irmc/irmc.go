@@ -27,24 +27,30 @@
 // start, and so a move or an announcement lost to a partition or a
 // restart repairs itself.
 //
-// All of that is written once, in SenderCore and ReceiverCore. The two
-// implementations embed them and differ only in how fs+1 submissions
-// are collected: rc (receiver-side collection, Figure 18) and sc
-// (sender-side collection with collectors, Figures 19–20). Both satisfy
-// the conformance suite in irmctest, which encodes the IRMC-Correctness
-// and IRMC-Liveness properties of Appendix A.5.
+// All of that is written once, in SenderCore and ReceiverCore (core.go).
+// The two implementations embed them and differ only in how fs+1
+// submissions are collected: rc (receiver-side collection, Figure 18)
+// and sc (sender-side collection with collectors, Figures 19–20). Both
+// satisfy the conformance suite in irmctest, which encodes the
+// IRMC-Correctness and IRMC-Liveness properties of Appendix A.5.
+//
+// Core and driver. The cores and both implementations are protocol
+// code only: they never take a lock, read the clock, start a goroutine
+// or touch the network (TestCorePurity). The driver, endpoint.go and
+// admit.go, owns those: the one lock per endpoint, the blocking waits
+// in Send and Receive, admission of inbound frames (Admit), one timer
+// per endpoint that calls the core's tick with the time, and the
+// outbox. Core code runs with the lock held and queues what it sends;
+// the driver helper that releases the lock then seals and sends the
+// queue, in order, without it.
 package irmc
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
-	"spider/internal/crypto"
 	"spider/internal/ids"
-	"spider/internal/stats"
-	"spider/internal/transport"
 )
 
 // ErrClosed is returned by blocked operations when the endpoint shuts
@@ -105,102 +111,6 @@ type Receiver interface {
 	MoveWindow(sc ids.Subchannel, p ids.Position)
 	// Close releases the endpoint and unblocks pending calls.
 	Close()
-}
-
-// Config parameterizes one endpoint of a channel. The same values
-// (identity aside) must be used by all endpoints of the channel.
-type Config struct {
-	// Senders is the sending replica group; its F is fs.
-	Senders ids.Group
-	// Receivers is the receiving replica group; its F is fr.
-	Receivers ids.Group
-	// Capacity bounds how many messages each subchannel holds
-	// (window size). Must be at least 1.
-	Capacity int
-	// Suite authenticates this endpoint's traffic.
-	Suite crypto.Suite
-	// Node is this endpoint's transport handle.
-	Node transport.Node
-	// Stream carries all traffic of this channel.
-	Stream transport.Stream
-	// Meter, when set, accumulates the processing time this endpoint
-	// spends handling messages and crypto (used for Figure 9c).
-	Meter *stats.CPUMeter
-	// SendBytes, when set on a sender endpoint, accumulates the
-	// data-plane bytes this endpoint ships across the wide area: Send
-	// envelopes times receivers for IRMC-RC, certificate envelopes for
-	// IRMC-SC (whose payload-bearing wide-area messages are the
-	// certificates; the sig-share exchange stays inside the co-located
-	// sender group). This is the byte accounting behind
-	// core.CommitStats.WireBytes. Control traffic (moves, progress,
-	// selects) is not counted.
-	SendBytes *stats.Counter
-	// ProgressIntervalMS is the period, in milliseconds, of a sender's
-	// tick: re-announcing unacknowledged window moves and, on IRMC-SC,
-	// announcing certificate progress (0 = 50).
-	ProgressIntervalMS int
-	// CollectorTimeoutMS is how long a receiver waits for a position its
-	// senders claim to have before it asks again: IRMC-SC switches
-	// collectors, IRMC-RC with Resend requests a re-transmission
-	// (0 = 1000).
-	CollectorTimeoutMS int
-	// Resend enables IRMC-RC window-loss repair on this channel: the
-	// sender retains the sealed envelope of every in-window position it
-	// has sent (pruned as the window advances), and a receiver whose
-	// Receive has been blocked on an in-window, unresolved position for
-	// a full CollectorTimeoutMS interval asks the senders to re-transmit
-	// from that position. Without it a Send multicast is
-	// fire-and-forget, so a receiver cut off by a partition or restart
-	// could never obtain positions the window still covers — the channel
-	// would violate the IRMC window contract and wedge. Spider enables
-	// it on commit channels; request channels instead rely on client
-	// retries re-entering the forward path. IRMC-SC ignores the flag
-	// (certificate retention plus collector rotation already repairs).
-	Resend bool
-	// OnNewSubchannel, when set on a receiver endpoint, is invoked
-	// (outside endpoint locks) the first time traffic arrives for a
-	// subchannel. Spider's agreement replicas use it to discover
-	// per-client request subchannels and spawn receive loops.
-	OnNewSubchannel func(sc ids.Subchannel)
-}
-
-// ProgressInterval is ProgressIntervalMS as a duration, 50 ms when unset.
-func (c *Config) ProgressInterval() time.Duration {
-	if c.ProgressIntervalMS > 0 {
-		return time.Duration(c.ProgressIntervalMS) * time.Millisecond
-	}
-	return 50 * time.Millisecond
-}
-
-// CollectorTimeout is CollectorTimeoutMS as a duration, 1 s when unset.
-func (c *Config) CollectorTimeout() time.Duration {
-	if c.CollectorTimeoutMS > 0 {
-		return time.Duration(c.CollectorTimeoutMS) * time.Millisecond
-	}
-	return time.Second
-}
-
-// Validate checks structural requirements shared by implementations.
-func (c *Config) Validate() error {
-	if c.Capacity < 1 {
-		return errors.New("irmc: capacity must be at least 1")
-	}
-	if len(c.Senders.Members) == 0 || len(c.Receivers.Members) == 0 {
-		return errors.New("irmc: sender and receiver groups required")
-	}
-	if c.Suite == nil || c.Node == nil {
-		return errors.New("irmc: suite and node required")
-	}
-	return nil
-}
-
-// Track starts CPU accounting for one processing section; the returned
-// function stops it. Safe with a nil receiver configuration.
-func (c *Config) Track() func() {
-	if c.Meter == nil {
-		return func() {}
-	}
-	return c.Meter.Track()
 }
 
 // Window is one subchannel's flow-control window: positions

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"spider/internal/crypto"
 	"spider/internal/ids"
@@ -169,7 +170,7 @@ func TestOpenAsksBeforeVerifying(t *testing.T) {
 		}, func(wire.TypeTag, wire.Message) error {
 			verified++
 			return nil
-		}, func(wire.TypeTag, wire.Message) { delivered++ })
+		}, func(time.Time, wire.TypeTag, wire.Message) { delivered++ })
 	}
 	admit(share, false)
 	if asked != 1 || verified != 0 || delivered != 0 {

@@ -15,7 +15,10 @@
 // opening the envelope is the whole admission check.
 //
 // Windows, moves, early holds and their repair are irmc.SenderCore and
-// irmc.ReceiverCore (the package comment of irmc states the rule).
+// irmc.ReceiverCore (the package comment of irmc states the rule), and
+// the lock, the clock, the timers and the network are irmc's driver:
+// everything here but Send's encoding runs under the endpoint lock and
+// queues what it sends.
 // What is particular here: a Send that reaches a receiver ahead of its
 // window is held per sender and, when the window arrives, counted as
 // that sender's one vote like any other; and because the fan-out is
@@ -24,6 +27,8 @@
 package rc
 
 import (
+	"time"
+
 	"spider/internal/crypto"
 	"spider/internal/ids"
 	"spider/internal/irmc"
@@ -45,74 +50,53 @@ type senderState struct {
 
 var _ irmc.Sender = (*Sender)(nil)
 
-// NewSender creates the sender endpoint and registers its transport
-// handler.
+// NewSender creates the sender endpoint.
 func NewSender(cfg irmc.Config) (*Sender, error) {
 	s := &Sender{}
 	err := s.Init(cfg, func(st *senderState) { st.retained = make(map[ids.Position][]byte) }, pruneRetained)
 	if err != nil {
 		return nil, err
 	}
-	s.Start(nil)
-	cfg.Node.Handle(cfg.Stream, s.onFrame)
+	s.Start(s.onFrames, cfg.ProgressInterval(), func(time.Time) { s.ReannounceMoves() })
 	return s, nil
 }
 
 // pruneRetained is the sender's window hook: drop what the start passed.
-func pruneRetained(sub *irmc.SenderSub[senderState]) func() {
+func pruneRetained(sub *irmc.SenderSub[senderState]) {
 	for p := range sub.X.retained {
 		if p < sub.Win.Start {
 			delete(sub.X.retained, p)
 		}
 	}
-	return nil
 }
 
 // Send implements irmc.Sender: it blocks while the position is beyond
 // the window (which this sender's own MoveWindow has already moved),
-// then seals the message for every receiver and sends it.
+// then seals the message for every receiver and sends it. RC ships the
+// full payload to every receiver — the wide-area cost Figure 9 charges
+// this implementation for, counted in SendBytes.
 func (s *Sender) Send(sc ids.Subchannel, p ids.Position, msg []byte) error {
 	stop := s.Cfg.Track()
 	frame := s.Reg.EncodeFrame(irmc.TagSend, &irmc.SendMsg{Subchannel: sc, Position: p, Payload: msg})
 	stop()
-	sub, err := s.WaitWindow(sc, p)
-	if err != nil {
-		return err
-	}
-	if s.Cfg.Resend {
-		sub.X.retained[p] = frame
-	}
-	s.Mu.Unlock()
-	s.post(frame, s.Cfg.Receivers.Members...)
-	return nil
+	return s.WaitWindow(sc, p, func(sub *irmc.SenderSub[senderState]) {
+		if s.Cfg.Resend {
+			sub.X.retained[p] = frame
+		}
+		s.QueueFrame(irmc.TagSend, frame, s.Cfg.Receivers.Members...)
+	})
 }
 
-// post seals a Send frame for the given receivers and sends it. RC
-// ships the full payload to every receiver — the wide-area cost Figure
-// 9 charges this implementation for, counted in SendBytes.
-func (s *Sender) post(frame []byte, to ...ids.NodeID) {
-	if n := s.PostFrame(irmc.TagSend, frame, to...); s.Cfg.SendBytes != nil {
-		s.Cfg.SendBytes.Add(n)
-	}
-}
-
-// onFrame handles inbound Move and Resend messages from receivers.
-func (s *Sender) onFrame(from ids.NodeID, payload []byte) {
-	stop := s.Cfg.Track()
-	defer stop()
-	if !s.Cfg.Receivers.Contains(from) {
-		return
-	}
-	tag, msg, err := irmc.Open(s.Cfg.Suite, s.Reg, from, payload)
-	if err != nil {
-		return
-	}
-	switch tag {
-	case irmc.TagMove:
-		s.OnReceiverMove(from, msg.(*irmc.MoveMsg))
-	case irmc.TagResend:
-		s.onResend(from, msg.(*irmc.ResendMsg))
-	}
+// onFrames admits the receivers' Move and Resend messages.
+func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
+	s.Admit(from, s.Cfg.Receivers.Contains(from), payloads, nil, nil, func(_ time.Time, tag wire.TypeTag, msg wire.Message) {
+		switch tag {
+		case irmc.TagMove:
+			s.OnReceiverMove(from, msg.(*irmc.MoveMsg))
+		case irmc.TagResend:
+			s.onResend(from, msg.(*irmc.ResendMsg))
+		}
+	})
 }
 
 // onResend re-transmits retained in-window Sends at or above the
@@ -125,24 +109,15 @@ func (s *Sender) onResend(from ids.NodeID, m *irmc.ResendMsg) {
 	if !s.Cfg.Resend {
 		return
 	}
-	s.Mu.Lock()
-	if s.Closed() {
-		s.Mu.Unlock()
-		return
-	}
 	sub := s.Sub(m.Subchannel)
 	lo := max(m.From, sub.Win.Start)
 	// Every retained entry is in-window by construction (Send admits
 	// only in-window positions, and the window's advance prunes).
-	var frames [][]byte
+	to := []ids.NodeID{from}
 	for p, frame := range sub.X.retained {
 		if p >= lo {
-			frames = append(frames, frame)
+			s.QueueFrame(irmc.TagSend, frame, to...)
 		}
-	}
-	s.Mu.Unlock()
-	for _, frame := range frames {
-		s.post(frame, from)
 	}
 }
 
@@ -158,12 +133,13 @@ type recvSub = irmc.ReceiverSub[recvState]
 // moves to the core's delivered store.
 type recvState struct {
 	sends *quorum.Collector[ids.Position, crypto.Digest, []byte]
+	// lastStuck is what Stuck returned on the last tick (Config.Resend).
+	lastStuck ids.Position
 }
 
 var _ irmc.Receiver = (*Receiver)(nil)
 
-// NewReceiver creates the receiver endpoint and registers its
-// transport handler.
+// NewReceiver creates the receiver endpoint.
 func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 	r := &Receiver{}
 	err := r.Init(cfg, func(st *recvState) {
@@ -172,41 +148,29 @@ func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 	if err != nil {
 		return nil, err
 	}
+	var tick func(time.Time)
 	if cfg.Resend {
-		lastStuck := make(map[ids.Subchannel]ids.Position)
-		r.Every(cfg.CollectorTimeout(), func() { r.nackStuck(lastStuck) })
+		tick = r.nackStuck
 	}
-	cfg.Node.HandleBatch(cfg.Stream, r.onFrames)
+	r.Start(r.onFrames, cfg.CollectorTimeout(), tick)
 	return r, nil
 }
 
-// nackStuck (Config.Resend only) runs once per collector timeout and
-// looks for Receive calls stuck on an in-window, undelivered position.
-// Healthy blocking — the next position simply has not been sent yet —
-// clears within one interval; a position still stuck on two consecutive
-// ticks means the original Send multicast was lost to this receiver
-// (partition, restart), which no amount of waiting repairs under RC's
-// fire-and-forget fan-out. All senders are then asked to re-transmit
-// their retained Sends from the lowest stuck position.
-func (r *Receiver) nackStuck(lastStuck map[ids.Subchannel]ids.Position) {
-	var nacks []irmc.ResendMsg
-	r.Mu.Lock()
-	if !r.Closed() {
-		for sc, sub := range r.Subs {
-			stuck := sub.Stuck()
-			if stuck == 0 {
-				delete(lastStuck, sc)
-				continue
-			}
-			if lastStuck[sc] == stuck {
-				nacks = append(nacks, irmc.ResendMsg{Subchannel: sc, From: stuck})
-			}
-			lastStuck[sc] = stuck
+// nackStuck (Config.Resend only) is the tick, once per collector
+// timeout; it looks for Receive calls stuck on an in-window, undelivered
+// position. Healthy blocking — the next position simply has not been
+// sent yet — clears within one interval; a position still stuck on two
+// consecutive ticks means the original Send multicast was lost to this
+// receiver (partition, restart), which no amount of waiting repairs
+// under RC's fire-and-forget fan-out. All senders are then asked to
+// re-transmit their retained Sends from the lowest stuck position.
+func (r *Receiver) nackStuck(time.Time) {
+	for sc, sub := range r.Subs {
+		stuck := sub.Stuck()
+		if stuck != 0 && stuck == sub.X.lastStuck {
+			r.Queue(irmc.TagResend, &irmc.ResendMsg{Subchannel: sc, From: stuck}, r.Cfg.Senders.Members...)
 		}
-	}
-	r.Mu.Unlock()
-	for i := range nacks {
-		r.Post(irmc.TagResend, &nacks[i], r.Cfg.Senders.Members...)
+		sub.X.lastStuck = stuck
 	}
 }
 
@@ -214,7 +178,7 @@ func (r *Receiver) nackStuck(lastStuck map[ids.Subchannel]ids.Position) {
 // MAC checks out goes straight to onSend: a repeat vote or a delivered
 // position costs nothing there (admitLocked).
 func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
-	r.Admit(from, r.Cfg.Senders.Contains(from), payloads, nil, nil, func(tag wire.TypeTag, msg wire.Message) {
+	r.Admit(from, r.Cfg.Senders.Contains(from), payloads, nil, nil, func(_ time.Time, tag wire.TypeTag, msg wire.Message) {
 		switch tag {
 		case irmc.TagSend:
 			r.onSend(from, msg.(*irmc.SendMsg))
@@ -225,11 +189,6 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 }
 
 func (r *Receiver) onSend(from ids.NodeID, m *irmc.SendMsg) {
-	r.Mu.Lock()
-	defer r.Mu.Unlock()
-	if r.Closed() {
-		return
-	}
 	sub := r.Arrived(m.Subchannel)
 	switch {
 	case m.Position > sub.Win.Max():

@@ -19,7 +19,10 @@
 // Receivers skip a certificate for a position already delivered.
 //
 // Windows, moves, early holds and their repair are irmc.SenderCore and
-// irmc.ReceiverCore (the package comment of irmc states the rule).
+// irmc.ReceiverCore (the package comment of irmc states the rule), and
+// the lock, the clock, the timers and the network are irmc's driver:
+// everything here but Send's signature runs under the endpoint lock and
+// queues what it sends.
 // What is particular here is that early traffic is held on both sides:
 // a sender keeps a peer's validated share for a position past its own
 // window — otherwise a collector that moves last could never assemble
@@ -68,8 +71,7 @@ type collectorChoice struct {
 
 var _ irmc.Sender = (*Sender)(nil)
 
-// NewSender creates the sender endpoint, registers its transport
-// handler, and starts the progress announcer.
+// NewSender creates the sender endpoint.
 func NewSender(cfg irmc.Config) (*Sender, error) {
 	s := &Sender{}
 	err := s.Init(cfg, func(st *senderState) {
@@ -87,8 +89,7 @@ func NewSender(cfg irmc.Config) (*Sender, error) {
 			s.peers = append(s.peers, id)
 		}
 	}
-	s.Start(s.announceProgress)
-	cfg.Node.HandleBatch(cfg.Stream, s.onFrames)
+	s.Start(s.onFrames, cfg.ProgressInterval(), s.tick)
 	return s, nil
 }
 
@@ -111,16 +112,15 @@ func (st *senderState) collectorFor(rr ids.NodeID, def ids.NodeID) ids.NodeID {
 // signature made outside it, so inbound traffic of every subchannel
 // never waits behind a public-key operation.
 func (s *Sender) Send(sc ids.Subchannel, p ids.Position, msg []byte) error {
-	sub, err := s.WaitWindow(sc, p)
-	if err != nil {
-		return err
+	dup := false
+	err := s.WaitWindow(sc, p, func(sub *senderSub) {
+		if _, dup = sub.X.data[p]; !dup {
+			sub.X.data[p] = msg
+		}
+	})
+	if err != nil || dup {
+		return err // a repeat is idempotent: already submitted
 	}
-	if _, dup := sub.X.data[p]; dup {
-		s.Mu.Unlock()
-		return nil // idempotent: already submitted
-	}
-	sub.X.data[p] = msg
-	s.Mu.Unlock()
 
 	stop := s.Cfg.Track()
 	digest := crypto.Hash(msg)
@@ -128,19 +128,15 @@ func (s *Sender) Send(sc ids.Subchannel, p ids.Position, msg []byte) error {
 		Subchannel: sc, Position: p, Digest: digest,
 		Sig: s.Cfg.Suite.Sign(crypto.DomainIRMCShare, irmc.SharePayload(sc, p, digest)),
 	}
-	// A window move that passed p meanwhile pruned data[p]; a share
-	// admitted below the start now would never be pruned.
-	var ready []readyCert
-	s.Mu.Lock()
-	if !s.Closed() && p >= sub.Win.Start {
-		if c, ok := s.admitShareLocked(sub, s.me, share); ok {
-			ready = append(ready, c)
+	s.Locked(func() {
+		s.Queue(irmc.TagSigShare, share, s.peers...)
+		// A window move that passed p meanwhile pruned data[p]; a share
+		// admitted below the start now would never be pruned.
+		if sub := s.Sub(sc); p >= sub.Win.Start {
+			s.admitShareLocked(sub, s.me, share)
 		}
-	}
-	s.Mu.Unlock()
-	stop()
-	s.Post(irmc.TagSigShare, share, s.peers...)
-	s.sendReady(ready)
+		stop() // what was queued is metered as it is sent
+	})
 	return nil
 }
 
@@ -158,7 +154,7 @@ func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
 				irmc.SharePayload(m.Subchannel, m.Position, m.Digest), m.Sig)
 		}
 		return nil
-	}, func(tag wire.TypeTag, msg wire.Message) {
+	}, func(_ time.Time, tag wire.TypeTag, msg wire.Message) {
 		switch {
 		case tag == irmc.TagSigShare && fromSender:
 			s.onShare(from, msg.(*irmc.SigShareMsg))
@@ -179,11 +175,6 @@ func (s *Sender) onFrames(from ids.NodeID, payloads [][]byte) {
 // Send completes it. Positions beyond the window go on to be verified
 // and held.
 func (s *Sender) wantShare(from ids.NodeID, m *irmc.SigShareMsg) bool {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	if s.Closed() {
-		return false
-	}
 	sub, ok := s.Subs[m.Subchannel]
 	if !ok {
 		return true
@@ -192,53 +183,32 @@ func (s *Sender) wantShare(from ids.NodeID, m *irmc.SigShareMsg) bool {
 		sub.X.shares.Voted(m.Position, from) == nil && !sub.X.shares.Reached(m.Position, m.Digest)
 }
 
-// readyCert is a freshly assembled certificate and the receivers that
-// currently use this sender as their collector.
-type readyCert struct {
-	cert    *irmc.CertificateMsg
-	targets []ids.NodeID
-}
-
-func (s *Sender) sendReady(ready []readyCert) {
-	for _, c := range ready {
-		s.sendCert(c.cert, c.targets)
-	}
-}
-
 // onShare admits a share signature already validated, or holds it when
 // the local window has not reached its position.
 func (s *Sender) onShare(from ids.NodeID, m *irmc.SigShareMsg) {
-	s.Mu.Lock()
-	if s.Closed() {
-		s.Mu.Unlock()
-		return
-	}
 	sub := s.Sub(m.Subchannel)
-	var ready []readyCert
 	switch {
 	case m.Position > sub.Win.Max():
 		sub.Early.Put(from, m.Position, m)
 	case m.Position >= sub.Win.Start:
-		if c, ok := s.admitShareLocked(sub, from, m); ok {
-			ready = append(ready, c)
-		}
+		s.admitShareLocked(sub, from, m)
 	}
-	s.Mu.Unlock()
-	s.sendReady(ready)
 }
 
 // admitShareLocked stores from's share for an in-window position and
 // assembles the certificate, of exactly fs+1 shares, once that many
-// match our own payload.
-func (s *Sender) admitShareLocked(sub *senderSub, from ids.NodeID, m *irmc.SigShareMsg) (readyCert, bool) {
+// match our own payload. Certificates are SC's payload-bearing
+// wide-area messages, counted in SendBytes; the sig-share exchange
+// stays within the co-located sender group.
+func (s *Sender) admitShareLocked(sub *senderSub, from ids.NodeID, m *irmc.SigShareMsg) {
 	st := &sub.X
 	if !st.shares.Add(m.Position, from, m.Digest, m.Sig) {
-		return readyCert{}, false
+		return
 	}
 	payload, havePayload := st.data[m.Position]
 	if !havePayload || st.certs[m.Position] != nil ||
 		m.Digest != crypto.Hash(payload) || !st.shares.Reached(m.Position, m.Digest) {
-		return readyCert{}, false
+		return
 	}
 	cert := &irmc.CertificateMsg{
 		Subchannel: m.Subchannel,
@@ -259,22 +229,12 @@ func (s *Sender) admitShareLocked(sub *senderSub, from ids.NodeID, m *irmc.SigSh
 			targets = append(targets, rr)
 		}
 	}
-	return readyCert{cert: cert, targets: targets}, true
-}
-
-// sendCert ships a certificate. Certificates are SC's payload-bearing
-// wide-area messages; the sig-share exchange stays within the
-// co-located sender group and is not charged to SendBytes.
-func (s *Sender) sendCert(cert *irmc.CertificateMsg, targets []ids.NodeID) {
-	if n := s.Post(irmc.TagCertificate, cert, targets...); s.Cfg.SendBytes != nil {
-		s.Cfg.SendBytes.Add(n)
-	}
+	s.Queue(irmc.TagCertificate, cert, targets...)
 }
 
 // windowChangedLocked is the sender's window hook: prune what the start
-// has passed, admit the held shares the window now covers, and ship the
-// certificates that completes once the lock is released.
-func (s *Sender) windowChangedLocked(sub *senderSub) func() {
+// has passed and admit the held shares the window now covers.
+func (s *Sender) windowChangedLocked(sub *senderSub) {
 	st := &sub.X
 	for pos := range st.data {
 		if pos < sub.Win.Start {
@@ -287,67 +247,46 @@ func (s *Sender) windowChangedLocked(sub *senderSub) func() {
 			delete(st.certs, pos)
 		}
 	}
-	var ready []readyCert
 	sub.Early.Release(sub.Win.Window, func(from ids.NodeID, _ ids.Position, m *irmc.SigShareMsg) {
-		if c, ok := s.admitShareLocked(sub, from, m); ok {
-			ready = append(ready, c)
-		}
+		s.admitShareLocked(sub, from, m)
 	})
-	if ready == nil {
-		return nil
-	}
-	return func() { s.sendReady(ready) }
 }
 
 func (s *Sender) onSelect(from ids.NodeID, m *irmc.SelectMsg) {
-	s.Mu.Lock()
 	st := &s.Sub(m.Subchannel).X
 	cur := st.collectors[from]
-	if m.Epoch <= cur.epoch && !(cur == collectorChoice{}) {
-		s.Mu.Unlock()
-		return
-	}
-	if !s.Cfg.Senders.Contains(m.Collector) {
-		s.Mu.Unlock()
+	if (m.Epoch <= cur.epoch && cur != collectorChoice{}) || !s.Cfg.Senders.Contains(m.Collector) {
 		return
 	}
 	st.collectors[from] = collectorChoice{node: m.Collector, epoch: m.Epoch}
-	var resend []*irmc.CertificateMsg
 	if m.Collector == s.me {
 		// We are the new collector: replay every certificate we hold
 		// so the receiver can fill its gaps.
-		resend = make([]*irmc.CertificateMsg, 0, len(st.certs))
+		to := []ids.NodeID{from}
 		for _, cert := range st.certs {
-			resend = append(resend, cert)
+			s.Queue(irmc.TagCertificate, cert, to...)
 		}
-	}
-	s.Mu.Unlock()
-	for _, cert := range resend {
-		s.sendCert(cert, []ids.NodeID{from})
 	}
 }
 
-// announceProgress runs on the sender's tick and announces, per
-// subchannel, the highest position through which this sender holds
-// gap-free certificates.
-func (s *Sender) announceProgress() {
+// tick re-announces unacknowledged moves and announces, per subchannel,
+// the highest position through which this sender holds gap-free
+// certificates.
+func (s *Sender) tick(time.Time) {
+	s.ReannounceMoves()
 	msg := &irmc.ProgressMsg{}
-	s.Mu.Lock()
-	if !s.Closed() {
-		for sc, sub := range s.Subs {
-			p := sub.Win.Start - 1
-			for sub.X.certs[p+1] != nil {
-				p++
-			}
-			if p >= sub.Win.Start {
-				msg.Subchannels = append(msg.Subchannels, sc)
-				msg.Positions = append(msg.Positions, p)
-			}
+	for sc, sub := range s.Subs {
+		p := sub.Win.Start - 1
+		for sub.X.certs[p+1] != nil {
+			p++
+		}
+		if p >= sub.Win.Start {
+			msg.Subchannels = append(msg.Subchannels, sc)
+			msg.Positions = append(msg.Positions, p)
 		}
 	}
-	s.Mu.Unlock()
 	if len(msg.Subchannels) > 0 {
-		s.Post(irmc.TagProgress, msg, s.Cfg.Receivers.Members...)
+		s.Queue(irmc.TagProgress, msg, s.Cfg.Receivers.Members...)
 	}
 }
 
@@ -373,8 +312,8 @@ type recvState struct {
 
 var _ irmc.Receiver = (*Receiver)(nil)
 
-// NewReceiver creates the receiver endpoint, registers its transport
-// handler, and starts the collector watchdog.
+// NewReceiver creates the receiver endpoint; its tick is the collector
+// watchdog.
 func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 	r := &Receiver{}
 	// A verified certificate is deliverable as it stands, so a held one
@@ -389,8 +328,7 @@ func NewReceiver(cfg irmc.Config) (*Receiver, error) {
 		return nil, err
 	}
 	r.certs = quorum.Cert{Rule: quorum.Count(cfg.Senders.F + 1), Members: cfg.Senders}
-	r.Every(max(cfg.CollectorTimeout()/4, 10*time.Millisecond), r.checkCollectors)
-	cfg.Node.HandleBatch(cfg.Stream, r.onFrames)
+	r.Start(r.onFrames, max(cfg.CollectorTimeout()/4, 10*time.Millisecond), r.checkCollectors)
 	return r, nil
 }
 
@@ -407,12 +345,12 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 			}
 		}
 		return nil
-	}, func(tag wire.TypeTag, msg wire.Message) {
+	}, func(now time.Time, tag wire.TypeTag, msg wire.Message) {
 		switch tag {
 		case irmc.TagCertificate:
 			r.onCertificate(from, msg.(*irmc.CertificateMsg))
 		case irmc.TagProgress:
-			r.onProgress(from, msg.(*irmc.ProgressMsg))
+			r.onProgress(now, from, msg.(*irmc.ProgressMsg))
 		case irmc.TagMove:
 			r.OnSenderMove(from, msg.(*irmc.MoveMsg))
 		}
@@ -424,11 +362,6 @@ func (r *Receiver) onFrames(from ids.NodeID, payloads [][]byte) {
 // window or already delivered (a replay after a collector switch, a
 // second collector) it changes nothing.
 func (r *Receiver) wantCertificate(m *irmc.CertificateMsg) bool {
-	r.Mu.Lock()
-	defer r.Mu.Unlock()
-	if r.Closed() {
-		return false
-	}
 	sub, ok := r.Subs[m.Subchannel]
 	if !ok {
 		return true
@@ -449,11 +382,6 @@ func (r *Receiver) verifyCertificate(m *irmc.CertificateMsg) bool {
 // onCertificate installs a certificate already validated, or holds it
 // when the window has not reached its position.
 func (r *Receiver) onCertificate(from ids.NodeID, m *irmc.CertificateMsg) {
-	r.Mu.Lock()
-	defer r.Mu.Unlock()
-	if r.Closed() {
-		return
-	}
 	sub := r.Arrived(m.Subchannel)
 	switch {
 	case m.Position > sub.Win.Max():
@@ -463,13 +391,7 @@ func (r *Receiver) onCertificate(from ids.NodeID, m *irmc.CertificateMsg) {
 	}
 }
 
-func (r *Receiver) onProgress(from ids.NodeID, m *irmc.ProgressMsg) {
-	r.Mu.Lock()
-	defer r.Mu.Unlock()
-	if r.Closed() {
-		return
-	}
-	now := time.Now()
+func (r *Receiver) onProgress(now time.Time, from ids.NodeID, m *irmc.ProgressMsg) {
 	for i, sc := range m.Subchannels {
 		sub := r.Arrived(sc)
 		st := &sub.X
@@ -502,10 +424,7 @@ func missingBeforeLocked(sub *recvSub) bool {
 // certificates are overdue: if fs+1 senders claim progress past a
 // position this receiver has not obtained, the current collector is
 // withholding certificates.
-func (r *Receiver) checkCollectors() {
-	var switches []irmc.SelectMsg
-	r.Mu.Lock()
-	now := time.Now()
+func (r *Receiver) checkCollectors(now time.Time) {
 	for sc, sub := range r.Subs {
 		st := &sub.X
 		if st.timerDeadline.IsZero() || now.Before(st.timerDeadline) {
@@ -520,10 +439,6 @@ func (r *Receiver) checkCollectors() {
 		st.collector = r.Cfg.Senders.Members[(idx+1)%len(r.Cfg.Senders.Members)]
 		st.epoch++
 		st.timerDeadline = now.Add(r.Cfg.CollectorTimeout())
-		switches = append(switches, irmc.SelectMsg{Subchannel: sc, Collector: st.collector, Epoch: st.epoch})
-	}
-	r.Mu.Unlock()
-	for i := range switches {
-		r.Post(irmc.TagSelect, &switches[i], r.Cfg.Senders.Members...)
+		r.Queue(irmc.TagSelect, &irmc.SelectMsg{Subchannel: sc, Collector: st.collector, Epoch: st.epoch}, r.Cfg.Senders.Members...)
 	}
 }

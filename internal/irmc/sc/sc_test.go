@@ -67,40 +67,101 @@ func TestConformance(t *testing.T) {
 	irmctest.Run(t, newChannel)
 }
 
+// never is an endpoint interval, in ms, that outlasts any test: the
+// tests that tick the endpoints themselves build them with it.
+const never = 3_600_000
+
+// wireChannel builds a channel of capacity 8 on w whose endpoints' own
+// timers never fire; the test calls their ticks.
+func wireChannel(t *testing.T, w *irmctest.Wire) (senders []*Sender, receivers []*Receiver) {
+	t.Helper()
+	sg, rg := irmctest.Groups()
+	suites := irmctest.Suites()
+	cfg := func(id ids.NodeID) irmc.Config {
+		return irmc.Config{Senders: sg, Receivers: rg, Capacity: 8, Suite: suites[id], Node: w.Node(id),
+			Stream: transport.MakeStream(transport.KindBench, 2), ProgressIntervalMS: never, CollectorTimeoutMS: never}
+	}
+	for _, id := range sg.Members {
+		s, err := NewSender(cfg(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		senders = append(senders, s)
+	}
+	for _, id := range rg.Members {
+		r, err := NewReceiver(cfg(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		receivers = append(receivers, r)
+	}
+	return senders, receivers
+}
+
 // TestCollectorFailover cuts the default collector off from the
 // receivers; progress announcements from the other senders must make
 // the receivers switch collectors and obtain the certificates anyway
-// (Section 4, "protection against faulty collectors").
+// (Section 4, "protection against faulty collectors"). The test ticks
+// every endpoint itself, on synthetic time: a receiver does not switch
+// before the collector timeout and switches once after it.
 func TestCollectorFailover(t *testing.T) {
-	c := newChannelTimeouts(t, irmctest.Options{Capacity: 8}, 20, 150)
-	defer c.Close()
-
+	w := irmctest.NewWire()
+	senders, receivers := wireChannel(t, w)
+	sg, rg := irmctest.Groups()
 	// Sever collector (sender 1) <-> all receivers, keeping the
 	// sender group fully connected so certificates still assemble.
-	for _, rr := range c.ReceiverG.Members {
-		c.Net.Cut(c.SenderG.Members[0], rr, true)
+	for _, rr := range rg.Members {
+		w.Cut(sg.Members[0], rr, true)
 	}
-
 	want := []byte("despite faulty collector")
-	ch := make(chan []byte, 1)
-	go func() {
-		msg, err := c.Receivers[0].Receive(0, 1)
-		if err == nil {
-			ch <- msg
-		}
-	}()
-	for _, s := range c.Senders {
+	for _, s := range senders {
 		if err := s.Send(0, 1, want); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	select {
-	case msg := <-ch:
-		if !bytes.Equal(msg, want) {
-			t.Fatalf("delivered %q", msg)
+	w.Flush()
+
+	tick := func(now time.Time) {
+		for _, s := range senders {
+			s.Locked(func() { s.tick(now) })
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("collector failover did not deliver the message")
+		for _, r := range receivers {
+			r.Locked(func() { r.checkCollectors(now) })
+		}
+		w.Flush()
+	}
+	state := func(r *Receiver) (delivered bool, collector ids.NodeID, epoch uint64) {
+		r.Mu.Lock()
+		defer r.Mu.Unlock()
+		sub := r.Subs[0]
+		if sub == nil {
+			return false, 0, 0
+		}
+		return sub.Delivered(1), sub.X.collector, sub.X.epoch
+	}
+	// Progress arrives stamped with the time of its arrival, before
+	// start + timeout.
+	start, timeout := time.Now(), time.Duration(never)*time.Millisecond
+	for _, now := range []time.Time{start, start.Add(timeout / 2)} {
+		tick(now)
+		for i, r := range receivers {
+			if delivered, _, epoch := state(r); delivered || epoch != 0 {
+				t.Fatalf("receiver %d before the timeout: delivered %v, epoch %d", i, delivered, epoch)
+			}
+		}
+	}
+	tick(start.Add(2 * timeout))
+	for i, r := range receivers {
+		delivered, collector, epoch := state(r)
+		if !delivered || collector != sg.Members[1] || epoch != 1 {
+			t.Fatalf("receiver %d after the timeout: delivered %v, collector %v, epoch %d; want true, %v, 1",
+				i, delivered, collector, epoch, sg.Members[1])
+		}
+		if msg, err := r.Receive(0, 1); err != nil || !bytes.Equal(msg, want) {
+			t.Fatalf("receiver %d: Receive = %q, %v", i, msg, err)
+		}
 	}
 }
 
@@ -239,10 +300,12 @@ func TestShareEquivocationHoldsOneShare(t *testing.T) {
 		d := crypto.Hash([]byte(fmt.Sprintf("equivocation %d", i)))
 		m := &irmc.SigShareMsg{Subchannel: 0, Position: p, Digest: d,
 			Sig: suites[peer].Sign(crypto.DomainIRMCShare, irmc.SharePayload(0, p, d))}
-		if collector.wantShare(peer, m) {
-			wanted++
-		}
-		collector.onShare(peer, m)
+		collector.Locked(func() {
+			if collector.wantShare(peer, m) {
+				wanted++
+			}
+			collector.onShare(peer, m)
+		})
 	}
 	collector.Mu.Lock()
 	stored := 0

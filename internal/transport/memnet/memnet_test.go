@@ -12,7 +12,7 @@ import (
 	"spider/internal/transport"
 )
 
-const testStream = transport.Stream(1)
+var testStream = transport.MakeStream(transport.KindBench, 1)
 
 func TestDelivery(t *testing.T) {
 	net := New(Options{})

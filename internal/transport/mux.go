@@ -6,9 +6,17 @@ import (
 	"spider/internal/ids"
 )
 
-// backlogLimit bounds the frames a stream buffers before its handler
-// registers; frames beyond it are dropped and counted.
-const backlogLimit = 4096
+// The backlog of frames that arrive before their handler is bounded:
+// backlogLimit frames per stream, and backlogBytes per node over all
+// streams, each frame charged its length plus frameCost for its
+// bookkeeping (so that empty frames on ever new streams are bounded
+// too). Frames beyond either bound are dropped and counted, and frames
+// on a stream of no declared kind are dropped without being buffered.
+const (
+	backlogLimit = 4096
+	backlogBytes = 16 << 20
+	frameCost    = 128
+)
 
 // Mux is the inbound half of a transport: the stream handlers and the
 // bounded backlog of frames that arrive before their handler. A
@@ -18,6 +26,7 @@ const backlogLimit = 4096
 type Mux struct {
 	mu      sync.Mutex
 	streams map[Stream]*muxStream
+	backlog int // bytes charged for every stream's backlog
 }
 
 type muxStream struct {
@@ -54,6 +63,9 @@ func (m *Mux) HandleBatch(stream Stream, h BatchHandler) {
 	st.h = h
 	froms, payloads := st.froms, st.payloads
 	st.froms, st.payloads = nil, nil
+	for _, p := range payloads {
+		m.backlog -= len(p) + frameCost
+	}
 	if len(froms) == 0 {
 		m.mu.Unlock()
 		return
@@ -89,30 +101,39 @@ func (m *Mux) Handle(stream Stream, h Handler) {
 
 // Deliver hands a run of frames from one sender to the stream's
 // handler, or buffers them until one registers. It returns how many
-// frames it dropped because the stream's backlog was full.
+// frames it dropped: past the backlog's bounds, or on a stream of no
+// declared kind.
 func (m *Mux) Deliver(from ids.NodeID, stream Stream, payloads [][]byte) (dropped int) {
 	m.mu.Lock()
-	st := m.stream(stream)
-	for st.replay != nil {
+	st := m.streams[stream]
+	for st != nil && st.replay != nil {
 		done := st.replay
 		m.mu.Unlock()
 		<-done
 		m.mu.Lock()
 	}
-	h := st.h
-	if h == nil {
-		for _, p := range payloads {
-			if len(st.froms) == backlogLimit {
-				dropped++
-				continue
-			}
-			st.froms = append(st.froms, from)
-			st.payloads = append(st.payloads, p)
-		}
+	if st != nil && st.h != nil {
+		h := st.h
 		m.mu.Unlock()
-		return dropped
+		h(from, payloads)
+		return 0
 	}
-	m.mu.Unlock()
-	h(from, payloads)
-	return 0
+	defer m.mu.Unlock()
+	if !StreamKind(stream >> 24).declared() {
+		return len(payloads)
+	}
+	for _, p := range payloads {
+		cost := len(p) + frameCost
+		if st != nil && len(st.froms) == backlogLimit || m.backlog+cost > backlogBytes {
+			dropped++
+			continue
+		}
+		if st == nil {
+			st = m.stream(stream)
+		}
+		st.froms = append(st.froms, from)
+		st.payloads = append(st.payloads, p)
+		m.backlog += cost
+	}
+	return dropped
 }

@@ -9,7 +9,7 @@ import (
 	"spider/internal/ids"
 )
 
-const testStream = Stream(1)
+var testStream = MakeStream(KindBench, 1)
 
 func seqFrame(i int) []byte { return binary.BigEndian.AppendUint32(nil, uint32(i)) }
 
@@ -64,6 +64,31 @@ func TestMuxBacklogLimit(t *testing.T) {
 	}
 }
 
+// TestMuxBacklogBounded: frames on a stream of no declared kind are
+// dropped before buffering, and over any number of streams the backlog
+// is charged at most backlogBytes; a registration that takes its
+// stream's backlog frees its share for later frames.
+func TestMuxBacklogBounded(t *testing.T) {
+	var m Mux
+	if d := m.Deliver(1, Stream(1), [][]byte{seqFrame(0)}); d != 1 {
+		t.Fatalf("frame of an undeclared stream kind: %d dropped, want 1", d)
+	}
+	frame := make([]byte, 16<<10)
+	cost := len(frame) + frameCost
+	const streams = 2 * backlogBytes / (16 << 10)
+	dropped := 0
+	for i := range streams {
+		dropped += m.Deliver(1, MakeStream(KindBench, uint32(i)), [][]byte{frame})
+	}
+	if kept := streams - dropped; kept != backlogBytes/cost || m.backlog != kept*cost {
+		t.Fatalf("%d frames of %d bytes kept (%d charged), want %d within %d bytes", kept, len(frame), m.backlog, backlogBytes/cost, backlogBytes)
+	}
+	m.Handle(MakeStream(KindBench, 0), func(ids.NodeID, []byte) {})
+	if d := m.Deliver(1, MakeStream(KindBench, streams), [][]byte{frame}); d != 0 {
+		t.Fatal("backlog still full after a registration took its frames")
+	}
+}
+
 // TestMuxReplayBySender: a replayed backlog reaches a batch handler as one
 // call per run of consecutive frames from one sender, whatever runs
 // they arrived in.
@@ -75,7 +100,7 @@ func TestMuxReplayBySender(t *testing.T) {
 	m.Deliver(1, testStream, [][]byte{seqFrame(4)})
 	m.Deliver(3, testStream, [][]byte{seqFrame(5), seqFrame(6)})
 	m.Deliver(3, testStream, [][]byte{seqFrame(7)})
-	m.Deliver(1, Stream(2), [][]byte{seqFrame(8)}) // another stream's backlog
+	m.Deliver(1, testStream+1, [][]byte{seqFrame(8)}) // another stream's backlog
 
 	var calls []call
 	m.HandleBatch(testStream, recordCalls(&calls))

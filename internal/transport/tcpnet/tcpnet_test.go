@@ -18,7 +18,7 @@ import (
 	"spider/internal/transport"
 )
 
-const testStream = transport.Stream(1)
+var testStream = transport.MakeStream(transport.KindBench, 1)
 
 func TestSendReceive(t *testing.T) {
 	a, err := Listen(Options{Self: 1, ListenAddr: "127.0.0.1:0"})

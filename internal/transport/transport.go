@@ -63,6 +63,15 @@ const (
 	KindBench      StreamKind = 8 // microbenchmark traffic
 )
 
+// declared reports whether k is one of the kinds above.
+func (k StreamKind) declared() bool {
+	switch k {
+	case KindClient, KindPBFT, KindRequestCh, KindCommitCh, KindCheckpoint, KindHFT, KindBench:
+		return true
+	}
+	return false
+}
+
 // MakeStream composes a stream identifier from a kind and an instance
 // number (for example a group id).
 func MakeStream(kind StreamKind, instance uint32) Stream {
